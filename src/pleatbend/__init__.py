@@ -33,8 +33,9 @@ from .topology import (BoundaryComponent, BoundaryInclusion, Cuff, CuffCrossing,
                        PantsDecomposition, TransverseArc, build_lamination,
                        enumerate_orientations, load_document, save_document,
                        standard_decomposition, subdivide_arc)
-from .volume import (LoopDefectReport, SchlafliSample, VolumePathResult,
-                     ideal_tetra_volume, integrate_volume_change, lobachevsky,
-                     loop_defect, schlafli_derivative, vol_gamma_change)
+from .volume import (LoopDefectReport, VolGammaResult, VolumePathResult,
+                     angle_series, ideal_tetra_volume,
+                     integrate_volume_change, lobachevsky, loop_defect,
+                     schlafli_derivative, vol_gamma, vol_gamma_change)
 
 __version__ = "0.1.0"

@@ -27,9 +27,9 @@ from .pleated import (EndpointChoice, TruncationConvention, bending_data,
 from .representation import (conjugacy_residual, evaluate_word, fingerprint,
                              jacobian_rank, load_path, load_rep,
                              peripheral_fingerprint, standard_word_list)
-from .topology import build_lamination, enumerate_orientations, load_document
-from .volume import (integrate_volume_change, loop_defect,
-                     orientation_start_endpoints, vol_gamma_change)
+from .topology import build_lamination, load_document
+from .volume import (angle_series, integrate_volume_change, loop_defect,
+                     vol_gamma, vol_gamma_change)
 
 LOOP_TOL = 1e-6
 
@@ -55,7 +55,6 @@ class ExperimentConfig:
     tolerance: float = 1e-9
     steps: int | None = None
     horoball: float = 1.0
-    seed: int = 0
     fmt: str = "text"
     endpoints: str = "attracting"
     rank: bool = False
@@ -255,20 +254,13 @@ def cmd_volume_path(cfg: ExperimentConfig) -> int:
 def cmd_vol_gamma(cfg: ExperimentConfig) -> int:
     pd, path = _load_pathfile(cfg)
     conv = TruncationConvention.uniform(pd, cfg.horoball)
-    per_orientation = []
-    cumulative = None
-    for ori in enumerate_orientations(pd):
-        zeta0 = orientation_start_endpoints(path, ori)
-        lam = build_lamination(pd, ori)
-        result = integrate_volume_change(path, zeta0, conv, steps=cfg.steps,
-                                         lamination=lam)
-        label = "".join("+" if b else "-" for b in ori.forward)
-        per_orientation.append((label, result))
-        if cumulative is None:
-            cumulative = list(result.cumulative)
-        else:
-            cumulative = [a + b for a, b in zip(cumulative, result.cumulative)]
-    total = sum(r.delta_v for _, r in per_orientation)
+    summed = vol_gamma(path, conv, steps=cfg.steps)
+    per_orientation = [("".join("+" if b else "-" for b in ori.forward), r)
+                       for ori, r in zip(summed.orientations, summed.results)]
+    cumulative = list(summed.results[0].cumulative)
+    for r in summed.results[1:]:
+        cumulative = [a + b for a, b in zip(cumulative, r.cumulative)]
+    total = summed.total
     if cfg.fmt == "json":
         payload = {
             "total": _num(total),
@@ -396,13 +388,9 @@ def cmd_plot(cfg: ExperimentConfig) -> int:
     conv = TruncationConvention.uniform(pd, cfg.horoball)
     zeta = EndpointChoice.uniform(cfg.endpoints)
     if cfg.quantity == "angles":
-        from .volume import _realized_samples
-        samples = _realized_samples(path, list(range(len(path))), zeta, conv)
-        series = {}
-        for c in pd.cuffs:
-            series[f"angle[{c.id}]"] = [s.data.cuff_angles[c.id]
-                                        for s in samples]
-        svg = _svg_plot(tuple(s.t for s in samples), series, "t", "bending angle")
+        angles = angle_series(path, zeta, conv)
+        series = {f"angle[{c.id}]": angles[c.id] for c in pd.cuffs}
+        svg = _svg_plot(path.ts, series, "t", "bending angle")
     else:
         result = integrate_volume_change(path, zeta, conv, steps=cfg.steps)
         svg = _svg_plot(result.ts, {"dV": result.cumulative},
@@ -501,7 +489,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--steps", type=int)
         p.add_argument("--horoball", type=float, default=1.0,
                        help="uniform truncation scale")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", dest="fmt", default="text",
                        choices=("text", "json", "csv", "svg"))
         p.add_argument("--endpoints", default="attracting",
@@ -519,9 +506,9 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig(
         command=args.command, input=tuple(args.input), pd=args.pd,
         inclusion=args.inclusion, words=words, tolerance=args.tolerance,
-        steps=args.steps, horoball=args.horoball, seed=args.seed,
-        fmt=args.fmt, endpoints=args.endpoints, rank=args.rank,
-        output=args.output, quantity=args.quantity)
+        steps=args.steps, horoball=args.horoball, fmt=args.fmt,
+        endpoints=args.endpoints, rank=args.rank, output=args.output,
+        quantity=args.quantity)
 
 
 def main(argv=None) -> int:

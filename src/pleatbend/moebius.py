@@ -40,6 +40,7 @@ from .errors import (
 
 EPS_CLASS = 1e-9   # tolerance for trace-based classification
 EPS_NUM = 1e-10    # generic numerical comparison tolerance
+RESCALE_LIMIT = 1e6  # |ad| + |bc| above which products are not rescaled
 
 _TWO_PI = 2.0 * math.pi
 
@@ -138,8 +139,26 @@ class MoebiusMap:
         """Trace of the stored determinant-1 lift (sign is lift-dependent)."""
         return self.a + self.d
 
+    @classmethod
+    def _from_unimodular(cls, a: complex, b: complex, c: complex,
+                         d: complex) -> "MoebiusMap":
+        """Wrap entries whose exact determinant is 1 (products, inverses).
+
+        Rescaling goes through the computed ad - bc, whose rounding error
+        is about eps (|ad| + |bc|).  Once that exceeds RESCALE_LIMIT eps,
+        rescaling by it would move the trace (and so the complex length)
+        further than the rounding of the entries did, so the entries are
+        kept as they are.
+        """
+        if abs(a * d) + abs(b * c) <= RESCALE_LIMIT:
+            return cls(a, b, c, d)
+        m = object.__new__(cls)
+        for name, val in (("a", a), ("b", b), ("c", c), ("d", d)):
+            object.__setattr__(m, name, complex(val))
+        return m
+
     def __matmul__(self, other: "MoebiusMap") -> "MoebiusMap":
-        return MoebiusMap(
+        return MoebiusMap._from_unimodular(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -147,7 +166,7 @@ class MoebiusMap:
         )
 
     def inverse(self) -> "MoebiusMap":
-        return MoebiusMap(self.d, -self.b, -self.c, self.a)
+        return MoebiusMap._from_unimodular(self.d, -self.b, -self.c, self.a)
 
     def conjugate_by(self, g: "MoebiusMap") -> "MoebiusMap":
         """g self g^-1."""
@@ -156,9 +175,6 @@ class MoebiusMap:
     def apply(self, p: ProjectivePoint) -> ProjectivePoint:
         return ProjectivePoint(self.a * p.z1 + self.b * p.z2,
                                self.c * p.z1 + self.d * p.z2)
-
-    def apply_complex(self, z: complex) -> complex:
-        return self.apply(ProjectivePoint.from_complex(z)).to_complex()
 
     def apply_interior(self, z: complex, t: float) -> tuple[complex, float]:
         """Action on upper half space (z, t), t > 0.

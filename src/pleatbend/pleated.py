@@ -218,16 +218,79 @@ def check_adapted(rep: Representation, pd: PantsDecomposition,
 # realization
 
 
+class AdaptedSample:
+    """The part of a realization that reads no endpoint choice.
+
+    Construction runs the adaptedness check (raising NotAdapted) and
+    evaluates the slot holonomies and cuff lengths.  Word images are
+    kept for the life of the object, so every endpoint pattern placed
+    on the same representation shares them.
+    """
+
+    def __init__(self, rep: Representation, pd: PantsDecomposition,
+                 eps_class: float = EPS_CLASS):
+        report = check_adapted(rep, pd, eps_class)
+        if not report.adapted:
+            raise NotAdapted(report.summary())
+        self.rep = rep
+        self.pd = pd
+        self._images: dict[str, MoebiusMap] = {}
+        self.holonomy = tuple(
+            tuple(self.word(pd.slot_word(p, k)) for k in range(3))
+            for p in range(len(pd.pants)))
+        self.cuff_lengths = {c.id: complex_length(self.word(c.word), eps_class)
+                             for c in pd.cuffs}
+
+    def word(self, word: str) -> MoebiusMap:
+        """Image of a word, evaluated once per sample."""
+        m = self._images.get(word)
+        if m is None:
+            m = self._images[word] = evaluate_word(self.rep, word)
+        return m
+
+    def place(self, p: int, zeta: dict, eps_sep: float = EPS_SEP) -> tuple:
+        """Vertices of pants p for the chosen endpoints of its cuffs.
+
+        zeta maps at least the cuffs of pants p to (chosen, other).
+        Raises DegenerateTriangle when vertices of either plaque are
+        closer than eps_sep.
+        """
+        row = []
+        for end in self.pd.pants[p].cuff_ends:
+            base = zeta[end.cuff][0]
+            if end.conjugator:
+                base = self.word(end.conjugator).apply(base)
+            row.append(base)
+        hol = self.holonomy[p]
+        for tri in (tuple(row), (row[0], row[1], hol[1].apply(row[2]))):
+            for i in range(3):
+                d = chordal(tri[i], tri[(i + 1) % 3])
+                if d < eps_sep:
+                    raise DegenerateTriangle(
+                        f"plaque of pants {p} has vertices {d:.3g} apart")
+        return tuple(row)
+
+
 @dataclass(frozen=True)
 class PleatedRealization:
-    rep: Representation
-    pd: PantsDecomposition
+    sample: AdaptedSample
     lam: Lamination
-    endpoints: EndpointChoice
     zeta: dict                      # cuff id -> (chosen, other)
     xi: tuple                       # xi[p][k] vertex points
-    holonomy: tuple                 # holonomy[p][k] slot-word images
-    cuff_lengths: dict              # cuff id -> complex length
+
+    @property
+    def pd(self) -> PantsDecomposition:
+        return self.sample.pd
+
+    @property
+    def holonomy(self) -> tuple:
+        """holonomy[p][k], the image of the slot word."""
+        return self.sample.holonomy
+
+    @property
+    def cuff_lengths(self) -> dict:
+        """Cuff id -> complex length."""
+        return self.sample.cuff_lengths
 
     def plaque_up(self, p: int) -> tuple:
         return tuple(self.xi[p])
@@ -265,45 +328,18 @@ def realize(rep: Representation, pd: PantsDecomposition, lam: Lamination,
     endpoints may be an EndpointChoice, an already-resolved dict from
     resolve_endpoints/track_endpoints, or None (all attracting).
     Raises NotAdapted when the adaptedness check fails and
-    DegenerateTriangle when realized plaque vertices collide.
+    DegenerateTriangle when realized plaque vertices collide.  This is
+    AdaptedSample followed by AdaptedSample.place on every pants.
     """
-    report = check_adapted(rep, pd, eps_class)
-    if not report.adapted:
-        raise NotAdapted(report.summary())
+    sample = AdaptedSample(rep, pd, eps_class)
     if endpoints is None:
         endpoints = EndpointChoice.uniform("attracting")
     if isinstance(endpoints, dict):
         zeta = endpoints
-        choice = EndpointChoice()
     else:
-        choice = endpoints
-        zeta = resolve_endpoints(rep, pd, choice, eps_class)
-
-    xi = []
-    holonomy = []
-    for p, pants in enumerate(pd.pants):
-        row = []
-        hol = []
-        for k, end in enumerate(pants.cuff_ends):
-            base = zeta[end.cuff][0]
-            if end.conjugator:
-                base = evaluate_word(rep, end.conjugator).apply(base)
-            row.append(base)
-            hol.append(evaluate_word(rep, pd.slot_word(p, k)))
-        xi.append(tuple(row))
-        holonomy.append(tuple(hol))
-        for tri in (tuple(row), (row[0], row[1], hol[1].apply(row[2]))):
-            for i in range(3):
-                d = chordal(tri[i], tri[(i + 1) % 3])
-                if d < eps_sep:
-                    raise DegenerateTriangle(
-                        f"plaque of pants {p} has vertices {d:.3g} apart")
-
-    lengths = {c.id: complex_length(evaluate_word(rep, c.word), eps_class)
-               for c in pd.cuffs}
-    return PleatedRealization(rep=rep, pd=pd, lam=lam, endpoints=choice,
-                              zeta=zeta, xi=tuple(xi),
-                              holonomy=tuple(holonomy), cuff_lengths=lengths)
+        zeta = resolve_endpoints(rep, pd, endpoints, eps_class)
+    xi = tuple(sample.place(p, zeta, eps_sep) for p in range(len(pd.pants)))
+    return PleatedRealization(sample=sample, lam=lam, zeta=zeta, xi=xi)
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +379,11 @@ def cuff_bending(real: PleatedRealization, cuff_id: str,
     v_minus = pd.pants[pm].cuff_ends[km].conjugator
     core = cuff.word * winding if winding >= 0 else invert_word(cuff.word) * (-winding)
     w0 = v_plus + core + invert_word(v_minus)
-    W = evaluate_word(real.rep, w0)
+    W = real.sample.word(w0)
 
     zeta_c, other_c = real.zeta[cuff_id]
     if v_plus:
-        lift = evaluate_word(real.rep, v_plus)
+        lift = real.sample.word(v_plus)
         zeta_c, other_c = lift.apply(zeta_c), lift.apply(other_c)
     frame = normalizing_map(other_c, zeta_c)
 
@@ -453,7 +489,7 @@ def truncated_length(real: PleatedRealization, leaf,
         end = real.pd.pants[p].cuff_ends[slot]
         wit = cuff_horoball_witness(real, end.cuff, conv)
         if end.conjugator:
-            wit = evaluate_word(real.rep, end.conjugator).apply_interior(*wit)
+            wit = real.sample.word(end.conjugator).apply_interior(*wit)
         witnesses.append(wit)
         points.append(real.xi[p][slot])
     return truncated_geodesic_length(points[0], points[1],
@@ -468,6 +504,16 @@ class BendingData:
     cuff_angles: dict               # cuff id -> angle
     leaf_lengths: dict              # (pants, i) -> truncated length
     cuff_lengths: dict              # cuff id -> real translation length
+
+    def angle(self, key) -> float:
+        if isinstance(key, str):
+            return self.cuff_angles[key]
+        return self.leaf_angles[key]
+
+    def length(self, key) -> float:
+        if isinstance(key, str):
+            return self.cuff_lengths[key]
+        return self.leaf_lengths[key]
 
     def to_dict(self) -> dict:
         return {

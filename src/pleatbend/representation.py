@@ -194,14 +194,6 @@ def random_representation(rng: np.random.Generator,
             return rep_from_trace_triple(x, y, z, generators)
 
 
-def random_moebius(rng: np.random.Generator, spread: float = 1.0) -> MoebiusMap:
-    a, b, c, d = (complex(rng.normal(0, spread), rng.normal(0, spread))
-                  for _ in range(4))
-    if abs(a * d - b * c) < 1e-6:
-        return random_moebius(rng, spread)
-    return MoebiusMap(a, b, c, d)
-
-
 # ---------------------------------------------------------------------------
 # Fenchel-Nielsen construction
 

@@ -16,6 +16,7 @@ reach the tolerances used here).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,9 +27,10 @@ from .errors import (AngleUnwrapFailure, DegenerateTetrahedron,
                      EndpointsMismatch, OrientationTrackingFailure,
                      PleatbendError)
 from .moebius import IsometryClass, classify, fixed_points, reduce_angle
-from .pleated import (BendingData, EndpointChoice, TruncationConvention,
-                      bending_data, realize, resolve_endpoints,
-                      track_endpoints)
+from .pleated import (AdaptedSample, EndpointChoice, PleatedRealization,
+                      TruncationConvention, bending_data, cuff_bending,
+                      leaf_bending, realize, resolve_endpoints,
+                      track_endpoints, truncated_length)
 from .representation import (RepresentationPath, evaluate_word, fingerprint,
                              standard_word_list)
 from .topology import (OrientationAssignment, build_lamination,
@@ -92,53 +94,174 @@ def ideal_tetra_volume(z: complex, eps: float = 1e-12) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Schlafli samples along representation paths
+# the sample pipeline
+#
+# An endpoint selection is tracked along a path as one or more chains:
+# integrate_volume_change tracks one, from the selection it is given;
+# vol_gamma tracks two, from the attracting and from the repelling fixed
+# point of every cuff at the path start.  An orientation takes one chain
+# per cuff.  Each Schlafli term reads the endpoints of only a few cuffs,
+# its support, so the pipeline evaluates every term once per pattern of
+# chains on its support, and each orientation's integrand is assembled
+# from those values.
 
 
 @dataclass(frozen=True)
-class SchlafliSample:
-    """Lengths and angles of one realized path sample."""
-
-    t: float
-    data: BendingData
-
-    def term_keys(self):
-        return list(self.data.cuff_angles) + list(self.data.leaf_angles)
-
-    def angle(self, key) -> float:
-        if isinstance(key, str):
-            return self.data.cuff_angles[key]
-        return self.data.leaf_angles[key]
-
-    def length(self, key) -> float:
-        if isinstance(key, str):
-            return self.data.cuff_lengths[key]
-        return self.data.leaf_lengths[key]
+class _Term:
+    key: object                     # cuff id or (pants, leaf index)
+    support: tuple[int, ...]        # indices of the cuffs it reads
 
 
-def _realized_samples(path: RepresentationPath, indices, zeta_start,
-                      conv: TruncationConvention,
-                      lam=None) -> list[SchlafliSample]:
-    """Realize path samples with the endpoint selection tracked from the
-    first requested index."""
-    pd = path.pd
-    if pd is None:
+def _pants_cuffs(pd) -> list[tuple[int, ...]]:
+    """Indices of the distinct cuffs of every pants."""
+    index = {c.id: j for j, c in enumerate(pd.cuffs)}
+    return [tuple(sorted({index[e.cuff] for e in pants.cuff_ends}))
+            for pants in pd.pants]
+
+
+def _terms(pd) -> list[_Term]:
+    """The Schlafli terms, cuffs first, then leaves pants by pants.
+
+    A leaf's angle and truncated length read the cuffs of its pants; a
+    cuff's angle reads the cuffs of both pants next to it (the cuff
+    itself among them); a cuff's length reads no endpoint.
+    """
+    around = _pants_cuffs(pd)
+    terms = []
+    for c in pd.cuffs:
+        (pp, _), (pm, _) = pd.signed_ends_of(c.id)
+        terms.append(_Term(c.id, tuple(sorted({*around[pp], *around[pm]}))))
+    for p in range(len(pd.pants)):
+        terms += [_Term((p, i), around[p]) for i in range(3)]
+    return terms
+
+
+def _surface(path: RepresentationPath):
+    if path.pd is None:
         raise PleatbendError("path carries no pants decomposition")
-    if lam is None:
-        lam = build_lamination(pd, OrientationAssignment.all_forward(pd))
-    rep0 = path.reps[indices[0]]
-    if isinstance(zeta_start, EndpointChoice):
-        zeta = resolve_endpoints(rep0, pd, zeta_start)
+    return path.pd
+
+
+def _sample_indices(path: RepresentationPath, steps: int | None) -> list[int]:
+    n = len(path) - 1
+    if steps is None:
+        indices = list(range(len(path)))
     else:
-        zeta = track_endpoints(rep0, pd, zeta_start)
-    out = []
+        if steps <= 0 or n % steps != 0:
+            raise PleatbendError(
+                f"cannot take {steps} steps over {n} stored intervals")
+        indices = list(range(0, len(path), n // steps))
+    if len(indices) < 3:
+        raise PleatbendError("need at least three samples to integrate")
+    return indices
+
+
+def _term_series(path: RepresentationPath, indices, starts,
+                 conv: TruncationConvention
+                 ) -> tuple[dict, PleatbendError | None]:
+    """Angle and length of every term at every sample, per chain pattern.
+
+    starts holds the start selection of each chain as a dict, tracked
+    to the first sample; chain 0 may instead start from an
+    EndpointChoice, resolved at the first sample.  Each
+    representation is checked for adaptedness once, and every pants is
+    placed (with the plaque check) once per pattern of chains on its
+    cuffs.  Returns ({(term key, pattern): (angles, lengths)}, deferred),
+    where pattern gives the chain of each cuff in the term's support.
+
+    On every sample the orientation that takes chain 0 everywhere is
+    realized first, as integrating it alone would, and its failures
+    raise at once.  The first failure of any other pattern is returned
+    as deferred instead, and from then on only chain 0 is carried.
+    """
+    pd = _surface(path)
+    terms = _terms(pd)
+    around = _pants_cuffs(pd)
+    ids = [c.id for c in pd.cuffs]
+    lam = build_lamination(pd)
+    series: dict = {}
+    deferred = None
+    zetas = list(starts)
     for i in indices:
         rep = path.reps[i]
-        if i != indices[0]:
-            zeta = track_endpoints(rep, pd, zeta)
-        real = realize(rep, pd, lam, zeta)
-        out.append(SchlafliSample(t=path.ts[i], data=bending_data(real, conv)))
-    return out
+        if i == indices[0]:
+            zetas[0] = (resolve_endpoints(rep, pd, zetas[0])
+                        if isinstance(zetas[0], EndpointChoice)
+                        else track_endpoints(rep, pd, zetas[0]))
+        else:
+            zetas[0] = track_endpoints(rep, pd, zetas[0])
+        sample = AdaptedSample(rep, pd)
+        xi = tuple(sample.place(p, zetas[0]) for p in range(len(pd.pants)))
+        data = bending_data(PleatedRealization(sample=sample, lam=lam,
+                                               zeta=zetas[0], xi=xi), conv)
+        values = {(term.key, (0,) * len(term.support)):
+                  (data.angle(term.key), data.length(term.key))
+                  for term in terms}
+        if len(zetas) > 1:
+            try:
+                zetas[1:] = [track_endpoints(rep, pd, z) for z in zetas[1:]]
+                values.update(_off_zero_values(sample, lam, terms, around,
+                                               ids, zetas, conv))
+            except PleatbendError as exc:
+                deferred = exc
+                zetas = zetas[:1]
+                series = {key: v for key, v in series.items()
+                          if not any(key[1])}
+        for key, (angle, length) in values.items():
+            angles, lengths = series.setdefault(key, ([], []))
+            angles.append(angle)
+            lengths.append(length)
+    return series, deferred
+
+
+def _off_zero_values(sample: AdaptedSample, lam, terms, around, ids, zetas,
+                     conv: TruncationConvention) -> dict:
+    """(angle, length) of every term on every pattern with a nonzero
+    chain, at one sample."""
+    chains = range(len(zetas))
+    placed = {}
+    for p, cuffs in enumerate(around):
+        for pattern in itertools.product(chains, repeat=len(cuffs)):
+            zeta = {ids[j]: zetas[b][ids[j]] for j, b in zip(cuffs, pattern)}
+            placed[p, pattern] = sample.place(p, zeta)
+    # a term pattern is realized as the orientation that takes chain 0
+    # off the support; the term's value does not read those cuffs
+    realizations = {}
+    values = {}
+    for term in terms:
+        for pattern in itertools.product(chains, repeat=len(term.support)):
+            if not any(pattern):
+                continue
+            ori = [0] * len(ids)
+            for j, b in zip(term.support, pattern):
+                ori[j] = b
+            ori = tuple(ori)
+            real = realizations.get(ori)
+            if real is None:
+                real = realizations[ori] = PleatedRealization(
+                    sample=sample, lam=lam,
+                    zeta={c: zetas[b][c] for c, b in zip(ids, ori)},
+                    xi=tuple(placed[p, tuple(ori[j] for j in cuffs)]
+                             for p, cuffs in enumerate(around)))
+            if isinstance(term.key, str):
+                angle = cuff_bending(real, term.key)
+                length = sample.cuff_lengths[term.key].real
+            else:
+                angle = leaf_bending(real, term.key)
+                length = truncated_length(real, term.key, conv)
+            values[term.key, pattern] = (angle, length)
+    return values
+
+
+def angle_series(path: RepresentationPath, zeta: EndpointChoice | dict,
+                 conv: TruncationConvention) -> dict:
+    """Bending angle of every term at every sample of a path.
+
+    The endpoint selection is resolved at the first sample and tracked
+    forward; keys are cuff ids and (pants, i) leaf keys.
+    """
+    series, _ = _term_series(path, list(range(len(path))), [zeta], conv)
+    return {key: angles for (key, _), (angles, _) in series.items()}
 
 
 def schlafli_derivative(path: RepresentationPath, t: float,
@@ -156,9 +279,7 @@ def schlafli_derivative(path: RepresentationPath, t: float,
     if k == 0 or k == len(path) - 1:
         raise PleatbendError(
             f"t={t} is an endpoint; the derivative needs an interior sample")
-    pd = path.pd
-    if pd is None:
-        raise PleatbendError("path carries no pants decomposition")
+    pd = _surface(path)
     rep_k = path.reps[k]
     if isinstance(zeta, EndpointChoice):
         zeta_k = resolve_endpoints(rep_k, pd, zeta)
@@ -167,26 +288,21 @@ def schlafli_derivative(path: RepresentationPath, t: float,
     lam = build_lamination(pd, OrientationAssignment.all_forward(pd))
     zeta_prev = track_endpoints(path.reps[k - 1], pd, zeta_k)
     zeta_next = track_endpoints(path.reps[k + 1], pd, zeta_k)
-    datas = [bending_data(realize(path.reps[i], pd, lam, z), conv)
-             for i, z in ((k - 1, zeta_prev), (k, zeta_k), (k + 1, zeta_next))]
+    before, here, after = [
+        bending_data(realize(path.reps[i], pd, lam, z), conv)
+        for i, z in ((k - 1, zeta_prev), (k, zeta_k), (k + 1, zeta_next))]
     dt = path.ts[k + 1] - path.ts[k - 1]
     total = 0.0
-    sample = SchlafliSample(t=path.ts[k], data=datas[1])
-    for key in sample.term_keys():
-        fwd = reduce_angle(_angle(datas[2], key) - _angle(datas[1], key))
-        back = reduce_angle(_angle(datas[1], key) - _angle(datas[0], key))
+    for term in _terms(pd):
+        key = term.key
+        fwd = reduce_angle(after.angle(key) - here.angle(key))
+        back = reduce_angle(here.angle(key) - before.angle(key))
         for d in (fwd, back):
             if abs(d) >= math.pi * (1 - 1e-9):
                 raise AngleUnwrapFailure(
                     f"angle of {key!r} moved {d:.3f} in one step")
-        total += sample.length(key) * (fwd + back) / dt
+        total += here.length(key) * (fwd + back) / dt
     return 0.5 * total
-
-
-def _angle(data: BendingData, key) -> float:
-    if isinstance(key, str):
-        return data.cuff_angles[key]
-    return data.leaf_angles[key]
 
 
 # ---------------------------------------------------------------------------
@@ -273,22 +389,79 @@ def _per_step_integrals(ts: np.ndarray, fs: np.ndarray) -> list[float]:
     return per_step
 
 
-def _derivative_sequence(samples: list[SchlafliSample]) -> np.ndarray:
-    """½ Σ length · angle-velocity at every sample of a realized path."""
-    ts = np.array([s.t for s in samples])
-    total = np.zeros(len(samples))
-    for key in samples[0].term_keys():
-        theta = _unwrap_angles([s.angle(key) for s in samples])
-        lengths = np.array([s.length(key) for s in samples])
-        total += lengths * _node_derivatives(ts, theta)
+def _velocities(ts: np.ndarray, series: dict) -> dict:
+    """length · d(angle)/dt per (term, pattern), or the unwrap failure."""
+    out = {}
+    for key, (angles, lengths) in series.items():
+        try:
+            theta = _unwrap_angles(angles)
+        except AngleUnwrapFailure as exc:
+            out[key] = exc
+            continue
+        out[key] = np.array(lengths) * _node_derivatives(ts, theta)
+    return out
+
+
+def _integrand(terms, velocities: dict, ori: tuple, n: int) -> np.ndarray:
+    """½ Σ length · angle-velocity under one orientation, summed in
+    term order; raises the first term's unwrap failure."""
+    total = np.zeros(n)
+    for term in terms:
+        v = velocities[term.key, tuple(ori[j] for j in term.support)]
+        if isinstance(v, AngleUnwrapFailure):
+            raise v
+        total += v
     return 0.5 * total
+
+
+def _integrate(path: RepresentationPath, indices, starts, orientations,
+               conv: TruncationConvention) -> list[VolumePathResult]:
+    """One VolumePathResult per orientation (a chain index per cuff).
+
+    Composite Simpson over the samples, with the error estimated by
+    Richardson comparison against the half-resolution subsample (NaN
+    when the interval count is odd or the subsample fails to unwrap).
+    orientations[0] takes chain 0 on every cuff.
+    """
+    series, deferred = _term_series(path, indices, starts, conv)
+    terms = _terms(path.pd)
+    ts = np.array([path.ts[i] for i in indices])
+    fine = _velocities(ts, series)
+    coarse = None
+    if len(ts) % 2 == 1 and len(ts) >= 5:
+        coarse = _velocities(ts[::2], {key: (angles[::2], lengths[::2])
+                                       for key, (angles, lengths)
+                                       in series.items()})
+    results = []
+    for ori in orientations:
+        per_step = _per_step_integrals(ts, _integrand(terms, fine, ori,
+                                                      len(ts)))
+        delta = float(sum(per_step))
+        err = float("nan")
+        if coarse is not None:
+            try:
+                half = float(sum(_per_step_integrals(
+                    ts[::2], _integrand(terms, coarse, ori, len(ts[::2])))))
+                err = abs(delta - half) / 3
+            except AngleUnwrapFailure:
+                pass
+        cum = [0.0]
+        for c in per_step:
+            cum.append(cum[-1] + c)
+        results.append(VolumePathResult(
+            delta_v=delta, error_estimate=err, ts=tuple(float(t) for t in ts),
+            cumulative=tuple(cum), per_step=tuple(per_step)))
+        if deferred is not None:
+            # integrating orientation by orientation, this one would
+            # have passed and a later one failed
+            raise deferred
+    return results
 
 
 def integrate_volume_change(path: RepresentationPath,
                             zeta: EndpointChoice | dict,
                             conv: TruncationConvention,
-                            steps: int | None = None, *,
-                            lamination=None) -> VolumePathResult:
+                            steps: int | None = None) -> VolumePathResult:
     """Integrate dV along a path of adapted representations.
 
     The endpoint selection is resolved at the first sample and tracked
@@ -299,38 +472,9 @@ def integrate_volume_change(path: RepresentationPath,
     subsamples the stored path (its interval count must divide the
     stored one).
     """
-    n = len(path) - 1
-    if steps is None:
-        indices = list(range(len(path)))
-    else:
-        if steps <= 0 or n % steps != 0:
-            raise PleatbendError(
-                f"cannot take {steps} steps over {n} stored intervals")
-        stride = n // steps
-        indices = list(range(0, len(path), stride))
-    if len(indices) < 3:
-        raise PleatbendError("need at least three samples to integrate")
-    samples = _realized_samples(path, indices, zeta, conv, lam=lamination)
-    ts = np.array([s.t for s in samples])
-    fs = _derivative_sequence(samples)
-    per_step = _per_step_integrals(ts, fs)
-    delta = float(sum(per_step))
-    if len(samples) % 2 == 1 and len(samples) >= 5:
-        try:
-            coarse = samples[::2]
-            half = float(sum(_per_step_integrals(
-                ts[::2], _derivative_sequence(coarse))))
-            err = abs(delta - half) / 3
-        except AngleUnwrapFailure:
-            err = float("nan")
-    else:
-        err = float("nan")
-    cum = [0.0]
-    for c in per_step:
-        cum.append(cum[-1] + c)
-    return VolumePathResult(delta_v=delta, error_estimate=err,
-                            ts=tuple(float(t) for t in ts),
-                            cumulative=tuple(cum), per_step=tuple(per_step))
+    indices = _sample_indices(path, steps)
+    pd = _surface(path)
+    return _integrate(path, indices, [zeta], [(0,) * len(pd.cuffs)], conv)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -353,34 +497,66 @@ def orientation_start_endpoints(path: RepresentationPath, ori) -> dict:
     return zeta
 
 
+@dataclass(frozen=True)
+class VolGammaResult:
+    """Integrated first variation under every cuff orientation."""
+
+    orientations: tuple[OrientationAssignment, ...]
+    results: tuple[VolumePathResult, ...]
+
+    @property
+    def total(self) -> float:
+        """Sum of delta_v over the orientations, in enumeration order."""
+        total = 0.0
+        for r in self.results:
+            total += r.delta_v
+        return total
+
+    @property
+    def error_estimate(self) -> float:
+        """Sum of the orientations' error estimates, NaN ones left out."""
+        err = 0.0
+        for r in self.results:
+            if not math.isnan(r.error_estimate):
+                err += r.error_estimate
+        return err
+
+
+def vol_gamma(path: RepresentationPath, conv: TruncationConvention,
+              steps: int | None = None) -> VolGammaResult:
+    """Integrated first variation under all 2^(3g-3) cuff orientations.
+
+    Forward picks the attracting fixed point of a cuff at the path
+    start, backward the repelling one, tracked along the path.  Every
+    result equals integrate_volume_change from that orientation's
+    start endpoints, bit for bit, but each representation is checked
+    once and each Schlafli term is evaluated once per pattern of
+    endpoints on the cuffs it reads.  A failure under the all-forward
+    orientation is raised as integrating orientation by orientation
+    raises it.  Otherwise the first failure met along the path is
+    raised; when guards trip under several orientations, that loop may
+    have reported another one.
+    """
+    pd = _surface(path)
+    orientations = enumerate_orientations(pd)
+    starts = [orientation_start_endpoints(path, ori) for ori in
+              (orientations[0], orientations[-1])]   # all forward, all back
+    indices = _sample_indices(path, steps)
+    chains = [tuple(0 if bit else 1 for bit in ori.forward)
+              for ori in orientations]
+    results = _integrate(path, indices, starts, chains, conv)
+    return VolGammaResult(orientations=tuple(orientations),
+                          results=tuple(results))
+
+
 def vol_gamma_change(path: RepresentationPath,
                      conv: TruncationConvention) -> float:
     """Change of the orientation-summed volume functional along a path.
 
     Sums the integrated first variation over all 2^(3g-3) cuff
-    orientations, each with its own endpoint selection: forward picks
-    the attracting fixed point at the start, backward the repelling
-    one, tracked along the path.  Closed loops give 0.
+    orientations (see vol_gamma).  Closed loops give 0.
     """
-    total, _ = _vol_gamma(path, conv)
-    return total
-
-
-def _vol_gamma(path: RepresentationPath,
-               conv: TruncationConvention) -> tuple[float, float]:
-    pd = path.pd
-    if pd is None:
-        raise PleatbendError("path carries no pants decomposition")
-    total = 0.0
-    err = 0.0
-    for ori in enumerate_orientations(pd):
-        zeta0 = orientation_start_endpoints(path, ori)
-        lam = build_lamination(pd, ori)
-        result = integrate_volume_change(path, zeta0, conv, lamination=lam)
-        total += result.delta_v
-        if not math.isnan(result.error_estimate):
-            err += result.error_estimate
-    return total, err
+    return vol_gamma(path, conv).total
 
 
 @dataclass(frozen=True)
@@ -406,6 +582,7 @@ def loop_defect(loop: RepresentationPath, conv: TruncationConvention,
     if d > tol:
         raise EndpointsMismatch(
             f"loop endpoints differ by {d:.3e} in character fingerprint")
-    defect, err = _vol_gamma(loop, conv)
-    return LoopDefectReport(defect=defect, error_estimate=err,
+    result = vol_gamma(loop, conv)
+    return LoopDefectReport(defect=result.total,
+                            error_estimate=result.error_estimate,
                             fingerprint_distance=d)

@@ -3,6 +3,7 @@
 import importlib.resources
 import json
 import math
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -19,6 +20,8 @@ from pleatbend import (
     standard_decomposition,
 )
 from pleatbend.cli import main
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 LENGTHS = (2.0, 1.7, 2.3)
 TWISTS = (0.3, 0.1, 0.2)
@@ -158,6 +161,24 @@ class TestVolGamma:
         assert len(payload["orientations"]) == 8
         assert "+++" in payload["orientations"]
         assert float(payload["total"]) == pytest.approx(0.0, abs=1e-9)
+
+
+class TestGoldenOutput:
+    """vol-gamma and loop-defect write the same bytes as the
+    orientation-by-orientation loop they replaced; tests/data holds
+    that loop's output on the demo inputs."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("command,source", [
+        ("vol-gamma", "pure_bend.json"),
+        ("loop-defect", "twist_loop.json"),
+    ])
+    def test_bytes(self, demo, capsys, command, source, fmt):
+        code, out, _ = run(capsys, command, "--input", str(demo / source),
+                           "--pd", str(demo / "surface.json"),
+                           "--format", fmt)
+        assert code == 0
+        assert out.encode() == (DATA / f"{command}.{fmt}").read_bytes()
 
 
 class TestLoopDefect:

@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pleatbend.errors import (DegenerateConfiguration, DegenerateLength,
@@ -180,6 +180,8 @@ class TestComplexLength:
         assert -math.pi < lam.imag <= math.pi + 1e-12
 
     @given(maps())
+    @example(MoebiusMap(0, 0.5, 0.015625, 2j))
+    @example(MoebiusMap(1j, 1j, 3j, 2.875j))
     @settings(max_examples=40)
     def test_power_scaling(self, m):
         assume(classify(m) == IsometryClass.LOXODROMIC)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from pleatbend import (
     AngleUnwrapFailure,
@@ -19,6 +20,7 @@ from pleatbend import (
     RepresentationPath,
     TruncationConvention,
     enumerate_orientations,
+    fenchel_nielsen_rep,
     ideal_tetra_volume,
     integrate_volume_change,
     lobachevsky,
@@ -27,8 +29,10 @@ from pleatbend import (
     path_from_reps,
     schlafli_derivative,
     standard_decomposition,
+    vol_gamma,
     vol_gamma_change,
 )
+from pleatbend.volume import orientation_start_endpoints
 
 REGULAR_TETRA_VOLUME = 1.0149416064096535
 
@@ -56,6 +60,61 @@ def bend_path(pd, theta_final=0.5, steps=64, lengths=(2.0, 1.7, 2.3),
         pd, lambda t: lengths,
         lambda t: (twists[0] + theta_final * t * 1j,) + twists[1:],
         steps=steps)
+
+
+def turn(t):
+    """2 pi t: the loops below go once around as t runs over [0, 1]."""
+    return 2 * math.pi * t
+
+
+def genus2_loop(pd, steps=32):
+    """A closed genus-2 loop that moves complex cuff lengths; its
+    orientation-summed defect converges to about 7e-3, not to 0."""
+    return path_from_parameters(
+        pd,
+        lambda t: (2 + 0.3j * math.sin(turn(t)),
+                   1.7 + 0.2 * (1 - math.cos(turn(t))),
+                   2.3 + 0.1j * math.sin(2 * turn(t))),
+        lambda t: (0.3 + 0.4j * math.sin(turn(t)),
+                   0.1 + 0.3j * (1 - math.cos(turn(t))), 0.2),
+        steps=steps)
+
+
+def genus3_path(a1_length, steps):
+    """Genus-3 path shaped like the vol-gamma-g3 benchmark input."""
+    return path_from_parameters(
+        standard_decomposition(3),
+        lambda t: (a1_length(t), 2.1, 2.2 + 0.05j * t, 2.3, 2.4 + 0.05 * t,
+                   2.5),
+        lambda t: (0.3 + 0.15j * t, 0.2 + 0.1j * t, 0.1, 0.3, 0.2, 0.1),
+        steps=steps)
+
+
+def brute_force(path, conv, steps=None):
+    """The orientation sum as a loop: one integration per orientation."""
+    out = []
+    for ori in enumerate_orientations(path.pd):
+        zeta = orientation_start_endpoints(path, ori)
+        out.append(integrate_volume_change(path, zeta, conv, steps=steps))
+    return out
+
+
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def assert_identical(got, want):
+    """Every row and the total bit for bit, NaN matching NaN."""
+    assert len(got.results) == len(want)
+    total = 0.0
+    for g, w in zip(got.results, want):
+        assert g.delta_v == w.delta_v
+        assert same_float(g.error_estimate, w.error_estimate)
+        assert g.ts == w.ts
+        assert g.per_step == w.per_step
+        assert g.cumulative == w.cumulative
+        total += w.delta_v
+    assert got.total == total
 
 
 @pytest.fixture(scope="module")
@@ -293,3 +352,69 @@ class TestLoopDefect:
     def test_open_path_rejected(self, pd, conv):
         with pytest.raises(EndpointsMismatch):
             loop_defect(bend_path(pd, steps=16), conv)
+
+
+class TestVolGammaOracle:
+    """vol_gamma against integrating every orientation separately."""
+
+    def test_genus2_loop(self, pd, conv):
+        loop = genus2_loop(pd)
+        want = brute_force(loop, conv)
+        # nonzero rows, so a term read under the wrong endpoints shows
+        assert max(abs(w.delta_v) for w in want) > 1e-3
+        got = vol_gamma(loop, conv)
+        assert_identical(got, want)
+        assert got.total == pytest.approx(7.80e-3, abs=5e-6)
+        report = loop_defect(loop, conv)
+        err = 0.0
+        for w in want:
+            if not math.isnan(w.error_estimate):
+                err += w.error_estimate
+        assert report.defect == got.total
+        assert report.error_estimate == err
+        assert vol_gamma_change(loop, conv) == got.total
+
+    def test_pure_bend(self, pd, conv):
+        path = bend_path(pd, steps=16)
+        assert_identical(vol_gamma(path, conv), brute_force(path, conv))
+
+    @pytest.mark.parametrize("steps", [None, 4])
+    def test_genus3(self, steps):
+        path = genus3_path(lambda t: 2.0 + 0.1j * t, steps=8)
+        conv = TruncationConvention.uniform(path.pd)
+        want = brute_force(path, conv, steps=steps)
+        assert len(want) == 64
+        assert_identical(vol_gamma(path, conv, steps=steps), want)
+
+    def test_tracking_failure_parity(self):
+        # a1 at 2 + 0.3i sin 2 pi t closes the fixed-point gap of cuff
+        # a2 to 0.0065, and tracking it fails
+        path = genus3_path(lambda t: 2 + 0.3j * math.sin(turn(t)), steps=16)
+        conv = TruncationConvention.uniform(path.pd)
+        with pytest.raises(OrientationTrackingFailure) as oracle:
+            brute_force(path, conv)
+        with pytest.raises(OrientationTrackingFailure) as pipeline:
+            vol_gamma(path, conv)
+        assert "'a2'" in str(oracle.value)
+        assert "gap of 0.0065" in str(oracle.value)
+        assert str(pipeline.value) == str(oracle.value)
+
+    def test_later_failure_of_first_orientation_wins(self, pd, conv):
+        # on this coarse conjugation circle the repelling endpoint of a2
+        # loses track before the attracting one does; integrating
+        # orientation by orientation reports the all-forward failure
+        rep0 = fenchel_nielsen_rep(pd, (1.1, 1.7, 2.3), (0.3, 0.1, 0.2))
+        e1 = np.array([[0.2, 0.5], [0.1, -0.2]], dtype=complex)
+        e2 = np.array([[0.1j, -0.3], [0.4, -0.1j]], dtype=complex)
+        ts = np.linspace(0.0, 1.0, 33)
+        reps = []
+        for t in ts:
+            m = expm(0.15 * (math.cos(turn(t)) * e1 + math.sin(turn(t)) * e2))
+            reps.append(rep0.conjugated(MoebiusMap(m[0, 0], m[0, 1],
+                                                   m[1, 0], m[1, 1])))
+        loop = path_from_reps(reps, ts=ts, pd=pd)
+        with pytest.raises(OrientationTrackingFailure) as oracle:
+            brute_force(loop, conv)
+        with pytest.raises(OrientationTrackingFailure) as pipeline:
+            vol_gamma(loop, conv)
+        assert str(pipeline.value) == str(oracle.value)
