@@ -23,11 +23,11 @@ from dataclasses import dataclass
 from .errors import PleatbendError
 from .moebius import classify, complex_length, fixed_points, trace_squared
 from .pleated import (EndpointChoice, TruncationConvention, bending_data,
-                      check_adapted, realize)
+                      realize)
 from .representation import (conjugacy_residual, evaluate_word, fingerprint,
                              jacobian_rank, load_path, load_rep,
                              peripheral_fingerprint, standard_word_list)
-from .topology import build_lamination, load_document
+from .topology import load_document
 from .volume import (angle_series, integrate_volume_change, loop_defect,
                      vol_gamma, vol_gamma_change)
 
@@ -129,17 +129,15 @@ def cmd_classify(cfg: ExperimentConfig) -> int:
 def _load_surface(cfg: ExperimentConfig):
     if not cfg.pd:
         raise PleatbendError(f"{cfg.command} needs --pd")
-    pd, inc = load_document(cfg.pd)
-    pd.validate()
-    return pd, inc
+    return load_document(cfg.pd)
 
 
 def cmd_pleat(cfg: ExperimentConfig) -> int:
     rep = load_rep(cfg.input[0])
     pd, _ = _load_surface(cfg)
-    report = check_adapted(rep, pd, eps_class=cfg.tolerance)
-    lam = build_lamination(pd)
-    real = realize(rep, pd, lam, EndpointChoice.uniform(cfg.endpoints))
+    real = realize(rep, pd, EndpointChoice.uniform(cfg.endpoints),
+                   eps_class=cfg.tolerance)
+    report = real.sample.report
     payload = {
         "adapted": report.adapted,
         "adaptedness": report.summary(),
@@ -162,8 +160,8 @@ def cmd_pleat(cfg: ExperimentConfig) -> int:
 def cmd_bend(cfg: ExperimentConfig) -> int:
     rep = load_rep(cfg.input[0])
     pd, _ = _load_surface(cfg)
-    lam = build_lamination(pd)
-    real = realize(rep, pd, lam, EndpointChoice.uniform(cfg.endpoints))
+    real = realize(rep, pd, EndpointChoice.uniform(cfg.endpoints),
+                   eps_class=cfg.tolerance)
     conv = TruncationConvention.uniform(pd, cfg.horoball)
     data = bending_data(real, conv)
     rows = []

@@ -31,7 +31,7 @@ from .moebius import (EPS_CLASS, IsometryClass, MoebiusMap, ProjectivePoint,
                       fixed_points, normalizing_map, reduce_angle,
                       trace_squared)
 from .representation import Representation, evaluate_word
-from .topology import Lamination, PantsDecomposition, SpiralLeaf, TransverseArc, \
+from .topology import PantsDecomposition, SpiralLeaf, TransverseArc, \
     CuffCrossing, LeafCrossing, invert_word
 
 EPS_SEP = 1e-9
@@ -59,10 +59,6 @@ class EndpointChoice:
         if label not in _LABELS:
             raise PleatbendError(f"unknown endpoint label {label!r}")
         return cls(default=label)
-
-    @classmethod
-    def from_points(cls, points: dict) -> "EndpointChoice":
-        return cls(points=dict(points))
 
     def label_for(self, cuff_id: str) -> str:
         lab = self.labels.get(cuff_id, self.default)
@@ -132,7 +128,6 @@ class PairSharing:
     slots: tuple[int, int]
     tr2_commutator: complex
     flagged: bool
-    min_fixed_distance: float | None
 
 
 @dataclass(frozen=True)
@@ -170,28 +165,14 @@ def shared_endpoint_check(m1: MoebiusMap, m2: MoebiusMap,
     return abs(tr2 - 4) < eps_class, tr2
 
 
-def _min_fixed_distance(m1: MoebiusMap, m2: MoebiusMap,
-                        eps_class: float) -> float | None:
-    try:
-        f1 = [p for p in fixed_points(m1, eps_class) if p is not None]
-        f2 = [p for p in fixed_points(m2, eps_class) if p is not None]
-    except PleatbendError:
-        return None
-    if not f1 or not f2:
-        return None
-    return min(chordal(p, q) for p in f1 for q in f2)
-
-
 def check_adapted(rep: Representation, pd: PantsDecomposition,
                   eps_class: float = EPS_CLASS) -> AdaptednessReport:
     """Adaptedness of a representation to a decomposition.
 
     Every cuff image must be non-trivial and non-parabolic, and the
     three slot words of each pants must have pairwise disjoint fixed
-    sets (commutator squared-trace test, with the raw minimum
-    fixed-point distance included for reporting).
+    sets (commutator squared-trace test).
     """
-    pd.validate()
     kinds = {}
     bad = []
     for cuff in pd.cuffs:
@@ -204,10 +185,8 @@ def check_adapted(rep: Representation, pd: PantsDecomposition,
         maps = [evaluate_word(rep, pd.slot_word(p, k)) for k in range(3)]
         for i, j in ((0, 1), (1, 2), (2, 0)):
             flagged, tr2 = shared_endpoint_check(maps[i], maps[j], eps_class)
-            reports.append(PairSharing(
-                pants=p, slots=(i, j), tr2_commutator=tr2, flagged=flagged,
-                min_fixed_distance=_min_fixed_distance(maps[i], maps[j],
-                                                       eps_class)))
+            reports.append(PairSharing(pants=p, slots=(i, j),
+                                       tr2_commutator=tr2, flagged=flagged))
     adapted = not bad and not any(r.flagged for r in reports)
     return AdaptednessReport(adapted=adapted, cuff_kinds=kinds,
                              bad_cuffs=tuple(bad),
@@ -221,10 +200,11 @@ def check_adapted(rep: Representation, pd: PantsDecomposition,
 class AdaptedSample:
     """The part of a realization that reads no endpoint choice.
 
-    Construction runs the adaptedness check (raising NotAdapted) and
-    evaluates the slot holonomies and cuff lengths.  Word images are
-    kept for the life of the object, so every endpoint pattern placed
-    on the same representation shares them.
+    Construction runs the adaptedness check (raising NotAdapted; the
+    passing report is kept as report) and evaluates the slot holonomies
+    and cuff lengths.  Word images are kept for the life of the object,
+    so every endpoint pattern placed on the same representation shares
+    them.
     """
 
     def __init__(self, rep: Representation, pd: PantsDecomposition,
@@ -232,6 +212,7 @@ class AdaptedSample:
         report = check_adapted(rep, pd, eps_class)
         if not report.adapted:
             raise NotAdapted(report.summary())
+        self.report = report
         self.rep = rep
         self.pd = pd
         self._images: dict[str, MoebiusMap] = {}
@@ -274,7 +255,6 @@ class AdaptedSample:
 @dataclass(frozen=True)
 class PleatedRealization:
     sample: AdaptedSample
-    lam: Lamination
     zeta: dict                      # cuff id -> (chosen, other)
     xi: tuple                       # xi[p][k] vertex points
 
@@ -291,13 +271,6 @@ class PleatedRealization:
     def cuff_lengths(self) -> dict:
         """Cuff id -> complex length."""
         return self.sample.cuff_lengths
-
-    def plaque_up(self, p: int) -> tuple:
-        return tuple(self.xi[p])
-
-    def plaque_down(self, p: int) -> tuple:
-        x = self.xi[p]
-        return (x[0], x[1], self.holonomy[p][1].apply(x[2]))
 
     def leaf_keys(self) -> list[tuple[int, int]]:
         return [(p, i) for p in range(len(self.pd.pants)) for i in range(3)]
@@ -319,11 +292,11 @@ def _as_leaf_key(leaf) -> tuple[int, int]:
     return int(p), int(i)
 
 
-def realize(rep: Representation, pd: PantsDecomposition, lam: Lamination,
+def realize(rep: Representation, pd: PantsDecomposition,
             endpoints: EndpointChoice | dict | None = None,
             eps_class: float = EPS_CLASS,
             eps_sep: float = EPS_SEP) -> PleatedRealization:
-    """Realize the lamination's plaques for an adapted representation.
+    """Realize the plaques of every pants for an adapted representation.
 
     endpoints may be an EndpointChoice, an already-resolved dict from
     resolve_endpoints/track_endpoints, or None (all attracting).
@@ -339,7 +312,7 @@ def realize(rep: Representation, pd: PantsDecomposition, lam: Lamination,
     else:
         zeta = resolve_endpoints(rep, pd, endpoints, eps_class)
     xi = tuple(sample.place(p, zeta, eps_sep) for p in range(len(pd.pants)))
-    return PleatedRealization(sample=sample, lam=lam, zeta=zeta, xi=xi)
+    return PleatedRealization(sample=sample, zeta=zeta, xi=xi)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +385,7 @@ def arc_bending(real: PleatedRealization, arc: TransverseArc) -> float:
     Sums signed leaf and cuff contributions in crossing order; the
     value is additive over concatenation before reduction.
     """
-    arc.validate(real.lam)
+    arc.validate(real.pd)
     total = 0.0
     for x in arc.crossings:
         if isinstance(x, LeafCrossing):
@@ -505,16 +478,6 @@ class BendingData:
     leaf_lengths: dict              # (pants, i) -> truncated length
     cuff_lengths: dict              # cuff id -> real translation length
 
-    def angle(self, key) -> float:
-        if isinstance(key, str):
-            return self.cuff_angles[key]
-        return self.leaf_angles[key]
-
-    def length(self, key) -> float:
-        if isinstance(key, str):
-            return self.cuff_lengths[key]
-        return self.leaf_lengths[key]
-
     def to_dict(self) -> dict:
         return {
             "leaf_angles": {f"{p}.{i}": v
@@ -526,14 +489,25 @@ class BendingData:
         }
 
 
+def schlafli_term(real: PleatedRealization, key,
+                  conv: TruncationConvention) -> tuple[float, float]:
+    """Angle and length of one Schlafli term of a realization.
+
+    key is a cuff id (bending angle, real translation length) or a
+    (pants, i) leaf key (bending angle, truncated length).
+    """
+    if isinstance(key, str):
+        return cuff_bending(real, key), real.cuff_lengths[key].real
+    return leaf_bending(real, key), truncated_length(real, key, conv)
+
+
 def bending_data(real: PleatedRealization,
                  conv: TruncationConvention | None = None) -> BendingData:
     if conv is None:
         conv = TruncationConvention.uniform(real.pd)
-    leaf_angles = {key: leaf_bending(real, key) for key in real.leaf_keys()}
-    cuff_angles = {c.id: cuff_bending(real, c.id) for c in real.pd.cuffs}
-    leaf_lengths = {key: truncated_length(real, key, conv)
-                    for key in real.leaf_keys()}
-    cuff_lengths = {cid: lam.real for cid, lam in real.cuff_lengths.items()}
-    return BendingData(leaf_angles=leaf_angles, cuff_angles=cuff_angles,
-                       leaf_lengths=leaf_lengths, cuff_lengths=cuff_lengths)
+    cuffs = {c.id: schlafli_term(real, c.id, conv) for c in real.pd.cuffs}
+    leaves = {key: schlafli_term(real, key, conv) for key in real.leaf_keys()}
+    return BendingData(leaf_angles={k: v[0] for k, v in leaves.items()},
+                       cuff_angles={k: v[0] for k, v in cuffs.items()},
+                       leaf_lengths={k: v[1] for k, v in leaves.items()},
+                       cuff_lengths={k: v[1] for k, v in cuffs.items()})

@@ -319,7 +319,6 @@ def fenchel_nielsen_rep(pd: PantsDecomposition, lengths, twists,
     recipe attached by standard_decomposition (or an equivalent one in
     the decomposition file).
     """
-    pd.validate()
     fn = pd.fenchel_nielsen
     if fn is None:
         raise InvalidDecomposition(

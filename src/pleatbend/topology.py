@@ -104,6 +104,10 @@ class PantsDecomposition:
     pants: tuple[Pants, ...]
     fenchel_nielsen: FenchelNielsenData | None = None
 
+    def __post_init__(self):
+        # frozen, so one check on construction holds for its lifetime
+        self.validate()
+
     def cuff_index(self, cuff_id: str) -> int:
         for i, c in enumerate(self.cuffs):
             if c.id == cuff_id:
@@ -207,7 +211,6 @@ class OrientationAssignment:
 
 def enumerate_orientations(pd: PantsDecomposition) -> list[OrientationAssignment]:
     """All 2^(3g-3) orientation assignments, all-forward first."""
-    pd.validate()
     n = len(pd.cuffs)
     return [OrientationAssignment(bits)
             for bits in itertools.product((True, False), repeat=n)]
@@ -249,9 +252,6 @@ class Lamination:
     spiral_leaves: tuple[SpiralLeaf, ...]
     triangles: tuple[IdealTriangle, ...]
 
-    def spiral_leaf(self, pants: int, index: int) -> SpiralLeaf:
-        return self.spiral_leaves[3 * pants + index]
-
 
 def build_lamination(pd: PantsDecomposition,
                      ori: OrientationAssignment | None = None) -> Lamination:
@@ -262,7 +262,6 @@ def build_lamination(pd: PantsDecomposition,
     bit of the cuff it accumulates into.  Omitting the orientation
     takes every cuff forward.
     """
-    pd.validate()
     if ori is None:
         ori = OrientationAssignment.all_forward(pd)
     if len(ori.forward) != len(pd.cuffs):
@@ -306,11 +305,11 @@ class CuffCrossing:
 class TransverseArc:
     crossings: tuple
 
-    def validate(self, lam: Lamination) -> None:
-        cuff_ids = set(lam.cuff_leaves)
+    def validate(self, pd: PantsDecomposition) -> None:
+        cuff_ids = {c.id for c in pd.cuffs}
         for x in self.crossings:
             if isinstance(x, LeafCrossing):
-                if not (0 <= x.pants < len(lam.pd.pants) and 0 <= x.leaf < 3):
+                if not (0 <= x.pants < len(pd.pants) and 0 <= x.leaf < 3):
                     raise InvalidDecomposition(f"arc references missing leaf {x}")
             elif isinstance(x, CuffCrossing):
                 if x.cuff not in cuff_ids:
@@ -435,11 +434,9 @@ def standard_decomposition(genus: int) -> PantsDecomposition:
         roles[f"a{i}"] = {"kind": "boundary", "pants": i - 1, "slot": 0}
         roles[f"b{i}"] = {"kind": "stable", "cuff": f"a{i}"}
     fn = FenchelNielsenData(root=0, tree_cuffs=tree_cuffs, generator_roles=roles)
-    pd = PantsDecomposition(genus=g, generators=generators, relators=(relator,),
-                            cuffs=tuple(cuffs), pants=tuple(pants),
-                            fenchel_nielsen=fn)
-    pd.validate()
-    return pd
+    return PantsDecomposition(genus=g, generators=generators,
+                              relators=(relator,), cuffs=tuple(cuffs),
+                              pants=tuple(pants), fenchel_nielsen=fn)
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +486,9 @@ def decomposition_from_dict(data: dict) -> PantsDecomposition:
         fn = FenchelNielsenData(root=int(raw["root"]),
                                 tree_cuffs=tuple(raw["tree_cuffs"]),
                                 generator_roles=raw["generator_roles"])
-    pd = PantsDecomposition(genus=int(data["genus"]), generators=generators,
-                            relators=tuple(surface.get("relators", ())),
-                            cuffs=cuffs, pants=pants, fenchel_nielsen=fn)
-    pd.validate()
-    return pd
+    return PantsDecomposition(genus=int(data["genus"]), generators=generators,
+                              relators=tuple(surface.get("relators", ())),
+                              cuffs=cuffs, pants=pants, fenchel_nielsen=fn)
 
 
 def inclusion_to_dict(inc: BoundaryInclusion) -> dict:

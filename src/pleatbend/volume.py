@@ -28,13 +28,11 @@ from .errors import (AngleUnwrapFailure, DegenerateTetrahedron,
                      PleatbendError)
 from .moebius import IsometryClass, classify, fixed_points, reduce_angle
 from .pleated import (AdaptedSample, EndpointChoice, PleatedRealization,
-                      TruncationConvention, bending_data, cuff_bending,
-                      leaf_bending, realize, resolve_endpoints,
-                      track_endpoints, truncated_length)
+                      TruncationConvention, resolve_endpoints, schlafli_term,
+                      track_endpoints)
 from .representation import (RepresentationPath, evaluate_word, fingerprint,
                              standard_word_list)
-from .topology import (OrientationAssignment, build_lamination,
-                       enumerate_orientations)
+from .topology import OrientationAssignment, enumerate_orientations
 
 # ---------------------------------------------------------------------------
 # Lobachevsky function and ideal tetrahedra
@@ -165,7 +163,7 @@ def _term_series(path: RepresentationPath, indices, starts,
     to the first sample; chain 0 may instead start from an
     EndpointChoice, resolved at the first sample.  Each
     representation is checked for adaptedness once, and every pants is
-    placed (with the plaque check) once per pattern of chains on its
+    placed (with the plaque check) for every pattern of chains on its
     cuffs.  Returns ({(term key, pattern): (angles, lengths)}, deferred),
     where pattern gives the chain of each cuff in the term's support.
 
@@ -178,30 +176,22 @@ def _term_series(path: RepresentationPath, indices, starts,
     terms = _terms(pd)
     around = _pants_cuffs(pd)
     ids = [c.id for c in pd.cuffs]
-    lam = build_lamination(pd)
     series: dict = {}
     deferred = None
     zetas = list(starts)
     for i in indices:
         rep = path.reps[i]
-        if i == indices[0]:
-            zetas[0] = (resolve_endpoints(rep, pd, zetas[0])
-                        if isinstance(zetas[0], EndpointChoice)
-                        else track_endpoints(rep, pd, zetas[0]))
+        if i == indices[0] and isinstance(zetas[0], EndpointChoice):
+            zetas[0] = resolve_endpoints(rep, pd, zetas[0])
         else:
             zetas[0] = track_endpoints(rep, pd, zetas[0])
         sample = AdaptedSample(rep, pd)
-        xi = tuple(sample.place(p, zetas[0]) for p in range(len(pd.pants)))
-        data = bending_data(PleatedRealization(sample=sample, lam=lam,
-                                               zeta=zetas[0], xi=xi), conv)
-        values = {(term.key, (0,) * len(term.support)):
-                  (data.angle(term.key), data.length(term.key))
-                  for term in terms}
+        values = _pattern_values(sample, terms, around, ids, zetas[:1], conv)
         if len(zetas) > 1:
             try:
                 zetas[1:] = [track_endpoints(rep, pd, z) for z in zetas[1:]]
-                values.update(_off_zero_values(sample, lam, terms, around,
-                                               ids, zetas, conv))
+                values.update(_pattern_values(sample, terms, around, ids,
+                                              zetas, conv))
             except PleatbendError as exc:
                 deferred = exc
                 zetas = zetas[:1]
@@ -214,11 +204,16 @@ def _term_series(path: RepresentationPath, indices, starts,
     return series, deferred
 
 
-def _off_zero_values(sample: AdaptedSample, lam, terms, around, ids, zetas,
-                     conv: TruncationConvention) -> dict:
-    """(angle, length) of every term on every pattern with a nonzero
-    chain, at one sample."""
+def _pattern_values(sample: AdaptedSample, terms, around, ids, zetas,
+                    conv: TruncationConvention) -> dict:
+    """(angle, length) of every term at one sample, on the patterns that
+    take the last of the given chains somewhere.
+
+    With one chain that is the one pattern taking chain 0 everywhere;
+    with two, every pattern that takes chain 1 on some cuff.
+    """
     chains = range(len(zetas))
+    last = len(zetas) - 1
     placed = {}
     for p, cuffs in enumerate(around):
         for pattern in itertools.product(chains, repeat=len(cuffs)):
@@ -230,7 +225,7 @@ def _off_zero_values(sample: AdaptedSample, lam, terms, around, ids, zetas,
     values = {}
     for term in terms:
         for pattern in itertools.product(chains, repeat=len(term.support)):
-            if not any(pattern):
+            if max(pattern, default=0) != last:
                 continue
             ori = [0] * len(ids)
             for j, b in zip(term.support, pattern):
@@ -239,17 +234,11 @@ def _off_zero_values(sample: AdaptedSample, lam, terms, around, ids, zetas,
             real = realizations.get(ori)
             if real is None:
                 real = realizations[ori] = PleatedRealization(
-                    sample=sample, lam=lam,
+                    sample=sample,
                     zeta={c: zetas[b][c] for c, b in zip(ids, ori)},
                     xi=tuple(placed[p, tuple(ori[j] for j in cuffs)]
                              for p, cuffs in enumerate(around)))
-            if isinstance(term.key, str):
-                angle = cuff_bending(real, term.key)
-                length = sample.cuff_lengths[term.key].real
-            else:
-                angle = leaf_bending(real, term.key)
-                length = truncated_length(real, term.key, conv)
-            values[term.key, pattern] = (angle, length)
+            values[term.key, pattern] = schlafli_term(real, term.key, conv)
     return values
 
 
@@ -267,42 +256,28 @@ def angle_series(path: RepresentationPath, zeta: EndpointChoice | dict,
 def schlafli_derivative(path: RepresentationPath, t: float,
                         zeta: EndpointChoice | dict,
                         conv: TruncationConvention) -> float:
-    """dV/dt at an interior sample of a path, by central differences.
+    """dV/dt at an interior sample of a path.
 
     The endpoint selection is resolved at the sample itself and tracked
-    to its neighbors; angle differences are reduced mod 2 pi before
-    differencing, so the value is insensitive to the branch each angle
-    happens to be reported in.  Cuffs whose length is purely imaginary
-    (elliptic crossings) contribute nothing through their own term.
+    to its neighbors; the value is the integrand of
+    integrate_volume_change on those three samples, read at the middle
+    one.  Cuffs whose length is purely imaginary (elliptic crossings)
+    contribute nothing through their own term.
     """
     k = path.index_of(t)
     if k == 0 or k == len(path) - 1:
         raise PleatbendError(
             f"t={t} is an endpoint; the derivative needs an interior sample")
     pd = _surface(path)
-    rep_k = path.reps[k]
     if isinstance(zeta, EndpointChoice):
-        zeta_k = resolve_endpoints(rep_k, pd, zeta)
+        zeta = resolve_endpoints(path.reps[k], pd, zeta)
     else:
-        zeta_k = track_endpoints(rep_k, pd, zeta)
-    lam = build_lamination(pd, OrientationAssignment.all_forward(pd))
-    zeta_prev = track_endpoints(path.reps[k - 1], pd, zeta_k)
-    zeta_next = track_endpoints(path.reps[k + 1], pd, zeta_k)
-    before, here, after = [
-        bending_data(realize(path.reps[i], pd, lam, z), conv)
-        for i, z in ((k - 1, zeta_prev), (k, zeta_k), (k + 1, zeta_next))]
-    dt = path.ts[k + 1] - path.ts[k - 1]
-    total = 0.0
-    for term in _terms(pd):
-        key = term.key
-        fwd = reduce_angle(after.angle(key) - here.angle(key))
-        back = reduce_angle(here.angle(key) - before.angle(key))
-        for d in (fwd, back):
-            if abs(d) >= math.pi * (1 - 1e-9):
-                raise AngleUnwrapFailure(
-                    f"angle of {key!r} moved {d:.3f} in one step")
-        total += here.length(key) * (fwd + back) / dt
-    return 0.5 * total
+        zeta = track_endpoints(path.reps[k], pd, zeta)
+    indices = [k - 1, k, k + 1]
+    series, _ = _term_series(path, indices, [zeta], conv)
+    ts = np.array([path.ts[i] for i in indices])
+    return float(_integrand(_terms(pd), _velocities(ts, series),
+                            (0,) * len(pd.cuffs), len(ts))[1])
 
 
 # ---------------------------------------------------------------------------

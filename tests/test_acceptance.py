@@ -285,7 +285,7 @@ def test_criterion_6_arc_additivity(pd):
     lam = build_lamination(pd)
     rep = fenchel_nielsen_rep(pd, (2.0 + 0.3j, 1.7, 2.3 - 0.2j),
                               (0.3 + 0.4j, 0.1 - 0.2j, 0.2 + 0.1j))
-    real = realize(rep, pd, lam)
+    real = realize(rep, pd)
     rng = np.random.default_rng(6)
     cuff_ids = [c.id for c in pd.cuffs]
     worst = 0.0

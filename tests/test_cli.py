@@ -98,6 +98,20 @@ class TestPleatAndBend:
         assert code == 0
         assert json.loads(out)["adapted"] is True
 
+    @pytest.mark.parametrize("command", ["pleat", "bend"])
+    def test_adaptedness_checked_at_the_given_tolerance(self, demo, capsys,
+                                                        command):
+        # at tolerance 3 the a1 image counts as the identity, so no
+        # realization may be printed
+        code, out, err = run(capsys, command,
+                             "--input", str(demo / "bent.json"),
+                             "--pd", str(demo / "surface.json"),
+                             "--tolerance", "3")
+        assert code == 2
+        assert out == ""
+        assert "NotAdapted" in err
+        assert "cuff a1 is identity" in err
+
     def test_bend_reads_pure_bend_angle(self, demo, capsys):
         code, out, _ = run(capsys, "bend",
                            "--input", str(demo / "bent.json"),

@@ -87,7 +87,7 @@ class TestAdaptedness:
 class TestRealize:
     def test_fuchsian_realization_is_flat(self, setup):
         pd, lam = setup
-        bd = bending_data(realize(fuchsian(pd), pd, lam))
+        bd = bending_data(realize(fuchsian(pd), pd))
         worst = max(abs(v) for v in list(bd.leaf_angles.values())
                     + list(bd.cuff_angles.values()))
         assert worst < 1e-12
@@ -97,7 +97,7 @@ class TestRealize:
         theta = 0.4
         rep = fenchel_nielsen_rep(
             pd, LENGTHS, (TWISTS[0] + theta * 1j,) + TWISTS[1:])
-        bd = bending_data(realize(rep, pd, lam))
+        bd = bending_data(realize(rep, pd))
         assert bd.cuff_angles["a1"] == pytest.approx(theta, abs=1e-12)
         assert abs(bd.cuff_angles["a2"]) < 1e-12
         assert abs(bd.cuff_angles["w1"]) < 1e-12
@@ -107,8 +107,8 @@ class TestRealize:
         pd, lam = setup
         rep = fenchel_nielsen_rep(
             pd, LENGTHS, (TWISTS[0] + 0.4j,) + TWISTS[1:])
-        att = realize(rep, pd, lam)
-        repl = realize(rep, pd, lam, EndpointChoice.uniform("repelling"))
+        att = realize(rep, pd)
+        repl = realize(rep, pd, EndpointChoice.uniform("repelling"))
         for cuff in pd.cuffs:
             assert cuff_bending(repl, cuff.id) == pytest.approx(
                 -cuff_bending(att, cuff.id), abs=1e-12)
@@ -117,7 +117,7 @@ class TestRealize:
         pd, lam = setup
         rep = fenchel_nielsen_rep(pd, (2.0 + 0.4j,) + LENGTHS[1:],
                                   (0.3 + 0.2j,) + TWISTS[1:])
-        real = realize(rep, pd, lam)
+        real = realize(rep, pd)
         base = cuff_bending(real, "a1")
         assert cuff_bending(real, "a1", winding=1) == pytest.approx(
             reduce_angle(base + 0.4), abs=1e-12)
@@ -129,8 +129,8 @@ class TestRealize:
         rep = fenchel_nielsen_rep(pd, (2.0 + 0.1j, 1.7, 2.3),
                                   (0.3 + 0.2j, 0.1 - 0.1j, 0.2))
         g = MoebiusMap(1.2, 0.3 - 0.1j, 0.2j, 0.8)
-        bd = bending_data(realize(rep, pd, lam))
-        bd_c = bending_data(realize(rep.conjugated(g), pd, lam))
+        bd = bending_data(realize(rep, pd))
+        bd_c = bending_data(realize(rep.conjugated(g), pd))
         for key in bd.leaf_angles:
             assert bd_c.leaf_angles[key] == pytest.approx(
                 bd.leaf_angles[key], abs=1e-9)
@@ -158,11 +158,11 @@ class TestRealize:
                              images=tuple(MoebiusMap.identity()
                                           for _ in pd.generators))
         with pytest.raises(NotAdapted):
-            realize(rep, pd, lam)
+            realize(rep, pd)
 
     def test_plaque_shapes(self, setup):
         pd, lam = setup
-        real = realize(fuchsian(pd), pd, lam)
+        real = realize(fuchsian(pd), pd)
         assert len(real.xi) == len(pd.pants)
         assert all(len(row) == 3 for row in real.xi)
         assert len(real.leaf_keys()) == 3 * len(pd.pants)
@@ -220,7 +220,7 @@ class TestArcBending:
         pd, lam = setup
         rep = fenchel_nielsen_rep(pd, (2.0 + 0.3j, 1.7, 2.3 - 0.2j),
                                   (0.3 + 0.4j, 0.1, 0.2 + 0.1j))
-        real = realize(rep, pd, lam)
+        real = realize(rep, pd)
         arc = self.arc(pd)
         whole = arc_bending(real, arc)
         parts = sum(arc_bending(real, piece) for piece in subdivide_arc(arc))
@@ -232,7 +232,7 @@ class TestArcBending:
         pd, lam = setup
         rep = fenchel_nielsen_rep(pd, (2.0 + 0.3j, 1.7, 2.3),
                                   (0.3 + 0.4j, 0.1 - 0.2j, 0.2))
-        real = realize(rep, pd, lam)
+        real = realize(rep, pd)
         n = data.draw(st.integers(1, 10))
         crossings = []
         for _ in range(n):
@@ -268,7 +268,7 @@ class TestTruncation:
     def test_rescale_rule(self, setup):
         # leaf (0, 0) has both of its spiral ends on cuff a1
         pd, lam = setup
-        real = realize(fuchsian(pd), pd, lam)
+        real = realize(fuchsian(pd), pd)
         assert pd.pants[0].cuff_ends[0].cuff == "a1"
         assert pd.pants[0].cuff_ends[1].cuff == "a1"
         conv = TruncationConvention.uniform(pd)
@@ -285,7 +285,7 @@ class TestTruncation:
         def lengths(s):
             rep = fenchel_nielsen_rep(pd, LENGTHS,
                                       (TWISTS[0] + s,) + TWISTS[1:])
-            real = realize(rep, pd, lam)
+            real = realize(rep, pd)
             return {k: truncated_length(real, k, conv)
                     for k in real.leaf_keys()}
 
@@ -304,5 +304,5 @@ class TestSampledAngleContinuity:
                 pd, LENGTHS, (TWISTS[0] + theta * 1j,) + TWISTS[1:])
             zeta = (resolve_endpoints(rep, pd, EndpointChoice.uniform())
                     if zeta is None else track_endpoints(rep, pd, zeta))
-            real = realize(rep, pd, lam, zeta)
+            real = realize(rep, pd, zeta)
             assert cuff_bending(real, "a1") == pytest.approx(theta, abs=1e-10)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from pleatbend.errors import InvalidDecomposition, UnknownLetter
 from pleatbend.topology import (BoundaryComponent, BoundaryInclusion,
                                 CuffCrossing, LeafCrossing,
-                                OrientationAssignment, TransverseArc,
+                                OrientationAssignment, PantsDecomposition,
+                                TransverseArc,
                                 build_lamination, decomposition_from_dict,
                                 decomposition_to_dict, enumerate_orientations,
                                 invert_word, load_document, parse_word,
@@ -61,6 +62,14 @@ class TestStandardDecomposition:
     def test_genus_too_small(self):
         with pytest.raises(InvalidDecomposition):
             standard_decomposition(1)
+
+    def test_duplicate_cuff_id_rejected_on_construction(self):
+        pd = standard_decomposition(2)
+        with pytest.raises(InvalidDecomposition, match="duplicate cuff ids"):
+            PantsDecomposition(genus=2, generators=pd.generators,
+                               relators=pd.relators,
+                               cuffs=(pd.cuffs[0], pd.cuffs[0], pd.cuffs[2]),
+                               pants=pd.pants)
 
     def test_json_round_trip(self):
         pd = standard_decomposition(2)
@@ -132,13 +141,13 @@ class TestArcs:
             CuffCrossing(cuff=pd.cuffs[0].id),
             LeafCrossing(pants=0, leaf=1),
         ))
-        arc.validate(lam)
+        arc.validate(pd)
 
     def test_unknown_leaf_rejected(self):
         pd, lam = self._lam()
         arc = TransverseArc(crossings=(LeafCrossing(pants=9, leaf=0),))
         with pytest.raises(InvalidDecomposition):
-            arc.validate(lam)
+            arc.validate(pd)
 
     def test_subdivision_splits_before_second_cuff(self):
         pd, lam = self._lam()

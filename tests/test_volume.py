@@ -19,6 +19,7 @@ from pleatbend import (
     PleatbendError,
     RepresentationPath,
     TruncationConvention,
+    bending_data,
     enumerate_orientations,
     fenchel_nielsen_rep,
     ideal_tetra_volume,
@@ -27,8 +28,12 @@ from pleatbend import (
     loop_defect,
     path_from_parameters,
     path_from_reps,
+    realize,
+    reduce_angle,
+    resolve_endpoints,
     schlafli_derivative,
     standard_decomposition,
+    track_endpoints,
     vol_gamma,
     vol_gamma_change,
 )
@@ -97,6 +102,37 @@ def brute_force(path, conv, steps=None):
         zeta = orientation_start_endpoints(path, ori)
         out.append(integrate_volume_change(path, zeta, conv, steps=steps))
     return out
+
+
+def central_difference_derivative(path, t, zeta, conv):
+    """dV/dt at an interior sample from three separate realizations and
+    angle differences reduced mod 2 pi, term by term."""
+    pd = path.pd
+    k = path.index_of(t)
+    if isinstance(zeta, EndpointChoice):
+        zeta_k = resolve_endpoints(path.reps[k], pd, zeta)
+    else:
+        zeta_k = track_endpoints(path.reps[k], pd, zeta)
+    zeta_prev = track_endpoints(path.reps[k - 1], pd, zeta_k)
+    zeta_next = track_endpoints(path.reps[k + 1], pd, zeta_k)
+    before, here, after = [
+        bending_data(realize(path.reps[i], pd, z), conv)
+        for i, z in ((k - 1, zeta_prev), (k, zeta_k), (k + 1, zeta_next))]
+    dt = path.ts[k + 1] - path.ts[k - 1]
+    keys = [("cuff", c.id) for c in pd.cuffs] + [
+        ("leaf", (p, i)) for p in range(len(pd.pants)) for i in range(3)]
+    total = 0.0
+    for kind, key in keys:
+        a0, a1, a2 = (getattr(d, f"{kind}_angles")[key]
+                      for d in (before, here, after))
+        fwd = reduce_angle(a2 - a1)
+        back = reduce_angle(a1 - a0)
+        for d in (fwd, back):
+            if abs(d) >= math.pi * (1 - 1e-9):
+                raise AngleUnwrapFailure(
+                    f"angle of {key!r} moved {d:.3f} in one step")
+        total += getattr(here, f"{kind}_lengths")[key] * (fwd + back) / dt
+    return 0.5 * total
 
 
 def same_float(a, b):
@@ -235,6 +271,45 @@ class TestSchlafliDerivative:
         path = bend_path(pd, theta_final=2 * math.pi, steps=2)
         with pytest.raises(AngleUnwrapFailure):
             schlafli_derivative(path, 0.5, EndpointChoice.uniform(), conv)
+
+
+class TestSchlafliDerivativeOracle:
+    """schlafli_derivative against realizing the three samples
+    separately and differencing reduced angles."""
+
+    @pytest.mark.parametrize("name", ["elliptic_crossing",
+                                      "horoball_independence",
+                                      "pure_bend", "genus2_loop"])
+    def test_every_interior_sample(self, pd, conv, name):
+        path = {
+            "elliptic_crossing": lambda: path_from_parameters(
+                pd,
+                lambda t: (1.5 * (t - 0.5) ** 2 + 0.8j, 2.0 + 0.1 * t, 2.0),
+                lambda t: (0.3 + 0.25j * t, 0.1 - 0.1j * t * t,
+                           0.2 + 0.15j * t),
+                steps=16),
+            "horoball_independence": lambda: path_from_parameters(
+                pd, lambda t: (2.0 + 0.3 * t, 1.7, 2.3),
+                lambda t: (0.3 + 0.5j * t, 0.1, 0.2 - 0.2j * t), steps=16),
+            "pure_bend": lambda: bend_path(pd, steps=16),
+            "genus2_loop": lambda: genus2_loop(pd),
+        }[name]()
+        choice = EndpointChoice.uniform()
+        values = []
+        for t in path.ts[1:-1]:
+            got = schlafli_derivative(path, t, choice, conv)
+            assert got == central_difference_derivative(path, t, choice, conv)
+            values.append(got)
+        # a derivative that is zero everywhere would compare equal too
+        assert max(abs(v) for v in values) > 1e-3
+
+    def test_both_reject_a_coarse_full_bend(self, pd, conv):
+        path = bend_path(pd, theta_final=2 * math.pi, steps=2)
+        choice = EndpointChoice.uniform()
+        with pytest.raises(AngleUnwrapFailure):
+            central_difference_derivative(path, 0.5, choice, conv)
+        with pytest.raises(AngleUnwrapFailure):
+            schlafli_derivative(path, 0.5, choice, conv)
 
 
 class TestIntegrate:
