@@ -209,11 +209,12 @@ def cmd_volume_path(cfg: ExperimentConfig) -> int:
     pd, path = _load_pathfile(cfg)
     conv = TruncationConvention.uniform(pd, cfg.horoball)
     zeta = EndpointChoice.uniform(cfg.endpoints)
-    result = integrate_volume_change(path, zeta, conv, steps=cfg.steps)
+    result = integrate_volume_change(path, zeta, conv, steps=cfg.steps,
+                                     eps_class=cfg.tolerance)
     is_loop, _ = _loop_check(path)
     loop_line = None
     if is_loop:
-        defect = vol_gamma_change(path, conv)
+        defect = vol_gamma_change(path, conv, eps_class=cfg.tolerance)
         verdict = "PASS" if abs(defect) < LOOP_TOL else "FAIL"
         loop_line = f"loop defect {verdict}: {_num(defect)}"
     if cfg.fmt == "json":
@@ -252,7 +253,7 @@ def cmd_volume_path(cfg: ExperimentConfig) -> int:
 def cmd_vol_gamma(cfg: ExperimentConfig) -> int:
     pd, path = _load_pathfile(cfg)
     conv = TruncationConvention.uniform(pd, cfg.horoball)
-    summed = vol_gamma(path, conv, steps=cfg.steps)
+    summed = vol_gamma(path, conv, steps=cfg.steps, eps_class=cfg.tolerance)
     per_orientation = [("".join("+" if b else "-" for b in ori.forward), r)
                        for ori, r in zip(summed.orientations, summed.results)]
     cumulative = list(summed.results[0].cumulative)
@@ -287,7 +288,7 @@ def cmd_vol_gamma(cfg: ExperimentConfig) -> int:
 def cmd_loop_defect(cfg: ExperimentConfig) -> int:
     pd, path = _load_pathfile(cfg)
     conv = TruncationConvention.uniform(pd, cfg.horoball)
-    report = loop_defect(path, conv)
+    report = loop_defect(path, conv, eps_class=cfg.tolerance)
     verdict = "PASS" if abs(report.defect) < LOOP_TOL else "FAIL"
     if cfg.fmt == "json":
         _emit(cfg, _json_dump({
@@ -386,11 +387,12 @@ def cmd_plot(cfg: ExperimentConfig) -> int:
     conv = TruncationConvention.uniform(pd, cfg.horoball)
     zeta = EndpointChoice.uniform(cfg.endpoints)
     if cfg.quantity == "angles":
-        angles = angle_series(path, zeta, conv)
+        angles = angle_series(path, zeta, conv, eps_class=cfg.tolerance)
         series = {f"angle[{c.id}]": angles[c.id] for c in pd.cuffs}
         svg = _svg_plot(path.ts, series, "t", "bending angle")
     else:
-        result = integrate_volume_change(path, zeta, conv, steps=cfg.steps)
+        result = integrate_volume_change(path, zeta, conv, steps=cfg.steps,
+                                         eps_class=cfg.tolerance)
         svg = _svg_plot(result.ts, {"dV": result.cumulative},
                         "t", "cumulative dV")
     _emit(cfg, svg)

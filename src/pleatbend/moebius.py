@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import (
     DegenerateConfiguration,
@@ -45,19 +44,22 @@ RESCALE_LIMIT = 1e6  # |ad| + |bc| above which products are not rescaled
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True, eq=False)
 class ProjectivePoint:
-    """A point of the Riemann sphere in unit-norm homogeneous coordinates."""
+    """A point of the Riemann sphere in unit-norm homogeneous coordinates.
 
-    z1: complex
-    z2: complex
+    A ``__slots__`` class: z1 and z2 are set once, by the constructor,
+    and nothing assigns them afterwards.  Equality and hashing are by
+    identity; use approx_eq or chordal to compare points.
+    """
 
-    def __post_init__(self):
-        n = math.hypot(abs(self.z1), abs(self.z2))
+    __slots__ = ("z1", "z2")
+
+    def __init__(self, z1: complex, z2: complex):
+        n = math.hypot(abs(z1), abs(z2))
         if n == 0.0:
             raise DegenerateConfiguration("homogeneous coordinates (0, 0)")
-        object.__setattr__(self, "z1", complex(self.z1) / n)
-        object.__setattr__(self, "z2", complex(self.z2) / n)
+        self.z1 = complex(z1) / n
+        self.z2 = complex(z2) / n
 
     @classmethod
     def from_complex(cls, z: complex) -> "ProjectivePoint":
@@ -95,31 +97,45 @@ def chordal(p: ProjectivePoint, q: ProjectivePoint) -> float:
     return 2.0 * abs(bracket(p, q))
 
 
-@dataclass(frozen=True, eq=False)
 class MoebiusMap:
     """An element of PSL(2, C), stored as a determinant-1 matrix.
 
     The constructor rescales to determinant 1 (raising SingularMatrix if
     that is impossible).  Matrices that differ by sign represent the
     same transformation; use distance_to / is_identity for comparisons.
+
+    A ``__slots__`` class: the entries a, b, c, d are set once, by the
+    constructor (or by _from_unimodular), and nothing assigns them
+    afterwards.  Equality and hashing are by identity.  Every
+    normalizing construction goes through __post_init__, which rescales
+    the entries in place; instrumentation may wrap it to count
+    constructions.
     """
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: complex, b: complex, c: complex, d: complex):
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
+        self.__post_init__()
 
     def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
+        a, b, c, d = self.a, self.b, self.c, self.d
+        det = a * d - b * c
         if abs(det) < 1e-100:
             raise SingularMatrix(f"determinant {det!r} too small")
         s = cmath.sqrt(det)
-        for name, val in (("a", self.a), ("b", self.b), ("c", self.c), ("d", self.d)):
-            object.__setattr__(self, name, complex(val) / s)
+        self.a = complex(a) / s
+        self.b = complex(b) / s
+        self.c = complex(c) / s
+        self.d = complex(d) / s
 
     @classmethod
     def identity(cls) -> "MoebiusMap":
-        return cls(1.0, 0.0, 0.0, 1.0)
+        """The identity; one shared instance."""
+        return _IDENTITY
 
     @classmethod
     def diagonal(cls, u: complex) -> "MoebiusMap":
@@ -148,8 +164,10 @@ class MoebiusMap:
         if abs(a * d) + abs(b * c) <= RESCALE_LIMIT:
             return cls(a, b, c, d)
         m = object.__new__(cls)
-        for name, val in (("a", a), ("b", b), ("c", c), ("d", d)):
-            object.__setattr__(m, name, complex(val))
+        m.a = complex(a)
+        m.b = complex(b)
+        m.c = complex(c)
+        m.d = complex(d)
         return m
 
     def __matmul__(self, other: "MoebiusMap") -> "MoebiusMap":
@@ -194,11 +212,14 @@ class MoebiusMap:
         return math.sqrt(min(plus, minus))
 
     def is_identity(self, eps: float = EPS_CLASS) -> bool:
-        return self.distance_to(MoebiusMap.identity()) < eps
+        return self.distance_to(_IDENTITY) < eps
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (f"MoebiusMap([[{self.a:.6g}, {self.b:.6g}], "
                 f"[{self.c:.6g}, {self.d:.6g}]])")
+
+
+_IDENTITY = MoebiusMap(1.0, 0.0, 0.0, 1.0)
 
 
 class IsometryClass:

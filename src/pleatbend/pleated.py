@@ -67,13 +67,39 @@ class EndpointChoice:
         return lab
 
 
-def resolve_endpoints(rep: Representation, pd: PantsDecomposition,
-                      choice: EndpointChoice,
+class WordImages(dict):
+    """Images of words under one representation, each evaluated once.
+
+    A dict from word to MoebiusMap that evaluates a missing word on
+    first lookup.  The sample pipeline makes one per path sample and
+    hands it to track_endpoints, check_adapted and AdaptedSample in
+    place of the representation, so they share every word image.
+    """
+
+    __slots__ = ("rep",)
+
+    def __init__(self, rep: Representation):
+        super().__init__()
+        self.rep = rep
+
+    def __missing__(self, word: str) -> MoebiusMap:
+        m = self[word] = evaluate_word(self.rep, word)
+        return m
+
+
+def _word_images(rep: Representation | WordImages) -> WordImages:
+    """rep itself if it is a WordImages, else a fresh one for rep."""
+    return rep if isinstance(rep, WordImages) else WordImages(rep)
+
+
+def resolve_endpoints(rep: Representation | WordImages,
+                      pd: PantsDecomposition, choice: EndpointChoice,
                       eps_class: float = EPS_CLASS) -> dict:
     """Chosen and unchosen fixed point per cuff: cuff id -> (zeta, other)."""
+    images = _word_images(rep)
     out = {}
     for cuff in pd.cuffs:
-        m = evaluate_word(rep, cuff.word)
+        m = images[cuff.word]
         kind = classify(m, eps_class)
         if kind in (IsometryClass.IDENTITY, IsometryClass.PARABOLIC):
             raise NotAdapted(f"cuff {cuff.id!r} is {kind}")
@@ -90,8 +116,9 @@ def resolve_endpoints(rep: Representation, pd: PantsDecomposition,
     return out
 
 
-def track_endpoints(rep: Representation, pd: PantsDecomposition,
-                    previous: dict, eps_class: float = EPS_CLASS) -> dict:
+def track_endpoints(rep: Representation | WordImages,
+                    pd: PantsDecomposition, previous: dict,
+                    eps_class: float = EPS_CLASS) -> dict:
     """Continue an endpoint selection to a nearby representation.
 
     Each cuff's new fixed points are matched to the previously chosen
@@ -100,9 +127,10 @@ def track_endpoints(rep: Representation, pd: PantsDecomposition,
     is ambiguous and fails.
     """
     from .errors import OrientationTrackingFailure
+    images = _word_images(rep)
     out = {}
     for cuff in pd.cuffs:
-        m = evaluate_word(rep, cuff.word)
+        m = images[cuff.word]
         kind = classify(m, eps_class)
         if kind in (IsometryClass.IDENTITY, IsometryClass.PARABOLIC):
             raise NotAdapted(f"cuff {cuff.id!r} is {kind}")
@@ -165,7 +193,7 @@ def shared_endpoint_check(m1: MoebiusMap, m2: MoebiusMap,
     return abs(tr2 - 4) < eps_class, tr2
 
 
-def check_adapted(rep: Representation, pd: PantsDecomposition,
+def check_adapted(rep: Representation | WordImages, pd: PantsDecomposition,
                   eps_class: float = EPS_CLASS) -> AdaptednessReport:
     """Adaptedness of a representation to a decomposition.
 
@@ -173,16 +201,17 @@ def check_adapted(rep: Representation, pd: PantsDecomposition,
     three slot words of each pants must have pairwise disjoint fixed
     sets (commutator squared-trace test).
     """
+    images = _word_images(rep)
     kinds = {}
     bad = []
     for cuff in pd.cuffs:
-        kind = classify(evaluate_word(rep, cuff.word), eps_class)
+        kind = classify(images[cuff.word], eps_class)
         kinds[cuff.id] = kind
         if kind in (IsometryClass.IDENTITY, IsometryClass.PARABOLIC):
             bad.append(cuff.id)
     reports = []
     for p in range(len(pd.pants)):
-        maps = [evaluate_word(rep, pd.slot_word(p, k)) for k in range(3)]
+        maps = [images[pd.slot_word(p, k)] for k in range(3)]
         for i, j in ((0, 1), (1, 2), (2, 0)):
             flagged, tr2 = shared_endpoint_check(maps[i], maps[j], eps_class)
             reports.append(PairSharing(pants=p, slots=(i, j),
@@ -202,32 +231,26 @@ class AdaptedSample:
 
     Construction runs the adaptedness check (raising NotAdapted; the
     passing report is kept as report) and evaluates the slot holonomies
-    and cuff lengths.  Word images are kept for the life of the object,
+    and cuff lengths.  Word images (a WordImages, shared with the check
+    and with whoever passed it in) are kept for the life of the object,
     so every endpoint pattern placed on the same representation shares
     them.
     """
 
-    def __init__(self, rep: Representation, pd: PantsDecomposition,
-                 eps_class: float = EPS_CLASS):
-        report = check_adapted(rep, pd, eps_class)
+    def __init__(self, rep: Representation | WordImages,
+                 pd: PantsDecomposition, eps_class: float = EPS_CLASS):
+        images = _word_images(rep)
+        report = check_adapted(images, pd, eps_class)
         if not report.adapted:
             raise NotAdapted(report.summary())
         self.report = report
-        self.rep = rep
+        self.images = images
         self.pd = pd
-        self._images: dict[str, MoebiusMap] = {}
         self.holonomy = tuple(
-            tuple(self.word(pd.slot_word(p, k)) for k in range(3))
+            tuple(images[pd.slot_word(p, k)] for k in range(3))
             for p in range(len(pd.pants)))
-        self.cuff_lengths = {c.id: complex_length(self.word(c.word), eps_class)
+        self.cuff_lengths = {c.id: complex_length(images[c.word], eps_class)
                              for c in pd.cuffs}
-
-    def word(self, word: str) -> MoebiusMap:
-        """Image of a word, evaluated once per sample."""
-        m = self._images.get(word)
-        if m is None:
-            m = self._images[word] = evaluate_word(self.rep, word)
-        return m
 
     def place(self, p: int, zeta: dict, eps_sep: float = EPS_SEP) -> tuple:
         """Vertices of pants p for the chosen endpoints of its cuffs.
@@ -240,7 +263,7 @@ class AdaptedSample:
         for end in self.pd.pants[p].cuff_ends:
             base = zeta[end.cuff][0]
             if end.conjugator:
-                base = self.word(end.conjugator).apply(base)
+                base = self.images[end.conjugator].apply(base)
             row.append(base)
         hol = self.holonomy[p]
         for tri in (tuple(row), (row[0], row[1], hol[1].apply(row[2]))):
@@ -310,7 +333,7 @@ def realize(rep: Representation, pd: PantsDecomposition,
     if isinstance(endpoints, dict):
         zeta = endpoints
     else:
-        zeta = resolve_endpoints(rep, pd, endpoints, eps_class)
+        zeta = resolve_endpoints(sample.images, pd, endpoints, eps_class)
     xi = tuple(sample.place(p, zeta, eps_sep) for p in range(len(pd.pants)))
     return PleatedRealization(sample=sample, zeta=zeta, xi=xi)
 
@@ -352,11 +375,11 @@ def cuff_bending(real: PleatedRealization, cuff_id: str,
     v_minus = pd.pants[pm].cuff_ends[km].conjugator
     core = cuff.word * winding if winding >= 0 else invert_word(cuff.word) * (-winding)
     w0 = v_plus + core + invert_word(v_minus)
-    W = real.sample.word(w0)
+    W = real.sample.images[w0]
 
     zeta_c, other_c = real.zeta[cuff_id]
     if v_plus:
-        lift = real.sample.word(v_plus)
+        lift = real.sample.images[v_plus]
         zeta_c, other_c = lift.apply(zeta_c), lift.apply(other_c)
     frame = normalizing_map(other_c, zeta_c)
 
@@ -462,7 +485,7 @@ def truncated_length(real: PleatedRealization, leaf,
         end = real.pd.pants[p].cuff_ends[slot]
         wit = cuff_horoball_witness(real, end.cuff, conv)
         if end.conjugator:
-            wit = real.sample.word(end.conjugator).apply_interior(*wit)
+            wit = real.sample.images[end.conjugator].apply_interior(*wit)
         witnesses.append(wit)
         points.append(real.xi[p][slot])
     return truncated_geodesic_length(points[0], points[1],

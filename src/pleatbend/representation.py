@@ -25,8 +25,7 @@ import numpy as np
 from .errors import (InvalidDecomposition, NonHyperbolicParameters,
                      PleatbendError, ReducibleRepresentation, UnknownLetter)
 from .moebius import EPS_CLASS, IsometryClass, MoebiusMap, chordal, classify, fixed_points
-from .topology import (BoundaryInclusion, PantsDecomposition, invert_word,
-                       parse_word)
+from .topology import BoundaryInclusion, PantsDecomposition, _tokens
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ def evaluate_word(rep: Representation, word: str) -> MoebiusMap:
     """
     table = rep.image_of
     out = MoebiusMap.identity()
-    for base, inv in parse_word(word):
+    for base, inv in _tokens(word):
         if base not in table:
             raise UnknownLetter(f"no image for generator {base!r}")
         m = table[base]

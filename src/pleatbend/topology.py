@@ -20,6 +20,7 @@ lower-case generator ("A1" = inverse of "a1").
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -36,6 +37,17 @@ def parse_word(word: str) -> list[tuple[str, bool]]:
     >>> parse_word("a1B2")
     [('a1', False), ('b2', True)]
     """
+    return list(_tokens(word))
+
+
+@functools.cache
+def _tokens(word: str) -> tuple[tuple[str, bool], ...]:
+    """parse_word as a tuple, tokenized once per distinct word.
+
+    The cache keeps every distinct word the process has parsed; words
+    come from decompositions, inclusions and their products, a small
+    set, so it is not bounded.
+    """
     tokens = []
     pos = 0
     for m in _TOKEN.finditer(word):
@@ -46,19 +58,19 @@ def parse_word(word: str) -> list[tuple[str, bool]]:
         pos = m.end()
     if pos != len(word):
         raise UnknownLetter(f"cannot tokenize {word[pos:]!r} in {word!r}")
-    return tokens
+    return tuple(tokens)
 
 
 def invert_word(word: str) -> str:
     """The inverse word: reversed, with every letter's case flipped."""
     out = []
-    for base, inv in reversed(parse_word(word)):
+    for base, inv in reversed(_tokens(word)):
         out.append(base if inv else base[0].upper() + base[1:])
     return "".join(out)
 
 
 def word_letters(word: str) -> set[str]:
-    return {base for base, _ in parse_word(word)}
+    return {base for base, _ in _tokens(word)}
 
 
 @dataclass(frozen=True)
@@ -357,7 +369,7 @@ class BoundaryComponent:
         """Rewrite a word in surface letters through the inclusion."""
         mapping = self.mapping
         out = []
-        for base, inv in parse_word(word):
+        for base, inv in _tokens(word):
             if base not in mapping:
                 raise UnknownLetter(
                     f"letter {base!r} is not a surface generator of this component")

@@ -26,10 +26,11 @@ from scipy.special import zeta as _riemann_zeta
 from .errors import (AngleUnwrapFailure, DegenerateTetrahedron,
                      EndpointsMismatch, OrientationTrackingFailure,
                      PleatbendError)
-from .moebius import IsometryClass, classify, fixed_points, reduce_angle
+from .moebius import (EPS_CLASS, IsometryClass, classify, fixed_points,
+                      reduce_angle)
 from .pleated import (AdaptedSample, EndpointChoice, PleatedRealization,
-                      TruncationConvention, resolve_endpoints, schlafli_term,
-                      track_endpoints)
+                      TruncationConvention, WordImages, resolve_endpoints,
+                      schlafli_term, track_endpoints)
 from .representation import (RepresentationPath, evaluate_word, fingerprint,
                              standard_word_list)
 from .topology import OrientationAssignment, enumerate_orientations
@@ -155,16 +156,17 @@ def _sample_indices(path: RepresentationPath, steps: int | None) -> list[int]:
 
 
 def _term_series(path: RepresentationPath, indices, starts,
-                 conv: TruncationConvention
+                 conv: TruncationConvention, eps_class: float
                  ) -> tuple[dict, PleatbendError | None]:
     """Angle and length of every term at every sample, per chain pattern.
 
     starts holds the start selection of each chain as a dict, tracked
     to the first sample; chain 0 may instead start from an
     EndpointChoice, resolved at the first sample.  Each
-    representation is checked for adaptedness once, and every pants is
-    placed (with the plaque check) for every pattern of chains on its
-    cuffs.  Returns ({(term key, pattern): (angles, lengths)}, deferred),
+    representation is checked for adaptedness once, at eps_class, each
+    word is evaluated once per sample, and every pants is placed (with
+    the plaque check) once for every pattern of chains on its cuffs.
+    Returns ({(term key, pattern): (angles, lengths)}, deferred),
     where pattern gives the chain of each cuff in the term's support.
 
     On every sample the orientation that takes chain 0 everywhere is
@@ -180,18 +182,21 @@ def _term_series(path: RepresentationPath, indices, starts,
     deferred = None
     zetas = list(starts)
     for i in indices:
-        rep = path.reps[i]
+        images = WordImages(path.reps[i])
         if i == indices[0] and isinstance(zetas[0], EndpointChoice):
-            zetas[0] = resolve_endpoints(rep, pd, zetas[0])
+            zetas[0] = resolve_endpoints(images, pd, zetas[0], eps_class)
         else:
-            zetas[0] = track_endpoints(rep, pd, zetas[0])
-        sample = AdaptedSample(rep, pd)
-        values = _pattern_values(sample, terms, around, ids, zetas[:1], conv)
+            zetas[0] = track_endpoints(images, pd, zetas[0], eps_class)
+        sample = AdaptedSample(images, pd, eps_class)
+        placed = {}
+        values = _pattern_values(sample, terms, around, ids, zetas[:1], conv,
+                                 placed)
         if len(zetas) > 1:
             try:
-                zetas[1:] = [track_endpoints(rep, pd, z) for z in zetas[1:]]
+                zetas[1:] = [track_endpoints(images, pd, z, eps_class)
+                             for z in zetas[1:]]
                 values.update(_pattern_values(sample, terms, around, ids,
-                                              zetas, conv))
+                                              zetas, conv, placed))
             except PleatbendError as exc:
                 deferred = exc
                 zetas = zetas[:1]
@@ -205,18 +210,22 @@ def _term_series(path: RepresentationPath, indices, starts,
 
 
 def _pattern_values(sample: AdaptedSample, terms, around, ids, zetas,
-                    conv: TruncationConvention) -> dict:
+                    conv: TruncationConvention, placed: dict) -> dict:
     """(angle, length) of every term at one sample, on the patterns that
     take the last of the given chains somewhere.
 
     With one chain that is the one pattern taking chain 0 everywhere;
-    with two, every pattern that takes chain 1 on some cuff.
+    with two, every pattern that takes chain 1 on some cuff.  placed
+    maps (pants, pattern of chains on its cuffs) to the placed vertices
+    of this sample; pants patterns missing from it are placed and
+    added, so a second call reuses the first call's placements.
     """
     chains = range(len(zetas))
     last = len(zetas) - 1
-    placed = {}
     for p, cuffs in enumerate(around):
         for pattern in itertools.product(chains, repeat=len(cuffs)):
+            if (p, pattern) in placed:
+                continue
             zeta = {ids[j]: zetas[b][ids[j]] for j, b in zip(cuffs, pattern)}
             placed[p, pattern] = sample.place(p, zeta)
     # a term pattern is realized as the orientation that takes chain 0
@@ -243,13 +252,17 @@ def _pattern_values(sample: AdaptedSample, terms, around, ids, zetas,
 
 
 def angle_series(path: RepresentationPath, zeta: EndpointChoice | dict,
-                 conv: TruncationConvention) -> dict:
+                 conv: TruncationConvention,
+                 eps_class: float = EPS_CLASS) -> dict:
     """Bending angle of every term at every sample of a path.
 
     The endpoint selection is resolved at the first sample and tracked
-    forward; keys are cuff ids and (pants, i) leaf keys.
+    forward; keys are cuff ids and (pants, i) leaf keys.  eps_class is
+    the classification tolerance of tracking and of the adaptedness
+    check.
     """
-    series, _ = _term_series(path, list(range(len(path))), [zeta], conv)
+    series, _ = _term_series(path, list(range(len(path))), [zeta], conv,
+                             eps_class)
     return {key: angles for (key, _), (angles, _) in series.items()}
 
 
@@ -274,7 +287,7 @@ def schlafli_derivative(path: RepresentationPath, t: float,
     else:
         zeta = track_endpoints(path.reps[k], pd, zeta)
     indices = [k - 1, k, k + 1]
-    series, _ = _term_series(path, indices, [zeta], conv)
+    series, _ = _term_series(path, indices, [zeta], conv, EPS_CLASS)
     ts = np.array([path.ts[i] for i in indices])
     return float(_integrand(_terms(pd), _velocities(ts, series),
                             (0,) * len(pd.cuffs), len(ts))[1])
@@ -390,7 +403,8 @@ def _integrand(terms, velocities: dict, ori: tuple, n: int) -> np.ndarray:
 
 
 def _integrate(path: RepresentationPath, indices, starts, orientations,
-               conv: TruncationConvention) -> list[VolumePathResult]:
+               conv: TruncationConvention,
+               eps_class: float) -> list[VolumePathResult]:
     """One VolumePathResult per orientation (a chain index per cuff).
 
     Composite Simpson over the samples, with the error estimated by
@@ -398,7 +412,7 @@ def _integrate(path: RepresentationPath, indices, starts, orientations,
     when the interval count is odd or the subsample fails to unwrap).
     orientations[0] takes chain 0 on every cuff.
     """
-    series, deferred = _term_series(path, indices, starts, conv)
+    series, deferred = _term_series(path, indices, starts, conv, eps_class)
     terms = _terms(path.pd)
     ts = np.array([path.ts[i] for i in indices])
     fine = _velocities(ts, series)
@@ -436,7 +450,8 @@ def _integrate(path: RepresentationPath, indices, starts, orientations,
 def integrate_volume_change(path: RepresentationPath,
                             zeta: EndpointChoice | dict,
                             conv: TruncationConvention,
-                            steps: int | None = None) -> VolumePathResult:
+                            steps: int | None = None,
+                            eps_class: float = EPS_CLASS) -> VolumePathResult:
     """Integrate dV along a path of adapted representations.
 
     The endpoint selection is resolved at the first sample and tracked
@@ -445,29 +460,32 @@ def integrate_volume_change(path: RepresentationPath,
     estimated by Richardson comparison against the half-resolution
     subsample (NaN when the interval count is odd).  steps optionally
     subsamples the stored path (its interval count must divide the
-    stored one).
+    stored one).  eps_class is the classification tolerance of tracking
+    and of the adaptedness check.
     """
     indices = _sample_indices(path, steps)
     pd = _surface(path)
-    return _integrate(path, indices, [zeta], [(0,) * len(pd.cuffs)], conv)[0]
+    return _integrate(path, indices, [zeta], [(0,) * len(pd.cuffs)], conv,
+                      eps_class)[0]
 
 
 # ---------------------------------------------------------------------------
 # orientation-summed volume and loop defects
 
 
-def orientation_start_endpoints(path: RepresentationPath, ori) -> dict:
+def orientation_start_endpoints(path: RepresentationPath, ori,
+                                eps_class: float = EPS_CLASS) -> dict:
     pd = path.pd
     rep0 = path.reps[0]
     zeta = {}
     for bit, cuff in zip(ori.forward, pd.cuffs):
         m = evaluate_word(rep0, cuff.word)
-        kind = classify(m)
+        kind = classify(m, eps_class)
         if kind != IsometryClass.LOXODROMIC:
             raise OrientationTrackingFailure(
                 f"cuff {cuff.id!r} is {kind} at the path start; "
                 "orientation endpoints need a loxodromic cuff")
-        att, rep_pt = fixed_points(m)
+        att, rep_pt = fixed_points(m, eps_class)
         zeta[cuff.id] = (att, rep_pt) if bit else (rep_pt, att)
     return zeta
 
@@ -498,7 +516,8 @@ class VolGammaResult:
 
 
 def vol_gamma(path: RepresentationPath, conv: TruncationConvention,
-              steps: int | None = None) -> VolGammaResult:
+              steps: int | None = None,
+              eps_class: float = EPS_CLASS) -> VolGammaResult:
     """Integrated first variation under all 2^(3g-3) cuff orientations.
 
     Forward picks the attracting fixed point of a cuff at the path
@@ -510,28 +529,31 @@ def vol_gamma(path: RepresentationPath, conv: TruncationConvention,
     orientation is raised as integrating orientation by orientation
     raises it.  Otherwise the first failure met along the path is
     raised; when guards trip under several orientations, that loop may
-    have reported another one.
+    have reported another one.  eps_class is the classification
+    tolerance at the path start, of tracking and of the adaptedness
+    check.
     """
     pd = _surface(path)
     orientations = enumerate_orientations(pd)
-    starts = [orientation_start_endpoints(path, ori) for ori in
+    starts = [orientation_start_endpoints(path, ori, eps_class) for ori in
               (orientations[0], orientations[-1])]   # all forward, all back
     indices = _sample_indices(path, steps)
     chains = [tuple(0 if bit else 1 for bit in ori.forward)
               for ori in orientations]
-    results = _integrate(path, indices, starts, chains, conv)
+    results = _integrate(path, indices, starts, chains, conv, eps_class)
     return VolGammaResult(orientations=tuple(orientations),
                           results=tuple(results))
 
 
 def vol_gamma_change(path: RepresentationPath,
-                     conv: TruncationConvention) -> float:
+                     conv: TruncationConvention,
+                     eps_class: float = EPS_CLASS) -> float:
     """Change of the orientation-summed volume functional along a path.
 
     Sums the integrated first variation over all 2^(3g-3) cuff
     orientations (see vol_gamma).  Closed loops give 0.
     """
-    return vol_gamma(path, conv).total
+    return vol_gamma(path, conv, eps_class=eps_class).total
 
 
 @dataclass(frozen=True)
@@ -542,12 +564,14 @@ class LoopDefectReport:
 
 
 def loop_defect(loop: RepresentationPath, conv: TruncationConvention,
-                tol: float = 1e-8) -> LoopDefectReport:
+                tol: float = 1e-8,
+                eps_class: float = EPS_CLASS) -> LoopDefectReport:
     """Orientation-summed volume change around a closed loop.
 
     Requires the two endpoint representations to have equal character
     fingerprints (they may differ by conjugation); the defect is
-    expected to vanish up to quadrature error.
+    expected to vanish up to quadrature error.  eps_class is the
+    classification tolerance of vol_gamma.
     """
     gens = loop.reps[0].generators
     words = standard_word_list(gens)
@@ -557,7 +581,7 @@ def loop_defect(loop: RepresentationPath, conv: TruncationConvention,
     if d > tol:
         raise EndpointsMismatch(
             f"loop endpoints differ by {d:.3e} in character fingerprint")
-    result = vol_gamma(loop, conv)
+    result = vol_gamma(loop, conv, eps_class=eps_class)
     return LoopDefectReport(defect=result.total,
                             error_estimate=result.error_estimate,
                             fingerprint_distance=d)

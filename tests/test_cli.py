@@ -256,6 +256,43 @@ class TestPlot:
         assert ET.parse(target).getroot().tag.endswith("svg")
 
 
+class TestToleranceInSamplePipeline:
+    """--tolerance is the classification tolerance of the sample
+    pipeline: at 3 the a1 image counts as the identity, at the path
+    start and on every sample."""
+
+    @pytest.mark.parametrize("argv, error", [
+        (("volume-path", "pure_bend.json"), "NotAdapted"),
+        (("volume-path", "twist_loop.json"), "NotAdapted"),
+        (("plot", "pure_bend.json"), "NotAdapted"),
+        (("plot", "pure_bend.json", "--quantity", "angles"), "NotAdapted"),
+        (("vol-gamma", "pure_bend.json"), "OrientationTrackingFailure"),
+        (("loop-defect", "twist_loop.json"), "OrientationTrackingFailure"),
+    ], ids=["volume-path", "volume-path-loop", "plot", "plot-angles",
+            "vol-gamma", "loop-defect"])
+    def test_identity_at_tolerance_3(self, demo, capsys, argv, error):
+        command, path, *rest = argv
+        code, out, err = run(capsys, command, "--input", str(demo / path),
+                             "--pd", str(demo / "surface.json"), *rest,
+                             "--tolerance", "3")
+        assert code == 2
+        assert out == ""
+        assert error in err
+        assert "cuff 'a1' is identity" in err
+
+    @pytest.mark.parametrize("command, path", [
+        ("volume-path", "twist_loop.json"), ("vol-gamma", "pure_bend.json"),
+        ("loop-defect", "twist_loop.json"), ("plot", "pure_bend.json")])
+    def test_default_tolerance_is_the_default(self, demo, capsys, command,
+                                              path):
+        argv = (command, "--input", str(demo / path),
+                "--pd", str(demo / "surface.json"), "--format", "json")
+        default = run(capsys, *argv)
+        explicit = run(capsys, *argv, "--tolerance", "1e-9")
+        assert default[0] == 0
+        assert explicit == default
+
+
 class TestFailureModes:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "classify",

@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from pleatbend.errors import (DegenerateConfiguration, DegenerateLength,
                               IdentityMap, SingularMatrix)
-from pleatbend.moebius import (EPS_CLASS, IsometryClass, MoebiusMap,
-                               ProjectivePoint, chordal, classify,
+from pleatbend.moebius import (EPS_CLASS, RESCALE_LIMIT, IsometryClass,
+                               MoebiusMap, ProjectivePoint, chordal, classify,
                                complex_length, cross_ratio, fixed_points,
                                normalizing_map, reduce_angle, trace_squared)
+
+from _seed_kernel import (SeedMoebiusMap, SeedProjectivePoint, build_both,
+                          entries_of, raw_entries, steep, steep_entries)
 
 finite = st.complex_numbers(min_magnitude=0, max_magnitude=10,
                             allow_nan=False, allow_infinity=False)
@@ -268,3 +271,101 @@ class TestNormalizingMap:
         m = normalizing_map(p, q)
         assert chordal(m.apply(p), ProjectivePoint.from_complex(0)) < 1e-8
         assert chordal(m.apply(q), ProjectivePoint.infinity()) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# bit-identity oracle for the slotted kernel (reference in _seed_kernel)
+
+
+class TestKernelOracle:
+    @given(raw_entries)
+    @settings(max_examples=300)
+    def test_construction(self, args):
+        build_both(args)
+
+    @given(st.one_of(raw_entries, steep_entries), st.floats(-5, 5),
+           st.floats(-5, 5))
+    @settings(max_examples=200)
+    def test_apply_and_points(self, args, x, y):
+        pair = build_both(args)
+        assume(pair is not None)
+        got, want = pair
+        p, q = ProjectivePoint(x, y + 1j), SeedProjectivePoint(x, y + 1j)
+        assert (p.z1, p.z2) == (q.z1, q.z2)
+        gp, wq = got.apply(p), want.apply(q)
+        assert (gp.z1, gp.z2) == (wq.z1, wq.z2)
+
+    @given(st.lists(st.tuples(st.one_of(raw_entries, steep_entries),
+                              st.booleans()),
+                    min_size=1, max_size=5))
+    @settings(max_examples=300)
+    def test_products_and_inverses(self, factors):
+        got, want = MoebiusMap.identity(), SeedMoebiusMap.identity()
+        for args, invert in factors:
+            pair = build_both(args)
+            assume(pair is not None)
+            m, n = pair
+            if invert:
+                m, n = m.inverse(), n.inverse()
+                assert entries_of(m) == entries_of(n)
+            got, want = got @ m, want @ n
+            assert entries_of(got) == entries_of(want)
+
+    @given(steep_entries, steep_entries)
+    def test_rescale_limit_branch_is_drawn(self, e1, e2):
+        m, n = MoebiusMap(*e1), SeedMoebiusMap(*e1)
+        assert abs(m.a * m.d) + abs(m.b * m.c) > RESCALE_LIMIT
+        assert entries_of(m.inverse()) == entries_of(n.inverse())
+        other = MoebiusMap(*e2)
+        assert entries_of(m @ other) == entries_of(n @ SeedMoebiusMap(*e2))
+
+
+class TestTracerHook:
+    """Instrumentation counts constructions by wrapping
+    MoebiusMap.__post_init__ on the class."""
+
+    @pytest.fixture
+    def counter(self, monkeypatch):
+        calls = []
+        original = MoebiusMap.__post_init__
+
+        def counting(obj):
+            calls.append(obj)
+            original(obj)
+
+        monkeypatch.setattr(MoebiusMap, "__post_init__", counting)
+        return calls
+
+    def test_one_call_per_normalizing_construction(self, counter):
+        m = MoebiusMap(2, 1, 1, 1)
+        n = MoebiusMap.diagonal(1.5)
+        assert len(counter) == 2
+        product = m @ n
+        inverse = m.inverse()
+        assert len(counter) == 4
+        assert counter == [m, n, product, inverse]
+        assert MoebiusMap.identity() is MoebiusMap.identity()
+        assert m.is_identity() is False
+        assert len(counter) == 4
+
+    def test_rescale_limit_branch_is_not_counted(self, counter):
+        m = MoebiusMap(*steep(1e3, 0.3))
+        assert len(counter) == 1
+        assert abs(m.a * m.d) + abs(m.b * m.c) > RESCALE_LIMIT
+        m @ m
+        m.inverse()
+        assert len(counter) == 1
+
+    def test_no_instance_dict(self):
+        m = MoebiusMap(2, 1, 1, 1)
+        p = ProjectivePoint(1, 2)
+        for obj in (m, p, MoebiusMap.identity(), m @ m, m.inverse(),
+                    m.apply(p)):
+            assert not hasattr(obj, "__dict__")
+
+    def test_identity_equality(self):
+        m = MoebiusMap(2, 1, 1, 1)
+        same = MoebiusMap(2, 1, 1, 1)
+        assert entries_of(m) == entries_of(same)
+        assert m != same and m == m
+        assert len({m, same}) == 2

@@ -4,10 +4,11 @@ import cmath
 import importlib.resources
 import json
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pleatbend import (
     CharacterFingerprint,
@@ -39,7 +40,11 @@ from pleatbend import (
     standard_decomposition,
     standard_word_list,
 )
-from pleatbend.errors import UnknownLetter
+from pleatbend.errors import SingularMatrix, UnknownLetter
+from pleatbend.topology import parse_word
+
+from _seed_kernel import (SeedMoebiusMap, build_both, entries_of, raw_entries,
+                          steep_entries)
 
 
 DATA = importlib.resources.files("pleatbend.data")
@@ -94,6 +99,95 @@ class TestEvaluateWord:
     def test_callable_shorthand(self):
         rep = f2_rep()
         assert rep("xy").distance_to(evaluate_word(rep, "xy")) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# bit-identity oracle for word evaluation: the left fold and the tokenizer
+# as they were before words were tokenized once per process, on the
+# reference kernel in _seed_kernel
+
+
+_TOKEN = re.compile(r"[A-Za-z][0-9]*")
+
+
+def seed_parse_word(word: str) -> list[tuple[str, bool]]:
+    tokens = []
+    pos = 0
+    for m in _TOKEN.finditer(word):
+        if m.start() != pos:
+            raise UnknownLetter(f"cannot tokenize {word[pos:m.start()]!r} in {word!r}")
+        t = m.group(0)
+        tokens.append((t[0].lower() + t[1:], t[0].isupper()))
+        pos = m.end()
+    if pos != len(word):
+        raise UnknownLetter(f"cannot tokenize {word[pos:]!r} in {word!r}")
+    return tokens
+
+
+def seed_evaluate_word(table: dict, word: str) -> SeedMoebiusMap:
+    out = SeedMoebiusMap.identity()
+    for base, inv in seed_parse_word(word):
+        if base not in table:
+            raise UnknownLetter(f"no image for generator {base!r}")
+        m = table[base]
+        out = out @ (m.inverse() if inv else m)
+    return out
+
+
+GENERATORS = ("x", "a1", "b12")
+letters = st.sampled_from(GENERATORS + ("X", "A1", "B12"))
+words = st.lists(letters, max_size=12).map("".join)
+
+
+class TestWordOracle:
+    @given(st.lists(st.one_of(raw_entries, steep_entries),
+                    min_size=3, max_size=3), words)
+    @settings(max_examples=300)
+    def test_evaluate_word(self, args, word):
+        pairs = [build_both(a) for a in args]
+        assume(None not in pairs)
+        rep = Representation(GENERATORS, tuple(m for m, _ in pairs))
+        table = dict(zip(GENERATORS, (n for _, n in pairs)))
+        try:
+            want = seed_evaluate_word(table, word)
+        except SingularMatrix as exc:
+            # a product of tiny-determinant inputs can underflow
+            with pytest.raises(SingularMatrix) as info:
+                evaluate_word(rep, word)
+            assert str(info.value) == str(exc)
+            return
+        assert entries_of(evaluate_word(rep, word)) == entries_of(want)
+
+    @given(st.lists(st.sampled_from(["x", "X", "a1", "B12", "q", "7", "*",
+                                     " ", "é", "y3"]),
+                    max_size=6).map("".join))
+    def test_parse_word_and_messages(self, word):
+        try:
+            want = seed_parse_word(word)
+        except UnknownLetter as exc:
+            with pytest.raises(UnknownLetter) as info:
+                parse_word(word)
+            assert str(info.value) == str(exc)
+            return
+        assert parse_word(word) == want
+        table = {"x": SeedMoebiusMap(2, 0, 0, 0.5),
+                 "y": SeedMoebiusMap(1, 1, 0, 1)}
+        try:
+            image = seed_evaluate_word(table, word)
+        except UnknownLetter as exc:
+            with pytest.raises(UnknownLetter) as info:
+                evaluate_word(f2_rep(), word)
+            assert str(info.value) == str(exc)
+            return
+        assert entries_of(evaluate_word(f2_rep(), word)) == entries_of(image)
+
+    def test_parse_word_returns_a_fresh_list(self):
+        first = parse_word("a1B2a1")
+        first.append(("zz", True))
+        first[0] = ("b2", True)
+        second = parse_word("a1B2a1")
+        assert second == [("a1", False), ("b2", True), ("a1", False)]
+        assert second is not parse_word("a1B2a1")
 
 
 class TestRepresentation:

@@ -37,6 +37,8 @@ from pleatbend import (
     vol_gamma,
     vol_gamma_change,
 )
+from pleatbend import pleated
+from pleatbend.pleated import AdaptedSample
 from pleatbend.volume import orientation_start_endpoints
 
 REGULAR_TETRA_VOLUME = 1.0149416064096535
@@ -493,3 +495,47 @@ class TestVolGammaOracle:
         with pytest.raises(OrientationTrackingFailure) as pipeline:
             vol_gamma(loop, conv)
         assert str(pipeline.value) == str(oracle.value)
+
+
+class TestSampleWork:
+    """How much work the sample pipeline does per path sample."""
+
+    def test_each_word_evaluated_once_per_sample(self, pd, conv,
+                                                 monkeypatch):
+        calls = []
+        evaluate = pleated.evaluate_word
+
+        def counting(rep, word):
+            calls.append((id(rep), word))
+            return evaluate(rep, word)
+
+        monkeypatch.setattr(pleated, "evaluate_word", counting)
+        path = bend_path(pd, steps=8)
+        want = integrate_volume_change(path, EndpointChoice.uniform(), conv)
+        assert len(calls) == len(set(calls))
+        # cuff words, slot words and conjugators on every sample
+        assert len({rep for rep, _ in calls}) == len(path)
+        monkeypatch.undo()
+        got = integrate_volume_change(path, EndpointChoice.uniform(), conv)
+        assert got == want
+
+    def test_each_pants_pattern_placed_once_per_sample(self, monkeypatch):
+        path = genus3_path(lambda t: 2.0 + 0.1j * t, steps=8)
+        conv = TruncationConvention.uniform(path.pd)
+        want = vol_gamma(path, conv)
+        calls = []
+        place = AdaptedSample.place
+
+        def counting(sample, p, zeta, *args):
+            calls.append((id(sample), p, tuple(zeta[c][0] for c in
+                                                sorted(zeta))))
+            return place(sample, p, zeta, *args)
+
+        monkeypatch.setattr(AdaptedSample, "place", counting)
+        got = vol_gamma(path, conv)
+        # two endpoint chains: 2^k patterns for a pants with k cuffs
+        per_sample = sum(2 ** len({e.cuff for e in pants.cuff_ends})
+                         for pants in path.pd.pants)
+        assert len(calls) == len(path) * per_sample
+        assert len(set(calls)) == len(calls)
+        assert_identical(got, want.results)
