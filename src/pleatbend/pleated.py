@@ -173,7 +173,7 @@ class AdaptednessReport:
             return "adapted"
         parts = []
         for c in self.bad_cuffs:
-            parts.append(f"cuff {c} is {self.cuff_kinds[c]}")
+            parts.append(f"cuff {c!r} is {self.cuff_kinds[c]}")
         for r in self.flagged_pairs():
             parts.append(f"pants {r.pants} slots {r.slots} share an endpoint "
                          f"(tr2 commutator {r.tr2_commutator:.6g})")

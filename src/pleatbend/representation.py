@@ -3,8 +3,8 @@
 A representation stores one Mobius map per generator; words are
 evaluated left to right.  Characters are recorded through squared
 traces tau(w) = tr^2 rho(w), which are well defined on PSL(2, C) and
-holomorphic in matrix entries, so all finite-difference work happens on
-tau vectors (peripheral fingerprints).
+holomorphic in matrix entries, so the character map is differentiated
+on tau vectors (peripheral fingerprints).
 
 fenchel_nielsen_rep builds a representation of a pants-decomposed
 surface group from one complex length per cuff and one complex
@@ -499,23 +499,6 @@ def path_from_reps(reps, ts=None, pd=None) -> RepresentationPath:
 # ---------------------------------------------------------------------------
 # smoothness of the peripheral character map
 
-_SL2_BASIS = (np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-              np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
-              np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex))
-
-
-def _exp_basis(j: int, h: float) -> np.ndarray:
-    if j == 0:
-        return np.array([[np.exp(h), 0.0], [0.0, np.exp(-h)]], dtype=complex)
-    if j == 1:
-        return np.array([[1.0, h], [0.0, 1.0]], dtype=complex)
-    return np.array([[1.0, 0.0], [h, 1.0]], dtype=complex)
-
-
-def _sl2_coords(m: np.ndarray) -> tuple[complex, complex, complex]:
-    return m[0, 0], m[0, 1], m[1, 0]
-
-
 def _common_fixed_point_tol(rep: Representation, tol: float) -> bool:
     fixed_sets = []
     for m in rep.images:
@@ -535,55 +518,104 @@ def _common_fixed_point_tol(rep: Representation, tol: float) -> bool:
     return False
 
 
+def _mul(x: tuple, y: tuple) -> tuple:
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+_ONE = (1 + 0j, 0j, 0j, 1 + 0j)
+
+
+def _squared_trace_jacobian(rep: Representation, words) -> np.ndarray:
+    """Exact derivative of tr^2 rho(w) along left translations.
+
+    Row k, column 3i + j is d/deps tr^2 rho_eps(words[k]) at eps = 0,
+    where rho_eps(g_i) = exp(eps E_j) rho(g_i) for E_j in (H, E+, E-).
+    For w = P g S the occurrence of g contributes 2 tr W tr(E g S P),
+    an occurrence of g^-1 contributes -2 tr W tr(E S P g^-1), and
+    tr(E M) is M00 - M11, M10 or M01.  With prefix products P_t and
+    suffix products S_t of the letters, g S P is S_t P_t and S P g^-1
+    is S_{t+1} P_{t+1}: one pass per word gives all 3n columns.
+    Inverses are adjugates, as the stored images have determinant 1.
+    """
+    n = len(rep.generators)
+    column = {}
+    letter = {}
+    for i, (g, m) in enumerate(zip(rep.generators, rep.images)):
+        column[g] = 3 * i
+        letter[g, False] = (m.a, m.b, m.c, m.d)
+        letter[g, True] = (m.d, -m.b, -m.c, m.a)
+    rows = []
+    for word in words:
+        tokens = _tokens(word)
+        prefix = [_ONE]
+        for tok in tokens:
+            if tok not in letter:
+                raise UnknownLetter(f"no image for generator {tok[0]!r}")
+            prefix.append(_mul(prefix[-1], letter[tok]))
+        suffix = [_ONE]
+        for tok in reversed(tokens):
+            suffix.append(_mul(letter[tok], suffix[-1]))
+        suffix.reverse()
+        w = prefix[-1]
+        two_tr = 2 * (w[0] + w[3])
+        row = [0j] * (3 * n)
+        for t, (base, inv) in enumerate(tokens):
+            if inv:
+                m = _mul(suffix[t + 1], prefix[t + 1])
+                f = -two_tr
+            else:
+                m = _mul(suffix[t], prefix[t])
+                f = two_tr
+            col = column[base]
+            row[col] += f * (m[0] - m[3])
+            row[col + 1] += f * m[2]
+            row[col + 2] += f * m[1]
+        rows.append(row)
+    return np.array(rows, dtype=complex).reshape(len(rows), 3 * n)
+
+
+def _conjugation_tangents(rep: Representation) -> np.ndarray:
+    """Tangents of rho -> exp(eps E) rho exp(-eps E), E in (H, E+, E-).
+
+    Column j holds, per generator g, the (00, 01, 10) entries of
+    E - g E g^-1, in the coordinates of the columns of
+    _squared_trace_jacobian.
+    """
+    rows = []
+    for m in rep.images:
+        a, b, c, d = m.a, m.b, m.c, m.d
+        det = a * d - b * c
+        rows.append((1 - (a * d + b * c) / det, a * c / det, -b * d / det))
+        rows.append((2 * a * b / det, 1 - a * a / det, b * b / det))
+        rows.append((-2 * c * d / det, c * c / det, 1 - d * d / det))
+    return np.array(rows, dtype=complex)
+
+
 def jacobian_rank(rep: Representation, boundary: BoundaryInclusion,
-                  h: float = 1e-5, eps_rank: float = 1e-8,
+                  eps_rank: float = 1e-8,
                   reducible_tol: float = 1e-8) -> tuple[int, np.ndarray]:
     """Rank of the peripheral character map at a representation.
 
     Differentiates the squared-trace vector of all peripheral words
-    along left translations exp(eps E) rho(g) of each generator (three
-    sl2 directions per generator, central differences), projects out
-    the conjugation tangent directions, and counts singular values
-    above eps_rank relative to the largest.  Returns (rank, singular
-    values).  Refuses reducible representations, where the character
-    map is singular for a different reason.
+    exactly along left translations exp(eps E) rho(g) of each generator
+    (three sl2 directions per generator, one prefix/suffix pass per
+    word; see _squared_trace_jacobian), projects out the conjugation
+    tangent directions, and counts singular values above eps_rank
+    relative to the largest.  The derivative is exact, so there is no
+    difference step to choose.  Returns (rank, singular values).
+    Refuses reducible representations, where the character map is
+    singular for a different reason.
     """
     if _common_fixed_point_tol(rep, reducible_tol):
         raise ReducibleRepresentation(
             "generators share a fixed point within tolerance")
-    n = len(rep.generators)
-    base_words = [comp.include_word(w) for comp in boundary.components
-                  for w in comp.peripheral_words]
+    words = [comp.include_word(w) for comp in boundary.components
+             for w in comp.peripheral_words]
+    J = _squared_trace_jacobian(rep, words)
 
-    def tau_vector(r: Representation) -> np.ndarray:
-        return np.array([evaluate_word(r, w).trace ** 2 for w in base_words])
-
-    cols = []
-    for gi in range(n):
-        for j in range(3):
-            shifted = []
-            for sgn in (+1, -1):
-                E = _exp_basis(j, sgn * h)
-                m = E @ _mat(rep.images[gi])
-                imgs = list(rep.images)
-                imgs[gi] = MoebiusMap(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-                shifted.append(tau_vector(Representation(rep.generators,
-                                                         tuple(imgs),
-                                                         rep.relators)))
-            cols.append((shifted[0] - shifted[1]) / (2 * h))
-    J = np.column_stack(cols)
-
-    conj_dirs = []
-    for j in range(3):
-        E = _SL2_BASIS[j]
-        blocks = []
-        for gi in range(n):
-            g = _mat(rep.images[gi])
-            det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-            ad = g @ E @ (_adj(g) / det)
-            blocks.extend(_sl2_coords(E - ad))
-        conj_dirs.append(np.array(blocks))
-    C = np.column_stack(conj_dirs)
+    C = _conjugation_tangents(rep)
     u, sv_c, _ = np.linalg.svd(C, full_matrices=False)
     Q = u[:, sv_c > 1e-12 * max(sv_c[0], 1e-300)]
     J_proj = J - (J @ Q) @ Q.conj().T

@@ -31,7 +31,7 @@ from .moebius import (EPS_CLASS, IsometryClass, classify, fixed_points,
 from .pleated import (AdaptedSample, EndpointChoice, PleatedRealization,
                       TruncationConvention, WordImages, resolve_endpoints,
                       schlafli_term, track_endpoints)
-from .representation import (RepresentationPath, evaluate_word, fingerprint,
+from .representation import (RepresentationPath, fingerprint,
                              standard_word_list)
 from .topology import OrientationAssignment, enumerate_orientations
 
@@ -156,16 +156,19 @@ def _sample_indices(path: RepresentationPath, steps: int | None) -> list[int]:
 
 
 def _term_series(path: RepresentationPath, indices, starts,
-                 conv: TruncationConvention, eps_class: float
+                 conv: TruncationConvention, eps_class: float,
+                 first: WordImages | None = None
                  ) -> tuple[dict, PleatbendError | None]:
     """Angle and length of every term at every sample, per chain pattern.
 
     starts holds the start selection of each chain as a dict, tracked
     to the first sample; chain 0 may instead start from an
-    EndpointChoice, resolved at the first sample.  Each
-    representation is checked for adaptedness once, at eps_class, each
-    word is evaluated once per sample, and every pants is placed (with
-    the plaque check) once for every pattern of chains on its cuffs.
+    EndpointChoice, resolved at the first sample.  first, if given,
+    holds the word images of the first sample (those the start
+    selections were read from).  Each representation is checked for
+    adaptedness once, at eps_class, each word is evaluated once per
+    sample, and every pants is placed (with the plaque check) once for
+    every pattern of chains on its cuffs.
     Returns ({(term key, pattern): (angles, lengths)}, deferred),
     where pattern gives the chain of each cuff in the term's support.
 
@@ -181,8 +184,10 @@ def _term_series(path: RepresentationPath, indices, starts,
     series: dict = {}
     deferred = None
     zetas = list(starts)
+    if first is None:
+        first = WordImages(path.reps[indices[0]])
     for i in indices:
-        images = WordImages(path.reps[i])
+        images = first if i == indices[0] else WordImages(path.reps[i])
         if i == indices[0] and isinstance(zetas[0], EndpointChoice):
             zetas[0] = resolve_endpoints(images, pd, zetas[0], eps_class)
         else:
@@ -403,16 +408,18 @@ def _integrand(terms, velocities: dict, ori: tuple, n: int) -> np.ndarray:
 
 
 def _integrate(path: RepresentationPath, indices, starts, orientations,
-               conv: TruncationConvention,
-               eps_class: float) -> list[VolumePathResult]:
+               conv: TruncationConvention, eps_class: float,
+               first: WordImages | None = None) -> list[VolumePathResult]:
     """One VolumePathResult per orientation (a chain index per cuff).
 
     Composite Simpson over the samples, with the error estimated by
     Richardson comparison against the half-resolution subsample (NaN
     when the interval count is odd or the subsample fails to unwrap).
-    orientations[0] takes chain 0 on every cuff.
+    orientations[0] takes chain 0 on every cuff; first is passed on to
+    _term_series.
     """
-    series, deferred = _term_series(path, indices, starts, conv, eps_class)
+    series, deferred = _term_series(path, indices, starts, conv, eps_class,
+                                    first)
     terms = _terms(path.pd)
     ts = np.array([path.ts[i] for i in indices])
     fine = _velocities(ts, series)
@@ -474,12 +481,20 @@ def integrate_volume_change(path: RepresentationPath,
 
 
 def orientation_start_endpoints(path: RepresentationPath, ori,
-                                eps_class: float = EPS_CLASS) -> dict:
+                                eps_class: float = EPS_CLASS,
+                                images: WordImages | None = None) -> dict:
+    """Start selection of an orientation: cuff id -> (zeta, other).
+
+    Forward takes the attracting fixed point of the cuff at the first
+    sample, backward the repelling one.  images, if given, is the
+    WordImages of path.reps[0], shared with the caller.
+    """
     pd = path.pd
-    rep0 = path.reps[0]
+    if images is None:
+        images = WordImages(path.reps[0])
     zeta = {}
     for bit, cuff in zip(ori.forward, pd.cuffs):
-        m = evaluate_word(rep0, cuff.word)
+        m = images[cuff.word]
         kind = classify(m, eps_class)
         if kind != IsometryClass.LOXODROMIC:
             raise OrientationTrackingFailure(
@@ -535,12 +550,16 @@ def vol_gamma(path: RepresentationPath, conv: TruncationConvention,
     """
     pd = _surface(path)
     orientations = enumerate_orientations(pd)
-    starts = [orientation_start_endpoints(path, ori, eps_class) for ori in
-              (orientations[0], orientations[-1])]   # all forward, all back
+    # all forward and all back, read from the word images that the
+    # first sample of the pipeline then reuses
+    first = WordImages(path.reps[0])
+    starts = [orientation_start_endpoints(path, ori, eps_class, first)
+              for ori in (orientations[0], orientations[-1])]
     indices = _sample_indices(path, steps)
     chains = [tuple(0 if bit else 1 for bit in ori.forward)
               for ori in orientations]
-    results = _integrate(path, indices, starts, chains, conv, eps_class)
+    results = _integrate(path, indices, starts, chains, conv, eps_class,
+                         first)
     return VolGammaResult(orientations=tuple(orientations),
                           results=tuple(results))
 

@@ -1,11 +1,15 @@
-"""Reference Möbius kernel for the bit-identity oracles.
+"""Reference implementations for the oracles.
 
 The frozen-dataclass classes here are MoebiusMap and ProjectivePoint as
 they were before they became __slots__ classes.  The arithmetic must not
 have moved, so the oracles in test_moebius and test_representation
-compare every entry with ==.  This module is importable because the
-pytest configuration puts tests/ on sys.path (pythonpath in
-pyproject.toml).
+compare every entry with == (through entries_of, under which a NaN part
+equals a NaN part, so products that overflow on both sides still
+compare).  central_difference_jacobian_rank is
+jacobian_rank as it was before its Jacobian became exact: the rank
+oracle in test_representation compares ranks and singular values
+against it.  This module is importable because the pytest configuration
+puts tests/ on sys.path (pythonpath in pyproject.toml).
 """
 
 import cmath
@@ -16,8 +20,12 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from pleatbend.errors import DegenerateConfiguration, SingularMatrix
+from pleatbend.errors import (DegenerateConfiguration, ReducibleRepresentation,
+                              SingularMatrix)
 from pleatbend.moebius import RESCALE_LIMIT, MoebiusMap
+from pleatbend.representation import (Representation, _adj,
+                                      _common_fixed_point_tol, _mat,
+                                      evaluate_word)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,8 +85,15 @@ class SeedMoebiusMap:
                                    self.c * p.z1 + self.d * p.z2)
 
 
+def _parts(z) -> tuple:
+    z = complex(z)
+    return tuple("nan" if math.isnan(p) else p for p in (z.real, z.imag))
+
+
 def entries_of(m) -> tuple:
-    return (m.a, m.b, m.c, m.d)
+    """The four entries as (real, imaginary) pairs for ==, with each NaN
+    part replaced by the string "nan" so that NaN == NaN."""
+    return tuple(_parts(z) for z in (m.a, m.b, m.c, m.d))
 
 
 def _scalars(mag: float):
@@ -91,7 +106,7 @@ def _scalars(mag: float):
 
 
 # raw constructor arguments as callers pass them: int, float, complex and
-# numpy complex128 (jacobian_rank, fenchel_nielsen_rep), small and large
+# numpy complex128 (fenchel_nielsen_rep), small and large
 raw_entries = st.tuples(*[st.one_of(_scalars(4.0), _scalars(3e3))] * 4)
 
 
@@ -118,3 +133,73 @@ def build_both(args):
     got = MoebiusMap(*args)
     assert entries_of(got) == entries_of(want)
     return got, want
+
+
+_SL2_BASIS = (np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+              np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
+              np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex))
+
+
+def _exp_basis(j: int, h: float) -> np.ndarray:
+    if j == 0:
+        return np.array([[np.exp(h), 0.0], [0.0, np.exp(-h)]], dtype=complex)
+    if j == 1:
+        return np.array([[1.0, h], [0.0, 1.0]], dtype=complex)
+    return np.array([[1.0, 0.0], [h, 1.0]], dtype=complex)
+
+
+def _sl2_coords(m: np.ndarray) -> tuple[complex, complex, complex]:
+    return m[0, 0], m[0, 1], m[1, 0]
+
+
+def central_difference_jacobian_rank(rep, boundary, h: float = 1e-5,
+                                     eps_rank: float = 1e-8,
+                                     reducible_tol: float = 1e-8):
+    """jacobian_rank with the Jacobian taken by central differences:
+    12 perturbed representations for two generators, each evaluating
+    every peripheral word."""
+    if _common_fixed_point_tol(rep, reducible_tol):
+        raise ReducibleRepresentation(
+            "generators share a fixed point within tolerance")
+    n = len(rep.generators)
+    base_words = [comp.include_word(w) for comp in boundary.components
+                  for w in comp.peripheral_words]
+
+    def tau_vector(r: Representation) -> np.ndarray:
+        return np.array([evaluate_word(r, w).trace ** 2 for w in base_words])
+
+    cols = []
+    for gi in range(n):
+        for j in range(3):
+            shifted = []
+            for sgn in (+1, -1):
+                E = _exp_basis(j, sgn * h)
+                m = E @ _mat(rep.images[gi])
+                imgs = list(rep.images)
+                imgs[gi] = MoebiusMap(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+                shifted.append(tau_vector(Representation(rep.generators,
+                                                         tuple(imgs),
+                                                         rep.relators)))
+            cols.append((shifted[0] - shifted[1]) / (2 * h))
+    J = np.column_stack(cols)
+
+    conj_dirs = []
+    for j in range(3):
+        E = _SL2_BASIS[j]
+        blocks = []
+        for gi in range(n):
+            g = _mat(rep.images[gi])
+            det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+            ad = g @ E @ (_adj(g) / det)
+            blocks.extend(_sl2_coords(E - ad))
+        conj_dirs.append(np.array(blocks))
+    C = np.column_stack(conj_dirs)
+    u, sv_c, _ = np.linalg.svd(C, full_matrices=False)
+    Q = u[:, sv_c > 1e-12 * max(sv_c[0], 1e-300)]
+    J_proj = J - (J @ Q) @ Q.conj().T
+
+    sv = np.linalg.svd(J_proj, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0:
+        return 0, sv
+    rank = int(np.sum(sv > eps_rank * sv[0]))
+    return rank, sv

@@ -110,7 +110,7 @@ class TestPleatAndBend:
         assert code == 2
         assert out == ""
         assert "NotAdapted" in err
-        assert "cuff a1 is identity" in err
+        assert "cuff 'a1' is identity" in err
 
     def test_bend_reads_pure_bend_angle(self, demo, capsys):
         code, out, _ = run(capsys, "bend",

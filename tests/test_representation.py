@@ -2,13 +2,15 @@
 
 import cmath
 import importlib.resources
+import inspect
 import json
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pleatbend import (
     CharacterFingerprint,
@@ -41,10 +43,12 @@ from pleatbend import (
     standard_word_list,
 )
 from pleatbend.errors import SingularMatrix, UnknownLetter
-from pleatbend.topology import parse_word
+from pleatbend.representation import _squared_trace_jacobian
+from pleatbend.topology import BoundaryComponent, BoundaryInclusion, parse_word
 
-from _seed_kernel import (SeedMoebiusMap, build_both, entries_of, raw_entries,
-                          steep_entries)
+from _seed_kernel import (SeedMoebiusMap, build_both,
+                          central_difference_jacobian_rank, entries_of,
+                          raw_entries, steep, steep_entries)
 
 
 DATA = importlib.resources.files("pleatbend.data")
@@ -143,6 +147,10 @@ class TestWordOracle:
     @given(st.lists(st.one_of(raw_entries, steep_entries),
                     min_size=3, max_size=3), words)
     @settings(max_examples=300)
+    # x has entries ~7e49 after normalization: x^8 overflows to NaN entries
+    # on both sides
+    @example([(1.0, 2.0, 1e-100j, 0), steep(800.0, 0.0), (0, 1, 1j, 0)],
+             "xxxxxxxx")
     def test_evaluate_word(self, args, word):
         pairs = [build_both(a) for a in args]
         assume(None not in pairs)
@@ -370,24 +378,119 @@ class TestPaths:
             RepresentationPath(ts=(0.0, 1.0), reps=(rep,))
 
 
-class TestJacobianRank:
-    def load(self):
-        with importlib.resources.as_file(DATA / "genus2_handlebody.json") as p:
-            _, inclusion = load_document(str(p))
-        with importlib.resources.as_file(DATA / "handlebody_rep.json") as p:
-            rep = load_rep(str(p))
-        return rep, inclusion
+def bundled_rank_inputs():
+    """The bundled handlebody representation and inclusion."""
+    with importlib.resources.as_file(DATA / "genus2_handlebody.json") as p:
+        _, inclusion = load_document(str(p))
+    with importlib.resources.as_file(DATA / "handlebody_rep.json") as p:
+        rep = load_rep(str(p))
+    return rep, inclusion
 
+
+class TestJacobianRank:
     def test_bundled_rep_has_full_rank(self):
-        rep, inclusion = self.load()
+        rep, inclusion = bundled_rank_inputs()
         rank, sv = jacobian_rank(rep, inclusion)
         assert rank == 3
         assert sv[2] / sv[3] > 1e6
 
     def test_reducible_rep_refused(self):
-        _, inclusion = self.load()
+        _, inclusion = bundled_rank_inputs()
         with pytest.raises(ReducibleRepresentation):
             jacobian_rank(f2_rep(), inclusion)
+
+    def test_no_step_parameter(self):
+        # the derivative is exact; there is no difference step to choose
+        assert "h" not in inspect.signature(jacobian_rank).parameters
+
+    def test_unknown_letter_message(self):
+        rep, _ = bundled_rank_inputs()
+        comp = BoundaryComponent(surface_generators=("a1", "a2"),
+                                 generator_words=("x", "yz"),
+                                 peripheral_words=("a1", "a2"))
+        inclusion = BoundaryInclusion(generators=("x", "y"), relators=(),
+                                      components=(comp,))
+        with pytest.raises(UnknownLetter) as want:
+            evaluate_word(rep, "yz")
+        with pytest.raises(UnknownLetter) as got:
+            jacobian_rank(rep, inclusion)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == "no image for generator 'z'"
+
+
+def _mp_mul(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def mp_central_difference_jacobian(rep, words, digits=50, h="1e-20"):
+    """Unprojected Jacobian of the squared traces by a central difference
+    at the given working precision, inverses taken as adjugates (as
+    _squared_trace_jacobian does for determinant-1 images)."""
+    with mpmath.workdps(digits):
+        step = mpmath.mpf(h)
+        images = {g: tuple(mpmath.mpc(z) for z in (m.a, m.b, m.c, m.d))
+                  for g, m in zip(rep.generators, rep.images)}
+
+        def tau(imgs):
+            out = []
+            for w in words:
+                prod = (1, 0, 0, 1)
+                for base, inv in parse_word(w):
+                    a, b, c, d = imgs[base]
+                    letter = (d, -b, -c, a) if inv else (a, b, c, d)
+                    prod = _mp_mul(prod, letter)
+                out.append((prod[0] + prod[3]) ** 2)
+            return out
+
+        flows = (lambda e: (mpmath.exp(e), 0, 0, mpmath.exp(-e)),
+                 lambda e: (1, e, 0, 1),
+                 lambda e: (1, 0, e, 1))
+        cols = []
+        for g in rep.generators:
+            for flow in flows:
+                plus = tau({**images, g: _mp_mul(flow(step), images[g])})
+                minus = tau({**images, g: _mp_mul(flow(-step), images[g])})
+                cols.append([complex((p - m) / (2 * step))
+                             for p, m in zip(plus, minus)])
+    return np.array(cols).T
+
+
+class TestJacobianOracle:
+    """The exact Jacobian against the central differences it replaced
+    and against a 50-digit central difference."""
+
+    def test_ranks_match_central_differences(self):
+        _, inclusion = bundled_rank_inputs()
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            rep = random_representation(rng, generators=inclusion.generators)
+            rank, sv = jacobian_rank(rep, inclusion)
+            want_rank, want_sv = central_difference_jacobian_rank(rep,
+                                                                  inclusion)
+            assert rank == want_rank == 3
+            np.testing.assert_allclose(sv[:rank], want_sv[:rank], rtol=1e-8,
+                                       atol=0)
+
+    @pytest.mark.parametrize("source", ["bundled", 0, 1, 2, 3])
+    def test_exact_against_mpmath(self, source):
+        rep, inclusion = bundled_rank_inputs()
+        if source != "bundled":
+            rng = np.random.default_rng(source)
+            rep = random_representation(rng, generators=inclusion.generators)
+        words = [comp.include_word(w) for comp in inclusion.components
+                 for w in comp.peripheral_words]
+        # repeated letters, both signs of one generator in one word, and
+        # the empty word
+        words += ["xxY", "XyxY", "yXXyx", ""]
+        J = _squared_trace_jacobian(rep, words)
+        want = mp_central_difference_jacobian(rep, words)
+        assert J.shape == want.shape == (len(words), 6)
+        for got_row, want_row in zip(J, want):
+            scale = np.max(np.abs(want_row))
+            assert np.max(np.abs(got_row - want_row)) <= 1e-12 * scale
+        assert not J[-1].any()
 
 
 class TestConjugacyResidual:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from pleatbend import (
     vol_gamma,
     vol_gamma_change,
 )
-from pleatbend import pleated
+from pleatbend import pleated, representation
 from pleatbend.pleated import AdaptedSample
 from pleatbend.volume import orientation_start_endpoints
 
@@ -538,4 +539,27 @@ class TestSampleWork:
                          for pants in path.pd.pants)
         assert len(calls) == len(path) * per_sample
         assert len(set(calls)) == len(calls)
+        assert_identical(got, want.results)
+
+    def test_vol_gamma_evaluates_each_word_once_per_sample(self,
+                                                           monkeypatch):
+        path = genus3_path(lambda t: 2.0 + 0.1j * t, steps=8)
+        conv = TruncationConvention.uniform(path.pd)
+        want = vol_gamma(path, conv)
+        calls = []
+        evaluate = representation.evaluate_word
+
+        def counting(rep, word):
+            calls.append((id(rep), word))
+            return evaluate(rep, word)
+
+        # every module that calls evaluate_word through its own global,
+        # the start endpoints (volume) and the word images (pleated)
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "pleatbend"
+                    and getattr(module, "evaluate_word", None) is evaluate):
+                monkeypatch.setattr(module, "evaluate_word", counting)
+        got = vol_gamma(path, conv)
+        assert len({rep for rep, _ in calls}) == len(path)
+        assert len(calls) == len(set(calls))
         assert_identical(got, want.results)
