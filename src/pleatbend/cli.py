@@ -6,6 +6,9 @@ integrate volume change along paths (per endpoint selection or summed
 over all cuff orientations), probe loop defects, compare peripheral
 fingerprints, compute peripheral-map ranks, and emit SVG plots.
 
+Each subcommand accepts only the options it reads, and --format offers
+only the formats it writes; any other option is a usage error.
+
 Exit codes: 0 on success, 2 when a library precondition fails, 3 when
 an input file or the command line cannot be parsed.  All numeric
 output uses 15 significant digits and fixed key order, so identical
@@ -16,9 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass
 
 from .errors import PleatbendError
 from .moebius import classify, complex_length, fixed_points, trace_squared
@@ -28,8 +29,8 @@ from .representation import (conjugacy_residual, evaluate_word, fingerprint,
                              jacobian_rank, load_path, load_rep,
                              peripheral_fingerprint, standard_word_list)
 from .topology import load_document
-from .volume import (angle_series, integrate_volume_change, loop_defect,
-                     vol_gamma, vol_gamma_change)
+from .volume import (EPS_LOOP, angle_series, integrate_volume_change,
+                     loop_defect, vol_gamma, vol_gamma_change)
 
 LOOP_TOL = 1e-6
 
@@ -41,25 +42,6 @@ class _ParseFailure(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _ParseFailure(message)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything a subcommand needs, normalized from the command line."""
-
-    command: str
-    input: tuple[str, ...]
-    pd: str | None = None
-    inclusion: str | None = None
-    words: tuple[str, ...] = ()
-    tolerance: float = 1e-9
-    steps: int | None = None
-    horoball: float = 1.0
-    fmt: str = "text"
-    endpoints: str = "attracting"
-    rank: bool = False
-    output: str | None = None
-    quantity: str = "volume"
 
 
 def _num(x: float) -> str:
@@ -77,9 +59,9 @@ def _point(p) -> str:
     return "inf" if p.is_infinity() else _cnum(p.to_complex())
 
 
-def _emit(cfg: ExperimentConfig, text: str) -> None:
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -93,28 +75,28 @@ def _json_dump(payload: dict) -> str:
 # subcommands
 
 
-def cmd_classify(cfg: ExperimentConfig) -> int:
-    rep = load_rep(cfg.input[0])
-    if not cfg.words:
+def cmd_classify(args: argparse.Namespace) -> int:
+    rep = load_rep(args.input)
+    if not args.words:
         raise PleatbendError("classify needs --words")
     rows = []
-    for w in cfg.words:
+    for w in args.words:
         m = evaluate_word(rep, w)
-        kind = classify(m, eps_class=cfg.tolerance)
+        kind = classify(m, eps_class=args.tolerance)
         tau = trace_squared(m)
         try:
-            lam = _cnum(complex_length(m, eps_class=cfg.tolerance))
+            lam = _cnum(complex_length(m, eps_class=args.tolerance))
         except PleatbendError:
             lam = "-"
         try:
-            fp = fixed_points(m, eps_class=cfg.tolerance)
+            fp = fixed_points(m, eps_class=args.tolerance)
             fps = [_point(p) for p in fp]
         except PleatbendError:
             fps = ["-", "-"]
         rows.append({"word": w, "class": str(kind), "trace_squared": _cnum(tau),
                      "complex_length": lam, "fixed_points": fps})
-    if cfg.fmt == "json":
-        _emit(cfg, _json_dump({"rows": rows}))
+    if args.format == "json":
+        _emit(args, _json_dump({"rows": rows}))
     else:
         lines = [f"{'word':<12} {'class':<12} {'trace_squared':<42} "
                  f"{'complex_length':<42} fixed_points"]
@@ -122,21 +104,21 @@ def cmd_classify(cfg: ExperimentConfig) -> int:
             lines.append(f"{r['word']:<12} {r['class']:<12} "
                          f"{r['trace_squared']:<42} {r['complex_length']:<42} "
                          f"{r['fixed_points'][0]} {r['fixed_points'][1]}")
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def _load_surface(cfg: ExperimentConfig):
-    if not cfg.pd:
-        raise PleatbendError(f"{cfg.command} needs --pd")
-    return load_document(cfg.pd)
+def _load_surface(args: argparse.Namespace):
+    if not args.pd:
+        raise PleatbendError(f"{args.command} needs --pd")
+    return load_document(args.pd)
 
 
-def cmd_pleat(cfg: ExperimentConfig) -> int:
-    rep = load_rep(cfg.input[0])
-    pd, _ = _load_surface(cfg)
-    real = realize(rep, pd, EndpointChoice.uniform(cfg.endpoints),
-                   eps_class=cfg.tolerance)
+def cmd_pleat(args: argparse.Namespace) -> int:
+    rep = load_rep(args.input)
+    pd, _ = _load_surface(args)
+    real = realize(rep, pd, EndpointChoice.uniform(args.endpoints),
+                   eps_class=args.tolerance)
     report = real.sample.report
     payload = {
         "adapted": report.adapted,
@@ -145,24 +127,24 @@ def cmd_pleat(cfg: ExperimentConfig) -> int:
         "vertices": {str(p): [_point(q) for q in triple]
                      for p, triple in enumerate(real.xi)},
     }
-    if cfg.fmt == "json":
-        _emit(cfg, _json_dump(payload))
+    if args.format == "json":
+        _emit(args, _json_dump(payload))
     else:
         lines = [f"adapted: {payload['adapted']}", payload["adaptedness"]]
         for c in sorted(payload["cuff_lengths"]):
             lines.append(f"cuff {c}: length {payload['cuff_lengths'][c]}")
         for p, triple in payload["vertices"].items():
             lines.append(f"pants {p}: " + " ".join(triple))
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_bend(cfg: ExperimentConfig) -> int:
-    rep = load_rep(cfg.input[0])
-    pd, _ = _load_surface(cfg)
-    real = realize(rep, pd, EndpointChoice.uniform(cfg.endpoints),
-                   eps_class=cfg.tolerance)
-    conv = TruncationConvention.uniform(pd, cfg.horoball)
+def cmd_bend(args: argparse.Namespace) -> int:
+    rep = load_rep(args.input)
+    pd, _ = _load_surface(args)
+    real = realize(rep, pd, EndpointChoice.uniform(args.endpoints),
+                   eps_class=args.tolerance)
+    conv = TruncationConvention.uniform(pd, args.horoball)
     data = bending_data(real, conv)
     rows = []
     for c in pd.cuffs:
@@ -173,28 +155,28 @@ def cmd_bend(cfg: ExperimentConfig) -> int:
         rows.append({"kind": "leaf", "id": f"{key[0]}:{key[1]}",
                      "angle": data.leaf_angles[key],
                      "length": data.leaf_lengths[key]})
-    if cfg.fmt == "json":
+    if args.format == "json":
         out = [{**r, "angle": _num(r["angle"]), "length": _num(r["length"])}
                for r in rows]
-        _emit(cfg, _json_dump({"rows": out}))
-    elif cfg.fmt == "csv":
+        _emit(args, _json_dump({"rows": out}))
+    elif args.format == "csv":
         lines = ["kind,id,angle,length"]
         for r in rows:
             lines.append(f"{r['kind']},{r['id']},{_num(r['angle'])},"
                          f"{_num(r['length'])}")
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     else:
         lines = [f"{'kind':<6} {'id':<8} {'angle':<24} length"]
         for r in rows:
             lines.append(f"{r['kind']:<6} {r['id']:<8} "
                          f"{_num(r['angle']):<24} {_num(r['length'])}")
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def _load_pathfile(cfg: ExperimentConfig):
-    pd, _ = _load_surface(cfg)
-    path = load_path(cfg.input[0], pd=pd)
+def _load_pathfile(args: argparse.Namespace):
+    pd, _ = _load_surface(args)
+    path = load_path(args.input, pd=pd)
     return pd, path
 
 
@@ -202,22 +184,22 @@ def _loop_check(path) -> tuple[bool, float]:
     words = standard_word_list(path.reps[0].generators)
     d = fingerprint(path.reps[0], words).distance(
         fingerprint(path.reps[-1], words))
-    return d <= 1e-8, d
+    return d <= EPS_LOOP, d
 
 
-def cmd_volume_path(cfg: ExperimentConfig) -> int:
-    pd, path = _load_pathfile(cfg)
-    conv = TruncationConvention.uniform(pd, cfg.horoball)
-    zeta = EndpointChoice.uniform(cfg.endpoints)
-    result = integrate_volume_change(path, zeta, conv, steps=cfg.steps,
-                                     eps_class=cfg.tolerance)
+def cmd_volume_path(args: argparse.Namespace) -> int:
+    pd, path = _load_pathfile(args)
+    conv = TruncationConvention.uniform(pd, args.horoball)
+    zeta = EndpointChoice.uniform(args.endpoints)
+    result = integrate_volume_change(path, zeta, conv, steps=args.steps,
+                                     eps_class=args.tolerance)
     is_loop, _ = _loop_check(path)
     loop_line = None
     if is_loop:
-        defect = vol_gamma_change(path, conv, eps_class=cfg.tolerance)
+        defect = vol_gamma_change(path, conv, eps_class=args.tolerance)
         verdict = "PASS" if abs(defect) < LOOP_TOL else "FAIL"
         loop_line = f"loop defect {verdict}: {_num(defect)}"
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = {
             "delta_v": _num(result.delta_v),
             "error_estimate": _num(result.error_estimate),
@@ -228,17 +210,17 @@ def cmd_volume_path(cfg: ExperimentConfig) -> int:
         }
         if loop_line is not None:
             payload["loop_defect"] = loop_line
-        _emit(cfg, _json_dump(payload))
-    elif cfg.fmt == "csv":
+        _emit(args, _json_dump(payload))
+    elif args.format == "csv":
         lines = ["t,per_step,cumulative"]
         for i, t in enumerate(result.ts):
             step = result.per_step[i - 1] if i else 0.0
             lines.append(f"{_num(t)},{_num(step)},{_num(result.cumulative[i])}")
         if loop_line is not None:
             lines.append(loop_line)
-        _emit(cfg, "\n".join(lines) + "\n")
-    elif cfg.fmt == "svg":
-        _emit(cfg, _svg_plot(result.ts, {"dV": result.cumulative},
+        _emit(args, "\n".join(lines) + "\n")
+    elif args.format == "svg":
+        _emit(args, _svg_plot(result.ts, {"dV": result.cumulative},
                              "t", "cumulative dV"))
     else:
         lines = [f"delta_v: {_num(result.delta_v)}",
@@ -246,28 +228,28 @@ def cmd_volume_path(cfg: ExperimentConfig) -> int:
                  f"steps: {result.steps}"]
         if loop_line is not None:
             lines.append(loop_line)
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_vol_gamma(cfg: ExperimentConfig) -> int:
-    pd, path = _load_pathfile(cfg)
-    conv = TruncationConvention.uniform(pd, cfg.horoball)
-    summed = vol_gamma(path, conv, steps=cfg.steps, eps_class=cfg.tolerance)
+def cmd_vol_gamma(args: argparse.Namespace) -> int:
+    pd, path = _load_pathfile(args)
+    conv = TruncationConvention.uniform(pd, args.horoball)
+    summed = vol_gamma(path, conv, steps=args.steps, eps_class=args.tolerance)
     per_orientation = [("".join("+" if b else "-" for b in ori.forward), r)
                        for ori, r in zip(summed.orientations, summed.results)]
     cumulative = list(summed.results[0].cumulative)
     for r in summed.results[1:]:
         cumulative = [a + b for a, b in zip(cumulative, r.cumulative)]
     total = summed.total
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = {
             "total": _num(total),
             "orientations": {label: _num(r.delta_v)
                              for label, r in per_orientation},
         }
-        _emit(cfg, _json_dump(payload))
-    elif cfg.fmt == "csv":
+        _emit(args, _json_dump(payload))
+    elif args.format == "csv":
         labels = [label for label, _ in per_orientation]
         lines = ["t," + ",".join(f"dv[{la}]" for la in labels) + ",cumulative"]
         ts = per_orientation[0][1].ts
@@ -276,29 +258,29 @@ def cmd_vol_gamma(cfg: ExperimentConfig) -> int:
                      for _, r in per_orientation]
             lines.append(f"{_num(t)}," + ",".join(_num(s) for s in steps)
                          + f",{_num(cumulative[i])}")
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     else:
         lines = [f"vol_gamma_change: {_num(total)}"]
         for label, r in per_orientation:
             lines.append(f"orientation {label}: {_num(r.delta_v)}")
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_loop_defect(cfg: ExperimentConfig) -> int:
-    pd, path = _load_pathfile(cfg)
-    conv = TruncationConvention.uniform(pd, cfg.horoball)
-    report = loop_defect(path, conv, eps_class=cfg.tolerance)
+def cmd_loop_defect(args: argparse.Namespace) -> int:
+    pd, path = _load_pathfile(args)
+    conv = TruncationConvention.uniform(pd, args.horoball)
+    report = loop_defect(path, conv, eps_class=args.tolerance)
     verdict = "PASS" if abs(report.defect) < LOOP_TOL else "FAIL"
-    if cfg.fmt == "json":
-        _emit(cfg, _json_dump({
+    if args.format == "json":
+        _emit(args, _json_dump({
             "defect": _num(report.defect),
             "error_estimate": _num(report.error_estimate),
             "fingerprint_distance": _num(report.fingerprint_distance),
             "verdict": verdict,
         }))
     else:
-        _emit(cfg, "\n".join([
+        _emit(args, "\n".join([
             f"loop defect {verdict}: {_num(report.defect)}",
             f"error_estimate: {_num(report.error_estimate)}",
             f"fingerprint_distance: {_num(report.fingerprint_distance)}",
@@ -306,23 +288,23 @@ def cmd_loop_defect(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _load_inclusion(cfg: ExperimentConfig):
-    if not cfg.inclusion:
-        raise PleatbendError(f"{cfg.command} needs --inclusion")
-    pd, inc = load_document(cfg.inclusion)
+def _load_inclusion(args: argparse.Namespace):
+    if not args.inclusion:
+        raise PleatbendError(f"{args.command} needs --inclusion")
+    pd, inc = load_document(args.inclusion)
     if inc is None:
         raise PleatbendError(
-            f"document {cfg.inclusion} carries no boundary inclusion")
+            f"document {args.inclusion} carries no boundary inclusion")
     return pd, inc
 
 
-def cmd_peripheral(cfg: ExperimentConfig) -> int:
-    pd, inc = _load_inclusion(cfg)
-    reps = [load_rep(f) for f in cfg.input]
+def cmd_peripheral(args: argparse.Namespace) -> int:
+    pd, inc = _load_inclusion(args)
+    reps = [load_rep(f) for f in args.input]
     prints = [peripheral_fingerprint(r, inc) for r in reps]
     lines = []
     payload: dict = {"fingerprints": []}
-    for f, fp in zip(cfg.input, prints):
+    for f, fp in zip(args.input, prints):
         payload["fingerprints"].append(
             {"file": f, "words": list(fp.words),
              "values": [_cnum(v) for v in fp.values]})
@@ -338,64 +320,54 @@ def cmd_peripheral(cfg: ExperimentConfig) -> int:
         payload["verdict"] = verdict
         lines.append(f"fingerprint distance: {_num(d)}")
         lines.append(f"conjugacy residual: {_num(residual)} ({verdict})")
-    if cfg.rank:
-        expected = 3 * len(inc.generators) - 3
-        payload["rank"] = []
-        for f, r in zip(cfg.input, reps):
-            rank, sv = jacobian_rank(r, inc)
-            payload["rank"].append({"file": f, "rank": rank,
-                                    "expected": expected,
-                                    "singular_values": [_num(s) for s in sv]})
-            lines.append(f"rank {rank} of {expected} expected ({f})")
-    if cfg.fmt == "json":
-        _emit(cfg, _json_dump(payload))
-    elif cfg.fmt == "csv":
+    if args.format == "json":
+        _emit(args, _json_dump(payload))
+    elif args.format == "csv":
         rows = ["word,re,im"]
         for fp in prints:
             for w, v in zip(fp.words, fp.values):
                 rows.append(f"{w},{_num(v.real)},{_num(v.imag)}")
-        _emit(cfg, "\n".join(rows) + "\n")
+        _emit(args, "\n".join(rows) + "\n")
     else:
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_rank(cfg: ExperimentConfig) -> int:
-    pd, inc = _load_inclusion(cfg)
-    rep = load_rep(cfg.input[0])
+def cmd_rank(args: argparse.Namespace) -> int:
+    pd, inc = _load_inclusion(args)
+    rep = load_rep(args.input)
     rank, sv = jacobian_rank(rep, inc)
     expected = 3 * len(inc.generators) - 3
-    gap = sv[rank - 1] / sv[rank] if rank and rank < len(sv) and sv[rank] > 0 \
-        else math.inf
-    if cfg.fmt == "json":
-        _emit(cfg, _json_dump({
+    margin = sv[rank - 1] / sv[0] if rank else float("nan")
+    if args.format == "json":
+        _emit(args, _json_dump({
             "rank": rank, "expected": expected,
             "singular_values": [_num(s) for s in sv],
-            "gap": _num(gap),
+            "margin": _num(margin),
         }))
     else:
-        _emit(cfg, "\n".join([
+        _emit(args, "\n".join([
             f"rank {rank} of {expected} expected",
             "singular values: " + " ".join(_num(s) for s in sv),
-            f"gap: {_num(gap)}",
+            f"margin: {_num(margin)}",
         ]) + "\n")
     return 0
 
 
-def cmd_plot(cfg: ExperimentConfig) -> int:
-    pd, path = _load_pathfile(cfg)
-    conv = TruncationConvention.uniform(pd, cfg.horoball)
-    zeta = EndpointChoice.uniform(cfg.endpoints)
-    if cfg.quantity == "angles":
-        angles = angle_series(path, zeta, conv, eps_class=cfg.tolerance)
+def cmd_plot(args: argparse.Namespace) -> int:
+    pd, path = _load_pathfile(args)
+    conv = TruncationConvention.uniform(pd, args.horoball)
+    zeta = EndpointChoice.uniform(args.endpoints)
+    if args.quantity == "angles":
+        angles = angle_series(path, zeta, conv, eps_class=args.tolerance)
         series = {f"angle[{c.id}]": angles[c.id] for c in pd.cuffs}
         svg = _svg_plot(path.ts, series, "t", "bending angle")
     else:
-        result = integrate_volume_change(path, zeta, conv, steps=cfg.steps,
-                                         eps_class=cfg.tolerance)
+        result = integrate_volume_change(path, zeta, conv, steps=args.steps,
+                                         eps_class=args.tolerance)
         svg = _svg_plot(result.ts, {"dV": result.cumulative},
                         "t", "cumulative dV")
-    _emit(cfg, svg)
+    _emit(args, svg)
     return 0
 
 
@@ -460,16 +432,43 @@ def _svg_plot(ts, series: dict, xlabel: str, ylabel: str) -> str:
 # argument plumbing
 
 
+def _word_list(text: str) -> tuple[str, ...]:
+    return tuple(w for w in text.split(",") if w)
+
+
+_OPTIONS = {
+    "pd": {"help": "surface document (pants decomposition)"},
+    "inclusion": {"help": "document carrying a boundary inclusion"},
+    "words": {"type": _word_list, "default": (),
+              "help": "comma-separated word list"},
+    "tolerance": {"type": float, "default": 1e-9},
+    "endpoints": {"default": "attracting",
+                  "choices": ("attracting", "repelling")},
+    "horoball": {"type": float, "default": 1.0,
+                 "help": "uniform truncation scale"},
+    "steps": {"type": int},
+    "quantity": {"default": "volume", "choices": ("volume", "angles"),
+                 "help": "plot quantity"},
+}
+
+# subcommand: (function, options it reads besides --input and --output,
+# formats it writes)
 _COMMANDS = {
-    "classify": cmd_classify,
-    "pleat": cmd_pleat,
-    "bend": cmd_bend,
-    "volume-path": cmd_volume_path,
-    "vol-gamma": cmd_vol_gamma,
-    "loop-defect": cmd_loop_defect,
-    "peripheral": cmd_peripheral,
-    "rank": cmd_rank,
-    "plot": cmd_plot,
+    "classify": (cmd_classify, ("words", "tolerance"), ("text", "json")),
+    "pleat": (cmd_pleat, ("pd", "tolerance", "endpoints"), ("text", "json")),
+    "bend": (cmd_bend, ("pd", "tolerance", "endpoints", "horoball"),
+             ("text", "json", "csv")),
+    "volume-path": (cmd_volume_path,
+                    ("pd", "tolerance", "endpoints", "horoball", "steps"),
+                    ("text", "json", "csv", "svg")),
+    "vol-gamma": (cmd_vol_gamma, ("pd", "tolerance", "horoball", "steps"),
+                  ("text", "json", "csv")),
+    "loop-defect": (cmd_loop_defect, ("pd", "tolerance", "horoball"),
+                    ("text", "json", "csv")),
+    "peripheral": (cmd_peripheral, ("inclusion",), ("text", "json", "csv")),
+    "rank": (cmd_rank, ("inclusion",), ("text", "json")),
+    "plot": (cmd_plot, ("pd", "tolerance", "endpoints", "horoball", "steps",
+                        "quantity"), ()),
 }
 
 
@@ -477,38 +476,17 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="pleatbend",
                      description="pleated-surface and volume experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, options, formats) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--input", required=True, nargs="+",
+        p.add_argument("--input", required=True,
+                       nargs="+" if name == "peripheral" else None,
                        help="input file(s): representation or path JSON")
-        p.add_argument("--pd", help="surface document (pants decomposition)")
-        p.add_argument("--inclusion",
-                       help="document carrying a boundary inclusion")
-        p.add_argument("--words", help="comma-separated word list")
-        p.add_argument("--tolerance", type=float, default=1e-9)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--horoball", type=float, default=1.0,
-                       help="uniform truncation scale")
-        p.add_argument("--format", dest="fmt", default="text",
-                       choices=("text", "json", "csv", "svg"))
-        p.add_argument("--endpoints", default="attracting",
-                       choices=("attracting", "repelling"))
-        p.add_argument("--rank", action="store_true",
-                       help="include jacobian rank in peripheral reports")
+        for option in options:
+            p.add_argument(f"--{option}", **_OPTIONS[option])
+        if formats:
+            p.add_argument("--format", default="text", choices=formats)
         p.add_argument("--output", help="write to this file instead of stdout")
-        p.add_argument("--quantity", default="volume",
-                       choices=("volume", "angles"), help="plot quantity")
     return parser
-
-
-def _config_from_args(args) -> ExperimentConfig:
-    words = tuple(w for w in (args.words or "").split(",") if w)
-    return ExperimentConfig(
-        command=args.command, input=tuple(args.input), pd=args.pd,
-        inclusion=args.inclusion, words=words, tolerance=args.tolerance,
-        steps=args.steps, horoball=args.horoball, fmt=args.fmt,
-        endpoints=args.endpoints, rank=args.rank, output=args.output,
-        quantity=args.quantity)
 
 
 def main(argv=None) -> int:
@@ -518,9 +496,8 @@ def main(argv=None) -> int:
     except _ParseFailure as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
-    cfg = _config_from_args(args)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command][0](args)
     except PleatbendError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -252,12 +252,12 @@ class AdaptedSample:
         self.cuff_lengths = {c.id: complex_length(images[c.word], eps_class)
                              for c in pd.cuffs}
 
-    def place(self, p: int, zeta: dict, eps_sep: float = EPS_SEP) -> tuple:
+    def place(self, p: int, zeta: dict) -> tuple:
         """Vertices of pants p for the chosen endpoints of its cuffs.
 
         zeta maps at least the cuffs of pants p to (chosen, other).
         Raises DegenerateTriangle when vertices of either plaque are
-        closer than eps_sep.
+        closer than EPS_SEP.
         """
         row = []
         for end in self.pd.pants[p].cuff_ends:
@@ -269,7 +269,7 @@ class AdaptedSample:
         for tri in (tuple(row), (row[0], row[1], hol[1].apply(row[2]))):
             for i in range(3):
                 d = chordal(tri[i], tri[(i + 1) % 3])
-                if d < eps_sep:
+                if d < EPS_SEP:
                     raise DegenerateTriangle(
                         f"plaque of pants {p} has vertices {d:.3g} apart")
         return tuple(row)
@@ -317,8 +317,7 @@ def _as_leaf_key(leaf) -> tuple[int, int]:
 
 def realize(rep: Representation, pd: PantsDecomposition,
             endpoints: EndpointChoice | dict | None = None,
-            eps_class: float = EPS_CLASS,
-            eps_sep: float = EPS_SEP) -> PleatedRealization:
+            eps_class: float = EPS_CLASS) -> PleatedRealization:
     """Realize the plaques of every pants for an adapted representation.
 
     endpoints may be an EndpointChoice, an already-resolved dict from
@@ -334,7 +333,7 @@ def realize(rep: Representation, pd: PantsDecomposition,
         zeta = endpoints
     else:
         zeta = resolve_endpoints(sample.images, pd, endpoints, eps_class)
-    xi = tuple(sample.place(p, zeta, eps_sep) for p in range(len(pd.pants)))
+    xi = tuple(sample.place(p, zeta) for p in range(len(pd.pants)))
     return PleatedRealization(sample=sample, zeta=zeta, xi=xi)
 
 
@@ -500,16 +499,6 @@ class BendingData:
     cuff_angles: dict               # cuff id -> angle
     leaf_lengths: dict              # (pants, i) -> truncated length
     cuff_lengths: dict              # cuff id -> real translation length
-
-    def to_dict(self) -> dict:
-        return {
-            "leaf_angles": {f"{p}.{i}": v
-                            for (p, i), v in sorted(self.leaf_angles.items())},
-            "cuff_angles": dict(sorted(self.cuff_angles.items())),
-            "leaf_lengths": {f"{p}.{i}": v
-                             for (p, i), v in sorted(self.leaf_lengths.items())},
-            "cuff_lengths": dict(sorted(self.cuff_lengths.items())),
-        }
 
 
 def schlafli_term(real: PleatedRealization, key,

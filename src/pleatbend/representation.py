@@ -24,8 +24,11 @@ import numpy as np
 
 from .errors import (InvalidDecomposition, NonHyperbolicParameters,
                      PleatbendError, ReducibleRepresentation, UnknownLetter)
-from .moebius import EPS_CLASS, IsometryClass, MoebiusMap, chordal, classify, fixed_points
+from .moebius import EPS_CLASS, MoebiusMap, chordal, fixed_points
 from .topology import BoundaryInclusion, PantsDecomposition, _tokens
+
+EPS_RANK = 1e-8        # singular values counted, relative to the largest
+REDUCIBLE_TOL = 1e-8   # chordal distance of a common fixed point
 
 
 @dataclass(frozen=True)
@@ -93,10 +96,6 @@ class CharacterFingerprint:
         return max((abs(a - b) / (1 + abs(a) + abs(b))
                     for a, b in zip(self.values, other.values)),
                    default=0.0)
-
-    def to_dict(self) -> dict:
-        return {"words": list(self.words),
-                "values": [[v.real, v.imag] for v in self.values]}
 
 
 def fingerprint(rep: Representation, words) -> CharacterFingerprint:
@@ -502,10 +501,7 @@ def path_from_reps(reps, ts=None, pd=None) -> RepresentationPath:
 def _common_fixed_point_tol(rep: Representation, tol: float) -> bool:
     fixed_sets = []
     for m in rep.images:
-        if m.is_identity(tol):
-            continue
-        kind = classify(m)
-        if kind == IsometryClass.IDENTITY:
+        if m.is_identity(max(tol, EPS_CLASS)):
             continue
         pts = fixed_points(m)
         fixed_sets.append([p for p in pts if p is not None])
@@ -593,22 +589,22 @@ def _conjugation_tangents(rep: Representation) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def jacobian_rank(rep: Representation, boundary: BoundaryInclusion,
-                  eps_rank: float = 1e-8,
-                  reducible_tol: float = 1e-8) -> tuple[int, np.ndarray]:
+def jacobian_rank(rep: Representation,
+                  boundary: BoundaryInclusion) -> tuple[int, np.ndarray]:
     """Rank of the peripheral character map at a representation.
 
     Differentiates the squared-trace vector of all peripheral words
     exactly along left translations exp(eps E) rho(g) of each generator
     (three sl2 directions per generator, one prefix/suffix pass per
     word; see _squared_trace_jacobian), projects out the conjugation
-    tangent directions, and counts singular values above eps_rank
+    tangent directions, and counts singular values above EPS_RANK
     relative to the largest.  The derivative is exact, so there is no
     difference step to choose.  Returns (rank, singular values).
-    Refuses reducible representations, where the character map is
-    singular for a different reason.
+    Refuses reducible representations (generators with a common fixed
+    point within REDUCIBLE_TOL), where the character map is singular for
+    a different reason.
     """
-    if _common_fixed_point_tol(rep, reducible_tol):
+    if _common_fixed_point_tol(rep, REDUCIBLE_TOL):
         raise ReducibleRepresentation(
             "generators share a fixed point within tolerance")
     words = [comp.include_word(w) for comp in boundary.components
@@ -623,7 +619,7 @@ def jacobian_rank(rep: Representation, boundary: BoundaryInclusion,
     sv = np.linalg.svd(J_proj, compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
         return 0, sv
-    rank = int(np.sum(sv > eps_rank * sv[0]))
+    rank = int(np.sum(sv > EPS_RANK * sv[0]))
     return rank, sv
 
 

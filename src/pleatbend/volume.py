@@ -35,6 +35,8 @@ from .representation import (RepresentationPath, fingerprint,
                              standard_word_list)
 from .topology import OrientationAssignment, enumerate_orientations
 
+EPS_LOOP = 1e-8   # fingerprint distance below which a path counts as closed
+
 # ---------------------------------------------------------------------------
 # Lobachevsky function and ideal tetrahedra
 
@@ -583,21 +585,20 @@ class LoopDefectReport:
 
 
 def loop_defect(loop: RepresentationPath, conv: TruncationConvention,
-                tol: float = 1e-8,
                 eps_class: float = EPS_CLASS) -> LoopDefectReport:
     """Orientation-summed volume change around a closed loop.
 
-    Requires the two endpoint representations to have equal character
-    fingerprints (they may differ by conjugation); the defect is
-    expected to vanish up to quadrature error.  eps_class is the
-    classification tolerance of vol_gamma.
+    Requires the two endpoint representations to have character
+    fingerprints within EPS_LOOP (they may differ by conjugation); the
+    defect is expected to vanish up to quadrature error.  eps_class is
+    the classification tolerance of vol_gamma.
     """
     gens = loop.reps[0].generators
     words = standard_word_list(gens)
     f0 = fingerprint(loop.reps[0], words)
     f1 = fingerprint(loop.reps[-1], words)
     d = f0.distance(f1)
-    if d > tol:
+    if d > EPS_LOOP:
         raise EndpointsMismatch(
             f"loop endpoints differ by {d:.3e} in character fingerprint")
     result = vol_gamma(loop, conv, eps_class=eps_class)

@@ -8,8 +8,10 @@ equals a NaN part, so products that overflow on both sides still
 compare).  central_difference_jacobian_rank is
 jacobian_rank as it was before its Jacobian became exact: the rank
 oracle in test_representation compares ranks and singular values
-against it.  This module is importable because the pytest configuration
-puts tests/ on sys.path (pythonpath in pyproject.toml).
+against it.  seed_common_fixed_point_tol is its reducibility test; the
+reducibility oracle compares _common_fixed_point_tol with it by ==.
+This module is importable because the pytest configuration puts tests/
+on sys.path (pythonpath in pyproject.toml).
 """
 
 import cmath
@@ -22,9 +24,9 @@ from hypothesis import strategies as st
 
 from pleatbend.errors import (DegenerateConfiguration, ReducibleRepresentation,
                               SingularMatrix)
-from pleatbend.moebius import RESCALE_LIMIT, MoebiusMap
-from pleatbend.representation import (Representation, _adj,
-                                      _common_fixed_point_tol, _mat,
+from pleatbend.moebius import (RESCALE_LIMIT, IsometryClass, MoebiusMap,
+                               chordal, classify, fixed_points)
+from pleatbend.representation import (Representation, _adj, _mat,
                                       evaluate_word)
 
 
@@ -121,18 +123,24 @@ steep_entries = st.builds(steep, st.floats(800, 1e4),
                           st.floats(-math.pi, math.pi))
 
 
-def build_both(args):
-    """The map from args under both kernels, or SingularMatrix from both."""
+def run_both(got_step, want_step):
+    """(got_step(), want_step()) with equal entries, or None when both
+    raise SingularMatrix with the same message."""
     try:
-        want = SeedMoebiusMap(*args)
+        want = want_step()
     except SingularMatrix as exc:
         with pytest.raises(SingularMatrix) as info:
-            MoebiusMap(*args)
+            got_step()
         assert str(info.value) == str(exc)
         return None
-    got = MoebiusMap(*args)
+    got = got_step()
     assert entries_of(got) == entries_of(want)
     return got, want
+
+
+def build_both(args):
+    """The map from args under both kernels, or SingularMatrix from both."""
+    return run_both(lambda: MoebiusMap(*args), lambda: SeedMoebiusMap(*args))
 
 
 _SL2_BASIS = (np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
@@ -152,13 +160,35 @@ def _sl2_coords(m: np.ndarray) -> tuple[complex, complex, complex]:
     return m[0, 0], m[0, 1], m[1, 0]
 
 
+def seed_common_fixed_point_tol(rep, tol: float) -> bool:
+    """The reducibility test of jacobian_rank as it was when each image
+    was tested for the identity by is_identity(tol) and again by
+    classify."""
+    fixed_sets = []
+    for m in rep.images:
+        if m.is_identity(tol):
+            continue
+        kind = classify(m)
+        if kind == IsometryClass.IDENTITY:
+            continue
+        pts = fixed_points(m)
+        fixed_sets.append([p for p in pts if p is not None])
+    if not fixed_sets:
+        return True          # all generators central
+    for candidate in fixed_sets[0]:
+        if all(min(chordal(candidate, p) for p in pts) < tol
+               for pts in fixed_sets[1:]):
+            return True
+    return False
+
+
 def central_difference_jacobian_rank(rep, boundary, h: float = 1e-5,
                                      eps_rank: float = 1e-8,
                                      reducible_tol: float = 1e-8):
     """jacobian_rank with the Jacobian taken by central differences:
     12 perturbed representations for two generators, each evaluating
     every peripheral word."""
-    if _common_fixed_point_tol(rep, reducible_tol):
+    if seed_common_fixed_point_tol(rep, reducible_tol):
         raise ReducibleRepresentation(
             "generators share a fixed point within tolerance")
     n = len(rep.generators)

@@ -1,5 +1,6 @@
 """End-to-end tests of the pleatbend command line interface."""
 
+import argparse
 import importlib.resources
 import json
 import math
@@ -13,13 +14,16 @@ import pytest
 
 from pleatbend import (
     fenchel_nielsen_rep,
+    jacobian_rank,
+    load_document,
+    load_rep,
     path_from_parameters,
     save_document,
     save_path,
     save_rep,
     standard_decomposition,
 )
-from pleatbend.cli import main
+from pleatbend.cli import _build_parser, main
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -237,6 +241,24 @@ class TestPeripheralAndRank:
         assert code == 0
         assert "rank 3 of 3 expected" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_rank_margin(self, demo, capsys, fmt):
+        # sv[rank-1] / sv[0], which stays away from the roundoff in
+        # sv[rank]
+        rep_file = str(demo / "handlebody_rep.json")
+        inc_file = str(demo / "genus2_handlebody.json")
+        code, out, _ = run(capsys, "rank", "--input", rep_file,
+                           "--inclusion", inc_file, "--format", fmt)
+        assert code == 0
+        rank, sv = jacobian_rank(load_rep(rep_file),
+                                 load_document(inc_file)[1])
+        margin = sv[rank - 1] / sv[0]
+        assert 1e-8 < margin <= 1
+        if fmt == "json":
+            assert json.loads(out)["margin"] == f"{margin:.15g}"
+        else:
+            assert f"margin: {margin:.15g}" in out.splitlines()
+
     def test_rank_refuses_reducible(self, demo, capsys):
         code, _, err = run(capsys, "rank",
                            "--input", str(demo / "f2_rep.json"),
@@ -286,11 +308,107 @@ class TestToleranceInSamplePipeline:
     def test_default_tolerance_is_the_default(self, demo, capsys, command,
                                               path):
         argv = (command, "--input", str(demo / path),
-                "--pd", str(demo / "surface.json"), "--format", "json")
+                "--pd", str(demo / "surface.json"))
+        if command != "plot":
+            argv += ("--format", "json")
         default = run(capsys, *argv)
         explicit = run(capsys, *argv, "--tolerance", "1e-9")
         assert default[0] == 0
         assert explicit == default
+
+
+# options each subcommand reads besides --input and --output, and the
+# formats it writes (None: no --format)
+OPTIONS = {
+    "classify": ({"words", "tolerance"}, ("text", "json")),
+    "pleat": ({"pd", "tolerance", "endpoints"}, ("text", "json")),
+    "bend": ({"pd", "tolerance", "endpoints", "horoball"},
+             ("text", "json", "csv")),
+    "volume-path": ({"pd", "tolerance", "endpoints", "horoball", "steps"},
+                    ("text", "json", "csv", "svg")),
+    "vol-gamma": ({"pd", "tolerance", "horoball", "steps"},
+                  ("text", "json", "csv")),
+    "loop-defect": ({"pd", "tolerance", "horoball"}, ("text", "json", "csv")),
+    "peripheral": ({"inclusion"}, ("text", "json", "csv")),
+    "rank": ({"inclusion"}, ("text", "json")),
+    "plot": ({"pd", "tolerance", "endpoints", "horoball", "steps",
+              "quantity"}, None),
+}
+
+# a well-formed value for every option some subcommand reads
+VALUES = {"pd": ["s.json"], "inclusion": ["s.json"], "words": ["x"],
+          "tolerance": ["1e-9"], "endpoints": ["repelling"],
+          "horoball": ["2"], "steps": ["4"], "quantity": ["angles"],
+          "rank": []}
+
+
+def _unread():
+    """(subcommand, extra arguments, the token the error must name) for
+    every option, format and second input file a subcommand does not
+    read."""
+    cases = []
+    for command, (options, formats) in OPTIONS.items():
+        for option in sorted(VALUES.keys() - options):
+            cases.append((command, [f"--{option}", *VALUES[option]],
+                          f"--{option}"))
+        for fmt in ("text", "json", "csv", "svg"):
+            if formats is None or fmt not in formats:
+                cases.append((command, ["--format", fmt], "--format"))
+        if command != "peripheral":
+            cases.append((command, ["b.json"], "b.json"))
+    return [pytest.param(*case, id=" ".join([case[0], *case[1]]))
+            for case in cases]
+
+
+class TestOptions:
+    """Each subcommand accepts only the options it reads."""
+
+    def test_option_sets_and_formats(self):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(OPTIONS)
+        settable = 0
+        for command, parser in sub.choices.items():
+            actions = {a.option_strings[-1][2:]: a for a in parser._actions
+                       if a.option_strings and a.dest != "help"}
+            options, formats = OPTIONS[command]
+            want = options | {"input", "output"}
+            if formats is not None:
+                want.add("format")
+                assert tuple(actions["format"].choices) == formats
+            assert set(actions) == want, command
+            assert (actions["input"].nargs == "+") == (command == "peripheral")
+            settable += len(actions)
+        assert settable == 55
+
+    @pytest.mark.parametrize("command, extra, token", _unread())
+    def test_unread_option_is_usage_error(self, capsys, command, extra,
+                                          token):
+        code, out, err = run(capsys, command, "--input", "a.json", *extra)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("parse error: ")
+        assert token in err
+
+    @pytest.mark.parametrize("argv", [
+        ("rank", "--input", "handlebody_rep.json",
+         "--inclusion", "genus2_handlebody.json", "--format", "csv"),
+        ("vol-gamma", "--input", "pure_bend.json", "--pd", "surface.json",
+         "--endpoints", "repelling"),
+        ("classify", "--input", "f2_rep.json", "handlebody_rep.json",
+         "--words", "x"),
+        ("peripheral", "--input", "handlebody_rep.json",
+         "--inclusion", "genus2_handlebody.json", "--rank"),
+    ], ids=["rank-csv", "vol-gamma-endpoints", "classify-two-inputs",
+            "peripheral-rank"])
+    def test_refused_on_real_inputs(self, demo, capsys, argv):
+        files = {"handlebody_rep.json", "genus2_handlebody.json",
+                 "pure_bend.json", "surface.json", "f2_rep.json"}
+        argv = [str(demo / a) if a in files else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "unrecognized arguments" in err or "invalid choice" in err
 
 
 class TestFailureModes:

@@ -13,7 +13,8 @@ from pleatbend.moebius import (EPS_CLASS, RESCALE_LIMIT, IsometryClass,
                                normalizing_map, reduce_angle, trace_squared)
 
 from _seed_kernel import (SeedMoebiusMap, SeedProjectivePoint, build_both,
-                          entries_of, raw_entries, steep, steep_entries)
+                          entries_of, raw_entries, run_both, steep,
+                          steep_entries)
 
 finite = st.complex_numbers(min_magnitude=0, max_magnitude=10,
                             allow_nan=False, allow_infinity=False)
@@ -299,17 +300,24 @@ class TestKernelOracle:
                               st.booleans()),
                     min_size=1, max_size=5))
     @settings(max_examples=300)
+    @example(factors=[((0, 1e-10, 0.5j, 2j), True),
+                      (steep(800.0, 0.0), False), (steep(800.0, 0.0), True)])
     def test_products_and_inverses(self, factors):
+        # a step at which both kernels raise SingularMatrix ends the draw
         got, want = MoebiusMap.identity(), SeedMoebiusMap.identity()
         for args, invert in factors:
             pair = build_both(args)
             assume(pair is not None)
             m, n = pair
             if invert:
-                m, n = m.inverse(), n.inverse()
-                assert entries_of(m) == entries_of(n)
-            got, want = got @ m, want @ n
-            assert entries_of(got) == entries_of(want)
+                pair = run_both(m.inverse, n.inverse)
+                if pair is None:
+                    return
+                m, n = pair
+            pair = run_both(lambda: got @ m, lambda: want @ n)
+            if pair is None:
+                return
+            got, want = pair
 
     @given(steep_entries, steep_entries)
     def test_rescale_limit_branch_is_drawn(self, e1, e2):

@@ -43,12 +43,14 @@ from pleatbend import (
     standard_word_list,
 )
 from pleatbend.errors import SingularMatrix, UnknownLetter
-from pleatbend.representation import _squared_trace_jacobian
+from pleatbend.representation import (_common_fixed_point_tol,
+                                      _squared_trace_jacobian)
 from pleatbend.topology import BoundaryComponent, BoundaryInclusion, parse_word
 
 from _seed_kernel import (SeedMoebiusMap, build_both,
                           central_difference_jacobian_rank, entries_of,
-                          raw_entries, steep, steep_entries)
+                          raw_entries, seed_common_fixed_point_tol, steep,
+                          steep_entries)
 
 
 DATA = importlib.resources.files("pleatbend.data")
@@ -416,6 +418,46 @@ class TestJacobianRank:
             jacobian_rank(rep, inclusion)
         assert str(got.value) == str(want.value)
         assert str(got.value) == "no image for generator 'z'"
+
+
+def _reducible_or_error(test, rep, tol):
+    try:
+        return test(rep, tol)
+    except PleatbendError as exc:
+        return type(exc), str(exc)
+
+
+class TestReducibilityOracle:
+    """_common_fixed_point_tol tests each image for the identity once;
+    the seed body tested it by is_identity(tol) and again by classify."""
+
+    def _check(self, rep):
+        for tol in (1e-10, 1e-8):
+            assert (_reducible_or_error(_common_fixed_point_tol, rep, tol)
+                    == _reducible_or_error(seed_common_fixed_point_tol, rep,
+                                           tol))
+
+    def test_random_representations(self):
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            self._check(random_representation(rng))
+
+    def test_images_near_the_identity(self):
+        # parabolic images (1, d; 0, 1) and (1, 0; d, 1) at distance d
+        # from the identity, on both sides of 1e-10, 1e-9 and 1e-8
+        distances = [f * 10.0 ** k for k in (-10, -9, -8) for f in (0.5, 2.0)]
+        near = [MoebiusMap(1, d, 0, 1) for d in distances] \
+            + [MoebiusMap(1, 0, d, 1) for d in distances]
+        ident = MoebiusMap.identity()
+        for bound in (1e-10, 1e-9, 1e-8):
+            seen = [m.distance_to(ident) < bound for m in near]
+            assert any(seen) and not all(seen)
+        others = [MoebiusMap(2, 1, 0, 0.5), MoebiusMap(2, 0, 1, 0.5),
+                  MoebiusMap(1.5, 0.3j, -0.2, 0.7 + 0.1j)]
+        for m in near:
+            for other in others + near:
+                self._check(Representation(("x", "y"), (m, other)))
+                self._check(Representation(("x", "y"), (other, m)))
 
 
 def _mp_mul(x, y):
