@@ -10,7 +10,8 @@ import argparse
 import numpy as np
 
 from pleatbend.errors import ReducibleRepresentation
-from pleatbend.representation import jacobian_rank, random_representation
+from pleatbend.representation import (EPS_RANK, jacobian_rank,
+                                      random_representation)
 from pleatbend.topology import load_document
 
 try:
@@ -33,6 +34,7 @@ def main():
     rng = np.random.default_rng(args.seed)
     ranks = {}
     worst_gap = float("inf")
+    worst_margin = float("inf")
     for k in range(args.seeds):
         rep = random_representation(rng, generators=inc.generators)
         try:
@@ -41,12 +43,16 @@ def main():
             ranks["reducible"] = ranks.get("reducible", 0) + 1
             continue
         ranks[rank] = ranks.get(rank, 0) + 1
-        if rank == 3 and sv[3] > 0:
-            worst_gap = min(worst_gap, sv[2] / sv[3])
+        if rank == 3:
+            worst_margin = min(worst_margin, sv[2] / sv[0])
+            if sv[3] > 0:
+                worst_gap = min(worst_gap, sv[2] / sv[3])
     print(f"seeds: {args.seeds}")
     for key in sorted(ranks, key=str):
         print(f"rank {key}: {ranks[key]}")
     print(f"smallest singular-value gap at rank 3: {worst_gap:.3e}")
+    print(f"smallest margin sv[2]/sv[0] at rank 3: {worst_margin:.3e} "
+          f"(threshold {EPS_RANK:g})")
 
 
 if __name__ == "__main__":

@@ -296,8 +296,10 @@ def schlafli_derivative(path: RepresentationPath, t: float,
     indices = [k - 1, k, k + 1]
     series, _ = _term_series(path, indices, [zeta], conv, EPS_CLASS)
     ts = np.array([path.ts[i] for i in indices])
-    return float(_integrand(_terms(pd), _velocities(ts, series),
-                            (0,) * len(pd.cuffs), len(ts))[1])
+    table = _orientation_table(_terms(pd), series, [(0,) * len(pd.cuffs)])
+    velocities, failures = _velocities(ts, series)
+    _raise_first_failure(table, failures)
+    return float(_integrand(table, velocities)[0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +310,10 @@ def schlafli_derivative(path: RepresentationPath, t: float,
 class VolumePathResult:
     """Integrated first variation of volume along a sampled path.
 
-    delta_v is composite Simpson over the sampled length-weighted angle
-    velocity; error_estimate compares against the half-resolution
-    subsample and is NaN when the sample count does not allow one.
+    delta_v is composite Simpson, by closed-form interpolatory weights,
+    over the sampled length-weighted angle velocity; error_estimate
+    compares against the half-resolution subsample and is NaN when the
+    sample count does not allow one or the subsample fails to unwrap.
     """
 
     delta_v: float
@@ -341,72 +344,104 @@ def _unwrap_angles(values) -> np.ndarray:
 
 
 def _node_derivatives(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Derivative at every node from the local 3-point quadratic."""
+    """Derivative at every node from the local 3-point quadratic.
+
+    ys holds one sampled series per row, (..., n).
+    """
     n = len(ts)
-    out = np.empty(n)
-    for k in range(n):
-        j = min(max(k - 1, 0), n - 3)
-        t0, t1, t2 = ts[j:j + 3]
-        y0, y1, y2 = ys[j:j + 3]
-        t = ts[k]
-        out[k] = (y0 * (2 * t - t1 - t2) / ((t0 - t1) * (t0 - t2))
-                  + y1 * (2 * t - t0 - t2) / ((t1 - t0) * (t1 - t2))
-                  + y2 * (2 * t - t0 - t1) / ((t2 - t0) * (t2 - t1)))
-    return out
+    j = np.clip(np.arange(n) - 1, 0, n - 3)
+    t0, t1, t2, t = ts[j], ts[j + 1], ts[j + 2], ts
+    y0, y1, y2 = ys[..., j], ys[..., j + 1], ys[..., j + 2]
+    return (y0 * (2 * t - t1 - t2) / ((t0 - t1) * (t0 - t2))
+            + y1 * (2 * t - t0 - t2) / ((t1 - t0) * (t1 - t2))
+            + y2 * (2 * t - t0 - t1) / ((t2 - t0) * (t2 - t1)))
 
 
-def _quadratic_panel(ts3, fs3, a: float, b: float) -> float:
-    """Integral over [a, b] of the quadratic through three samples."""
-    tm = ts3[1]
-    coeffs = np.polyfit(np.asarray(ts3) - tm, np.asarray(fs3), 2)
-    anti = np.polyint(coeffs)
-    return float(np.polyval(anti, b - tm) - np.polyval(anti, a - tm))
+def _step_weights(ts: np.ndarray):
+    """Banded weights of composite Simpson, split per interval.
+
+    Interval k lies in the panel of nodes j, j+1, j+2 with
+    j = min(2 (k // 2), n - 3); returns j and the integrals over the
+    interval of the panel's three Lagrange basis quadratics, in closed
+    form.  In s = t - ts[j+1] the panel nodes are -h0, 0, h1, and
+    interval k is the half [-h0, 0] or [0, h1]; a trailing odd interval
+    is the right half of the last panel.
+    """
+    n = len(ts)
+    k = np.arange(n - 1)
+    j = np.minimum(2 * (k // 2), n - 3)
+    left = k == j
+    h = np.diff(ts)
+    # p: length of the half integrated over, q: of the panel's other half
+    p, q = h, h[np.where(left, j + 1, j)]
+    near = p * (2 * p + 3 * q) / (6 * (p + q))
+    mid = p * (p + 3 * q) / (6 * q)
+    far = -p * p * p / (6 * q * (p + q))
+    return j, np.where(left, near, far), mid, np.where(left, far, near)
 
 
-def _per_step_integrals(ts: np.ndarray, fs: np.ndarray) -> list[float]:
+def _per_step_integrals(ts: np.ndarray, fs: np.ndarray) -> np.ndarray:
     """Composite Simpson split into per-interval contributions.
 
     Each pair of intervals carries one interpolating quadratic; its
     restriction to the two half-panels sums back to the Simpson rule
-    exactly.  A trailing odd interval reuses the last quadratic.
+    exactly.  A trailing odd interval reuses the last quadratic.  The
+    half-panel integrals are closed-form interpolatory weights applied
+    to the samples, fs (..., n), giving (..., n - 1).
+
+    >>> ts = np.array([0.0, 0.5, 2.0])
+    >>> steps = _per_step_integrals(ts, ts ** 2)   # 1/24 and 21/8
+    >>> float(steps.sum()) == 8 / 3
+    True
     """
-    n = len(ts)
-    per_step: list[float] = []
-    k = 0
-    while k + 2 < n:
-        sl = slice(k, k + 3)
-        per_step.append(_quadratic_panel(ts[sl], fs[sl], ts[k], ts[k + 1]))
-        per_step.append(_quadratic_panel(ts[sl], fs[sl], ts[k + 1], ts[k + 2]))
-        k += 2
-    if k + 1 < n:
-        sl = slice(n - 3, n)
-        per_step.append(_quadratic_panel(ts[sl], fs[sl], ts[-2], ts[-1]))
-    return per_step
+    j, w0, w1, w2 = _step_weights(ts)
+    return fs[..., j] * w0 + fs[..., j + 1] * w1 + fs[..., j + 2] * w2
 
 
-def _velocities(ts: np.ndarray, series: dict) -> dict:
-    """length · d(angle)/dt per (term, pattern), or the unwrap failure."""
-    out = {}
-    for key, (angles, lengths) in series.items():
+def _velocities(ts: np.ndarray, series: dict) -> tuple[np.ndarray, list]:
+    """length · d(angle)/dt of every (term, pattern) series, one row each
+    in series order, and the unwrap failure of each row or None.  A row
+    that failed to unwrap is NaN."""
+    thetas = np.full((len(series), len(ts)), np.nan)
+    lengths = np.empty_like(thetas)
+    failures = []
+    for r, (angles, row_lengths) in enumerate(series.values()):
+        lengths[r] = row_lengths
         try:
-            theta = _unwrap_angles(angles)
+            thetas[r] = _unwrap_angles(angles)
         except AngleUnwrapFailure as exc:
-            out[key] = exc
-            continue
-        out[key] = np.array(lengths) * _node_derivatives(ts, theta)
-    return out
+            failures.append(exc)
+        else:
+            failures.append(None)
+    return lengths * _node_derivatives(ts, thetas), failures
 
 
-def _integrand(terms, velocities: dict, ori: tuple, n: int) -> np.ndarray:
-    """½ Σ length · angle-velocity under one orientation, summed in
-    term order; raises the first term's unwrap failure."""
-    total = np.zeros(n)
-    for term in terms:
-        v = velocities[term.key, tuple(ori[j] for j in term.support)]
-        if isinstance(v, AngleUnwrapFailure):
-            raise v
-        total += v
+def _orientation_table(terms, series: dict, orientations) -> np.ndarray:
+    """Row of series read by every (orientation, term), terms in order."""
+    index = {key: r for r, key in enumerate(series)}
+    return np.array([[index[term.key, tuple(ori[j] for j in term.support)]
+                      for term in terms] for ori in orientations],
+                    dtype=np.intp)
+
+
+def _integrand(table: np.ndarray, velocities: np.ndarray) -> np.ndarray:
+    """½ Σ length · angle-velocity under every orientation (a row of
+    table), summed in term order; NaN under an orientation that reads a
+    series that failed to unwrap."""
+    total = np.zeros((len(table), velocities.shape[1]))
+    for column in table.T:
+        total += velocities[column]
     return 0.5 * total
+
+
+def _raise_first_failure(table: np.ndarray, failures: list) -> None:
+    """Raise the unwrap failure that integrating orientation by
+    orientation, term by term, meets first."""
+    failed = np.array([f is not None for f in failures], dtype=bool)
+    hit = np.argwhere(failed[table])
+    if len(hit):
+        o, t = hit[0]
+        raise failures[table[o, t]]
 
 
 def _integrate(path: RepresentationPath, indices, starts, orientations,
@@ -414,7 +449,8 @@ def _integrate(path: RepresentationPath, indices, starts, orientations,
                first: WordImages | None = None) -> list[VolumePathResult]:
     """One VolumePathResult per orientation (a chain index per cuff).
 
-    Composite Simpson over the samples, with the error estimated by
+    Composite Simpson over the samples by closed-form interpolatory
+    weights, every orientation at once, with the error estimated by
     Richardson comparison against the half-resolution subsample (NaN
     when the interval count is odd or the subsample fails to unwrap).
     orientations[0] takes chain 0 on every cuff; first is passed on to
@@ -422,38 +458,36 @@ def _integrate(path: RepresentationPath, indices, starts, orientations,
     """
     series, deferred = _term_series(path, indices, starts, conv, eps_class,
                                     first)
-    terms = _terms(path.pd)
+    if deferred is not None:
+        # orientation by orientation, the first is integrated, or
+        # raises its own failure, before the deferred one is met
+        orientations = orientations[:1]
+    table = _orientation_table(_terms(path.pd), series, orientations)
     ts = np.array([path.ts[i] for i in indices])
-    fine = _velocities(ts, series)
-    coarse = None
+    fine, failures = _velocities(ts, series)
+    _raise_first_failure(table, failures)
+    if deferred is not None:
+        raise deferred
+    per_step = _per_step_integrals(ts, _integrand(table, fine))
+    # running sums, step by step (np.sum would add pairwise)
+    cumulative = np.cumsum(np.pad(per_step, ((0, 0), (1, 0))), axis=1)
+    delta = cumulative[:, -1]
+    err = np.full(len(table), np.nan)
     if len(ts) % 2 == 1 and len(ts) >= 5:
-        coarse = _velocities(ts[::2], {key: (angles[::2], lengths[::2])
-                                       for key, (angles, lengths)
-                                       in series.items()})
-    results = []
-    for ori in orientations:
-        per_step = _per_step_integrals(ts, _integrand(terms, fine, ori,
-                                                      len(ts)))
-        delta = float(sum(per_step))
-        err = float("nan")
-        if coarse is not None:
-            try:
-                half = float(sum(_per_step_integrals(
-                    ts[::2], _integrand(terms, coarse, ori, len(ts[::2])))))
-                err = abs(delta - half) / 3
-            except AngleUnwrapFailure:
-                pass
-        cum = [0.0]
-        for c in per_step:
-            cum.append(cum[-1] + c)
-        results.append(VolumePathResult(
-            delta_v=delta, error_estimate=err, ts=tuple(float(t) for t in ts),
-            cumulative=tuple(cum), per_step=tuple(per_step)))
-        if deferred is not None:
-            # integrating orientation by orientation, this one would
-            # have passed and a later one failed
-            raise deferred
-    return results
+        # a subsample series that fails to unwrap is NaN, and so is the
+        # estimate of every orientation that reads it
+        coarse, _ = _velocities(ts[::2], {key: (angles[::2], lengths[::2])
+                                          for key, (angles, lengths)
+                                          in series.items()})
+        half = np.cumsum(_per_step_integrals(ts[::2],
+                                             _integrand(table, coarse)),
+                         axis=1)[:, -1]
+        err = np.abs(delta - half) / 3
+    ts_out = tuple(ts.tolist())
+    return [VolumePathResult(delta_v=d, error_estimate=e, ts=ts_out,
+                             cumulative=tuple(c), per_step=tuple(p))
+            for d, e, c, p in zip(delta.tolist(), err.tolist(),
+                                  cumulative.tolist(), per_step.tolist())]
 
 
 def integrate_volume_change(path: RepresentationPath,

@@ -10,6 +10,10 @@ jacobian_rank as it was before its Jacobian became exact: the rank
 oracle in test_representation compares ranks and singular values
 against it.  seed_common_fixed_point_tol is its reducibility test; the
 reducibility oracle compares _common_fixed_point_tol with it by ==.
+polyfit_per_step_integrals and loop_node_derivatives are the quadrature
+of volume.py as it was before its weights became closed-form: the
+quadrature tests compare _per_step_integrals with the first within a
+bound and _node_derivatives with the second by ==.
 This module is importable because the pytest configuration puts tests/
 on sys.path (pythonpath in pyproject.toml).
 """
@@ -233,3 +237,44 @@ def central_difference_jacobian_rank(rep, boundary, h: float = 1e-5,
         return 0, sv
     rank = int(np.sum(sv > eps_rank * sv[0]))
     return rank, sv
+
+
+def loop_node_derivatives(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Derivative at every node from the local 3-point quadratic, one
+    node at a time."""
+    n = len(ts)
+    out = np.empty(n)
+    for k in range(n):
+        j = min(max(k - 1, 0), n - 3)
+        t0, t1, t2 = ts[j:j + 3]
+        y0, y1, y2 = ys[j:j + 3]
+        t = ts[k]
+        out[k] = (y0 * (2 * t - t1 - t2) / ((t0 - t1) * (t0 - t2))
+                  + y1 * (2 * t - t0 - t2) / ((t1 - t0) * (t1 - t2))
+                  + y2 * (2 * t - t0 - t1) / ((t2 - t0) * (t2 - t1)))
+    return out
+
+
+def _quadratic_panel(ts3, fs3, a: float, b: float) -> float:
+    """Integral over [a, b] of the quadratic through three samples."""
+    tm = ts3[1]
+    coeffs = np.polyfit(np.asarray(ts3) - tm, np.asarray(fs3), 2)
+    anti = np.polyint(coeffs)
+    return float(np.polyval(anti, b - tm) - np.polyval(anti, a - tm))
+
+
+def polyfit_per_step_integrals(ts: np.ndarray, fs: np.ndarray) -> list[float]:
+    """Composite Simpson split into per-interval contributions, each
+    half-panel integrated from a fitted quadratic."""
+    n = len(ts)
+    per_step: list[float] = []
+    k = 0
+    while k + 2 < n:
+        sl = slice(k, k + 3)
+        per_step.append(_quadratic_panel(ts[sl], fs[sl], ts[k], ts[k + 1]))
+        per_step.append(_quadratic_panel(ts[sl], fs[sl], ts[k + 1], ts[k + 2]))
+        k += 2
+    if k + 1 < n:
+        sl = slice(n - 3, n)
+        per_step.append(_quadratic_panel(ts[sl], fs[sl], ts[-2], ts[-1]))
+    return per_step

@@ -47,6 +47,7 @@ from pleatbend import (
     standard_word_list,
     truncated_geodesic_length,
 )
+from pleatbend.representation import EPS_RANK
 from pleatbend.volume import _node_derivatives, _per_step_integrals
 
 REGULAR_TETRA_VOLUME = 1.0149416064096535
@@ -332,19 +333,26 @@ def test_criterion_7_rank_experiment():
     reps = [random_representation(rng) for _ in range(50)]
     ranks = []
     worst_gap = math.inf
+    worst_margin = math.inf
     for rep in reps:
         rank, sv = jacobian_rank(rep, inclusion)
         ranks.append(rank)
         worst_gap = min(worst_gap, sv[2] / sv[3])
+        worst_margin = min(worst_margin, sv[2] / sv[0])
     prints = [peripheral_fingerprint(rep, inclusion) for rep in reps]
     min_sep = min(prints[i].distance(prints[j])
                   for i in range(len(prints)) for j in range(i))
-    ok = all(r == 3 for r in ranks) and worst_gap >= 1e6 and min_sep > 1e-3
+    ok = (all(r == 3 for r in ranks) and worst_gap >= 1e6
+          and worst_margin > EPS_RANK and min_sep > 1e-3)
     report(f"criterion 7 {'PASS' if ok else 'FAIL'}: rank 3 at "
            f"{sum(r == 3 for r in ranks)}/50 seeds, worst sv gap "
-           f"{worst_gap:.3e}, min fingerprint separation {min_sep:.3e}")
+           f"{worst_gap:.3e}, worst margin sv[2]/sv[0] {worst_margin:.3e} "
+           f"vs {EPS_RANK:g}, min fingerprint separation {min_sep:.3e}")
     assert all(r == 3 for r in ranks)
     assert worst_gap >= 1e6
+    # sv[3] is roundoff, so the gap above cannot fail for a reason tied
+    # to the rank; the margin over the rank threshold can
+    assert worst_margin > EPS_RANK
     assert min_sep > 1e-3
 
 

@@ -43,7 +43,7 @@ from pleatbend import (
     standard_word_list,
 )
 from pleatbend.errors import SingularMatrix, UnknownLetter
-from pleatbend.representation import (_common_fixed_point_tol,
+from pleatbend.representation import (EPS_RANK, _common_fixed_point_tol,
                                       _squared_trace_jacobian)
 from pleatbend.topology import BoundaryComponent, BoundaryInclusion, parse_word
 
@@ -395,6 +395,7 @@ class TestJacobianRank:
         rank, sv = jacobian_rank(rep, inclusion)
         assert rank == 3
         assert sv[2] / sv[3] > 1e6
+        assert sv[2] / sv[0] > EPS_RANK
 
     def test_reducible_rep_refused(self):
         _, inclusion = bundled_rank_inputs()

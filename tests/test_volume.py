@@ -3,6 +3,7 @@
 import cmath
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,7 +41,10 @@ from pleatbend import (
 )
 from pleatbend import pleated, representation
 from pleatbend.pleated import AdaptedSample
-from pleatbend.volume import orientation_start_endpoints
+from pleatbend.volume import (_node_derivatives, _per_step_integrals,
+                              orientation_start_endpoints)
+
+from _seed_kernel import loop_node_derivatives, polyfit_per_step_integrals
 
 REGULAR_TETRA_VOLUME = 1.0149416064096535
 
@@ -136,6 +140,12 @@ def central_difference_derivative(path, t, zeta, conv):
                     f"angle of {key!r} moved {d:.3f} in one step")
         total += getattr(here, f"{kind}_lengths")[key] * (fwd + back) / dt
     return 0.5 * total
+
+
+def random_grid(rng, n):
+    """n increasing nodes whose spacings differ by up to a factor 10."""
+    return rng.uniform(-1, 1) + np.cumsum(
+        np.r_[0.0, rng.uniform(0.1, 1.0, n - 1)])
 
 
 def same_float(a, b):
@@ -374,6 +384,19 @@ class TestIntegrate:
         result = integrate_volume_change(path, EndpointChoice.uniform(), conv)
         assert math.isnan(result.error_estimate)
 
+    def test_error_estimate_nan_when_subsample_fails_to_unwrap(self, pd,
+                                                               conv):
+        # fine steps of pi/2 unwrap; the coarse step of pi does not
+        path = bend_path(pd, theta_final=2 * math.pi, steps=4)
+        result = integrate_volume_change(path, EndpointChoice.uniform(), conv)
+        assert result.delta_v == pytest.approx(2 * math.pi, rel=1e-9)
+        assert math.isnan(result.error_estimate)
+        rows = vol_gamma(path, conv).results
+        assert len(rows) == 8
+        for r in rows:
+            assert math.isfinite(r.delta_v)
+            assert math.isnan(r.error_estimate)
+
     def test_additivity_at_even_splits(self, pd, conv):
         choice = EndpointChoice.uniform()
         whole = integrate_volume_change(
@@ -389,6 +412,59 @@ class TestIntegrate:
                     steps=16, t0=t0, t1=t1), choice, conv))
         assert sum(p.delta_v for p in pieces) == pytest.approx(
             whole.delta_v, abs=5e-10)
+
+
+GRID_SIZES = [3, 4, 5, 16, 17]
+
+
+class TestQuadrature:
+    """The closed-form weights of _per_step_integrals and the node
+    derivatives, on non-uniform grids of odd and even interval count."""
+
+    @pytest.mark.parametrize("n", GRID_SIZES)
+    def test_quadratics_integrate_exactly(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            ts = random_grid(rng, n)
+            c = rng.uniform(-1, 1, 3)
+            got = _per_step_integrals(ts, c[0] + c[1] * ts + c[2] * ts ** 2)
+            assert got.shape == (n - 1,)
+
+            def anti(t):
+                t = Fraction(float(t))
+                return (Fraction(c[0]) * t + Fraction(c[1]) * t ** 2 / 2
+                        + Fraction(c[2]) * t ** 3 / 3)
+
+            for k, (a, b) in enumerate(zip(ts[:-1], ts[1:])):
+                exact = float(anti(b) - anti(a))
+                # relative to the length times a bound on |f| over [a, b]
+                m = max(abs(a), abs(b))
+                scale = (b - a) * (abs(c[0]) + abs(c[1]) * m + abs(c[2]) * m * m)
+                assert abs(got[k] - exact) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n", GRID_SIZES)
+    def test_matches_polyfit(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(50):
+            ts = random_grid(rng, n)
+            fs = np.sin(3 * ts) + rng.uniform(-1, 1)
+            got = _per_step_integrals(ts, fs)
+            want = np.array(polyfit_per_step_integrals(ts, fs))
+            bound = 1e-13 * np.diff(ts) * np.abs(fs).max()
+            assert np.all(np.abs(got - want) <= bound)
+            rows = _per_step_integrals(ts, np.stack([fs, 2 * fs]))
+            assert rows[0].tolist() == got.tolist()
+
+    @pytest.mark.parametrize("n", GRID_SIZES)
+    def test_node_derivatives_equal_loop(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(50):
+            ts = random_grid(rng, n)
+            ys = rng.standard_normal((3, n))
+            got = _node_derivatives(ts, ys)
+            for row, y in zip(got, ys):
+                assert row.tolist() == loop_node_derivatives(ts, y).tolist()
+            assert _node_derivatives(ts, ys[0]).tolist() == got[0].tolist()
 
 
 class TestVolGamma:
