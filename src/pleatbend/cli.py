@@ -21,16 +21,16 @@ import argparse
 import json
 import sys
 
-from .errors import PleatbendError
+from .errors import EndpointsMismatch, PleatbendError
 from .moebius import classify, complex_length, fixed_points, trace_squared
 from .pleated import (EndpointChoice, TruncationConvention, bending_data,
                       realize)
-from .representation import (conjugacy_residual, evaluate_word, fingerprint,
+from .representation import (conjugacy_residual, evaluate_word,
                              jacobian_rank, load_path, load_rep,
-                             peripheral_fingerprint, standard_word_list)
+                             peripheral_fingerprint)
 from .topology import load_document
-from .volume import (EPS_LOOP, angle_series, integrate_volume_change,
-                     loop_defect, vol_gamma, vol_gamma_change)
+from .volume import (angle_series, integrate_volume_change, loop_defect,
+                     vol_gamma)
 
 LOOP_TOL = 1e-6
 
@@ -180,23 +180,18 @@ def _load_pathfile(args: argparse.Namespace):
     return pd, path
 
 
-def _loop_check(path) -> tuple[bool, float]:
-    words = standard_word_list(path.reps[0].generators)
-    d = fingerprint(path.reps[0], words).distance(
-        fingerprint(path.reps[-1], words))
-    return d <= EPS_LOOP, d
-
-
 def cmd_volume_path(args: argparse.Namespace) -> int:
     pd, path = _load_pathfile(args)
     conv = TruncationConvention.uniform(pd, args.horoball)
     zeta = EndpointChoice.uniform(args.endpoints)
     result = integrate_volume_change(path, zeta, conv, steps=args.steps,
                                      eps_class=args.tolerance)
-    is_loop, _ = _loop_check(path)
-    loop_line = None
-    if is_loop:
-        defect = vol_gamma_change(path, conv, eps_class=args.tolerance)
+    try:
+        defect = loop_defect(path, conv, eps_class=args.tolerance).defect
+    except EndpointsMismatch:
+        # an open path: no loop line
+        loop_line = None
+    else:
         verdict = "PASS" if abs(defect) < LOOP_TOL else "FAIL"
         loop_line = f"loop defect {verdict}: {_num(defect)}"
     if args.format == "json":
@@ -219,9 +214,6 @@ def cmd_volume_path(args: argparse.Namespace) -> int:
         if loop_line is not None:
             lines.append(loop_line)
         _emit(args, "\n".join(lines) + "\n")
-    elif args.format == "svg":
-        _emit(args, _svg_plot(result.ts, {"dV": result.cumulative},
-                             "t", "cumulative dV"))
     else:
         lines = [f"delta_v: {_num(result.delta_v)}",
                  f"error_estimate: {_num(result.error_estimate)}",
@@ -460,11 +452,11 @@ _COMMANDS = {
              ("text", "json", "csv")),
     "volume-path": (cmd_volume_path,
                     ("pd", "tolerance", "endpoints", "horoball", "steps"),
-                    ("text", "json", "csv", "svg")),
+                    ("text", "json", "csv")),
     "vol-gamma": (cmd_vol_gamma, ("pd", "tolerance", "horoball", "steps"),
                   ("text", "json", "csv")),
     "loop-defect": (cmd_loop_defect, ("pd", "tolerance", "horoball"),
-                    ("text", "json", "csv")),
+                    ("text", "json")),
     "peripheral": (cmd_peripheral, ("inclusion",), ("text", "json", "csv")),
     "rank": (cmd_rank, ("inclusion",), ("text", "json")),
     "plot": (cmd_plot, ("pd", "tolerance", "endpoints", "horoball", "steps",

@@ -31,40 +31,34 @@ from .moebius import (EPS_CLASS, IsometryClass, MoebiusMap, ProjectivePoint,
                       fixed_points, normalizing_map, reduce_angle,
                       trace_squared)
 from .representation import Representation, evaluate_word
-from .topology import PantsDecomposition, SpiralLeaf, TransverseArc, \
+from .topology import PantsDecomposition, TransverseArc, \
     CuffCrossing, LeafCrossing, invert_word
 
 EPS_SEP = 1e-9
 
-_LABELS = ("attracting", "repelling", "elliptic_0", "elliptic_1")
+_LABELS = ("attracting", "repelling")
 
 
 @dataclass(frozen=True)
 class EndpointChoice:
     """Which fixed point of each cuff the leaves spiral toward.
 
-    Per cuff either a label ("attracting", "repelling", "elliptic_0",
-    "elliptic_1") or an explicit point snapped to the nearer fixed
-    point.  Labels attracting/elliptic_0 select the first point
-    reported by fixed_points, repelling/elliptic_1 the second; for
-    loxodromic cuffs the first is the attracting one.
+    A cuff listed in points takes the fixed point nearer to the given
+    point; every other cuff takes the default label: "attracting"
+    selects the first point reported by fixed_points, "repelling" the
+    second; for loxodromic cuffs the first is the attracting one.
     """
 
-    labels: dict = field(default_factory=dict)
     points: dict = field(default_factory=dict)
     default: str = "attracting"
 
+    def __post_init__(self):
+        if self.default not in _LABELS:
+            raise PleatbendError(f"unknown endpoint label {self.default!r}")
+
     @classmethod
     def uniform(cls, label: str = "attracting") -> "EndpointChoice":
-        if label not in _LABELS:
-            raise PleatbendError(f"unknown endpoint label {label!r}")
         return cls(default=label)
-
-    def label_for(self, cuff_id: str) -> str:
-        lab = self.labels.get(cuff_id, self.default)
-        if lab not in _LABELS:
-            raise PleatbendError(f"unknown endpoint label {lab!r} for {cuff_id!r}")
-        return lab
 
 
 class WordImages(dict):
@@ -109,8 +103,7 @@ def resolve_endpoints(rep: Representation | WordImages,
             pair = (first, second) if chordal(p, first) <= chordal(p, second) \
                 else (second, first)
         else:
-            lab = choice.label_for(cuff.id)
-            pair = (first, second) if lab in ("attracting", "elliptic_0") \
+            pair = (first, second) if choice.default == "attracting" \
                 else (second, first)
         out[cuff.id] = pair
     return out
@@ -308,13 +301,6 @@ class PleatedRealization:
         return up, down
 
 
-def _as_leaf_key(leaf) -> tuple[int, int]:
-    if isinstance(leaf, SpiralLeaf):
-        return leaf.pants, leaf.index
-    p, i = leaf
-    return int(p), int(i)
-
-
 def realize(rep: Representation, pd: PantsDecomposition,
             endpoints: EndpointChoice | dict | None = None,
             eps_class: float = EPS_CLASS) -> PleatedRealization:
@@ -348,7 +334,7 @@ def leaf_bending(real: PleatedRealization, leaf) -> float:
     is read off the cross-ratio position of the far vertices: 0 when
     the plaques form one flat ideal quadrilateral.
     """
-    p, i = _as_leaf_key(leaf)
+    p, i = leaf
     e1, e2 = real.leaf_endpoints(p, i)
     up, down = real.leaf_opposites(p, i)
     crv = cross_ratio(e1, e2, up, down)
@@ -477,7 +463,7 @@ def truncated_geodesic_length(a: ProjectivePoint, b: ProjectivePoint,
 def truncated_length(real: PleatedRealization, leaf,
                      conv: TruncationConvention) -> float:
     """Length of a spiral leaf between the horoballs at its two ends."""
-    p, i = _as_leaf_key(leaf)
+    p, i = leaf
     witnesses = []
     points = []
     for slot in (i, (i + 1) % 3):

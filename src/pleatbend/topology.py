@@ -8,10 +8,11 @@ word carried by slot k of pants p is
 
     conjugator * cuff_word^sign * conjugator^-1 .
 
-Orienting every cuff turns the decomposition into the finite lamination
-used throughout the package: the cuffs themselves, three spiraling
-leaves per pants (one between each pair of slots) and two ideal
-triangles per pants.
+The bending locus of a pleated surface over the decomposition is a
+finite lamination: the cuffs themselves and three spiral leaves per
+pants, one between each pair of slots.  build_lamination lists those
+leaves in the order the volume pipeline sums their Schlafli terms,
+each with the cuffs whose endpoints its term reads.
 
 Words are strings over tokens letter+digits ("a1", "b2", "x"); a token
 whose first character is upper case is the inverse of the corresponding
@@ -24,7 +25,7 @@ import functools
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidDecomposition, UnknownLetter
 
@@ -229,74 +230,36 @@ def enumerate_orientations(pd: PantsDecomposition) -> list[OrientationAssignment
 
 
 @dataclass(frozen=True)
-class SpiralEnd:
-    cuff: str
-    pants: int
-    slot: int
-    forward: bool    # spiral direction = the cuff's orientation bit
-
-
-@dataclass(frozen=True)
-class SpiralLeaf:
-    """Leaf between slots i and i+1 (mod 3) of one pants."""
-
-    pants: int
-    index: int                      # i in 0..2
-    ends: tuple[SpiralEnd, SpiralEnd]
-
-    @property
-    def slots(self) -> tuple[int, int]:
-        return self.index, (self.index + 1) % 3
-
-
-@dataclass(frozen=True)
-class IdealTriangle:
-    pants: int
-    upper: bool
-    sides: tuple[tuple[int, int], ...]   # (pants, leaf index) keys
+class Leaf:
+    key: object                     # cuff id or (pants, leaf index)
+    support: tuple[int, ...]        # indices of the cuffs its term reads
 
 
 @dataclass(frozen=True)
 class Lamination:
-    pd: PantsDecomposition
-    orientation: OrientationAssignment
-    cuff_leaves: tuple[str, ...]
-    spiral_leaves: tuple[SpiralLeaf, ...]
-    triangles: tuple[IdealTriangle, ...]
+    leaves: tuple[Leaf, ...]
+    pants_cuffs: tuple[tuple[int, ...], ...]   # distinct cuffs of each pants
 
 
-def build_lamination(pd: PantsDecomposition,
-                     ori: OrientationAssignment | None = None) -> Lamination:
-    """The finite lamination induced by an oriented decomposition.
+def build_lamination(pd: PantsDecomposition) -> Lamination:
+    """The leaves of the bending locus, cuffs first, then the spiral
+    leaves pants by pants.
 
-    Counts: 3g-3 cuff leaves, three spiral leaves per pants, two ideal
-    triangles per pants.  Each spiral-leaf end records the orientation
-    bit of the cuff it accumulates into.  Omitting the orientation
-    takes every cuff forward.
+    Leaf (p, i) runs between slots i and i+1 (mod 3) of pants p.  A
+    spiral leaf's angle and truncated length read the cuffs of its
+    pants; a cuff's angle reads the cuffs of both pants next to it (the
+    cuff itself among them); a cuff's length reads no endpoint.
     """
-    if ori is None:
-        ori = OrientationAssignment.all_forward(pd)
-    if len(ori.forward) != len(pd.cuffs):
-        raise InvalidDecomposition(
-            f"orientation has {len(ori.forward)} bits for {len(pd.cuffs)} cuffs")
-    bit = {c.id: ori.forward[i] for i, c in enumerate(pd.cuffs)}
-    spiral = []
-    triangles = []
-    for p, pants in enumerate(pd.pants):
-        for i in range(3):
-            ends = []
-            for slot in (i, (i + 1) % 3):
-                cuff = pants.cuff_ends[slot].cuff
-                ends.append(SpiralEnd(cuff=cuff, pants=p, slot=slot,
-                                      forward=bit[cuff]))
-            spiral.append(SpiralLeaf(pants=p, index=i, ends=tuple(ends)))
-        sides = tuple((p, i) for i in range(3))
-        triangles.append(IdealTriangle(pants=p, upper=True, sides=sides))
-        triangles.append(IdealTriangle(pants=p, upper=False, sides=sides))
-    return Lamination(pd=pd, orientation=ori,
-                      cuff_leaves=tuple(c.id for c in pd.cuffs),
-                      spiral_leaves=tuple(spiral),
-                      triangles=tuple(triangles))
+    index = {c.id: j for j, c in enumerate(pd.cuffs)}
+    around = tuple(tuple(sorted({index[e.cuff] for e in pants.cuff_ends}))
+                   for pants in pd.pants)
+    leaves = []
+    for c in pd.cuffs:
+        (pp, _), (pm, _) = pd.signed_ends_of(c.id)
+        leaves.append(Leaf(c.id, tuple(sorted({*around[pp], *around[pm]}))))
+    for p, cuffs in enumerate(around):
+        leaves += [Leaf((p, i), cuffs) for i in range(3)]
+    return Lamination(leaves=tuple(leaves), pants_cuffs=around)
 
 
 @dataclass(frozen=True)

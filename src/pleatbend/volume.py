@@ -33,7 +33,8 @@ from .pleated import (AdaptedSample, EndpointChoice, PleatedRealization,
                       schlafli_term, track_endpoints)
 from .representation import (RepresentationPath, fingerprint,
                              standard_word_list)
-from .topology import OrientationAssignment, enumerate_orientations
+from .topology import (Lamination, OrientationAssignment, build_lamination,
+                       enumerate_orientations)
 
 EPS_LOOP = 1e-8   # fingerprint distance below which a path counts as closed
 
@@ -101,40 +102,10 @@ def ideal_tetra_volume(z: complex, eps: float = 1e-12) -> float:
 # integrate_volume_change tracks one, from the selection it is given;
 # vol_gamma tracks two, from the attracting and from the repelling fixed
 # point of every cuff at the path start.  An orientation takes one chain
-# per cuff.  Each Schlafli term reads the endpoints of only a few cuffs,
-# its support, so the pipeline evaluates every term once per pattern of
-# chains on its support, and each orientation's integrand is assembled
-# from those values.
-
-
-@dataclass(frozen=True)
-class _Term:
-    key: object                     # cuff id or (pants, leaf index)
-    support: tuple[int, ...]        # indices of the cuffs it reads
-
-
-def _pants_cuffs(pd) -> list[tuple[int, ...]]:
-    """Indices of the distinct cuffs of every pants."""
-    index = {c.id: j for j, c in enumerate(pd.cuffs)}
-    return [tuple(sorted({index[e.cuff] for e in pants.cuff_ends}))
-            for pants in pd.pants]
-
-
-def _terms(pd) -> list[_Term]:
-    """The Schlafli terms, cuffs first, then leaves pants by pants.
-
-    A leaf's angle and truncated length read the cuffs of its pants; a
-    cuff's angle reads the cuffs of both pants next to it (the cuff
-    itself among them); a cuff's length reads no endpoint.
-    """
-    around = _pants_cuffs(pd)
-    terms = []
-    for c in pd.cuffs:
-        (pp, _), (pm, _) = pd.signed_ends_of(c.id)
-        terms.append(_Term(c.id, tuple(sorted({*around[pp], *around[pm]}))))
-    for p in range(len(pd.pants)):
-        terms += [_Term((p, i), around[p]) for i in range(3)]
-    return terms
+# per cuff.  Each Schlafli term, one per leaf of build_lamination, reads
+# the endpoints of only a few cuffs, its support, so the pipeline
+# evaluates every term once per pattern of chains on its support, and
+# each orientation's integrand is assembled from those values.
 
 
 def _surface(path: RepresentationPath):
@@ -157,11 +128,12 @@ def _sample_indices(path: RepresentationPath, steps: int | None) -> list[int]:
     return indices
 
 
-def _term_series(path: RepresentationPath, indices, starts,
+def _term_series(path: RepresentationPath, lam: Lamination, indices, starts,
                  conv: TruncationConvention, eps_class: float,
                  first: WordImages | None = None
                  ) -> tuple[dict, PleatbendError | None]:
-    """Angle and length of every term at every sample, per chain pattern.
+    """Angle and length of every leaf of lam at every sample, per chain
+    pattern.
 
     starts holds the start selection of each chain as a dict, tracked
     to the first sample; chain 0 may instead start from an
@@ -171,17 +143,15 @@ def _term_series(path: RepresentationPath, indices, starts,
     adaptedness once, at eps_class, each word is evaluated once per
     sample, and every pants is placed (with the plaque check) once for
     every pattern of chains on its cuffs.
-    Returns ({(term key, pattern): (angles, lengths)}, deferred),
-    where pattern gives the chain of each cuff in the term's support.
+    Returns ({(leaf key, pattern): (angles, lengths)}, deferred),
+    where pattern gives the chain of each cuff in the leaf's support.
 
     On every sample the orientation that takes chain 0 everywhere is
     realized first, as integrating it alone would, and its failures
     raise at once.  The first failure of any other pattern is returned
     as deferred instead, and from then on only chain 0 is carried.
     """
-    pd = _surface(path)
-    terms = _terms(pd)
-    around = _pants_cuffs(pd)
+    pd = path.pd
     ids = [c.id for c in pd.cuffs]
     series: dict = {}
     deferred = None
@@ -196,14 +166,13 @@ def _term_series(path: RepresentationPath, indices, starts,
             zetas[0] = track_endpoints(images, pd, zetas[0], eps_class)
         sample = AdaptedSample(images, pd, eps_class)
         placed = {}
-        values = _pattern_values(sample, terms, around, ids, zetas[:1], conv,
-                                 placed)
+        values = _pattern_values(sample, lam, ids, zetas[:1], conv, placed)
         if len(zetas) > 1:
             try:
                 zetas[1:] = [track_endpoints(images, pd, z, eps_class)
                              for z in zetas[1:]]
-                values.update(_pattern_values(sample, terms, around, ids,
-                                              zetas, conv, placed))
+                values.update(_pattern_values(sample, lam, ids, zetas, conv,
+                                              placed))
             except PleatbendError as exc:
                 deferred = exc
                 zetas = zetas[:1]
@@ -216,10 +185,10 @@ def _term_series(path: RepresentationPath, indices, starts,
     return series, deferred
 
 
-def _pattern_values(sample: AdaptedSample, terms, around, ids, zetas,
+def _pattern_values(sample: AdaptedSample, lam: Lamination, ids, zetas,
                     conv: TruncationConvention, placed: dict) -> dict:
-    """(angle, length) of every term at one sample, on the patterns that
-    take the last of the given chains somewhere.
+    """(angle, length) of every leaf of lam at one sample, on the
+    patterns that take the last of the given chains somewhere.
 
     With one chain that is the one pattern taking chain 0 everywhere;
     with two, every pattern that takes chain 1 on some cuff.  placed
@@ -229,7 +198,7 @@ def _pattern_values(sample: AdaptedSample, terms, around, ids, zetas,
     """
     chains = range(len(zetas))
     last = len(zetas) - 1
-    for p, cuffs in enumerate(around):
+    for p, cuffs in enumerate(lam.pants_cuffs):
         for pattern in itertools.product(chains, repeat=len(cuffs)):
             if (p, pattern) in placed:
                 continue
@@ -239,12 +208,12 @@ def _pattern_values(sample: AdaptedSample, terms, around, ids, zetas,
     # off the support; the term's value does not read those cuffs
     realizations = {}
     values = {}
-    for term in terms:
-        for pattern in itertools.product(chains, repeat=len(term.support)):
+    for leaf in lam.leaves:
+        for pattern in itertools.product(chains, repeat=len(leaf.support)):
             if max(pattern, default=0) != last:
                 continue
             ori = [0] * len(ids)
-            for j, b in zip(term.support, pattern):
+            for j, b in zip(leaf.support, pattern):
                 ori[j] = b
             ori = tuple(ori)
             real = realizations.get(ori)
@@ -253,8 +222,8 @@ def _pattern_values(sample: AdaptedSample, terms, around, ids, zetas,
                     sample=sample,
                     zeta={c: zetas[b][c] for c, b in zip(ids, ori)},
                     xi=tuple(placed[p, tuple(ori[j] for j in cuffs)]
-                             for p, cuffs in enumerate(around)))
-            values[term.key, pattern] = schlafli_term(real, term.key, conv)
+                             for p, cuffs in enumerate(lam.pants_cuffs)))
+            values[leaf.key, pattern] = schlafli_term(real, leaf.key, conv)
     return values
 
 
@@ -268,7 +237,8 @@ def angle_series(path: RepresentationPath, zeta: EndpointChoice | dict,
     the classification tolerance of tracking and of the adaptedness
     check.
     """
-    series, _ = _term_series(path, list(range(len(path))), [zeta], conv,
+    lam = build_lamination(_surface(path))
+    series, _ = _term_series(path, lam, list(range(len(path))), [zeta], conv,
                              eps_class)
     return {key: angles for (key, _), (angles, _) in series.items()}
 
@@ -294,9 +264,10 @@ def schlafli_derivative(path: RepresentationPath, t: float,
     else:
         zeta = track_endpoints(path.reps[k], pd, zeta)
     indices = [k - 1, k, k + 1]
-    series, _ = _term_series(path, indices, [zeta], conv, EPS_CLASS)
+    lam = build_lamination(pd)
+    series, _ = _term_series(path, lam, indices, [zeta], conv, EPS_CLASS)
     ts = np.array([path.ts[i] for i in indices])
-    table = _orientation_table(_terms(pd), series, [(0,) * len(pd.cuffs)])
+    table = _orientation_table(lam, series, [(0,) * len(pd.cuffs)])
     velocities, failures = _velocities(ts, series)
     _raise_first_failure(table, failures)
     return float(_integrand(table, velocities)[0, 1])
@@ -416,11 +387,12 @@ def _velocities(ts: np.ndarray, series: dict) -> tuple[np.ndarray, list]:
     return lengths * _node_derivatives(ts, thetas), failures
 
 
-def _orientation_table(terms, series: dict, orientations) -> np.ndarray:
-    """Row of series read by every (orientation, term), terms in order."""
+def _orientation_table(lam: Lamination, series: dict,
+                       orientations) -> np.ndarray:
+    """Row of series read by every (orientation, leaf), leaves in order."""
     index = {key: r for r, key in enumerate(series)}
-    return np.array([[index[term.key, tuple(ori[j] for j in term.support)]
-                      for term in terms] for ori in orientations],
+    return np.array([[index[leaf.key, tuple(ori[j] for j in leaf.support)]
+                      for leaf in lam.leaves] for ori in orientations],
                     dtype=np.intp)
 
 
@@ -456,13 +428,14 @@ def _integrate(path: RepresentationPath, indices, starts, orientations,
     orientations[0] takes chain 0 on every cuff; first is passed on to
     _term_series.
     """
-    series, deferred = _term_series(path, indices, starts, conv, eps_class,
-                                    first)
+    lam = build_lamination(_surface(path))
+    series, deferred = _term_series(path, lam, indices, starts, conv,
+                                    eps_class, first)
     if deferred is not None:
         # orientation by orientation, the first is integrated, or
         # raises its own failure, before the deferred one is met
         orientations = orientations[:1]
-    table = _orientation_table(_terms(path.pd), series, orientations)
+    table = _orientation_table(lam, series, orientations)
     ts = np.array([path.ts[i] for i in indices])
     fine, failures = _velocities(ts, series)
     _raise_first_failure(table, failures)

@@ -157,16 +157,6 @@ class TestVolumePath:
         assert code == 0
         assert "loop defect PASS" in out
 
-    def test_svg_output(self, demo, capsys, tmp_path):
-        target = tmp_path / "plot.svg"
-        code, _, _ = run(capsys, "volume-path",
-                         "--input", str(demo / "pure_bend.json"),
-                         "--pd", str(demo / "surface.json"),
-                         "--format", "svg", "--output", str(target))
-        assert code == 0
-        root = ET.parse(target).getroot()
-        assert root.tag.endswith("svg")
-
 
 class TestVolGamma:
     def test_orientation_labels_and_total(self, demo, capsys):
@@ -186,10 +176,12 @@ class TestGoldenOutput:
     orientation-by-orientation loop they replaced; tests/data holds
     that loop's output on the demo inputs."""
 
-    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-    @pytest.mark.parametrize("command,source", [
-        ("vol-gamma", "pure_bend.json"),
-        ("loop-defect", "twist_loop.json"),
+    @pytest.mark.parametrize("command,source,fmt", [
+        ("vol-gamma", "pure_bend.json", "text"),
+        ("vol-gamma", "pure_bend.json", "json"),
+        ("vol-gamma", "pure_bend.json", "csv"),
+        ("loop-defect", "twist_loop.json", "text"),
+        ("loop-defect", "twist_loop.json", "json"),
     ])
     def test_bytes(self, demo, capsys, command, source, fmt):
         code, out, _ = run(capsys, command, "--input", str(demo / source),
@@ -268,6 +260,16 @@ class TestPeripheralAndRank:
 
 
 class TestPlot:
+    def test_volume_plot(self, demo, capsys, tmp_path):
+        target = tmp_path / "plot.svg"
+        code, _, _ = run(capsys, "plot",
+                         "--input", str(demo / "pure_bend.json"),
+                         "--pd", str(demo / "surface.json"),
+                         "--output", str(target))
+        assert code == 0
+        root = ET.parse(target).getroot()
+        assert root.tag.endswith("svg")
+
     def test_angle_plot(self, demo, capsys, tmp_path):
         target = tmp_path / "angles.svg"
         code, _, _ = run(capsys, "plot",
@@ -325,10 +327,10 @@ OPTIONS = {
     "bend": ({"pd", "tolerance", "endpoints", "horoball"},
              ("text", "json", "csv")),
     "volume-path": ({"pd", "tolerance", "endpoints", "horoball", "steps"},
-                    ("text", "json", "csv", "svg")),
+                    ("text", "json", "csv")),
     "vol-gamma": ({"pd", "tolerance", "horoball", "steps"},
                   ("text", "json", "csv")),
-    "loop-defect": ({"pd", "tolerance", "horoball"}, ("text", "json", "csv")),
+    "loop-defect": ({"pd", "tolerance", "horoball"}, ("text", "json")),
     "peripheral": ({"inclusion"}, ("text", "json", "csv")),
     "rank": ({"inclusion"}, ("text", "json")),
     "plot": ({"pd", "tolerance", "endpoints", "horoball", "steps",

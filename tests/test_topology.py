@@ -105,28 +105,22 @@ class TestOrientations:
 
 class TestLamination:
     def test_counts(self):
-        pd = standard_decomposition(2)
-        lam = build_lamination(pd)
-        assert len(lam.spiral_leaves) == 3 * len(pd.pants)
-        assert len(lam.triangles) == 2 * len(pd.pants)
-
-    def test_triangle_side_incidence(self):
-        # every triangle side is a spiral leaf and every spiral leaf
-        # borders exactly two triangle sides
-        pd = standard_decomposition(2)
-        lam = build_lamination(pd)
-        assert 3 * len(lam.triangles) == 2 * len(lam.spiral_leaves)
-
-    def test_orientation_injective(self):
-        pd = standard_decomposition(2)
-        seen = set()
-        for ori in enumerate_orientations(pd):
-            lam = build_lamination(pd, ori)
-            key = tuple(end.forward for leaf in lam.spiral_leaves
-                        for end in leaf.ends)
-            assert key not in seen
-            seen.add(key)
-        assert len(seen) == 8
+        for g in range(2, 6):
+            pd = standard_decomposition(g)
+            cuffs = [c.id for c in pd.cuffs]
+            around = [sorted({cuffs.index(e.cuff) for e in pants.cuff_ends})
+                      for pants in pd.pants]
+            lam = build_lamination(pd)
+            assert [list(c) for c in lam.pants_cuffs] == around
+            keys = [leaf.key for leaf in lam.leaves]
+            assert keys == cuffs + [(p, i) for p in range(2 * g - 2)
+                                    for i in range(3)]
+            assert len(cuffs) == 3 * g - 3
+            for j, leaf in enumerate(lam.leaves[:3 * g - 3]):
+                both = {c for p, _ in pd.ends_of(cuffs[j]) for c in around[p]}
+                assert list(leaf.support) == sorted(both)
+            for leaf in lam.leaves[3 * g - 3:]:
+                assert list(leaf.support) == around[leaf.key[0]]
 
 
 class TestArcs:

@@ -39,7 +39,7 @@ from pleatbend import (
     vol_gamma,
     vol_gamma_change,
 )
-from pleatbend import pleated, representation
+from pleatbend import pleated, representation, topology
 from pleatbend.pleated import AdaptedSample
 from pleatbend.volume import (_node_derivatives, _per_step_integrals,
                               orientation_start_endpoints)
@@ -639,3 +639,22 @@ class TestSampleWork:
         assert len({rep for rep, _ in calls}) == len(path)
         assert len(calls) == len(set(calls))
         assert_identical(got, want.results)
+
+    def test_lamination_built_once_per_call(self, pd, conv, monkeypatch):
+        calls = []
+        build = topology.build_lamination
+
+        def counting(surface):
+            calls.append(surface)
+            return build(surface)
+
+        # every module that holds build_lamination under its own name
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "pleatbend"
+                    and getattr(module, "build_lamination", None) is build):
+                monkeypatch.setattr(module, "build_lamination", counting)
+        path = bend_path(pd, steps=4)
+        integrate_volume_change(path, EndpointChoice.uniform(), conv)
+        assert calls == [pd]
+        vol_gamma(path, conv)
+        assert calls == [pd, pd]
