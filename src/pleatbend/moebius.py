@@ -30,6 +30,8 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from .errors import (
     DegenerateConfiguration,
     DegenerateLength,
@@ -105,11 +107,14 @@ class MoebiusMap:
     same transformation; use distance_to / is_identity for comparisons.
 
     A ``__slots__`` class: the entries a, b, c, d are set once, by the
-    constructor (or by _from_unimodular), and nothing assigns them
-    afterwards.  Equality and hashing are by identity.  Every
+    constructor (or by _from_unimodular or _raw), and nothing assigns
+    them afterwards.  Equality and hashing are by identity.  Every
     normalizing construction goes through __post_init__, which rescales
     the entries in place; instrumentation may wrap it to count
-    constructions.
+    constructions.  Maps built from the array kernel's entries
+    (MoebiusArray, wrapped with _raw by pleated.sample_images) skip
+    __post_init__: the kernel has already normalized them, so such
+    counts leave them out.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -163,11 +168,17 @@ class MoebiusMap:
         """
         if abs(a * d) + abs(b * c) <= RESCALE_LIMIT:
             return cls(a, b, c, d)
+        return cls._raw(complex(a), complex(b), complex(c), complex(d))
+
+    @classmethod
+    def _raw(cls, a: complex, b: complex, c: complex,
+             d: complex) -> "MoebiusMap":
+        """Wrap entries as they are, without __post_init__."""
         m = object.__new__(cls)
-        m.a = complex(a)
-        m.b = complex(b)
-        m.c = complex(c)
-        m.d = complex(d)
+        m.a = a
+        m.b = b
+        m.c = c
+        m.d = d
         return m
 
     def __matmul__(self, other: "MoebiusMap") -> "MoebiusMap":
@@ -220,6 +231,120 @@ class MoebiusMap:
 
 
 _IDENTITY = MoebiusMap(1.0, 0.0, 0.0, 1.0)
+
+
+class MoebiusArray:
+    """n Moebius maps at once, one per sample, on float64 arrays.
+
+    re and im hold the real and imaginary parts of the entries, shape
+    (2, 2, n) as [[a, b], [c, d]].  Products and inverses repeat
+    MoebiusMap's arithmetic operation by operation, in CPython's order
+    of rounding: its complex product, its complex quotient (scaled by
+    the larger part of the divisor), cmath.sqrt, and abs as the C
+    library's hypot, which np.hypot also calls.  So at every sample
+    marked in ok the entries equal those of the scalar MoebiusMap
+    computation bit for bit.  ok is False at a sample once any step
+    there would raise in the scalar arithmetic (a determinant below
+    1e-100, abs overflowing) or gives a value that is not finite; its
+    entries there mean nothing, and callers redo that sample with
+    MoebiusMap.
+    """
+
+    __slots__ = ("re", "im", "ok")
+
+    def __init__(self, re: np.ndarray, im: np.ndarray, ok: np.ndarray):
+        self.re = re
+        self.im = im
+        self.ok = ok
+
+    @classmethod
+    def of(cls, maps) -> "MoebiusArray":
+        z = np.array([(m.a, m.b, m.c, m.d) for m in maps],
+                     dtype=complex).T.reshape(2, 2, -1)
+        return cls(z.real.copy(), z.imag.copy(),
+                   np.ones(z.shape[2], dtype=bool))
+
+    @classmethod
+    def identity(cls, n: int) -> "MoebiusArray":
+        re = np.zeros((2, 2, n))
+        re[0, 0] = re[1, 1] = 1.0
+        return cls(re, np.zeros((2, 2, n)), np.ones(n, dtype=bool))
+
+    def __matmul__(self, other: "MoebiusArray") -> "MoebiusArray":
+        # entry (i, k) is L[i, 0] R[0, k] + L[i, 1] R[1, k]
+        lr, li, rr, ri = self.re, self.im, other.re, other.im
+        re = im = None
+        with np.errstate(all="ignore"):
+            for j in (0, 1):
+                xr, xi = lr[:, j, None], li[:, j, None]
+                yr, yi = rr[None, j], ri[None, j]
+                pr = xr * yr - xi * yi
+                pi = xr * yi + xi * yr
+                re, im = (pr, pi) if re is None else (re + pr, im + pi)
+        return _unimodular(re, im, self.ok & other.ok)
+
+    def inverse(self) -> "MoebiusArray":
+        re, im = self.re, self.im
+        return _unimodular(
+            np.array([[re[1, 1], -re[0, 1]], [-re[1, 0], re[0, 0]]]),
+            np.array([[im[1, 1], -im[0, 1]], [-im[1, 0], im[0, 0]]]),
+            self.ok)
+
+    def trace_squared(self) -> tuple[np.ndarray, np.ndarray]:
+        """Real and imaginary parts of trace_squared at every sample.
+
+        (a + d) ** 2 is CPython's power by squaring: 1 * (t * t).
+        """
+        with np.errstate(all="ignore"):
+            tr = self.re[0, 0] + self.re[1, 1]
+            ti = self.im[0, 0] + self.im[1, 1]
+            pr = tr * tr - ti * ti
+            pi = tr * ti + ti * tr
+            return 1.0 * pr - 0.0 * pi, 1.0 * pi + 0.0 * pr
+
+    def entries(self) -> np.ndarray:
+        """The entries as complex, shape (n, 4): a, b, c, d per sample."""
+        z = np.empty((self.re.shape[2], 4), dtype=complex)
+        z.real = self.re.reshape(4, -1).T
+        z.imag = self.im.reshape(4, -1).T
+        return z
+
+
+def _unimodular(re: np.ndarray, im: np.ndarray,
+                ok: np.ndarray) -> MoebiusArray:
+    """MoebiusMap._from_unimodular at every sample."""
+    (ar, br), (cr, dr) = re
+    (ai, bi), (ci, di) = im
+    with np.errstate(all="ignore"):
+        adr, adi = ar * dr - ai * di, ar * di + ai * dr
+        bcr, bci = br * cr - bi * ci, br * ci + bi * cr
+        size = np.hypot(adr, adi) + np.hypot(bcr, bci)
+        rescale = size <= RESCALE_LIMIT
+        det_r, det_i = adr - bcr, adi - bci
+        # cmath.sqrt(det), for finite det with |det| >= 1e-100
+        x = np.abs(det_r) / 8.0
+        s = 2.0 * np.sqrt(x + np.hypot(x, np.abs(det_i) / 8.0))
+        t = np.abs(det_i) / (2.0 * s)
+        up = det_r >= 0.0
+        s_r = np.where(up, s, t)
+        s_i = np.copysign(np.where(up, t, s), det_i)
+        # entry / s: CPython divides through by the larger part of s,
+        # (re + im r) / (s_r + s_i r) with r = s_i / s_r, or else
+        # (re r + im) / (s_r r + s_i) with r = s_r / s_i; as
+        # (re p + im q) / den both share one form, as do the imaginary
+        # parts, (im p - re q) / den
+        by_real = np.abs(s_r) >= np.abs(s_i)
+        r_real, r_imag = s_i / s_r, s_r / s_i
+        p = np.where(by_real, 1.0, r_imag)
+        q = np.where(by_real, r_real, 1.0)
+        den = np.where(by_real, s_r + s_i * r_real, s_r * r_imag + s_i)
+        out_re = np.where(rescale, (re * p + im * q) / den, re)
+        out_im = np.where(rescale, (im * p - re * q) / den, im)
+        singular = rescale & (np.hypot(det_r, det_i) < 1e-100)
+    ok = (ok & np.isfinite(size) & ~singular
+          & np.isfinite(out_re).all(axis=(0, 1))
+          & np.isfinite(out_im).all(axis=(0, 1)))
+    return MoebiusArray(out_re, out_im, ok)
 
 
 class IsometryClass:
@@ -282,7 +407,11 @@ def fixed_points(m: MoebiusMap, eps_class: float = EPS_CLASS):
     (of the stored lift) has positive imaginary part.  That tie-break is
     deterministic but depends on the stored sign of the lift.
     """
-    kind = classify(m, eps_class)
+    return _fixed_points(m, classify(m, eps_class), eps_class)
+
+
+def _fixed_points(m: MoebiusMap, kind: str, eps_class: float):
+    """fixed_points of a map already classified as kind."""
     if kind == IsometryClass.IDENTITY:
         raise IdentityMap("identity has no isolated fixed points")
     tr = m.trace
@@ -322,7 +451,11 @@ def complex_length(m: MoebiusMap, eps_class: float = EPS_CLASS) -> complex:
     stored lift of the matrix.  Parabolic and identity inputs raise
     DegenerateLength.
     """
-    kind = classify(m, eps_class)
+    return _complex_length(m, classify(m, eps_class))
+
+
+def _complex_length(m: MoebiusMap, kind: str) -> complex:
+    """complex_length of a map already classified as kind."""
     if kind in (IsometryClass.IDENTITY, IsometryClass.PARABOLIC):
         raise DegenerateLength(f"complex length undefined for {kind} map")
     lam = 2.0 * cmath.acosh(m.trace / 2.0)

@@ -22,21 +22,25 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (DegenerateConfiguration, DegenerateTriangle, NotAdapted,
-                     PleatbendError)
-from .moebius import (EPS_CLASS, IsometryClass, MoebiusMap, ProjectivePoint,
-                      chordal, classify, complex_length, cross_ratio,
-                      fixed_points, normalizing_map, reduce_angle,
-                      trace_squared)
+                     PleatbendError, UnknownLetter)
+from .moebius import (EPS_CLASS, IsometryClass, MoebiusArray, MoebiusMap,
+                      ProjectivePoint, _complex_length, _fixed_points,
+                      chordal, classify, cross_ratio, normalizing_map,
+                      reduce_angle, trace_squared)
 from .representation import Representation, evaluate_word
-from .topology import PantsDecomposition, TransverseArc, \
-    CuffCrossing, LeafCrossing, invert_word
+from .topology import (CuffCrossing, LeafCrossing, PantsDecomposition,
+                       TransverseArc, _tokens, build_lamination, invert_word)
 
 EPS_SEP = 1e-9
 
 _LABELS = ("attracting", "repelling")
+_PAIRS = ((0, 1), (1, 2), (2, 0))    # slot pairs of check_adapted
 
 
 @dataclass(frozen=True)
@@ -65,20 +69,125 @@ class WordImages(dict):
     """Images of words under one representation, each evaluated once.
 
     A dict from word to MoebiusMap that evaluates a missing word on
-    first lookup.  The sample pipeline makes one per path sample and
-    hands it to track_endpoints, check_adapted and AdaptedSample in
-    place of the representation, so they share every word image.
+    first lookup.  The sample pipeline makes one per path sample
+    (sample_images fills those of a whole path at once) and hands it
+    to track_endpoints, check_adapted and AdaptedSample in place of the
+    representation, so they share every word image.  They share what
+    is read off the images as well: the kind and the fixed points of a
+    word, each found once per classification tolerance, and the slot
+    commutator traces that check_adapted reads, which sample_images
+    stores in commutators (a pants' three slot words -> the tr^2 of its
+    pairs (0, 1), (1, 2) and (2, 0)).
     """
 
-    __slots__ = ("rep",)
+    __slots__ = ("rep", "commutators", "_kinds", "_fixed")
 
     def __init__(self, rep: Representation):
         super().__init__()
         self.rep = rep
+        self.commutators = {}
+        self._kinds = {}
+        self._fixed = {}
 
     def __missing__(self, word: str) -> MoebiusMap:
         m = self[word] = evaluate_word(self.rep, word)
         return m
+
+    def kind(self, word: str, eps_class: float) -> str:
+        """classify of the image of word."""
+        kind = self._kinds.get((word, eps_class))
+        if kind is None:
+            kind = self._kinds[word, eps_class] = classify(self[word],
+                                                           eps_class)
+        return kind
+
+    def fixed_points(self, word: str, eps_class: float) -> tuple:
+        """fixed_points of the image of word."""
+        pts = self._fixed.get((word, eps_class))
+        if pts is None:
+            pts = self._fixed[word, eps_class] = _fixed_points(
+                self[word], self.kind(word, eps_class), eps_class)
+        return pts
+
+
+def sample_images(reps, pd: PantsDecomposition) -> Iterator[WordImages]:
+    """Yield one WordImages per representation, filled by one array pass.
+
+    Every word the sample pipeline reads (cuff words, slot words,
+    conjugators and the crossing words of cuff_bending) is evaluated at
+    all representations at once with MoebiusArray, folding each
+    distinct token prefix once, and so is the tr^2 of every slot
+    commutator that check_adapted reads.  Both equal the values of
+    evaluate_word and shared_endpoint_check bit for bit.  The pass runs
+    before the first WordImages is yielded; each is filled as it is
+    yielded, so a consumer that drops it keeps no sample's maps.  A
+    representation at which any value would raise or is not finite
+    gets an empty WordImages, which evaluates word by word and fails as
+    the scalar path always has; so does a word with a letter the
+    generators lack, and every representation of a list whose
+    generators differ.
+    """
+    reps = list(reps)
+    words, entries, rows, traces, ok = _array_pass(reps, pd)
+    raw = MoebiusMap._raw
+    for k, rep in enumerate(reps):
+        images = WordImages(rep)
+        if ok[k]:
+            images.update(zip(words, [raw(*e) for e in entries[k].tolist()]))
+            images.commutators = dict(zip(rows, map(tuple,
+                                                    traces[k].tolist())))
+        yield images
+
+
+def _array_pass(reps: list, pd: PantsDecomposition):
+    """The array pass of sample_images: (words, entries (n, words, 4),
+    slot rows, their commutator tr^2 (n, rows, 3), ok (n,)).  Apart
+    from the generator so that its prefix arrays are freed before the
+    first sample is yielded."""
+    n = len(reps)
+    none = ([], None, [], None, np.zeros(n, dtype=bool))
+    if not reps or any(rep.generators != reps[0].generators for rep in reps):
+        return none
+    letters = {}
+    # the last of a repeated generator wins, as in Representation.image_of
+    for g, i in {g: i for i, g in enumerate(reps[0].generators)}.items():
+        m = MoebiusArray.of([rep.images[i] for rep in reps])
+        letters[g, False] = m
+        letters[g, True] = m.inverse()
+    words = [c.word for c in pd.cuffs]
+    words += [w for row in pd.slot_words for w in row]
+    words += [e.conjugator for pants in pd.pants for e in pants.cuff_ends]
+    words += pd.crossing_words.values()
+    prefixes = {(): MoebiusArray.identity(n)}
+    filled = {}
+    for word in dict.fromkeys(words):
+        try:
+            tokens = _tokens(word)
+        except UnknownLetter:
+            continue
+        if any(tok not in letters for tok in tokens):
+            continue
+        for k in range(len(tokens)):
+            if tokens[:k + 1] not in prefixes:
+                prefixes[tokens[:k + 1]] = (prefixes[tokens[:k]]
+                                            @ letters[tokens[k]])
+        filled[word] = prefixes[tokens]
+    if not filled:
+        return none
+    ok = np.logical_and.reduce([m.ok for m in filled.values()])
+    rows = [row for row in dict.fromkeys(pd.slot_words)
+            if all(w in filled for w in row)]
+    traces = np.empty((n, len(rows), 3), dtype=complex)
+    for r, row in enumerate(rows):
+        maps = [filled[w] for w in row]
+        inverses = [m.inverse() for m in maps]
+        for c, (i, j) in enumerate(_PAIRS):
+            comm = maps[i] @ maps[j] @ inverses[i] @ inverses[j]
+            cell = traces[:, r, c]
+            cell.real, cell.imag = comm.trace_squared()
+            ok &= comm.ok & np.isfinite(cell)
+    entries = np.stack([m.entries() for m in filled.values()], axis=1)
+    return list(filled), entries, rows, traces, ok
 
 
 def _word_images(rep: Representation | WordImages) -> WordImages:
@@ -93,11 +202,10 @@ def resolve_endpoints(rep: Representation | WordImages,
     images = _word_images(rep)
     out = {}
     for cuff in pd.cuffs:
-        m = images[cuff.word]
-        kind = classify(m, eps_class)
+        kind = images.kind(cuff.word, eps_class)
         if kind in (IsometryClass.IDENTITY, IsometryClass.PARABOLIC):
             raise NotAdapted(f"cuff {cuff.id!r} is {kind}")
-        first, second = fixed_points(m, eps_class)
+        first, second = images.fixed_points(cuff.word, eps_class)
         if cuff.id in choice.points:
             p = choice.points[cuff.id]
             pair = (first, second) if chordal(p, first) <= chordal(p, second) \
@@ -123,11 +231,10 @@ def track_endpoints(rep: Representation | WordImages,
     images = _word_images(rep)
     out = {}
     for cuff in pd.cuffs:
-        m = images[cuff.word]
-        kind = classify(m, eps_class)
+        kind = images.kind(cuff.word, eps_class)
         if kind in (IsometryClass.IDENTITY, IsometryClass.PARABOLIC):
             raise NotAdapted(f"cuff {cuff.id!r} is {kind}")
-        first, second = fixed_points(m, eps_class)
+        first, second = images.fixed_points(cuff.word, eps_class)
         prev = previous[cuff.id][0]
         d1, d2 = chordal(prev, first), chordal(prev, second)
         gap = chordal(first, second)
@@ -186,29 +293,42 @@ def shared_endpoint_check(m1: MoebiusMap, m2: MoebiusMap,
     return abs(tr2 - 4) < eps_class, tr2
 
 
+def _slot_commutators(maps) -> list[complex]:
+    """tr^2 of the commutators of the slot pairs (0, 1), (1, 2) and
+    (2, 0), as shared_endpoint_check computes it, each slot inverted
+    once."""
+    inverses = [m.inverse() for m in maps]
+    return [trace_squared(maps[i] @ maps[j] @ inverses[i] @ inverses[j])
+            for i, j in _PAIRS]
+
+
 def check_adapted(rep: Representation | WordImages, pd: PantsDecomposition,
                   eps_class: float = EPS_CLASS) -> AdaptednessReport:
     """Adaptedness of a representation to a decomposition.
 
     Every cuff image must be non-trivial and non-parabolic, and the
     three slot words of each pants must have pairwise disjoint fixed
-    sets (commutator squared-trace test).
+    sets (commutator squared-trace test).  The traces are read from
+    the commutators of a WordImages that sample_images filled, and
+    computed otherwise.
     """
     images = _word_images(rep)
     kinds = {}
     bad = []
     for cuff in pd.cuffs:
-        kind = classify(images[cuff.word], eps_class)
+        kind = images.kind(cuff.word, eps_class)
         kinds[cuff.id] = kind
         if kind in (IsometryClass.IDENTITY, IsometryClass.PARABOLIC):
             bad.append(cuff.id)
     reports = []
-    for p in range(len(pd.pants)):
-        maps = [images[pd.slot_word(p, k)] for k in range(3)]
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            flagged, tr2 = shared_endpoint_check(maps[i], maps[j], eps_class)
+    for p, words in enumerate(pd.slot_words):
+        traces = images.commutators.get(words)
+        if traces is None:
+            traces = _slot_commutators([images[w] for w in words])
+        for (i, j), tr2 in zip(_PAIRS, traces):
             reports.append(PairSharing(pants=p, slots=(i, j),
-                                       tr2_commutator=tr2, flagged=flagged))
+                                       tr2_commutator=tr2,
+                                       flagged=abs(tr2 - 4) < eps_class))
     adapted = not bad and not any(r.flagged for r in reports)
     return AdaptednessReport(adapted=adapted, cuff_kinds=kinds,
                              bad_cuffs=tuple(bad),
@@ -227,7 +347,7 @@ class AdaptedSample:
     and cuff lengths.  Word images (a WordImages, shared with the check
     and with whoever passed it in) are kept for the life of the object,
     so every endpoint pattern placed on the same representation shares
-    them.
+    them, and so are the horoball witnesses of end_witness.
     """
 
     def __init__(self, rep: Representation | WordImages,
@@ -239,11 +359,36 @@ class AdaptedSample:
         self.report = report
         self.images = images
         self.pd = pd
-        self.holonomy = tuple(
-            tuple(images[pd.slot_word(p, k)] for k in range(3))
-            for p in range(len(pd.pants)))
-        self.cuff_lengths = {c.id: complex_length(images[c.word], eps_class)
-                             for c in pd.cuffs}
+        self.holonomy = tuple(tuple(images[w] for w in words)
+                              for words in pd.slot_words)
+        self.cuff_lengths = {
+            c.id: _complex_length(images[c.word],
+                                  images.kind(c.word, eps_class))
+            for c in pd.cuffs}
+        self._witnesses = {}
+
+    def end_witness(self, p: int, slot: int, zeta: dict,
+                    conv: TruncationConvention) -> tuple[complex, float]:
+        """Horoball witness of the cuff at a slot, carried by the slot's
+        conjugator: the one truncated_length reads at that leaf end.
+
+        Each is found once per endpoint pair of its cuff (compared by
+        identity) and horoball scale, both per cuff and per slot, so
+        every leaf and realization of the sample shares it.
+        """
+        end = self.pd.pants[p].cuff_ends[slot]
+        pair = zeta[end.cuff]
+        scale = conv.scales.get(end.cuff)
+        wit = self._witnesses.get((p, slot, pair, scale))
+        if wit is None:
+            wit = self._witnesses.get((end.cuff, pair, scale))
+            if wit is None:
+                wit = _horoball_witness(pair, conv, end.cuff)
+                self._witnesses[end.cuff, pair, scale] = wit
+            if end.conjugator:
+                wit = self.images[end.conjugator].apply_interior(*wit)
+            self._witnesses[p, slot, pair, scale] = wit
+        return wit
 
     def place(self, p: int, zeta: dict) -> tuple:
         """Vertices of pants p for the chosen endpoints of its cuffs.
@@ -287,9 +432,6 @@ class PleatedRealization:
     def cuff_lengths(self) -> dict:
         """Cuff id -> complex length."""
         return self.sample.cuff_lengths
-
-    def leaf_keys(self) -> list[tuple[int, int]]:
-        return [(p, i) for p in range(len(self.pd.pants)) for i in range(3)]
 
     def leaf_endpoints(self, p: int, i: int) -> tuple:
         return self.xi[p][i], self.xi[p][(i + 1) % 3]
@@ -358,8 +500,12 @@ def cuff_bending(real: PleatedRealization, cuff_id: str,
     (pp, kp), (pm, km) = pd.signed_ends_of(cuff_id)
     v_plus = pd.pants[pp].cuff_ends[kp].conjugator
     v_minus = pd.pants[pm].cuff_ends[km].conjugator
-    core = cuff.word * winding if winding >= 0 else invert_word(cuff.word) * (-winding)
-    w0 = v_plus + core + invert_word(v_minus)
+    if winding == 0:
+        w0 = pd.crossing_words[cuff_id]
+    else:
+        core = (cuff.word * winding if winding > 0
+                else invert_word(cuff.word) * (-winding))
+        w0 = v_plus + core + invert_word(v_minus)
     W = real.sample.images[w0]
 
     zeta_c, other_c = real.zeta[cuff_id]
@@ -430,10 +576,11 @@ class TruncationConvention:
         return TruncationConvention(scales=out)
 
 
-def cuff_horoball_witness(real: PleatedRealization, cuff_id: str,
-                          conv: TruncationConvention) -> tuple[complex, float]:
-    """Interior point on the cuff's horosphere, in upper-space coordinates."""
-    zeta_c, other_c = real.zeta[cuff_id]
+def _horoball_witness(pair: tuple, conv: TruncationConvention,
+                      cuff_id: str) -> tuple[complex, float]:
+    """Interior point on the cuff's horosphere, in upper-space
+    coordinates, for its (chosen, other) endpoints."""
+    zeta_c, other_c = pair
     frame = normalizing_map(other_c, zeta_c)
     s = conv.scales[cuff_id]
     if s <= 0:
@@ -464,17 +611,11 @@ def truncated_length(real: PleatedRealization, leaf,
                      conv: TruncationConvention) -> float:
     """Length of a spiral leaf between the horoballs at its two ends."""
     p, i = leaf
-    witnesses = []
-    points = []
-    for slot in (i, (i + 1) % 3):
-        end = real.pd.pants[p].cuff_ends[slot]
-        wit = cuff_horoball_witness(real, end.cuff, conv)
-        if end.conjugator:
-            wit = real.sample.images[end.conjugator].apply_interior(*wit)
-        witnesses.append(wit)
-        points.append(real.xi[p][slot])
-    return truncated_geodesic_length(points[0], points[1],
-                                     witnesses[0], witnesses[1])
+    j = (i + 1) % 3
+    wit_i = real.sample.end_witness(p, i, real.zeta, conv)
+    wit_j = real.sample.end_witness(p, j, real.zeta, conv)
+    return truncated_geodesic_length(real.xi[p][i], real.xi[p][j],
+                                     wit_i, wit_j)
 
 
 @dataclass(frozen=True)
@@ -503,8 +644,10 @@ def bending_data(real: PleatedRealization,
                  conv: TruncationConvention | None = None) -> BendingData:
     if conv is None:
         conv = TruncationConvention.uniform(real.pd)
-    cuffs = {c.id: schlafli_term(real, c.id, conv) for c in real.pd.cuffs}
-    leaves = {key: schlafli_term(real, key, conv) for key in real.leaf_keys()}
+    terms = {leaf.key: schlafli_term(real, leaf.key, conv)
+             for leaf in build_lamination(real.pd).leaves}
+    cuffs = {k: v for k, v in terms.items() if isinstance(k, str)}
+    leaves = {k: v for k, v in terms.items() if not isinstance(k, str)}
     return BendingData(leaf_angles={k: v[0] for k, v in leaves.items()},
                        cuff_angles={k: v[0] for k, v in cuffs.items()},
                        leaf_lengths={k: v[1] for k, v in leaves.items()},

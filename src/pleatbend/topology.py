@@ -154,15 +154,36 @@ class PantsDecomposition:
                 f"cuff {cuff_id!r} does not have one end of each sign")
         return plus, minus
 
-    def slot_word(self, pants_index: int, slot: int) -> str:
-        """Word carried by one slot: conjugator * cuff^sign * conjugator^-1."""
-        end = self.pants[pants_index].cuff_ends[slot]
-        core = self.cuff(end.cuff).word
-        if end.sign < 0:
-            core = invert_word(core)
-        if end.conjugator:
-            return end.conjugator + core + invert_word(end.conjugator)
-        return core
+    @functools.cached_property
+    def slot_words(self) -> tuple[tuple[str, str, str], ...]:
+        """Word carried by each slot, pants by pants, built once:
+        conjugator * cuff^sign * conjugator^-1."""
+        rows = []
+        for pants in self.pants:
+            row = []
+            for end in pants.cuff_ends:
+                core = self.cuff(end.cuff).word
+                if end.sign < 0:
+                    core = invert_word(core)
+                if end.conjugator:
+                    core = end.conjugator + core + invert_word(end.conjugator)
+                row.append(core)
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @functools.cached_property
+    def crossing_words(self) -> dict[str, str]:
+        """Cuff id -> the word that carries the plaque of the negative
+        end of the cuff across it to the positive end, without winding:
+        the positive end's conjugator times the inverse of the negative
+        end's (pleated.cuff_bending at winding 0)."""
+        out = {}
+        for cuff in self.cuffs:
+            (pp, kp), (pm, km) = self.signed_ends_of(cuff.id)
+            out[cuff.id] = (self.pants[pp].cuff_ends[kp].conjugator
+                            + invert_word(self.pants[pm].cuff_ends[km]
+                                          .conjugator))
+        return out
 
     def validate(self) -> None:
         g = self.genus

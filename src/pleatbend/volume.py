@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +27,10 @@ from scipy.special import zeta as _riemann_zeta
 from .errors import (AngleUnwrapFailure, DegenerateTetrahedron,
                      EndpointsMismatch, OrientationTrackingFailure,
                      PleatbendError)
-from .moebius import (EPS_CLASS, IsometryClass, classify, fixed_points,
-                      reduce_angle)
+from .moebius import EPS_CLASS, IsometryClass, reduce_angle
 from .pleated import (AdaptedSample, EndpointChoice, PleatedRealization,
                       TruncationConvention, WordImages, resolve_endpoints,
-                      schlafli_term, track_endpoints)
+                      sample_images, schlafli_term, track_endpoints)
 from .representation import (RepresentationPath, fingerprint,
                              standard_word_list)
 from .topology import (Lamination, OrientationAssignment, build_lamination,
@@ -105,7 +105,9 @@ def ideal_tetra_volume(z: complex, eps: float = 1e-12) -> float:
 # per cuff.  Each Schlafli term, one per leaf of build_lamination, reads
 # the endpoints of only a few cuffs, its support, so the pipeline
 # evaluates every term once per pattern of chains on its support, and
-# each orientation's integrand is assembled from those values.
+# each orientation's integrand is assembled from those values.  The
+# word images and slot commutators of all samples come from one
+# sample_images pass per call.
 
 
 def _surface(path: RepresentationPath):
@@ -130,16 +132,17 @@ def _sample_indices(path: RepresentationPath, steps: int | None) -> list[int]:
 
 def _term_series(path: RepresentationPath, lam: Lamination, indices, starts,
                  conv: TruncationConvention, eps_class: float,
-                 first: WordImages | None = None
+                 images: Iterable[WordImages] | None = None
                  ) -> tuple[dict, PleatbendError | None]:
     """Angle and length of every leaf of lam at every sample, per chain
     pattern.
 
     starts holds the start selection of each chain as a dict, tracked
     to the first sample; chain 0 may instead start from an
-    EndpointChoice, resolved at the first sample.  first, if given,
-    holds the word images of the first sample (those the start
-    selections were read from).  Each representation is checked for
+    EndpointChoice, resolved at the first sample.  images, if given,
+    yields the WordImages of the samples, as sample_images does (the
+    start selections may have been read from the first); otherwise
+    sample_images is called here.  Each representation is checked for
     adaptedness once, at eps_class, each word is evaluated once per
     sample, and every pants is placed (with the plaque check) once for
     every pattern of chains on its cuffs.
@@ -156,20 +159,19 @@ def _term_series(path: RepresentationPath, lam: Lamination, indices, starts,
     series: dict = {}
     deferred = None
     zetas = list(starts)
-    if first is None:
-        first = WordImages(path.reps[indices[0]])
-    for i in indices:
-        images = first if i == indices[0] else WordImages(path.reps[i])
+    if images is None:
+        images = sample_images([path.reps[i] for i in indices], pd)
+    for i, at_sample in zip(indices, images):
         if i == indices[0] and isinstance(zetas[0], EndpointChoice):
-            zetas[0] = resolve_endpoints(images, pd, zetas[0], eps_class)
+            zetas[0] = resolve_endpoints(at_sample, pd, zetas[0], eps_class)
         else:
-            zetas[0] = track_endpoints(images, pd, zetas[0], eps_class)
-        sample = AdaptedSample(images, pd, eps_class)
+            zetas[0] = track_endpoints(at_sample, pd, zetas[0], eps_class)
+        sample = AdaptedSample(at_sample, pd, eps_class)
         placed = {}
         values = _pattern_values(sample, lam, ids, zetas[:1], conv, placed)
         if len(zetas) > 1:
             try:
-                zetas[1:] = [track_endpoints(images, pd, z, eps_class)
+                zetas[1:] = [track_endpoints(at_sample, pd, z, eps_class)
                              for z in zetas[1:]]
                 values.update(_pattern_values(sample, lam, ids, zetas, conv,
                                               placed))
@@ -259,13 +261,15 @@ def schlafli_derivative(path: RepresentationPath, t: float,
         raise PleatbendError(
             f"t={t} is an endpoint; the derivative needs an interior sample")
     pd = _surface(path)
-    if isinstance(zeta, EndpointChoice):
-        zeta = resolve_endpoints(path.reps[k], pd, zeta)
-    else:
-        zeta = track_endpoints(path.reps[k], pd, zeta)
     indices = [k - 1, k, k + 1]
+    images = list(sample_images([path.reps[i] for i in indices], pd))
+    if isinstance(zeta, EndpointChoice):
+        zeta = resolve_endpoints(images[1], pd, zeta)
+    else:
+        zeta = track_endpoints(images[1], pd, zeta)
     lam = build_lamination(pd)
-    series, _ = _term_series(path, lam, indices, [zeta], conv, EPS_CLASS)
+    series, _ = _term_series(path, lam, indices, [zeta], conv, EPS_CLASS,
+                             images)
     ts = np.array([path.ts[i] for i in indices])
     table = _orientation_table(lam, series, [(0,) * len(pd.cuffs)])
     velocities, failures = _velocities(ts, series)
@@ -418,19 +422,20 @@ def _raise_first_failure(table: np.ndarray, failures: list) -> None:
 
 def _integrate(path: RepresentationPath, indices, starts, orientations,
                conv: TruncationConvention, eps_class: float,
-               first: WordImages | None = None) -> list[VolumePathResult]:
+               images: Iterable[WordImages] | None = None
+               ) -> list[VolumePathResult]:
     """One VolumePathResult per orientation (a chain index per cuff).
 
     Composite Simpson over the samples by closed-form interpolatory
     weights, every orientation at once, with the error estimated by
     Richardson comparison against the half-resolution subsample (NaN
     when the interval count is odd or the subsample fails to unwrap).
-    orientations[0] takes chain 0 on every cuff; first is passed on to
+    orientations[0] takes chain 0 on every cuff; images is passed on to
     _term_series.
     """
     lam = build_lamination(_surface(path))
     series, deferred = _term_series(path, lam, indices, starts, conv,
-                                    eps_class, first)
+                                    eps_class, images)
     if deferred is not None:
         # orientation by orientation, the first is integrated, or
         # raises its own failure, before the deferred one is met
@@ -503,13 +508,12 @@ def orientation_start_endpoints(path: RepresentationPath, ori,
         images = WordImages(path.reps[0])
     zeta = {}
     for bit, cuff in zip(ori.forward, pd.cuffs):
-        m = images[cuff.word]
-        kind = classify(m, eps_class)
+        kind = images.kind(cuff.word, eps_class)
         if kind != IsometryClass.LOXODROMIC:
             raise OrientationTrackingFailure(
                 f"cuff {cuff.id!r} is {kind} at the path start; "
                 "orientation endpoints need a loxodromic cuff")
-        att, rep_pt = fixed_points(m, eps_class)
+        att, rep_pt = images.fixed_points(cuff.word, eps_class)
         zeta[cuff.id] = (att, rep_pt) if bit else (rep_pt, att)
     return zeta
 
@@ -559,16 +563,24 @@ def vol_gamma(path: RepresentationPath, conv: TruncationConvention,
     """
     pd = _surface(path)
     orientations = enumerate_orientations(pd)
+    ends = (orientations[0], orientations[-1])
+    try:
+        indices = _sample_indices(path, steps)
+    except PleatbendError:
+        # a start cuff that is not loxodromic is reported first
+        for ori in ends:
+            orientation_start_endpoints(path, ori, eps_class)
+        raise
+    images = sample_images([path.reps[i] for i in indices], pd)
+    first = next(images)
     # all forward and all back, read from the word images that the
     # first sample of the pipeline then reuses
-    first = WordImages(path.reps[0])
     starts = [orientation_start_endpoints(path, ori, eps_class, first)
-              for ori in (orientations[0], orientations[-1])]
-    indices = _sample_indices(path, steps)
+              for ori in ends]
     chains = [tuple(0 if bit else 1 for bit in ori.forward)
               for ori in orientations]
     results = _integrate(path, indices, starts, chains, conv, eps_class,
-                         first)
+                         itertools.chain([first], images))
     return VolGammaResult(orientations=tuple(orientations),
                           results=tuple(results))
 
@@ -586,9 +598,14 @@ def vol_gamma_change(path: RepresentationPath,
 
 @dataclass(frozen=True)
 class LoopDefectReport:
+    """The orientation-summed change around a loop: defect and
+    error_estimate are the total and the error estimate of summed, the
+    vol_gamma result of the loop."""
+
     defect: float
     error_estimate: float
     fingerprint_distance: float
+    summed: VolGammaResult
 
 
 def loop_defect(loop: RepresentationPath, conv: TruncationConvention,
@@ -611,4 +628,4 @@ def loop_defect(loop: RepresentationPath, conv: TruncationConvention,
     result = vol_gamma(loop, conv, eps_class=eps_class)
     return LoopDefectReport(defect=result.total,
                             error_estimate=result.error_estimate,
-                            fingerprint_distance=d)
+                            fingerprint_distance=d, summed=result)

@@ -13,9 +13,13 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from pleatbend import (
+    EndpointChoice,
+    TruncationConvention,
     fenchel_nielsen_rep,
+    integrate_volume_change,
     jacobian_rank,
     load_document,
+    load_path,
     load_rep,
     path_from_parameters,
     save_document,
@@ -23,6 +27,7 @@ from pleatbend import (
     save_rep,
     standard_decomposition,
 )
+from pleatbend import volume
 from pleatbend.cli import _build_parser, main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -156,6 +161,39 @@ class TestVolumePath:
                            "--pd", str(demo / "surface.json"))
         assert code == 0
         assert "loop defect PASS" in out
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_closed_path_runs_one_pipeline(self, demo, capsys, monkeypatch,
+                                           fmt):
+        # attracting everywhere over every sample, the loop's all-forward
+        # vol_gamma row is the integral itself, so nothing runs twice
+        calls = []
+        term_series = volume._term_series
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return term_series(*args, **kwargs)
+
+        monkeypatch.setattr(volume, "_term_series", counting)
+        argv = ("volume-path", "--input", str(demo / "twist_loop.json"),
+                "--pd", str(demo / "surface.json"), "--format", fmt)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(calls) == 1
+        assert "loop defect PASS" in out
+        code, out16, _ = run(capsys, *argv, "--steps", "16")
+        assert code == 0
+        assert len(calls) == 3
+        assert "loop defect PASS" in out16
+        if fmt == "json":
+            pd, _ = load_document(str(demo / "surface.json"))
+            path = load_path(str(demo / "twist_loop.json"), pd=pd)
+            want = integrate_volume_change(path, EndpointChoice.uniform(),
+                                           TruncationConvention.uniform(pd))
+            payload = json.loads(out)
+            assert payload["delta_v"] == f"{want.delta_v:.15g}"
+            assert payload["cumulative"] == [f"{c:.15g}"
+                                             for c in want.cumulative]
 
 
 class TestVolGamma:

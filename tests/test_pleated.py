@@ -165,7 +165,10 @@ class TestRealize:
         real = realize(fuchsian(pd), pd)
         assert len(real.xi) == len(pd.pants)
         assert all(len(row) == 3 for row in real.xi)
-        assert len(real.leaf_keys()) == 3 * len(pd.pants)
+        spiral = [leaf.key for leaf in lam.leaves
+                  if not isinstance(leaf.key, str)]
+        assert spiral == [(p, i) for p in range(len(real.xi))
+                          for i in range(3)]
 
 
 class TestEndpointTracking:
@@ -286,8 +289,8 @@ class TestTruncation:
             rep = fenchel_nielsen_rep(pd, LENGTHS,
                                       (TWISTS[0] + s,) + TWISTS[1:])
             real = realize(rep, pd)
-            return {k: truncated_length(real, k, conv)
-                    for k in real.leaf_keys()}
+            return {leaf.key: truncated_length(real, leaf.key, conv)
+                    for leaf in lam.leaves if not isinstance(leaf.key, str)}
 
         l0, l1 = lengths(0.0), lengths(1e-4)
         worst = max(abs(l1[k] - l0[k]) for k in l0)

@@ -40,6 +40,7 @@ from pleatbend import (
     vol_gamma_change,
 )
 from pleatbend import pleated, representation, topology
+from pleatbend.moebius import MoebiusArray
 from pleatbend.pleated import AdaptedSample
 from pleatbend.volume import (_node_derivatives, _per_step_integrals,
                               orientation_start_endpoints)
@@ -574,26 +575,69 @@ class TestVolGammaOracle:
         assert str(pipeline.value) == str(oracle.value)
 
 
+def count_word_work(monkeypatch):
+    """Record word evaluation in every pleatbend module: scalar
+    evaluate_word calls as (rep, word), and each sample_images call
+    (the array kernel) with the WordImages it yielded and the words it
+    evaluated, one MoebiusArray.entries call per word."""
+    calls = []
+    kernel = []
+    evaluate = representation.evaluate_word
+    fill = pleated.sample_images
+    entries = MoebiusArray.entries
+
+    def counting_evaluate(rep, word):
+        calls.append((rep, word))
+        return evaluate(rep, word)
+
+    def counting_fill(reps, surface):
+        kernel.append(([], []))
+        for images in fill(reps, surface):
+            kernel[-1][0].append(images)
+            yield images
+
+    def counting_entries(arrays):
+        kernel[-1][1].append(arrays)
+        return entries(arrays)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "pleatbend":
+            continue
+        if getattr(module, "evaluate_word", None) is evaluate:
+            monkeypatch.setattr(module, "evaluate_word", counting_evaluate)
+        if getattr(module, "sample_images", None) is fill:
+            monkeypatch.setattr(module, "sample_images", counting_fill)
+    monkeypatch.setattr(MoebiusArray, "entries", counting_entries)
+    return calls, kernel
+
+
+def assert_words_evaluated_once(path, calls, kernel):
+    # the array kernel ran once for the call, and filled every sample
+    # with every word it evaluated, each word evaluated once
+    assert len(kernel) == 1
+    filled, evaluated = kernel[0]
+    assert [images.rep for images in filled] == list(path.reps)
+    words = set(filled[0])
+    assert len(evaluated) == len(words)
+    assert all(set(images) == words for images in filled)
+    # scalar evaluate_word never evaluates a word the kernel filled,
+    # and no (sample, word) is evaluated twice
+    assert not [word for _, word in calls if word in words]
+    work = [(id(images.rep), word) for images in filled for word in images]
+    work += [(id(rep), word) for rep, word in calls]
+    assert len(work) == len(set(work))
+
+
 class TestSampleWork:
     """How much work the sample pipeline does per path sample."""
 
     def test_each_word_evaluated_once_per_sample(self, pd, conv,
                                                  monkeypatch):
-        calls = []
-        evaluate = pleated.evaluate_word
-
-        def counting(rep, word):
-            calls.append((id(rep), word))
-            return evaluate(rep, word)
-
-        monkeypatch.setattr(pleated, "evaluate_word", counting)
         path = bend_path(pd, steps=8)
         want = integrate_volume_change(path, EndpointChoice.uniform(), conv)
-        assert len(calls) == len(set(calls))
-        # cuff words, slot words and conjugators on every sample
-        assert len({rep for rep, _ in calls}) == len(path)
-        monkeypatch.undo()
+        calls, kernel = count_word_work(monkeypatch)
         got = integrate_volume_change(path, EndpointChoice.uniform(), conv)
+        assert_words_evaluated_once(path, calls, kernel)
         assert got == want
 
     def test_each_pants_pattern_placed_once_per_sample(self, monkeypatch):
@@ -622,22 +666,9 @@ class TestSampleWork:
         path = genus3_path(lambda t: 2.0 + 0.1j * t, steps=8)
         conv = TruncationConvention.uniform(path.pd)
         want = vol_gamma(path, conv)
-        calls = []
-        evaluate = representation.evaluate_word
-
-        def counting(rep, word):
-            calls.append((id(rep), word))
-            return evaluate(rep, word)
-
-        # every module that calls evaluate_word through its own global,
-        # the start endpoints (volume) and the word images (pleated)
-        for name, module in list(sys.modules.items()):
-            if (name.split(".")[0] == "pleatbend"
-                    and getattr(module, "evaluate_word", None) is evaluate):
-                monkeypatch.setattr(module, "evaluate_word", counting)
+        calls, kernel = count_word_work(monkeypatch)
         got = vol_gamma(path, conv)
-        assert len({rep for rep, _ in calls}) == len(path)
-        assert len(calls) == len(set(calls))
+        assert_words_evaluated_once(path, calls, kernel)
         assert_identical(got, want.results)
 
     def test_lamination_built_once_per_call(self, pd, conv, monkeypatch):
