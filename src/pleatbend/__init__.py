@@ -7,7 +7,8 @@ from .errors import (AngleUnwrapFailure, DegenerateConfiguration,
                      DegenerateTriangle, EndpointsMismatch, IdentityMap,
                      InvalidDecomposition, NonHyperbolicParameters,
                      NotAdapted, OrientationTrackingFailure, PleatbendError,
-                     ReducibleRepresentation, SingularMatrix, UnknownLetter)
+                     ReducibleRepresentation, SampleEvaluationFailure,
+                     SingularMatrix, UnknownLetter)
 from .moebius import (IsometryClass, MoebiusMap, ProjectivePoint, chordal,
                       classify, complex_length, cross_ratio, fixed_points,
                       normalizing_map, reduce_angle, trace_squared)

@@ -64,3 +64,8 @@ class OrientationTrackingFailure(PleatbendError):
 
 class EndpointsMismatch(PleatbendError):
     """A putative loop whose end representations are not conjugate."""
+
+
+class SampleEvaluationFailure(PleatbendError):
+    """A word or slot commutator of a path sample is singular, overflows
+    or is not finite."""

@@ -246,8 +246,8 @@ class MoebiusArray:
     computation bit for bit.  ok is False at a sample once any step
     there would raise in the scalar arithmetic (a determinant below
     1e-100, abs overflowing) or gives a value that is not finite; its
-    entries there mean nothing, and callers redo that sample with
-    MoebiusMap.
+    entries there mean nothing, and pleated.sample_images raises
+    SampleEvaluationFailure for that sample.
     """
 
     __slots__ = ("re", "im", "ok")

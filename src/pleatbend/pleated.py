@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DegenerateConfiguration, DegenerateTriangle, NotAdapted,
-                     PleatbendError, UnknownLetter)
+                     PleatbendError, SampleEvaluationFailure, UnknownLetter)
 from .moebius import (EPS_CLASS, IsometryClass, MoebiusArray, MoebiusMap,
                       ProjectivePoint, _complex_length, _fixed_points,
                       chordal, classify, cross_ratio, normalizing_map,
@@ -68,30 +68,26 @@ class EndpointChoice:
 class WordImages(dict):
     """Images of words under one representation, each evaluated once.
 
-    A dict from word to MoebiusMap that evaluates a missing word on
-    first lookup.  The sample pipeline makes one per path sample
-    (sample_images fills those of a whole path at once) and hands it
-    to track_endpoints, check_adapted and AdaptedSample in place of the
+    A dict from word to MoebiusMap, made only by sample_images, which
+    fills every word the sample pipeline reads.  It is handed to
+    track_endpoints, check_adapted and AdaptedSample in place of the
     representation, so they share every word image.  They share what
     is read off the images as well: the kind and the fixed points of a
     word, each found once per classification tolerance, and the slot
-    commutator traces that check_adapted reads, which sample_images
-    stores in commutators (a pants' three slot words -> the tr^2 of its
-    pairs (0, 1), (1, 2) and (2, 0)).
+    commutator traces that check_adapted reads, in commutators (a
+    pants' three slot words -> the tr^2 of its pairs (0, 1), (1, 2)
+    and (2, 0)).  rep is the representation itself, for a word outside
+    the pass.
     """
 
     __slots__ = ("rep", "commutators", "_kinds", "_fixed")
 
-    def __init__(self, rep: Representation):
-        super().__init__()
+    def __init__(self, rep: Representation, images, commutators: dict):
+        super().__init__(images)
         self.rep = rep
-        self.commutators = {}
+        self.commutators = commutators
         self._kinds = {}
         self._fixed = {}
-
-    def __missing__(self, word: str) -> MoebiusMap:
-        m = self[word] = evaluate_word(self.rep, word)
-        return m
 
     def kind(self, word: str, eps_class: float) -> str:
         """classify of the image of word."""
@@ -118,88 +114,93 @@ def sample_images(reps, pd: PantsDecomposition) -> Iterator[WordImages]:
     all representations at once with MoebiusArray, folding each
     distinct token prefix once, and so is the tr^2 of every slot
     commutator that check_adapted reads.  Both equal the values of
-    evaluate_word and shared_endpoint_check bit for bit.  The pass runs
-    before the first WordImages is yielded; each is filled as it is
-    yielded, so a consumer that drops it keeps no sample's maps.  A
-    representation at which any value would raise or is not finite
-    gets an empty WordImages, which evaluates word by word and fails as
-    the scalar path always has; so does a word with a letter the
-    generators lack, and every representation of a list whose
-    generators differ.
+    evaluate_word and shared_endpoint_check bit for bit.  Letters are
+    looked up by name, so the representations may list their
+    generators in any order; a letter that one of them lacks raises
+    UnknownLetter.  The pass runs before the first WordImages is
+    yielded; each is filled as it is yielded, so a consumer that drops
+    it keeps no sample's maps.  A representation at which a value would
+    raise in the scalar arithmetic (a singular matrix, an overflow) or
+    is not finite raises SampleEvaluationFailure when its turn comes,
+    so a consumer meets the failures of earlier samples first.
     """
     reps = list(reps)
-    words, entries, rows, traces, ok = _array_pass(reps, pd)
+    words, entries, rows, traces, checks = _array_pass(reps, pd)
+    ok = np.logical_and.reduce([good for _, good in checks])
     raw = MoebiusMap._raw
     for k, rep in enumerate(reps):
-        images = WordImages(rep)
-        if ok[k]:
-            images.update(zip(words, [raw(*e) for e in entries[k].tolist()]))
-            images.commutators = dict(zip(rows, map(tuple,
-                                                    traces[k].tolist())))
-        yield images
+        if not ok[k]:
+            what = next(what for what, good in checks if not good[k])
+            raise SampleEvaluationFailure(
+                f"sample {k}: {what} is singular, overflows or is not "
+                "finite")
+        yield WordImages(rep,
+                         zip(words, [raw(*e) for e in entries[k].tolist()]),
+                         dict(zip(rows, map(tuple, traces[k].tolist()))))
 
 
 def _array_pass(reps: list, pd: PantsDecomposition):
     """The array pass of sample_images: (words, entries (n, words, 4),
-    slot rows, their commutator tr^2 (n, rows, 3), ok (n,)).  Apart
-    from the generator so that its prefix arrays are freed before the
-    first sample is yielded."""
+    slot rows, their commutator tr^2 (n, rows, 3), checks), where
+    checks lists (what, ok (n,)) for every word and then every row.
+    Apart from the generator so that its prefix arrays are freed before
+    the first sample is yielded."""
     n = len(reps)
-    none = ([], None, [], None, np.zeros(n, dtype=bool))
-    if not reps or any(rep.generators != reps[0].generators for rep in reps):
-        return none
+    tables = [rep.image_of for rep in reps]
     letters = {}
-    # the last of a repeated generator wins, as in Representation.image_of
-    for g, i in {g: i for i, g in enumerate(reps[0].generators)}.items():
-        m = MoebiusArray.of([rep.images[i] for rep in reps])
-        letters[g, False] = m
-        letters[g, True] = m.inverse()
     words = [c.word for c in pd.cuffs]
     words += [w for row in pd.slot_words for w in row]
     words += [e.conjugator for pants in pd.pants for e in pants.cuff_ends]
     words += pd.crossing_words.values()
     prefixes = {(): MoebiusArray.identity(n)}
-    filled = {}
+    images = {}
     for word in dict.fromkeys(words):
-        try:
-            tokens = _tokens(word)
-        except UnknownLetter:
-            continue
-        if any(tok not in letters for tok in tokens):
-            continue
-        for k in range(len(tokens)):
-            if tokens[:k + 1] not in prefixes:
-                prefixes[tokens[:k + 1]] = (prefixes[tokens[:k]]
-                                            @ letters[tokens[k]])
-        filled[word] = prefixes[tokens]
-    if not filled:
-        return none
-    ok = np.logical_and.reduce([m.ok for m in filled.values()])
-    rows = [row for row in dict.fromkeys(pd.slot_words)
-            if all(w in filled for w in row)]
+        tokens = _tokens(word)
+        for k, (base, inv) in enumerate(tokens):
+            if tokens[:k + 1] in prefixes:
+                continue
+            if base not in letters:
+                try:
+                    m = MoebiusArray.of([table[base] for table in tables])
+                except KeyError:
+                    s = next(s for s, table in enumerate(tables)
+                             if base not in table)
+                    raise UnknownLetter(f"no image for generator {base!r} "
+                                        f"at sample {s}") from None
+                letters[base] = {False: m, True: m.inverse()}
+            prefixes[tokens[:k + 1]] = (prefixes[tokens[:k]]
+                                        @ letters[base][inv])
+        images[word] = prefixes[tokens]
+    checks = [(f"word {w!r}", m.ok) for w, m in images.items()]
+    rows = list(dict.fromkeys(pd.slot_words))
     traces = np.empty((n, len(rows), 3), dtype=complex)
     for r, row in enumerate(rows):
-        maps = [filled[w] for w in row]
+        maps = [images[w] for w in row]
         inverses = [m.inverse() for m in maps]
+        ok = np.ones(n, dtype=bool)
         for c, (i, j) in enumerate(_PAIRS):
             comm = maps[i] @ maps[j] @ inverses[i] @ inverses[j]
             cell = traces[:, r, c]
             cell.real, cell.imag = comm.trace_squared()
             ok &= comm.ok & np.isfinite(cell)
-    entries = np.stack([m.entries() for m in filled.values()], axis=1)
-    return list(filled), entries, rows, traces, ok
+        checks.append((f"slot commutators of {row}", ok))
+    entries = np.stack([m.entries() for m in images.values()], axis=1)
+    return list(images), entries, rows, traces, checks
 
 
-def _word_images(rep: Representation | WordImages) -> WordImages:
-    """rep itself if it is a WordImages, else a fresh one for rep."""
-    return rep if isinstance(rep, WordImages) else WordImages(rep)
+def _word_images(rep: Representation | WordImages,
+                 pd: PantsDecomposition) -> WordImages:
+    """rep itself if it is a WordImages, else the one-sample pass at rep."""
+    if isinstance(rep, WordImages):
+        return rep
+    return next(sample_images([rep], pd))
 
 
 def resolve_endpoints(rep: Representation | WordImages,
                       pd: PantsDecomposition, choice: EndpointChoice,
                       eps_class: float = EPS_CLASS) -> dict:
     """Chosen and unchosen fixed point per cuff: cuff id -> (zeta, other)."""
-    images = _word_images(rep)
+    images = _word_images(rep, pd)
     out = {}
     for cuff in pd.cuffs:
         kind = images.kind(cuff.word, eps_class)
@@ -228,7 +229,7 @@ def track_endpoints(rep: Representation | WordImages,
     is ambiguous and fails.
     """
     from .errors import OrientationTrackingFailure
-    images = _word_images(rep)
+    images = _word_images(rep, pd)
     out = {}
     for cuff in pd.cuffs:
         kind = images.kind(cuff.word, eps_class)
@@ -293,26 +294,16 @@ def shared_endpoint_check(m1: MoebiusMap, m2: MoebiusMap,
     return abs(tr2 - 4) < eps_class, tr2
 
 
-def _slot_commutators(maps) -> list[complex]:
-    """tr^2 of the commutators of the slot pairs (0, 1), (1, 2) and
-    (2, 0), as shared_endpoint_check computes it, each slot inverted
-    once."""
-    inverses = [m.inverse() for m in maps]
-    return [trace_squared(maps[i] @ maps[j] @ inverses[i] @ inverses[j])
-            for i, j in _PAIRS]
-
-
 def check_adapted(rep: Representation | WordImages, pd: PantsDecomposition,
                   eps_class: float = EPS_CLASS) -> AdaptednessReport:
     """Adaptedness of a representation to a decomposition.
 
     Every cuff image must be non-trivial and non-parabolic, and the
     three slot words of each pants must have pairwise disjoint fixed
-    sets (commutator squared-trace test).  The traces are read from
-    the commutators of a WordImages that sample_images filled, and
-    computed otherwise.
+    sets (commutator squared-trace test), read from the commutators
+    that sample_images stored.
     """
-    images = _word_images(rep)
+    images = _word_images(rep, pd)
     kinds = {}
     bad = []
     for cuff in pd.cuffs:
@@ -322,10 +313,7 @@ def check_adapted(rep: Representation | WordImages, pd: PantsDecomposition,
             bad.append(cuff.id)
     reports = []
     for p, words in enumerate(pd.slot_words):
-        traces = images.commutators.get(words)
-        if traces is None:
-            traces = _slot_commutators([images[w] for w in words])
-        for (i, j), tr2 in zip(_PAIRS, traces):
+        for (i, j), tr2 in zip(_PAIRS, images.commutators[words]):
             reports.append(PairSharing(pants=p, slots=(i, j),
                                        tr2_commutator=tr2,
                                        flagged=abs(tr2 - 4) < eps_class))
@@ -352,7 +340,7 @@ class AdaptedSample:
 
     def __init__(self, rep: Representation | WordImages,
                  pd: PantsDecomposition, eps_class: float = EPS_CLASS):
-        images = _word_images(rep)
+        images = _word_images(rep, pd)
         report = check_adapted(images, pd, eps_class)
         if not report.adapted:
             raise NotAdapted(report.summary())
@@ -450,7 +438,8 @@ def realize(rep: Representation, pd: PantsDecomposition,
 
     endpoints may be an EndpointChoice, an already-resolved dict from
     resolve_endpoints/track_endpoints, or None (all attracting).
-    Raises NotAdapted when the adaptedness check fails and
+    Raises SampleEvaluationFailure when the word images cannot be
+    evaluated, NotAdapted when the adaptedness check fails and
     DegenerateTriangle when realized plaque vertices collide.  This is
     AdaptedSample followed by AdaptedSample.place on every pants.
     """
@@ -501,12 +490,12 @@ def cuff_bending(real: PleatedRealization, cuff_id: str,
     v_plus = pd.pants[pp].cuff_ends[kp].conjugator
     v_minus = pd.pants[pm].cuff_ends[km].conjugator
     if winding == 0:
-        w0 = pd.crossing_words[cuff_id]
+        W = real.sample.images[pd.crossing_words[cuff_id]]
     else:
         core = (cuff.word * winding if winding > 0
                 else invert_word(cuff.word) * (-winding))
-        w0 = v_plus + core + invert_word(v_minus)
-    W = real.sample.images[w0]
+        W = evaluate_word(real.sample.images.rep,
+                          v_plus + core + invert_word(v_minus))
 
     zeta_c, other_c = real.zeta[cuff_id]
     if v_plus:

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidDecomposition, NonHyperbolicParameters,
-                     PleatbendError, ReducibleRepresentation, UnknownLetter)
+                     PleatbendError, ReducibleRepresentation, SingularMatrix,
+                     UnknownLetter)
 from .moebius import EPS_CLASS, MoebiusMap, chordal, fixed_points
 from .topology import BoundaryInclusion, PantsDecomposition, _tokens
 
@@ -44,9 +45,6 @@ class Representation:
     @property
     def image_of(self) -> dict[str, MoebiusMap]:
         return dict(zip(self.generators, self.images))
-
-    def __call__(self, word: str) -> MoebiusMap:
-        return evaluate_word(self, word)
 
     def conjugated(self, g: MoebiusMap) -> "Representation":
         return Representation(self.generators,
@@ -675,7 +673,11 @@ def _rep_from_matrices(matrices: dict, generators, relators) -> Representation:
     for g in gens:
         entries = matrices[g]
         a, b, c, d = (complex(re, im) for re, im in entries)
-        images.append(MoebiusMap(a, b, c, d))
+        try:
+            images.append(MoebiusMap(a, b, c, d))
+        except OverflowError as exc:
+            raise SingularMatrix(
+                f"generator {g!r} cannot be normalized: {exc}") from None
     return Representation(generators=gens, images=tuple(images),
                           relators=tuple(relators))
 

@@ -29,8 +29,9 @@ from .errors import (AngleUnwrapFailure, DegenerateTetrahedron,
                      PleatbendError)
 from .moebius import EPS_CLASS, IsometryClass, reduce_angle
 from .pleated import (AdaptedSample, EndpointChoice, PleatedRealization,
-                      TruncationConvention, WordImages, resolve_endpoints,
-                      sample_images, schlafli_term, track_endpoints)
+                      TruncationConvention, WordImages, _word_images,
+                      resolve_endpoints, sample_images, schlafli_term,
+                      track_endpoints)
 from .representation import (RepresentationPath, fingerprint,
                              standard_word_list)
 from .topology import (Lamination, OrientationAssignment, build_lamination,
@@ -505,7 +506,7 @@ def orientation_start_endpoints(path: RepresentationPath, ori,
     """
     pd = path.pd
     if images is None:
-        images = WordImages(path.reps[0])
+        images = _word_images(path.reps[0], pd)
     zeta = {}
     for bit, cuff in zip(ori.forward, pd.cuffs):
         kind = images.kind(cuff.word, eps_class)

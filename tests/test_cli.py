@@ -210,9 +210,11 @@ class TestVolGamma:
 
 
 class TestGoldenOutput:
-    """vol-gamma and loop-defect write the same bytes as the
-    orientation-by-orientation loop they replaced; tests/data holds
-    that loop's output on the demo inputs."""
+    """Output on the demo inputs, byte for byte, against the files
+    tests/data/<command>-<input>.<format>.  They were written by the
+    code each pipeline replaced: the orientation-by-orientation loop
+    for vol-gamma and loop-defect, word-by-word scalar evaluation for
+    pleat, bend and volume-path."""
 
     @pytest.mark.parametrize("command,source,fmt", [
         ("vol-gamma", "pure_bend.json", "text"),
@@ -220,13 +222,20 @@ class TestGoldenOutput:
         ("vol-gamma", "pure_bend.json", "csv"),
         ("loop-defect", "twist_loop.json", "text"),
         ("loop-defect", "twist_loop.json", "json"),
+        ("pleat", "fuchsian.json", "json"),
+        ("pleat", "bent.json", "json"),
+        ("bend", "fuchsian.json", "json"),
+        ("bend", "bent.json", "json"),
+        ("volume-path", "pure_bend.json", "text"),
+        ("volume-path", "twist_loop.json", "text"),
     ])
     def test_bytes(self, demo, capsys, command, source, fmt):
         code, out, _ = run(capsys, command, "--input", str(demo / source),
                            "--pd", str(demo / "surface.json"),
                            "--format", fmt)
         assert code == 0
-        assert out.encode() == (DATA / f"{command}.{fmt}").read_bytes()
+        golden = DATA / f"{command}-{pathlib.Path(source).stem}.{fmt}"
+        assert out.encode() == golden.read_bytes()
 
 
 class TestLoopDefect:
@@ -478,6 +487,35 @@ class TestFailureModes:
         assert code == 2
         assert "UnknownLetter" in err
         assert "'q'" in err
+
+    def test_overflowing_generator_is_singular(self, tmp_path, capsys):
+        # |a d| = 2.1e308 overflows while x is normalized to determinant 1
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"matrices": {
+            "x": [[1.5e154, 1.5e154], [0, 0], [0, 0], [1e154, 0]]}}))
+        code, _, err = run(capsys, "classify", "--input", str(big),
+                           "--words", "x")
+        assert code == 2
+        assert "SingularMatrix" in err
+        assert "'x'" in err
+
+    @pytest.mark.parametrize("command,source", [
+        ("pleat", "bent.json"), ("bend", "bent.json"),
+        ("volume-path", "pure_bend.json")])
+    def test_nan_generator_names_guard(self, demo, tmp_path, capsys, command,
+                                       source):
+        data = json.loads((demo / source).read_text())
+        matrices = data["samples"][5]["matrices"] if "samples" in data \
+            else data["matrices"]
+        matrices["a1"][0] = [math.nan, 0.0]
+        bad = tmp_path / source
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, command, "--input", str(bad),
+                             "--pd", str(demo / "surface.json"))
+        assert code == 2
+        assert out == ""
+        assert "SampleEvaluationFailure" in err
+        assert "word 'a1'" in err
 
 
 class TestEntryPoint:

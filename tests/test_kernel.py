@@ -3,9 +3,9 @@
 MoebiusArray repeats MoebiusMap's products, inverses and normalization
 on float arrays, and sample_images evaluates a path's words and slot
 commutators with it.  Every value must equal the scalar one with ==
-(entries_of), and a sample the kernel cannot reproduce must fail as
-the scalar pipeline fails.  The last class checks vol_gamma against
-the benchmark's recorded references, which pin the digits this
+(entries_of), and a sample the kernel cannot evaluate must raise
+SampleEvaluationFailure.  The last class checks vol_gamma against the
+benchmark's recorded references, which pin the digits this
 bit-identity keeps.
 """
 
@@ -19,15 +19,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pleatbend import (EndpointChoice, MoebiusMap, Representation,
-                       SingularMatrix, TruncationConvention,
+from pleatbend import (EndpointChoice, MoebiusMap, NotAdapted,
+                       Representation, SampleEvaluationFailure,
+                       SingularMatrix, TruncationConvention, UnknownLetter,
                        integrate_volume_change, path_from_parameters,
                        path_from_reps, shared_endpoint_check,
                        standard_decomposition, vol_gamma)
-from pleatbend import pleated, volume
+from pleatbend import pleated
 from pleatbend.moebius import (RESCALE_LIMIT, MoebiusArray, _unimodular,
                                trace_squared)
-from pleatbend.pleated import WordImages, sample_images
+from pleatbend.pleated import sample_images
 from pleatbend.representation import (evaluate_word, path_from_dict,
                                       path_to_dict)
 from pleatbend.topology import (decomposition_from_dict,
@@ -136,6 +137,31 @@ def pipeline_words(pd) -> set:
     return words | set(pd.crossing_words.values())
 
 
+def bent_genus3():
+    return genus3_path(lambda t: 2.0 + 0.1j * t, steps=8)
+
+
+def with_bad_sample(path, k, image):
+    """path with the image of a1 at sample k replaced by image."""
+    rep = path.reps[k]
+    images = tuple(image if g == "a1" else m
+                   for g, m in zip(rep.generators, rep.images))
+    reps = list(path.reps)
+    reps[k] = Representation(rep.generators, images, rep.relators)
+    return path_from_reps(reps, ts=path.ts, pd=path.pd)
+
+
+def run_pipeline(run, path):
+    conv = TruncationConvention.uniform(path.pd)
+    if run == "volume-path":
+        return integrate_volume_change(path, EndpointChoice.uniform(), conv)
+    return vol_gamma(path, conv)
+
+
+RUNS = ["volume-path", "vol-gamma"]
+NAN = MoebiusMap._raw(complex(math.nan, 0), 0j, 0j, 1 + 0j)
+
+
 class TestSampleImagesOracle:
     @pytest.mark.parametrize("make_path", [
         lambda: genus2_loop(standard_decomposition(2), steps=16),
@@ -159,85 +185,69 @@ class TestSampleImagesOracle:
                 assert [(t.real, t.imag) for t in traces] == \
                     [(t.real, t.imag) for t in want]
 
-    def test_other_generators_fall_back(self):
+    def test_generators_looked_up_by_name(self):
         path = genus3_path(lambda t: 2.0 + 0.1j * t, steps=2)
-        reps = list(path.reps[:2]) + [
+        reps = list(path.reps[:2])
+        last = reps[1]
+        # one pass over samples that list their generators in two orders
+        mixed = [reps[0], Representation(last.generators[::-1],
+                                         last.images[::-1], last.relators)]
+        for want, got in zip(sample_images(reps, path.pd),
+                             sample_images(mixed, path.pd)):
+            assert set(got) == set(want)
+            for word, m in want.items():
+                assert entries_of(got[word]) == entries_of(m)
+            assert got.commutators == want.commutators
+        lacking = reps + [
             Representation(("x", "y"), (MoebiusMap(2, 0, 0, 0.5),) * 2)]
-        assert all(len(images) == 0 and not images.commutators
-                   for images in sample_images(reps, path.pd))
+        with pytest.raises(UnknownLetter, match="'a1' at sample 2"):
+            list(sample_images(lacking, path.pd))
 
+    @pytest.mark.parametrize("run", RUNS)
+    def test_pipeline_reads_no_scalar_word(self, run, monkeypatch):
+        def scalar(rep, word):
+            raise AssertionError(f"scalar evaluation of {word!r}")
 
-def bent_genus3():
-    return genus3_path(lambda t: 2.0 + 0.1j * t, steps=8)
-
-
-def with_bad_sample(path, k, image):
-    """path with the image of a1 at sample k replaced by image."""
-    rep = path.reps[k]
-    images = tuple(image if g == "a1" else m
-                   for g, m in zip(rep.generators, rep.images))
-    reps = list(path.reps)
-    reps[k] = Representation(rep.generators, images, rep.relators)
-    return path_from_reps(reps, ts=path.ts, pd=path.pd)
-
-
-def scalar_images(reps, pd):
-    """sample_images with nothing filled: the scalar pipeline."""
-    return (WordImages(rep) for rep in reps)
+        monkeypatch.setattr(pleated, "evaluate_word", scalar)
+        run_pipeline(run, bent_genus3())
 
 
 class TestBadSamples:
-    """A sample the kernel cannot reproduce is left to the scalar
-    pipeline, which raises there as it did before the kernel."""
+    """A sample at which the array pass meets a value the scalar
+    arithmetic would raise at, or one that is not finite, raises
+    SampleEvaluationFailure naming the sample and the first word it
+    failed on, when the pipeline reaches that sample."""
 
     BAD = {
-        # determinant 0: the first product raises SingularMatrix
+        # determinant 0: the first product is singular
         "singular": MoebiusMap._raw(1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j),
-        # |a d| overflows in abs: OverflowError
+        # |a d| overflows in abs
         "overflow": MoebiusMap._raw(1.5e154 + 1.5e154j, 0j, 0j, 1e154 + 0j),
     }
 
     @pytest.mark.parametrize("bad", sorted(BAD))
-    @pytest.mark.parametrize("run", ["volume-path", "vol-gamma"])
-    def test_raises_as_scalar(self, bad, run, monkeypatch):
+    @pytest.mark.parametrize("run", RUNS)
+    def test_raises_as_scalar(self, bad, run):
+        # where the scalar arithmetic raises, the named guard is raised
         path = with_bad_sample(bent_genus3(), 5, self.BAD[bad])
-        conv = TruncationConvention.uniform(path.pd)
+        with pytest.raises(SampleEvaluationFailure,
+                           match=r"^sample 5: word 'a1' "):
+            run_pipeline(run, path)
 
-        def call():
-            if run == "volume-path":
-                return integrate_volume_change(path, EndpointChoice.uniform(),
-                                               conv)
-            return vol_gamma(path, conv)
+    @pytest.mark.parametrize("run", RUNS)
+    def test_nan_sample_raises(self, run):
+        path = with_bad_sample(bent_genus3(), 5, NAN)
+        with pytest.raises(SampleEvaluationFailure,
+                           match=r"^sample 5: word 'a1' "):
+            run_pipeline(run, path)
 
-        evaluated = []
-        evaluate = pleated.evaluate_word
-
-        def counting(rep, word):
-            evaluated.append(path.reps.index(rep))
-            return evaluate(rep, word)
-
-        monkeypatch.setattr(pleated, "evaluate_word", counting)
-        with pytest.raises((SingularMatrix, OverflowError)) as kernel:
-            call()
-        # the kernel filled every other sample; the bad one raised
-        # from scalar evaluation, at the first word it read
-        assert evaluated == [5]
-        evaluated.clear()
-        monkeypatch.setattr(volume, "sample_images", scalar_images)
-        with pytest.raises(type(kernel.value)) as reference:
-            call()
-        assert str(kernel.value) == str(reference.value)
-        assert evaluated[-1] == 5
-
-    def test_nan_sample_matches_scalar(self, monkeypatch):
-        nan = MoebiusMap._raw(complex(math.nan, 0), 0j, 0j, 1 + 0j)
-        path = with_bad_sample(bent_genus3(), 5, nan)
-        conv = TruncationConvention.uniform(path.pd)
-        got = integrate_volume_change(path, EndpointChoice.uniform(), conv)
-        monkeypatch.setattr(volume, "sample_images", scalar_images)
-        want = integrate_volume_change(path, EndpointChoice.uniform(), conv)
-        assert np.array_equal(got.per_step, want.per_step, equal_nan=True)
-        assert np.isnan(got.delta_v) and np.isnan(want.delta_v)
+    @pytest.mark.parametrize("run", RUNS)
+    def test_earlier_guard_wins(self, run):
+        path = with_bad_sample(bent_genus3(), 5, NAN)
+        # a parabolic a1 at sample 3 fails endpoint tracking first
+        path = with_bad_sample(path, 3, MoebiusMap(1, 1, 0, 1))
+        with pytest.raises(NotAdapted, match="cuff 'a1' is parabolic"):
+            run_pipeline(run, path)
 
 
 def _load_workloads():

@@ -102,10 +102,6 @@ class TestEvaluateWord:
         with pytest.raises(UnknownLetter):
             evaluate_word(rep, "xz")
 
-    def test_callable_shorthand(self):
-        rep = f2_rep()
-        assert rep("xy").distance_to(evaluate_word(rep, "xy")) == 0.0
-
 
 # ---------------------------------------------------------------------------
 # bit-identity oracle for word evaluation: the left fold and the tokenizer
@@ -269,14 +265,14 @@ class TestTraceIdentities:
     def test_trace_triple_constructor(self):
         x, y, z = 3.2, 3.7 + 0.4j, 4.1 - 0.2j
         rep = rep_from_trace_triple(x, y, z)
-        assert abs(rep("x").trace - x) < 1e-12
-        assert abs(rep("y").trace - y) < 1e-12
-        assert abs(rep("xy").trace - z) < 1e-12
+        assert abs(evaluate_word(rep, "x").trace - x) < 1e-12
+        assert abs(evaluate_word(rep, "y").trace - y) < 1e-12
+        assert abs(evaluate_word(rep, "xy").trace - z) < 1e-12
 
     def test_commutator_trace_polynomial(self):
         x, y, z = 2.4 + 0.3j, 3.1, 2.9 - 0.5j
         rep = rep_from_trace_triple(x, y, z)
-        actual = rep("xyXY").trace
+        actual = evaluate_word(rep, "xyXY").trace
         assert abs(actual - commutator_trace(x, y, z)) < 1e-10
 
 
@@ -288,7 +284,7 @@ class TestFenchelNielsen:
         pd = standard_decomposition(2)
         rep = fenchel_nielsen_rep(pd, self.LENGTHS, self.TWISTS)
         for cuff, lam in zip(pd.cuffs, self.LENGTHS):
-            got = complex_length(rep(cuff.word))
+            got = complex_length(evaluate_word(rep, cuff.word))
             assert abs(got - lam) < 1e-8
 
     def test_complex_lengths_realized(self):
@@ -296,7 +292,7 @@ class TestFenchelNielsen:
         lengths = (2.0 + 0.4j, 1.7 - 0.2j, 2.3 + 0.1j)
         rep = fenchel_nielsen_rep(pd, lengths, self.TWISTS)
         for cuff, lam in zip(pd.cuffs, lengths):
-            got = complex_length(rep(cuff.word))
+            got = complex_length(evaluate_word(rep, cuff.word))
             assert abs(got - lam) < 1e-8
 
     def test_surface_relator_holds(self):
@@ -326,7 +322,8 @@ class TestFenchelNielsen:
         base = fenchel_nielsen_rep(pd, self.LENGTHS, self.TWISTS)
         moved = fenchel_nielsen_rep(
             pd, self.LENGTHS, (self.TWISTS[0] + 0.5,) + self.TWISTS[1:])
-        assert abs(base("b1").trace ** 2 - moved("b1").trace ** 2) > 1e-3
+        assert abs(evaluate_word(base, "b1").trace ** 2
+                   - evaluate_word(moved, "b1").trace ** 2) > 1e-3
 
     def test_rejects_decomposition_without_recipe(self):
         pd = standard_decomposition(2)
