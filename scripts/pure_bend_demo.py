@@ -7,7 +7,7 @@ the integrated change along theta: 0 -> theta_bar must come out at
 
 import argparse
 
-from pleatbend.pleated import EndpointChoice, TruncationConvention
+from pleatbend.pleated import TruncationConvention
 from pleatbend.representation import path_from_parameters
 from pleatbend.topology import standard_decomposition
 from pleatbend.volume import integrate_volume_change
@@ -31,8 +31,7 @@ def main():
         steps=args.steps)
 
     conv = TruncationConvention.uniform(pd)
-    result = integrate_volume_change(
-        path, EndpointChoice.uniform("attracting"), conv)
+    result = integrate_volume_change(path, "attracting", conv)
     expected = 0.5 * args.length * args.theta
     print(f"integrated dV      : {result.delta_v:.15g}")
     print(f"closed form        : {expected:.15g}")

@@ -12,12 +12,12 @@ from .errors import (AngleUnwrapFailure, DegenerateConfiguration,
 from .moebius import (IsometryClass, MoebiusMap, ProjectivePoint, chordal,
                       classify, complex_length, cross_ratio, fixed_points,
                       normalizing_map, reduce_angle, trace_squared)
-from .pleated import (AdaptednessReport, BendingData, EndpointChoice,
-                      PleatedRealization, TruncationConvention, arc_bending,
-                      bending_data, check_adapted, cuff_bending,
-                      leaf_bending, realize, resolve_endpoints,
-                      shared_endpoint_check, track_endpoints,
-                      truncated_geodesic_length, truncated_length)
+from .pleated import (AdaptednessReport, BendingData, PleatedRealization,
+                      TruncationConvention, arc_bending, bending_data,
+                      check_adapted, cuff_bending, leaf_bending, realize,
+                      resolve_endpoints, shared_endpoint_check,
+                      track_endpoints, truncated_geodesic_length,
+                      truncated_length)
 from .representation import (CharacterFingerprint, Representation,
                              RepresentationPath, commutator_trace,
                              conjugacy_residual, evaluate_word,
@@ -37,6 +37,6 @@ from .topology import (BoundaryComponent, BoundaryInclusion, Cuff, CuffCrossing,
 from .volume import (LoopDefectReport, VolGammaResult, VolumePathResult,
                      angle_series, ideal_tetra_volume,
                      integrate_volume_change, lobachevsky, loop_defect,
-                     schlafli_derivative, vol_gamma, vol_gamma_change)
+                     schlafli_derivative, vol_gamma)
 
 __version__ = "0.1.0"

@@ -23,8 +23,7 @@ import sys
 
 from .errors import EndpointsMismatch, PleatbendError
 from .moebius import classify, complex_length, fixed_points, trace_squared
-from .pleated import (EndpointChoice, TruncationConvention, bending_data,
-                      realize)
+from .pleated import TruncationConvention, bending_data, realize
 from .representation import (conjugacy_residual, evaluate_word,
                              jacobian_rank, load_path, load_rep,
                              peripheral_fingerprint)
@@ -117,8 +116,7 @@ def _load_surface(args: argparse.Namespace):
 def cmd_pleat(args: argparse.Namespace) -> int:
     rep = load_rep(args.input)
     pd, _ = _load_surface(args)
-    real = realize(rep, pd, EndpointChoice.uniform(args.endpoints),
-                   eps_class=args.tolerance)
+    real = realize(rep, pd, args.endpoints, eps_class=args.tolerance)
     report = real.sample.report
     payload = {
         "adapted": report.adapted,
@@ -142,8 +140,7 @@ def cmd_pleat(args: argparse.Namespace) -> int:
 def cmd_bend(args: argparse.Namespace) -> int:
     rep = load_rep(args.input)
     pd, _ = _load_surface(args)
-    real = realize(rep, pd, EndpointChoice.uniform(args.endpoints),
-                   eps_class=args.tolerance)
+    real = realize(rep, pd, args.endpoints, eps_class=args.tolerance)
     conv = TruncationConvention.uniform(pd, args.horoball)
     data = bending_data(real, conv)
     rows = []
@@ -183,10 +180,10 @@ def _load_pathfile(args: argparse.Namespace):
 def cmd_volume_path(args: argparse.Namespace) -> int:
     pd, path = _load_pathfile(args)
     conv = TruncationConvention.uniform(pd, args.horoball)
-    zeta = EndpointChoice.uniform(args.endpoints)
 
     def integrate():
-        return integrate_volume_change(path, zeta, conv, steps=args.steps,
+        return integrate_volume_change(path, args.endpoints, conv,
+                                       steps=args.steps,
                                        eps_class=args.tolerance)
 
     # on a closed path, the all-forward row of the loop's vol_gamma run
@@ -366,13 +363,14 @@ def cmd_rank(args: argparse.Namespace) -> int:
 def cmd_plot(args: argparse.Namespace) -> int:
     pd, path = _load_pathfile(args)
     conv = TruncationConvention.uniform(pd, args.horoball)
-    zeta = EndpointChoice.uniform(args.endpoints)
     if args.quantity == "angles":
-        angles = angle_series(path, zeta, conv, eps_class=args.tolerance)
+        angles = angle_series(path, args.endpoints, conv,
+                              eps_class=args.tolerance)
         series = {f"angle[{c.id}]": angles[c.id] for c in pd.cuffs}
         svg = _svg_plot(path.ts, series, "t", "bending angle")
     else:
-        result = integrate_volume_change(path, zeta, conv, steps=args.steps,
+        result = integrate_volume_change(path, args.endpoints, conv,
+                                         steps=args.steps,
                                          eps_class=args.tolerance)
         svg = _svg_plot(result.ts, {"dV": result.cumulative},
                         "t", "cumulative dV")

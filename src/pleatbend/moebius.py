@@ -372,10 +372,14 @@ def classify(m: MoebiusMap, eps_class: float = EPS_CLASS) -> str:
     (tr^2 real within eps_class and 0 <= Re tr^2 < 4), else loxodromic.
     Values of tr^2 within eps_class of the boundary point 4 therefore
     classify as parabolic even when they sit on the elliptic segment.
+    A map whose tr^2 is not finite has no type and raises
+    SingularMatrix.
     """
+    t2 = trace_squared(m)
+    if not cmath.isfinite(t2):
+        raise SingularMatrix(f"squared trace {t2} is not finite")
     if m.is_identity(eps_class):
         return IsometryClass.IDENTITY
-    t2 = trace_squared(m)
     if abs(t2 - 4.0) < eps_class:
         return IsometryClass.PARABOLIC
     if abs(t2.imag) < eps_class and -eps_class < t2.real < 4.0:

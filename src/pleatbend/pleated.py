@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,28 +41,7 @@ EPS_SEP = 1e-9
 
 _LABELS = ("attracting", "repelling")
 _PAIRS = ((0, 1), (1, 2), (2, 0))    # slot pairs of check_adapted
-
-
-@dataclass(frozen=True)
-class EndpointChoice:
-    """Which fixed point of each cuff the leaves spiral toward.
-
-    A cuff listed in points takes the fixed point nearer to the given
-    point; every other cuff takes the default label: "attracting"
-    selects the first point reported by fixed_points, "repelling" the
-    second; for loxodromic cuffs the first is the attracting one.
-    """
-
-    points: dict = field(default_factory=dict)
-    default: str = "attracting"
-
-    def __post_init__(self):
-        if self.default not in _LABELS:
-            raise PleatbendError(f"unknown endpoint label {self.default!r}")
-
-    @classmethod
-    def uniform(cls, label: str = "attracting") -> "EndpointChoice":
-        return cls(default=label)
+_DEGENERATE = (IsometryClass.IDENTITY, IsometryClass.PARABOLIC)
 
 
 class WordImages(dict):
@@ -73,40 +52,50 @@ class WordImages(dict):
     track_endpoints, check_adapted and AdaptedSample in place of the
     representation, so they share every word image.  They share what
     is read off the images as well: the kind and the fixed points of a
-    word, each found once per classification tolerance, and the slot
-    commutator traces that check_adapted reads, in commutators (a
-    pants' three slot words -> the tr^2 of its pairs (0, 1), (1, 2)
-    and (2, 0)).  rep is the representation itself, for a word outside
-    the pass.
+    word, each found once at eps_class, the classification tolerance
+    that the pass fixed for the sample, and the slot commutator traces
+    that check_adapted reads, in commutators (a pants' three slot words
+    -> the tr^2 of its pairs (0, 1), (1, 2) and (2, 0)).  rep is the
+    representation itself, for a word outside the pass.
     """
 
-    __slots__ = ("rep", "commutators", "_kinds", "_fixed")
+    __slots__ = ("rep", "commutators", "eps_class", "_kinds", "_fixed")
 
-    def __init__(self, rep: Representation, images, commutators: dict):
+    def __init__(self, rep: Representation, images, commutators: dict,
+                 eps_class: float):
         super().__init__(images)
         self.rep = rep
         self.commutators = commutators
+        self.eps_class = eps_class
         self._kinds = {}
         self._fixed = {}
 
-    def kind(self, word: str, eps_class: float) -> str:
+    def kind(self, word: str) -> str:
         """classify of the image of word."""
-        kind = self._kinds.get((word, eps_class))
+        kind = self._kinds.get(word)
         if kind is None:
-            kind = self._kinds[word, eps_class] = classify(self[word],
-                                                           eps_class)
+            kind = self._kinds[word] = classify(self[word], self.eps_class)
         return kind
 
-    def fixed_points(self, word: str, eps_class: float) -> tuple:
+    def fixed_points(self, word: str) -> tuple:
         """fixed_points of the image of word."""
-        pts = self._fixed.get((word, eps_class))
+        pts = self._fixed.get(word)
         if pts is None:
-            pts = self._fixed[word, eps_class] = _fixed_points(
-                self[word], self.kind(word, eps_class), eps_class)
+            pts = self._fixed[word] = _fixed_points(
+                self[word], self.kind(word), self.eps_class)
         return pts
 
+    def cuff_fixed_points(self, cuff) -> tuple:
+        """fixed_points of a cuff's image; raises NotAdapted when the
+        cuff is the identity or parabolic."""
+        kind = self.kind(cuff.word)
+        if kind in _DEGENERATE:
+            raise NotAdapted(f"cuff {cuff.id!r} is {kind}")
+        return self.fixed_points(cuff.word)
 
-def sample_images(reps, pd: PantsDecomposition) -> Iterator[WordImages]:
+
+def sample_images(reps, pd: PantsDecomposition,
+                  eps_class: float = EPS_CLASS) -> Iterator[WordImages]:
     """Yield one WordImages per representation, filled by one array pass.
 
     Every word the sample pipeline reads (cuff words, slot words,
@@ -122,7 +111,9 @@ def sample_images(reps, pd: PantsDecomposition) -> Iterator[WordImages]:
     it keeps no sample's maps.  A representation at which a value would
     raise in the scalar arithmetic (a singular matrix, an overflow) or
     is not finite raises SampleEvaluationFailure when its turn comes,
-    so a consumer meets the failures of earlier samples first.
+    so a consumer meets the failures of earlier samples first.  Every
+    WordImages classifies its words at eps_class, so everything that
+    reads one sample uses the same tolerance.
     """
     reps = list(reps)
     words, entries, rows, traces, checks = _array_pass(reps, pd)
@@ -136,7 +127,8 @@ def sample_images(reps, pd: PantsDecomposition) -> Iterator[WordImages]:
                 "finite")
         yield WordImages(rep,
                          zip(words, [raw(*e) for e in entries[k].tolist()]),
-                         dict(zip(rows, map(tuple, traces[k].tolist()))))
+                         dict(zip(rows, map(tuple, traces[k].tolist()))),
+                         eps_class)
 
 
 def _array_pass(reps: list, pd: PantsDecomposition):
@@ -188,39 +180,36 @@ def _array_pass(reps: list, pd: PantsDecomposition):
     return list(images), entries, rows, traces, checks
 
 
-def _word_images(rep: Representation | WordImages,
-                 pd: PantsDecomposition) -> WordImages:
-    """rep itself if it is a WordImages, else the one-sample pass at rep."""
+def _word_images(rep: Representation | WordImages, pd: PantsDecomposition,
+                 eps_class: float = EPS_CLASS) -> WordImages:
+    """rep itself if it is a WordImages (which keeps its own tolerance),
+    else the one-sample pass at rep, classifying at eps_class."""
     if isinstance(rep, WordImages):
         return rep
-    return next(sample_images([rep], pd))
+    return next(sample_images([rep], pd, eps_class))
 
 
 def resolve_endpoints(rep: Representation | WordImages,
-                      pd: PantsDecomposition, choice: EndpointChoice,
-                      eps_class: float = EPS_CLASS) -> dict:
-    """Chosen and unchosen fixed point per cuff: cuff id -> (zeta, other)."""
+                      pd: PantsDecomposition, start: str) -> dict:
+    """Chosen and unchosen fixed point per cuff: cuff id -> (zeta, other).
+
+    start is "attracting", which chooses the first point reported by
+    fixed_points (for a loxodromic cuff, the attracting one), or
+    "repelling", which chooses the second.
+    """
+    if start not in _LABELS:
+        raise PleatbendError(f"unknown endpoint label {start!r}")
     images = _word_images(rep, pd)
     out = {}
     for cuff in pd.cuffs:
-        kind = images.kind(cuff.word, eps_class)
-        if kind in (IsometryClass.IDENTITY, IsometryClass.PARABOLIC):
-            raise NotAdapted(f"cuff {cuff.id!r} is {kind}")
-        first, second = images.fixed_points(cuff.word, eps_class)
-        if cuff.id in choice.points:
-            p = choice.points[cuff.id]
-            pair = (first, second) if chordal(p, first) <= chordal(p, second) \
-                else (second, first)
-        else:
-            pair = (first, second) if choice.default == "attracting" \
-                else (second, first)
-        out[cuff.id] = pair
+        first, second = images.cuff_fixed_points(cuff)
+        out[cuff.id] = (first, second) if start == "attracting" \
+            else (second, first)
     return out
 
 
 def track_endpoints(rep: Representation | WordImages,
-                    pd: PantsDecomposition, previous: dict,
-                    eps_class: float = EPS_CLASS) -> dict:
+                    pd: PantsDecomposition, previous: dict) -> dict:
     """Continue an endpoint selection to a nearby representation.
 
     Each cuff's new fixed points are matched to the previously chosen
@@ -232,10 +221,7 @@ def track_endpoints(rep: Representation | WordImages,
     images = _word_images(rep, pd)
     out = {}
     for cuff in pd.cuffs:
-        kind = images.kind(cuff.word, eps_class)
-        if kind in (IsometryClass.IDENTITY, IsometryClass.PARABOLIC):
-            raise NotAdapted(f"cuff {cuff.id!r} is {kind}")
-        first, second = images.fixed_points(cuff.word, eps_class)
+        first, second = images.cuff_fixed_points(cuff)
         prev = previous[cuff.id][0]
         d1, d2 = chordal(prev, first), chordal(prev, second)
         gap = chordal(first, second)
@@ -294,23 +280,19 @@ def shared_endpoint_check(m1: MoebiusMap, m2: MoebiusMap,
     return abs(tr2 - 4) < eps_class, tr2
 
 
-def check_adapted(rep: Representation | WordImages, pd: PantsDecomposition,
-                  eps_class: float = EPS_CLASS) -> AdaptednessReport:
+def check_adapted(rep: Representation | WordImages,
+                  pd: PantsDecomposition) -> AdaptednessReport:
     """Adaptedness of a representation to a decomposition.
 
     Every cuff image must be non-trivial and non-parabolic, and the
     three slot words of each pants must have pairwise disjoint fixed
     sets (commutator squared-trace test), read from the commutators
-    that sample_images stored.
+    that sample_images stored; both tests use the pass's eps_class.
     """
     images = _word_images(rep, pd)
-    kinds = {}
-    bad = []
-    for cuff in pd.cuffs:
-        kind = images.kind(cuff.word, eps_class)
-        kinds[cuff.id] = kind
-        if kind in (IsometryClass.IDENTITY, IsometryClass.PARABOLIC):
-            bad.append(cuff.id)
+    kinds = {c.id: images.kind(c.word) for c in pd.cuffs}
+    bad = [cid for cid, kind in kinds.items() if kind in _DEGENERATE]
+    eps_class = images.eps_class
     reports = []
     for p, words in enumerate(pd.slot_words):
         for (i, j), tr2 in zip(_PAIRS, images.commutators[words]):
@@ -339,9 +321,9 @@ class AdaptedSample:
     """
 
     def __init__(self, rep: Representation | WordImages,
-                 pd: PantsDecomposition, eps_class: float = EPS_CLASS):
+                 pd: PantsDecomposition):
         images = _word_images(rep, pd)
-        report = check_adapted(images, pd, eps_class)
+        report = check_adapted(images, pd)
         if not report.adapted:
             raise NotAdapted(report.summary())
         self.report = report
@@ -350,8 +332,7 @@ class AdaptedSample:
         self.holonomy = tuple(tuple(images[w] for w in words)
                               for words in pd.slot_words)
         self.cuff_lengths = {
-            c.id: _complex_length(images[c.word],
-                                  images.kind(c.word, eps_class))
+            c.id: _complex_length(images[c.word], images.kind(c.word))
             for c in pd.cuffs}
         self._witnesses = {}
 
@@ -431,25 +412,23 @@ class PleatedRealization:
         return up, down
 
 
-def realize(rep: Representation, pd: PantsDecomposition,
-            endpoints: EndpointChoice | dict | None = None,
+def realize(rep: Representation | WordImages, pd: PantsDecomposition,
+            endpoints: str | dict = "attracting",
             eps_class: float = EPS_CLASS) -> PleatedRealization:
     """Realize the plaques of every pants for an adapted representation.
 
-    endpoints may be an EndpointChoice, an already-resolved dict from
-    resolve_endpoints/track_endpoints, or None (all attracting).
-    Raises SampleEvaluationFailure when the word images cannot be
-    evaluated, NotAdapted when the adaptedness check fails and
-    DegenerateTriangle when realized plaque vertices collide.  This is
-    AdaptedSample followed by AdaptedSample.place on every pants.
+    endpoints is a start label for resolve_endpoints ("attracting" or
+    "repelling") or an already-resolved dict from resolve_endpoints or
+    track_endpoints.  A bare representation is evaluated by a
+    one-sample pass classifying at eps_class.  Raises
+    SampleEvaluationFailure when the word images cannot be evaluated,
+    NotAdapted when the adaptedness check fails and DegenerateTriangle
+    when realized plaque vertices collide.  This is AdaptedSample
+    followed by AdaptedSample.place on every pants.
     """
-    sample = AdaptedSample(rep, pd, eps_class)
-    if endpoints is None:
-        endpoints = EndpointChoice.uniform("attracting")
-    if isinstance(endpoints, dict):
-        zeta = endpoints
-    else:
-        zeta = resolve_endpoints(sample.images, pd, endpoints, eps_class)
+    sample = AdaptedSample(_word_images(rep, pd, eps_class), pd)
+    zeta = endpoints if isinstance(endpoints, dict) \
+        else resolve_endpoints(sample.images, pd, endpoints)
     xi = tuple(sample.place(p, zeta) for p in range(len(pd.pants)))
     return PleatedRealization(sample=sample, zeta=zeta, xi=xi)
 

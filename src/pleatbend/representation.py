@@ -304,8 +304,8 @@ def _cuff_table(pd: PantsDecomposition, values, what: str) -> dict[str, complex]
     return {c.id: complex(v) for c, v in zip(pd.cuffs, values)}
 
 
-def fenchel_nielsen_rep(pd: PantsDecomposition, lengths, twists,
-                        verify: bool = True) -> Representation:
+def fenchel_nielsen_rep(pd: PantsDecomposition, lengths,
+                        twists) -> Representation:
     """Representation with prescribed cuff lengths and twist-bends.
 
     lengths and twists are dicts keyed by cuff id (or sequences aligned
@@ -313,7 +313,9 @@ def fenchel_nielsen_rep(pd: PantsDecomposition, lengths, twists,
     cuff (purely imaginary = elliptic cuff), a twist s = tau + i theta
     combines shearing tau with bending theta.  Requires the gluing
     recipe attached by standard_decomposition (or an equivalent one in
-    the decomposition file).
+    the decomposition file).  Raises PleatbendError when the result
+    misses the gluing postcondition: a relator residual or a cuff
+    trace^2 error above 1e-6.
     """
     fn = pd.fenchel_nielsen
     if fn is None:
@@ -412,18 +414,17 @@ def fenchel_nielsen_rep(pd: PantsDecomposition, lengths, twists,
     rep = Representation(generators=pd.generators,
                          images=tuple(images[g] for g in pd.generators),
                          relators=pd.relators)
-    if verify:
-        res = rep.relator_residual()
-        if res > 1e-6:
+    res = rep.relator_residual()
+    if res > 1e-6:
+        raise PleatbendError(
+            f"gluing postcondition failed: relator residual {res:.3e}")
+    for cuff in pd.cuffs:
+        m = evaluate_word(rep, cuff.word)
+        want = 4 * _half_trace(lam[cuff.id]) ** 2
+        if abs(m.trace ** 2 - want) > 1e-6 * (1 + abs(want)):
             raise PleatbendError(
-                f"gluing postcondition failed: relator residual {res:.3e}")
-        for cuff in pd.cuffs:
-            m = evaluate_word(rep, cuff.word)
-            want = 4 * _half_trace(lam[cuff.id]) ** 2
-            if abs(m.trace ** 2 - want) > 1e-6 * (1 + abs(want)):
-                raise PleatbendError(
-                    f"gluing postcondition failed: cuff {cuff.id!r} trace "
-                    f"{m.trace ** 2:.6g} vs requested {want:.6g}")
+                f"gluing postcondition failed: cuff {cuff.id!r} trace "
+                f"{m.trace ** 2:.6g} vs requested {want:.6g}")
     return rep
 
 

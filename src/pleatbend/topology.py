@@ -233,15 +233,6 @@ class OrientationAssignment:
 
     forward: tuple[bool, ...]
 
-    @classmethod
-    def all_forward(cls, pd: PantsDecomposition) -> "OrientationAssignment":
-        return cls(tuple(True for _ in pd.cuffs))
-
-    def flipped(self, cuff_index: int) -> "OrientationAssignment":
-        bits = list(self.forward)
-        bits[cuff_index] = not bits[cuff_index]
-        return OrientationAssignment(tuple(bits))
-
 
 def enumerate_orientations(pd: PantsDecomposition) -> list[OrientationAssignment]:
     """All 2^(3g-3) orientation assignments, all-forward first."""

@@ -28,14 +28,13 @@ from .errors import (AngleUnwrapFailure, DegenerateTetrahedron,
                      EndpointsMismatch, OrientationTrackingFailure,
                      PleatbendError)
 from .moebius import EPS_CLASS, IsometryClass, reduce_angle
-from .pleated import (AdaptedSample, EndpointChoice, PleatedRealization,
-                      TruncationConvention, WordImages, _word_images,
-                      resolve_endpoints, sample_images, schlafli_term,
-                      track_endpoints)
+from .pleated import (AdaptedSample, PleatedRealization, TruncationConvention,
+                      WordImages, _word_images, resolve_endpoints,
+                      sample_images, schlafli_term, track_endpoints)
 from .representation import (RepresentationPath, fingerprint,
                              standard_word_list)
-from .topology import (Lamination, OrientationAssignment, build_lamination,
-                       enumerate_orientations)
+from .topology import (Lamination, OrientationAssignment, PantsDecomposition,
+                       build_lamination, enumerate_orientations)
 
 EPS_LOOP = 1e-8   # fingerprint distance below which a path counts as closed
 
@@ -131,22 +130,30 @@ def _sample_indices(path: RepresentationPath, steps: int | None) -> list[int]:
     return indices
 
 
-def _term_series(path: RepresentationPath, lam: Lamination, indices, starts,
-                 conv: TruncationConvention, eps_class: float,
-                 images: Iterable[WordImages] | None = None
+def _selection_at(images: WordImages, pd: PantsDecomposition,
+                  start: str | dict) -> dict:
+    """start resolved at a sample when it is a label, else tracked to
+    it."""
+    if isinstance(start, str):
+        return resolve_endpoints(images, pd, start)
+    return track_endpoints(images, pd, start)
+
+
+def _term_series(pd: PantsDecomposition, lam: Lamination,
+                 images: Iterable[WordImages], starts,
+                 conv: TruncationConvention
                  ) -> tuple[dict, PleatbendError | None]:
     """Angle and length of every leaf of lam at every sample, per chain
     pattern.
 
-    starts holds the start selection of each chain as a dict, tracked
-    to the first sample; chain 0 may instead start from an
-    EndpointChoice, resolved at the first sample.  images, if given,
-    yields the WordImages of the samples, as sample_images does (the
-    start selections may have been read from the first); otherwise
-    sample_images is called here.  Each representation is checked for
-    adaptedness once, at eps_class, each word is evaluated once per
-    sample, and every pants is placed (with the plaque check) once for
-    every pattern of chains on its cuffs.
+    images yields the WordImages of the samples, as sample_images does;
+    the pass fixes the classification tolerance of every check.  starts
+    holds the start selection of each chain as a dict, tracked to the
+    first sample (the start selections may have been read from it);
+    chain 0 may instead start from a label, resolved at the first
+    sample.  Each representation is checked for adaptedness once, each
+    word is evaluated once per sample, and every pants is placed (with
+    the plaque check) once for every pattern of chains on its cuffs.
     Returns ({(leaf key, pattern): (angles, lengths)}, deferred),
     where pattern gives the chain of each cuff in the leaf's support.
 
@@ -155,24 +162,18 @@ def _term_series(path: RepresentationPath, lam: Lamination, indices, starts,
     raise at once.  The first failure of any other pattern is returned
     as deferred instead, and from then on only chain 0 is carried.
     """
-    pd = path.pd
     ids = [c.id for c in pd.cuffs]
     series: dict = {}
     deferred = None
     zetas = list(starts)
-    if images is None:
-        images = sample_images([path.reps[i] for i in indices], pd)
-    for i, at_sample in zip(indices, images):
-        if i == indices[0] and isinstance(zetas[0], EndpointChoice):
-            zetas[0] = resolve_endpoints(at_sample, pd, zetas[0], eps_class)
-        else:
-            zetas[0] = track_endpoints(at_sample, pd, zetas[0], eps_class)
-        sample = AdaptedSample(at_sample, pd, eps_class)
+    for at_sample in images:
+        zetas[0] = _selection_at(at_sample, pd, zetas[0])
+        sample = AdaptedSample(at_sample, pd)
         placed = {}
         values = _pattern_values(sample, lam, ids, zetas[:1], conv, placed)
         if len(zetas) > 1:
             try:
-                zetas[1:] = [track_endpoints(at_sample, pd, z, eps_class)
+                zetas[1:] = [track_endpoints(at_sample, pd, z)
                              for z in zetas[1:]]
                 values.update(_pattern_values(sample, lam, ids, zetas, conv,
                                               placed))
@@ -230,7 +231,7 @@ def _pattern_values(sample: AdaptedSample, lam: Lamination, ids, zetas,
     return values
 
 
-def angle_series(path: RepresentationPath, zeta: EndpointChoice | dict,
+def angle_series(path: RepresentationPath, zeta: str | dict,
                  conv: TruncationConvention,
                  eps_class: float = EPS_CLASS) -> dict:
     """Bending angle of every term at every sample of a path.
@@ -240,14 +241,15 @@ def angle_series(path: RepresentationPath, zeta: EndpointChoice | dict,
     the classification tolerance of tracking and of the adaptedness
     check.
     """
-    lam = build_lamination(_surface(path))
-    series, _ = _term_series(path, lam, list(range(len(path))), [zeta], conv,
-                             eps_class)
+    pd = _surface(path)
+    series, _ = _term_series(pd, build_lamination(pd),
+                             sample_images(path.reps, pd, eps_class), [zeta],
+                             conv)
     return {key: angles for (key, _), (angles, _) in series.items()}
 
 
 def schlafli_derivative(path: RepresentationPath, t: float,
-                        zeta: EndpointChoice | dict,
+                        zeta: str | dict,
                         conv: TruncationConvention) -> float:
     """dV/dt at an interior sample of a path.
 
@@ -264,13 +266,9 @@ def schlafli_derivative(path: RepresentationPath, t: float,
     pd = _surface(path)
     indices = [k - 1, k, k + 1]
     images = list(sample_images([path.reps[i] for i in indices], pd))
-    if isinstance(zeta, EndpointChoice):
-        zeta = resolve_endpoints(images[1], pd, zeta)
-    else:
-        zeta = track_endpoints(images[1], pd, zeta)
+    zeta = _selection_at(images[1], pd, zeta)
     lam = build_lamination(pd)
-    series, _ = _term_series(path, lam, indices, [zeta], conv, EPS_CLASS,
-                             images)
+    series, _ = _term_series(pd, lam, images, [zeta], conv)
     ts = np.array([path.ts[i] for i in indices])
     table = _orientation_table(lam, series, [(0,) * len(pd.cuffs)])
     velocities, failures = _velocities(ts, series)
@@ -421,22 +419,21 @@ def _raise_first_failure(table: np.ndarray, failures: list) -> None:
         raise failures[table[o, t]]
 
 
-def _integrate(path: RepresentationPath, indices, starts, orientations,
-               conv: TruncationConvention, eps_class: float,
-               images: Iterable[WordImages] | None = None
-               ) -> list[VolumePathResult]:
+def _integrate(path: RepresentationPath, indices,
+               images: Iterable[WordImages], starts, orientations,
+               conv: TruncationConvention) -> list[VolumePathResult]:
     """One VolumePathResult per orientation (a chain index per cuff).
 
     Composite Simpson over the samples by closed-form interpolatory
     weights, every orientation at once, with the error estimated by
     Richardson comparison against the half-resolution subsample (NaN
     when the interval count is odd or the subsample fails to unwrap).
-    orientations[0] takes chain 0 on every cuff; images is passed on to
-    _term_series.
+    images is the sample pass at path.reps[indices], passed on to
+    _term_series; orientations[0] takes chain 0 on every cuff.
     """
-    lam = build_lamination(_surface(path))
-    series, deferred = _term_series(path, lam, indices, starts, conv,
-                                    eps_class, images)
+    pd = _surface(path)
+    lam = build_lamination(pd)
+    series, deferred = _term_series(pd, lam, images, starts, conv)
     if deferred is not None:
         # orientation by orientation, the first is integrated, or
         # raises its own failure, before the deferred one is met
@@ -470,25 +467,28 @@ def _integrate(path: RepresentationPath, indices, starts, orientations,
 
 
 def integrate_volume_change(path: RepresentationPath,
-                            zeta: EndpointChoice | dict,
+                            zeta: str | dict,
                             conv: TruncationConvention,
                             steps: int | None = None,
                             eps_class: float = EPS_CLASS) -> VolumePathResult:
     """Integrate dV along a path of adapted representations.
 
-    The endpoint selection is resolved at the first sample and tracked
-    forward.  The integrand is the per-sample length-weighted angle
-    velocity; composite Simpson over the samples, with the error
-    estimated by Richardson comparison against the half-resolution
-    subsample (NaN when the interval count is odd).  steps optionally
-    subsamples the stored path (its interval count must divide the
-    stored one).  eps_class is the classification tolerance of tracking
-    and of the adaptedness check.
+    zeta is a start label ("attracting" or "repelling"), resolved at
+    the first sample, or a selection dict, tracked to it; either is
+    then tracked forward.  The integrand is the per-sample
+    length-weighted angle velocity; composite Simpson over the samples,
+    with the error estimated by Richardson comparison against the
+    half-resolution subsample (NaN when the interval count is odd).
+    steps optionally subsamples the stored path (its interval count
+    must divide the stored one).  eps_class is the classification
+    tolerance of the sample pass: of tracking and of the adaptedness
+    check.
     """
     indices = _sample_indices(path, steps)
     pd = _surface(path)
-    return _integrate(path, indices, [zeta], [(0,) * len(pd.cuffs)], conv,
-                      eps_class)[0]
+    images = sample_images([path.reps[i] for i in indices], pd, eps_class)
+    return _integrate(path, indices, images, [zeta], [(0,) * len(pd.cuffs)],
+                      conv)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -496,25 +496,25 @@ def integrate_volume_change(path: RepresentationPath,
 
 
 def orientation_start_endpoints(path: RepresentationPath, ori,
-                                eps_class: float = EPS_CLASS,
                                 images: WordImages | None = None) -> dict:
     """Start selection of an orientation: cuff id -> (zeta, other).
 
     Forward takes the attracting fixed point of the cuff at the first
     sample, backward the repelling one.  images, if given, is the
-    WordImages of path.reps[0], shared with the caller.
+    WordImages of path.reps[0], shared with the caller, and fixes the
+    classification tolerance; otherwise it is EPS_CLASS.
     """
     pd = path.pd
     if images is None:
         images = _word_images(path.reps[0], pd)
     zeta = {}
     for bit, cuff in zip(ori.forward, pd.cuffs):
-        kind = images.kind(cuff.word, eps_class)
+        kind = images.kind(cuff.word)
         if kind != IsometryClass.LOXODROMIC:
             raise OrientationTrackingFailure(
                 f"cuff {cuff.id!r} is {kind} at the path start; "
                 "orientation endpoints need a loxodromic cuff")
-        att, rep_pt = images.fixed_points(cuff.word, eps_class)
+        att, rep_pt = images.fixed_points(cuff.word)
         zeta[cuff.id] = (att, rep_pt) if bit else (rep_pt, att)
     return zeta
 
@@ -569,32 +569,21 @@ def vol_gamma(path: RepresentationPath, conv: TruncationConvention,
         indices = _sample_indices(path, steps)
     except PleatbendError:
         # a start cuff that is not loxodromic is reported first
+        first = _word_images(path.reps[0], pd, eps_class)
         for ori in ends:
-            orientation_start_endpoints(path, ori, eps_class)
+            orientation_start_endpoints(path, ori, first)
         raise
-    images = sample_images([path.reps[i] for i in indices], pd)
+    images = sample_images([path.reps[i] for i in indices], pd, eps_class)
     first = next(images)
     # all forward and all back, read from the word images that the
     # first sample of the pipeline then reuses
-    starts = [orientation_start_endpoints(path, ori, eps_class, first)
-              for ori in ends]
+    starts = [orientation_start_endpoints(path, ori, first) for ori in ends]
     chains = [tuple(0 if bit else 1 for bit in ori.forward)
               for ori in orientations]
-    results = _integrate(path, indices, starts, chains, conv, eps_class,
-                         itertools.chain([first], images))
+    results = _integrate(path, indices, itertools.chain([first], images),
+                         starts, chains, conv)
     return VolGammaResult(orientations=tuple(orientations),
                           results=tuple(results))
-
-
-def vol_gamma_change(path: RepresentationPath,
-                     conv: TruncationConvention,
-                     eps_class: float = EPS_CLASS) -> float:
-    """Change of the orientation-summed volume functional along a path.
-
-    Sums the integrated first variation over all 2^(3g-3) cuff
-    orientations (see vol_gamma).  Closed loops give 0.
-    """
-    return vol_gamma(path, conv, eps_class=eps_class).total
 
 
 @dataclass(frozen=True)

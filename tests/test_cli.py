@@ -13,7 +13,6 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from pleatbend import (
-    EndpointChoice,
     TruncationConvention,
     fenchel_nielsen_rep,
     integrate_volume_change,
@@ -188,7 +187,7 @@ class TestVolumePath:
         if fmt == "json":
             pd, _ = load_document(str(demo / "surface.json"))
             path = load_path(str(demo / "twist_loop.json"), pd=pd)
-            want = integrate_volume_change(path, EndpointChoice.uniform(),
+            want = integrate_volume_change(path, "attracting",
                                            TruncationConvention.uniform(pd))
             payload = json.loads(out)
             assert payload["delta_v"] == f"{want.delta_v:.15g}"
@@ -498,6 +497,18 @@ class TestFailureModes:
         assert code == 2
         assert "SingularMatrix" in err
         assert "'x'" in err
+
+    def test_nan_generator_is_singular(self, tmp_path, capsys):
+        # a NaN entry leaves tr^2 NaN, which no isometry type fits
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps({"matrices": {
+            "x": [[math.nan, 0], [0, 0], [0, 0], [1, 0]]}}))
+        code, out, err = run(capsys, "classify", "--input", str(bad),
+                             "--words", "x")
+        assert code == 2
+        assert out == ""
+        assert "SingularMatrix" in err
+        assert "not finite" in err
 
     @pytest.mark.parametrize("command,source", [
         ("pleat", "bent.json"), ("bend", "bent.json"),

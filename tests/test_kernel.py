@@ -19,9 +19,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pleatbend import (EndpointChoice, MoebiusMap, NotAdapted,
-                       Representation, SampleEvaluationFailure,
-                       SingularMatrix, TruncationConvention, UnknownLetter,
+from pleatbend import (MoebiusMap, NotAdapted, Representation,
+                       SampleEvaluationFailure, SingularMatrix,
+                       TruncationConvention, UnknownLetter,
                        integrate_volume_change, path_from_parameters,
                        path_from_reps, shared_endpoint_check,
                        standard_decomposition, vol_gamma)
@@ -154,7 +154,7 @@ def with_bad_sample(path, k, image):
 def run_pipeline(run, path):
     conv = TruncationConvention.uniform(path.pd)
     if run == "volume-path":
-        return integrate_volume_change(path, EndpointChoice.uniform(), conv)
+        return integrate_volume_change(path, "attracting", conv)
     return vol_gamma(path, conv)
 
 

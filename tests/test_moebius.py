@@ -130,6 +130,13 @@ class TestClassify:
         with pytest.raises(IdentityMap):
             fixed_points(MoebiusMap.identity())
 
+    def test_non_finite_trace_has_no_type(self):
+        m = MoebiusMap(math.nan, 0, 0, 1)
+        with pytest.raises(SingularMatrix, match="not finite"):
+            classify(m)
+        with pytest.raises(SingularMatrix):
+            fixed_points(m)
+
     def test_near_parabolic_tolerance_window(self):
         # trace 2 + tiny: inside the parabolic window at loose tolerance,
         # loxodromic at tight tolerance

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pleatbend import (
     CuffCrossing,
-    EndpointChoice,
+    IsometryClass,
     LeafCrossing,
     MoebiusMap,
     NotAdapted,
@@ -34,6 +34,7 @@ from pleatbend import (
     truncated_geodesic_length,
     truncated_length,
 )
+from pleatbend.pleated import sample_images
 
 LENGTHS = (2.0, 1.7, 2.3)
 TWISTS = (0.3, 0.1, 0.2)
@@ -108,7 +109,7 @@ class TestRealize:
         rep = fenchel_nielsen_rep(
             pd, LENGTHS, (TWISTS[0] + 0.4j,) + TWISTS[1:])
         att = realize(rep, pd)
-        repl = realize(rep, pd, EndpointChoice.uniform("repelling"))
+        repl = realize(rep, pd, "repelling")
         for cuff in pd.cuffs:
             assert cuff_bending(repl, cuff.id) == pytest.approx(
                 -cuff_bending(att, cuff.id), abs=1e-12)
@@ -175,7 +176,7 @@ class TestEndpointTracking:
     def test_small_step_tracks(self, setup):
         pd, _ = setup
         rep0 = fuchsian(pd)
-        zeta = resolve_endpoints(rep0, pd, EndpointChoice.uniform())
+        zeta = resolve_endpoints(rep0, pd, "attracting")
         rep1 = fenchel_nielsen_rep(pd, LENGTHS,
                                    (TWISTS[0] + 0.01j,) + TWISTS[1:])
         moved = track_endpoints(rep1, pd, zeta)
@@ -185,7 +186,7 @@ class TestEndpointTracking:
     def test_ambiguous_previous_point_fails(self, setup):
         pd, _ = setup
         rep = fuchsian(pd)
-        zeta = resolve_endpoints(rep, pd, EndpointChoice.uniform())
+        zeta = resolve_endpoints(rep, pd, "attracting")
         cid = pd.cuffs[0].id
         p1, p2 = zeta[cid]
         frame = normalizing_map(p1, p2)
@@ -195,18 +196,24 @@ class TestEndpointTracking:
         with pytest.raises(OrientationTrackingFailure):
             track_endpoints(rep, pd, bad)
 
-    def test_explicit_point_choice_snaps(self, setup):
+    def test_pass_fixes_the_tolerance(self, setup):
+        # every check that reads a sample classifies at the tolerance
+        # of its pass: at 3, the length-2 cuff a1 is the identity
         pd, _ = setup
         rep = fuchsian(pd)
-        zeta = resolve_endpoints(rep, pd, EndpointChoice.uniform())
-        cid = pd.cuffs[0].id
-        repelling = zeta[cid][1]
-        picked = resolve_endpoints(
-            rep, pd, EndpointChoice(points={cid: repelling}))
-        assert chordal(picked[cid][0], repelling) < 1e-12
-        # other cuffs keep the default
-        other = pd.cuffs[1].id
-        assert chordal(picked[other][0], zeta[other][0]) < 1e-12
+        zeta = resolve_endpoints(rep, pd, "attracting")
+        images = next(sample_images([rep], pd, eps_class=3))
+        assert images.kind(pd.cuff("a1").word) == IsometryClass.IDENTITY
+        with pytest.raises(NotAdapted, match="cuff 'a1' is identity"):
+            resolve_endpoints(images, pd, "attracting")
+        with pytest.raises(NotAdapted, match="cuff 'a1' is identity"):
+            track_endpoints(images, pd, zeta)
+        report = check_adapted(images, pd)
+        assert not report.adapted
+        assert "a1" in report.bad_cuffs
+        assert report.cuff_kinds["a1"] == IsometryClass.IDENTITY
+        # a bare representation gets the pass at EPS_CLASS
+        assert check_adapted(rep, pd).adapted
 
 
 class TestArcBending:
@@ -305,7 +312,7 @@ class TestSampledAngleContinuity:
             theta = 0.5 * k / 8
             rep = fenchel_nielsen_rep(
                 pd, LENGTHS, (TWISTS[0] + theta * 1j,) + TWISTS[1:])
-            zeta = (resolve_endpoints(rep, pd, EndpointChoice.uniform())
+            zeta = (resolve_endpoints(rep, pd, "attracting")
                     if zeta is None else track_endpoints(rep, pd, zeta))
             real = realize(rep, pd, zeta)
             assert cuff_bending(real, "a1") == pytest.approx(theta, abs=1e-10)

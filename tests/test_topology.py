@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from pleatbend.errors import InvalidDecomposition, UnknownLetter
 from pleatbend.topology import (BoundaryComponent, BoundaryInclusion,
                                 CuffCrossing, LeafCrossing,
-                                OrientationAssignment, PantsDecomposition,
-                                TransverseArc,
+                                PantsDecomposition, TransverseArc,
                                 build_lamination, decomposition_from_dict,
                                 decomposition_to_dict, enumerate_orientations,
                                 invert_word, load_document, parse_word,
@@ -96,11 +95,6 @@ class TestOrientations:
     def test_count_genus3(self):
         assert len(enumerate_orientations(standard_decomposition(3))) == 64
 
-    def test_flip(self):
-        pd = standard_decomposition(2)
-        ori = OrientationAssignment.all_forward(pd)
-        flipped = ori.flipped(1)
-        assert flipped.forward == (True, False, True)
 
 
 class TestLamination:

@@ -14,7 +14,6 @@ from scipy.linalg import expm
 from pleatbend import (
     AngleUnwrapFailure,
     DegenerateTetrahedron,
-    EndpointChoice,
     EndpointsMismatch,
     MoebiusMap,
     OrientationTrackingFailure,
@@ -37,7 +36,6 @@ from pleatbend import (
     standard_decomposition,
     track_endpoints,
     vol_gamma,
-    vol_gamma_change,
 )
 from pleatbend import pleated, representation, topology
 from pleatbend.moebius import MoebiusArray
@@ -117,7 +115,7 @@ def central_difference_derivative(path, t, zeta, conv):
     angle differences reduced mod 2 pi, term by term."""
     pd = path.pd
     k = path.index_of(t)
-    if isinstance(zeta, EndpointChoice):
+    if isinstance(zeta, str):
         zeta_k = resolve_endpoints(path.reps[k], pd, zeta)
     else:
         zeta_k = track_endpoints(path.reps[k], pd, zeta)
@@ -243,12 +241,12 @@ class TestSchlafliDerivative:
         path = path_from_parameters(
             pd, lambda t: (2.0, 1.7, 2.3),
             lambda t: (0.3 + 0.5 * t, 0.1, 0.2), steps=8)
-        d = schlafli_derivative(path, 0.5, EndpointChoice.uniform(), conv)
+        d = schlafli_derivative(path, 0.5, "attracting", conv)
         assert abs(d) < 1e-9
 
     def test_pure_bend_matches_closed_form(self, pd, conv):
         path = bend_path(pd, steps=16)
-        choice = EndpointChoice.uniform()
+        choice = "attracting"
         for t in (0.25, 0.5, 0.75):
             d = schlafli_derivative(path, t, choice, conv)
             assert d == pytest.approx(0.5 * 2.0 * 0.5, rel=1e-10)
@@ -256,13 +254,13 @@ class TestSchlafliDerivative:
     def test_endpoint_rejected(self, pd, conv):
         path = bend_path(pd, steps=8)
         with pytest.raises(PleatbendError):
-            schlafli_derivative(path, 0.0, EndpointChoice.uniform(), conv)
+            schlafli_derivative(path, 0.0, "attracting", conv)
 
     def test_horoball_independence(self, pd, conv):
         path = path_from_parameters(
             pd, lambda t: (2.0 + 0.3 * t, 1.7, 2.3),
             lambda t: (0.3 + 0.5j * t, 0.1, 0.2 - 0.2j * t), steps=16)
-        choice = EndpointChoice.uniform()
+        choice = "attracting"
         base = schlafli_derivative(path, 0.5, choice, conv)
         for cuff, factor in (("a1", math.e), ("w1", 1 / math.e)):
             moved = schlafli_derivative(path, 0.5, choice,
@@ -277,14 +275,14 @@ class TestSchlafliDerivative:
         conj = RepresentationPath(
             ts=path.ts, reps=tuple(r.conjugated(g) for r in path.reps),
             pd=pd, recipe=path.recipe)
-        choice = EndpointChoice.uniform()
+        choice = "attracting"
         assert schlafli_derivative(conj, 0.5, choice, conv) == pytest.approx(
             schlafli_derivative(path, 0.5, choice, conv), abs=1e-9)
 
     def test_coarse_branch_jump_fails(self, pd, conv):
         path = bend_path(pd, theta_final=2 * math.pi, steps=2)
         with pytest.raises(AngleUnwrapFailure):
-            schlafli_derivative(path, 0.5, EndpointChoice.uniform(), conv)
+            schlafli_derivative(path, 0.5, "attracting", conv)
 
 
 class TestSchlafliDerivativeOracle:
@@ -308,7 +306,7 @@ class TestSchlafliDerivativeOracle:
             "pure_bend": lambda: bend_path(pd, steps=16),
             "genus2_loop": lambda: genus2_loop(pd),
         }[name]()
-        choice = EndpointChoice.uniform()
+        choice = "attracting"
         values = []
         for t in path.ts[1:-1]:
             got = schlafli_derivative(path, t, choice, conv)
@@ -319,7 +317,7 @@ class TestSchlafliDerivativeOracle:
 
     def test_both_reject_a_coarse_full_bend(self, pd, conv):
         path = bend_path(pd, theta_final=2 * math.pi, steps=2)
-        choice = EndpointChoice.uniform()
+        choice = "attracting"
         with pytest.raises(AngleUnwrapFailure):
             central_difference_derivative(path, 0.5, choice, conv)
         with pytest.raises(AngleUnwrapFailure):
@@ -329,7 +327,7 @@ class TestSchlafliDerivativeOracle:
 class TestIntegrate:
     def test_pure_bend_closed_form(self, pd, conv):
         result = integrate_volume_change(bend_path(pd),
-                                         EndpointChoice.uniform(), conv)
+                                         "attracting", conv)
         assert result.delta_v == pytest.approx(0.5, rel=1e-10)
         assert result.steps == 64
         assert len(result.per_step) == 64
@@ -341,21 +339,30 @@ class TestIntegrate:
         path = path_from_parameters(
             pd, lambda t: (2.0 + 0.3 * t, 1.7, 2.3),
             lambda t: (0.3 + 0.5j * t, 0.1, 0.2), steps=16)
-        choice = EndpointChoice.uniform()
+        choice = "attracting"
         fwd = integrate_volume_change(path, choice, conv)
         back = integrate_volume_change(path.reversed(), choice, conv)
         assert back.delta_v == pytest.approx(-fwd.delta_v, abs=1e-12)
+
+    def test_unknown_endpoint_label_rejected(self, pd, conv):
+        rep = fenchel_nielsen_rep(pd, (2.0, 1.7, 2.3), (0.3, 0.1, 0.2))
+        with pytest.raises(PleatbendError,
+                           match="unknown endpoint label 'sideways'"):
+            realize(rep, pd, "sideways")
+        with pytest.raises(PleatbendError,
+                           match="unknown endpoint label 'sideways'"):
+            integrate_volume_change(bend_path(pd, steps=4), "sideways", conv)
 
     def test_constant_path_is_zero(self, pd, conv):
         from pleatbend import fenchel_nielsen_rep
         rep = fenchel_nielsen_rep(pd, (2.0, 1.7, 2.3), (0.3, 0.1, 0.2))
         path = path_from_reps([rep] * 5, pd=pd)
-        result = integrate_volume_change(path, EndpointChoice.uniform(), conv)
+        result = integrate_volume_change(path, "attracting", conv)
         assert result.delta_v == 0.0
 
     def test_step_subsampling(self, pd, conv):
         path = bend_path(pd)
-        choice = EndpointChoice.uniform()
+        choice = "attracting"
         full = integrate_volume_change(path, choice, conv)
         half = integrate_volume_change(path, choice, conv, steps=32)
         assert half.steps == 32
@@ -372,7 +379,7 @@ class TestIntegrate:
             return path_from_parameters(
                 pd, lambda t: (2.0 + 0.4 * math.sin(t), 1.7, 2.3),
                 lambda t: (0.3 + 0.6j * t * t, 0.1, 0.2), steps=steps)
-        choice = EndpointChoice.uniform()
+        choice = "attracting"
         coarse = integrate_volume_change(make(16), choice, conv)
         fine = integrate_volume_change(make(64), choice, conv)
         assert not math.isnan(coarse.error_estimate)
@@ -382,14 +389,14 @@ class TestIntegrate:
 
     def test_error_estimate_nan_on_odd_interval_count(self, pd, conv):
         path = bend_path(pd, steps=5)
-        result = integrate_volume_change(path, EndpointChoice.uniform(), conv)
+        result = integrate_volume_change(path, "attracting", conv)
         assert math.isnan(result.error_estimate)
 
     def test_error_estimate_nan_when_subsample_fails_to_unwrap(self, pd,
                                                                conv):
         # fine steps of pi/2 unwrap; the coarse step of pi does not
         path = bend_path(pd, theta_final=2 * math.pi, steps=4)
-        result = integrate_volume_change(path, EndpointChoice.uniform(), conv)
+        result = integrate_volume_change(path, "attracting", conv)
         assert result.delta_v == pytest.approx(2 * math.pi, rel=1e-9)
         assert math.isnan(result.error_estimate)
         rows = vol_gamma(path, conv).results
@@ -399,7 +406,7 @@ class TestIntegrate:
             assert math.isnan(r.error_estimate)
 
     def test_additivity_at_even_splits(self, pd, conv):
-        choice = EndpointChoice.uniform()
+        choice = "attracting"
         whole = integrate_volume_change(
             path_from_parameters(
                 pd, lambda t: (2.0 + 0.3 * t, 1.7, 2.3),
@@ -473,20 +480,20 @@ class TestVolGamma:
         assert len(list(enumerate_orientations(pd))) == 8
 
     def test_bend_contributions_cancel(self, pd, conv):
-        assert abs(vol_gamma_change(bend_path(pd, steps=16), conv)) < 1e-10
+        assert abs(vol_gamma(bend_path(pd, steps=16), conv).total) < 1e-10
 
     def test_fuchsian_path_is_flat(self, pd, conv):
         path = path_from_parameters(
             pd, lambda t: (2.0 + 0.2 * t, 1.7, 2.3),
             lambda t: (0.3 + 0.4 * t, 0.1, 0.2), steps=8)
-        assert abs(vol_gamma_change(path, conv)) < 1e-10
+        assert abs(vol_gamma(path, conv).total) < 1e-10
 
     def test_elliptic_start_rejected(self, pd, conv):
         path = path_from_parameters(
             pd, lambda t: (0.8j + 1.5 * t * t, 1.7, 2.3),
             lambda t: (0.3, 0.1, 0.2), steps=8)
         with pytest.raises(OrientationTrackingFailure):
-            vol_gamma_change(path, conv)
+            vol_gamma(path, conv).total
 
 
 class TestLoopDefect:
@@ -527,7 +534,7 @@ class TestVolGammaOracle:
                 err += w.error_estimate
         assert report.defect == got.total
         assert report.error_estimate == err
-        assert vol_gamma_change(loop, conv) == got.total
+        assert vol_gamma(loop, conv).total == got.total
 
     def test_pure_bend(self, pd, conv):
         path = bend_path(pd, steps=16)
@@ -590,9 +597,9 @@ def count_word_work(monkeypatch):
         calls.append((rep, word))
         return evaluate(rep, word)
 
-    def counting_fill(reps, surface):
+    def counting_fill(reps, surface, *args):
         kernel.append(([], []))
-        for images in fill(reps, surface):
+        for images in fill(reps, surface, *args):
             kernel[-1][0].append(images)
             yield images
 
@@ -634,9 +641,9 @@ class TestSampleWork:
     def test_each_word_evaluated_once_per_sample(self, pd, conv,
                                                  monkeypatch):
         path = bend_path(pd, steps=8)
-        want = integrate_volume_change(path, EndpointChoice.uniform(), conv)
+        want = integrate_volume_change(path, "attracting", conv)
         calls, kernel = count_word_work(monkeypatch)
-        got = integrate_volume_change(path, EndpointChoice.uniform(), conv)
+        got = integrate_volume_change(path, "attracting", conv)
         assert_words_evaluated_once(path, calls, kernel)
         assert got == want
 
@@ -685,7 +692,7 @@ class TestSampleWork:
                     and getattr(module, "build_lamination", None) is build):
                 monkeypatch.setattr(module, "build_lamination", counting)
         path = bend_path(pd, steps=4)
-        integrate_volume_change(path, EndpointChoice.uniform(), conv)
+        integrate_volume_change(path, "attracting", conv)
         assert calls == [pd]
         vol_gamma(path, conv)
         assert calls == [pd, pd]
