@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 
-from .errors import EndpointsMismatch, PleatbendError
+from .errors import PleatbendError
 from .moebius import classify, complex_length, fixed_points, trace_squared
 from .pleated import TruncationConvention, bending_data, realize
 from .representation import (conjugacy_residual, evaluate_word,
@@ -180,34 +180,9 @@ def _load_pathfile(args: argparse.Namespace):
 def cmd_volume_path(args: argparse.Namespace) -> int:
     pd, path = _load_pathfile(args)
     conv = TruncationConvention.uniform(pd, args.horoball)
-
-    def integrate():
-        return integrate_volume_change(path, args.endpoints, conv,
-                                       steps=args.steps,
-                                       eps_class=args.tolerance)
-
-    # on a closed path, the all-forward row of the loop's vol_gamma run
-    # is this integral bit for bit when it starts attracting everywhere
-    # and reads every sample, so it is taken from there
-    reuse = args.endpoints == "attracting" and args.steps is None
-    result = None if reuse else integrate()
-    try:
-        report = loop_defect(path, conv, eps_class=args.tolerance)
-    except EndpointsMismatch:
-        # an open path: no loop line
-        loop_line = None
-    except PleatbendError:
-        if result is None:
-            # a failure of the integral itself is reported first
-            integrate()
-        raise
-    else:
-        verdict = "PASS" if abs(report.defect) < LOOP_TOL else "FAIL"
-        loop_line = f"loop defect {verdict}: {_num(report.defect)}"
-        if result is None:
-            result = report.summed.results[0]
-    if result is None:
-        result = integrate()
+    result = integrate_volume_change(path, args.endpoints, conv,
+                                     steps=args.steps,
+                                     eps_class=args.tolerance)
     if args.format == "json":
         payload = {
             "delta_v": _num(result.delta_v),
@@ -217,23 +192,17 @@ def cmd_volume_path(args: argparse.Namespace) -> int:
             "cumulative": [_num(c) for c in result.cumulative],
             "per_step": [_num(c) for c in result.per_step],
         }
-        if loop_line is not None:
-            payload["loop_defect"] = loop_line
         _emit(args, _json_dump(payload))
     elif args.format == "csv":
         lines = ["t,per_step,cumulative"]
         for i, t in enumerate(result.ts):
             step = result.per_step[i - 1] if i else 0.0
             lines.append(f"{_num(t)},{_num(step)},{_num(result.cumulative[i])}")
-        if loop_line is not None:
-            lines.append(loop_line)
         _emit(args, "\n".join(lines) + "\n")
     else:
         lines = [f"delta_v: {_num(result.delta_v)}",
                  f"error_estimate: {_num(result.error_estimate)}",
                  f"steps: {result.steps}"]
-        if loop_line is not None:
-            lines.append(loop_line)
         _emit(args, "\n".join(lines) + "\n")
     return 0
 

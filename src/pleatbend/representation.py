@@ -439,7 +439,6 @@ class RepresentationPath:
     ts: tuple[float, ...]
     reps: tuple[Representation, ...]
     pd: PantsDecomposition | None = None
-    recipe: str = "direct"
 
     def __post_init__(self):
         if len(self.ts) != len(self.reps):
@@ -472,7 +471,7 @@ class RepresentationPath:
         t0, t1 = self.ts[0], self.ts[-1]
         ts = tuple(t0 + t1 - t for t in reversed(self.ts))
         return RepresentationPath(ts=ts, reps=tuple(reversed(self.reps)),
-                                  pd=self.pd, recipe=self.recipe)
+                                  pd=self.pd)
 
 
 def path_from_parameters(pd: PantsDecomposition, lengths_at, twists_at,
@@ -483,7 +482,7 @@ def path_from_parameters(pd: PantsDecomposition, lengths_at, twists_at,
     reps = tuple(fenchel_nielsen_rep(pd, lengths_at(t), twists_at(t))
                  for t in ts)
     return RepresentationPath(ts=tuple(float(t) for t in ts), reps=reps,
-                              pd=pd, recipe="quake-bend")
+                              pd=pd)
 
 
 def path_from_reps(reps, ts=None, pd=None) -> RepresentationPath:
@@ -491,7 +490,7 @@ def path_from_reps(reps, ts=None, pd=None) -> RepresentationPath:
     if ts is None:
         ts = np.linspace(0.0, 1.0, len(reps))
     return RepresentationPath(ts=tuple(float(t) for t in ts), reps=reps,
-                              pd=pd, recipe="direct")
+                              pd=pd)
 
 
 # ---------------------------------------------------------------------------
@@ -689,8 +688,7 @@ def rep_from_dict(data: dict) -> Representation:
 
 
 def path_to_dict(path: RepresentationPath) -> dict:
-    out = {"recipe": path.recipe,
-           "samples": [{"t": t, "matrices": _matrices_dict(r)}
+    out = {"samples": [{"t": t, "matrices": _matrices_dict(r)}
                        for t, r in zip(path.ts, path.reps)]}
     gens = path.reps[0].generators
     if gens != tuple(sorted(gens)):
@@ -708,8 +706,7 @@ def path_from_dict(data: dict, pd: PantsDecomposition | None = None) -> Represen
     for sample in data["samples"]:
         ts.append(float(sample["t"]))
         reps.append(_rep_from_matrices(sample["matrices"], gens, relators))
-    return RepresentationPath(ts=tuple(ts), reps=tuple(reps),
-                              pd=pd, recipe=data.get("recipe", "direct"))
+    return RepresentationPath(ts=tuple(ts), reps=tuple(reps), pd=pd)
 
 
 def load_rep(path: str) -> Representation:

@@ -20,9 +20,9 @@ import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy.special import zeta as _riemann_zeta
 
 from .errors import (AngleUnwrapFailure, DegenerateTetrahedron,
                      EndpointsMismatch, OrientationTrackingFailure,
@@ -41,13 +41,25 @@ EPS_LOOP = 1e-8   # fingerprint distance below which a path counts as closed
 # ---------------------------------------------------------------------------
 # Lobachevsky function and ideal tetrahedra
 
+# pi to 60 digits: its 160th power, the largest the Clausen series
+# reads, is still exact far below the last place of a float
+_PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494")
 _ZETA_CACHE: list[float] = []
 
 
 def _zetas(n: int) -> list[float]:
-    while len(_ZETA_CACHE) < n:
-        k = len(_ZETA_CACHE) + 1
-        _ZETA_CACHE.append(float(_riemann_zeta(2 * k)))
+    """zeta(2k) for k = 1, 2, ... (at least n values), each rounded once.
+
+    Euler's recurrence gives zeta(2k) = r_k pi^(2k) with exact rationals
+    r_1 = 1/6 and (k + 1/2) r_k = sum_{0<j<k} r_j r_(k-j).
+    """
+    if len(_ZETA_CACHE) < n:
+        r = [Fraction(1, 6)]
+        for k in range(2, n + 1):
+            r.append(sum(r[j] * r[k - 2 - j] for j in range(k - 1))
+                     / Fraction(2 * k + 1, 2))
+        _ZETA_CACHE[:] = [float(rk * _PI ** (2 * k))
+                          for k, rk in enumerate(r, start=1)]
     return _ZETA_CACHE
 
 
@@ -558,21 +570,15 @@ def vol_gamma(path: RepresentationPath, conv: TruncationConvention,
     orientation is raised as integrating orientation by orientation
     raises it.  Otherwise the first failure met along the path is
     raised; when guards trip under several orientations, that loop may
-    have reported another one.  eps_class is the classification
-    tolerance at the path start, of tracking and of the adaptedness
-    check.
+    have reported another one.  steps subsamples the stored path as in
+    integrate_volume_change, and is checked before any sample is read.
+    eps_class is the classification tolerance at the path start, of
+    tracking and of the adaptedness check.
     """
     pd = _surface(path)
     orientations = enumerate_orientations(pd)
     ends = (orientations[0], orientations[-1])
-    try:
-        indices = _sample_indices(path, steps)
-    except PleatbendError:
-        # a start cuff that is not loxodromic is reported first
-        first = _word_images(path.reps[0], pd, eps_class)
-        for ori in ends:
-            orientation_start_endpoints(path, ori, first)
-        raise
+    indices = _sample_indices(path, steps)
     images = sample_images([path.reps[i] for i in indices], pd, eps_class)
     first = next(images)
     # all forward and all back, read from the word images that the
@@ -589,13 +595,13 @@ def vol_gamma(path: RepresentationPath, conv: TruncationConvention,
 @dataclass(frozen=True)
 class LoopDefectReport:
     """The orientation-summed change around a loop: defect and
-    error_estimate are the total and the error estimate of summed, the
-    vol_gamma result of the loop."""
+    error_estimate are the total and the error estimate of the loop's
+    vol_gamma result, and fingerprint_distance is how far apart the
+    loop's endpoint characters are."""
 
     defect: float
     error_estimate: float
     fingerprint_distance: float
-    summed: VolGammaResult
 
 
 def loop_defect(loop: RepresentationPath, conv: TruncationConvention,
@@ -618,4 +624,4 @@ def loop_defect(loop: RepresentationPath, conv: TruncationConvention,
     result = vol_gamma(loop, conv, eps_class=eps_class)
     return LoopDefectReport(defect=result.total,
                             error_estimate=result.error_estimate,
-                            fingerprint_distance=d, summed=result)
+                            fingerprint_distance=d)

@@ -26,7 +26,7 @@ from pleatbend import (
     save_rep,
     standard_decomposition,
 )
-from pleatbend import volume
+from pleatbend import cli, volume
 from pleatbend.cli import _build_parser, main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -155,41 +155,49 @@ class TestVolumePath:
         assert payload["steps"] == 16
 
     def test_loop_line_on_closed_path(self, demo, capsys):
-        code, out, _ = run(capsys, "volume-path",
-                           "--input", str(demo / "twist_loop.json"),
-                           "--pd", str(demo / "surface.json"))
+        argv = ("--input", str(demo / "twist_loop.json"),
+                "--pd", str(demo / "surface.json"))
+        code, out, _ = run(capsys, "volume-path", *argv)
         assert code == 0
-        assert "loop defect PASS" in out
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "delta_v", "error_estimate", "steps"]
+        # the loop verdict is loop-defect's
+        code, out, _ = run(capsys, "loop-defect", *argv)
+        assert code == 0
+        assert out.startswith("loop defect PASS: ")
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_closed_path_runs_one_pipeline(self, demo, capsys, monkeypatch,
                                            fmt):
-        # attracting everywhere over every sample, the loop's all-forward
-        # vol_gamma row is the integral itself, so nothing runs twice
+        # one endpoint chain over the samples, and no loop check
         calls = []
         term_series = volume._term_series
 
         def counting(*args, **kwargs):
-            calls.append(args[2])
+            calls.append(args[3])
             return term_series(*args, **kwargs)
 
+        def no_loop(*args, **kwargs):
+            raise AssertionError("volume-path ran the loop check")
+
         monkeypatch.setattr(volume, "_term_series", counting)
+        monkeypatch.setattr(cli, "loop_defect", no_loop)
         argv = ("volume-path", "--input", str(demo / "twist_loop.json"),
                 "--pd", str(demo / "surface.json"), "--format", fmt)
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert len(calls) == 1
-        assert "loop defect PASS" in out
+        assert [len(starts) for starts in calls] == [1]
         code, out16, _ = run(capsys, *argv, "--steps", "16")
         assert code == 0
-        assert len(calls) == 3
-        assert "loop defect PASS" in out16
+        assert [len(starts) for starts in calls] == [1, 1]
+        assert "loop defect" not in out + out16
         if fmt == "json":
             pd, _ = load_document(str(demo / "surface.json"))
             path = load_path(str(demo / "twist_loop.json"), pd=pd)
             want = integrate_volume_change(path, "attracting",
                                            TruncationConvention.uniform(pd))
             payload = json.loads(out)
+            assert "loop_defect" not in payload
             assert payload["delta_v"] == f"{want.delta_v:.15g}"
             assert payload["cumulative"] == [f"{c:.15g}"
                                              for c in want.cumulative]

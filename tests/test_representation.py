@@ -593,11 +593,12 @@ class TestSerialization:
             pd, lambda t: (2.0, 1.7, 2.3),
             lambda t: (0.3, 0.1 + 0.2j * t, 0.2), steps=4)
         d = path_to_dict(path)
-        assert d["recipe"] == "quake-bend"
         assert len(d["samples"]) == 5
         assert {"t", "matrices"} <= set(d["samples"][0])
         back = path_from_dict(d, pd=pd)
         assert back.ts == path.ts
+        # keys a path does not read, such as "recipe", are ignored
+        assert path_from_dict({**d, "recipe": "quake-bend"}).ts == path.ts
         assert back.continuity() == pytest.approx(path.continuity())
         worst = max(m0.distance_to(m1)
                     for r0, r1 in zip(path.reps, back.reps)

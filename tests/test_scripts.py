@@ -1,0 +1,51 @@
+"""The scripts and the command line run on the runtime dependencies
+alone: each runs in a fresh interpreter in which importing scipy fails."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+
+
+def run_without_scipy(code: str) -> subprocess.CompletedProcess:
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run(
+        [sys.executable, "-c", 'import sys; sys.modules["scipy"] = None\n'
+         + code],
+        capture_output=True, text=True, env=env, timeout=300)
+
+
+def run_script(script: pathlib.Path, *argv) -> subprocess.CompletedProcess:
+    return run_without_scipy(
+        f"import runpy; sys.argv = {[str(script), *argv]!r}\n"
+        "runpy.run_path(sys.argv[0], run_name='__main__')")
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_script_help(script):
+    proc = run_script(script, "--help")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_help():
+    proc = run_without_scipy(
+        "from pleatbend.cli import main; sys.exit(main(['--help']))")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_loop_defect_demo_reports_every_family():
+    # at 16 steps the conjugation circle is too coarse for endpoint
+    # tracking; its row names the guard and the other families still run
+    proc = run_script(ROOT / "scripts" / "loop_defect_demo.py",
+                      "--steps", "16")
+    assert proc.returncode == 1, proc.stderr
+    rows = proc.stdout.splitlines()
+    assert len(rows) == 3
+    assert [row for row in rows if "OrientationTrackingFailure" in row] == [
+        rows[2]]

@@ -5,6 +5,7 @@ import math
 import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,7 +42,7 @@ from pleatbend import pleated, representation, topology
 from pleatbend.moebius import MoebiusArray
 from pleatbend.pleated import AdaptedSample
 from pleatbend.volume import (_node_derivatives, _per_step_integrals,
-                              orientation_start_endpoints)
+                              _zetas, orientation_start_endpoints)
 
 from _seed_kernel import loop_node_derivatives, polyfit_per_step_integrals
 
@@ -188,6 +189,11 @@ class TestLobachevsky:
         assert lobachevsky(math.pi / 6) == pytest.approx(
             REGULAR_TETRA_VOLUME / 2, abs=1e-14)
 
+    def test_series_constants_are_correctly_rounded(self):
+        with mpmath.workdps(50):
+            want = [float(mpmath.zeta(2 * k)) for k in range(1, 81)]
+        assert _zetas(80)[:80] == want
+
     @given(theta=st.floats(-10.0, 10.0))
     def test_odd(self, theta):
         assert lobachevsky(-theta) == pytest.approx(-lobachevsky(theta),
@@ -274,7 +280,7 @@ class TestSchlafliDerivative:
         g = MoebiusMap(1.1, 0.4 - 0.2j, 0.3j, 0.9)
         conj = RepresentationPath(
             ts=path.ts, reps=tuple(r.conjugated(g) for r in path.reps),
-            pd=pd, recipe=path.recipe)
+            pd=pd)
         choice = "attracting"
         assert schlafli_derivative(conj, 0.5, choice, conv) == pytest.approx(
             schlafli_derivative(path, 0.5, choice, conv), abs=1e-9)
@@ -495,13 +501,22 @@ class TestVolGamma:
         with pytest.raises(OrientationTrackingFailure):
             vol_gamma(path, conv).total
 
+    def test_steps_checked_before_the_start(self, pd, conv):
+        # the start cuff is elliptic and 3 steps do not divide 8: the
+        # steps error is raised first, as integrate_volume_change does
+        path = path_from_parameters(
+            pd, lambda t: (0.8j + 1.5 * t * t, 1.7, 2.3),
+            lambda t: (0.3, 0.1, 0.2), steps=8)
+        with pytest.raises(PleatbendError, match="cannot take 3 steps"):
+            vol_gamma(path, conv, steps=3)
+
 
 class TestLoopDefect:
     def test_retraced_path(self, pd, conv):
         fwd = bend_path(pd, theta_final=0.25, steps=16)
         ts = fwd.ts + tuple(2.0 - t for t in reversed(fwd.ts[:-1]))
         reps = fwd.reps + tuple(reversed(fwd.reps[:-1]))
-        loop = RepresentationPath(ts=ts, reps=reps, pd=pd, recipe="retrace")
+        loop = RepresentationPath(ts=ts, reps=reps, pd=pd)
         report = loop_defect(loop, conv)
         assert abs(report.defect) < 1e-10
         assert report.fingerprint_distance < 1e-12
