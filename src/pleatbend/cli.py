@@ -117,7 +117,7 @@ def cmd_pleat(args: argparse.Namespace) -> int:
     rep = load_rep(args.input)
     pd, _ = _load_surface(args)
     real = realize(rep, pd, args.endpoints, eps_class=args.tolerance)
-    report = real.sample.report
+    report = real.report
     payload = {
         "adapted": report.adapted,
         "adaptedness": report.summary(),

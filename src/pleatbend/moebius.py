@@ -71,6 +71,14 @@ class ProjectivePoint:
     def infinity(cls) -> "ProjectivePoint":
         return cls(1.0 + 0.0j, 0.0j)
 
+    @classmethod
+    def _raw(cls, z1: complex, z2: complex) -> "ProjectivePoint":
+        """Wrap coordinates that are already unit-norm, as they are."""
+        p = object.__new__(cls)
+        p.z1 = z1
+        p.z2 = z2
+        return p
+
     def is_infinity(self, eps: float = EPS_NUM) -> bool:
         return abs(self.z2) < eps
 
@@ -246,8 +254,10 @@ class MoebiusArray:
     computation bit for bit.  ok is False at a sample once any step
     there would raise in the scalar arithmetic (a determinant below
     1e-100, abs overflowing) or gives a value that is not finite; its
-    entries there mean nothing, and pleated.sample_images raises
-    SampleEvaluationFailure for that sample.
+    entries there mean nothing, and the pipeline raises
+    SampleEvaluationFailure for that sample.  The geometry methods
+    (apply, apply_interior, classify, fixed_points) broadcast the n
+    entries against arrays of shape (..., n).
     """
 
     __slots__ = ("re", "im", "ok")
@@ -270,16 +280,19 @@ class MoebiusArray:
         re[0, 0] = re[1, 1] = 1.0
         return cls(re, np.zeros((2, 2, n)), np.ones(n, dtype=bool))
 
+    def at(self, k: int) -> "MoebiusArray":
+        """The map of sample k alone."""
+        return MoebiusArray(self.re[..., k:k + 1], self.im[..., k:k + 1],
+                            self.ok[k:k + 1])
+
     def __matmul__(self, other: "MoebiusArray") -> "MoebiusArray":
         # entry (i, k) is L[i, 0] R[0, k] + L[i, 1] R[1, k]
         lr, li, rr, ri = self.re, self.im, other.re, other.im
         re = im = None
         with np.errstate(all="ignore"):
             for j in (0, 1):
-                xr, xi = lr[:, j, None], li[:, j, None]
-                yr, yi = rr[None, j], ri[None, j]
-                pr = xr * yr - xi * yi
-                pi = xr * yi + xi * yr
+                pr, pi = _mul(lr[:, j, None], li[:, j, None],
+                              rr[None, j], ri[None, j])
                 re, im = (pr, pi) if re is None else (re + pr, im + pi)
         return _unimodular(re, im, self.ok & other.ok)
 
@@ -298,8 +311,7 @@ class MoebiusArray:
         with np.errstate(all="ignore"):
             tr = self.re[0, 0] + self.re[1, 1]
             ti = self.im[0, 0] + self.im[1, 1]
-            pr = tr * tr - ti * ti
-            pi = tr * ti + ti * tr
+            pr, pi = _mul(tr, ti, tr, ti)
             return 1.0 * pr - 0.0 * pi, 1.0 * pi + 0.0 * pr
 
     def entries(self) -> np.ndarray:
@@ -309,42 +321,340 @@ class MoebiusArray:
         z.imag = self.im.reshape(4, -1).T
         return z
 
+    def _entry(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.re[i, j], self.im[i, j]
 
-def _unimodular(re: np.ndarray, im: np.ndarray,
-                ok: np.ndarray) -> MoebiusArray:
-    """MoebiusMap._from_unimodular at every sample."""
+    def apply(self, p: "PointArray") -> tuple["PointArray", np.ndarray]:
+        """MoebiusMap.apply at every element, and where the resulting
+        ProjectivePoint would raise (both coordinates 0)."""
+        a, b, c, d = (self._entry(0, 0), self._entry(0, 1),
+                      self._entry(1, 0), self._entry(1, 1))
+        z1, z2 = (p.z1r, p.z1i), (p.z2r, p.z2i)
+        with np.errstate(all="ignore"):
+            w1 = _add(_mul(*a, *z1), _mul(*b, *z2))
+            w2 = _add(_mul(*c, *z1), _mul(*d, *z2))
+        return PointArray.normalized(*w1, *w2)
+
+    def apply_interior(self, zr, zi, t) -> tuple:
+        """MoebiusMap.apply_interior at every element: (z real, z imag,
+        t) of the image of (z, t) in upper half space."""
+        a, b, c, d = (self._entry(0, 0), self._entry(0, 1),
+                      self._entry(1, 0), self._entry(1, 1))
+        with np.errstate(all="ignore"):
+            w = _add(_mul(*c, zr, zi), d)
+            denom = _sq(np.hypot(*w)) + _sq(np.hypot(*c)) * t * t
+            # ((a z + b) conj(w) + a conj(c) t t), a complex times the
+            # float t being CPython's product with t + 0j
+            top = _mul(*_add(_mul(*a, zr, zi), b), w[0], -w[1])
+            ac = _mul(*a, c[0], -c[1])
+            ac = _mul(*_mul(*ac, t, 0.0), t, 0.0)
+            zr_new, zi_new = _over(*_add(top, ac), denom)
+            return zr_new, zi_new, t / denom
+
+    def classify(self, eps_class: float) -> np.ndarray:
+        """classify at every sample, as an index into KINDS, or -1 where
+        tr^2 is not finite (where classify raises SingularMatrix)."""
+        t2r, t2i = self.trace_squared()
+        with np.errstate(all="ignore"):
+            # distance_to the identity, summed entry by entry
+            plus = minus = None
+            for (i, j), one in (((0, 0), 1.0), ((0, 1), 0.0),
+                                ((1, 0), 0.0), ((1, 1), 1.0)):
+                xr, xi = self._entry(i, j)
+                p = _sq(np.hypot(xr - one, xi))
+                m = _sq(np.hypot(xr + one, xi))
+                plus, minus = ((p, m) if plus is None
+                               else (plus + p, minus + m))
+            identity = np.sqrt(np.where(minus < plus, minus, plus)) \
+                < eps_class
+            parabolic = np.hypot(t2r - 4.0, t2i) < eps_class
+            elliptic = ((np.abs(t2i) < eps_class) & (-eps_class < t2r)
+                        & (t2r < 4.0))
+        kinds = np.select([identity, parabolic, elliptic], [0, 1, 2], 3)
+        kinds[~(np.isfinite(t2r) & np.isfinite(t2i))] = -1
+        return kinds
+
+    def fixed_points(self, eps_class: float) -> tuple:
+        """_fixed_points at every sample of a map that is elliptic or
+        loxodromic there: (first, second) PointArrays, attracting first,
+        and the two masks where their ProjectivePoint would raise.  At
+        other samples the values mean nothing."""
+        a, b, c, d = (self._entry(0, 0), self._entry(0, 1),
+                      self._entry(1, 0), self._entry(1, 1))
+        with np.errstate(all="ignore"):
+            tr = _add(a, d)
+            sq = _mul(*tr, *tr)
+            disc = _sqrt(sq[0] - 4.0, sq[1])
+            plus = _over(*_add(tr, disc), 2.0)
+            minus = _over(tr[0] - disc[0], tr[1] - disc[1], 2.0)
+            big_p, big_m = np.hypot(*plus), np.hypot(*minus)
+            by_modulus = np.abs(big_p - big_m) > eps_class
+            plus_first = np.where(by_modulus, big_p > big_m,
+                                  plus[1] > minus[1])
+            first = [np.where(plus_first, u, v) for u, v in zip(plus, minus)]
+            second = [np.where(plus_first, v, u)
+                      for u, v in zip(plus, minus)]
+            out = []
+            for mu in (first, second):
+                # _eigenvector: (b, mu - a) or (mu - d, c), the larger
+                mu_a = (mu[0] - a[0], mu[1] - a[1])
+                mu_d = (mu[0] - d[0], mu[1] - d[1])
+                n1 = _sq(np.hypot(*b)) + _sq(np.hypot(*mu_a))
+                n2 = _sq(np.hypot(*mu_d)) + _sq(np.hypot(*c))
+                pick = n1 >= n2
+                out.append(PointArray.normalized(
+                    *(np.where(pick, u, v) for u, v in zip(b + mu_a,
+                                                            mu_d + c))))
+        (p, p_zero), (q, q_zero) = out
+        return p, q, p_zero, q_zero
+
+    @classmethod
+    def normalizing(cls, to_zero: "PointArray", to_infinity: "PointArray"
+                    ) -> tuple["MoebiusArray", np.ndarray]:
+        """normalizing_map at every element, and where it raises
+        (endpoints closer than 1e-14 in bracket)."""
+        with np.errstate(all="ignore"):
+            coincide = np.hypot(*bracket_array(to_zero, to_infinity)) < 1e-14
+            re = np.array([[to_zero.z2r, -to_zero.z1r],
+                           [to_infinity.z2r, -to_infinity.z1r]])
+            im = np.array([[to_zero.z2i, -to_zero.z1i],
+                           [to_infinity.z2i, -to_infinity.z1i]])
+        # the constructor's normalization; |det| = |bracket| >= 1e-14
+        # past the check, so its singular test cannot trip there
+        return (_unimodular(re, im, np.ones(re.shape[2:], dtype=bool),
+                            rescale=True), coincide)
+
+
+def _unimodular(re: np.ndarray, im: np.ndarray, ok: np.ndarray,
+                rescale=None) -> MoebiusArray:
+    """MoebiusMap._from_unimodular at every sample; with rescale=True,
+    the constructor's normalization, which always rescales."""
     (ar, br), (cr, dr) = re
     (ai, bi), (ci, di) = im
     with np.errstate(all="ignore"):
-        adr, adi = ar * dr - ai * di, ar * di + ai * dr
-        bcr, bci = br * cr - bi * ci, br * ci + bi * cr
-        size = np.hypot(adr, adi) + np.hypot(bcr, bci)
-        rescale = size <= RESCALE_LIMIT
+        adr, adi = _mul(ar, ai, dr, di)
+        bcr, bci = _mul(br, bi, cr, ci)
+        if rescale is None:
+            size = np.hypot(adr, adi) + np.hypot(bcr, bci)
+            rescale = size <= RESCALE_LIMIT
+            ok = ok & np.isfinite(size)
         det_r, det_i = adr - bcr, adi - bci
-        # cmath.sqrt(det), for finite det with |det| >= 1e-100
-        x = np.abs(det_r) / 8.0
-        s = 2.0 * np.sqrt(x + np.hypot(x, np.abs(det_i) / 8.0))
-        t = np.abs(det_i) / (2.0 * s)
-        up = det_r >= 0.0
-        s_r = np.where(up, s, t)
-        s_i = np.copysign(np.where(up, t, s), det_i)
-        # entry / s: CPython divides through by the larger part of s,
-        # (re + im r) / (s_r + s_i r) with r = s_i / s_r, or else
-        # (re r + im) / (s_r r + s_i) with r = s_r / s_i; as
-        # (re p + im q) / den both share one form, as do the imaginary
-        # parts, (im p - re q) / den
-        by_real = np.abs(s_r) >= np.abs(s_i)
-        r_real, r_imag = s_i / s_r, s_r / s_i
-        p = np.where(by_real, 1.0, r_imag)
-        q = np.where(by_real, r_real, 1.0)
-        den = np.where(by_real, s_r + s_i * r_real, s_r * r_imag + s_i)
-        out_re = np.where(rescale, (re * p + im * q) / den, re)
-        out_im = np.where(rescale, (im * p - re * q) / den, im)
+        s_r, s_i = _sqrt(det_r, det_i)
+        out_re, out_im = _quot(re, im, s_r, s_i)
+        if not np.all(rescale):
+            out_re = np.where(rescale, out_re, re)
+            out_im = np.where(rescale, out_im, im)
         singular = rescale & (np.hypot(det_r, det_i) < 1e-100)
-    ok = (ok & np.isfinite(size) & ~singular
+    ok = (ok & ~singular
           & np.isfinite(out_re).all(axis=(0, 1))
           & np.isfinite(out_im).all(axis=(0, 1)))
     return MoebiusArray(out_re, out_im, ok)
+
+
+# ---------------------------------------------------------------------------
+# complex arithmetic on (real, imaginary) float arrays, as CPython rounds it
+
+
+def _add(x: tuple, y: tuple) -> tuple:
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _mul(ar, ai, br, bi) -> tuple:
+    """CPython's complex product."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _quot(ar, ai, br, bi) -> tuple:
+    """CPython's complex quotient: numerator and divisor are divided
+    through by the larger part of the divisor, (a + b r i) / (c + d r i)
+    with r = bi / br, or else with r = br / bi.  A zero divisor, where
+    CPython raises, gives NaN."""
+    by_real = np.abs(br) >= np.abs(bi)
+    if by_real.all():
+        ratio = bi / br
+        den = br + bi * ratio
+        return (ar + ai * ratio) / den, (ai - ar * ratio) / den
+    ratio = np.where(by_real, bi / br, br / bi)
+    den = np.where(by_real, br + bi * ratio, br * ratio + bi)
+    return (np.where(by_real, ar + ai * ratio, ar * ratio + ai) / den,
+            np.where(by_real, ai - ar * ratio, ai * ratio - ar) / den)
+
+
+def _over(ar, ai, x) -> tuple:
+    """_quot by the float x >= 0, which CPython divides as x + 0j."""
+    return (ar + ai * 0.0) / x, (ai - ar * 0.0) / x
+
+
+def _sqrt(re, im) -> tuple:
+    """cmath.sqrt at finite arguments."""
+    ax, ay = np.abs(re), np.abs(im)
+    x = ax / 8.0
+    s = 2.0 * np.sqrt(x + np.hypot(x, ay / 8.0))
+    small = np.maximum(ax, ay) < _DBL_MIN
+    any_small = small.any()
+    if any_small:
+        # cmath scales arguments whose hypot would be subnormal
+        up = np.ldexp(ax, 53)
+        s = np.where(small, np.ldexp(np.sqrt(up + np.hypot(
+            up, np.ldexp(ay, 53))), -27), s)
+    d = ay / (2.0 * s)
+    up = re >= 0.0
+    out = np.where(up, s, d), np.copysign(np.where(up, d, s), im)
+    if any_small:
+        zero = (re == 0.0) & (im == 0.0)
+        out = np.where(zero, 0.0, out[0]), np.where(zero, im, out[1])
+    return out
+
+
+def _sq(x: np.ndarray) -> np.ndarray:
+    """x ** 2 for floats as CPython computes it, by the C library's pow,
+    which is not always x * x; np.float_power calls it, while np.power
+    and np.square do not."""
+    return np.float_power(x, 2.0)
+
+
+_DBL_MIN = 2.2250738585072014e-308
+_VELTKAMP = 134217729.0   # 2 ** 27 + 1
+
+
+def _dl_mul(x, y) -> tuple:
+    """Dekker's exact product x y = hi + lo, by Veltkamp splitting."""
+    t = x * _VELTKAMP
+    xh = t - (t - x)
+    xl = x - xh
+    t = y * _VELTKAMP
+    yh = t - (t - y)
+    yl = y - yh
+    p = xh * yh
+    q = xh * yl + xl * yh
+    z = p + q
+    return z, p - z + q + xl * yl
+
+
+def math_hypot(x, y) -> np.ndarray:
+    """math.hypot(x, y) of CPython 3.11 at every element, bit for bit.
+
+    np.hypot is the C library's hypot, which abs(complex) calls but
+    math.hypot does not: CPython scales both coordinates by a power of
+    two below the larger one, sums their squares exactly (Dekker
+    products, compensated sums) and corrects the square root once.
+    When the larger coordinate is below 2 ** -1024 it divides both by
+    it instead and adds their squares with one compensated sum.
+    """
+    x, y = np.abs(x), np.abs(y)
+    with np.errstate(all="ignore"):
+        big = np.fmax(x, y)
+        exp = np.frexp(big)[1]
+        scale = np.ldexp(1.0, -exp)
+        csum, frac1, frac2 = 1.0, 0.0, 0.0
+        for v in (x, y):
+            hi, lo = _dl_mul(v * scale, v * scale)
+            total = csum + hi
+            frac2 = frac2 + ((csum - total) + hi)
+            frac1 = frac1 + lo
+            csum = total
+        h = np.sqrt(csum - 1.0 + (frac1 + frac2))
+        hi, lo = _dl_mul(-h, h)
+        total = csum + hi
+        frac2 = frac2 + ((csum - total) + hi)
+        frac1 = frac1 + lo
+        h = h + (total - 1.0 + (frac1 + frac2)) / (2.0 * h)
+        out = h / scale
+        # below 2 ** -1024 (exp < -1023), zero, infinite or NaN
+        regular = (big >= 2.0 ** -1024) & (x + y < np.inf)
+        if not regular.all():
+            csum, frac = 1.0, 0.0
+            for v in (x, y):
+                v = v / big
+                v = v * v
+                total = csum + v
+                frac = frac + ((csum - total) + v)
+                csum = total
+            out = np.where(exp < -1023, big * np.sqrt(csum - 1.0 + frac),
+                           out)
+            out = np.where(big == 0.0, 0.0, out)
+            out = np.where(np.isnan(x) | np.isnan(y), np.nan, out)
+            out = np.where(np.isinf(x) | np.isinf(y), np.inf, out)
+    return out
+
+
+class PointArray:
+    """Points of the sphere at many elements, in ProjectivePoint's
+    unit-norm homogeneous coordinates: z1 = z1r + i z1i and
+    z2 = z2r + i z2i, four float arrays of one shape."""
+
+    __slots__ = ("z1r", "z1i", "z2r", "z2i")
+
+    def __init__(self, z1r, z1i, z2r, z2i):
+        self.z1r = z1r
+        self.z1i = z1i
+        self.z2r = z2r
+        self.z2i = z2i
+
+    @classmethod
+    def normalized(cls, z1r, z1i, z2r, z2i
+                   ) -> tuple["PointArray", np.ndarray]:
+        """ProjectivePoint(z1, z2) at every element, and where it raises
+        (both coordinates 0)."""
+        with np.errstate(all="ignore"):
+            n = math_hypot(np.hypot(z1r, z1i), np.hypot(z2r, z2i))
+            return cls(*_over(z1r, z1i, n), *_over(z2r, z2i, n)), n == 0.0
+
+    @classmethod
+    def of(cls, points) -> "PointArray":
+        """The coordinates of ProjectivePoints, as they are."""
+        z = np.array([(p.z1, p.z2) for p in points], dtype=complex)
+        return cls(z[:, 0].real, z[:, 0].imag, z[:, 1].real, z[:, 1].imag)
+
+    def parts(self) -> tuple:
+        return self.z1r, self.z1i, self.z2r, self.z2i
+
+    def __getitem__(self, index) -> "PointArray":
+        return PointArray(*(x[index] for x in self.parts()))
+
+    def select(self, cond, other: "PointArray") -> "PointArray":
+        """self where cond holds, else other."""
+        return PointArray(*(np.where(cond, x, y)
+                            for x, y in zip(self.parts(), other.parts())))
+
+    def point(self, index) -> ProjectivePoint:
+        """The ProjectivePoint at index, with these coordinates."""
+        z1r, z1i, z2r, z2i = (float(x[index]) for x in self.parts())
+        return ProjectivePoint._raw(complex(z1r, z1i), complex(z2r, z2i))
+
+
+def stack_points(points) -> PointArray:
+    """PointArrays of one shape stacked along a new first axis."""
+    return PointArray(*(np.stack(x) for x in zip(*(p.parts()
+                                                   for p in points))))
+
+
+def bracket_array(p: PointArray, q: PointArray) -> tuple:
+    """bracket at every element, (real, imaginary)."""
+    with np.errstate(all="ignore"):
+        u = _mul(p.z1r, p.z1i, q.z2r, q.z2i)
+        v = _mul(p.z2r, p.z2i, q.z1r, q.z1i)
+        return u[0] - v[0], u[1] - v[1]
+
+
+def chordal_array(p: PointArray, q: PointArray) -> np.ndarray:
+    """chordal at every element."""
+    return 2.0 * np.hypot(*bracket_array(p, q))
+
+
+def cross_ratio_array(p1: PointArray, p2: PointArray, p3: PointArray,
+                      p4: PointArray, eps: float = 1e-12) -> tuple:
+    """cross_ratio at every element: (real, imaginary, checks), where
+    checks lists (label, mask) of cross_ratio's coincidence tests in its
+    order; where a mask holds, cross_ratio raises
+    DegenerateConfiguration(f"coincident points {label}")."""
+    checks = [(label, np.hypot(*bracket_array(u, v)) < eps)
+              for u, v, label in ((p1, p2, "p1, p2"), (p1, p3, "p1, p3"),
+                                  (p2, p3, "p2, p3"), (p4, p2, "p4, p2"))]
+    with np.errstate(all="ignore"):
+        num = _mul(*bracket_array(p4, p1), *bracket_array(p3, p2))
+        den = _mul(*bracket_array(p4, p2), *bracket_array(p3, p1))
+        return (*_quot(*num, *den), checks)
 
 
 class IsometryClass:
@@ -363,6 +673,10 @@ def trace_squared(m: MoebiusMap) -> complex:
     (6.25+0j)
     """
     return m.trace ** 2
+
+
+KINDS = (IsometryClass.IDENTITY, IsometryClass.PARABOLIC,
+         IsometryClass.ELLIPTIC, IsometryClass.LOXODROMIC)
 
 
 def classify(m: MoebiusMap, eps_class: float = EPS_CLASS) -> str:

@@ -16,21 +16,17 @@ reach the tolerances used here).
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import (AngleUnwrapFailure, DegenerateTetrahedron,
-                     EndpointsMismatch, OrientationTrackingFailure,
-                     PleatbendError)
-from .moebius import EPS_CLASS, IsometryClass, reduce_angle
-from .pleated import (AdaptedSample, PleatedRealization, TruncationConvention,
-                      WordImages, _word_images, resolve_endpoints,
-                      sample_images, schlafli_term, track_endpoints)
+                     EndpointsMismatch, PleatbendError)
+from .moebius import EPS_CLASS, reduce_angle
+from .pleated import (SampleImages, TruncationConvention, _one_sample,
+                      _selected, path_terms, sample_images, start_endpoints)
 from .representation import (RepresentationPath, fingerprint,
                              standard_word_list)
 from .topology import (Lamination, OrientationAssignment, PantsDecomposition,
@@ -117,9 +113,19 @@ def ideal_tetra_volume(z: complex, eps: float = 1e-12) -> float:
 # per cuff.  Each Schlafli term, one per leaf of build_lamination, reads
 # the endpoints of only a few cuffs, its support, so the pipeline
 # evaluates every term once per pattern of chains on its support, and
-# each orientation's integrand is assembled from those values.  The
-# word images and slot commutators of all samples come from one
-# sample_images pass per call.
+# each orientation's integrand is assembled from those values.
+#
+# One sample_images pass per call evaluates the word images and slot
+# commutators of all samples; one geometry pass over its arrays then
+# computes everything else for all samples and patterns at once: the
+# cuffs' kinds and fixed points, the tracked endpoints, the adaptedness
+# check, the placed plaques and every term's cross-ratio, frames and
+# horoball witnesses.  Two parts stay scalar: the tracking step, which
+# picks one of two precomputed distances from the previous sample's
+# choice, and the transcendentals (cmath.phase, math.log, cmath.acosh
+# and reduce_angle's math.remainder), run on the .tolist() values
+# because numpy's vectorized versions round differently from the C
+# library's and the digits have to stay those of the scalar code.
 
 
 def _surface(path: RepresentationPath):
@@ -142,105 +148,44 @@ def _sample_indices(path: RepresentationPath, steps: int | None) -> list[int]:
     return indices
 
 
-def _selection_at(images: WordImages, pd: PantsDecomposition,
-                  start: str | dict) -> dict:
-    """start resolved at a sample when it is a label, else tracked to
-    it."""
-    if isinstance(start, str):
-        return resolve_endpoints(images, pd, start)
-    return track_endpoints(images, pd, start)
-
-
 def _term_series(pd: PantsDecomposition, lam: Lamination,
-                 images: Iterable[WordImages], starts,
+                 images: SampleImages, starts,
                  conv: TruncationConvention
                  ) -> tuple[dict, PleatbendError | None]:
     """Angle and length of every leaf of lam at every sample, per chain
     pattern.
 
-    images yields the WordImages of the samples, as sample_images does;
-    the pass fixes the classification tolerance of every check.  starts
-    holds the start selection of each chain as a dict, tracked to the
-    first sample (the start selections may have been read from it);
-    chain 0 may instead start from a label, resolved at the first
-    sample.  Each representation is checked for adaptedness once, each
-    word is evaluated once per sample, and every pants is placed (with
-    the plaque check) once for every pattern of chains on its cuffs.
-    Returns ({(leaf key, pattern): (angles, lengths)}, deferred),
-    where pattern gives the chain of each cuff in the leaf's support.
+    images is the sample_images pass of the samples; it fixes the
+    classification tolerance of every check.  starts holds the start
+    selection of each chain as a dict, tracked to the first sample (the
+    start selections may have been read from it); chain 0 may instead
+    start from a label, resolved at the first sample.  Each sample is
+    checked for adaptedness once, and every pants is placed (with the
+    plaque check) once for every pattern of chains on its cuffs.
+    Returns ({(leaf key, pattern): (angles, lengths)}, deferred), where
+    pattern gives the chain of each cuff in the leaf's support.
 
-    On every sample the orientation that takes chain 0 everywhere is
-    realized first, as integrating it alone would, and its failures
-    raise at once.  The first failure of any other pattern is returned
-    as deferred instead, and from then on only chain 0 is carried.
+    Failures are those of realizing sample by sample: on every sample
+    the orientation that takes chain 0 everywhere is realized first, as
+    integrating it alone would, and its failures raise.  The first
+    failure of any other pattern is returned as deferred instead, and
+    from then on only chain 0 is carried.
     """
-    ids = [c.id for c in pd.cuffs]
-    series: dict = {}
-    deferred = None
-    zetas = list(starts)
-    for at_sample in images:
-        zetas[0] = _selection_at(at_sample, pd, zetas[0])
-        sample = AdaptedSample(at_sample, pd)
-        placed = {}
-        values = _pattern_values(sample, lam, ids, zetas[:1], conv, placed)
-        if len(zetas) > 1:
-            try:
-                zetas[1:] = [track_endpoints(at_sample, pd, z)
-                             for z in zetas[1:]]
-                values.update(_pattern_values(sample, lam, ids, zetas, conv,
-                                              placed))
-            except PleatbendError as exc:
-                deferred = exc
-                zetas = zetas[:1]
-                series = {key: v for key, v in series.items()
-                          if not any(key[1])}
-        for key, (angle, length) in values.items():
-            angles, lengths = series.setdefault(key, ([], []))
-            angles.append(angle)
-            lengths.append(length)
+    patterns, terms, failures = path_terms(images, starts, lam, conv)
+    failure = failures.first(0)
+    if failure is not None:
+        raise failure
+    deferred = failures.first(1)
+    # chain 0's patterns (row 0) in leaf order, then, unless chain 1 was
+    # dropped, the others: the order realizing sample by sample gave
+    series = {}
+    for phase in (0,) if deferred is not None else (0, 1):
+        for leaf, (angles, lengths) in zip(lam.leaves, terms):
+            for r, pattern in enumerate(patterns(leaf.support).tolist()):
+                if (r > 0) == phase:
+                    series[leaf.key, tuple(pattern)] = (angles[r].tolist(),
+                                                        lengths[r].tolist())
     return series, deferred
-
-
-def _pattern_values(sample: AdaptedSample, lam: Lamination, ids, zetas,
-                    conv: TruncationConvention, placed: dict) -> dict:
-    """(angle, length) of every leaf of lam at one sample, on the
-    patterns that take the last of the given chains somewhere.
-
-    With one chain that is the one pattern taking chain 0 everywhere;
-    with two, every pattern that takes chain 1 on some cuff.  placed
-    maps (pants, pattern of chains on its cuffs) to the placed vertices
-    of this sample; pants patterns missing from it are placed and
-    added, so a second call reuses the first call's placements.
-    """
-    chains = range(len(zetas))
-    last = len(zetas) - 1
-    for p, cuffs in enumerate(lam.pants_cuffs):
-        for pattern in itertools.product(chains, repeat=len(cuffs)):
-            if (p, pattern) in placed:
-                continue
-            zeta = {ids[j]: zetas[b][ids[j]] for j, b in zip(cuffs, pattern)}
-            placed[p, pattern] = sample.place(p, zeta)
-    # a term pattern is realized as the orientation that takes chain 0
-    # off the support; the term's value does not read those cuffs
-    realizations = {}
-    values = {}
-    for leaf in lam.leaves:
-        for pattern in itertools.product(chains, repeat=len(leaf.support)):
-            if max(pattern, default=0) != last:
-                continue
-            ori = [0] * len(ids)
-            for j, b in zip(leaf.support, pattern):
-                ori[j] = b
-            ori = tuple(ori)
-            real = realizations.get(ori)
-            if real is None:
-                real = realizations[ori] = PleatedRealization(
-                    sample=sample,
-                    zeta={c: zetas[b][c] for c, b in zip(ids, ori)},
-                    xi=tuple(placed[p, tuple(ori[j] for j in cuffs)]
-                             for p, cuffs in enumerate(lam.pants_cuffs)))
-            values[leaf.key, pattern] = schlafli_term(real, leaf.key, conv)
-    return values
 
 
 def angle_series(path: RepresentationPath, zeta: str | dict,
@@ -277,8 +222,10 @@ def schlafli_derivative(path: RepresentationPath, t: float,
             f"t={t} is an endpoint; the derivative needs an interior sample")
     pd = _surface(path)
     indices = [k - 1, k, k + 1]
-    images = list(sample_images([path.reps[i] for i in indices], pd))
-    zeta = _selection_at(images[1], pd, zeta)
+    images = sample_images([path.reps[i] for i in indices], pd)
+    for i in range(3):      # evaluation failures first, in sample order
+        _one_sample(images.at(i), pd)
+    zeta = _selected(images.at(1), zeta)
     lam = build_lamination(pd)
     series, _ = _term_series(pd, lam, images, [zeta], conv)
     ts = np.array([path.ts[i] for i in indices])
@@ -432,7 +379,7 @@ def _raise_first_failure(table: np.ndarray, failures: list) -> None:
 
 
 def _integrate(path: RepresentationPath, indices,
-               images: Iterable[WordImages], starts, orientations,
+               images: SampleImages, starts, orientations,
                conv: TruncationConvention) -> list[VolumePathResult]:
     """One VolumePathResult per orientation (a chain index per cuff).
 
@@ -508,27 +455,15 @@ def integrate_volume_change(path: RepresentationPath,
 
 
 def orientation_start_endpoints(path: RepresentationPath, ori,
-                                images: WordImages | None = None) -> dict:
+                                images: SampleImages) -> dict:
     """Start selection of an orientation: cuff id -> (zeta, other).
 
     Forward takes the attracting fixed point of the cuff at the first
-    sample, backward the repelling one.  images, if given, is the
-    WordImages of path.reps[0], shared with the caller, and fixes the
-    classification tolerance; otherwise it is EPS_CLASS.
+    sample, backward the repelling one.  images is a sample_images pass
+    whose first sample is path.reps[0], shared with the caller; it
+    fixes the classification tolerance.
     """
-    pd = path.pd
-    if images is None:
-        images = _word_images(path.reps[0], pd)
-    zeta = {}
-    for bit, cuff in zip(ori.forward, pd.cuffs):
-        kind = images.kind(cuff.word)
-        if kind != IsometryClass.LOXODROMIC:
-            raise OrientationTrackingFailure(
-                f"cuff {cuff.id!r} is {kind} at the path start; "
-                "orientation endpoints need a loxodromic cuff")
-        att, rep_pt = images.fixed_points(cuff.word)
-        zeta[cuff.id] = (att, rep_pt) if bit else (rep_pt, att)
-    return zeta
+    return start_endpoints(images.at(0), ori.forward)
 
 
 @dataclass(frozen=True)
@@ -580,14 +515,13 @@ def vol_gamma(path: RepresentationPath, conv: TruncationConvention,
     ends = (orientations[0], orientations[-1])
     indices = _sample_indices(path, steps)
     images = sample_images([path.reps[i] for i in indices], pd, eps_class)
-    first = next(images)
-    # all forward and all back, read from the word images that the
-    # first sample of the pipeline then reuses
-    starts = [orientation_start_endpoints(path, ori, first) for ori in ends]
+    _one_sample(images.at(0), pd)
+    # all forward and all back, read from the pass that the pipeline
+    # then reads
+    starts = [orientation_start_endpoints(path, ori, images) for ori in ends]
     chains = [tuple(0 if bit else 1 for bit in ori.forward)
               for ori in orientations]
-    results = _integrate(path, indices, itertools.chain([first], images),
-                         starts, chains, conv)
+    results = _integrate(path, indices, images, starts, chains, conv)
     return VolGammaResult(orientations=tuple(orientations),
                           results=tuple(results))
 

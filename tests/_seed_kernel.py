@@ -13,12 +13,18 @@ reducibility oracle compares _common_fixed_point_tol with it by ==.
 polyfit_per_step_integrals and loop_node_derivatives are the quadrature
 of volume.py as it was before its weights became closed-form: the
 quadrature tests compare _per_step_integrals with the first within a
-bound and _node_derivatives with the second by ==.
+bound and _node_derivatives with the second by ==.  seed_term_series
+is the sample pipeline as it was before its geometry became one array
+pass: ProjectivePoint by ProjectivePoint, one realization per pattern
+of endpoint chains.  The term oracle compares every angle and length
+of volume._term_series with it bit for bit, and the failure-precedence
+tests compare the failures they raise.
 This module is importable because the pytest configuration puts tests/
 on sys.path (pythonpath in pyproject.toml).
 """
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,10 +32,15 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from pleatbend.errors import (DegenerateConfiguration, ReducibleRepresentation,
+from pleatbend.errors import (DegenerateConfiguration, DegenerateTriangle,
+                              NotAdapted, OrientationTrackingFailure,
+                              PleatbendError, ReducibleRepresentation,
                               SingularMatrix)
-from pleatbend.moebius import (RESCALE_LIMIT, IsometryClass, MoebiusMap,
-                               chordal, classify, fixed_points)
+from pleatbend.moebius import (EPS_CLASS, RESCALE_LIMIT, IsometryClass,
+                               MoebiusMap, _complex_length, _fixed_points,
+                               chordal, classify, cross_ratio, fixed_points,
+                               normalizing_map, reduce_angle)
+from pleatbend.pleated import sample_images
 from pleatbend.representation import (Representation, _adj, _mat,
                                       evaluate_word)
 
@@ -278,3 +289,321 @@ def polyfit_per_step_integrals(ts: np.ndarray, fs: np.ndarray) -> list[float]:
         sl = slice(n - 3, n)
         per_step.append(_quadratic_panel(ts[sl], fs[sl], ts[-2], ts[-1]))
     return per_step
+
+
+# ---------------------------------------------------------------------------
+# the scalar sample pipeline, as it was before the geometry pass
+#
+# One SeedImages per sample (the word images as MoebiusMaps, the kind
+# and fixed points of a word found once), endpoint tracking point by
+# point, SeedSample's adaptedness check, placement and horoball
+# witnesses, and the Schlafli terms of every pattern of endpoint chains
+# realized one PleatedRealization at a time.  seed_term_series returns
+# what volume._term_series returns, raising or deferring the same
+# failures; the per-term and failure-precedence oracles compare the two.
+
+_LABELS = ("attracting", "repelling")
+_PAIRS = ((0, 1), (1, 2), (2, 0))
+_DEGENERATE = (IsometryClass.IDENTITY, IsometryClass.PARABOLIC)
+EPS_SEP = 1e-9
+
+
+class SeedImages(dict):
+    """The word images of one sample, word -> MoebiusMap, with its slot
+    commutator traces and the kind and fixed points of every word,
+    classified at eps_class."""
+
+    def __init__(self, rep, images, commutators, eps_class):
+        super().__init__(images)
+        self.rep = rep
+        self.commutators = commutators
+        self.eps_class = eps_class
+        self._kinds = {}
+        self._fixed = {}
+
+    def kind(self, word):
+        if word not in self._kinds:
+            self._kinds[word] = classify(self[word], self.eps_class)
+        return self._kinds[word]
+
+    def fixed_points(self, word):
+        if word not in self._fixed:
+            self._fixed[word] = _fixed_points(self[word], self.kind(word),
+                                              self.eps_class)
+        return self._fixed[word]
+
+    def cuff_fixed_points(self, cuff):
+        kind = self.kind(cuff.word)
+        if kind in _DEGENERATE:
+            raise NotAdapted(f"cuff {cuff.id!r} is {kind}")
+        return self.fixed_points(cuff.word)
+
+
+def seed_sample_images(reps, pd, eps_class=EPS_CLASS):
+    """One SeedImages per representation, filled from the array pass as
+    the scalar pipeline's pass filled them; a sample the pass could not
+    evaluate raises SampleEvaluationFailure when its turn comes."""
+    images = sample_images(reps, pd, eps_class)
+    for k, rep in enumerate(images.reps):
+        failure = images.failure(k)
+        if failure is not None:
+            raise failure
+        maps = {w: MoebiusMap._raw(*m.entries()[k].tolist())
+                for w, m in images.maps.items()}
+        commutators = {row: tuple(images.traces[k, r].tolist())
+                       for r, row in enumerate(images.rows)}
+        yield SeedImages(rep, maps, commutators, eps_class)
+
+
+def seed_resolve_endpoints(images, pd, start):
+    if start not in _LABELS:
+        raise PleatbendError(f"unknown endpoint label {start!r}")
+    out = {}
+    for cuff in pd.cuffs:
+        first, second = images.cuff_fixed_points(cuff)
+        out[cuff.id] = (first, second) if start == "attracting" \
+            else (second, first)
+    return out
+
+
+def seed_track_endpoints(images, pd, previous):
+    out = {}
+    for cuff in pd.cuffs:
+        first, second = images.cuff_fixed_points(cuff)
+        prev = previous[cuff.id][0]
+        d1, d2 = chordal(prev, first), chordal(prev, second)
+        gap = chordal(first, second)
+        if min(d1, d2) >= 0.45 * gap:
+            raise OrientationTrackingFailure(
+                f"endpoint of cuff {cuff.id!r} moved {min(d1, d2):.3g} "
+                f"against a fixed-point gap of {gap:.3g}")
+        out[cuff.id] = (first, second) if d1 <= d2 else (second, first)
+    return out
+
+
+def seed_summary(images, pd):
+    """check_adapted's summary, or None when the sample is adapted."""
+    kinds = {c.id: images.kind(c.word) for c in pd.cuffs}
+    parts = [f"cuff {cid!r} is {kind}" for cid, kind in kinds.items()
+             if kind in _DEGENERATE]
+    for p, words in enumerate(pd.slot_words):
+        for slots, tr2 in zip(_PAIRS, images.commutators[words]):
+            if abs(tr2 - 4) < images.eps_class:
+                parts.append(f"pants {p} slots {slots} share an endpoint "
+                             f"(tr2 commutator {tr2:.6g})")
+    return "; ".join(parts) or None
+
+
+def seed_horoball_witness(pair, conv, cuff_id):
+    zeta_c, other_c = pair
+    frame = normalizing_map(other_c, zeta_c)
+    s = conv.scales[cuff_id]
+    if s <= 0:
+        raise PleatbendError(f"horoball scale for {cuff_id!r} must be positive")
+    return frame.inverse().apply_interior(0j, s)
+
+
+class SeedSample:
+    """One adapted sample: the adaptedness check on construction, then
+    placement and horoball witnesses for any endpoint selection."""
+
+    def __init__(self, images, pd):
+        summary = seed_summary(images, pd)
+        if summary is not None:
+            raise NotAdapted(summary)
+        self.images = images
+        self.pd = pd
+        self.holonomy = tuple(tuple(images[w] for w in words)
+                              for words in pd.slot_words)
+        self.cuff_lengths = {
+            c.id: _complex_length(images[c.word], images.kind(c.word))
+            for c in pd.cuffs}
+        self._witnesses = {}
+
+    def end_witness(self, p, slot, zeta, conv):
+        end = self.pd.pants[p].cuff_ends[slot]
+        pair = zeta[end.cuff]
+        scale = conv.scales.get(end.cuff)
+        wit = self._witnesses.get((p, slot, pair, scale))
+        if wit is None:
+            wit = self._witnesses.get((end.cuff, pair, scale))
+            if wit is None:
+                wit = seed_horoball_witness(pair, conv, end.cuff)
+                self._witnesses[end.cuff, pair, scale] = wit
+            if end.conjugator:
+                wit = self.images[end.conjugator].apply_interior(*wit)
+            self._witnesses[p, slot, pair, scale] = wit
+        return wit
+
+    def place(self, p, zeta):
+        row = []
+        for end in self.pd.pants[p].cuff_ends:
+            base = zeta[end.cuff][0]
+            if end.conjugator:
+                base = self.images[end.conjugator].apply(base)
+            row.append(base)
+        hol = self.holonomy[p]
+        for tri in (tuple(row), (row[0], row[1], hol[1].apply(row[2]))):
+            for i in range(3):
+                d = chordal(tri[i], tri[(i + 1) % 3])
+                if d < EPS_SEP:
+                    raise DegenerateTriangle(
+                        f"plaque of pants {p} has vertices {d:.3g} apart")
+        return tuple(row)
+
+
+@dataclass(frozen=True)
+class SeedRealization:
+    sample: SeedSample
+    zeta: dict
+    xi: tuple
+
+
+def seed_leaf_bending(real, leaf):
+    p, i = leaf
+    e1, e2 = real.xi[p][i], real.xi[p][(i + 1) % 3]
+    up = real.xi[p][(i + 2) % 3]
+    down = real.sample.holonomy[p][(i + 1) % 3].apply(up)
+    crv = cross_ratio(e1, e2, up, down)
+    if crv == 0 or cmath.isinf(crv):
+        raise DegenerateConfiguration(
+            f"far vertices of leaf ({p}, {i}) collide with its endpoints")
+    return reduce_angle(math.pi - cmath.phase(crv))
+
+
+def seed_cuff_bending(real, cuff_id):
+    """cuff_bending at winding 0."""
+    pd = real.sample.pd
+    (pp, kp), (pm, km) = pd.signed_ends_of(cuff_id)
+    v_plus = pd.pants[pp].cuff_ends[kp].conjugator
+    W = real.sample.images[pd.crossing_words[cuff_id]]
+    zeta_c, other_c = real.zeta[cuff_id]
+    if v_plus:
+        lift = real.sample.images[v_plus]
+        zeta_c, other_c = lift.apply(zeta_c), lift.apply(other_c)
+    frame = normalizing_map(other_c, zeta_c)
+
+    def coord(pt):
+        z = frame.apply(pt).to_complex()
+        if cmath.isinf(z.real) or cmath.isinf(z.imag):
+            raise DegenerateConfiguration(
+                f"plaque vertex lies on the axis of cuff {cuff_id!r}")
+        return z
+
+    a1 = coord(real.xi[pp][(kp + 1) % 3])
+    a2 = coord(real.xi[pp][(kp + 2) % 3])
+    b1 = coord(W.apply(real.xi[pm][(km + 1) % 3]))
+    b2 = coord(W.apply(real.xi[pm][(km + 2) % 3]))
+    dir_a = a1 - a2
+    dir_b = b1 - b2
+    if abs(dir_a) < 1e-30 or abs(dir_b) < 1e-30:
+        raise DegenerateConfiguration(
+            f"degenerate plaque directions at cuff {cuff_id!r}")
+    return reduce_angle(cmath.phase(dir_b / dir_a))
+
+
+def seed_truncated_geodesic_length(a, b, witness_a, witness_b):
+    frame = normalizing_map(a, b)
+    za, ta = frame.apply_interior(*witness_a)
+    zb, tb = frame.apply_interior(*witness_b)
+    depth_a = (abs(za) ** 2 + ta ** 2) / ta
+    height_b = tb
+    if depth_a <= 0 or height_b <= 0:
+        raise DegenerateConfiguration("horoball witness collapsed to the boundary")
+    return math.log(height_b) - math.log(depth_a)
+
+
+def seed_truncated_length(real, leaf, conv):
+    p, i = leaf
+    j = (i + 1) % 3
+    wit_i = real.sample.end_witness(p, i, real.zeta, conv)
+    wit_j = real.sample.end_witness(p, j, real.zeta, conv)
+    return seed_truncated_geodesic_length(real.xi[p][i], real.xi[p][j],
+                                          wit_i, wit_j)
+
+
+def seed_schlafli_term(real, key, conv):
+    if isinstance(key, str):
+        return (seed_cuff_bending(real, key),
+                real.sample.cuff_lengths[key].real)
+    return seed_leaf_bending(real, key), seed_truncated_length(real, key, conv)
+
+
+def _seed_pattern_values(sample, lam, ids, zetas, conv, placed):
+    chains = range(len(zetas))
+    last = len(zetas) - 1
+    for p, cuffs in enumerate(lam.pants_cuffs):
+        for pattern in itertools.product(chains, repeat=len(cuffs)):
+            if (p, pattern) in placed:
+                continue
+            zeta = {ids[j]: zetas[b][ids[j]] for j, b in zip(cuffs, pattern)}
+            placed[p, pattern] = sample.place(p, zeta)
+    realizations = {}
+    values = {}
+    for leaf in lam.leaves:
+        for pattern in itertools.product(chains, repeat=len(leaf.support)):
+            if max(pattern, default=0) != last:
+                continue
+            ori = [0] * len(ids)
+            for j, b in zip(leaf.support, pattern):
+                ori[j] = b
+            ori = tuple(ori)
+            real = realizations.get(ori)
+            if real is None:
+                real = realizations[ori] = SeedRealization(
+                    sample=sample,
+                    zeta={c: zetas[b][c] for c, b in zip(ids, ori)},
+                    xi=tuple(placed[p, tuple(ori[j] for j in cuffs)]
+                             for p, cuffs in enumerate(lam.pants_cuffs)))
+            values[leaf.key, pattern] = seed_schlafli_term(real, leaf.key,
+                                                           conv)
+    return values
+
+
+def seed_term_series(pd, lam, reps, starts, conv, eps_class=EPS_CLASS):
+    """volume._term_series as it was: sample by sample, point by point."""
+    ids = [c.id for c in pd.cuffs]
+    series = {}
+    deferred = None
+    zetas = list(starts)
+    for at_sample in seed_sample_images(reps, pd, eps_class):
+        if isinstance(zetas[0], str):
+            zetas[0] = seed_resolve_endpoints(at_sample, pd, zetas[0])
+        else:
+            zetas[0] = seed_track_endpoints(at_sample, pd, zetas[0])
+        sample = SeedSample(at_sample, pd)
+        placed = {}
+        values = _seed_pattern_values(sample, lam, ids, zetas[:1], conv,
+                                      placed)
+        if len(zetas) > 1:
+            try:
+                zetas[1:] = [seed_track_endpoints(at_sample, pd, z)
+                             for z in zetas[1:]]
+                values.update(_seed_pattern_values(sample, lam, ids, zetas,
+                                                   conv, placed))
+            except PleatbendError as exc:
+                deferred = exc
+                zetas = zetas[:1]
+                series = {key: v for key, v in series.items()
+                          if not any(key[1])}
+        for key, (angle, length) in values.items():
+            angles, lengths = series.setdefault(key, ([], []))
+            angles.append(angle)
+            lengths.append(length)
+    return series, deferred
+
+
+def seed_start_endpoints(path, forward, eps_class=EPS_CLASS):
+    """orientation_start_endpoints as it was, on the path's first
+    sample."""
+    images = next(seed_sample_images([path.reps[0]], path.pd, eps_class))
+    zeta = {}
+    for bit, cuff in zip(forward, path.pd.cuffs):
+        kind = images.kind(cuff.word)
+        if kind != IsometryClass.LOXODROMIC:
+            raise OrientationTrackingFailure(
+                f"cuff {cuff.id!r} is {kind} at the path start; "
+                "orientation endpoints need a loxodromic cuff")
+        att, rep_pt = images.fixed_points(cuff.word)
+        zeta[cuff.id] = (att, rep_pt) if bit else (rep_pt, att)
+    return zeta

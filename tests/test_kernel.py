@@ -4,38 +4,47 @@ MoebiusArray repeats MoebiusMap's products, inverses and normalization
 on float arrays, and sample_images evaluates a path's words and slot
 commutators with it.  Every value must equal the scalar one with ==
 (entries_of), and a sample the kernel cannot evaluate must raise
-SampleEvaluationFailure.  The last class checks vol_gamma against the
-benchmark's recorded references, which pin the digits this
-bit-identity keeps.
+SampleEvaluationFailure.  The geometry pass computes every Schlafli
+term from those arrays: its math.hypot port, each term at every sample
+and pattern, and the failures it raises are checked against CPython and
+against the scalar pipeline as it was (_seed_kernel.seed_term_series).
+The last class checks vol_gamma against the benchmark's recorded
+references, which pin the digits this bit-identity keeps.
 """
 
 import importlib.util
 import json
 import math
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pleatbend import (MoebiusMap, NotAdapted, Representation,
+from pleatbend import (DegenerateConfiguration, DegenerateTriangle,
+                       MoebiusMap, NotAdapted, OrientationTrackingFailure,
+                       PleatbendError, Representation,
                        SampleEvaluationFailure, SingularMatrix,
-                       TruncationConvention, UnknownLetter,
-                       integrate_volume_change, path_from_parameters,
-                       path_from_reps, shared_endpoint_check,
-                       standard_decomposition, vol_gamma)
-from pleatbend import pleated
-from pleatbend.moebius import (RESCALE_LIMIT, MoebiusArray, _unimodular,
-                               trace_squared)
+                       TruncationConvention, UnknownLetter, build_lamination,
+                       enumerate_orientations, integrate_volume_change,
+                       path_from_parameters, path_from_reps,
+                       shared_endpoint_check, standard_decomposition,
+                       vol_gamma)
+from pleatbend import pleated, volume
+from pleatbend.moebius import (RESCALE_LIMIT, MoebiusArray, _sq, _unimodular,
+                               math_hypot, trace_squared)
 from pleatbend.pleated import sample_images
 from pleatbend.representation import (evaluate_word, path_from_dict,
                                       path_to_dict)
 from pleatbend.topology import (decomposition_from_dict,
                                 decomposition_to_dict)
 
-from _seed_kernel import entries_of, raw_entries, steep, steep_entries
-from test_volume import genus2_loop, genus3_path
+from _seed_kernel import (entries_of, raw_entries, seed_start_endpoints,
+                          seed_term_series, steep, steep_entries)
+from test_volume import bend_path, genus2_loop, genus3_path
 
 PAIRS = ((0, 1), (1, 2), (2, 0))
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -171,18 +180,20 @@ class TestSampleImagesOracle:
         path = make_path()
         pd = path.pd
         words = pipeline_words(pd)
-        filled = list(sample_images(path.reps, pd))
-        assert len(filled) == len(path)
-        for rep, images in zip(path.reps, filled):
-            assert set(images) == words
-            for word, m in images.items():
-                assert entries_of(m) == entries_of(evaluate_word(rep, word))
-            assert set(images.commutators) == set(pd.slot_words)
-            for row, traces in images.commutators.items():
+        images = sample_images(path.reps, pd)
+        assert len(images) == len(path)
+        assert set(images.maps) == words
+        assert images.evaluated().all()
+        for k, rep in enumerate(path.reps):
+            for word, m in images.maps.items():
+                got = MoebiusMap._raw(*m.entries()[k].tolist())
+                assert entries_of(got) == entries_of(evaluate_word(rep, word))
+            assert set(images.rows) == set(pd.slot_words)
+            for r, row in enumerate(images.rows):
                 maps = [evaluate_word(rep, w) for w in row]
                 want = [shared_endpoint_check(maps[i], maps[j])[1]
                         for i, j in PAIRS]
-                assert [(t.real, t.imag) for t in traces] == \
+                assert [(t.real, t.imag) for t in images.traces[k, r]] == \
                     [(t.real, t.imag) for t in want]
 
     def test_generators_looked_up_by_name(self):
@@ -192,16 +203,16 @@ class TestSampleImagesOracle:
         # one pass over samples that list their generators in two orders
         mixed = [reps[0], Representation(last.generators[::-1],
                                          last.images[::-1], last.relators)]
-        for want, got in zip(sample_images(reps, path.pd),
-                             sample_images(mixed, path.pd)):
-            assert set(got) == set(want)
-            for word, m in want.items():
-                assert entries_of(got[word]) == entries_of(m)
-            assert got.commutators == want.commutators
+        want, got = sample_images(reps, path.pd), \
+            sample_images(mixed, path.pd)
+        assert set(got.maps) == set(want.maps)
+        for word, m in want.maps.items():
+            assert got.maps[word].entries().tolist() == m.entries().tolist()
+        assert got.traces.tolist() == want.traces.tolist()
         lacking = reps + [
             Representation(("x", "y"), (MoebiusMap(2, 0, 0, 0.5),) * 2)]
         with pytest.raises(UnknownLetter, match="'a1' at sample 2"):
-            list(sample_images(lacking, path.pd))
+            sample_images(lacking, path.pd)
 
     @pytest.mark.parametrize("run", RUNS)
     def test_pipeline_reads_no_scalar_word(self, run, monkeypatch):
@@ -248,6 +259,268 @@ class TestBadSamples:
         path = with_bad_sample(path, 3, MoebiusMap(1, 1, 0, 1))
         with pytest.raises(NotAdapted, match="cuff 'a1' is parabolic"):
             run_pipeline(run, path)
+
+
+# pairs of floats at every scale, for math.hypot: a mantissa and a
+# power of ten each, the second within 20 decades of the first
+def _scaled(lo, hi):
+    return st.builds(lambda m, e: m * 10.0 ** e, st.floats(0.0, 10.0),
+                     st.integers(lo, hi))
+
+
+hypot_pairs = st.one_of(
+    st.tuples(_scaled(-300, 300), _scaled(-300, 300)),
+    st.tuples(_scaled(-320, -300), _scaled(-330, -300)),
+    st.tuples(st.floats(), st.floats()),
+    st.tuples(st.floats(width=64, min_value=0.0, max_value=2.0 ** -1022),
+              st.floats(width=64, min_value=0.0, max_value=2.0 ** -1022)))
+
+
+def same_bits(got, want) -> bool:
+    """== on the bits, so a NaN matches a NaN and -0.0 does not match 0.0."""
+    return np.array_equal(np.asarray(got, dtype=float).view(np.int64),
+                          np.asarray(want, dtype=float).view(np.int64))
+
+
+class TestMathHypot:
+    """math_hypot is CPython's math.hypot, which np.hypot is not."""
+
+    @given(hypot_pairs)
+    @settings(max_examples=500)
+    @example((0.0, 0.0))
+    @example((-0.0, 5e-324))
+    @example((math.inf, math.nan))
+    @example((math.nan, -math.inf))
+    @example((math.nan, 1.0))
+    @example((1e300, 1e300))
+    @example((1e-300, 3e-301))
+    # the larger coordinate below 2 ** -1024: the max_e < -1023 branch
+    @example((1.04236628140147e-310, 3.4955801076e-314))
+    @example((2.0 ** -1030, 2.0 ** -1074))
+    # np.hypot (the C library's hypot) rounds this pair the other way
+    @example((6.499138856251428e-06, 2.5917115236508865e-05))
+    def test_pairs(self, pair):
+        x, y = pair
+        got = math_hypot(np.array([x]), np.array([y]))
+        assert same_bits(got, [math.hypot(x, y)])
+
+    def test_where_np_hypot_differs(self):
+        rng = np.random.default_rng(14)
+        x = rng.random(20000) * 10.0 ** rng.uniform(-150, 150, 20000)
+        y = x * 10.0 ** rng.uniform(-3, 3, 20000)
+        want = [math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        assert same_bits(math_hypot(x, y), want)
+        # the pairs on which the C library's hypot rounds differently
+        assert not same_bits(np.hypot(x, y), want)
+
+    def test_square_is_pow(self):
+        # x ** 2 of a float is the C library's pow, not x * x
+        rng = np.random.default_rng(2)
+        x = rng.random(20000) * 10.0 ** rng.uniform(-150, 150, 20000)
+        want = [v ** 2 for v in x.tolist()]
+        assert same_bits(_sq(x), want)
+        assert not same_bits(x * x, want)
+
+
+class TestNoVectorizedTranscendentals:
+    """numpy's vectorized transcendentals round differently from the C
+    library's (np.arctan2 from math.atan2, np.log from math.log, and
+    np.power from pow on an AVX-512 host), so the package calls none of
+    them: the geometry pass runs cmath.phase, math.log, cmath.acosh and
+    reduce_angle on .tolist() values, and squares by np.float_power."""
+
+    # a call or a reference passed on, not a mention in prose
+    BANNED = re.compile(r"\b(?:np|numpy)\.(arctan2|angle|log|remainder|"
+                        r"arccosh|power|square)\b(?!\s*(?:[a-z]|$))")
+
+    def test_package_calls_none(self):
+        src = pathlib.Path(pleated.__file__).parent
+        hits = [f"{path.name}:{n}: {line.strip()}"
+                for path in sorted(src.glob("*.py"))
+                for n, line in enumerate(path.read_text().splitlines(), 1)
+                if self.BANNED.search(line.split("#")[0])]
+        assert hits == []
+
+    def test_pattern_finds_calls(self):
+        assert self.BANNED.search("a = np.arctan2(y, x)")
+        assert self.BANNED.search("numpy.log(x)")
+        assert self.BANNED.search("f = np.remainder, np.log")
+        assert self.BANNED.search("map(np.angle, zs)")
+        assert not self.BANNED.search("np.float_power(x, 2.0)")
+        assert not self.BANNED.search("np.log1p(x)")
+        assert not self.BANNED.search("calls it, while np.power")
+
+
+def twist_loop():
+    """The demo twist_loop.json (scripts/write_demo_inputs.py), through
+    its JSON form as the CLI reads it."""
+    pd = standard_decomposition(2)
+    path = path_from_parameters(
+        pd, lambda t: (2.0, 1.7, 2.3),
+        lambda t: (0.3 + 2j * math.pi * t, 0.1, 0.2), steps=64)
+    return path_from_dict(json.loads(json.dumps(path_to_dict(path))), pd=pd)
+
+
+def chains(path, run):
+    """Start selections of the pipeline and of the scalar one: a label
+    for integrate_volume_change, the all-forward and all-back
+    orientations' for vol_gamma."""
+    if run in ("attracting", "repelling"):
+        return [run], [run]
+    oris = enumerate_orientations(path.pd)
+    ends = (oris[0], oris[-1])
+    images = sample_images(path.reps, path.pd)
+    return ([volume.orientation_start_endpoints(path, o, images)
+             for o in ends],
+            [seed_start_endpoints(path, o.forward) for o in ends])
+
+
+class TestTermOracle:
+    """Every (leaf key, pattern) angle and length at every sample equals
+    the scalar pipeline's, bit for bit, in the same order."""
+
+    CASES = {
+        "bend_path": (lambda: bend_path(standard_decomposition(2)),
+                      "attracting"),
+        "genus3_vol_gamma": (lambda: genus3_path(lambda t: 2.0 + 0.1j * t,
+                                                 steps=16), "vol-gamma"),
+        "twist_loop_vol_gamma": (twist_loop, "vol-gamma"),
+        "twist_loop_repelling": (twist_loop, "repelling"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_term(self, case):
+        make, run = self.CASES[case]
+        path = make()
+        pd = path.pd
+        lam = build_lamination(pd)
+        conv = TruncationConvention.uniform(pd, 1.5)
+        starts, seed_starts = chains(path, run)
+        got, got_deferred = volume._term_series(
+            pd, lam, sample_images(path.reps, pd), starts, conv)
+        want, want_deferred = seed_term_series(pd, lam, path.reps,
+                                               seed_starts, conv)
+        assert got_deferred is None and want_deferred is None
+        assert list(got) == list(want)
+        chains_seen = {max(pattern, default=0) for _, pattern in got}
+        assert chains_seen == ({0} if len(starts) == 1 else {0, 1})
+        for key, (angles, lengths) in got.items():
+            assert len(angles) == len(path)
+            assert same_bits(angles, want[key][0]), key
+            assert same_bits(lengths, want[key][1]), key
+
+
+def conjugated(path, s):
+    """path conjugated by diag(e^(s t), e^(-s t)) at its sample t: the
+    plaques drift towards 0 and infinity, and their vertices close up."""
+    return path_from_reps(
+        [rep.conjugated(MoebiusMap(math.exp(s * t), 0, 0, math.exp(-s * t)))
+         for rep, t in zip(path.reps, path.ts)], ts=path.ts, pd=path.pd)
+
+
+def growing_a1(steps=256):
+    """A genus-2 bend whose cuff a1 grows from length 2 to 20: a far
+    plaque vertex closes up on a leaf's endpoint ("coincident points
+    p4, p2") at sample 234."""
+    return path_from_parameters(
+        standard_decomposition(2), lambda t: (2 + 18 * t, 1.7, 2.3),
+        lambda t: (0.3 + 0.5j * t, 0.1, 0.2), steps=steps)
+
+
+def twisting_w1():
+    """A genus-2 path twisting w1 by 4 in 16 steps: the repelling
+    endpoint of a2 loses track at sample 5, the attracting one never."""
+    return path_from_parameters(
+        standard_decomposition(2), lambda t: (2.0, 1.7, 2.3),
+        lambda t: (0.3, 0.1, 0.2 + 4 * t), steps=16)
+
+
+def outcome(run, path):
+    """The failure the pipeline raises, as (type, message), or None."""
+    try:
+        run_pipeline(run, path)
+    except PleatbendError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def seed_outcome(run, path):
+    """The failure of the scalar pipeline: the one it raises, else the
+    deferred one (which vol_gamma raises once orientation 0 is
+    integrated), as (type, message), or None."""
+    pd = path.pd
+    _, starts = chains(path, "attracting" if run == "volume-path" else run)
+    try:
+        _, deferred = seed_term_series(pd, build_lamination(pd), path.reps,
+                                       starts,
+                                       TruncationConvention.uniform(pd))
+    except PleatbendError as exc:
+        return type(exc), str(exc)
+    return None if deferred is None else (type(deferred), str(deferred))
+
+
+class TestFailurePrecedence:
+    """A guard planted at sample k raises what the scalar pipeline, sample
+    by sample, raised: the same type and message, with the guards of an
+    earlier sample before those of a later one whatever their stage."""
+
+    PLANTED = {
+        # conjugating a bend drags the endpoints of a2 past its gap
+        "tracking": (lambda: conjugated(bend_path(standard_decomposition(2),
+                                                  steps=16), 5),
+                     OrientationTrackingFailure),
+        "not_adapted": (lambda: with_bad_sample(bent_genus3(), 5,
+                                                MoebiusMap(1, 1, 0, 1)),
+                        NotAdapted),
+        "triangle": (lambda: conjugated(bend_path(standard_decomposition(2),
+                                                  steps=512), 10),
+                     DegenerateTriangle),
+        "configuration": (growing_a1, DegenerateConfiguration),
+    }
+
+    @pytest.mark.parametrize("run", RUNS)
+    @pytest.mark.parametrize("planted", sorted(PLANTED))
+    def test_planted_guard(self, planted, run):
+        make, error = self.PLANTED[planted]
+        path = make()
+        got = outcome(run, path)
+        assert got is not None and got[0] is error
+        assert got == seed_outcome(run, path)
+
+    @pytest.mark.parametrize("run", RUNS)
+    @pytest.mark.parametrize("at, error", [(200, NotAdapted),
+                                           (240, DegenerateConfiguration)])
+    def test_earlier_sample_first(self, run, at, error):
+        # a cuff check at sample 200 comes before the leaf term of
+        # sample 234; the same check at sample 240 comes after it
+        path = with_bad_sample(growing_a1(), at, MoebiusMap(1, 1, 0, 1))
+        got = outcome(run, path)
+        assert got is not None and got[0] is error
+        assert got == seed_outcome(run, path)
+
+    def test_deferred_chain_one_failure(self):
+        # chain 1 (all repelling) fails at sample 5 and is dropped; chain
+        # 0 integrates to the end, and then the deferred failure raises
+        path = twisting_w1()
+        conv = TruncationConvention.uniform(path.pd)
+        integrate_volume_change(path, "attracting", conv)
+        got = outcome("vol-gamma", path)
+        assert got is not None and got[0] is OrientationTrackingFailure
+        assert got == seed_outcome("vol-gamma", path)
+        pd = path.pd
+        lam = build_lamination(pd)
+        starts, seed_starts = chains(path, "vol-gamma")
+        series, deferred = volume._term_series(
+            pd, lam, sample_images(path.reps, pd), starts, conv)
+        want, want_deferred = seed_term_series(pd, lam, path.reps,
+                                               seed_starts, conv)
+        assert (type(deferred), str(deferred)) == \
+            (type(want_deferred), str(want_deferred))
+        assert list(series) == list(want)
+        assert not any(any(pattern) for _, pattern in series)
+        for key, (angles, lengths) in series.items():
+            assert same_bits(angles, want[key][0])
+            assert same_bits(lengths, want[key][1])
 
 
 def _load_workloads():

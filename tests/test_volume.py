@@ -18,6 +18,7 @@ from pleatbend import (
     EndpointsMismatch,
     MoebiusMap,
     OrientationTrackingFailure,
+    ProjectivePoint,
     PleatbendError,
     RepresentationPath,
     TruncationConvention,
@@ -40,7 +41,7 @@ from pleatbend import (
 )
 from pleatbend import pleated, representation, topology
 from pleatbend.moebius import MoebiusArray
-from pleatbend.pleated import AdaptedSample
+from pleatbend.pleated import sample_images
 from pleatbend.volume import (_node_derivatives, _per_step_integrals,
                               _zetas, orientation_start_endpoints)
 
@@ -105,8 +106,9 @@ def genus3_path(a1_length, steps):
 def brute_force(path, conv, steps=None):
     """The orientation sum as a loop: one integration per orientation."""
     out = []
+    start = sample_images([path.reps[0]], path.pd)
     for ori in enumerate_orientations(path.pd):
-        zeta = orientation_start_endpoints(path, ori)
+        zeta = orientation_start_endpoints(path, ori, start)
         out.append(integrate_volume_change(path, zeta, conv, steps=steps))
     return out
 
@@ -597,57 +599,81 @@ class TestVolGammaOracle:
         assert str(pipeline.value) == str(oracle.value)
 
 
-def count_word_work(monkeypatch):
-    """Record word evaluation in every pleatbend module: scalar
-    evaluate_word calls as (rep, word), and each sample_images call
-    (the array kernel) with the WordImages it yielded and the words it
-    evaluated, one MoebiusArray.entries call per word."""
-    calls = []
-    kernel = []
-    evaluate = representation.evaluate_word
-    fill = pleated.sample_images
-    entries = MoebiusArray.entries
-
-    def counting_evaluate(rep, word):
-        calls.append((rep, word))
-        return evaluate(rep, word)
-
-    def counting_fill(reps, surface, *args):
-        kernel.append(([], []))
-        for images in fill(reps, surface, *args):
-            kernel[-1][0].append(images)
-            yield images
-
-    def counting_entries(arrays):
-        kernel[-1][1].append(arrays)
-        return entries(arrays)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] != "pleatbend":
-            continue
-        if getattr(module, "evaluate_word", None) is evaluate:
-            monkeypatch.setattr(module, "evaluate_word", counting_evaluate)
-        if getattr(module, "sample_images", None) is fill:
-            monkeypatch.setattr(module, "sample_images", counting_fill)
-    monkeypatch.setattr(MoebiusArray, "entries", counting_entries)
-    return calls, kernel
+def pass_words(pd) -> set:
+    """The words the sample pass evaluates."""
+    words = {c.word for c in pd.cuffs}
+    words |= {w for row in pd.slot_words for w in row}
+    words |= {e.conjugator for pants in pd.pants for e in pants.cuff_ends}
+    return words | set(pd.crossing_words.values())
 
 
-def assert_words_evaluated_once(path, calls, kernel):
-    # the array kernel ran once for the call, and filled every sample
-    # with every word it evaluated, each word evaluated once
-    assert len(kernel) == 1
-    filled, evaluated = kernel[0]
-    assert [images.rep for images in filled] == list(path.reps)
-    words = set(filled[0])
-    assert len(evaluated) == len(words)
-    assert all(set(images) == words for images in filled)
-    # scalar evaluate_word never evaluates a word the kernel filled,
-    # and no (sample, word) is evaluated twice
-    assert not [word for _, word in calls if word in words]
-    work = [(id(images.rep), word) for images in filled for word in images]
-    work += [(id(rep), word) for rep, word in calls]
-    assert len(work) == len(set(work))
+class PassWork:
+    """The work of the sample pipeline, recorded in every pleatbend
+    module: each sample_images call with the pass it returned, every
+    MoebiusArray product, every placement with its geometry, every
+    scalar evaluate_word call, and every ProjectivePoint made, by its
+    constructor or as the coordinates of an array element."""
+
+    def __init__(self, monkeypatch):
+        self.passes, self.products, self.placed = [], [], []
+        self.scalar, self.constructed, self.wrapped = [], [], []
+        fill = pleated.sample_images
+        evaluate = representation.evaluate_word
+        product = MoebiusArray.__matmul__
+        place = pleated._Geometry.place
+        construct = ProjectivePoint.__init__
+        wrap = ProjectivePoint._raw.__func__
+
+        def counting_fill(reps, surface, *args):
+            images = fill(reps, surface, *args)
+            self.passes.append(images)
+            return images
+
+        def counting_evaluate(rep, word):
+            self.scalar.append((rep, word))
+            return evaluate(rep, word)
+
+        def counting_product(left, right):
+            self.products.append(left.re.shape[-1])
+            return product(left, right)
+
+        def counting_place(geometry, failures):
+            self.placed.append(geometry)
+            return place(geometry, failures)
+
+        def counting_construct(point, *args):
+            self.constructed.append(args)
+            return construct(point, *args)
+
+        def counting_wrap(cls, *args):
+            self.wrapped.append(args)
+            return wrap(cls, *args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "pleatbend":
+                continue
+            if getattr(module, "evaluate_word", None) is evaluate:
+                monkeypatch.setattr(module, "evaluate_word", counting_evaluate)
+            if getattr(module, "sample_images", None) is fill:
+                monkeypatch.setattr(module, "sample_images", counting_fill)
+        monkeypatch.setattr(MoebiusArray, "__matmul__", counting_product)
+        monkeypatch.setattr(pleated._Geometry, "place", counting_place)
+        monkeypatch.setattr(ProjectivePoint, "__init__", counting_construct)
+        monkeypatch.setattr(ProjectivePoint, "_raw", classmethod(counting_wrap))
+
+    def assert_words_evaluated_once(self, path):
+        # one pass over every sample, evaluating every word the
+        # pipeline reads: one product per distinct token prefix, over
+        # all samples, and nine per slot row for its commutators
+        assert len(self.passes) == 1
+        images = self.passes[0]
+        assert images.reps == list(path.reps)
+        assert set(images.maps) == pass_words(path.pd)
+        prefixes = {topology._tokens(w)[:k + 1] for w in images.maps
+                    for k in range(len(topology._tokens(w)))}
+        assert self.products == [len(path)] * (len(prefixes)
+                                               + 9 * len(images.rows))
+        assert self.scalar == []
 
 
 class TestSampleWork:
@@ -657,30 +683,23 @@ class TestSampleWork:
                                                  monkeypatch):
         path = bend_path(pd, steps=8)
         want = integrate_volume_change(path, "attracting", conv)
-        calls, kernel = count_word_work(monkeypatch)
+        work = PassWork(monkeypatch)
         got = integrate_volume_change(path, "attracting", conv)
-        assert_words_evaluated_once(path, calls, kernel)
+        work.assert_words_evaluated_once(path)
         assert got == want
 
     def test_each_pants_pattern_placed_once_per_sample(self, monkeypatch):
         path = genus3_path(lambda t: 2.0 + 0.1j * t, steps=8)
         conv = TruncationConvention.uniform(path.pd)
         want = vol_gamma(path, conv)
-        calls = []
-        place = AdaptedSample.place
-
-        def counting(sample, p, zeta, *args):
-            calls.append((id(sample), p, tuple(zeta[c][0] for c in
-                                                sorted(zeta))))
-            return place(sample, p, zeta, *args)
-
-        monkeypatch.setattr(AdaptedSample, "place", counting)
+        work = PassWork(monkeypatch)
         got = vol_gamma(path, conv)
-        # two endpoint chains: 2^k patterns for a pants with k cuffs
-        per_sample = sum(2 ** len({e.cuff for e in pants.cuff_ends})
-                         for pants in path.pd.pants)
-        assert len(calls) == len(path) * per_sample
-        assert len(set(calls)) == len(calls)
+        # one placement; with two endpoint chains, pants p is placed at
+        # its 2^k patterns of chains (k cuffs), each a row over samples
+        [geometry] = work.placed
+        assert [[v.z1r.shape for v in vertices] for vertices in geometry.xi] \
+            == [[(2 ** len({e.cuff for e in pants.cuff_ends}), len(path))] * 3
+                for pants in path.pd.pants]
         assert_identical(got, want.results)
 
     def test_vol_gamma_evaluates_each_word_once_per_sample(self,
@@ -688,10 +707,26 @@ class TestSampleWork:
         path = genus3_path(lambda t: 2.0 + 0.1j * t, steps=8)
         conv = TruncationConvention.uniform(path.pd)
         want = vol_gamma(path, conv)
-        calls, kernel = count_word_work(monkeypatch)
+        work = PassWork(monkeypatch)
         got = vol_gamma(path, conv)
-        assert_words_evaluated_once(path, calls, kernel)
+        work.assert_words_evaluated_once(path)
         assert_identical(got, want.results)
+
+    @pytest.mark.parametrize("run", ["volume-path", "vol-gamma"])
+    def test_no_point_made_per_sample(self, run, monkeypatch):
+        # the pipeline reads points as arrays; the only ProjectivePoints
+        # it makes are vol_gamma's two start selections, one pair per cuff
+        path = genus3_path(lambda t: 2.0 + 0.1j * t, steps=8)
+        conv = TruncationConvention.uniform(path.pd)
+        work = PassWork(monkeypatch)
+        if run == "volume-path":
+            integrate_volume_change(path, "attracting", conv)
+            starts = 0
+        else:
+            vol_gamma(path, conv)
+            starts = 2 * 2 * len(path.pd.cuffs)
+        assert work.constructed == []
+        assert len(work.wrapped) == starts
 
     def test_lamination_built_once_per_call(self, pd, conv, monkeypatch):
         calls = []
