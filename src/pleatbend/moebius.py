@@ -275,25 +275,46 @@ class MoebiusArray:
                    np.ones(z.shape[2], dtype=bool))
 
     @classmethod
-    def identity(cls, n: int) -> "MoebiusArray":
-        re = np.zeros((2, 2, n))
+    def identity(cls, shape: int | tuple) -> "MoebiusArray":
+        """The identity at every element of shape (n, or (..., n))."""
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        re = np.zeros((2, 2) + shape)
         re[0, 0] = re[1, 1] = 1.0
-        return cls(re, np.zeros((2, 2, n)), np.ones(n, dtype=bool))
+        return cls(re, np.zeros((2, 2) + shape), np.ones(shape, dtype=bool))
 
     def at(self, k: int) -> "MoebiusArray":
-        """The map of sample k alone."""
+        """The maps of sample k alone."""
         return MoebiusArray(self.re[..., k:k + 1], self.im[..., k:k + 1],
-                            self.ok[k:k + 1])
+                            self.ok[..., k:k + 1])
+
+    def take(self, index) -> "MoebiusArray":
+        """The maps at index along the first stacking axis, (2, 2, n)
+        for an integer, else (2, 2, *index shape, ..., n)."""
+        return MoebiusArray(self.re[:, :, index], self.im[:, :, index],
+                            self.ok[index])
 
     def __matmul__(self, other: "MoebiusArray") -> "MoebiusArray":
-        # entry (i, k) is L[i, 0] R[0, k] + L[i, 1] R[1, k]
+        # entry (i, k) is L[i, 0] R[0, k] + L[i, 1] R[1, k], each term
+        # _mul's complex product, computed in place
         lr, li, rr, ri = self.re, self.im, other.re, other.im
         re = im = None
         with np.errstate(all="ignore"):
             for j in (0, 1):
-                pr, pi = _mul(lr[:, j, None], li[:, j, None],
-                              rr[None, j], ri[None, j])
-                re, im = (pr, pi) if re is None else (re + pr, im + pi)
+                ar, ai = lr[:, j, None], li[:, j, None]
+                br, bi = rr[None, j], ri[None, j]
+                pr = ar * br
+                pr -= ai * bi
+                if re is None:
+                    re = pr
+                else:
+                    re += pr
+                del pr
+                pi = ar * bi
+                pi += ai * br
+                if im is None:
+                    im = pi
+                else:
+                    im += pi
         return _unimodular(re, im, self.ok & other.ok)
 
     def inverse(self) -> "MoebiusArray":
@@ -442,8 +463,8 @@ def _unimodular(re: np.ndarray, im: np.ndarray, ok: np.ndarray,
         s_r, s_i = _sqrt(det_r, det_i)
         out_re, out_im = _quot(re, im, s_r, s_i)
         if not np.all(rescale):
-            out_re = np.where(rescale, out_re, re)
-            out_im = np.where(rescale, out_im, im)
+            np.copyto(out_re, re, where=~rescale)
+            np.copyto(out_im, im, where=~rescale)
         singular = rescale & (np.hypot(det_r, det_i) < 1e-100)
     ok = (ok & ~singular
           & np.isfinite(out_re).all(axis=(0, 1))
@@ -468,16 +489,31 @@ def _quot(ar, ai, br, bi) -> tuple:
     """CPython's complex quotient: numerator and divisor are divided
     through by the larger part of the divisor, (a + b r i) / (c + d r i)
     with r = bi / br, or else with r = br / bi.  A zero divisor, where
-    CPython raises, gives NaN."""
+    CPython raises, gives NaN.  The numerator's parts have the shape of
+    the quotient."""
     by_real = np.abs(br) >= np.abs(bi)
-    if by_real.all():
+    every = by_real.all()
+    if every:
         ratio = bi / br
         den = br + bi * ratio
-        return (ar + ai * ratio) / den, (ai - ar * ratio) / den
-    ratio = np.where(by_real, bi / br, br / bi)
-    den = np.where(by_real, br + bi * ratio, br * ratio + bi)
-    return (np.where(by_real, ar + ai * ratio, ar * ratio + ai) / den,
-            np.where(by_real, ai - ar * ratio, ai * ratio - ar) / den)
+    else:
+        ratio = np.where(by_real, bi / br, br / bi)
+        den = np.where(by_real, br + bi * ratio, br * ratio + bi)
+    # (ar + ai ratio) / den and (ai - ar ratio) / den, as arrays written
+    # in place, and where the imaginary part is the larger, (ar ratio +
+    # ai) / den and (ai ratio - ar) / den
+    re = np.asarray(ai * ratio)
+    re += ar
+    im = np.asarray(ai - ar * ratio)
+    if not every:
+        by_imag = ~by_real
+        np.multiply(ar, ratio, out=re, where=by_imag)
+        np.add(re, ai, out=re, where=by_imag)
+        np.multiply(ai, ratio, out=im, where=by_imag)
+        np.subtract(im, ar, out=im, where=by_imag)
+    re /= den
+    im /= den
+    return re, im
 
 
 def _over(ar, ai, x) -> tuple:
@@ -531,6 +567,9 @@ def _dl_mul(x, y) -> tuple:
     return z, p - z + q + xl * yl
 
 
+_HYPOT_BLOCK = 4096    # elements per block of math_hypot
+
+
 def math_hypot(x, y) -> np.ndarray:
     """math.hypot(x, y) of CPython 3.11 at every element, bit for bit.
 
@@ -539,9 +578,23 @@ def math_hypot(x, y) -> np.ndarray:
     two below the larger one, sums their squares exactly (Dekker
     products, compensated sums) and corrects the square root once.
     When the larger coordinate is below 2 ** -1024 it divides both by
-    it instead and adds their squares with one compensated sum.
+    it instead and adds their squares with one compensated sum.  That
+    takes about sixteen temporaries of the arguments' size, so larger
+    arguments are done _HYPOT_BLOCK elements at a time.
     """
-    x, y = np.abs(x), np.abs(y)
+    x, y = np.broadcast_arrays(np.abs(x), np.abs(y))
+    if x.size <= _HYPOT_BLOCK:
+        return _math_hypot(x, y)
+    out = np.empty(x.shape)
+    flat, xs, ys = out.reshape(-1), x.reshape(-1), y.reshape(-1)
+    for start in range(0, x.size, _HYPOT_BLOCK):
+        block = slice(start, start + _HYPOT_BLOCK)
+        flat[block] = _math_hypot(xs[block], ys[block])
+    return out
+
+
+def _math_hypot(x, y) -> np.ndarray:
+    """math_hypot of the absolute values x and y."""
     with np.errstate(all="ignore"):
         big = np.fmax(x, y)
         exp = np.frexp(big)[1]

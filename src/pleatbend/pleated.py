@@ -22,7 +22,10 @@ evaluates the words of a list of representations in one array pass;
 endpoint selection, the adaptedness check, placement and the Schlafli
 terms read that pass through moebius' array kernel (MoebiusArray,
 PointArray), which repeats the scalar MoebiusMap and ProjectivePoint
-arithmetic bit for bit.  Two parts stay scalar: the tracking step that
+arithmetic bit for bit.  Each stage runs once for all its items, the
+words of a depth, the cuffs, the pants or the leaves, stacked on one
+more array axis, so its number of numpy calls does not grow with the
+genus.  Two parts stay scalar: the tracking step that
 picks one of two fixed points from the previous sample's choice, and
 the transcendentals (cmath.phase, math.log, cmath.acosh, reduce_angle),
 which the C library computes differently from numpy's vectorized
@@ -41,6 +44,7 @@ float range the arrays carry inf or NaN instead.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -78,33 +82,43 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 class SampleImages:
     """Images of the pipeline's words at n samples, from one array pass.
 
-    maps takes every word the pipeline reads (cuff words, slot words,
-    conjugators and the crossing words of cuff_bending) to its
-    MoebiusArray, whose entries equal evaluate_word's at every sample
-    bit for bit.  traces holds the tr^2 of the slot commutators that
-    check_adapted reads, (n, len(rows), 3) for the distinct slot rows
-    in rows and the pairs (0, 1), (1, 2), (2, 0).  checks lists (what,
-    ok) for every word and then every row; a sample where some ok is
-    False would raise in the scalar arithmetic or is not finite, and
-    failure() names it.  The kind and the fixed points of a word are
-    read off its images once, at eps_class, the classification
+    words lists every word the pipeline reads (cuff words, slot words,
+    conjugators and the crossing words of cuff_bending), index takes
+    each to its place there, and stack holds their images, (2, 2,
+    words, n), whose entries equal evaluate_word's at every sample bit
+    for bit; maps takes a word to its own MoebiusArray, a view of stack.
+    traces holds the tr^2 of the slot commutators that check_adapted
+    reads, (n, len(rows), 3) for the distinct slot rows in rows and the
+    pairs (0, 1), (1, 2), (2, 0).  ok, (words + rows, n), is False where
+    a word or a row's commutators would raise in the scalar arithmetic
+    or are not finite, and failure() names the first of them.
+    cuff_maps stacks the images of the cuff words, (2, 2, cuffs, n);
+    kinds, (cuffs, n), and cuff_points, the first and second fixed
+    points (cuffs, n) and the masks where their ProjectivePoints would
+    raise, are read off them at once, at eps_class, the classification
     tolerance that the pass fixes for everything that reads it.
     """
 
-    __slots__ = ("reps", "pd", "eps_class", "maps", "rows", "traces",
-                 "checks", "_kinds", "_fixed")
+    __slots__ = ("reps", "pd", "eps_class", "words", "index", "stack",
+                 "maps", "rows", "traces", "ok", "cuff_maps", "kinds",
+                 "cuff_points")
 
     def __init__(self, reps: list, pd: PantsDecomposition, eps_class: float,
-                 maps: dict, rows: list, traces: np.ndarray, checks: list):
+                 words: list, stack: MoebiusArray, rows: list,
+                 traces: np.ndarray, ok: np.ndarray):
         self.reps = reps
         self.pd = pd
         self.eps_class = eps_class
-        self.maps = maps
+        self.words = words
+        self.index = {w: i for i, w in enumerate(words)}
+        self.stack = stack
+        self.maps = {w: stack.take(i) for i, w in enumerate(words)}
         self.rows = rows
         self.traces = traces
-        self.checks = checks
-        self._kinds = {}
-        self._fixed = {}
+        self.ok = ok
+        self.cuff_maps = stack.take([self.index[c.word] for c in pd.cuffs])
+        self.kinds = self.cuff_maps.classify(eps_class)
+        self.cuff_points = self.cuff_maps.fixed_points(eps_class)
 
     def __len__(self) -> int:
         return len(self.reps)
@@ -112,38 +126,28 @@ class SampleImages:
     def at(self, k: int) -> "SampleImages":
         """The pass of sample k alone."""
         return SampleImages(self.reps[k:k + 1], self.pd, self.eps_class,
-                            {w: m.at(k) for w, m in self.maps.items()},
-                            self.rows, self.traces[k:k + 1],
-                            [(what, ok[k:k + 1]) for what, ok in self.checks])
+                            self.words, self.stack.at(k), self.rows,
+                            self.traces[k:k + 1], self.ok[:, k:k + 1])
 
     def evaluated(self) -> np.ndarray:
         """Where every word and commutator of a sample was evaluated."""
-        return np.logical_and.reduce([ok for _, ok in self.checks])
+        return self.ok.all(axis=0)
 
     def failure(self, k: int) -> SampleEvaluationFailure | None:
         """The evaluation failure of sample k, naming the first word or
         slot row that failed there, or None."""
-        what = next((what for what, ok in self.checks if not ok[k]), None)
-        if what is None:
+        bad = np.flatnonzero(~self.ok[:, k])
+        if not len(bad):
             return None
+        i = int(bad[0])
+        what = (f"word {self.words[i]!r}" if i < len(self.words) else
+                f"slot commutators of {self.rows[i - len(self.words)]}")
         return SampleEvaluationFailure(
             f"sample {k}: {what} is singular, overflows or is not finite")
 
     def kind(self, word: str) -> np.ndarray:
-        """MoebiusArray.classify of the images of word."""
-        kinds = self._kinds.get(word)
-        if kinds is None:
-            kinds = self._kinds[word] = self.maps[word].classify(
-                self.eps_class)
-        return kinds
-
-    def fixed_points(self, word: str) -> tuple:
-        """MoebiusArray.fixed_points of the images of word."""
-        pts = self._fixed.get(word)
-        if pts is None:
-            pts = self._fixed[word] = self.maps[word].fixed_points(
-                self.eps_class)
-        return pts
+        """MoebiusArray.classify of the images of a cuff word."""
+        return self.kinds[[c.word for c in self.pd.cuffs].index(word)]
 
 
 def sample_images(reps, pd: PantsDecomposition,
@@ -151,8 +155,8 @@ def sample_images(reps, pd: PantsDecomposition,
     """The SampleImages of a list of representations, by one array pass.
 
     Every word the sample pipeline reads is evaluated at all
-    representations at once with MoebiusArray, folding each distinct
-    token prefix once, and so is the tr^2 of every slot commutator that
+    representations at once with MoebiusArray, folding the words level
+    by level, and so is the tr^2 of every slot commutator that
     check_adapted reads.  Both equal the values of evaluate_word and
     shared_endpoint_check bit for bit.  Letters are looked up by name,
     so the representations may list their generators in any order; a
@@ -166,49 +170,81 @@ def sample_images(reps, pd: PantsDecomposition,
 
 
 def _array_pass(reps: list, pd: PantsDecomposition):
-    """The array pass of sample_images: (maps, slot rows, their
-    commutator tr^2 (n, rows, 3), checks).  The prefix arrays that no
-    word ends on are freed on return."""
+    """The array pass of sample_images: (words, their images, slot rows,
+    their commutator tr^2 (n, rows, 3), ok).
+
+    The distinct token prefixes of depth k are one stacked product of
+    their depth k - 1 prefixes and their last letters, the first level
+    the identity times each first letter, as evaluate_word multiplies
+    it; the commutators of every slot row and pair are one chain of
+    three stacked products.  Each level is freed once the words that end
+    there are stored."""
     n = len(reps)
-    tables = [rep.image_of for rep in reps]
-    letters = {}
     words = [c.word for c in pd.cuffs]
     words += [w for row in pd.slot_words for w in row]
     words += [e.conjugator for pants in pd.pants for e in pants.cuff_ends]
     words += pd.crossing_words.values()
-    prefixes = {(): MoebiusArray.identity(n)}
-    maps = {}
-    for word in dict.fromkeys(words):
-        tokens = _tokens(word)
-        for k, (base, inv) in enumerate(tokens):
-            if tokens[:k + 1] in prefixes:
-                continue
-            if base not in letters:
-                try:
-                    m = MoebiusArray.of([table[base] for table in tables])
-                except KeyError:
-                    s = next(s for s, table in enumerate(tables)
-                             if base not in table)
-                    raise UnknownLetter(f"no image for generator {base!r} "
-                                        f"at sample {s}") from None
-                letters[base] = {False: m, True: m.inverse()}
-            prefixes[tokens[:k + 1]] = (prefixes[tokens[:k]]
-                                        @ letters[base][inv])
-        maps[word] = prefixes[tokens]
-    checks = [(f"word {w!r}", m.ok) for w, m in maps.items()]
+    words = list(dict.fromkeys(words))
+    tokens = [_tokens(w) for w in words]
+    # the letters in order of first use
+    bases = list(dict.fromkeys(base for t in tokens for base, _ in t))
+    letters = _letters(reps, bases)
+    letter = {(b, inv): i + inv * len(bases) for i, b in enumerate(bases)
+              for inv in (False, True)}
+    shape = (len(words), n)
+    stack = MoebiusArray(np.empty((2, 2) + shape), np.empty((2, 2) + shape),
+                         np.empty(shape, dtype=bool))
+    level, prefixes = MoebiusArray.identity((1, n)), [()]
+    for k in range(max(map(len, tokens)) + 1):
+        if k:
+            position = {p: i for i, p in enumerate(prefixes)}
+            prefixes = list(dict.fromkeys(t[:k] for t in tokens
+                                          if len(t) >= k))
+            level = (level.take([position[p[:-1]] for p in prefixes])
+                     @ letters.take([letter[p[-1]] for p in prefixes]))
+        # the words that end at depth k
+        ends = [i for i, t in enumerate(tokens) if len(t) == k]
+        at = [prefixes.index(tokens[i]) for i in ends]
+        stack.re[:, :, ends] = level.re[:, :, at]
+        stack.im[:, :, ends] = level.im[:, :, at]
+        stack.ok[ends] = level.ok[at]
+    del letters, level
     rows = list(dict.fromkeys(pd.slot_words))
-    traces = np.empty((n, len(rows), 3), dtype=complex)
-    for r, row in enumerate(rows):
-        row_maps = [maps[w] for w in row]
-        inverses = [m.inverse() for m in row_maps]
-        ok = np.ones(n, dtype=bool)
-        for c, (i, j) in enumerate(_PAIRS):
-            comm = row_maps[i] @ row_maps[j] @ inverses[i] @ inverses[j]
-            cell = traces[:, r, c]
-            cell.real, cell.imag = comm.trace_squared()
-            ok &= comm.ok & np.isfinite(cell)
-        checks.append((f"slot commutators of {row}", ok))
-    return maps, rows, traces, checks
+    index = {w: i for i, w in enumerate(words)}
+    left, right = (stack.take([[index[row[pair[s]]] for pair in _PAIRS]
+                               for row in rows]) for s in (0, 1))
+    # left right left^-1 right^-1, from the left, each factor dropped
+    # once it is used
+    comm = left @ right
+    comm = comm @ left.inverse()
+    del left
+    comm = comm @ right.inverse()
+    del right
+    traces = _complex(*comm.trace_squared())              # (rows, 3, n)
+    row_ok = (comm.ok & np.isfinite(traces)).all(axis=1)
+    return (words, stack, rows, np.moveaxis(traces, -1, 0),
+            np.concatenate([stack.ok, row_ok]))
+
+
+def _letters(reps: list, bases: list) -> MoebiusArray:
+    """The images of bases at every representation, (2, 2, bases, n),
+    followed by their inverses; a letter that one of them lacks raises
+    UnknownLetter, naming the first such letter and sample."""
+    tables = [rep.image_of for rep in reps]
+    try:
+        flat = MoebiusArray.of([table[b] for b in bases for table in tables])
+    except KeyError:
+        base, s = next((b, s) for b in bases
+                       for s, table in enumerate(tables) if b not in table)
+        raise UnknownLetter(f"no image for generator {base!r} "
+                            f"at sample {s}") from None
+    shape = (2, 2, len(bases), len(reps))
+    letters = MoebiusArray(flat.re.reshape(shape), flat.im.reshape(shape),
+                           flat.ok.reshape(shape[2:]))
+    inverses = letters.inverse()
+    return MoebiusArray(np.concatenate([letters.re, inverses.re], axis=2),
+                        np.concatenate([letters.im, inverses.im], axis=2),
+                        np.concatenate([letters.ok, inverses.ok]))
 
 
 def _one_sample(rep: Representation | SampleImages, pd: PantsDecomposition,
@@ -236,30 +272,41 @@ class _Failures:
 
     A guard is a mask, over samples (n,) or over endpoint patterns and
     samples (patterns, n), True where a step of the scalar pipeline
-    raises, with the error it raises there.  Its place in the scalar
-    order is (sample, phase, stage, item, pattern, g): samples in
-    order; within a sample, phase 0 (pattern row 0, which takes chain 0
-    on every cuff) before phase 1 (the other rows, and the tracking of
-    chain 1); then the stage (-1 evaluation and start label, 0 endpoint
-    selection, 1 adaptedness, 2 placement, 3 Schlafli terms), the item
-    within it (cuff, pants or leaf), the pattern row, and the guard's
-    place within its block, in the order guards() records them.
+    raises, with the error it raises there.  A stage computes each of
+    its guards for all its items at once, stacked on arrays, and
+    record() slices it per item.  Its place in the scalar order is
+    (sample, phase, stage, item, pattern, g): samples in order; within a
+    sample, phase 0 (pattern row 0, which takes chain 0 on every cuff)
+    before phase 1 (the other rows, and the tracking of chain 1); then
+    the stage (-1 evaluation and start label, 0 endpoint selection, 1
+    adaptedness, 2 placement, 3 Schlafli terms), the item within it
+    (cuff, pants or leaf), the pattern row, and the guard's place within
+    its item, in the order the checks are recorded.
     """
 
     def __init__(self):
         self._first = [None, None]     # per phase: (key, error, message)
 
-    def guards(self, stage: int, item: int, phase: int = 0):
-        """A recorder for one block: guard(mask, error, message) records
-        its next guard; message is a string or a function of (pattern
-        row, sample).  phase applies to masks over samples only."""
-        order = itertools.count()
+    def record(self, stage: int, spans: list, checks: list,
+               phase: int = 0) -> None:
+        """Record the guards of a stage for the items in spans.
 
-        def guard(mask, error, message):
-            g = next(order)
-            if mask.any():
-                self._add((stage, item), g, mask, error, message, phase)
-        return guard
+        spans lists (item, key, index) per item: its place in the
+        scalar order, the key its messages name, and the index of its
+        part of a mask.  checks lists (mask, error, message) in the
+        order the scalar step meets them; message is a string or a
+        function of (key, index, pattern row, sample).  phase applies to
+        masks over samples only."""
+        for g, (mask, error, message) in enumerate(checks):
+            if not mask.any():
+                continue
+            for item, key, index in spans:
+                part = mask[index]
+                if part.any():
+                    self._add((stage, item), g, part, error,
+                              message if isinstance(message, str)
+                              else functools.partial(message, key, index),
+                              phase)
 
     def _add(self, block, g, mask, error, message, phase):
         if mask.ndim == 1:
@@ -295,111 +342,121 @@ class _Failures:
                 raise failure
 
 
-def _singular(images: SampleImages, word: str, k: int) -> str:
-    """classify's message where the tr^2 of word is not finite."""
-    t2r, t2i = images.maps[word].trace_squared()
-    return f"squared trace {complex(t2r[k], t2i[k])} is not finite"
+def _whole(item: int = 0) -> list:
+    """The spans of a guard that is one item's whole mask."""
+    return [(item, None, ...)]
 
 
-def _kinds(images: SampleImages, word: str, guard) -> np.ndarray:
-    """images.kind(word), recording classify's guard: SingularMatrix
-    where tr^2 is not finite."""
-    kinds = images.kind(word)
-    guard(kinds < 0, SingularMatrix,
-          lambda row, k: _singular(images, word, k))
-    return kinds
+def _cuff_spans(pd: PantsDecomposition) -> list:
+    """The spans of guards over cuffs, (cuffs, ...): cuff j is item j."""
+    return [(j, j, j) for j in range(len(pd.cuffs))]
 
 
-def _fixed_points(images: SampleImages, word: str, guard) -> tuple:
-    """images.fixed_points(word), recording the guards of its two
-    ProjectivePoints."""
-    first, second, first_zero, second_zero = images.fixed_points(word)
-    guard(first_zero, DegenerateConfiguration, _ZERO)
-    guard(second_zero, DegenerateConfiguration, _ZERO)
-    return first, second
+def _singular(images: SampleImages, j: int, k: int) -> str:
+    """classify's message where the tr^2 of cuff j is not finite."""
+    t2r, t2i = images.cuff_maps.trace_squared()
+    return f"squared trace {complex(t2r[j, k], t2i[j, k])} is not finite"
+
+
+def _classified(images: SampleImages, bad: np.ndarray, error,
+                message) -> list:
+    """The checks, over (cuffs, n), of classifying every cuff and taking
+    its fixed points: classify's SingularMatrix where tr^2 is not
+    finite, error where bad holds, with message(cuff, kind), and the
+    guards of the two ProjectivePoints."""
+    kinds = images.kinds
+    first_zero, second_zero = images.cuff_points[2:]
+    return [(kinds < 0, SingularMatrix,
+             lambda j, index, row, k: _singular(images, j, k)),
+            (bad, error, lambda j, index, row, k:
+             message(images.pd.cuffs[j], KINDS[kinds[j, k]])),
+            (first_zero, DegenerateConfiguration, _ZERO),
+            (second_zero, DegenerateConfiguration, _ZERO)]
 
 
 def _selection(images: SampleImages, start: str | dict, failures: _Failures,
-               phase: int = 0) -> list:
-    """(chosen, other) PointArrays, (n,), of every cuff: start resolved
-    at the first sample when it is a label, else tracked to it, and
-    tracked from sample to sample after that.
+               phase: int = 0) -> tuple:
+    """(chosen, other) PointArrays of every cuff, (cuffs, n): start
+    resolved at the first sample when it is a label, else tracked to
+    it, and tracked from sample to sample after that.
 
-    Per cuff the guards of resolve_endpoints and track_endpoints, in
+    The guards of resolve_endpoints and track_endpoints, cuff by cuff in
     their order: the cuff's kind (identity and parabolic raise
     NotAdapted), its fixed points, and the tracking test, which fails
     when the previous point is not clearly closer to one of the new
     fixed points than they are to each other.  Tracking is the one
     scalar loop: each step reads the previous choice, and picks one of
-    two chordal distances computed for all samples at once.
+    two chordal distances computed for all cuffs and samples at once.
     """
     pd = images.pd
     n = len(images)
     if isinstance(start, str) and start not in _LABELS:
-        failures.guards(-1, 1)(np.arange(n) == 0, PleatbendError,
-                               f"unknown endpoint label {start!r}")
+        failures.record(-1, _whole(1), [(np.arange(n) == 0, PleatbendError,
+                                         f"unknown endpoint label {start!r}")])
         start = _LABELS[0]
-    out = []
+    pts = images.cuff_points[:2]
+    gap = chordal_array(*pts).tolist()
+    # from each fixed point of sample k - 1 to each of sample k, at k,
+    # per cuff
+    steps = [[[[math.nan] + d for d in chordal_array(a[:, :-1], b[:, 1:])
+               .tolist()] for b in pts] for a in pts]
+    if isinstance(start, str):
+        begin = 1
+        first_state = _LABELS.index(start)
+    else:
+        prev = PointArray.of([start[c.id][0] for c in pd.cuffs])
+        for b, to in enumerate(pts):
+            for j, d in enumerate(chordal_array(prev, to[:, 0]).tolist()):
+                steps[0][b][j][0] = d
+        begin = 0
+        first_state = 0
+    choice = []     # per cuff and sample, True: the second fixed point
+    failed = np.zeros((len(pd.cuffs), n), dtype=bool)
+    messages = {}
     for j, cuff in enumerate(pd.cuffs):
-        guard = failures.guards(0, j, phase)
-        kinds = _kinds(images, cuff.word, guard)
-        guard((kinds == _IDENTITY) | (kinds == _PARABOLIC), NotAdapted,
-              lambda row, k, cuff=cuff, kinds=kinds:
-              f"cuff {cuff.id!r} is {KINDS[kinds[k]]}")
-        pts = _fixed_points(images, cuff.word, guard)
-        gap = chordal_array(*pts).tolist()
-        # from each fixed point of sample k - 1 to each of sample k, at k
-        steps = [[[math.nan] + chordal_array(a[:-1], b[1:]).tolist()
-                  for b in pts] for a in pts]
-        if isinstance(start, str):
-            state = _LABELS.index(start)
-            begin = 1
-        else:
-            prev = PointArray.of([start[cuff.id][0]])
-            steps[0] = [[chordal_array(prev, b[:1]).item()] + d[1:]
-                        for b, d in zip(pts, steps[0])]
-            state = 0
-            begin = 0
-        choice = np.zeros(n, dtype=bool)   # True: the second fixed point
-        choice[0] = state
-        failed = np.zeros(n, dtype=bool)
+        state = first_state
+        row = [state] + [0] * (n - 1)
         for k in range(begin, n):
-            d1, d2 = steps[state][0][k], steps[state][1][k]
-            if min(d1, d2) >= 0.45 * gap[k]:
-                failed[k] = True
-                message = (f"endpoint of cuff {cuff.id!r} moved "
-                           f"{min(d1, d2):.3g} against a fixed-point gap of "
-                           f"{gap[k]:.3g}")
+            d1, d2 = steps[state][0][j][k], steps[state][1][j][k]
+            if min(d1, d2) >= 0.45 * gap[j][k]:
+                failed[j, k] = True
+                messages[j] = (f"endpoint of cuff {cuff.id!r} moved "
+                               f"{min(d1, d2):.3g} against a fixed-point gap "
+                               f"of {gap[j][k]:.3g}")
                 break
             state = 0 if d1 <= d2 else 1
-            choice[k] = state
-        if failed.any():
-            guard(failed, OrientationTrackingFailure, message)
-        first, second = pts
-        out.append((second.select(choice, first),
-                    first.select(choice, second)))
-    return out
+            row[k] = state
+        choice.append(row)
+    kinds = images.kinds
+    checks = _classified(images, (kinds == _IDENTITY) | (kinds == _PARABOLIC),
+                         NotAdapted, lambda cuff, kind:
+                         f"cuff {cuff.id!r} is {kind}")
+    checks.append((failed, OrientationTrackingFailure,
+                   lambda j, index, row, k: messages[j]))
+    failures.record(0, _cuff_spans(pd), checks, phase)
+    choice = np.array(choice, dtype=bool)
+    first, second = pts
+    return second.select(choice, first), first.select(choice, second)
 
 
 def start_endpoints(images: SampleImages, forward) -> dict:
-    """Start selection of an orientation on a one-sample pass: cuff id
-    -> (zeta, other), the attracting fixed point chosen where forward
-    is True, the repelling one elsewhere.  Every cuff must be
-    loxodromic."""
+    """Start selection of an orientation at the first sample of a pass:
+    cuff id -> (zeta, other), the attracting fixed point chosen where
+    forward is True, the repelling one elsewhere.  Every cuff must be
+    loxodromic there."""
     failures = _Failures()
-    points = []
-    for j, cuff in enumerate(images.pd.cuffs):
-        guard = failures.guards(0, j)
-        kinds = _kinds(images, cuff.word, guard)
-        guard(kinds != _LOXODROMIC, OrientationTrackingFailure,
-              lambda row, k, cuff=cuff, kinds=kinds:
-              f"cuff {cuff.id!r} is {KINDS[kinds[k]]} at the path start; "
-              "orientation endpoints need a loxodromic cuff")
-        points.append(_fixed_points(images, cuff.word, guard))
+    checks = _classified(images, images.kinds != _LOXODROMIC,
+                         OrientationTrackingFailure, lambda cuff, kind:
+                         f"cuff {cuff.id!r} is {kind} at the path start; "
+                         "orientation endpoints need a loxodromic cuff")
+    failures.record(0, _cuff_spans(images.pd),
+                    [(mask[:, :1], error, message)
+                     for mask, error, message in checks])
     failures.raise_first()
+    first, second = images.cuff_points[:2]
     zeta = {}
-    for bit, cuff, (att, rep) in zip(forward, images.pd.cuffs, points):
-        att, rep = att.point(0), rep.point(0)
+    for j, (bit, cuff) in enumerate(zip(forward, images.pd.cuffs)):
+        att, rep = first.point((j, 0)), second.point((j, 0))
         zeta[cuff.id] = (att, rep) if bit else (rep, att)
     return zeta
 
@@ -407,10 +464,10 @@ def start_endpoints(images: SampleImages, forward) -> dict:
 def _selected(images: SampleImages, start: str | dict) -> dict:
     """_selection on a one-sample pass, as ProjectivePoints."""
     failures = _Failures()
-    selection = _selection(images, start, failures)
+    chosen, other = _selection(images, start, failures)
     failures.raise_first()
-    return {c.id: (chosen.point(0), other.point(0))
-            for c, (chosen, other) in zip(images.pd.cuffs, selection)}
+    return {c.id: (chosen.point((j, 0)), other.point((j, 0)))
+            for j, c in enumerate(images.pd.cuffs)}
 
 
 def resolve_endpoints(rep: Representation | SampleImages,
@@ -494,22 +551,21 @@ def _flagged(images: SampleImages) -> np.ndarray:
 
 def _degenerate(images: SampleImages) -> np.ndarray:
     """(n,): where some cuff is the identity or parabolic."""
-    return np.logical_or.reduce(
-        [np.isin(images.kind(c.word), (_IDENTITY, _PARABOLIC))
-         for c in images.pd.cuffs])
+    return ((images.kinds == _IDENTITY)
+            | (images.kinds == _PARABOLIC)).any(axis=0)
 
 
 def _adaptedness(images: SampleImages, k: int) -> AdaptednessReport:
     """check_adapted at sample k."""
     pd = images.pd
+    codes = images.kinds[:, k].tolist()
     kinds = {}
-    for c in pd.cuffs:
-        code = images.kind(c.word)[k]
+    for j, (c, code) in enumerate(zip(pd.cuffs, codes)):
         if code < 0:
-            raise SingularMatrix(_singular(images, c.word, k))
+            raise SingularMatrix(_singular(images, j, k))
         kinds[c.id] = KINDS[code]
-    bad = [c.id for c in pd.cuffs
-           if images.kind(c.word)[k] in (_IDENTITY, _PARABOLIC)]
+    bad = [c.id for c, code in zip(pd.cuffs, codes)
+           if code in (_IDENTITY, _PARABOLIC)]
     flagged = _flagged(images)[k]
     reports = []
     for p, words in enumerate(pd.slot_words):
@@ -564,17 +620,21 @@ class TruncationConvention:
         return TruncationConvention(scales=out)
 
 
-def _cuff_lengths(images: SampleImages, cuff) -> list[complex]:
-    """complex_length of an elliptic or loxodromic cuff at every sample."""
-    m = images.maps[cuff.word]
+def _cuff_lengths(images: SampleImages) -> list:
+    """complex_length of every elliptic or loxodromic cuff at every
+    sample, a list per cuff."""
+    m = images.cuff_maps
     # trace / 2.0
     half = _complex(*_over(m.re[0, 0] + m.re[1, 1], m.im[0, 0] + m.im[1, 1],
                            2.0))
     out = []
-    for z, kind in zip(half.tolist(), images.kind(cuff.word).tolist()):
-        lam = 2.0 * cmath.acosh(z)
-        out.append(complex(0.0 if kind == _ELLIPTIC else lam.real,
-                           reduce_angle(lam.imag)))
+    for zs, kinds in zip(half.tolist(), images.kinds.tolist()):
+        lengths = []
+        for z, kind in zip(zs, kinds):
+            lam = 2.0 * cmath.acosh(z)
+            lengths.append(complex(0.0 if kind == _ELLIPTIC else lam.real,
+                                   reduce_angle(lam.imag)))
+        out.append(lengths)
     return out
 
 
@@ -604,27 +664,48 @@ def _truncated_lengths(a: PointArray, b: PointArray, witness_a: tuple,
                       "horoball witness collapsed to the boundary")]
 
 
-def _skip(mask, error, message) -> None:
-    """A guard recorder for a term whose failures are not read."""
+def _carry(images: SampleImages, words: np.ndarray, points: PointArray,
+           where: np.ndarray) -> np.ndarray:
+    """Carry points[where] in place by the images of words[where] (their
+    places in images.words), as the scalar code carries a point only by
+    a non-empty conjugator; returns the mask, of points' shape, where
+    the carried ProjectivePoint would raise."""
+    moved, zero = images.stack.take(words[where]).apply(points[where])
+    for x, m in zip(points.parts(), moved.parts()):
+        x[where] = m
+    mask = np.zeros(points.z1r.shape, dtype=bool)
+    mask[where] = zero
+    return mask
 
 
-def _only(i: int, guard) -> list:
-    """Recorders for the three leaves of a pants that keep leaf i's
-    guards only."""
-    return [guard if k == i else _skip for k in range(3)]
+def _row(pattern: tuple, places: list, chains: int) -> int:
+    """The place, in itertools.product order, of pattern's chains at
+    places among the patterns of chains on as many cuffs."""
+    row = 0
+    for q in places:
+        row = row * chains + pattern[q]
+    return row
 
 
 class _Geometry:
     """Plaques and Schlafli terms of a pass's samples under endpoint
-    chains, on arrays.
+    chains, on arrays stacked over every pants and every cuff leaf.
 
-    zeta[j] holds cuff j's (chosen, other) points, (chains, n), one row
-    per chain.  A pattern takes one chain for every cuff of a support
-    (sorted cuff indices); the patterns of a support run in
-    itertools.product order, so row 0 takes chain 0 everywhere.  xi[p]
-    holds the three vertices of pants p, each (patterns of its cuffs,
-    n), once place() has run.  Every method records its guards in the
-    order of the scalar step it repeats.
+    zeta holds the (chosen, other) points of every cuff under every
+    chain, each (chains, cuffs, n).  A pattern takes one chain for every
+    cuff of a support (sorted cuff indices); the patterns of a support
+    run in itertools.product order, so row 0 takes chain 0 everywhere.
+    The arrays of the plaques stack the patterns of all pants, pants p
+    at the rows pants_rows[p], one per pattern of chains on its cuffs;
+    those of the cuff terms stack the patterns of every cuff leaf's
+    support the same way, cuff j at cuff_rows[j].  slots holds, per slot
+    and plaque row, (3, rows), the slot's cuff, that cuff's chain, the
+    conjugator's place in images.words and whether it is not empty, and
+    holonomy the places of the slot words each row's leaf i reads, of
+    slot i + 1.  place() sets vertices, the three vertices of every row,
+    (3, rows, n), and xi, its view per pants.  Each stage returns, or
+    records, its guards as checks over its rows, in the order of the
+    scalar step it repeats.
     """
 
     def __init__(self, images: SampleImages, selections: list,
@@ -633,15 +714,45 @@ class _Geometry:
         self.images = images
         self.pd = pd
         self.lam = lam
-        self.maps = images.maps
         self.chains = len(selections)
         self.index = {c.id: j for j, c in enumerate(pd.cuffs)}
-        self.zeta = [tuple(stack_points([sel[j][s] for sel in selections])
-                           for s in (0, 1)) for j in range(len(pd.cuffs))]
+        self.zeta = tuple(stack_points([sel[s] for sel in selections])
+                          for s in (0, 1))
+        self.supports = {leaf.key: leaf.support for leaf in lam.leaves}
+        self.pants_rows = self._spans(lam.pants_cuffs)
+        self.cuff_rows = self._spans([self.supports[c.id] for c in pd.cuffs])
+        chains = []
+        for p, cuffs in enumerate(lam.pants_cuffs):
+            places = [cuffs.index(self.index[end.cuff])
+                      for end in pd.pants[p].cuff_ends]
+            chains += [[pattern[q] for q in places]
+                       for pattern in itertools.product(
+                           range(self.chains), repeat=len(cuffs))]
+        ends = [pants.cuff_ends for pants in pd.pants]
+        self.slots = (
+            self._per_pants([[self.index[e.cuff] for e in row]
+                             for row in ends]),
+            np.array(chains, dtype=np.intp).T,
+            self._per_pants([[images.index[e.conjugator] for e in row]
+                             for row in ends]),
+            self._per_pants([[bool(e.conjugator) for e in row]
+                             for row in ends]))
+        self.holonomy = self._per_pants(
+            [[images.index[row[(i + 1) % 3]] for i in range(3)]
+             for row in pd.slot_words])
+        self.vertices = None
         self.xi = []
         self.angles = {}     # single realizations: key -> angle or failure
         self._patterns = {}
-        self._witnesses = {}
+
+    def _spans(self, supports) -> list:
+        """Consecutive row slices, one per support, each as long as the
+        support has patterns."""
+        out, start = [], 0
+        for support in supports:
+            out.append(slice(start, start + self.chains ** len(support)))
+            start = out[-1].stop
+        return out
 
     def patterns(self, support) -> np.ndarray:
         """Every pattern of chains on support, (patterns, len(support))."""
@@ -653,14 +764,16 @@ class _Geometry:
                 dtype=np.intp).reshape(-1, len(support))
         return pats
 
-    def _vertices(self, p: int, support, pats: np.ndarray) -> list:
-        """xi[p] at the patterns pats of support (a superset of the
-        cuffs of pants p)."""
-        cuffs = self.lam.pants_cuffs[p]
-        rows = np.zeros(len(pats), dtype=np.intp)
-        for j in cuffs:
-            rows = rows * self.chains + pats[:, support.index(j)]
-        return [x[rows] for x in self.xi[p]]
+    def leaf_index(self, key) -> tuple:
+        """Where the rows of spiral leaf (p, i) lie in the (3, rows, n)
+        arrays of the plaques."""
+        p, i = key
+        return i, self.pants_rows[p]
+
+    def _per_pants(self, values) -> np.ndarray:
+        """values[p][slot] at every plaque row, (3, rows)."""
+        return np.array([values[p] for p, rows in enumerate(self.pants_rows)
+                         for _ in range(rows.stop - rows.start)]).T
 
     def place(self, failures: _Failures) -> None:
         """Place every pants at every pattern of chains on its cuffs.
@@ -671,193 +784,192 @@ class _Geometry:
         upper plaque, or of the lower one, xi_2 pushed by the slot-1
         holonomy.
         """
-        for p, cuffs in enumerate(self.lam.pants_cuffs):
-            guard = failures.guards(2, p)
-            pats = self.patterns(cuffs)
-            row = []
-            for end in self.pd.pants[p].cuff_ends:
-                j = self.index[end.cuff]
-                base = self.zeta[j][0][pats[:, cuffs.index(j)]]
-                if end.conjugator:
-                    base, zero = self.maps[end.conjugator].apply(base)
-                    guard(zero, DegenerateConfiguration, _ZERO)
-                row.append(base)
-            self._plaque_guards(p, row, guard)
-            down, zero = self.maps[self.pd.slot_words[p][1]].apply(row[2])
-            guard(zero, DegenerateConfiguration, _ZERO)
-            self._plaque_guards(p, row[:2] + [down], guard)
-            self.xi.append(row)
+        cuff, chain, conjugator, carried = self.slots
+        xi = self.zeta[0][chain, cuff]
+        zero = _carry(self.images, conjugator, xi, carried)
+        checks = [(zero[s], DegenerateConfiguration, _ZERO)
+                  for s in range(3)]
+        checks += self._plaque_checks(xi)
+        down, zero = self.images.stack.take(self.holonomy[0]).apply(xi[2])
+        checks.append((zero, DegenerateConfiguration, _ZERO))
+        checks += self._plaque_checks(stack_points([xi[0], xi[1], down]))
+        failures.record(2, [(p, p, rows)
+                            for p, rows in enumerate(self.pants_rows)],
+                        checks)
+        self.vertices = xi
+        self.xi = [[xi[s, rows] for s in range(3)] for rows in self.pants_rows]
 
     @staticmethod
-    def _plaque_guards(p: int, tri: list, guard) -> None:
-        for i in range(3):
-            d = chordal_array(tri[i], tri[(i + 1) % 3])
-            guard(d < EPS_SEP, DegenerateTriangle,
-                  lambda row, k, d=d: f"plaque of pants {p} has vertices "
-                                      f"{d[row, k]:.3g} apart")
+    def _plaque_checks(tri: PointArray) -> list:
+        d = chordal_array(tri, tri[[1, 2, 0]])
 
-    def leaf_angles(self, p: int, guards: list) -> np.ndarray:
-        """leaf_bending of the leaves (p, 0), (p, 1), (p, 2) at every
-        pattern and sample, (3, patterns, n); guards[i] records leaf
-        i's guards."""
-        xi = stack_points(self.xi[p])
-        e1, e2, up = (xi[[(i + s) % 3 for i in range(3)]] for s in range(3))
-        hol = [self.maps[self.pd.slot_words[p][(i + 1) % 3]] for i in range(3)]
-        down, zero = MoebiusArray(
-            np.stack([m.re for m in hol], axis=2)[:, :, :, None],
-            np.stack([m.im for m in hol], axis=2)[:, :, :, None],
-            None).apply(up)
-        re, im, checks = cross_ratio_array(e1, e2, up, down)
+        def message(i):
+            return lambda p, rows, row, k: (
+                f"plaque of pants {p} has vertices "
+                f"{d[i, rows][row, k]:.3g} apart")
+        return [(d[i] < EPS_SEP, DegenerateTriangle, message(i))
+                for i in range(3)]
+
+    def leaf_angles(self) -> tuple:
+        """leaf_bending of every spiral leaf at every pattern and sample,
+        (3, rows, n) with leaf (p, i) at leaf_index, and its checks."""
+        xi = self.vertices
+        up = xi[[2, 0, 1]]
+        down, zero = self.images.stack.take(self.holonomy).apply(up)
+        re, im, crossings = cross_ratio_array(xi, xi[[1, 2, 0]], up, down)
         far = ((re == 0.0) & (im == 0.0)) | np.isinf(re) | np.isinf(im)
-        for i, guard in enumerate(guards):
-            guard(zero[i], DegenerateConfiguration, _ZERO)
-            for label, mask in checks:
-                guard(mask[i], DegenerateConfiguration,
-                      f"coincident points {label}")
-            guard(far[i], DegenerateConfiguration,
-                  f"far vertices of leaf ({p}, {i}) collide with its "
-                  "endpoints")
-        return _libm(lambda z: reduce_angle(math.pi - cmath.phase(z)),
-                     _complex(re, im))
+        checks = [(zero, DegenerateConfiguration, _ZERO)]
+        checks += [(mask, DegenerateConfiguration,
+                    f"coincident points {label}") for label, mask in crossings]
+        checks.append((far, DegenerateConfiguration,
+                       lambda key, index, row, k:
+                       f"far vertices of leaf {key} collide with its "
+                       "endpoints"))
+        return (_libm(lambda z: reduce_angle(math.pi - cmath.phase(z)),
+                      _complex(re, im)), checks)
 
-    def _cuff_witness(self, j: int, scale: float) -> tuple:
-        """Cuff j's horoball witness for each chain: the point at height
-        scale above the chosen endpoint, in the frame taking (other,
-        chosen) to (0, infinity), as (z real, z imag, t), each (chains,
-        n); and where that frame's normalizing_map raises."""
-        key = (j, scale)
-        if key not in self._witnesses:
-            zeta, other = self.zeta[j]
-            frame, coincide = MoebiusArray.normalizing(other, zeta)
-            self._witnesses[key] = (
-                frame.inverse().apply_interior(0.0, 0.0, float(scale)),
-                coincide)
-        return self._witnesses[key]
+    def leaf_lengths(self, conv: TruncationConvention) -> tuple:
+        """truncated_length of every spiral leaf at every pattern and
+        sample, (3, rows, n) with leaf (p, i) at leaf_index, and its
+        checks.
 
-    def _end_witness(self, p: int, slot: int,
-                     conv: TruncationConvention) -> tuple:
-        """The witness of the cuff at a slot of pants p, carried by the
-        slot's conjugator, at every pattern of the pants: the one
-        truncated_length reads at that leaf end, and its checks as
-        (mask, error, message).  Each is found once per cuff and scale,
-        and once per slot and scale."""
-        end = self.pd.pants[p].cuff_ends[slot]
-        cuffs = self.lam.pants_cuffs[p]
-        j = self.index[end.cuff]
-        chains = self.patterns(cuffs)[:, cuffs.index(j)]
-        scale = conv.scales[end.cuff]
-        witness, coincide = self._cuff_witness(j, scale)
-        checks = [(coincide[chains], DegenerateConfiguration, _COINCIDE)]
-        if scale <= 0:
-            checks.append((np.ones_like(coincide[chains]), PleatbendError,
-                           f"horoball scale for {end.cuff!r} must be "
-                           "positive"))
-        key = (p, slot, scale)
-        if key not in self._witnesses:
-            witness = tuple(x[chains] for x in witness)
-            if end.conjugator:
-                witness = self.maps[end.conjugator].apply_interior(*witness)
-            self._witnesses[key] = witness
-        return self._witnesses[key], checks
-
-    def leaf_lengths(self, p: int, conv: TruncationConvention,
-                     guards: list) -> np.ndarray:
-        """truncated_length of the leaves (p, 0), (p, 1), (p, 2) at every
-        pattern and sample, (3, patterns, n); guards[i] records leaf
-        i's guards."""
-        ends = [self._end_witness(p, slot, conv) for slot in range(3)]
+        Each leaf end reads the horoball witness of its cuff, the point
+        at height scale above the chosen endpoint in the frame taking
+        (other, chosen) to (0, infinity), carried by the slot's
+        conjugator; where that frame's normalizing_map raises, or the
+        scale is not positive, the end's checks hold.
+        """
+        cuff, chain, conjugator, carried = self.slots
+        zeta, other = self.zeta
+        frame, coincide = MoebiusArray.normalizing(other, zeta)
+        scales = np.array([conv.scales[c.id] for c in self.pd.cuffs],
+                          dtype=float)
+        witness = tuple(x[chain, cuff] for x in frame.inverse().apply_interior(
+            0.0, 0.0, scales[:, None]))
+        del frame
+        moved = self.images.stack.take(conjugator[carried]).apply_interior(
+            *(w[carried] for w in witness))
+        for w, m in zip(witness, moved):
+            w[carried] = m
+        coincide = coincide[chain, cuff]
+        unscaled = np.broadcast_to((scales <= 0)[cuff][..., None],
+                                   coincide.shape)
         nxt = [1, 2, 0]
-        for i, guard in enumerate(guards):
-            for slot in (i, nxt[i]):
-                for check in ends[slot][1]:
-                    guard(*check)
-        xi = stack_points(self.xi[p])
-        lengths, checks = _truncated_lengths(
-            xi, xi[nxt],
-            tuple(np.stack([w[c] for w, _ in ends]) for c in range(3)),
-            tuple(np.stack([ends[i][0][c] for i in nxt]) for c in range(3)))
-        for i, guard in enumerate(guards):
-            for mask, error, message in checks:
-                guard(mask[i], error, message)
-        return lengths
+        checks = []
+        for slots in ([0, 1, 2], nxt):
+            checks += [(coincide[slots], DegenerateConfiguration, _COINCIDE),
+                       (unscaled[slots], PleatbendError,
+                        self._scale_message(slots))]
+        xi = self.vertices
+        lengths, truncation = _truncated_lengths(
+            xi, xi[nxt], witness, tuple(w[nxt] for w in witness))
+        return lengths, checks + truncation
 
-    def cuff_angles(self, leaf, guard, crossing: MoebiusArray | None = None
-                    ) -> list:
-        """cuff_bending of a cuff leaf at every pattern of its support
-        and every sample; crossing replaces the winding-0 crossing word's
-        images."""
-        pd = self.pd
-        cuff_id = leaf.key
-        (pp, kp), (pm, km) = pd.signed_ends_of(cuff_id)
-        v_plus = pd.pants[pp].cuff_ends[kp].conjugator
-        W = crossing if crossing is not None \
-            else self.maps[pd.crossing_words[cuff_id]]
-        j = self.index[cuff_id]
-        pats = self.patterns(leaf.support)
-        chain = pats[:, leaf.support.index(j)]
+    def _scale_message(self, slots: list):
+        def message(key, index, row, k):
+            p, i = key
+            cuff = self.pd.pants[p].cuff_ends[slots[i]].cuff
+            return f"horoball scale for {cuff!r} must be positive"
+        return message
+
+    def cuff_angles(self, crossing: dict | None = None) -> tuple:
+        """cuff_bending of every cuff leaf at every pattern of its
+        support and every sample, (cuff rows, n) with cuff j at
+        cuff_rows[j], and its checks; crossing takes a cuff id to the
+        images to read in place of its winding-0 crossing word."""
+        pd, images = self.pd, self.images
+        cuffs, chains, plus, minus = [], [], [], []
+        for j, c in enumerate(pd.cuffs):
+            support = self.supports[c.id]
+            sides = [(self.pants_rows[p].start,
+                      [support.index(i) for i in self.lam.pants_cuffs[p]])
+                     for p, _ in pd.signed_ends_of(c.id)]
+            at = support.index(j)
+            for pattern in itertools.product(range(self.chains),
+                                             repeat=len(support)):
+                cuffs.append(j)
+                chains.append(pattern[at])
+                plus.append(sides[0][0] + _row(pattern, sides[0][1],
+                                               self.chains))
+                minus.append(sides[1][0] + _row(pattern, sides[1][1],
+                                                self.chains))
+        ends = [pd.signed_ends_of(c.id) for c in pd.cuffs]
+        kp, km = (np.array([e[s][1] for e in ends])[cuffs] for s in (0, 1))
+        v_plus = [pd.pants[pp].cuff_ends[k].conjugator for (pp, k), _ in ends]
+        lift = np.array([images.index[v] for v in v_plus])[cuffs]
+        lifted = np.array([bool(v) for v in v_plus])[cuffs]
+        W = images.stack.take(np.array([images.index[pd.crossing_words[c.id]]
+                                        for c in pd.cuffs])[cuffs])
+        for cuff_id, m in (crossing or {}).items():
+            rows = self.cuff_rows[self.index[cuff_id]]
+            W.re[:, :, rows] = m.re[:, :, None]
+            W.im[:, :, rows] = m.im[:, :, None]
         # the chosen and the other endpoint, stacked on a new first axis;
         # so below are the four plaque vertices, each step done for all
         # of them at once and its guards recorded in the scalar order
-        ends = stack_points([self.zeta[j][0][chain], self.zeta[j][1][chain]])
-        if v_plus:
-            ends, zero = self.maps[v_plus].apply(ends)
-            guard(zero[0], DegenerateConfiguration, _ZERO)
-            guard(zero[1], DegenerateConfiguration, _ZERO)
+        ends = stack_points([z[chains, cuffs] for z in self.zeta])
+        zero = _carry(images, np.stack([lift, lift]), ends,
+                      np.stack([lifted, lifted]))
+        checks = [(zero[s], DegenerateConfiguration, _ZERO) for s in (0, 1)]
         frame, coincide = MoebiusArray.normalizing(ends[1], ends[0])
-        guard(coincide, DegenerateConfiguration, _COINCIDE)
-        xa = self._vertices(pp, leaf.support, pats)
-        xb = self._vertices(pm, leaf.support, pats)
-        carried, carried_zero = W.apply(
-            stack_points([xb[(km + 1) % 3], xb[(km + 2) % 3]]))
+        del ends
+        checks.append((coincide, DegenerateConfiguration, _COINCIDE))
+        xi = self.vertices
+        carried, carried_zero = W.apply(stack_points(
+            [xi[(km + 1) % 3, minus], xi[(km + 2) % 3, minus]]))
+        del W
         # a1, a2 and W b1, W b2 in the frame of the cuff; to_complex is
         # infinity within EPS_NUM, else z1 / z2
-        q, zero = frame.apply(stack_points([xa[(kp + 1) % 3],
-                                            xa[(kp + 2) % 3],
+        q, zero = frame.apply(stack_points([xi[(kp + 1) % 3, plus],
+                                            xi[(kp + 2) % 3, plus],
                                             carried[0], carried[1]]))
+        del frame, carried
         with np.errstate(all="ignore"):
             z = _quot(q.z1r, q.z1i, q.z2r, q.z2i)
             on_axis = ((np.hypot(q.z2r, q.z2i) < EPS_NUM) | np.isinf(z[0])
                        | np.isinf(z[1]))
-        axis = f"plaque vertex lies on the axis of cuff {cuff_id!r}"
         for c in range(4):
             if c >= 2:
-                guard(carried_zero[c - 2], DegenerateConfiguration, _ZERO)
-            guard(zero[c], DegenerateConfiguration, _ZERO)
-            guard(on_axis[c], DegenerateConfiguration, axis)
+                checks.append((carried_zero[c - 2], DegenerateConfiguration,
+                               _ZERO))
+            checks += [(zero[c], DegenerateConfiguration, _ZERO),
+                       (on_axis[c], DegenerateConfiguration,
+                        lambda key, index, row, k:
+                        f"plaque vertex lies on the axis of cuff {key!r}")]
         dir_a = (z[0][0] - z[0][1], z[1][0] - z[1][1])
         dir_b = (z[0][2] - z[0][3], z[1][2] - z[1][3])
-        guard((np.hypot(*dir_a) < 1e-30) | (np.hypot(*dir_b) < 1e-30),
-              DegenerateConfiguration,
-              f"degenerate plaque directions at cuff {cuff_id!r}")
+        checks.append(((np.hypot(*dir_a) < 1e-30) | (np.hypot(*dir_b) < 1e-30),
+                       DegenerateConfiguration,
+                       lambda key, index, row, k:
+                       f"degenerate plaque directions at cuff {key!r}"))
         with np.errstate(all="ignore"):
             ratio = _complex(*_quot(*dir_b, *dir_a))
-        return _libm(lambda z: reduce_angle(cmath.phase(z)), ratio)
-
-    def cuff_term(self, leaf, guard) -> tuple:
-        """schlafli_term of a cuff leaf: (angles, lengths), each
-        (patterns of its support, n)."""
-        angles = self.cuff_angles(leaf, guard)
-        lengths = [z.real for z in _cuff_lengths(self.images,
-                                                 self.pd.cuff(leaf.key))]
-        return angles, np.broadcast_to(lengths, angles.shape)
+        return _libm(lambda z: reduce_angle(cmath.phase(z)), ratio), checks
 
     def terms(self, conv: TruncationConvention, failures: _Failures) -> list:
         """schlafli_term of every leaf of the lamination, in its order:
         (angles, lengths), each (patterns of the leaf's support, n).
-        The three leaves of a pants are computed together."""
-        out = {}
-        blocks = {leaf.key: failures.guards(3, t)
-                  for t, leaf in enumerate(self.lam.leaves)}
-        for leaf in self.lam.leaves:
+        All cuff leaves are computed at once, and so are all spiral
+        leaves."""
+        cuff_angles, cuff_checks = self.cuff_angles()
+        cuff_lengths = np.array(_cuff_lengths(self.images)).real
+        leaf_angles, angle_checks = self.leaf_angles()
+        leaf_lengths, length_checks = self.leaf_lengths(conv)
+        cuffs, leaves, out = [], [], []
+        for t, leaf in enumerate(self.lam.leaves):
             if isinstance(leaf.key, str):
-                out[leaf.key] = self.cuff_term(leaf, blocks[leaf.key])
-        for p in range(len(self.pd.pants)):
-            guards = [blocks[p, i] for i in range(3)]
-            angles = self.leaf_angles(p, guards)
-            lengths = self.leaf_lengths(p, conv, guards)
-            for i in range(3):
-                out[p, i] = angles[i], lengths[i]
-        return [out[leaf.key] for leaf in self.lam.leaves]
+                j = self.index[leaf.key]
+                cuffs.append((t, leaf.key, self.cuff_rows[j]))
+                angles = cuff_angles[self.cuff_rows[j]]
+                out.append((angles,
+                            np.broadcast_to(cuff_lengths[j], angles.shape)))
+            else:
+                index = self.leaf_index(leaf.key)
+                leaves.append((t, leaf.key, index))
+                out.append((leaf_angles[index], leaf_lengths[index]))
+        failures.record(3, cuffs, cuff_checks)
+        failures.record(3, leaves, angle_checks + length_checks)
+        return out
 
 
 def path_terms(images: SampleImages, starts: list, lam: Lamination,
@@ -874,14 +986,15 @@ def path_terms(images: SampleImages, starts: list, lam: Lamination,
     placement, and the terms.
     """
     failures = _Failures()
-    failures.guards(-1, 0)(~images.evaluated(), SampleEvaluationFailure,
-                           lambda row, k: str(images.failure(k)))
-    selections = [_selection(images, start, failures, phase)
-                  for phase, start in enumerate(starts)]
-    failures.guards(1, 0)(
-        _degenerate(images) | _flagged(images).any(axis=(1, 2)), NotAdapted,
-        lambda row, k: _adaptedness(images, k).summary())
-    geometry = _Geometry(images, selections, lam)
+    failures.record(-1, _whole(), [(~images.evaluated(),
+                                    SampleEvaluationFailure,
+                                    lambda key, index, row, k:
+                                    str(images.failure(k)))])
+    failures.record(1, _whole(), [
+        (_degenerate(images) | _flagged(images).any(axis=(1, 2)), NotAdapted,
+         lambda key, index, row, k: _adaptedness(images, k).summary())])
+    geometry = _Geometry(images, [_selection(images, start, failures, phase)
+                                  for phase, start in enumerate(starts)], lam)
     geometry.place(failures)
     return geometry.patterns, geometry.terms(conv, failures), failures
 
@@ -927,34 +1040,36 @@ def realize(rep: Representation | SampleImages, pd: PantsDecomposition,
         raise NotAdapted(report.summary())
     zeta = endpoints if isinstance(endpoints, dict) \
         else resolve_endpoints(images, pd, endpoints)
-    selection = [tuple(PointArray.of([pt]) for pt in zeta[c.id])
-                 for c in pd.cuffs]
+    selection = tuple(PointArray.of([zeta[c.id][s] for c in pd.cuffs])[:, None]
+                      for s in (0, 1))
     geometry = _Geometry(images, [selection], build_lamination(pd))
     failures = _Failures()
     geometry.place(failures)
     failures.raise_first()
     xi = tuple(tuple(v.point((0, 0)) for v in row) for row in geometry.xi)
+    lengths = _cuff_lengths(images)
     return PleatedRealization(
         geometry=geometry, report=report, zeta=zeta, xi=xi,
-        cuff_lengths={c.id: _cuff_lengths(images, c)[0] for c in pd.cuffs})
+        cuff_lengths={c.id: z[0] for c, z in zip(pd.cuffs, lengths)})
 
 
-def _one_term(real: PleatedRealization, read) -> float:
-    """read(geometry, guard) at the realization's one sample, raising
-    the first failure of its guards."""
+def _one_term(key, values: np.ndarray, checks: list, index) -> float:
+    """values[index] at a realization's one sample, raising the first
+    failure of checks there; key is the term's key, which the messages
+    name."""
     failures = _Failures()
-    values = read(real.geometry, failures.guards(3, 0))
+    failures.record(3, [(0, key, index)], checks)
     failures.raise_first()
-    return float(values[0, 0])
+    return float(values[index][0, 0])
 
 
 def _angle(real: PleatedRealization, key, read) -> float:
-    """_one_term of a bending angle, found once per realization and key
-    (arc_bending reads the same few angles over and over)."""
+    """_one_term(*read()) of a bending angle, found once per realization
+    and key (arc_bending reads the same few angles over and over)."""
     angles = real.geometry.angles
     if key not in angles:
         try:
-            angles[key] = _one_term(real, read)
+            angles[key] = _one_term(*read())
         except PleatbendError as exc:
             angles[key] = exc
     if isinstance(angles[key], PleatbendError):
@@ -969,9 +1084,10 @@ def leaf_bending(real: PleatedRealization, leaf) -> float:
     is read off the cross-ratio position of the far vertices: 0 when
     the plaques form one flat ideal quadrilateral.
     """
-    p, i = leaf
-    return _angle(real, (p, i),
-                  lambda g, guard: g.leaf_angles(p, _only(i, guard))[i])
+    key = tuple(leaf)
+    geometry = real.geometry
+    return _angle(real, key, lambda: (key, *geometry.leaf_angles(),
+                                      geometry.leaf_index(key)))
 
 
 def cuff_bending(real: PleatedRealization, cuff_id: str,
@@ -986,9 +1102,10 @@ def cuff_bending(real: PleatedRealization, cuff_id: str,
     """
     pd = real.pd
     cuff = pd.cuff(cuff_id)
-    leaf = real.geometry.lam.leaves[pd.cuff_index(cuff_id)]
+    geometry = real.geometry
+    rows = geometry.cuff_rows[pd.cuff_index(cuff_id)]
 
-    def read(geometry, guard):
+    def read():
         crossing = None
         if winding != 0:
             (pp, kp), (pm, km) = pd.signed_ends_of(cuff_id)
@@ -996,10 +1113,10 @@ def cuff_bending(real: PleatedRealization, cuff_id: str,
             v_minus = pd.pants[pm].cuff_ends[km].conjugator
             core = (cuff.word * winding if winding > 0
                     else invert_word(cuff.word) * (-winding))
-            crossing = MoebiusArray.of([evaluate_word(
+            crossing = {cuff_id: MoebiusArray.of([evaluate_word(
                 geometry.images.reps[0],
-                v_plus + core + invert_word(v_minus))])
-        return geometry.cuff_angles(leaf, guard, crossing)
+                v_plus + core + invert_word(v_minus))])}
+        return (cuff_id, *geometry.cuff_angles(crossing), rows)
     return _angle(real, (cuff_id, winding), read)
 
 
@@ -1036,23 +1153,19 @@ def truncated_geodesic_length(a: ProjectivePoint, b: ProjectivePoint,
         z, t = complex(witness[0]), witness[1]
         return tuple(np.array([[x]], dtype=float) for x in (z.real, z.imag, t))
 
-    failures = _Failures()
-    guard = failures.guards(3, 0)
     lengths, checks = _truncated_lengths(
         PointArray.of([a])[None], PointArray.of([b])[None],
         array(witness_a), array(witness_b))
-    for check in checks:
-        guard(*check)
-    failures.raise_first()
-    return float(lengths[0, 0])
+    return _one_term(None, lengths, checks, ...)
 
 
 def truncated_length(real: PleatedRealization, leaf,
                      conv: TruncationConvention) -> float:
     """Length of a spiral leaf between the horoballs at its two ends."""
-    p, i = leaf
-    return _one_term(
-        real, lambda g, guard: g.leaf_lengths(p, conv, _only(i, guard))[i])
+    key = tuple(leaf)
+    geometry = real.geometry
+    return _one_term(key, *geometry.leaf_lengths(conv),
+                     geometry.leaf_index(key))
 
 
 @dataclass(frozen=True)
@@ -1073,17 +1186,16 @@ def schlafli_term(real: PleatedRealization, key,
     (pants, i) leaf key (bending angle, truncated length).
     """
     geometry = real.geometry
-    failures = _Failures()
-    guard = failures.guards(3, 0)
     if isinstance(key, str):
-        leaf = geometry.lam.leaves[real.pd.cuff_index(key)]
-        angles, lengths = geometry.cuff_term(leaf, guard)
-    else:
-        p, i = key
-        angles = geometry.leaf_angles(p, _only(i, guard))[i]
-        lengths = geometry.leaf_lengths(p, conv, _only(i, guard))[i]
-    failures.raise_first()
-    return float(angles[0, 0]), float(lengths[0, 0])
+        rows = geometry.cuff_rows[real.pd.cuff_index(key)]
+        return (_one_term(key, *geometry.cuff_angles(), rows),
+                real.cuff_lengths[key].real)
+    key = tuple(key)
+    angles, angle_checks = geometry.leaf_angles()
+    lengths, length_checks = geometry.leaf_lengths(conv)
+    index = geometry.leaf_index(key)
+    return (_one_term(key, angles, angle_checks + length_checks, index),
+            float(lengths[index][0, 0]))
 
 
 def bending_data(real: PleatedRealization,

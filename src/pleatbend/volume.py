@@ -25,8 +25,8 @@ import numpy as np
 from .errors import (AngleUnwrapFailure, DegenerateTetrahedron,
                      EndpointsMismatch, PleatbendError)
 from .moebius import EPS_CLASS, reduce_angle
-from .pleated import (SampleImages, TruncationConvention, _one_sample,
-                      _selected, path_terms, sample_images, start_endpoints)
+from .pleated import (SampleImages, TruncationConvention, _selected,
+                      path_terms, sample_images, start_endpoints)
 from .representation import (RepresentationPath, fingerprint,
                              standard_word_list)
 from .topology import (Lamination, OrientationAssignment, PantsDecomposition,
@@ -117,15 +117,16 @@ def ideal_tetra_volume(z: complex, eps: float = 1e-12) -> float:
 #
 # One sample_images pass per call evaluates the word images and slot
 # commutators of all samples; one geometry pass over its arrays then
-# computes everything else for all samples and patterns at once: the
-# cuffs' kinds and fixed points, the tracked endpoints, the adaptedness
-# check, the placed plaques and every term's cross-ratio, frames and
-# horoball witnesses.  Two parts stay scalar: the tracking step, which
-# picks one of two precomputed distances from the previous sample's
-# choice, and the transcendentals (cmath.phase, math.log, cmath.acosh
-# and reduce_angle's math.remainder), run on the .tolist() values
-# because numpy's vectorized versions round differently from the C
-# library's and the digits have to stay those of the scalar code.
+# computes everything else for all samples and patterns, and all cuffs
+# or pants, at once: the cuffs' kinds and fixed points, the tracked
+# endpoints, the adaptedness check, the placed plaques and every term's
+# cross-ratio, frames and horoball witnesses.  Two parts stay scalar:
+# the tracking step, which picks one of two precomputed distances from
+# the previous sample's choice, and the transcendentals (cmath.phase,
+# math.log, cmath.acosh and reduce_angle's math.remainder), run on the
+# .tolist() values because numpy's vectorized versions round
+# differently from the C library's and the digits have to stay those
+# of the scalar code.
 
 
 def _surface(path: RepresentationPath):
@@ -178,13 +179,15 @@ def _term_series(pd: PantsDecomposition, lam: Lamination,
     deferred = failures.first(1)
     # chain 0's patterns (row 0) in leaf order, then, unless chain 1 was
     # dropped, the others: the order realizing sample by sample gave
+    rows = [list(zip(map(tuple, patterns(leaf.support).tolist()),
+                     angles.tolist(), lengths.tolist()))
+            for leaf, (angles, lengths) in zip(lam.leaves, terms)]
     series = {}
-    for phase in (0,) if deferred is not None else (0, 1):
-        for leaf, (angles, lengths) in zip(lam.leaves, terms):
-            for r, pattern in enumerate(patterns(leaf.support).tolist()):
-                if (r > 0) == phase:
-                    series[leaf.key, tuple(pattern)] = (angles[r].tolist(),
-                                                        lengths[r].tolist())
+    for part in (slice(0, 1),) if deferred is not None \
+            else (slice(0, 1), slice(1, None)):
+        for leaf, leaf_rows in zip(lam.leaves, rows):
+            for pattern, angles, lengths in leaf_rows[part]:
+                series[leaf.key, pattern] = (angles, lengths)
     return series, deferred
 
 
@@ -224,7 +227,9 @@ def schlafli_derivative(path: RepresentationPath, t: float,
     indices = [k - 1, k, k + 1]
     images = sample_images([path.reps[i] for i in indices], pd)
     for i in range(3):      # evaluation failures first, in sample order
-        _one_sample(images.at(i), pd)
+        failure = images.failure(i)
+        if failure is not None:
+            raise failure
     zeta = _selected(images.at(1), zeta)
     lam = build_lamination(pd)
     series, _ = _term_series(pd, lam, images, [zeta], conv)
@@ -351,11 +356,25 @@ def _velocities(ts: np.ndarray, series: dict) -> tuple[np.ndarray, list]:
 
 def _orientation_table(lam: Lamination, series: dict,
                        orientations) -> np.ndarray:
-    """Row of series read by every (orientation, leaf), leaves in order."""
-    index = {key: r for r, key in enumerate(series)}
-    return np.array([[index[leaf.key, tuple(ori[j] for j in leaf.support)]
-                      for leaf in lam.leaves] for ori in orientations],
-                    dtype=np.intp)
+    """Row of series read by every (orientation, leaf), leaves in order.
+
+    An orientation takes chain 0 or 1 on every cuff, and series lists
+    each leaf's patterns in itertools.product order (as _term_series
+    does), so the pattern an orientation takes on a leaf's support is
+    the binary number its chain bits spell there."""
+    bits = np.array(orientations, dtype=np.intp).reshape(
+        len(orientations), -1)
+    rows = {leaf.key: [] for leaf in lam.leaves}
+    for r, (key, _) in enumerate(series):
+        rows[key].append(r)
+    lookup = np.zeros((len(lam.leaves), max(map(len, rows.values()))),
+                      dtype=np.intp)
+    weights = np.zeros((bits.shape[1], len(lam.leaves)), dtype=np.intp)
+    for t, leaf in enumerate(lam.leaves):
+        lookup[t, :len(rows[leaf.key])] = rows[leaf.key]
+        for q, j in enumerate(leaf.support):
+            weights[j, t] = 2 ** (len(leaf.support) - 1 - q)
+    return lookup[np.arange(len(lam.leaves)), bits @ weights]
 
 
 def _integrand(table: np.ndarray, velocities: np.ndarray) -> np.ndarray:
@@ -460,10 +479,11 @@ def orientation_start_endpoints(path: RepresentationPath, ori,
 
     Forward takes the attracting fixed point of the cuff at the first
     sample, backward the repelling one.  images is a sample_images pass
-    whose first sample is path.reps[0], shared with the caller; it
-    fixes the classification tolerance.
+    whose first sample is path.reps[0], shared with the caller; the
+    kinds and fixed points it read off there are used as they are, at
+    its classification tolerance.
     """
-    return start_endpoints(images.at(0), ori.forward)
+    return start_endpoints(images, ori.forward)
 
 
 @dataclass(frozen=True)
@@ -515,7 +535,9 @@ def vol_gamma(path: RepresentationPath, conv: TruncationConvention,
     ends = (orientations[0], orientations[-1])
     indices = _sample_indices(path, steps)
     images = sample_images([path.reps[i] for i in indices], pd, eps_class)
-    _one_sample(images.at(0), pd)
+    failure = images.failure(0)
+    if failure is not None:
+        raise failure
     # all forward and all back, read from the pass that the pipeline
     # then reads
     starts = [orientation_start_endpoints(path, ori, images) for ori in ends]

@@ -12,6 +12,7 @@ The last class checks vol_gamma against the benchmark's recorded
 references, which pin the digits this bit-identity keeps.
 """
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -39,11 +40,13 @@ from pleatbend.moebius import (RESCALE_LIMIT, MoebiusArray, _sq, _unimodular,
 from pleatbend.pleated import sample_images
 from pleatbend.representation import (evaluate_word, path_from_dict,
                                       path_to_dict)
-from pleatbend.topology import (decomposition_from_dict,
+from pleatbend.topology import (CuffEnd, Pants, decomposition_from_dict,
                                 decomposition_to_dict)
 
-from _seed_kernel import (entries_of, raw_entries, seed_start_endpoints,
-                          seed_term_series, steep, steep_entries)
+from _seed_kernel import (SeedSample, entries_of, raw_entries,
+                          seed_resolve_endpoints, seed_sample_images,
+                          seed_start_endpoints, seed_term_series, steep,
+                          steep_entries)
 from test_volume import bend_path, genus2_loop, genus3_path
 
 PAIRS = ((0, 1), (1, 2), (2, 0))
@@ -150,10 +153,10 @@ def bent_genus3():
     return genus3_path(lambda t: 2.0 + 0.1j * t, steps=8)
 
 
-def with_bad_sample(path, k, image):
-    """path with the image of a1 at sample k replaced by image."""
+def with_bad_sample(path, k, image, letter="a1"):
+    """path with the image of letter at sample k replaced by image."""
     rep = path.reps[k]
-    images = tuple(image if g == "a1" else m
+    images = tuple(image if g == letter else m
                    for g, m in zip(rep.generators, rep.images))
     reps = list(path.reps)
     reps[k] = Representation(rep.generators, images, rep.relators)
@@ -410,6 +413,47 @@ class TestTermOracle:
             assert same_bits(lengths, want[key][1]), key
 
 
+def flipped(path, cuffs):
+    """path on its decomposition with the signs of the two ends of each
+    of cuffs swapped, so that the positive end of a cuff can carry a
+    conjugator, which no standard decomposition has."""
+    pd = path.pd
+    pants = tuple(Pants(tuple(CuffEnd(e.cuff, -e.sign if e.cuff in cuffs
+                                      else e.sign, e.conjugator)
+                              for e in p.cuff_ends)) for p in pd.pants)
+    return path_from_reps(path.reps, ts=path.ts,
+                          pd=dataclasses.replace(pd, pants=pants))
+
+
+class TestCarriedCuffEnds:
+    """cuff_bending carries a cuff's endpoints by the conjugator of its
+    positive end before taking the cuff's frame; with a1 and a3 flipped
+    it does so for two of the six cuffs, and every term still equals
+    the scalar pipeline's, bit for bit."""
+
+    @pytest.mark.parametrize("run", ["repelling", "vol-gamma"])
+    def test_every_term(self, run):
+        path = flipped(genus3_path(lambda t: 2.0 + 0.1j * t, steps=8),
+                       {"a1", "a3"})
+        pd = path.pd
+        assert [bool(pd.pants[p].cuff_ends[k].conjugator)
+                for (p, k), _ in map(pd.signed_ends_of,
+                                     (c.id for c in pd.cuffs))] \
+            == [True, False, True, False, False, False]
+        lam = build_lamination(pd)
+        conv = TruncationConvention.uniform(pd, 1.5)
+        starts, seed_starts = chains(path, run)
+        got, got_deferred = volume._term_series(
+            pd, lam, sample_images(path.reps, pd), starts, conv)
+        want, want_deferred = seed_term_series(pd, lam, path.reps,
+                                               seed_starts, conv)
+        assert got_deferred is None and want_deferred is None
+        assert list(got) == list(want)
+        for key, (angles, lengths) in got.items():
+            assert same_bits(angles, want[key][0]), key
+            assert same_bits(lengths, want[key][1]), key
+
+
 def conjugated(path, s):
     """path conjugated by diag(e^(s t), e^(-s t)) at its sample t: the
     plaques drift towards 0 and infinity, and their vertices close up."""
@@ -496,6 +540,44 @@ class TestFailurePrecedence:
         path = with_bad_sample(growing_a1(), at, MoebiusMap(1, 1, 0, 1))
         got = outcome(run, path)
         assert got is not None and got[0] is error
+        assert got == seed_outcome(run, path)
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_lower_cuff_first(self, run):
+        # a1 and a2 parabolic at the same sample: endpoint selection
+        # fails on both cuffs there, stacked on one axis, and the lower
+        # cuff's guard is met first
+        parabolic = MoebiusMap(1, 1, 0, 1)
+        alone = with_bad_sample(bent_genus3(), 5, parabolic, "a2")
+        assert outcome(run, alone) == (NotAdapted, "cuff 'a2' is parabolic")
+        path = with_bad_sample(alone, 5, parabolic)
+        got = outcome(run, path)
+        assert got == (NotAdapted, "cuff 'a1' is parabolic")
+        assert got == seed_outcome(run, path)
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_lower_pants_first(self, run):
+        # conjugating a genus-3 path by diag(e^8, e^-8) closes up the
+        # plaques of pants 1 and 2, not 0 or 3, at its first sample;
+        # placement stacks all pants on one axis, and pants 1 is met
+        # first
+        path = bent_genus3()
+        s = MoebiusMap(math.exp(8), 0, 0, math.exp(-8))
+        path = path_from_reps([rep.conjugated(s) for rep in path.reps],
+                              ts=path.ts, pd=path.pd)
+        pd = path.pd
+        images = next(seed_sample_images(path.reps[:1], pd))
+        zeta = seed_resolve_endpoints(images, pd, "attracting")
+        collapsed = []
+        for p in range(len(pd.pants)):
+            try:
+                SeedSample(images, pd).place(p, zeta)
+            except DegenerateTriangle:
+                collapsed.append(p)
+        assert collapsed == [1, 2]
+        got = outcome(run, path)
+        assert got is not None and got[0] is DegenerateTriangle
+        assert got[1].startswith("plaque of pants 1 ")
         assert got == seed_outcome(run, path)
 
     def test_deferred_chain_one_failure(self):

@@ -634,7 +634,8 @@ class PassWork:
             return evaluate(rep, word)
 
         def counting_product(left, right):
-            self.products.append(left.re.shape[-1])
+            self.products.append(np.broadcast_shapes(left.re.shape,
+                                                     right.re.shape)[2:])
             return product(left, right)
 
         def counting_place(geometry, failures):
@@ -663,16 +664,20 @@ class PassWork:
 
     def assert_words_evaluated_once(self, path):
         # one pass over every sample, evaluating every word the
-        # pipeline reads: one product per distinct token prefix, over
-        # all samples, and nine per slot row for its commutators
+        # pipeline reads: one stacked product per token depth, of the
+        # distinct prefixes of that depth over all samples, and three
+        # for the commutators of every slot row and pair
         assert len(self.passes) == 1
         images = self.passes[0]
         assert images.reps == list(path.reps)
         assert set(images.maps) == pass_words(path.pd)
-        prefixes = {topology._tokens(w)[:k + 1] for w in images.maps
-                    for k in range(len(topology._tokens(w)))}
-        assert self.products == [len(path)] * (len(prefixes)
-                                               + 9 * len(images.rows))
+        tokens = [topology._tokens(w) for w in images.maps]
+        depth = max(map(len, tokens))
+        prefixes = [{t[:k] for t in tokens if len(t) >= k}
+                    for k in range(1, depth + 1)]
+        n = len(path)
+        assert self.products == ([(len(level), n) for level in prefixes]
+                                 + [(len(images.rows), 3, n)] * 3)
         assert self.scalar == []
 
 
@@ -711,6 +716,45 @@ class TestSampleWork:
         got = vol_gamma(path, conv)
         work.assert_words_evaluated_once(path)
         assert_identical(got, want.results)
+
+    def test_stages_run_once_per_pass_at_any_genus(self, monkeypatch):
+        # every stage of the geometry pass stacks all cuffs, pants and
+        # leaves on one array axis, so a genus-3 vol_gamma runs each
+        # stage, and each kernel step in it, as often as a genus-2 one
+        calls = {}
+
+        def counting(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        for name in ("_selection", "_cuff_lengths", "_libm", "chordal_array",
+                     "cross_ratio_array"):
+            monkeypatch.setattr(pleated, name,
+                                counting(name, getattr(pleated, name)))
+        for cls, names in ((pleated._Geometry, ("place", "cuff_angles",
+                                                "leaf_angles",
+                                                "leaf_lengths")),
+                           (MoebiusArray, ("classify", "fixed_points", "apply",
+                                           "apply_interior"))):
+            for name in names:
+                monkeypatch.setattr(cls, name,
+                                    counting(name, getattr(cls, name)))
+        counts = []
+        for path in (bend_path(standard_decomposition(2), steps=8),
+                     genus3_path(lambda t: 2.0 + 0.1j * t, steps=8)):
+            calls.clear()
+            vol_gamma(path, TruncationConvention.uniform(path.pd))
+            counts.append(dict(calls))
+        assert counts[1] == counts[0]
+        # one selection per endpoint chain, every other stage once
+        assert {name: counts[1][name] for name in (
+            "_selection", "place", "cuff_angles", "leaf_angles",
+            "leaf_lengths", "_cuff_lengths", "classify", "fixed_points")} \
+            == {"_selection": 2, "place": 1, "cuff_angles": 1,
+                "leaf_angles": 1, "leaf_lengths": 1, "_cuff_lengths": 1,
+                "classify": 1, "fixed_points": 1}
 
     @pytest.mark.parametrize("run", ["volume-path", "vol-gamma"])
     def test_no_point_made_per_sample(self, run, monkeypatch):
