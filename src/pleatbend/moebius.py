@@ -245,16 +245,16 @@ class MoebiusArray:
     """n Moebius maps at once, one per sample, on float64 arrays.
 
     re and im hold the real and imaginary parts of the entries, shape
-    (2, 2, n) as [[a, b], [c, d]].  Products and inverses repeat
-    MoebiusMap's arithmetic operation by operation, in CPython's order
-    of rounding: its complex product, its complex quotient (scaled by
-    the larger part of the divisor), cmath.sqrt, and abs as the C
-    library's hypot, which np.hypot also calls.  So at every sample
-    marked in ok the entries equal those of the scalar MoebiusMap
-    computation bit for bit.  ok is False at a sample once any step
-    there would raise in the scalar arithmetic (a determinant below
-    1e-100, abs overflowing) or gives a value that is not finite; its
-    entries there mean nothing, and the pipeline raises
+    (2, 2, n) as [[a, b], [c, d]].  Products and inverses follow
+    MoebiusMap's arithmetic step by step.  The complex products and
+    quotients are CPython's algorithms (_mul, _quot), whose rounding the
+    benchmark's references pin; the determinant's square root and every
+    modulus are numpy's (np.sqrt, np.hypot).  So an entry may differ
+    from the scalar MoebiusMap computation in its last bits, and
+    tests/test_kernel.py bounds the difference.  ok is False at a
+    sample once any step there would raise in the scalar arithmetic (a
+    determinant below 1e-100, abs overflowing) or gives a value that is
+    not finite; its entries there mean nothing, and the pipeline raises
     SampleEvaluationFailure for that sample.  The geometry methods
     (apply, apply_interior, classify, fixed_points) broadcast the n
     entries against arrays of shape (..., n).
@@ -363,14 +363,14 @@ class MoebiusArray:
                       self._entry(1, 0), self._entry(1, 1))
         with np.errstate(all="ignore"):
             w = _add(_mul(*c, zr, zi), d)
-            denom = _sq(np.hypot(*w)) + _sq(np.hypot(*c)) * t * t
+            denom = _abs2(*w) + _abs2(*c) * t * t
             # ((a z + b) conj(w) + a conj(c) t t), a complex times the
             # float t being CPython's product with t + 0j
             top = _mul(*_add(_mul(*a, zr, zi), b), w[0], -w[1])
             ac = _mul(*a, c[0], -c[1])
             ac = _mul(*_mul(*ac, t, 0.0), t, 0.0)
-            zr_new, zi_new = _over(*_add(top, ac), denom)
-            return zr_new, zi_new, t / denom
+            zr_new, zi_new = _add(top, ac)
+            return zr_new / denom, zi_new / denom, t / denom
 
     def classify(self, eps_class: float) -> np.ndarray:
         """classify at every sample, as an index into KINDS, or -1 where
@@ -382,8 +382,8 @@ class MoebiusArray:
             for (i, j), one in (((0, 0), 1.0), ((0, 1), 0.0),
                                 ((1, 0), 0.0), ((1, 1), 1.0)):
                 xr, xi = self._entry(i, j)
-                p = _sq(np.hypot(xr - one, xi))
-                m = _sq(np.hypot(xr + one, xi))
+                p = _abs2(xr - one, xi)
+                m = _abs2(xr + one, xi)
                 plus, minus = ((p, m) if plus is None
                                else (plus + p, minus + m))
             identity = np.sqrt(np.where(minus < plus, minus, plus)) \
@@ -405,9 +405,9 @@ class MoebiusArray:
         with np.errstate(all="ignore"):
             tr = _add(a, d)
             sq = _mul(*tr, *tr)
-            disc = _sqrt(sq[0] - 4.0, sq[1])
-            plus = _over(*_add(tr, disc), 2.0)
-            minus = _over(tr[0] - disc[0], tr[1] - disc[1], 2.0)
+            disc = np.sqrt(_complex(sq[0] - 4.0, sq[1]))
+            plus = (tr[0] + disc.real) / 2.0, (tr[1] + disc.imag) / 2.0
+            minus = (tr[0] - disc.real) / 2.0, (tr[1] - disc.imag) / 2.0
             big_p, big_m = np.hypot(*plus), np.hypot(*minus)
             by_modulus = np.abs(big_p - big_m) > eps_class
             plus_first = np.where(by_modulus, big_p > big_m,
@@ -420,8 +420,8 @@ class MoebiusArray:
                 # _eigenvector: (b, mu - a) or (mu - d, c), the larger
                 mu_a = (mu[0] - a[0], mu[1] - a[1])
                 mu_d = (mu[0] - d[0], mu[1] - d[1])
-                n1 = _sq(np.hypot(*b)) + _sq(np.hypot(*mu_a))
-                n2 = _sq(np.hypot(*mu_d)) + _sq(np.hypot(*c))
+                n1 = _abs2(*b) + _abs2(*mu_a)
+                n2 = _abs2(*mu_d) + _abs2(*c)
                 pick = n1 >= n2
                 out.append(PointArray.normalized(
                     *(np.where(pick, u, v) for u, v in zip(b + mu_a,
@@ -460,8 +460,8 @@ def _unimodular(re: np.ndarray, im: np.ndarray, ok: np.ndarray,
             rescale = size <= RESCALE_LIMIT
             ok = ok & np.isfinite(size)
         det_r, det_i = adr - bcr, adi - bci
-        s_r, s_i = _sqrt(det_r, det_i)
-        out_re, out_im = _quot(re, im, s_r, s_i)
+        s = np.sqrt(_complex(det_r, det_i))
+        out_re, out_im = _quot(re, im, s.real, s.imag)
         if not np.all(rescale):
             np.copyto(out_re, re, where=~rescale)
             np.copyto(out_im, im, where=~rescale)
@@ -473,15 +473,32 @@ def _unimodular(re: np.ndarray, im: np.ndarray, ok: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# complex arithmetic on (real, imaginary) float arrays, as CPython rounds it
+# complex arithmetic on (real, imaginary) float arrays
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + i im as a complex array, signed zeros kept."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real = re
+    z.imag = im
+    return z
 
 
 def _add(x: tuple, y: tuple) -> tuple:
     return x[0] + y[0], x[1] + y[1]
 
 
+def _abs2(re, im) -> np.ndarray:
+    """|re + i im| ** 2."""
+    h = np.hypot(re, im)
+    return h * h
+
+
 def _mul(ar, ai, br, bi) -> tuple:
-    """CPython's complex product."""
+    """CPython's complex product.  Kept in place of numpy's complex
+    products because the benchmark's vol-gamma references pin its
+    rounding: numpy complex @ moves the 128 vol-gamma-g3 reference seeds
+    by up to 5.5e-8, past the benchmark's 1e-10."""
     return ar * br - ai * bi, ar * bi + ai * br
 
 
@@ -490,7 +507,9 @@ def _quot(ar, ai, br, bi) -> tuple:
     through by the larger part of the divisor, (a + b r i) / (c + d r i)
     with r = bi / br, or else with r = br / bi.  A zero divisor, where
     CPython raises, gives NaN.  The numerator's parts have the shape of
-    the quotient."""
+    the quotient.  Kept in place of numpy's complex division, which
+    moves two vol-gamma-g3 reference seeds by up to 4.7e-10, past the
+    benchmark's 1e-10."""
     by_real = np.abs(br) >= np.abs(bi)
     every = by_real.all()
     if every:
@@ -516,121 +535,6 @@ def _quot(ar, ai, br, bi) -> tuple:
     return re, im
 
 
-def _over(ar, ai, x) -> tuple:
-    """_quot by the float x >= 0, which CPython divides as x + 0j."""
-    return (ar + ai * 0.0) / x, (ai - ar * 0.0) / x
-
-
-def _sqrt(re, im) -> tuple:
-    """cmath.sqrt at finite arguments."""
-    ax, ay = np.abs(re), np.abs(im)
-    x = ax / 8.0
-    s = 2.0 * np.sqrt(x + np.hypot(x, ay / 8.0))
-    small = np.maximum(ax, ay) < _DBL_MIN
-    any_small = small.any()
-    if any_small:
-        # cmath scales arguments whose hypot would be subnormal
-        up = np.ldexp(ax, 53)
-        s = np.where(small, np.ldexp(np.sqrt(up + np.hypot(
-            up, np.ldexp(ay, 53))), -27), s)
-    d = ay / (2.0 * s)
-    up = re >= 0.0
-    out = np.where(up, s, d), np.copysign(np.where(up, d, s), im)
-    if any_small:
-        zero = (re == 0.0) & (im == 0.0)
-        out = np.where(zero, 0.0, out[0]), np.where(zero, im, out[1])
-    return out
-
-
-def _sq(x: np.ndarray) -> np.ndarray:
-    """x ** 2 for floats as CPython computes it, by the C library's pow,
-    which is not always x * x; np.float_power calls it, while np.power
-    and np.square do not."""
-    return np.float_power(x, 2.0)
-
-
-_DBL_MIN = 2.2250738585072014e-308
-_VELTKAMP = 134217729.0   # 2 ** 27 + 1
-
-
-def _dl_mul(x, y) -> tuple:
-    """Dekker's exact product x y = hi + lo, by Veltkamp splitting."""
-    t = x * _VELTKAMP
-    xh = t - (t - x)
-    xl = x - xh
-    t = y * _VELTKAMP
-    yh = t - (t - y)
-    yl = y - yh
-    p = xh * yh
-    q = xh * yl + xl * yh
-    z = p + q
-    return z, p - z + q + xl * yl
-
-
-_HYPOT_BLOCK = 4096    # elements per block of math_hypot
-
-
-def math_hypot(x, y) -> np.ndarray:
-    """math.hypot(x, y) of CPython 3.11 at every element, bit for bit.
-
-    np.hypot is the C library's hypot, which abs(complex) calls but
-    math.hypot does not: CPython scales both coordinates by a power of
-    two below the larger one, sums their squares exactly (Dekker
-    products, compensated sums) and corrects the square root once.
-    When the larger coordinate is below 2 ** -1024 it divides both by
-    it instead and adds their squares with one compensated sum.  That
-    takes about sixteen temporaries of the arguments' size, so larger
-    arguments are done _HYPOT_BLOCK elements at a time.
-    """
-    x, y = np.broadcast_arrays(np.abs(x), np.abs(y))
-    if x.size <= _HYPOT_BLOCK:
-        return _math_hypot(x, y)
-    out = np.empty(x.shape)
-    flat, xs, ys = out.reshape(-1), x.reshape(-1), y.reshape(-1)
-    for start in range(0, x.size, _HYPOT_BLOCK):
-        block = slice(start, start + _HYPOT_BLOCK)
-        flat[block] = _math_hypot(xs[block], ys[block])
-    return out
-
-
-def _math_hypot(x, y) -> np.ndarray:
-    """math_hypot of the absolute values x and y."""
-    with np.errstate(all="ignore"):
-        big = np.fmax(x, y)
-        exp = np.frexp(big)[1]
-        scale = np.ldexp(1.0, -exp)
-        csum, frac1, frac2 = 1.0, 0.0, 0.0
-        for v in (x, y):
-            hi, lo = _dl_mul(v * scale, v * scale)
-            total = csum + hi
-            frac2 = frac2 + ((csum - total) + hi)
-            frac1 = frac1 + lo
-            csum = total
-        h = np.sqrt(csum - 1.0 + (frac1 + frac2))
-        hi, lo = _dl_mul(-h, h)
-        total = csum + hi
-        frac2 = frac2 + ((csum - total) + hi)
-        frac1 = frac1 + lo
-        h = h + (total - 1.0 + (frac1 + frac2)) / (2.0 * h)
-        out = h / scale
-        # below 2 ** -1024 (exp < -1023), zero, infinite or NaN
-        regular = (big >= 2.0 ** -1024) & (x + y < np.inf)
-        if not regular.all():
-            csum, frac = 1.0, 0.0
-            for v in (x, y):
-                v = v / big
-                v = v * v
-                total = csum + v
-                frac = frac + ((csum - total) + v)
-                csum = total
-            out = np.where(exp < -1023, big * np.sqrt(csum - 1.0 + frac),
-                           out)
-            out = np.where(big == 0.0, 0.0, out)
-            out = np.where(np.isnan(x) | np.isnan(y), np.nan, out)
-            out = np.where(np.isinf(x) | np.isinf(y), np.inf, out)
-    return out
-
-
 class PointArray:
     """Points of the sphere at many elements, in ProjectivePoint's
     unit-norm homogeneous coordinates: z1 = z1r + i z1i and
@@ -650,8 +554,8 @@ class PointArray:
         """ProjectivePoint(z1, z2) at every element, and where it raises
         (both coordinates 0)."""
         with np.errstate(all="ignore"):
-            n = math_hypot(np.hypot(z1r, z1i), np.hypot(z2r, z2i))
-            return cls(*_over(z1r, z1i, n), *_over(z2r, z2i, n)), n == 0.0
+            n = np.hypot(np.hypot(z1r, z1i), np.hypot(z2r, z2i))
+            return cls(z1r / n, z1i / n, z2r / n, z2i / n), n == 0.0
 
     @classmethod
     def of(cls, points) -> "PointArray":
@@ -811,6 +715,15 @@ def reduce_angle(x: float) -> float:
     if y <= -math.pi:
         y += _TWO_PI
     return y
+
+
+def reduce_angle_array(x: np.ndarray) -> np.ndarray:
+    """reduce_angle at every element, bit for bit: fmod is exact, and so
+    is the one correction by 2*pi (Sterbenz), so both give the exact
+    representative in (-pi, pi]."""
+    y = np.fmod(x, _TWO_PI)
+    y = np.where(y > math.pi, y - _TWO_PI, y)
+    return np.where(y <= -math.pi, y + _TWO_PI, y)
 
 
 def complex_length(m: MoebiusMap, eps_class: float = EPS_CLASS) -> complex:

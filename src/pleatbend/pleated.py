@@ -21,17 +21,17 @@ Everything here is computed for many samples at once.  sample_images
 evaluates the words of a list of representations in one array pass;
 endpoint selection, the adaptedness check, placement and the Schlafli
 terms read that pass through moebius' array kernel (MoebiusArray,
-PointArray), which repeats the scalar MoebiusMap and ProjectivePoint
-arithmetic bit for bit.  Each stage runs once for all its items, the
-words of a depth, the cuffs, the pants or the leaves, stacked on one
-more array axis, so its number of numpy calls does not grow with the
-genus.  Two parts stay scalar: the tracking step that
-picks one of two fixed points from the previous sample's choice, and
-the transcendentals (cmath.phase, math.log, cmath.acosh, reduce_angle),
-which the C library computes differently from numpy's vectorized
-versions, so they run on the .tolist() values.  A single realization
-(realize, bending_data and the term functions) is the same computation
-on a one-sample pass.
+PointArray).  Each stage runs once for all its items, the words of a
+depth, the cuffs, the pants or the leaves, stacked on one more array
+axis, so its number of numpy calls does not grow with the genus.  The
+arithmetic is numpy's (np.hypot, np.arctan2, np.log, np.arccosh and
+reduce_angle_array) except for the complex products and quotients,
+which keep CPython's rounding, so the terms are not the scalar
+functions' bit for bit: tests/test_kernel.py holds each kind of term
+to a stated accuracy against a 50-digit oracle.  One part stays
+scalar: the tracking step that picks one of two fixed points from the
+previous sample's choice.  A single realization (realize, bending_data
+and the term functions) is the same computation on a one-sample pass.
 
 Failures keep the scalar order.  Every guard is computed as a mask over
 the samples (and the endpoint patterns), and _Failures raises the one
@@ -43,7 +43,6 @@ float range the arrays carry inf or NaN instead.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -55,9 +54,9 @@ from .errors import (DegenerateConfiguration, DegenerateTriangle, NotAdapted,
                      OrientationTrackingFailure, PleatbendError,
                      SampleEvaluationFailure, SingularMatrix, UnknownLetter)
 from .moebius import (EPS_CLASS, EPS_NUM, KINDS, MoebiusArray, MoebiusMap,
-                      PointArray, ProjectivePoint, _over, _quot, _sq,
+                      PointArray, ProjectivePoint, _abs2, _complex, _quot,
                       chordal_array, cross_ratio_array, reduce_angle,
-                      stack_points, trace_squared)
+                      reduce_angle_array, stack_points, trace_squared)
 from .representation import Representation, evaluate_word
 from .topology import (CuffCrossing, Lamination, LeafCrossing,
                        PantsDecomposition, TransverseArc, _tokens,
@@ -72,21 +71,15 @@ _ZERO = "homogeneous coordinates (0, 0)"     # ProjectivePoint's failure
 _COINCIDE = "normalizing_map endpoints coincide"
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    z = np.empty(np.shape(re), dtype=complex)
-    z.real = re
-    z.imag = im
-    return z
-
-
 class SampleImages:
     """Images of the pipeline's words at n samples, from one array pass.
 
     words lists every word the pipeline reads (cuff words, slot words,
     conjugators and the crossing words of cuff_bending), index takes
     each to its place there, and stack holds their images, (2, 2,
-    words, n), whose entries equal evaluate_word's at every sample bit
-    for bit; maps takes a word to its own MoebiusArray, a view of stack.
+    words, n), whose entries agree with evaluate_word's to within 8 eps
+    per product (see MoebiusArray); maps takes a word to its own
+    MoebiusArray, a view of stack.
     traces holds the tr^2 of the slot commutators that check_adapted
     reads, (n, len(rows), 3) for the distinct slot rows in rows and the
     pairs (0, 1), (1, 2), (2, 0).  ok, (words + rows, n), is False where
@@ -157,13 +150,13 @@ def sample_images(reps, pd: PantsDecomposition,
     Every word the sample pipeline reads is evaluated at all
     representations at once with MoebiusArray, folding the words level
     by level, and so is the tr^2 of every slot commutator that
-    check_adapted reads.  Both equal the values of evaluate_word and
-    shared_endpoint_check bit for bit.  Letters are looked up by name,
-    so the representations may list their generators in any order; a
-    letter that one of them lacks raises UnknownLetter.  A sample at
-    which a value would raise in the scalar arithmetic is not raised
-    here: its consumers raise SampleEvaluationFailure when they reach
-    it, so they meet the failures of earlier samples first.
+    check_adapted reads.  Both follow evaluate_word and
+    shared_endpoint_check product by product.  Letters are looked up by
+    name, so the representations may list their generators in any
+    order; a letter that one of them lacks raises UnknownLetter.  A
+    sample at which a value would raise in the scalar arithmetic is not
+    raised here: its consumers raise SampleEvaluationFailure when they
+    reach it, so they meet the failures of earlier samples first.
     """
     reps = list(reps)
     return SampleImages(reps, pd, eps_class, *_array_pass(reps, pd))
@@ -620,30 +613,14 @@ class TruncationConvention:
         return TruncationConvention(scales=out)
 
 
-def _cuff_lengths(images: SampleImages) -> list:
+def _cuff_lengths(images: SampleImages) -> np.ndarray:
     """complex_length of every elliptic or loxodromic cuff at every
-    sample, a list per cuff."""
+    sample, (cuffs, n)."""
     m = images.cuff_maps
-    # trace / 2.0
-    half = _complex(*_over(m.re[0, 0] + m.re[1, 1], m.im[0, 0] + m.im[1, 1],
-                           2.0))
-    out = []
-    for zs, kinds in zip(half.tolist(), images.kinds.tolist()):
-        lengths = []
-        for z, kind in zip(zs, kinds):
-            lam = 2.0 * cmath.acosh(z)
-            lengths.append(complex(0.0 if kind == _ELLIPTIC else lam.real,
-                                   reduce_angle(lam.imag)))
-        out.append(lengths)
-    return out
-
-
-def _libm(f, *arrays) -> np.ndarray:
-    """f on the Python values of arrays, element by element, as an array
-    of their shape: the C library's transcendentals, which numpy's
-    vectorized ones do not repeat bit for bit."""
-    return np.array(list(map(f, *(a.ravel().tolist() for a in arrays))),
-                    dtype=float).reshape(np.shape(arrays[0]))
+    lam = 2.0 * np.arccosh(_complex((m.re[0, 0] + m.re[1, 1]) / 2.0,
+                                    (m.im[0, 0] + m.im[1, 1]) / 2.0))
+    return _complex(np.where(images.kinds == _ELLIPTIC, 0.0, lam.real),
+                    reduce_angle_array(lam.imag))
 
 
 def _truncated_lengths(a: PointArray, b: PointArray, witness_a: tuple,
@@ -654,11 +631,10 @@ def _truncated_lengths(a: PointArray, b: PointArray, witness_a: tuple,
     za_r, za_i, ta = frame.apply_interior(*witness_a)
     _, _, tb = frame.apply_interior(*witness_b)
     with np.errstate(all="ignore"):
-        depth = (_sq(np.hypot(za_r, za_i)) + _sq(ta)) / ta
+        depth = (_abs2(za_r, za_i) + ta * ta) / ta
     collapsed = (depth <= 0) | (tb <= 0)
-    lengths = _libm(lambda h, d: math.log(h) - math.log(d),
-                    np.where(collapsed, 1.0, tb),
-                    np.where(collapsed, 1.0, depth))
+    lengths = (np.log(np.where(collapsed, 1.0, tb))
+               - np.log(np.where(collapsed, 1.0, depth)))
     return lengths, [(coincide, DegenerateConfiguration, _COINCIDE),
                      (collapsed, DegenerateConfiguration,
                       "horoball witness collapsed to the boundary")]
@@ -825,8 +801,7 @@ class _Geometry:
                        lambda key, index, row, k:
                        f"far vertices of leaf {key} collide with its "
                        "endpoints"))
-        return (_libm(lambda z: reduce_angle(math.pi - cmath.phase(z)),
-                      _complex(re, im)), checks)
+        return reduce_angle_array(math.pi - np.arctan2(im, re)), checks
 
     def leaf_lengths(self, conv: TruncationConvention) -> tuple:
         """truncated_length of every spiral leaf at every pattern and
@@ -943,16 +918,16 @@ class _Geometry:
                        lambda key, index, row, k:
                        f"degenerate plaque directions at cuff {key!r}"))
         with np.errstate(all="ignore"):
-            ratio = _complex(*_quot(*dir_b, *dir_a))
-        return _libm(lambda z: reduce_angle(cmath.phase(z)), ratio), checks
+            ratio_r, ratio_i = _quot(*dir_b, *dir_a)
+        return reduce_angle_array(np.arctan2(ratio_i, ratio_r)), checks
 
     def terms(self, conv: TruncationConvention, failures: _Failures) -> list:
-        """schlafli_term of every leaf of the lamination, in its order:
+        """The Schlafli term of every leaf of the lamination, in its order:
         (angles, lengths), each (patterns of the leaf's support, n).
         All cuff leaves are computed at once, and so are all spiral
         leaves."""
         cuff_angles, cuff_checks = self.cuff_angles()
-        cuff_lengths = np.array(_cuff_lengths(self.images)).real
+        cuff_lengths = _cuff_lengths(self.images).real
         leaf_angles, angle_checks = self.leaf_angles()
         leaf_lengths, length_checks = self.leaf_lengths(conv)
         cuffs, leaves, out = [], [], []
@@ -1050,7 +1025,8 @@ def realize(rep: Representation | SampleImages, pd: PantsDecomposition,
     lengths = _cuff_lengths(images)
     return PleatedRealization(
         geometry=geometry, report=report, zeta=zeta, xi=xi,
-        cuff_lengths={c.id: z[0] for c, z in zip(pd.cuffs, lengths)})
+        cuff_lengths={c.id: complex(z[0])
+                      for c, z in zip(pd.cuffs, lengths)})
 
 
 def _one_term(key, values: np.ndarray, checks: list, index) -> float:
@@ -1176,26 +1152,6 @@ class BendingData:
     cuff_angles: dict               # cuff id -> angle
     leaf_lengths: dict              # (pants, i) -> truncated length
     cuff_lengths: dict              # cuff id -> real translation length
-
-
-def schlafli_term(real: PleatedRealization, key,
-                  conv: TruncationConvention) -> tuple[float, float]:
-    """Angle and length of one Schlafli term of a realization.
-
-    key is a cuff id (bending angle, real translation length) or a
-    (pants, i) leaf key (bending angle, truncated length).
-    """
-    geometry = real.geometry
-    if isinstance(key, str):
-        rows = geometry.cuff_rows[real.pd.cuff_index(key)]
-        return (_one_term(key, *geometry.cuff_angles(), rows),
-                real.cuff_lengths[key].real)
-    key = tuple(key)
-    angles, angle_checks = geometry.leaf_angles()
-    lengths, length_checks = geometry.leaf_lengths(conv)
-    index = geometry.leaf_index(key)
-    return (_one_term(key, angles, angle_checks + length_checks, index),
-            float(lengths[index][0, 0]))
 
 
 def bending_data(real: PleatedRealization,

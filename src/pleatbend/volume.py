@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (AngleUnwrapFailure, DegenerateTetrahedron,
                      EndpointsMismatch, PleatbendError)
-from .moebius import EPS_CLASS, reduce_angle
+from .moebius import EPS_CLASS, reduce_angle_array
 from .pleated import (SampleImages, TruncationConvention, _selected,
                       path_terms, sample_images, start_endpoints)
 from .representation import (RepresentationPath, fingerprint,
@@ -120,13 +120,12 @@ def ideal_tetra_volume(z: complex, eps: float = 1e-12) -> float:
 # computes everything else for all samples and patterns, and all cuffs
 # or pants, at once: the cuffs' kinds and fixed points, the tracked
 # endpoints, the adaptedness check, the placed plaques and every term's
-# cross-ratio, frames and horoball witnesses.  Two parts stay scalar:
-# the tracking step, which picks one of two precomputed distances from
-# the previous sample's choice, and the transcendentals (cmath.phase,
-# math.log, cmath.acosh and reduce_angle's math.remainder), run on the
-# .tolist() values because numpy's vectorized versions round
-# differently from the C library's and the digits have to stay those
-# of the scalar code.
+# cross-ratio, frames, horoball witnesses, logarithms and arguments.
+# One part stays scalar: the tracking step, which picks one of two
+# precomputed distances from the previous sample's choice.  The angles
+# of all (term, pattern) rows are then unwrapped together, one step of
+# the recurrence per sample, and differentiated and integrated as
+# arrays.
 
 
 def _surface(path: RepresentationPath):
@@ -151,8 +150,7 @@ def _sample_indices(path: RepresentationPath, steps: int | None) -> list[int]:
 
 def _term_series(pd: PantsDecomposition, lam: Lamination,
                  images: SampleImages, starts,
-                 conv: TruncationConvention
-                 ) -> tuple[dict, PleatbendError | None]:
+                 conv: TruncationConvention) -> tuple:
     """Angle and length of every leaf of lam at every sample, per chain
     pattern.
 
@@ -163,8 +161,9 @@ def _term_series(pd: PantsDecomposition, lam: Lamination,
     start from a label, resolved at the first sample.  Each sample is
     checked for adaptedness once, and every pants is placed (with the
     plaque check) once for every pattern of chains on its cuffs.
-    Returns ({(leaf key, pattern): (angles, lengths)}, deferred), where
-    pattern gives the chain of each cuff in the leaf's support.
+    Returns (keys, angles, lengths, deferred): keys lists the (leaf key,
+    pattern) of every row, where pattern gives the chain of each cuff in
+    the leaf's support, and angles and lengths are (rows, n).
 
     Failures are those of realizing sample by sample: on every sample
     the orientation that takes chain 0 everywhere is realized first, as
@@ -179,16 +178,15 @@ def _term_series(pd: PantsDecomposition, lam: Lamination,
     deferred = failures.first(1)
     # chain 0's patterns (row 0) in leaf order, then, unless chain 1 was
     # dropped, the others: the order realizing sample by sample gave
-    rows = [list(zip(map(tuple, patterns(leaf.support).tolist()),
-                     angles.tolist(), lengths.tolist()))
-            for leaf, (angles, lengths) in zip(lam.leaves, terms)]
-    series = {}
+    keys, angles, lengths = [], [], []
     for part in (slice(0, 1),) if deferred is not None \
             else (slice(0, 1), slice(1, None)):
-        for leaf, leaf_rows in zip(lam.leaves, rows):
-            for pattern, angles, lengths in leaf_rows[part]:
-                series[leaf.key, pattern] = (angles, lengths)
-    return series, deferred
+        for leaf, (leaf_angles, leaf_lengths) in zip(lam.leaves, terms):
+            keys += [(leaf.key, tuple(pattern)) for pattern
+                     in patterns(leaf.support)[part].tolist()]
+            angles.append(leaf_angles[part])
+            lengths.append(leaf_lengths[part])
+    return keys, np.concatenate(angles), np.concatenate(lengths), deferred
 
 
 def angle_series(path: RepresentationPath, zeta: str | dict,
@@ -202,10 +200,10 @@ def angle_series(path: RepresentationPath, zeta: str | dict,
     check.
     """
     pd = _surface(path)
-    series, _ = _term_series(pd, build_lamination(pd),
-                             sample_images(path.reps, pd, eps_class), [zeta],
-                             conv)
-    return {key: angles for (key, _), (angles, _) in series.items()}
+    keys, angles, _, _ = _term_series(pd, build_lamination(pd),
+                                      sample_images(path.reps, pd, eps_class),
+                                      [zeta], conv)
+    return {key: row.tolist() for (key, _), row in zip(keys, angles)}
 
 
 def schlafli_derivative(path: RepresentationPath, t: float,
@@ -232,10 +230,10 @@ def schlafli_derivative(path: RepresentationPath, t: float,
             raise failure
     zeta = _selected(images.at(1), zeta)
     lam = build_lamination(pd)
-    series, _ = _term_series(pd, lam, images, [zeta], conv)
+    keys, angles, lengths, _ = _term_series(pd, lam, images, [zeta], conv)
     ts = np.array([path.ts[i] for i in indices])
-    table = _orientation_table(lam, series, [(0,) * len(pd.cuffs)])
-    velocities, failures = _velocities(ts, series)
+    table = _orientation_table(lam, keys, [(0,) * len(pd.cuffs)])
+    velocities, failures = _velocities(ts, angles, lengths)
     _raise_first_failure(table, failures)
     return float(_integrand(table, velocities)[0, 1])
 
@@ -265,20 +263,30 @@ class VolumePathResult:
         return len(self.ts) - 1
 
 
-def _unwrap_angles(values) -> np.ndarray:
-    """Lift a sampled angle sequence to a continuous real sequence.
+def _unwrap_angles(values: np.ndarray) -> tuple[np.ndarray, list]:
+    """Lift sampled angle sequences, one per row of values (rows, n), to
+    continuous real sequences, and the failure of each row or None.
 
+    Each sample adds the step from the previous lifted value, reduced
+    into (-pi, pi]; the recurrence runs once per sample for all rows.
     Consecutive samples must stay within pi of each other; anything
-    larger is an ambiguous branch jump, not data.
+    larger is an ambiguous branch jump, not data, and fails the row at
+    its first such step.  A row that failed is NaN.
     """
-    out = [float(values[0])]
-    for v in values[1:]:
-        d = reduce_angle(v - out[-1])
-        if abs(d) >= math.pi * (1 - 1e-9):
-            raise AngleUnwrapFailure(
-                f"bending angle moved {d:.3f} in one step; refine the path")
-        out.append(out[-1] + d)
-    return np.array(out)
+    values = values.T
+    out = np.empty_like(values)
+    steps = np.zeros_like(values)
+    out[0] = values[0]
+    for k in range(1, len(values)):
+        steps[k] = reduce_angle_array(values[k] - out[k - 1])
+        np.add(out[k - 1], steps[k], out=out[k])
+    jumps = np.abs(steps) >= math.pi * (1 - 1e-9)
+    failed = jumps.any(axis=0)
+    out[:, failed] = np.nan
+    first = steps[jumps.argmax(axis=0), np.arange(len(failed))]
+    return out.T, [AngleUnwrapFailure(f"bending angle moved {d:.3f} in one "
+                                      "step; refine the path") if bad
+                   else None for bad, d in zip(failed, first.tolist())]
 
 
 def _node_derivatives(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -336,36 +344,28 @@ def _per_step_integrals(ts: np.ndarray, fs: np.ndarray) -> np.ndarray:
     return fs[..., j] * w0 + fs[..., j + 1] * w1 + fs[..., j + 2] * w2
 
 
-def _velocities(ts: np.ndarray, series: dict) -> tuple[np.ndarray, list]:
-    """length · d(angle)/dt of every (term, pattern) series, one row each
-    in series order, and the unwrap failure of each row or None.  A row
-    that failed to unwrap is NaN."""
-    thetas = np.full((len(series), len(ts)), np.nan)
-    lengths = np.empty_like(thetas)
-    failures = []
-    for r, (angles, row_lengths) in enumerate(series.values()):
-        lengths[r] = row_lengths
-        try:
-            thetas[r] = _unwrap_angles(angles)
-        except AngleUnwrapFailure as exc:
-            failures.append(exc)
-        else:
-            failures.append(None)
+def _velocities(ts: np.ndarray, angles: np.ndarray,
+                lengths: np.ndarray) -> tuple[np.ndarray, list]:
+    """length · d(angle)/dt of every (term, pattern) row of angles and
+    lengths, and the unwrap failure of each row or None.  A row that
+    failed to unwrap is NaN."""
+    thetas, failures = _unwrap_angles(angles)
     return lengths * _node_derivatives(ts, thetas), failures
 
 
-def _orientation_table(lam: Lamination, series: dict,
+def _orientation_table(lam: Lamination, keys: list,
                        orientations) -> np.ndarray:
-    """Row of series read by every (orientation, leaf), leaves in order.
+    """Row read by every (orientation, leaf), leaves in order, of the
+    series whose (leaf key, pattern) rows keys lists.
 
-    An orientation takes chain 0 or 1 on every cuff, and series lists
+    An orientation takes chain 0 or 1 on every cuff, and keys lists
     each leaf's patterns in itertools.product order (as _term_series
     does), so the pattern an orientation takes on a leaf's support is
     the binary number its chain bits spell there."""
     bits = np.array(orientations, dtype=np.intp).reshape(
         len(orientations), -1)
     rows = {leaf.key: [] for leaf in lam.leaves}
-    for r, (key, _) in enumerate(series):
+    for r, (key, _) in enumerate(keys):
         rows[key].append(r)
     lookup = np.zeros((len(lam.leaves), max(map(len, rows.values()))),
                       dtype=np.intp)
@@ -411,14 +411,15 @@ def _integrate(path: RepresentationPath, indices,
     """
     pd = _surface(path)
     lam = build_lamination(pd)
-    series, deferred = _term_series(pd, lam, images, starts, conv)
+    keys, angles, lengths, deferred = _term_series(pd, lam, images, starts,
+                                                   conv)
     if deferred is not None:
         # orientation by orientation, the first is integrated, or
         # raises its own failure, before the deferred one is met
         orientations = orientations[:1]
-    table = _orientation_table(lam, series, orientations)
+    table = _orientation_table(lam, keys, orientations)
     ts = np.array([path.ts[i] for i in indices])
-    fine, failures = _velocities(ts, series)
+    fine, failures = _velocities(ts, angles, lengths)
     _raise_first_failure(table, failures)
     if deferred is not None:
         raise deferred
@@ -430,9 +431,7 @@ def _integrate(path: RepresentationPath, indices,
     if len(ts) % 2 == 1 and len(ts) >= 5:
         # a subsample series that fails to unwrap is NaN, and so is the
         # estimate of every orientation that reads it
-        coarse, _ = _velocities(ts[::2], {key: (angles[::2], lengths[::2])
-                                          for key, (angles, lengths)
-                                          in series.items()})
+        coarse, _ = _velocities(ts[::2], angles[:, ::2], lengths[:, ::2])
         half = np.cumsum(_per_step_integrals(ts[::2],
                                              _integrand(table, coarse)),
                          axis=1)[:, -1]
@@ -473,15 +472,14 @@ def integrate_volume_change(path: RepresentationPath,
 # orientation-summed volume and loop defects
 
 
-def orientation_start_endpoints(path: RepresentationPath, ori,
-                                images: SampleImages) -> dict:
+def orientation_start_endpoints(ori, images: SampleImages) -> dict:
     """Start selection of an orientation: cuff id -> (zeta, other).
 
     Forward takes the attracting fixed point of the cuff at the first
-    sample, backward the repelling one.  images is a sample_images pass
-    whose first sample is path.reps[0], shared with the caller; the
-    kinds and fixed points it read off there are used as they are, at
-    its classification tolerance.
+    sample of images, backward the repelling one.  images is a
+    sample_images pass shared with the caller; the kinds and fixed
+    points it read off there are used as they are, at its
+    classification tolerance.
     """
     return start_endpoints(images, ori.forward)
 
@@ -540,7 +538,7 @@ def vol_gamma(path: RepresentationPath, conv: TruncationConvention,
         raise failure
     # all forward and all back, read from the pass that the pipeline
     # then reads
-    starts = [orientation_start_endpoints(path, ori, images) for ori in ends]
+    starts = [orientation_start_endpoints(ori, images) for ori in ends]
     chains = [tuple(0 if bit else 1 for bit in ori.forward)
               for ori in orientations]
     results = _integrate(path, indices, images, starts, chains, conv)

@@ -15,10 +15,14 @@ of volume.py as it was before its weights became closed-form: the
 quadrature tests compare _per_step_integrals with the first within a
 bound and _node_derivatives with the second by ==.  seed_term_series
 is the sample pipeline as it was before its geometry became one array
-pass: ProjectivePoint by ProjectivePoint, one realization per pattern
-of endpoint chains.  The term oracle compares every angle and length
-of volume._term_series with it bit for bit, and the failure-precedence
-tests compare the failures they raise.
+pass: evaluate_word, ProjectivePoint by ProjectivePoint, one
+realization per pattern of endpoint chains, CPython's scalar
+arithmetic and the C library's transcendentals throughout.  The
+accuracy gate measures its error against the 50-digit oracle
+(_mp_oracle) and holds volume._term_series to twice that error, and
+the failure-precedence tests compare the failures they raise.
+seed_unwrap_angles is volume._unwrap_angles as it was, row by row; the
+unwrap test compares the two by ==.
 This module is importable because the pytest configuration puts tests/
 on sys.path (pythonpath in pyproject.toml).
 """
@@ -32,15 +36,15 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from pleatbend.errors import (DegenerateConfiguration, DegenerateTriangle,
-                              NotAdapted, OrientationTrackingFailure,
-                              PleatbendError, ReducibleRepresentation,
-                              SingularMatrix)
+from pleatbend.errors import (AngleUnwrapFailure, DegenerateConfiguration,
+                              DegenerateTriangle, NotAdapted,
+                              OrientationTrackingFailure, PleatbendError,
+                              ReducibleRepresentation, SingularMatrix)
 from pleatbend.moebius import (EPS_CLASS, RESCALE_LIMIT, IsometryClass,
                                MoebiusMap, _complex_length, _fixed_points,
                                chordal, classify, cross_ratio, fixed_points,
                                normalizing_map, reduce_angle)
-from pleatbend.pleated import sample_images
+from pleatbend.pleated import sample_images, shared_endpoint_check
 from pleatbend.representation import (Representation, _adj, _mat,
                                       evaluate_word)
 
@@ -266,6 +270,19 @@ def loop_node_derivatives(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return out
 
 
+def seed_unwrap_angles(values) -> np.ndarray:
+    """volume._unwrap_angles of one row as it was: the recurrence sample
+    by sample, raising AngleUnwrapFailure at the first ambiguous step."""
+    out = [float(values[0])]
+    for v in values[1:]:
+        d = reduce_angle(v - out[-1])
+        if abs(d) >= math.pi * (1 - 1e-9):
+            raise AngleUnwrapFailure(
+                f"bending angle moved {d:.3f} in one step; refine the path")
+        out.append(out[-1] + d)
+    return np.array(out)
+
+
 def _quadratic_panel(ts3, fs3, a: float, b: float) -> float:
     """Integral over [a, b] of the quadratic through three samples."""
     tm = ts3[1]
@@ -340,18 +357,21 @@ class SeedImages(dict):
 
 
 def seed_sample_images(reps, pd, eps_class=EPS_CLASS):
-    """One SeedImages per representation, filled from the array pass as
-    the scalar pipeline's pass filled them; a sample the pass could not
-    evaluate raises SampleEvaluationFailure when its turn comes."""
+    """One SeedImages per representation: the pipeline's words by
+    evaluate_word and the slot commutator traces by
+    shared_endpoint_check, scalar MoebiusMap arithmetic throughout.  A
+    sample the array pass could not evaluate raises its
+    SampleEvaluationFailure when its turn comes, as in the pipeline."""
     images = sample_images(reps, pd, eps_class)
     for k, rep in enumerate(images.reps):
         failure = images.failure(k)
         if failure is not None:
             raise failure
-        maps = {w: MoebiusMap._raw(*m.entries()[k].tolist())
-                for w, m in images.maps.items()}
-        commutators = {row: tuple(images.traces[k, r].tolist())
-                       for r, row in enumerate(images.rows)}
+        maps = {w: evaluate_word(rep, w) for w in images.words}
+        commutators = {row: tuple(shared_endpoint_check(maps[row[i]],
+                                                        maps[row[j]])[1]
+                                  for i, j in _PAIRS)
+                       for row in images.rows}
         yield SeedImages(rep, maps, commutators, eps_class)
 
 

@@ -221,7 +221,10 @@ class TestGoldenOutput:
     tests/data/<command>-<input>.<format>.  They were written by the
     code each pipeline replaced: the orientation-by-orientation loop
     for vol-gamma and loop-defect, word-by-word scalar evaluation for
-    pleat, bend and volume-path."""
+    pleat, bend and volume-path, except the three vol-gamma files,
+    written by the geometry pass with numpy's transcendentals.  Those
+    differ between hosts (numpy's own SIMD code on AVX-512), so the
+    files hold the bytes of an x86-64 host with numpy 2.4.6."""
 
     @pytest.mark.parametrize("command,source,fmt", [
         ("vol-gamma", "pure_bend.json", "text"),

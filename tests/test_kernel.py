@@ -2,23 +2,26 @@
 
 MoebiusArray repeats MoebiusMap's products, inverses and normalization
 on float arrays, and sample_images evaluates a path's words and slot
-commutators with it.  Every value must equal the scalar one with ==
-(entries_of), and a sample the kernel cannot evaluate must raise
-SampleEvaluationFailure.  The geometry pass computes every Schlafli
-term from those arrays: its math.hypot port, each term at every sample
-and pattern, and the failures it raises are checked against CPython and
-against the scalar pipeline as it was (_seed_kernel.seed_term_series).
-The last class checks vol_gamma against the benchmark's recorded
-references, which pin the digits this bit-identity keeps.
+commutators with it.  Every product, inverse and normalization must be
+within 8 eps of each entry's modulus of the scalar one, the word images
+and commutator traces must equal evaluate_word's (entries_of), and a
+sample the kernel cannot evaluate must raise SampleEvaluationFailure.
+The geometry pass computes every Schlafli term from those arrays with
+numpy's arithmetic: each term at every sample and pattern is held to
+the accuracy gate against a 50-digit oracle (_mp_oracle), next to the
+scalar pipeline as it was (_seed_kernel.seed_term_series), and the
+failures it raises must be the scalar pipeline's.  The last class
+checks vol_gamma against the benchmark's recorded references, which
+pin the rounding of the complex products and quotients the kernel
+keeps.
 """
 
+import cmath
 import dataclasses
 import importlib.util
 import json
 import math
 import os
-import pathlib
-import re
 
 import numpy as np
 import pytest
@@ -35,14 +38,16 @@ from pleatbend import (DegenerateConfiguration, DegenerateTriangle,
                        shared_endpoint_check, standard_decomposition,
                        vol_gamma)
 from pleatbend import pleated, volume
-from pleatbend.moebius import (RESCALE_LIMIT, MoebiusArray, _sq, _unimodular,
-                               math_hypot, trace_squared)
+from pleatbend.moebius import (KINDS, RESCALE_LIMIT, IsometryClass,
+                               MoebiusArray, _unimodular, complex_length,
+                               trace_squared)
 from pleatbend.pleated import sample_images
 from pleatbend.representation import (evaluate_word, path_from_dict,
                                       path_to_dict)
 from pleatbend.topology import (CuffEnd, Pants, decomposition_from_dict,
                                 decomposition_to_dict)
 
+from _mp_oracle import TERM_KINDS, gate_bound, mp_term_series, term_errors
 from _seed_kernel import (SeedSample, entries_of, raw_entries,
                           seed_resolve_endpoints, seed_sample_images,
                           seed_start_endpoints, seed_term_series, steep,
@@ -81,12 +86,32 @@ def scalar(step):
         return None
 
 
-def assert_matches(got: MoebiusArray, want: list):
-    """Entry by entry ==, and ok exactly where the scalar step passed."""
+EPS = np.finfo(float).eps
+
+
+def same_bits(got, want) -> bool:
+    """== on the bits, so a NaN matches a NaN and -0.0 does not match 0.0."""
+    return np.array_equal(np.asarray(got, dtype=float).view(np.int64),
+                          np.asarray(want, dtype=float).view(np.int64))
+
+
+def assert_close(got: MoebiusArray, want: list):
+    """ok exactly where the scalar step passed (want not None), and there
+    every entry within 8 eps of its modulus of the scalar one.  The
+    kernel and MoebiusMap differ only in the square root of the
+    determinant, np.sqrt against cmath.sqrt, each within two units in
+    the last place, and in the rounding of the entries divided by it."""
     assert got.ok.tolist() == [w is not None for w in want]
-    for e, w in zip(got.entries().tolist(), want):
+    for e, w in zip(got.entries(), want):
         if w is not None:
-            assert entries_of(MoebiusMap._raw(*e)) == entries_of(w)
+            z = np.array([w.a, w.b, w.c, w.d])
+            assert (np.abs(e - z) <= 8 * EPS * np.abs(z)).all(), (e, z)
+
+
+def maps_of(m: MoebiusArray) -> list:
+    """The maps of a MoebiusArray as MoebiusMaps, None where not ok."""
+    return [MoebiusMap._raw(*e) if ok else None
+            for e, ok in zip(m.entries().tolist(), m.ok.tolist())]
 
 
 def stored(entries):
@@ -106,17 +131,22 @@ class TestMoebiusArrayOracle:
             return
         xs, ys = MoebiusArray.of([x for x, _ in maps]), \
             MoebiusArray.of([y for _, y in maps])
-        assert_matches(xs @ ys, [scalar(lambda: x @ y) for x, y in maps])
-        assert_matches(xs.inverse(), [scalar(x.inverse) for x, _ in maps])
-        comm = xs @ ys @ xs.inverse() @ ys.inverse()
-        want = [scalar(lambda: x @ y @ x.inverse() @ y.inverse())
-                for x, y in maps]
-        assert_matches(comm, want)
+        assert_close(xs.inverse(), [scalar(x.inverse) for x, _ in maps])
+        # the commutator's products one by one, each against the scalar
+        # product of the same entries
+        comm = xs
+        for right in (ys, xs.inverse(), ys.inverse()):
+            want = [scalar(lambda: x @ y) if x is not None and y is not None
+                    else None for x, y in zip(maps_of(comm),
+                                              maps_of(right))]
+            comm = comm @ right
+            assert_close(comm, want)
+        # tr^2 is CPython's power of the same entries, bit for bit
         tr, ti = comm.trace_squared()
-        for k, w in enumerate(want):
-            if w is not None:
-                t2 = trace_squared(w)
-                assert (tr[k], ti[k]) == (t2.real, t2.imag)
+        for k, w in enumerate(maps_of(comm)):
+            t2 = scalar(lambda: trace_squared(w)) if w is not None else None
+            if t2 is not None:
+                assert same_bits([tr[k], ti[k]], [t2.real, t2.imag])
 
     @given(st.lists(st.one_of(any_entries, raw_entries.map(
         lambda e: tuple(map(complex, e)))), min_size=1, max_size=6))
@@ -132,13 +162,13 @@ class TestMoebiusArrayOracle:
         z = np.array(entries, dtype=complex).T.reshape(2, 2, -1)
         got = _unimodular(z.real.copy(), z.imag.copy(),
                           np.ones(len(entries), dtype=bool))
-        assert_matches(got, [scalar(lambda: MoebiusMap._from_unimodular(*e))
-                             for e in entries])
+        assert_close(got, [scalar(lambda: MoebiusMap._from_unimodular(*e))
+                           for e in entries])
 
     def test_identity_fold(self):
         maps = [MoebiusMap(2, 1j, 0.5, 1), MoebiusMap(*steep(900.0, 1.0))]
-        assert_matches(MoebiusArray.identity(2) @ MoebiusArray.of(maps),
-                       [MoebiusMap.identity() @ m for m in maps])
+        assert_close(MoebiusArray.identity(2) @ MoebiusArray.of(maps),
+                     [MoebiusMap.identity() @ m for m in maps])
 
 
 def pipeline_words(pd) -> set:
@@ -226,6 +256,42 @@ class TestSampleImagesOracle:
         run_pipeline(run, bent_genus3())
 
 
+class TestCuffLengths:
+    """_cuff_lengths takes 2 acosh(tr / 2) with np.arccosh, which must
+    take cmath.acosh's branch.  At an elliptic cuff tr / 2 is real, in
+    (-1, 1), and the sign of its zero imaginary part picks the sign of
+    the rotation angle."""
+
+    def test_branch(self):
+        z = [complex(x, y) for x in (-3.0, -1.5, -1.0, -0.999, -0.5, 0.0,
+                                     0.5, 0.999, 1.0, 1.5, 3.0)
+             for y in (0.0, -0.0, 1e-300, -1e-300, 1e-9, -1e-9)]
+        for v, got in zip(z, np.arccosh(np.array(z)).tolist()):
+            want = cmath.acosh(v)
+            assert math.copysign(1.0, got.imag) == \
+                math.copysign(1.0, want.imag), v
+            assert abs(got - want) <= 4 * EPS * abs(want), v
+
+    def test_elliptic_cuff(self):
+        # a1 has length 0.8i, an elliptic cuff, at t = 0.5
+        pd = standard_decomposition(2)
+        path = path_from_parameters(
+            pd, lambda t: (1.5 * (t - 0.5) ** 2 + 0.8j, 2.0 + 0.1 * t, 2.0),
+            lambda t: (0.3 + 0.25j * t, 0.1 - 0.1j * t * t, 0.2 + 0.15j * t),
+            steps=16)
+        images = sample_images(path.reps, pd)
+        assert images.kinds[0, 8] == KINDS.index(IsometryClass.ELLIPTIC)
+        got = pleated._cuff_lengths(images)
+        for j, cuff in enumerate(pd.cuffs):
+            for k, rep in enumerate(path.reps):
+                want = complex_length(evaluate_word(rep, cuff.word))
+                assert got[j, k].real == want.real == 0.0 or \
+                    abs(got[j, k].real - want.real) <= 4 * EPS * want.real
+                assert abs(got[j, k].imag - want.imag) <= 4 * EPS * math.pi
+                assert math.copysign(1.0, got[j, k].imag) == \
+                    math.copysign(1.0, want.imag)
+
+
 class TestBadSamples:
     """A sample at which the array pass meets a value the scalar
     arithmetic would raise at, or one that is not finite, raises
@@ -264,96 +330,6 @@ class TestBadSamples:
             run_pipeline(run, path)
 
 
-# pairs of floats at every scale, for math.hypot: a mantissa and a
-# power of ten each, the second within 20 decades of the first
-def _scaled(lo, hi):
-    return st.builds(lambda m, e: m * 10.0 ** e, st.floats(0.0, 10.0),
-                     st.integers(lo, hi))
-
-
-hypot_pairs = st.one_of(
-    st.tuples(_scaled(-300, 300), _scaled(-300, 300)),
-    st.tuples(_scaled(-320, -300), _scaled(-330, -300)),
-    st.tuples(st.floats(), st.floats()),
-    st.tuples(st.floats(width=64, min_value=0.0, max_value=2.0 ** -1022),
-              st.floats(width=64, min_value=0.0, max_value=2.0 ** -1022)))
-
-
-def same_bits(got, want) -> bool:
-    """== on the bits, so a NaN matches a NaN and -0.0 does not match 0.0."""
-    return np.array_equal(np.asarray(got, dtype=float).view(np.int64),
-                          np.asarray(want, dtype=float).view(np.int64))
-
-
-class TestMathHypot:
-    """math_hypot is CPython's math.hypot, which np.hypot is not."""
-
-    @given(hypot_pairs)
-    @settings(max_examples=500)
-    @example((0.0, 0.0))
-    @example((-0.0, 5e-324))
-    @example((math.inf, math.nan))
-    @example((math.nan, -math.inf))
-    @example((math.nan, 1.0))
-    @example((1e300, 1e300))
-    @example((1e-300, 3e-301))
-    # the larger coordinate below 2 ** -1024: the max_e < -1023 branch
-    @example((1.04236628140147e-310, 3.4955801076e-314))
-    @example((2.0 ** -1030, 2.0 ** -1074))
-    # np.hypot (the C library's hypot) rounds this pair the other way
-    @example((6.499138856251428e-06, 2.5917115236508865e-05))
-    def test_pairs(self, pair):
-        x, y = pair
-        got = math_hypot(np.array([x]), np.array([y]))
-        assert same_bits(got, [math.hypot(x, y)])
-
-    def test_where_np_hypot_differs(self):
-        rng = np.random.default_rng(14)
-        x = rng.random(20000) * 10.0 ** rng.uniform(-150, 150, 20000)
-        y = x * 10.0 ** rng.uniform(-3, 3, 20000)
-        want = [math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())]
-        assert same_bits(math_hypot(x, y), want)
-        # the pairs on which the C library's hypot rounds differently
-        assert not same_bits(np.hypot(x, y), want)
-
-    def test_square_is_pow(self):
-        # x ** 2 of a float is the C library's pow, not x * x
-        rng = np.random.default_rng(2)
-        x = rng.random(20000) * 10.0 ** rng.uniform(-150, 150, 20000)
-        want = [v ** 2 for v in x.tolist()]
-        assert same_bits(_sq(x), want)
-        assert not same_bits(x * x, want)
-
-
-class TestNoVectorizedTranscendentals:
-    """numpy's vectorized transcendentals round differently from the C
-    library's (np.arctan2 from math.atan2, np.log from math.log, and
-    np.power from pow on an AVX-512 host), so the package calls none of
-    them: the geometry pass runs cmath.phase, math.log, cmath.acosh and
-    reduce_angle on .tolist() values, and squares by np.float_power."""
-
-    # a call or a reference passed on, not a mention in prose
-    BANNED = re.compile(r"\b(?:np|numpy)\.(arctan2|angle|log|remainder|"
-                        r"arccosh|power|square)\b(?!\s*(?:[a-z]|$))")
-
-    def test_package_calls_none(self):
-        src = pathlib.Path(pleated.__file__).parent
-        hits = [f"{path.name}:{n}: {line.strip()}"
-                for path in sorted(src.glob("*.py"))
-                for n, line in enumerate(path.read_text().splitlines(), 1)
-                if self.BANNED.search(line.split("#")[0])]
-        assert hits == []
-
-    def test_pattern_finds_calls(self):
-        assert self.BANNED.search("a = np.arctan2(y, x)")
-        assert self.BANNED.search("numpy.log(x)")
-        assert self.BANNED.search("f = np.remainder, np.log")
-        assert self.BANNED.search("map(np.angle, zs)")
-        assert not self.BANNED.search("np.float_power(x, 2.0)")
-        assert not self.BANNED.search("np.log1p(x)")
-        assert not self.BANNED.search("calls it, while np.power")
-
-
 def twist_loop():
     """The demo twist_loop.json (scripts/write_demo_inputs.py), through
     its JSON form as the CLI reads it."""
@@ -373,14 +349,47 @@ def chains(path, run):
     oris = enumerate_orientations(path.pd)
     ends = (oris[0], oris[-1])
     images = sample_images(path.reps, path.pd)
-    return ([volume.orientation_start_endpoints(path, o, images)
+    return ([volume.orientation_start_endpoints(o, images)
              for o in ends],
             [seed_start_endpoints(path, o.forward) for o in ends])
 
 
+def term_series(path, run, conv):
+    """The pipeline's terms, {(leaf key, pattern): (angles, lengths)},
+    and its deferred failure."""
+    pd = path.pd
+    starts, _ = chains(path, run)
+    keys, angles, lengths, deferred = volume._term_series(
+        pd, build_lamination(pd), sample_images(path.reps, pd), starts, conv)
+    return dict(zip(keys, zip(angles, lengths))), deferred
+
+
+def assert_accurate(path, run, got, want, conv):
+    """The accuracy gate: per term kind (leaf angle, truncated length,
+    cuff angle, cuff length), the pipeline's worst error against the
+    50-digit oracle is at most twice the scalar pipeline's, want, plus
+    two units in the last place of the largest term of that kind.
+
+    The scalar error is also checked against 1e-8, far above any
+    float64 rounding on these inputs (at most 2.3e-9, the genus-3
+    path's truncated lengths) and far below the size of the terms, so
+    an oracle that computed some other quantity fails rather than
+    loosening the gate."""
+    labels = [run] if run in ("attracting", "repelling") \
+        else ["attracting", "repelling"]
+    oracle = mp_term_series(path.pd, build_lamination(path.pd), path.reps,
+                            labels, conv, list(got))
+    array, seed = term_errors(got, oracle), term_errors(want, oracle)
+    for kind in TERM_KINDS:
+        (error, largest), (seed_error, _) = array[kind], seed[kind]
+        assert seed_error < 1e-8, (kind, seed_error)
+        assert error <= gate_bound(seed_error, largest), \
+            (kind, error, seed_error, largest)
+
+
 class TestTermOracle:
-    """Every (leaf key, pattern) angle and length at every sample equals
-    the scalar pipeline's, bit for bit, in the same order."""
+    """Every (leaf key, pattern) row at every sample, in the scalar
+    pipeline's order, and within the accuracy gate."""
 
     CASES = {
         "bend_path": (lambda: bend_path(standard_decomposition(2)),
@@ -389,6 +398,12 @@ class TestTermOracle:
                                                  steps=16), "vol-gamma"),
         "twist_loop_vol_gamma": (twist_loop, "vol-gamma"),
         "twist_loop_repelling": (twist_loop, "repelling"),
+        # the CLI goldens' pure_bend.json and bent.json
+        "pure_bend_vol_gamma": (lambda: bend_path(standard_decomposition(2),
+                                                  steps=16), "vol-gamma"),
+        "bent_rep_vol_gamma": (lambda: path_from_parameters(
+            standard_decomposition(2), lambda t: (2.0, 1.7, 2.3),
+            lambda t: (0.3 + 0.4j, 0.1, 0.2), steps=1), "vol-gamma"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -396,21 +411,18 @@ class TestTermOracle:
         make, run = self.CASES[case]
         path = make()
         pd = path.pd
-        lam = build_lamination(pd)
         conv = TruncationConvention.uniform(pd, 1.5)
-        starts, seed_starts = chains(path, run)
-        got, got_deferred = volume._term_series(
-            pd, lam, sample_images(path.reps, pd), starts, conv)
-        want, want_deferred = seed_term_series(pd, lam, path.reps,
-                                               seed_starts, conv)
+        got, got_deferred = term_series(path, run, conv)
+        want, want_deferred = seed_term_series(
+            pd, build_lamination(pd), path.reps, chains(path, run)[1], conv)
         assert got_deferred is None and want_deferred is None
         assert list(got) == list(want)
         chains_seen = {max(pattern, default=0) for _, pattern in got}
-        assert chains_seen == ({0} if len(starts) == 1 else {0, 1})
-        for key, (angles, lengths) in got.items():
-            assert len(angles) == len(path)
-            assert same_bits(angles, want[key][0]), key
-            assert same_bits(lengths, want[key][1]), key
+        assert chains_seen == ({0} if run in ("attracting", "repelling")
+                               else {0, 1})
+        for angles, lengths in got.values():
+            assert len(angles) == len(lengths) == len(path)
+        assert_accurate(path, run, got, want, conv)
 
 
 def flipped(path, cuffs):
@@ -428,8 +440,8 @@ def flipped(path, cuffs):
 class TestCarriedCuffEnds:
     """cuff_bending carries a cuff's endpoints by the conjugator of its
     positive end before taking the cuff's frame; with a1 and a3 flipped
-    it does so for two of the six cuffs, and every term still equals
-    the scalar pipeline's, bit for bit."""
+    it does so for two of the six cuffs, and every term is still within
+    the accuracy gate."""
 
     @pytest.mark.parametrize("run", ["repelling", "vol-gamma"])
     def test_every_term(self, run):
@@ -440,18 +452,13 @@ class TestCarriedCuffEnds:
                 for (p, k), _ in map(pd.signed_ends_of,
                                      (c.id for c in pd.cuffs))] \
             == [True, False, True, False, False, False]
-        lam = build_lamination(pd)
         conv = TruncationConvention.uniform(pd, 1.5)
-        starts, seed_starts = chains(path, run)
-        got, got_deferred = volume._term_series(
-            pd, lam, sample_images(path.reps, pd), starts, conv)
-        want, want_deferred = seed_term_series(pd, lam, path.reps,
-                                               seed_starts, conv)
+        got, got_deferred = term_series(path, run, conv)
+        want, want_deferred = seed_term_series(
+            pd, build_lamination(pd), path.reps, chains(path, run)[1], conv)
         assert got_deferred is None and want_deferred is None
         assert list(got) == list(want)
-        for key, (angles, lengths) in got.items():
-            assert same_bits(angles, want[key][0]), key
-            assert same_bits(lengths, want[key][1]), key
+        assert_accurate(path, run, got, want, conv)
 
 
 def conjugated(path, s):
@@ -590,19 +597,15 @@ class TestFailurePrecedence:
         assert got is not None and got[0] is OrientationTrackingFailure
         assert got == seed_outcome("vol-gamma", path)
         pd = path.pd
-        lam = build_lamination(pd)
-        starts, seed_starts = chains(path, "vol-gamma")
-        series, deferred = volume._term_series(
-            pd, lam, sample_images(path.reps, pd), starts, conv)
-        want, want_deferred = seed_term_series(pd, lam, path.reps,
-                                               seed_starts, conv)
+        series, deferred = term_series(path, "vol-gamma", conv)
+        want, want_deferred = seed_term_series(
+            pd, build_lamination(pd), path.reps,
+            chains(path, "vol-gamma")[1], conv)
         assert (type(deferred), str(deferred)) == \
             (type(want_deferred), str(want_deferred))
         assert list(series) == list(want)
         assert not any(any(pattern) for _, pattern in series)
-        for key, (angles, lengths) in series.items():
-            assert same_bits(angles, want[key][0])
-            assert same_bits(lengths, want[key][1])
+        assert_accurate(path, "vol-gamma", series, want, conv)
 
 
 def _load_workloads():
@@ -615,10 +618,12 @@ def _load_workloads():
 
 class TestReferenceDrift:
     """vol_gamma on the benchmark's genus-3 input against the recorded
-    references, within the benchmark's 1e-10: a kernel that reorders
-    complex rounding (numpy complex division) drifts by about 4e-8."""
+    references, within the benchmark's 1e-10.  The references pin the
+    rounding of CPython's complex quotient, which the kernel keeps:
+    numpy's complex division in its place moves seeds 125 and 25 by
+    4.7e-10 and 3.5e-10, and seeds 0, 37 and 127 by at most 1.4e-12."""
 
-    @pytest.mark.parametrize("seed", [0, 37, 127])
+    @pytest.mark.parametrize("seed", [0, 25, 37, 125, 127])
     def test_vol_gamma_g3_seed(self, seed):
         workloads = _load_workloads()
         with open(workloads.REFERENCE_FILE) as fh:

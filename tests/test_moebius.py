@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,8 @@ from pleatbend.errors import (DegenerateConfiguration, DegenerateLength,
 from pleatbend.moebius import (EPS_CLASS, RESCALE_LIMIT, IsometryClass,
                                MoebiusMap, ProjectivePoint, chordal, classify,
                                complex_length, cross_ratio, fixed_points,
-                               normalizing_map, reduce_angle, trace_squared)
+                               normalizing_map, reduce_angle,
+                               reduce_angle_array, trace_squared)
 
 from _seed_kernel import (SeedMoebiusMap, SeedProjectivePoint, build_both,
                           entries_of, raw_entries, run_both, steep,
@@ -269,6 +271,21 @@ class TestReduceAngle:
     def test_boundary(self):
         assert reduce_angle(math.pi) == pytest.approx(math.pi)
         assert reduce_angle(-math.pi) == pytest.approx(math.pi)
+
+    @given(st.lists(st.one_of(st.floats(allow_infinity=False),
+                              st.integers(-10 ** 6, 10 ** 6).map(
+                                  lambda k: k * 2 * math.pi),
+                              st.floats(-20.0, 20.0)),
+                    min_size=1, max_size=20))
+    @example([math.pi, -math.pi, 0.0, -0.0, 2 * math.pi, -2 * math.pi,
+              3 * math.pi, -3 * math.pi, 1e300, -1e300, math.nan,
+              math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0),
+              math.nextafter(math.pi, 4.0), 5e-324])
+    def test_array_is_scalar(self, xs):
+        # bit for bit, so -0.0 must stay -0.0 and NaN stay NaN
+        got = reduce_angle_array(np.array(xs))
+        want = np.array([reduce_angle(x) for x in xs])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestNormalizingMap:

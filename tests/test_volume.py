@@ -43,9 +43,11 @@ from pleatbend import pleated, representation, topology
 from pleatbend.moebius import MoebiusArray
 from pleatbend.pleated import sample_images
 from pleatbend.volume import (_node_derivatives, _per_step_integrals,
-                              _zetas, orientation_start_endpoints)
+                              _unwrap_angles, _zetas,
+                              orientation_start_endpoints)
 
-from _seed_kernel import loop_node_derivatives, polyfit_per_step_integrals
+from _seed_kernel import (loop_node_derivatives, polyfit_per_step_integrals,
+                          seed_unwrap_angles)
 
 REGULAR_TETRA_VOLUME = 1.0149416064096535
 
@@ -108,7 +110,7 @@ def brute_force(path, conv, steps=None):
     out = []
     start = sample_images([path.reps[0]], path.pd)
     for ori in enumerate_orientations(path.pd):
-        zeta = orientation_start_endpoints(path, ori, start)
+        zeta = orientation_start_endpoints(ori, start)
         out.append(integrate_volume_change(path, zeta, conv, steps=steps))
     return out
 
@@ -482,6 +484,28 @@ class TestQuadrature:
                 assert row.tolist() == loop_node_derivatives(ts, y).tolist()
             assert _node_derivatives(ts, ys[0]).tolist() == got[0].tolist()
 
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 60),
+           st.integers(1, 12), st.sampled_from([0.05, 0.5, 1.5, 2.5]),
+           st.floats(-1e3, 1e3))
+    @settings(max_examples=200, deadline=None)
+    def test_unwrap_equals_loop(self, seed, n, rows, step, start):
+        # angle rows as the pipeline reads them, reduced into (-pi, pi]
+        # from a random walk; the larger steps wrap, and some rows fail
+        walk = start + np.cumsum(
+            np.random.default_rng(seed).normal(0.0, step, (rows, n)), axis=1)
+        values = np.array([[reduce_angle(x) for x in row]
+                           for row in walk.tolist()])
+        thetas, failures = _unwrap_angles(values)
+        for row, theta, failure in zip(values, thetas, failures):
+            try:
+                want = seed_unwrap_angles(row)
+            except AngleUnwrapFailure as exc:
+                assert str(failure) == str(exc)
+                assert np.isnan(theta).all()
+            else:
+                assert failure is None
+                assert theta.tolist() == want.tolist()
+
 
 class TestVolGamma:
     def test_orientation_count(self, pd):
@@ -729,7 +753,8 @@ class TestSampleWork:
                 return f(*args, **kwargs)
             return wrapper
 
-        for name in ("_selection", "_cuff_lengths", "_libm", "chordal_array",
+        for name in ("_selection", "_cuff_lengths", "reduce_angle_array",
+                     "chordal_array",
                      "cross_ratio_array"):
             monkeypatch.setattr(pleated, name,
                                 counting(name, getattr(pleated, name)))
