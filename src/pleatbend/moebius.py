@@ -325,15 +325,11 @@ class MoebiusArray:
             self.ok)
 
     def trace_squared(self) -> tuple[np.ndarray, np.ndarray]:
-        """Real and imaginary parts of trace_squared at every sample.
-
-        (a + d) ** 2 is CPython's power by squaring: 1 * (t * t).
-        """
+        """Real and imaginary parts of trace_squared at every sample."""
         with np.errstate(all="ignore"):
             tr = self.re[0, 0] + self.re[1, 1]
             ti = self.im[0, 0] + self.im[1, 1]
-            pr, pi = _mul(tr, ti, tr, ti)
-            return 1.0 * pr - 0.0 * pi, 1.0 * pi + 0.0 * pr
+            return _mul(tr, ti, tr, ti)
 
     def entries(self) -> np.ndarray:
         """The entries as complex, shape (n, 4): a, b, c, d per sample."""
@@ -626,10 +622,14 @@ class IsometryClass:
 def trace_squared(m: MoebiusMap) -> complex:
     """Squared trace (a + d)^2, well defined on PSL(2, C).
 
+    The product t * t, which is inf past the float range where the
+    power t ** 2 would raise OverflowError.
+
     >>> trace_squared(MoebiusMap(2, 0, 0, 0.5))
     (6.25+0j)
     """
-    return m.trace ** 2
+    t = m.trace
+    return t * t
 
 
 KINDS = (IsometryClass.IDENTITY, IsometryClass.PARABOLIC,

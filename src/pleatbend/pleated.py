@@ -78,8 +78,7 @@ class SampleImages:
     conjugators and the crossing words of cuff_bending), index takes
     each to its place there, and stack holds their images, (2, 2,
     words, n), whose entries agree with evaluate_word's to within 8 eps
-    per product (see MoebiusArray); maps takes a word to its own
-    MoebiusArray, a view of stack.
+    per product (see MoebiusArray).
     traces holds the tr^2 of the slot commutators that check_adapted
     reads, (n, len(rows), 3) for the distinct slot rows in rows and the
     pairs (0, 1), (1, 2), (2, 0).  ok, (words + rows, n), is False where
@@ -93,8 +92,7 @@ class SampleImages:
     """
 
     __slots__ = ("reps", "pd", "eps_class", "words", "index", "stack",
-                 "maps", "rows", "traces", "ok", "cuff_maps", "kinds",
-                 "cuff_points")
+                 "rows", "traces", "ok", "cuff_maps", "kinds", "cuff_points")
 
     def __init__(self, reps: list, pd: PantsDecomposition, eps_class: float,
                  words: list, stack: MoebiusArray, rows: list,
@@ -105,7 +103,6 @@ class SampleImages:
         self.words = words
         self.index = {w: i for i, w in enumerate(words)}
         self.stack = stack
-        self.maps = {w: stack.take(i) for i, w in enumerate(words)}
         self.rows = rows
         self.traces = traces
         self.ok = ok
@@ -137,10 +134,6 @@ class SampleImages:
                 f"slot commutators of {self.rows[i - len(self.words)]}")
         return SampleEvaluationFailure(
             f"sample {k}: {what} is singular, overflows or is not finite")
-
-    def kind(self, word: str) -> np.ndarray:
-        """MoebiusArray.classify of the images of a cuff word."""
-        return self.kinds[[c.word for c in self.pd.cuffs].index(word)]
 
 
 def sample_images(reps, pd: PantsDecomposition,
@@ -654,34 +647,28 @@ def _carry(images: SampleImages, words: np.ndarray, points: PointArray,
     return mask
 
 
-def _row(pattern: tuple, places: list, chains: int) -> int:
-    """The place, in itertools.product order, of pattern's chains at
-    places among the patterns of chains on as many cuffs."""
-    row = 0
-    for q in places:
-        row = row * chains + pattern[q]
-    return row
-
-
 class _Geometry:
     """Plaques and Schlafli terms of a pass's samples under endpoint
     chains, on arrays stacked over every pants and every cuff leaf.
 
     zeta holds the (chosen, other) points of every cuff under every
-    chain, each (chains, cuffs, n).  A pattern takes one chain for every
-    cuff of a support (sorted cuff indices); the patterns of a support
-    run in itertools.product order, so row 0 takes chain 0 everywhere.
-    The arrays of the plaques stack the patterns of all pants, pants p
-    at the rows pants_rows[p], one per pattern of chains on its cuffs;
-    those of the cuff terms stack the patterns of every cuff leaf's
-    support the same way, cuff j at cuff_rows[j].  slots holds, per slot
-    and plaque row, (3, rows), the slot's cuff, that cuff's chain, the
-    conjugator's place in images.words and whether it is not empty, and
-    holonomy the places of the slot words each row's leaf i reads, of
-    slot i + 1.  place() sets vertices, the three vertices of every row,
-    (3, rows, n), and xi, its view per pants.  Each stage returns, or
-    records, its guards as checks over its rows, in the order of the
-    scalar step it repeats.
+    chain, each (chains, cuffs, n).  One rule numbers every row: the
+    rows of a support (sorted cuff indices) form one block, and a chain
+    vector, one chain per cuff, reads the row of its block that its
+    chains on the support spell as a number in base chains, so a block
+    runs through the patterns of the support in itertools.product
+    order and its row 0 takes chain 0 everywhere.  The plaques stack
+    the blocks of all pants, pants p at the rows pants_rows[p]; the cuff
+    terms stack those of every cuff leaf's support, cuff j at
+    cuff_rows[j].  slots holds, per slot and plaque row, (3, rows), the
+    slot's cuff, that cuff's chain, the conjugator's place in
+    images.words and whether it is not empty, and holonomy the places
+    of the slot words each row's leaf i reads, of slot i + 1.
+    cuff_terms holds, per cuff term row, the cuff, its chain and the
+    plaque rows of its positive and its negative side.  place() sets
+    vertices, the three vertices of every row, (3, rows, n), and xi,
+    its view per pants.  Each stage returns, or records, its guards as
+    checks over its rows, in the order of the scalar step it repeats.
     """
 
     def __init__(self, images: SampleImages, selections: list,
@@ -694,21 +681,24 @@ class _Geometry:
         self.index = {c.id: j for j, c in enumerate(pd.cuffs)}
         self.zeta = tuple(stack_points([sel[s] for sel in selections])
                           for s in (0, 1))
-        self.supports = {leaf.key: leaf.support for leaf in lam.leaves}
-        self.pants_rows = self._spans(lam.pants_cuffs)
-        self.cuff_rows = self._spans([self.supports[c.id] for c in pd.cuffs])
-        chains = []
-        for p, cuffs in enumerate(lam.pants_cuffs):
-            places = [cuffs.index(self.index[end.cuff])
-                      for end in pd.pants[p].cuff_ends]
-            chains += [[pattern[q] for q in places]
-                       for pattern in itertools.product(
-                           range(self.chains), repeat=len(cuffs))]
+        supports = {leaf.key: leaf.support for leaf in lam.leaves}
+        self.pants_rows, plaque_rule = self._number(lam.pants_cuffs)
+        self.cuff_rows, cuff_rule = self._number([supports[c.id]
+                                                  for c in pd.cuffs])
+        self._numbering = (plaque_rule, cuff_rule)
+        # every chain vector, written at the rows it reads: each row
+        # gets the chains of its support's cuffs
+        vectors = np.array(list(itertools.product(range(self.chains),
+                                                  repeat=len(pd.cuffs))),
+                           dtype=np.intp).reshape(-1, len(pd.cuffs))
+        plaque, cuff_term = self._rows(vectors)
         ends = [pants.cuff_ends for pants in pd.pants]
+        slot_cuffs = [[self.index[e.cuff] for e in row] for row in ends]
+        chain = np.empty((3, self.pants_rows[-1].stop), dtype=np.intp)
+        chain[:, plaque] = np.moveaxis(vectors[:, slot_cuffs], -1, 0)
         self.slots = (
-            self._per_pants([[self.index[e.cuff] for e in row]
-                             for row in ends]),
-            np.array(chains, dtype=np.intp).T,
+            self._per_pants(slot_cuffs),
+            chain,
             self._per_pants([[images.index[e.conjugator] for e in row]
                              for row in ends]),
             self._per_pants([[bool(e.conjugator) for e in row]
@@ -716,29 +706,51 @@ class _Geometry:
         self.holonomy = self._per_pants(
             [[images.index[row[(i + 1) % 3]] for i in range(3)]
              for row in pd.slot_words])
+        sides = np.array([[p for p, _ in pd.signed_ends_of(c.id)]
+                          for c in pd.cuffs], dtype=np.intp)
+        self.cuff_terms = np.empty((4, self.cuff_rows[-1].stop),
+                                   dtype=np.intp)
+        self.cuff_terms[:, cuff_term] = np.stack([
+            np.broadcast_to(np.arange(len(pd.cuffs)), vectors.shape),
+            vectors, plaque[:, sides[:, 0]], plaque[:, sides[:, 1]]])
         self.vertices = None
         self.xi = []
         self.angles = {}     # single realizations: key -> angle or failure
-        self._patterns = {}
 
-    def _spans(self, supports) -> list:
-        """Consecutive row slices, one per support, each as long as the
-        support has patterns."""
-        out, start = [], 0
-        for support in supports:
-            out.append(slice(start, start + self.chains ** len(support)))
-            start = out[-1].stop
-        return out
+    def _number(self, supports) -> tuple:
+        """The blocks of supports, consecutive slices of chains ** len
+        rows each, and the rule that numbers their rows: (starts,
+        weights), (supports,) and (cuffs, supports), so that chain
+        vector v reads row starts + v @ weights."""
+        weights = np.zeros((len(self.pd.cuffs), len(supports)),
+                           dtype=np.intp)
+        for s, support in enumerate(supports):
+            for q, j in enumerate(support):
+                weights[j, s] = self.chains ** (len(support) - 1 - q)
+        sizes = [self.chains ** len(support) for support in supports]
+        stops = np.cumsum(sizes).tolist()
+        starts = [stop - size for stop, size in zip(stops, sizes)]
+        return ([slice(a, b) for a, b in zip(starts, stops)],
+                (np.array(starts, dtype=np.intp), weights))
 
-    def patterns(self, support) -> np.ndarray:
-        """Every pattern of chains on support, (patterns, len(support))."""
-        pats = self._patterns.get(len(support))
-        if pats is None:
-            pats = self._patterns[len(support)] = np.array(
-                list(itertools.product(range(self.chains),
-                                       repeat=len(support))),
-                dtype=np.intp).reshape(-1, len(support))
-        return pats
+    def _rows(self, vectors: np.ndarray) -> tuple:
+        """The plaque rows, (m, pants), and the cuff term rows, (m,
+        cuffs), that chain vectors (m, cuffs) read."""
+        return tuple(starts + vectors @ weights
+                     for starts, weights in self._numbering)
+
+    def table(self, orientations) -> np.ndarray:
+        """The row of terms' stacked arrays that every orientation, a
+        chain per cuff, reads for every leaf of the lamination, in its
+        order: (orientations, leaves)."""
+        plaque, cuff = self._rows(np.array(orientations, dtype=np.intp)
+                                  .reshape(len(orientations), -1))
+        plaques, spiral = self.pants_rows[-1].stop, self.cuff_rows[-1].stop
+        return np.stack([cuff[:, self.index[leaf.key]]
+                         if isinstance(leaf.key, str)
+                         else spiral + leaf.key[1] * plaques
+                         + plaque[:, leaf.key[0]]
+                         for leaf in self.lam.leaves], axis=1)
 
     def leaf_index(self, key) -> tuple:
         """Where the rows of spiral leaf (p, i) lie in the (3, rows, n)
@@ -853,21 +865,7 @@ class _Geometry:
         cuff_rows[j], and its checks; crossing takes a cuff id to the
         images to read in place of its winding-0 crossing word."""
         pd, images = self.pd, self.images
-        cuffs, chains, plus, minus = [], [], [], []
-        for j, c in enumerate(pd.cuffs):
-            support = self.supports[c.id]
-            sides = [(self.pants_rows[p].start,
-                      [support.index(i) for i in self.lam.pants_cuffs[p]])
-                     for p, _ in pd.signed_ends_of(c.id)]
-            at = support.index(j)
-            for pattern in itertools.product(range(self.chains),
-                                             repeat=len(support)):
-                cuffs.append(j)
-                chains.append(pattern[at])
-                plus.append(sides[0][0] + _row(pattern, sides[0][1],
-                                               self.chains))
-                minus.append(sides[1][0] + _row(pattern, sides[1][1],
-                                                self.chains))
+        cuffs, chains, plus, minus = self.cuff_terms
         ends = [pd.signed_ends_of(c.id) for c in pd.cuffs]
         kp, km = (np.array([e[s][1] for e in ends])[cuffs] for s in (0, 1))
         v_plus = [pd.pants[pp].cuff_ends[k].conjugator for (pp, k), _ in ends]
@@ -921,44 +919,51 @@ class _Geometry:
             ratio_r, ratio_i = _quot(*dir_b, *dir_a)
         return reduce_angle_array(np.arctan2(ratio_i, ratio_r)), checks
 
-    def terms(self, conv: TruncationConvention, failures: _Failures) -> list:
-        """The Schlafli term of every leaf of the lamination, in its order:
-        (angles, lengths), each (patterns of the leaf's support, n).
-        All cuff leaves are computed at once, and so are all spiral
-        leaves."""
+    def terms(self, conv: TruncationConvention,
+              failures: _Failures) -> tuple:
+        """The Schlafli terms of every leaf of the lamination at every
+        row and sample, stacked: (angles, lengths), each (rows, n), the
+        cuff term rows first, then spiral leaf i of every plaque row, for
+        i = 0, 1, 2.  table() gives the row an orientation reads for a
+        leaf.  All cuff leaves are computed at once, and so are all
+        spiral leaves."""
         cuff_angles, cuff_checks = self.cuff_angles()
         cuff_lengths = _cuff_lengths(self.images).real
         leaf_angles, angle_checks = self.leaf_angles()
         leaf_lengths, length_checks = self.leaf_lengths(conv)
-        cuffs, leaves, out = [], [], []
+        cuffs, leaves = [], []
         for t, leaf in enumerate(self.lam.leaves):
             if isinstance(leaf.key, str):
-                j = self.index[leaf.key]
-                cuffs.append((t, leaf.key, self.cuff_rows[j]))
-                angles = cuff_angles[self.cuff_rows[j]]
-                out.append((angles,
-                            np.broadcast_to(cuff_lengths[j], angles.shape)))
+                cuffs.append((t, leaf.key,
+                              self.cuff_rows[self.index[leaf.key]]))
             else:
-                index = self.leaf_index(leaf.key)
-                leaves.append((t, leaf.key, index))
-                out.append((leaf_angles[index], leaf_lengths[index]))
+                leaves.append((t, leaf.key, self.leaf_index(leaf.key)))
         failures.record(3, cuffs, cuff_checks)
         failures.record(3, leaves, angle_checks + length_checks)
-        return out
+        n = len(self.images)
+        return (np.concatenate([cuff_angles, leaf_angles.reshape(-1, n)]),
+                np.concatenate([cuff_lengths[self.cuff_terms[0]],
+                                leaf_lengths.reshape(-1, n)]))
 
 
 def path_terms(images: SampleImages, starts: list, lam: Lamination,
-               conv: TruncationConvention) -> tuple:
+               conv: TruncationConvention, orientations: list) -> tuple:
     """Every Schlafli term of lam at every sample of a pass, for the
     endpoint chains that start from starts (chain 0 from a label or a
-    selection, chain 1 from a selection).
+    selection, chain 1 from a selection), and the rows that every
+    orientation, a chain per cuff with orientations[0] chain 0 on every
+    cuff, reads.
 
-    Returns (patterns, terms, failures): patterns(support) lists the
-    patterns of chains on a support, terms[t] is (angles, lengths) of
-    leaf t, each (patterns of its support, n), and failures holds every
-    guard the pass met, in the scalar order: the sample's evaluation,
-    the endpoint selection of each chain, the adaptedness check,
-    placement, and the terms.
+    Returns (table, angles, lengths, deferred): angles and lengths are
+    the stacked terms of _Geometry.terms, (rows, n), and table[o, t]
+    is the row that orientation o reads for leaf t.  Every guard of the
+    pass is met in the scalar order: the sample's evaluation, the
+    endpoint selection of each chain, the adaptedness check, placement
+    and the terms.  On every sample the orientation that takes chain 0
+    everywhere is realized first, as integrating it alone would, and
+    its failures raise.  The first failure of any other pattern is
+    returned as deferred instead, and table then holds orientation 0
+    alone: the rows that no orientation reads may hold anything.
     """
     failures = _Failures()
     failures.record(-1, _whole(), [(~images.evaluated(),
@@ -971,7 +976,14 @@ def path_terms(images: SampleImages, starts: list, lam: Lamination,
     geometry = _Geometry(images, [_selection(images, start, failures, phase)
                                   for phase, start in enumerate(starts)], lam)
     geometry.place(failures)
-    return geometry.patterns, geometry.terms(conv, failures), failures
+    angles, lengths = geometry.terms(conv, failures)
+    failure = failures.first(0)
+    if failure is not None:
+        raise failure
+    deferred = failures.first(1)
+    if deferred is not None:
+        orientations = orientations[:1]
+    return geometry.table(orientations), angles, lengths, deferred
 
 
 # ---------------------------------------------------------------------------
@@ -1158,12 +1170,13 @@ def bending_data(real: PleatedRealization,
                  conv: TruncationConvention | None = None) -> BendingData:
     if conv is None:
         conv = TruncationConvention.uniform(real.pd)
+    geometry = real.geometry
     failures = _Failures()
-    terms = real.geometry.terms(conv, failures)
+    angles, lengths = geometry.terms(conv, failures)
     failures.raise_first()
-    values = {leaf.key: (float(angles[0, 0]), float(lengths[0, 0]))
-              for leaf, (angles, lengths)
-              in zip(real.geometry.lam.leaves, terms)}
+    rows = geometry.table([(0,) * len(real.pd.cuffs)])[0].tolist()
+    values = {leaf.key: (float(angles[r, 0]), float(lengths[r, 0]))
+              for leaf, r in zip(geometry.lam.leaves, rows)}
     cuffs = {k: v for k, v in values.items() if isinstance(k, str)}
     leaves = {k: v for k, v in values.items() if not isinstance(k, str)}
     return BendingData(leaf_angles={k: v[0] for k, v in leaves.items()},

@@ -25,7 +25,8 @@ import numpy as np
 from .errors import (InvalidDecomposition, NonHyperbolicParameters,
                      PleatbendError, ReducibleRepresentation, SingularMatrix,
                      UnknownLetter)
-from .moebius import EPS_CLASS, MoebiusMap, chordal, fixed_points
+from .moebius import (EPS_CLASS, MoebiusMap, chordal, fixed_points,
+                      trace_squared)
 from .topology import BoundaryInclusion, PantsDecomposition, _tokens
 
 EPS_RANK = 1e-8        # singular values counted, relative to the largest
@@ -97,8 +98,14 @@ class CharacterFingerprint:
 
 
 def fingerprint(rep: Representation, words) -> CharacterFingerprint:
+    """The squared traces of words at rep.  A word whose tr^2 is not
+    finite raises SingularMatrix: no distance could be taken from it."""
     words = tuple(words)
-    vals = tuple(evaluate_word(rep, w).trace ** 2 for w in words)
+    vals = tuple(trace_squared(evaluate_word(rep, w)) for w in words)
+    for w, t2 in zip(words, vals):
+        if not cmath.isfinite(t2):
+            raise SingularMatrix(
+                f"squared trace {t2} of word {w!r} is not finite")
     return CharacterFingerprint(words=words, values=vals)
 
 
@@ -421,10 +428,11 @@ def fenchel_nielsen_rep(pd: PantsDecomposition, lengths,
     for cuff in pd.cuffs:
         m = evaluate_word(rep, cuff.word)
         want = 4 * _half_trace(lam[cuff.id]) ** 2
-        if abs(m.trace ** 2 - want) > 1e-6 * (1 + abs(want)):
+        t2 = trace_squared(m)
+        if abs(t2 - want) > 1e-6 * (1 + abs(want)):
             raise PleatbendError(
                 f"gluing postcondition failed: cuff {cuff.id!r} trace "
-                f"{m.trace ** 2:.6g} vs requested {want:.6g}")
+                f"{t2:.6g} vs requested {want:.6g}")
     return rep
 
 

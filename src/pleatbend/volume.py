@@ -29,8 +29,8 @@ from .pleated import (SampleImages, TruncationConvention, _selected,
                       path_terms, sample_images, start_endpoints)
 from .representation import (RepresentationPath, fingerprint,
                              standard_word_list)
-from .topology import (Lamination, OrientationAssignment, PantsDecomposition,
-                       build_lamination, enumerate_orientations)
+from .topology import (OrientationAssignment, build_lamination,
+                       enumerate_orientations)
 
 EPS_LOOP = 1e-8   # fingerprint distance below which a path counts as closed
 
@@ -112,8 +112,10 @@ def ideal_tetra_volume(z: complex, eps: float = 1e-12) -> float:
 # point of every cuff at the path start.  An orientation takes one chain
 # per cuff.  Each Schlafli term, one per leaf of build_lamination, reads
 # the endpoints of only a few cuffs, its support, so the pipeline
-# evaluates every term once per pattern of chains on its support, and
-# each orientation's integrand is assembled from those values.
+# evaluates every term once per pattern of chains on its support.
+# pleated.path_terms stacks those values as rows of one array and hands
+# over a table of the row that every orientation reads for every leaf;
+# each orientation's integrand is summed from its rows, leaf by leaf.
 #
 # One sample_images pass per call evaluates the word images and slot
 # commutators of all samples; one geometry pass over its arrays then
@@ -123,9 +125,9 @@ def ideal_tetra_volume(z: complex, eps: float = 1e-12) -> float:
 # cross-ratio, frames, horoball witnesses, logarithms and arguments.
 # One part stays scalar: the tracking step, which picks one of two
 # precomputed distances from the previous sample's choice.  The angles
-# of all (term, pattern) rows are then unwrapped together, one step of
-# the recurrence per sample, and differentiated and integrated as
-# arrays.
+# of all the rows that some orientation reads are then unwrapped
+# together, one step of the recurrence per sample, and differentiated
+# and integrated as arrays.
 
 
 def _surface(path: RepresentationPath):
@@ -148,47 +150,6 @@ def _sample_indices(path: RepresentationPath, steps: int | None) -> list[int]:
     return indices
 
 
-def _term_series(pd: PantsDecomposition, lam: Lamination,
-                 images: SampleImages, starts,
-                 conv: TruncationConvention) -> tuple:
-    """Angle and length of every leaf of lam at every sample, per chain
-    pattern.
-
-    images is the sample_images pass of the samples; it fixes the
-    classification tolerance of every check.  starts holds the start
-    selection of each chain as a dict, tracked to the first sample (the
-    start selections may have been read from it); chain 0 may instead
-    start from a label, resolved at the first sample.  Each sample is
-    checked for adaptedness once, and every pants is placed (with the
-    plaque check) once for every pattern of chains on its cuffs.
-    Returns (keys, angles, lengths, deferred): keys lists the (leaf key,
-    pattern) of every row, where pattern gives the chain of each cuff in
-    the leaf's support, and angles and lengths are (rows, n).
-
-    Failures are those of realizing sample by sample: on every sample
-    the orientation that takes chain 0 everywhere is realized first, as
-    integrating it alone would, and its failures raise.  The first
-    failure of any other pattern is returned as deferred instead, and
-    from then on only chain 0 is carried.
-    """
-    patterns, terms, failures = path_terms(images, starts, lam, conv)
-    failure = failures.first(0)
-    if failure is not None:
-        raise failure
-    deferred = failures.first(1)
-    # chain 0's patterns (row 0) in leaf order, then, unless chain 1 was
-    # dropped, the others: the order realizing sample by sample gave
-    keys, angles, lengths = [], [], []
-    for part in (slice(0, 1),) if deferred is not None \
-            else (slice(0, 1), slice(1, None)):
-        for leaf, (leaf_angles, leaf_lengths) in zip(lam.leaves, terms):
-            keys += [(leaf.key, tuple(pattern)) for pattern
-                     in patterns(leaf.support)[part].tolist()]
-            angles.append(leaf_angles[part])
-            lengths.append(leaf_lengths[part])
-    return keys, np.concatenate(angles), np.concatenate(lengths), deferred
-
-
 def angle_series(path: RepresentationPath, zeta: str | dict,
                  conv: TruncationConvention,
                  eps_class: float = EPS_CLASS) -> dict:
@@ -200,10 +161,11 @@ def angle_series(path: RepresentationPath, zeta: str | dict,
     check.
     """
     pd = _surface(path)
-    keys, angles, _, _ = _term_series(pd, build_lamination(pd),
-                                      sample_images(path.reps, pd, eps_class),
-                                      [zeta], conv)
-    return {key: row.tolist() for (key, _), row in zip(keys, angles)}
+    lam = build_lamination(pd)
+    table, angles, _, _ = path_terms(sample_images(path.reps, pd, eps_class),
+                                     [zeta], lam, conv, [(0,) * len(pd.cuffs)])
+    return {leaf.key: angles[r].tolist()
+            for leaf, r in zip(lam.leaves, table[0].tolist())}
 
 
 def schlafli_derivative(path: RepresentationPath, t: float,
@@ -229,10 +191,10 @@ def schlafli_derivative(path: RepresentationPath, t: float,
         if failure is not None:
             raise failure
     zeta = _selected(images.at(1), zeta)
-    lam = build_lamination(pd)
-    keys, angles, lengths, _ = _term_series(pd, lam, images, [zeta], conv)
+    table, angles, lengths, _ = path_terms(images, [zeta],
+                                           build_lamination(pd), conv,
+                                           [(0,) * len(pd.cuffs)])
     ts = np.array([path.ts[i] for i in indices])
-    table = _orientation_table(lam, keys, [(0,) * len(pd.cuffs)])
     velocities, failures = _velocities(ts, angles, lengths)
     _raise_first_failure(table, failures)
     return float(_integrand(table, velocities)[0, 1])
@@ -346,35 +308,11 @@ def _per_step_integrals(ts: np.ndarray, fs: np.ndarray) -> np.ndarray:
 
 def _velocities(ts: np.ndarray, angles: np.ndarray,
                 lengths: np.ndarray) -> tuple[np.ndarray, list]:
-    """length · d(angle)/dt of every (term, pattern) row of angles and
-    lengths, and the unwrap failure of each row or None.  A row that
-    failed to unwrap is NaN."""
+    """length · d(angle)/dt of every row of angles and lengths, and the
+    unwrap failure of each row or None.  A row that failed to unwrap is
+    NaN."""
     thetas, failures = _unwrap_angles(angles)
     return lengths * _node_derivatives(ts, thetas), failures
-
-
-def _orientation_table(lam: Lamination, keys: list,
-                       orientations) -> np.ndarray:
-    """Row read by every (orientation, leaf), leaves in order, of the
-    series whose (leaf key, pattern) rows keys lists.
-
-    An orientation takes chain 0 or 1 on every cuff, and keys lists
-    each leaf's patterns in itertools.product order (as _term_series
-    does), so the pattern an orientation takes on a leaf's support is
-    the binary number its chain bits spell there."""
-    bits = np.array(orientations, dtype=np.intp).reshape(
-        len(orientations), -1)
-    rows = {leaf.key: [] for leaf in lam.leaves}
-    for r, (key, _) in enumerate(keys):
-        rows[key].append(r)
-    lookup = np.zeros((len(lam.leaves), max(map(len, rows.values()))),
-                      dtype=np.intp)
-    weights = np.zeros((bits.shape[1], len(lam.leaves)), dtype=np.intp)
-    for t, leaf in enumerate(lam.leaves):
-        lookup[t, :len(rows[leaf.key])] = rows[leaf.key]
-        for q, j in enumerate(leaf.support):
-            weights[j, t] = 2 ** (len(leaf.support) - 1 - q)
-    return lookup[np.arange(len(lam.leaves)), bits @ weights]
 
 
 def _integrand(table: np.ndarray, velocities: np.ndarray) -> np.ndarray:
@@ -407,17 +345,18 @@ def _integrate(path: RepresentationPath, indices,
     Richardson comparison against the half-resolution subsample (NaN
     when the interval count is odd or the subsample fails to unwrap).
     images is the sample pass at path.reps[indices], passed on to
-    _term_series; orientations[0] takes chain 0 on every cuff.
+    path_terms with starts; orientations[0] takes chain 0 on every cuff.
     """
-    pd = _surface(path)
-    lam = build_lamination(pd)
-    keys, angles, lengths, deferred = _term_series(pd, lam, images, starts,
-                                                   conv)
-    if deferred is not None:
-        # orientation by orientation, the first is integrated, or
-        # raises its own failure, before the deferred one is met
-        orientations = orientations[:1]
-    table = _orientation_table(lam, keys, orientations)
+    table, angles, lengths, deferred = path_terms(
+        images, starts, build_lamination(_surface(path)), conv,
+        orientations)
+    # only the rows some orientation reads, numbered anew: after a
+    # deferred failure the others may hold inf or NaN.  Orientation by
+    # orientation, the first is integrated, or raises its own failure,
+    # before the deferred one is met.
+    rows, inverse = np.unique(table, return_inverse=True)
+    table = inverse.reshape(table.shape)
+    angles, lengths = angles[rows], lengths[rows]
     ts = np.array([path.ts[i] for i in indices])
     fine, failures = _velocities(ts, angles, lengths)
     _raise_first_failure(table, failures)
@@ -501,12 +440,14 @@ class VolGammaResult:
 
     @property
     def error_estimate(self) -> float:
-        """Sum of the orientations' error estimates, NaN ones left out."""
+        """Sum of the orientations' error estimates, NaN ones left out;
+        NaN when no orientation has one."""
+        estimates = [r.error_estimate for r in self.results
+                     if not math.isnan(r.error_estimate)]
         err = 0.0
-        for r in self.results:
-            if not math.isnan(r.error_estimate):
-                err += r.error_estimate
-        return err
+        for e in estimates:
+            err += e
+        return err if estimates else math.nan
 
 
 def vol_gamma(path: RepresentationPath, conv: TruncationConvention,

@@ -171,16 +171,16 @@ class TestVolumePath:
                                            fmt):
         # one endpoint chain over the samples, and no loop check
         calls = []
-        term_series = volume._term_series
+        path_terms = volume.path_terms
 
         def counting(*args, **kwargs):
-            calls.append(args[3])
-            return term_series(*args, **kwargs)
+            calls.append(args[1])
+            return path_terms(*args, **kwargs)
 
         def no_loop(*args, **kwargs):
             raise AssertionError("volume-path ran the loop check")
 
-        monkeypatch.setattr(volume, "_term_series", counting)
+        monkeypatch.setattr(volume, "path_terms", counting)
         monkeypatch.setattr(cli, "loop_defect", no_loop)
         argv = ("volume-path", "--input", str(demo / "twist_loop.json"),
                 "--pd", str(demo / "surface.json"), "--format", fmt)
@@ -508,6 +508,19 @@ class TestFailureModes:
         assert code == 2
         assert "SingularMatrix" in err
         assert "'x'" in err
+
+    def test_overflowing_trace_is_singular(self, tmp_path, capsys):
+        # x is unimodular, but its trace 1e160 squares past the float
+        # range, which no isometry type fits
+        big = tmp_path / "big_trace.json"
+        big.write_text(json.dumps({"matrices": {
+            "x": [[1e160, 0], [0, 0], [0, 0], [1e-160, 0]]}}))
+        code, out, err = run(capsys, "classify", "--input", str(big),
+                             "--words", "x")
+        assert code == 2
+        assert out == ""
+        assert "SingularMatrix" in err
+        assert "not finite" in err
 
     def test_nan_generator_is_singular(self, tmp_path, capsys):
         # a NaN entry leaves tr^2 NaN, which no isometry type fits

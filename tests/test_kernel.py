@@ -22,6 +22,7 @@ import importlib.util
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -141,7 +142,7 @@ class TestMoebiusArrayOracle:
                                               maps_of(right))]
             comm = comm @ right
             assert_close(comm, want)
-        # tr^2 is CPython's power of the same entries, bit for bit
+        # tr^2 is the scalar t * t of the same entries, bit for bit
         tr, ti = comm.trace_squared()
         for k, w in enumerate(maps_of(comm)):
             t2 = scalar(lambda: trace_squared(w)) if w is not None else None
@@ -215,10 +216,11 @@ class TestSampleImagesOracle:
         words = pipeline_words(pd)
         images = sample_images(path.reps, pd)
         assert len(images) == len(path)
-        assert set(images.maps) == words
+        assert set(images.words) == words
         assert images.evaluated().all()
         for k, rep in enumerate(path.reps):
-            for word, m in images.maps.items():
+            for word in images.words:
+                m = images.stack.take(images.index[word])
                 got = MoebiusMap._raw(*m.entries()[k].tolist())
                 assert entries_of(got) == entries_of(evaluate_word(rep, word))
             assert set(images.rows) == set(pd.slot_words)
@@ -238,9 +240,9 @@ class TestSampleImagesOracle:
                                          last.images[::-1], last.relators)]
         want, got = sample_images(reps, path.pd), \
             sample_images(mixed, path.pd)
-        assert set(got.maps) == set(want.maps)
-        for word, m in want.maps.items():
-            assert got.maps[word].entries().tolist() == m.entries().tolist()
+        assert got.words == want.words
+        assert got.stack.re.tolist() == want.stack.re.tolist()
+        assert got.stack.im.tolist() == want.stack.im.tolist()
         assert got.traces.tolist() == want.traces.tolist()
         lacking = reps + [
             Representation(("x", "y"), (MoebiusMap(2, 0, 0, 0.5),) * 2)]
@@ -356,12 +358,26 @@ def chains(path, run):
 
 def term_series(path, run, conv):
     """The pipeline's terms, {(leaf key, pattern): (angles, lengths)},
-    and its deferred failure."""
+    and its deferred failure, read through path_terms' table in the
+    scalar pipeline's order: orientation 0 (chain 0 everywhere) leaf by
+    leaf, then every other pattern of each leaf's support, leaf by leaf.
+    pattern gives the chain of each cuff of the support."""
     pd = path.pd
+    lam = build_lamination(pd)
     starts, _ = chains(path, run)
-    keys, angles, lengths, deferred = volume._term_series(
-        pd, build_lamination(pd), sample_images(path.reps, pd), starts, conv)
-    return dict(zip(keys, zip(angles, lengths))), deferred
+    orientations = ([tuple(0 if bit else 1 for bit in ori.forward)
+                     for ori in enumerate_orientations(pd)]
+                    if len(starts) == 2 else [(0,) * len(pd.cuffs)])
+    table, angles, lengths, deferred = pleated.path_terms(
+        sample_images(path.reps, pd), starts, lam, conv, orientations)
+    series = {}
+    for part in ([0], range(1, len(table))):
+        for t, leaf in enumerate(lam.leaves):
+            for o in part:
+                pattern = tuple(orientations[o][j] for j in leaf.support)
+                series.setdefault((leaf.key, pattern),
+                                  (angles[table[o, t]], lengths[table[o, t]]))
+    return series, deferred
 
 
 def assert_accurate(path, run, got, want, conv):
@@ -606,6 +622,26 @@ class TestFailurePrecedence:
         assert list(series) == list(want)
         assert not any(any(pattern) for _, pattern in series)
         assert_accurate(path, "vol-gamma", series, want, conv)
+
+    def test_unread_rows_stay_out_of_the_integral(self, monkeypatch):
+        # once chain 1's failure is deferred no orientation reads its
+        # rows; made inf, they must not reach the unwrap or the
+        # derivative, where inf - inf would warn
+        path = twisting_w1()
+        path_terms = volume.path_terms
+
+        def poisoned(*args):
+            table, angles, lengths, deferred = path_terms(*args)
+            unread = np.setdiff1d(np.arange(len(angles)), table)
+            assert len(unread)
+            angles[unread] = lengths[unread] = np.inf
+            return table, angles, lengths, deferred
+
+        monkeypatch.setattr(volume, "path_terms", poisoned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OrientationTrackingFailure):
+                vol_gamma(path, TruncationConvention.uniform(path.pd))
 
 
 def _load_workloads():

@@ -204,7 +204,7 @@ class TestEndpointTracking:
         rep = fuchsian(pd)
         zeta = resolve_endpoints(rep, pd, "attracting")
         images = sample_images([rep], pd, eps_class=3)
-        assert KINDS[images.kind(pd.cuff("a1").word)[0]] == \
+        assert KINDS[images.kinds[pd.cuff_index("a1"), 0]] == \
             IsometryClass.IDENTITY
         with pytest.raises(NotAdapted, match="cuff 'a1' is identity"):
             resolve_endpoints(images, pd, "attracting")

@@ -237,6 +237,15 @@ class TestFingerprint:
         with pytest.raises(PleatbendError):
             fingerprint(rep, ("x",)).distance(fingerprint(rep, ("y",)))
 
+    def test_overflowing_trace_is_singular(self):
+        # x is unimodular, but its trace 1e160 squares past the float
+        # range: an inf tr^2 would make every distance NaN
+        rep = Representation(generators=("x", "y"),
+                             images=(MoebiusMap(1e160, 0, 0, 1e-160),
+                                     f2_rep().images[1]))
+        with pytest.raises(SingularMatrix, match="word 'x' is not finite"):
+            fingerprint(rep, ("y", "x"))
+
     def test_distance_scales_large_values(self):
         a = CharacterFingerprint(words=("w",), values=(1e6 + 0j,))
         b = CharacterFingerprint(words=("w",), values=(1e6 + 1e-3 + 0j,))

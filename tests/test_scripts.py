@@ -49,3 +49,20 @@ def test_loop_defect_demo_reports_every_family():
     assert len(rows) == 3
     assert [row for row in rows if "OrientationTrackingFailure" in row] == [
         rows[2]]
+
+
+def test_pure_bend_demo_meets_closed_form():
+    proc = run_script(ROOT / "scripts" / "pure_bend_demo.py", "--steps", "16")
+    assert proc.returncode == 0, proc.stderr
+    [error] = [line.split(":")[1] for line in proc.stdout.splitlines()
+               if line.startswith("relative error")]
+    assert float(error) <= 1e-12
+
+
+def test_rank_experiment_full_rank():
+    proc = run_script(ROOT / "scripts" / "rank_experiment.py", "--seeds", "5")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "seeds: 5" in lines
+    assert [line for line in lines if line.startswith("rank ")] == [
+        "rank 3: 5"]

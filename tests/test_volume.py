@@ -556,6 +556,13 @@ class TestLoopDefect:
         with pytest.raises(EndpointsMismatch):
             loop_defect(bend_path(pd, steps=16), conv)
 
+    def test_no_estimate_is_nan(self, pd, conv):
+        # at 15 steps no orientation has an error estimate, and the sum
+        # of none of them is no estimate, not an exact one
+        report = loop_defect(genus2_loop(pd, steps=15), conv)
+        assert math.isfinite(report.defect)
+        assert math.isnan(report.error_estimate)
+
 
 class TestVolGammaOracle:
     """vol_gamma against integrating every orientation separately."""
@@ -694,8 +701,8 @@ class PassWork:
         assert len(self.passes) == 1
         images = self.passes[0]
         assert images.reps == list(path.reps)
-        assert set(images.maps) == pass_words(path.pd)
-        tokens = [topology._tokens(w) for w in images.maps]
+        assert set(images.words) == pass_words(path.pd)
+        tokens = [topology._tokens(w) for w in images.words]
         depth = max(map(len, tokens))
         prefixes = [{t[:k] for t in tokens if len(t) >= k}
                     for k in range(1, depth + 1)]
