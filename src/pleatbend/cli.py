@@ -22,9 +22,9 @@ import json
 import sys
 
 from .errors import PleatbendError
-from .moebius import classify, complex_length, fixed_points, trace_squared
+from .moebius import classify, complex_length, fixed_points
 from .pleated import TruncationConvention, bending_data, realize
-from .representation import (conjugacy_residual, evaluate_word,
+from .representation import (conjugacy_residual, evaluate_word, fingerprint,
                              jacobian_rank, load_path, load_rep,
                              peripheral_fingerprint)
 from .topology import load_document
@@ -80,9 +80,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
         raise PleatbendError("classify needs --words")
     rows = []
     for w in args.words:
+        (tau,) = fingerprint(rep, (w,)).values  # names w if tr^2 not finite
         m = evaluate_word(rep, w)
         kind = classify(m, eps_class=args.tolerance)
-        tau = trace_squared(m)
         try:
             lam = _cnum(complex_length(m, eps_class=args.tolerance))
         except PleatbendError:
@@ -330,6 +330,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    if args.quantity == "angles" and args.steps is not None:
+        raise _ParseFailure("--steps is not read with --quantity angles")
     pd, path = _load_pathfile(args)
     conv = TruncationConvention.uniform(pd, args.horoball)
     if args.quantity == "angles":
@@ -469,11 +471,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        return _COMMANDS[args.command][0](args)
     except _ParseFailure as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
-    try:
-        return _COMMANDS[args.command][0](args)
     except PleatbendError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

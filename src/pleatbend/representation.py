@@ -453,6 +453,9 @@ class RepresentationPath:
             raise PleatbendError("one representation per sample time required")
         if len(self.ts) < 2:
             raise PleatbendError("a path needs at least two samples")
+        for k, t in enumerate(self.ts):
+            if not cmath.isfinite(t):
+                raise PleatbendError(f"sample {k} has time {t}, not finite")
         if any(b <= a for a, b in zip(self.ts, self.ts[1:])):
             raise PleatbendError("sample times must increase strictly")
 

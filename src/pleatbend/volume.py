@@ -126,8 +126,8 @@ def ideal_tetra_volume(z: complex, eps: float = 1e-12) -> float:
 # One part stays scalar: the tracking step, which picks one of two
 # precomputed distances from the previous sample's choice.  The angles
 # of all the rows that some orientation reads are then unwrapped
-# together, one step of the recurrence per sample, and differentiated
-# and integrated as arrays.
+# together, each row a running sum of its reduced steps, and
+# differentiated and integrated as arrays.
 
 
 def _surface(path: RepresentationPath):
@@ -138,13 +138,12 @@ def _surface(path: RepresentationPath):
 
 def _sample_indices(path: RepresentationPath, steps: int | None) -> list[int]:
     n = len(path) - 1
-    if steps is None:
-        indices = list(range(len(path)))
-    else:
+    indices = list(range(len(path)))
+    if steps is not None:
         if steps <= 0 or n % steps != 0:
             raise PleatbendError(
                 f"cannot take {steps} steps over {n} stored intervals")
-        indices = list(range(0, len(path), n // steps))
+        indices = indices[::n // steps]
     if len(indices) < 3:
         raise PleatbendError("need at least three samples to integrate")
     return indices
@@ -195,8 +194,8 @@ def schlafli_derivative(path: RepresentationPath, t: float,
                                            build_lamination(pd), conv,
                                            [(0,) * len(pd.cuffs)])
     ts = np.array([path.ts[i] for i in indices])
-    velocities, failures = _velocities(ts, angles, lengths)
-    _raise_first_failure(table, failures)
+    velocities, jumps = _velocities(ts, angles, lengths)
+    _raise_first_failure(table, jumps)
     return float(_integrand(table, velocities)[0, 1])
 
 
@@ -225,30 +224,26 @@ class VolumePathResult:
         return len(self.ts) - 1
 
 
-def _unwrap_angles(values: np.ndarray) -> tuple[np.ndarray, list]:
+def _unwrap_angles(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lift sampled angle sequences, one per row of values (rows, n), to
-    continuous real sequences, and the failure of each row or None.
+    continuous real sequences: the first sample plus the running sum of
+    the steps between samples, each reduced into (-pi, pi].
 
-    Each sample adds the step from the previous lifted value, reduced
-    into (-pi, pi]; the recurrence runs once per sample for all rows.
-    Consecutive samples must stay within pi of each other; anything
-    larger is an ambiguous branch jump, not data, and fails the row at
-    its first such step.  A row that failed is NaN.
+    A step of pi or more is an ambiguous branch jump, not data.  A row
+    with one is NaN, and its jump, the second array, is its first such
+    step; a row that unwraps has jump NaN.
+
+    >>> thetas, jumps = _unwrap_angles(np.array([[3.0, -3.0], [0, math.pi]]))
+    >>> thetas.tolist(), jumps.tolist()    # -3 lifts past pi to 2 pi - 3
+    ([[3.0, 3.2831853071795862], [nan, nan]], [nan, 3.141592653589793])
     """
-    values = values.T
-    out = np.empty_like(values)
-    steps = np.zeros_like(values)
-    out[0] = values[0]
-    for k in range(1, len(values)):
-        steps[k] = reduce_angle_array(values[k] - out[k - 1])
-        np.add(out[k - 1], steps[k], out=out[k])
+    steps = reduce_angle_array(np.diff(values, axis=1))
+    thetas = np.cumsum(np.concatenate([values[:, :1], steps], axis=1), axis=1)
     jumps = np.abs(steps) >= math.pi * (1 - 1e-9)
-    failed = jumps.any(axis=0)
-    out[:, failed] = np.nan
-    first = steps[jumps.argmax(axis=0), np.arange(len(failed))]
-    return out.T, [AngleUnwrapFailure(f"bending angle moved {d:.3f} in one "
-                                      "step; refine the path") if bad
-                   else None for bad, d in zip(failed, first.tolist())]
+    failed = jumps.any(axis=1)
+    thetas[failed] = np.nan
+    first = steps[np.arange(len(steps)), jumps.argmax(axis=1)]
+    return thetas, np.where(failed, first, np.nan)
 
 
 def _node_derivatives(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -307,12 +302,12 @@ def _per_step_integrals(ts: np.ndarray, fs: np.ndarray) -> np.ndarray:
 
 
 def _velocities(ts: np.ndarray, angles: np.ndarray,
-                lengths: np.ndarray) -> tuple[np.ndarray, list]:
+                lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """length · d(angle)/dt of every row of angles and lengths, and the
-    unwrap failure of each row or None.  A row that failed to unwrap is
-    NaN."""
-    thetas, failures = _unwrap_angles(angles)
-    return lengths * _node_derivatives(ts, thetas), failures
+    jump of each row, as _unwrap_angles gives them.  A row that failed
+    to unwrap is NaN."""
+    thetas, jumps = _unwrap_angles(angles)
+    return lengths * _node_derivatives(ts, thetas), jumps
 
 
 def _integrand(table: np.ndarray, velocities: np.ndarray) -> np.ndarray:
@@ -325,14 +320,13 @@ def _integrand(table: np.ndarray, velocities: np.ndarray) -> np.ndarray:
     return 0.5 * total
 
 
-def _raise_first_failure(table: np.ndarray, failures: list) -> None:
+def _raise_first_failure(table: np.ndarray, jumps: np.ndarray) -> None:
     """Raise the unwrap failure that integrating orientation by
     orientation, term by term, meets first."""
-    failed = np.array([f is not None for f in failures], dtype=bool)
-    hit = np.argwhere(failed[table])
+    hit = jumps[table][~np.isnan(jumps[table])]   # row-major: o, then t
     if len(hit):
-        o, t = hit[0]
-        raise failures[table[o, t]]
+        raise AngleUnwrapFailure(f"bending angle moved {hit[0]:.3f} in one "
+                                 "step; refine the path")
 
 
 def _integrate(path: RepresentationPath, indices,
@@ -343,7 +337,8 @@ def _integrate(path: RepresentationPath, indices,
     Composite Simpson over the samples by closed-form interpolatory
     weights, every orientation at once, with the error estimated by
     Richardson comparison against the half-resolution subsample (NaN
-    when the interval count is odd or the subsample fails to unwrap).
+    when the interval count is odd or below four, or the subsample
+    fails to unwrap).
     images is the sample pass at path.reps[indices], passed on to
     path_terms with starts; orientations[0] takes chain 0 on every cuff.
     """
@@ -358,8 +353,8 @@ def _integrate(path: RepresentationPath, indices,
     table = inverse.reshape(table.shape)
     angles, lengths = angles[rows], lengths[rows]
     ts = np.array([path.ts[i] for i in indices])
-    fine, failures = _velocities(ts, angles, lengths)
-    _raise_first_failure(table, failures)
+    fine, jumps = _velocities(ts, angles, lengths)
+    _raise_first_failure(table, jumps)
     if deferred is not None:
         raise deferred
     per_step = _per_step_integrals(ts, _integrand(table, fine))
@@ -394,7 +389,8 @@ def integrate_volume_change(path: RepresentationPath,
     then tracked forward.  The integrand is the per-sample
     length-weighted angle velocity; composite Simpson over the samples,
     with the error estimated by Richardson comparison against the
-    half-resolution subsample (NaN when the interval count is odd).
+    half-resolution subsample (NaN when the interval count is odd or
+    below four).
     steps optionally subsamples the stored path (its interval count
     must divide the stored one).  eps_class is the classification
     tolerance of the sample pass: of tracking and of the adaptedness

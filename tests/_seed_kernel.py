@@ -21,8 +21,10 @@ arithmetic and the C library's transcendentals throughout.  The
 accuracy gate measures its error against the 50-digit oracle
 (_mp_oracle) and holds volume._term_series to twice that error, and
 the failure-precedence tests compare the failures they raise.
-seed_unwrap_angles is volume._unwrap_angles as it was, row by row; the
-unwrap test compares the two by ==.
+seed_unwrap_angles is the recurrence volume._unwrap_angles ran, sample
+by sample, before it became a running sum of reduced steps; the unwrap
+tests require the same failing rows and messages of both and bound the
+distance of their lifts by its rounding.
 This module is importable because the pytest configuration puts tests/
 on sys.path (pythonpath in pyproject.toml).
 """

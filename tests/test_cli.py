@@ -222,9 +222,11 @@ class TestGoldenOutput:
     code each pipeline replaced: the orientation-by-orientation loop
     for vol-gamma and loop-defect, word-by-word scalar evaluation for
     pleat, bend and volume-path, except the three vol-gamma files,
-    written by the geometry pass with numpy's transcendentals.  Those
-    differ between hosts (numpy's own SIMD code on AVX-512), so the
-    files hold the bytes of an x86-64 host with numpy 2.4.6."""
+    written by the geometry pass with numpy's transcendentals, and the
+    two loop-defect files, written after bending angles were unwrapped
+    as running sums of reduced steps.  numpy's transcendentals differ
+    between hosts (numpy's own SIMD code on AVX-512), so the files hold
+    the bytes of an x86-64 host with numpy 2.4.6."""
 
     @pytest.mark.parametrize("command,source,fmt", [
         ("vol-gamma", "pure_bend.json", "text"),
@@ -335,6 +337,21 @@ class TestPlot:
                          "--quantity", "angles", "--output", str(target))
         assert code == 0
         assert ET.parse(target).getroot().tag.endswith("svg")
+
+    def test_angle_plot_refuses_steps(self, demo, capsys, tmp_path):
+        # the angle plot reads every stored sample, so --steps, which
+        # divides the 16 stored intervals here, is not read
+        target = tmp_path / "angles.svg"
+        code, out, err = run(capsys, "plot",
+                             "--input", str(demo / "pure_bend.json"),
+                             "--pd", str(demo / "surface.json"),
+                             "--quantity", "angles", "--steps", "4",
+                             "--output", str(target))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("parse error: ")
+        assert "--steps" in err
+        assert not target.exists()
 
 
 class TestToleranceInSamplePipeline:
@@ -516,11 +533,12 @@ class TestFailureModes:
         big.write_text(json.dumps({"matrices": {
             "x": [[1e160, 0], [0, 0], [0, 0], [1e-160, 0]]}}))
         code, out, err = run(capsys, "classify", "--input", str(big),
-                             "--words", "x")
+                             "--words", "xX,x")
         assert code == 2
         assert out == ""
         assert "SingularMatrix" in err
         assert "not finite" in err
+        assert "word 'x'" in err
 
     def test_nan_generator_is_singular(self, tmp_path, capsys):
         # a NaN entry leaves tr^2 NaN, which no isometry type fits
@@ -533,6 +551,19 @@ class TestFailureModes:
         assert out == ""
         assert "SingularMatrix" in err
         assert "not finite" in err
+        assert "word 'x'" in err
+
+    def test_nan_sample_time_names_sample(self, demo, tmp_path, capsys):
+        data = json.loads((demo / "pure_bend.json").read_text())
+        data["samples"][5]["t"] = math.nan
+        bad = tmp_path / "nan_time.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "volume-path", "--input", str(bad),
+                             "--pd", str(demo / "surface.json"))
+        assert code == 2
+        assert out == ""
+        assert "PleatbendError" in err
+        assert "sample 5 " in err
 
     @pytest.mark.parametrize("command,source", [
         ("pleat", "bent.json"), ("bend", "bent.json"),

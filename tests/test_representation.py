@@ -385,6 +385,17 @@ class TestPaths:
         with pytest.raises(PleatbendError):
             RepresentationPath(ts=(0.0, 1.0), reps=(rep,))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time(self, bad):
+        # every comparison with NaN is False, so the ordering check
+        # alone lets a NaN time through
+        rep = f2_rep()
+        for k in range(3):
+            ts = [0.0, 0.5, 1.0]
+            ts[k] = bad
+            with pytest.raises(PleatbendError, match=f"sample {k} "):
+                path_from_reps([rep] * 3, ts=ts)
+
 
 def bundled_rank_inputs():
     """The bundled handlebody representation and inclusion."""

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
@@ -43,7 +43,7 @@ from pleatbend import pleated, representation, topology
 from pleatbend.moebius import MoebiusArray
 from pleatbend.pleated import sample_images
 from pleatbend.volume import (_node_derivatives, _per_step_integrals,
-                              _unwrap_angles, _zetas,
+                              _raise_first_failure, _unwrap_angles, _zetas,
                               orientation_start_endpoints)
 
 from _seed_kernel import (loop_node_derivatives, polyfit_per_step_integrals,
@@ -484,27 +484,75 @@ class TestQuadrature:
                 assert row.tolist() == loop_node_derivatives(ts, y).tolist()
             assert _node_derivatives(ts, ys[0]).tolist() == got[0].tolist()
 
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 60),
-           st.integers(1, 12), st.sampled_from([0.05, 0.5, 1.5, 2.5]),
-           st.floats(-1e3, 1e3))
-    @settings(max_examples=200, deadline=None)
-    def test_unwrap_equals_loop(self, seed, n, rows, step, start):
-        # angle rows as the pipeline reads them, reduced into (-pi, pi]
-        # from a random walk; the larger steps wrap, and some rows fail
-        walk = start + np.cumsum(
-            np.random.default_rng(seed).normal(0.0, step, (rows, n)), axis=1)
-        values = np.array([[reduce_angle(x) for x in row]
-                           for row in walk.tolist()])
-        thetas, failures = _unwrap_angles(values)
-        for row, theta, failure in zip(values, thetas, failures):
+    @staticmethod
+    def assert_unwrap_equals_loop(values):
+        """_unwrap_angles against the recurrence, row by row: the same
+        failing rows and messages, NaN where a row fails, and lifts that
+        agree within their rounding.
+
+        Up to rounding, both lifts are the sample plus the same multiple
+        of the float 2 pi.  With u = eps / 2, the loop's value at sample
+        k carries two roundings, of v_k - out_(k-1) and of the sum, each
+        within u (|theta| + 2 pi); they do not add up along the row.
+        The running sum rounds each of its k differences, within u 2 pi,
+        and each of its k partial sums, within u |theta|.  So the two
+        agree within (k + 2) eps max(2 pi, |theta|), with |theta| the
+        largest up to sample k.
+        """
+        thetas, jumps = _unwrap_angles(values)
+        for row, theta, jump in zip(values, thetas, jumps):
             try:
                 want = seed_unwrap_angles(row)
             except AngleUnwrapFailure as exc:
-                assert str(failure) == str(exc)
+                with pytest.raises(AngleUnwrapFailure) as got:
+                    _raise_first_failure(np.zeros((1, 1), dtype=int),
+                                         np.array([jump]))
+                assert str(got.value) == str(exc)
                 assert np.isnan(theta).all()
             else:
-                assert failure is None
-                assert theta.tolist() == want.tolist()
+                assert np.isnan(jump)
+                k = np.arange(len(want))
+                scale = np.maximum.accumulate(np.maximum(np.abs(want),
+                                                         2 * math.pi))
+                bound = (k + 2) * np.finfo(float).eps * scale
+                assert np.all(np.abs(theta - want) <= bound)
+
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.one_of(st.integers(2, 60), st.just(1025)),
+           st.integers(1, 12), st.sampled_from([0.05, 0.5, 1.5, 2.5]),
+           st.floats(-1e3, 1e3))
+    @example(seed=7, n=1025, rows=9, step=0.5, start=0.0)
+    @example(seed=7, n=1025, rows=9, step=1.5, start=0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_unwrap_equals_loop(self, seed, n, rows, step, start):
+        # angle rows as the pipeline reads them, reduced into (-pi, pi]
+        # from a random walk; the larger steps wrap.  A random step is
+        # almost never within 1e-9 of pi, so about a third of the rows
+        # get one step that fails them, 5e-10 pi short of +-pi: a step
+        # of pi itself may reduce to pi in one form and to -pi in the
+        # other.  The examples have volume-path-g2's shape, 9 rows of
+        # 1025 samples.
+        rng = np.random.default_rng(seed)
+        walk = start + np.cumsum(rng.normal(0.0, step, (rows, n)), axis=1)
+        for row, k in zip(walk, rng.integers(1, 3 * n, rows)):
+            if k < n:
+                jump = (-1) ** k * math.pi * (1 - 5e-10)
+                row[k:] += jump - (row[k] - row[k - 1])
+        self.assert_unwrap_equals_loop(np.array(
+            [[reduce_angle(x) for x in row] for row in walk.tolist()]))
+
+    def test_unwrap_threshold(self):
+        # a row fails at its first step of pi (1 - 1e-9) or more, in
+        # either direction; the step just under it unwraps
+        edge = math.pi * (1 - 1e-9)
+        values = np.array([[0.0, edge * (1 - 1e-9), 0.0],
+                           [0.0, edge, 0.0],
+                           [0.0, 0.0, -edge],
+                           [1.0, 1.0 - edge * (1 - 1e-9), 1.0],
+                           [3.0, -3.0, math.pi]])
+        _, jumps = _unwrap_angles(values)
+        assert np.isnan(jumps).tolist() == [True, False, False, True, True]
+        self.assert_unwrap_equals_loop(values)
 
 
 class TestVolGamma:
