@@ -226,8 +226,9 @@ class MoebiusMap:
         minus = 0.0
         for x, y in zip((self.a, self.b, self.c, self.d),
                         (other.a, other.b, other.c, other.d)):
-            plus += abs(x - y) ** 2
-            minus += abs(x + y) ** 2
+            # products, not ** 2, which raises OverflowError past 1.3e154
+            plus += abs(x - y) * abs(x - y)
+            minus += abs(x + y) * abs(x + y)
         return math.sqrt(min(plus, minus))
 
     def is_identity(self, eps: float = EPS_CLASS) -> bool:
@@ -667,8 +668,8 @@ def _eigenvector(m: MoebiusMap, mu: complex) -> tuple[complex, complex]:
     """
     v1 = (m.b, mu - m.a)
     v2 = (mu - m.d, m.c)
-    n1 = abs(v1[0]) ** 2 + abs(v1[1]) ** 2
-    n2 = abs(v2[0]) ** 2 + abs(v2[1]) ** 2
+    n1 = abs(v1[0]) * abs(v1[0]) + abs(v1[1]) * abs(v1[1])
+    n2 = abs(v2[0]) * abs(v2[0]) + abs(v2[1]) * abs(v2[1])
     return v1 if n1 >= n2 else v2
 
 

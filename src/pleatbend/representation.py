@@ -130,13 +130,9 @@ def peripheral_fingerprint(rep: Representation,
 
     The representation lives on the manifold group; each boundary
     component's peripheral words are rewritten via its generator words
-    and evaluated there.
+    (BoundaryInclusion.peripheral_words) and evaluated there.
     """
-    words = []
-    for comp in boundary.components:
-        for w in comp.peripheral_words:
-            words.append(comp.include_word(w))
-    return fingerprint(rep, words)
+    return fingerprint(rep, boundary.peripheral_words)
 
 
 def inclusion_relator_residual(rep: Representation, pd: PantsDecomposition,
@@ -466,7 +462,7 @@ class RepresentationPath:
         diffs = [abs(s - t) for s in self.ts]
         k = diffs.index(min(diffs))
         span = self.ts[-1] - self.ts[0]
-        if diffs[k] > 1e-9 * max(1.0, span):
+        if not diffs[k] <= 1e-9 * max(1.0, span):     # NaN included
             raise PleatbendError(f"t={t} is not a sample time of this path")
         return k
 
@@ -581,23 +577,6 @@ def _squared_trace_jacobian(rep: Representation, words) -> np.ndarray:
     return np.array(rows, dtype=complex).reshape(len(rows), 3 * n)
 
 
-def _conjugation_tangents(rep: Representation) -> np.ndarray:
-    """Tangents of rho -> exp(eps E) rho exp(-eps E), E in (H, E+, E-).
-
-    Column j holds, per generator g, the (00, 01, 10) entries of
-    E - g E g^-1, in the coordinates of the columns of
-    _squared_trace_jacobian.
-    """
-    rows = []
-    for m in rep.images:
-        a, b, c, d = m.a, m.b, m.c, m.d
-        det = a * d - b * c
-        rows.append((1 - (a * d + b * c) / det, a * c / det, -b * d / det))
-        rows.append((2 * a * b / det, 1 - a * a / det, b * b / det))
-        rows.append((-2 * c * d / det, c * c / det, 1 - d * d / det))
-    return np.array(rows, dtype=complex)
-
-
 def jacobian_rank(rep: Representation,
                   boundary: BoundaryInclusion) -> tuple[int, np.ndarray]:
     """Rank of the peripheral character map at a representation.
@@ -605,9 +584,11 @@ def jacobian_rank(rep: Representation,
     Differentiates the squared-trace vector of all peripheral words
     exactly along left translations exp(eps E) rho(g) of each generator
     (three sl2 directions per generator, one prefix/suffix pass per
-    word; see _squared_trace_jacobian), projects out the conjugation
-    tangent directions, and counts singular values above EPS_RANK
-    relative to the largest.  The derivative is exact, so there is no
+    word; see _squared_trace_jacobian) and counts singular values above
+    EPS_RANK relative to the largest.  Squared traces are constant on
+    conjugacy classes and the derivative is exact, so the Jacobian
+    already vanishes on the conjugation directions up to rounding
+    (about 1e-16 of its norm): no projection is needed, and there is no
     difference step to choose.  Returns (rank, singular values).
     Refuses reducible representations (generators with a common fixed
     point within REDUCIBLE_TOL), where the character map is singular for
@@ -616,16 +597,8 @@ def jacobian_rank(rep: Representation,
     if _common_fixed_point_tol(rep, REDUCIBLE_TOL):
         raise ReducibleRepresentation(
             "generators share a fixed point within tolerance")
-    words = [comp.include_word(w) for comp in boundary.components
-             for w in comp.peripheral_words]
-    J = _squared_trace_jacobian(rep, words)
-
-    C = _conjugation_tangents(rep)
-    u, sv_c, _ = np.linalg.svd(C, full_matrices=False)
-    Q = u[:, sv_c > 1e-12 * max(sv_c[0], 1e-300)]
-    J_proj = J - (J @ Q) @ Q.conj().T
-
-    sv = np.linalg.svd(J_proj, compute_uv=False)
+    J = _squared_trace_jacobian(rep, boundary.peripheral_words)
+    sv = np.linalg.svd(J, compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
         return 0, sv
     rank = int(np.sum(sv > EPS_RANK * sv[0]))

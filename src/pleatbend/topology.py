@@ -359,6 +359,14 @@ class BoundaryInclusion:
     relators: tuple[str, ...]
     components: tuple[BoundaryComponent, ...]
 
+    @functools.cached_property
+    def peripheral_words(self) -> tuple[str, ...]:
+        """Every component's peripheral words rewritten through its
+        inclusion, in manifold letters, component by component; built
+        once."""
+        return tuple(comp.include_word(w) for comp in self.components
+                     for w in comp.peripheral_words)
+
 
 # ---------------------------------------------------------------------------
 # standard decompositions

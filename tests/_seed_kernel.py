@@ -6,10 +6,14 @@ have moved, so the oracles in test_moebius and test_representation
 compare every entry with == (through entries_of, under which a NaN part
 equals a NaN part, so products that overflow on both sides still
 compare).  central_difference_jacobian_rank is
-jacobian_rank as it was before its Jacobian became exact: the rank
-oracle in test_representation compares ranks and singular values
-against it.  seed_common_fixed_point_tol is its reducibility test; the
-reducibility oracle compares _common_fixed_point_tol with it by ==.
+jacobian_rank as it was before its Jacobian became exact, projection
+off the conjugation tangents included: the rank oracle in
+test_representation compares ranks and singular values against it.
+The exact Jacobian vanishes on those tangents up to rounding, which
+test_representation checks with conjugation_tangents, so jacobian_rank
+no longer projects.  seed_common_fixed_point_tol is its reducibility
+test; the reducibility oracle compares _common_fixed_point_tol with it
+by ==.
 polyfit_per_step_integrals and loop_node_derivatives are the quadrature
 of volume.py as it was before its weights became closed-form: the
 quadrature tests compare _per_step_integrals with the first within a
@@ -203,12 +207,34 @@ def seed_common_fixed_point_tol(rep, tol: float) -> bool:
     return False
 
 
+def conjugation_tangents(rep) -> np.ndarray:
+    """Tangents of rho -> exp(eps E) rho exp(-eps E), E in (H, E+, E-).
+
+    Column j holds, per generator g, the (00, 01, 10) entries of
+    E - g E g^-1: conjugation written as the left translations
+    exp(eps (E - g E g^-1)) g, in the coordinates of the columns of
+    _squared_trace_jacobian.
+    """
+    conj_dirs = []
+    for E in _SL2_BASIS:
+        blocks = []
+        for m in rep.images:
+            g = _mat(m)
+            det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+            ad = g @ E @ (_adj(g) / det)
+            blocks.extend(_sl2_coords(E - ad))
+        conj_dirs.append(np.array(blocks))
+    return np.column_stack(conj_dirs)
+
+
 def central_difference_jacobian_rank(rep, boundary, h: float = 1e-5,
                                      eps_rank: float = 1e-8,
                                      reducible_tol: float = 1e-8):
     """jacobian_rank with the Jacobian taken by central differences:
     12 perturbed representations for two generators, each evaluating
-    every peripheral word."""
+    every peripheral word.  The difference Jacobian carries O(h^2)
+    error along the conjugation directions, so unlike jacobian_rank it
+    projects them out (conjugation_tangents) before counting."""
     if seed_common_fixed_point_tol(rep, reducible_tol):
         raise ReducibleRepresentation(
             "generators share a fixed point within tolerance")
@@ -234,17 +260,7 @@ def central_difference_jacobian_rank(rep, boundary, h: float = 1e-5,
             cols.append((shifted[0] - shifted[1]) / (2 * h))
     J = np.column_stack(cols)
 
-    conj_dirs = []
-    for j in range(3):
-        E = _SL2_BASIS[j]
-        blocks = []
-        for gi in range(n):
-            g = _mat(rep.images[gi])
-            det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-            ad = g @ E @ (_adj(g) / det)
-            blocks.extend(_sl2_coords(E - ad))
-        conj_dirs.append(np.array(blocks))
-    C = np.column_stack(conj_dirs)
+    C = conjugation_tangents(rep)
     u, sv_c, _ = np.linalg.svd(C, full_matrices=False)
     Q = u[:, sv_c > 1e-12 * max(sv_c[0], 1e-300)]
     J_proj = J - (J @ Q) @ Q.conj().T

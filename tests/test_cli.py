@@ -540,6 +540,34 @@ class TestFailureModes:
         assert "not finite" in err
         assert "word 'x'" in err
 
+    def test_rank_huge_entry_is_singular(self, demo, tmp_path, capsys):
+        # entries past 1.3e154 overflowed a float ** 2 in the identity
+        # test; the squares are products now, and tr^2 = inf is refused
+        data = json.loads((demo / "handlebody_rep.json").read_text())
+        data["matrices"]["x"] = [[1e160, 0], [1, 0], [0, 0], [1e-160, 0]]
+        big = tmp_path / "big_entry.json"
+        big.write_text(json.dumps(data))
+        code, out, err = run(capsys, "rank", "--input", str(big),
+                             "--inclusion",
+                             str(demo / "genus2_handlebody.json"))
+        assert code == 2
+        assert out == ""
+        assert "SingularMatrix" in err
+        assert "not finite" in err
+
+    def test_classify_huge_elliptic(self, tmp_path, capsys):
+        # tr = 0 is elliptic; the eigenvector norms square entries of
+        # 1e160, which must not overflow
+        big = tmp_path / "big_elliptic.json"
+        big.write_text(json.dumps({"matrices": {
+            "x": [[0, 0], [1e160, 0], [-1e-160, 0], [0, 0]]}}))
+        code, out, err = run(capsys, "classify", "--input", str(big),
+                             "--words", "x", "--format", "json")
+        assert code == 0
+        assert err == ""
+        (row,) = json.loads(out)["rows"]
+        assert row["class"] == "elliptic"
+
     def test_nan_generator_is_singular(self, tmp_path, capsys):
         # a NaN entry leaves tr^2 NaN, which no isometry type fits
         bad = tmp_path / "nan.json"

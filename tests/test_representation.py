@@ -48,7 +48,8 @@ from pleatbend.representation import (EPS_RANK, _common_fixed_point_tol,
 from pleatbend.topology import BoundaryComponent, BoundaryInclusion, parse_word
 
 from _seed_kernel import (SeedMoebiusMap, build_both,
-                          central_difference_jacobian_rank, entries_of,
+                          central_difference_jacobian_rank,
+                          conjugation_tangents, entries_of,
                           raw_entries, seed_common_fixed_point_tol, steep,
                           steep_entries)
 
@@ -370,6 +371,12 @@ class TestPaths:
         with pytest.raises(PleatbendError):
             path.index_of(0.31)
 
+    def test_index_of_nan(self):
+        # every distance to NaN is NaN, which no tolerance check may pass
+        with pytest.raises(PleatbendError,
+                           match="t=nan is not a sample time of this path"):
+            self.path(8).index_of(math.nan)
+
     def test_reversed(self):
         path = self.path(8)
         rev = path.reversed()
@@ -418,6 +425,37 @@ class TestJacobianRank:
         _, inclusion = bundled_rank_inputs()
         with pytest.raises(ReducibleRepresentation):
             jacobian_rank(f2_rep(), inclusion)
+
+    def test_one_svd(self, monkeypatch):
+        # the exact Jacobian needs no projection off the conjugation
+        # tangents, so the singular values of J are the only SVD
+        rep, inclusion = bundled_rank_inputs()
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        jacobian_rank(rep, inclusion)
+        assert calls == [(4, 6)]
+
+    def test_peripheral_words_rewritten_once(self, monkeypatch):
+        rep, inclusion = bundled_rank_inputs()
+        calls = []
+        include_word = BoundaryComponent.include_word
+
+        def counting_include_word(comp, word):
+            calls.append(word)
+            return include_word(comp, word)
+
+        monkeypatch.setattr(BoundaryComponent, "include_word",
+                            counting_include_word)
+        for _ in range(3):
+            jacobian_rank(rep, inclusion)
+            peripheral_fingerprint(rep, inclusion)
+        assert calls == list(inclusion.components[0].peripheral_words)
 
     def test_no_step_parameter(self):
         # the derivative is exact; there is no difference step to choose
@@ -532,6 +570,23 @@ class TestJacobianOracle:
             assert rank == want_rank == 3
             np.testing.assert_allclose(sv[:rank], want_sv[:rank], rtol=1e-8,
                                        atol=0)
+
+    def test_jacobian_vanishes_on_conjugation(self):
+        # squared traces are constant on conjugacy classes, so the exact
+        # Jacobian kills the conjugation tangents up to rounding; this
+        # is why jacobian_rank does not project them out (measured worst
+        # 1.2e-16; J with two columns swapped reads 7e-3 and more)
+        rep, inclusion = bundled_rank_inputs()
+        words = inclusion.peripheral_words + ("xxY", "XyxY", "yXXyx")
+        rng = np.random.default_rng(12)
+        reps = [rep] + [random_representation(
+            rng, generators=inclusion.generators) for _ in range(200)]
+        for r in reps:
+            J = _squared_trace_jacobian(r, words)
+            C = conjugation_tangents(r)
+            assert J.shape == (7, 6) and C.shape == (6, 3)
+            assert (np.linalg.norm(J @ C)
+                    <= 1e-13 * np.linalg.norm(J) * np.linalg.norm(C))
 
     @pytest.mark.parametrize("source", ["bundled", 0, 1, 2, 3])
     def test_exact_against_mpmath(self, source):

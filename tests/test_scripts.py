@@ -66,3 +66,10 @@ def test_rank_experiment_full_rank():
     assert "seeds: 5" in lines
     assert [line for line in lines if line.startswith("rank ")] == [
         "rank 3: 5"]
+    # criterion 7's bounds on what the script reports
+    [gap] = [line.split(":")[1] for line in lines
+             if line.startswith("smallest singular-value gap")]
+    [margin] = [line.split(":")[1].split()[0] for line in lines
+                if line.startswith("smallest margin")]
+    assert float(gap) >= 1e6
+    assert float(margin) > 1e-8

@@ -179,6 +179,26 @@ class TestInclusionDocument:
         comp = inc.components[0]
         assert comp.include_word("a1b1a2") == "xy"
         assert comp.include_word("A1") == "X"
+        assert inc.peripheral_words == ("x", "y", "xy", "xY")
+
+    def test_peripheral_words_errors(self):
+        misaligned = BoundaryComponent(surface_generators=("a1", "a2"),
+                                       generator_words=("x",),
+                                       peripheral_words=("a1",))
+        foreign = BoundaryComponent(surface_generators=("a1",),
+                                    generator_words=("x",),
+                                    peripheral_words=("a1b1",))
+        for comp, error, message in (
+                (misaligned, InvalidDecomposition,
+                 "generator_words not aligned with surface generators"),
+                (foreign, UnknownLetter,
+                 "letter 'b1' is not a surface generator of this component")):
+            inc = BoundaryInclusion(generators=("x",), relators=(),
+                                    components=(comp,))
+            for _ in range(2):      # a failed rewrite is not cached
+                with pytest.raises(error) as got:
+                    inc.peripheral_words
+                assert str(got.value) == message
 
     def test_save_load_round_trip(self, tmp_path):
         pd = standard_decomposition(2)

@@ -266,6 +266,12 @@ class TestSchlafliDerivative:
         with pytest.raises(PleatbendError):
             schlafli_derivative(path, 0.0, "attracting", conv)
 
+    def test_nan_time_rejected(self, pd, conv):
+        path = bend_path(pd, steps=8)
+        with pytest.raises(PleatbendError,
+                           match="t=nan is not a sample time of this path"):
+            schlafli_derivative(path, math.nan, "attracting", conv)
+
     def test_horoball_independence(self, pd, conv):
         path = path_from_parameters(
             pd, lambda t: (2.0 + 0.3 * t, 1.7, 2.3),
