@@ -24,9 +24,9 @@ import sys
 from .errors import PleatbendError
 from .moebius import classify, complex_length, fixed_points
 from .pleated import TruncationConvention, bending_data, realize
-from .representation import (conjugacy_residual, evaluate_word, fingerprint,
-                             jacobian_rank, load_path, load_rep,
-                             peripheral_fingerprint)
+from .representation import (conjugacy_residual, evaluate_word,
+                             finite_trace_squared, jacobian_rank, load_path,
+                             load_rep, peripheral_fingerprint)
 from .topology import load_document
 from .volume import (angle_series, integrate_volume_change, loop_defect,
                      vol_gamma)
@@ -80,8 +80,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         raise PleatbendError("classify needs --words")
     rows = []
     for w in args.words:
-        (tau,) = fingerprint(rep, (w,)).values  # names w if tr^2 not finite
         m = evaluate_word(rep, w)
+        tau = finite_trace_squared(w, m)
         kind = classify(m, eps_class=args.tolerance)
         try:
             lam = _cnum(complex_length(m, eps_class=args.tolerance))
@@ -450,11 +450,15 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None = None) -> _Parser:
+    """The command line parser; given a command, with that subcommand
+    alone, which spares a run the argument set-up of all the others."""
     parser = _Parser(prog="pleatbend",
                      description="pleated-surface and volume experiments")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, options, formats) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name)
         p.add_argument("--input", required=True,
                        nargs="+" if name == "peripheral" else None,
@@ -468,7 +472,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command][0](args)

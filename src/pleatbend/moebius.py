@@ -119,10 +119,9 @@ class MoebiusMap:
     them afterwards.  Equality and hashing are by identity.  Every
     normalizing construction goes through __post_init__, which rescales
     the entries in place; instrumentation may wrap it to count
-    constructions.  Maps built from the array kernel's entries
-    (MoebiusArray, wrapped with _raw by pleated.sample_images) skip
-    __post_init__: the kernel has already normalized them, so such
-    counts leave them out.
+    constructions.  The images of the Fenchel-Nielsen gluing are
+    normalized in its array pass, bit for bit as __post_init__ would,
+    and wrapped with _raw, so such counts leave them out.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -369,12 +368,10 @@ class MoebiusArray:
             zr_new, zi_new = _add(top, ac)
             return zr_new / denom, zi_new / denom, t / denom
 
-    def classify(self, eps_class: float) -> np.ndarray:
-        """classify at every sample, as an index into KINDS, or -1 where
-        tr^2 is not finite (where classify raises SingularMatrix)."""
-        t2r, t2i = self.trace_squared()
+    def distance_to_identity(self) -> np.ndarray:
+        """distance_to the identity at every element, summed entry by
+        entry."""
         with np.errstate(all="ignore"):
-            # distance_to the identity, summed entry by entry
             plus = minus = None
             for (i, j), one in (((0, 0), 1.0), ((0, 1), 0.0),
                                 ((1, 0), 0.0), ((1, 1), 1.0)):
@@ -383,8 +380,14 @@ class MoebiusArray:
                 m = _abs2(xr + one, xi)
                 plus, minus = ((p, m) if plus is None
                                else (plus + p, minus + m))
-            identity = np.sqrt(np.where(minus < plus, minus, plus)) \
-                < eps_class
+            return np.sqrt(np.where(minus < plus, minus, plus))
+
+    def classify(self, eps_class: float) -> np.ndarray:
+        """classify at every sample, as an index into KINDS, or -1 where
+        tr^2 is not finite (where classify raises SingularMatrix)."""
+        t2r, t2i = self.trace_squared()
+        identity = self.distance_to_identity() < eps_class
+        with np.errstate(all="ignore"):
             parabolic = np.hypot(t2r - 4.0, t2i) < eps_class
             elliptic = ((np.abs(t2i) < eps_class) & (-eps_class < t2r)
                         & (t2r < 4.0))
@@ -530,6 +533,19 @@ def _quot(ar, ai, br, bi) -> tuple:
     re /= den
     im /= den
     return re, im
+
+
+def _sqrt(re, im) -> tuple:
+    """CPython's cmath.sqrt, for finite parts of modulus at least
+    DBL_MIN (elsewhere the values mean nothing): with x = |re| / 8, s =
+    2 sqrt(x + hypot(x, |im| / 8)) and d = |im| / 2s, the root is s + d i
+    where re >= 0, else d + s i, the imaginary part taking im's sign.
+    numpy's complex sqrt rounds the purely imaginary case differently."""
+    x, y = np.abs(re) / 8.0, np.abs(im)
+    s = 2.0 * np.sqrt(x + np.hypot(x, y / 8.0))
+    d = y / (2.0 * s)
+    right = re >= 0
+    return np.where(right, s, d), np.copysign(np.where(right, d, s), im)
 
 
 class PointArray:

@@ -57,7 +57,7 @@ from .moebius import (EPS_CLASS, EPS_NUM, KINDS, MoebiusArray, MoebiusMap,
                       PointArray, ProjectivePoint, _abs2, _complex, _quot,
                       chordal_array, cross_ratio_array, reduce_angle,
                       reduce_angle_array, stack_points, trace_squared)
-from .representation import Representation, evaluate_word
+from .representation import Representation, _word_stack, evaluate_word
 from .topology import (CuffCrossing, Lamination, LeafCrossing,
                        PantsDecomposition, TransverseArc, _tokens,
                        build_lamination, invert_word)
@@ -159,12 +159,9 @@ def _array_pass(reps: list, pd: PantsDecomposition):
     """The array pass of sample_images: (words, their images, slot rows,
     their commutator tr^2 (n, rows, 3), ok).
 
-    The distinct token prefixes of depth k are one stacked product of
-    their depth k - 1 prefixes and their last letters, the first level
-    the identity times each first letter, as evaluate_word multiplies
-    it; the commutators of every slot row and pair are one chain of
-    three stacked products.  Each level is freed once the words that end
-    there are stored."""
+    The words are folded level by level (_word_stack); the commutators
+    of every slot row and pair are one chain of three stacked
+    products."""
     n = len(reps)
     words = [c.word for c in pd.cuffs]
     words += [w for row in pd.slot_words for w in row]
@@ -177,24 +174,8 @@ def _array_pass(reps: list, pd: PantsDecomposition):
     letters = _letters(reps, bases)
     letter = {(b, inv): i + inv * len(bases) for i, b in enumerate(bases)
               for inv in (False, True)}
-    shape = (len(words), n)
-    stack = MoebiusArray(np.empty((2, 2) + shape), np.empty((2, 2) + shape),
-                         np.empty(shape, dtype=bool))
-    level, prefixes = MoebiusArray.identity((1, n)), [()]
-    for k in range(max(map(len, tokens)) + 1):
-        if k:
-            position = {p: i for i, p in enumerate(prefixes)}
-            prefixes = list(dict.fromkeys(t[:k] for t in tokens
-                                          if len(t) >= k))
-            level = (level.take([position[p[:-1]] for p in prefixes])
-                     @ letters.take([letter[p[-1]] for p in prefixes]))
-        # the words that end at depth k
-        ends = [i for i, t in enumerate(tokens) if len(t) == k]
-        at = [prefixes.index(tokens[i]) for i in ends]
-        stack.re[:, :, ends] = level.re[:, :, at]
-        stack.im[:, :, ends] = level.im[:, :, at]
-        stack.ok[ends] = level.ok[at]
-    del letters, level
+    stack = _word_stack(letters, letter, tokens, n)
+    del letters
     rows = list(dict.fromkeys(pd.slot_words))
     index = {w: i for i, w in enumerate(words)}
     left, right = (stack.take([[index[row[pair[s]]] for pair in _PAIRS]

@@ -25,8 +25,8 @@ import numpy as np
 from .errors import (InvalidDecomposition, NonHyperbolicParameters,
                      PleatbendError, ReducibleRepresentation, SingularMatrix,
                      UnknownLetter)
-from .moebius import (EPS_CLASS, MoebiusMap, chordal, fixed_points,
-                      trace_squared)
+from .moebius import (EPS_CLASS, MoebiusArray, MoebiusMap, _complex, _mul,
+                      _quot, _sqrt, chordal, fixed_points, trace_squared)
 from .topology import BoundaryInclusion, PantsDecomposition, _tokens
 
 EPS_RANK = 1e-8        # singular values counted, relative to the largest
@@ -75,6 +75,35 @@ def evaluate_word(rep: Representation, word: str) -> MoebiusMap:
     return out
 
 
+def _word_stack(letters: MoebiusArray, letter: dict, tokens: list,
+                n: int) -> MoebiusArray:
+    """evaluate_word of every word, given as its tokens, at n samples at
+    once: (2, 2, words, n).  letters stacks the letter images, (2, 2,
+    letters, n), and letter takes each token to its place there.  The
+    distinct token prefixes of depth k are one stacked product of their
+    depth k - 1 prefixes and their last letters, the first level the
+    identity times each first letter, as evaluate_word multiplies it.
+    Each level is freed once the words that end there are stored."""
+    shape = (len(tokens), n)
+    stack = MoebiusArray(np.empty((2, 2) + shape), np.empty((2, 2) + shape),
+                         np.empty(shape, dtype=bool))
+    level, prefixes = MoebiusArray.identity((1, n)), [()]
+    for k in range(max(map(len, tokens)) + 1):
+        if k:
+            position = {p: i for i, p in enumerate(prefixes)}
+            prefixes = list(dict.fromkeys(t[:k] for t in tokens
+                                          if len(t) >= k))
+            level = (level.take([position[p[:-1]] for p in prefixes])
+                     @ letters.take([letter[p[-1]] for p in prefixes]))
+        # the words that end at depth k
+        ends = [i for i, t in enumerate(tokens) if len(t) == k]
+        at = [prefixes.index(tokens[i]) for i in ends]
+        stack.re[:, :, ends] = level.re[:, :, at]
+        stack.im[:, :, ends] = level.im[:, :, at]
+        stack.ok[ends] = level.ok[at]
+    return stack
+
+
 # ---------------------------------------------------------------------------
 # characters
 
@@ -97,15 +126,22 @@ class CharacterFingerprint:
                    default=0.0)
 
 
+def finite_trace_squared(word: str, image: MoebiusMap) -> complex:
+    """tr^2 of image, the image of word; SingularMatrix, naming the
+    word, where it is not finite."""
+    t2 = trace_squared(image)
+    if not cmath.isfinite(t2):
+        raise SingularMatrix(
+            f"squared trace {t2} of word {word!r} is not finite")
+    return t2
+
+
 def fingerprint(rep: Representation, words) -> CharacterFingerprint:
     """The squared traces of words at rep.  A word whose tr^2 is not
     finite raises SingularMatrix: no distance could be taken from it."""
     words = tuple(words)
-    vals = tuple(trace_squared(evaluate_word(rep, w)) for w in words)
-    for w, t2 in zip(words, vals):
-        if not cmath.isfinite(t2):
-            raise SingularMatrix(
-                f"squared trace {t2} of word {w!r} is not finite")
+    images = [evaluate_word(rep, w) for w in words]
+    vals = tuple(finite_trace_squared(w, m) for w, m in zip(words, images))
     return CharacterFingerprint(words=words, values=vals)
 
 
@@ -195,116 +231,424 @@ def random_representation(rng: np.random.Generator,
 
 # ---------------------------------------------------------------------------
 # Fenchel-Nielsen construction
+#
+# One stacked pass glues every sample of a parameter path: values carry a
+# leading sample axis, and each step is the scalar construction's, bit
+# for bit.  2x2 products are np.matmul, the same BLAS product at every
+# sample; complex products and quotients are CPython's (_mul, _quot),
+# where numpy's array product and quotient round differently; exp and
+# cosh are numpy's, which agree with cmath's; moduli are np.hypot, as
+# abs(complex) is; and |det| ** 0.5 is CPython's float power, taken one
+# value at a time, as np.sqrt and numpy's power round differently.
 
 _R = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+# samples glued at once: the pass holds about 7 KB of temporaries per
+# genus-3 sample, five times what the representations keep
+_CHUNK = 1024
 
 
 def _mat(m: MoebiusMap) -> np.ndarray:
     return np.array(m.rows(), dtype=complex)
 
 
-def _twist_matrix(s: complex) -> np.ndarray:
-    # orientation chosen so that bending theta = Im s turns up as +theta
-    # in the crossing angle at the cuff
-    u = cmath.exp(-s / 2)
-    return np.array([[u, 0.0], [0.0, 1 / u]], dtype=complex)
-
-
 def _adj(m: np.ndarray) -> np.ndarray:
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
+    """Adjugates of the 2x2 matrices in the last two axes, C-contiguous."""
+    out = np.empty(m.shape, dtype=complex)
+    out[..., 0, 0] = m[..., 1, 1]
+    out[..., 0, 1] = -m[..., 0, 1]
+    out[..., 1, 0] = -m[..., 1, 0]
+    out[..., 1, 1] = m[..., 0, 0]
+    return out
 
 
-def _conjugate(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    return g @ x @ (_adj(g) / det)
+def _parts(z) -> tuple:
+    """Real and imaginary parts; a Python int or float counts as CPython
+    converts it for complex arithmetic, with imaginary part 0.0."""
+    if isinstance(z, (int, float)):
+        return float(z), 0.0
+    return z.real, z.imag
 
 
-def _half_trace(lam: complex) -> complex:
-    return cmath.cosh(lam / 2)
+def _cmul(x, y) -> np.ndarray:
+    """x * y by CPython's complex product, elementwise."""
+    return _complex(*_mul(*_parts(x), *_parts(y)))
 
 
-def pants_triple(l1: complex, l2: complex, l3: complex,
-                 label: str = "") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Boundary matrices of one pair of pants with given cuff lengths.
-
-    Returned matrices X1, X2, X3 satisfy X1 X2 X3 = I with
-    tr X_k = -2 cosh(l_k / 2); X1 is diagonal.  Raises for parameters
-    where the construction degenerates (l1 in 2 pi i Z, or negative
-    translation lengths).
-    """
-    for lam in (l1, l2, l3):
-        if lam.real < -1e-12:
-            raise NonHyperbolicParameters(
-                f"cuff length {lam} has negative real part {label}")
-    u = cmath.exp(l1 / 2)
-    denom = u - 1 / u
-    if abs(denom) < 1e-9:
-        raise NonHyperbolicParameters(
-            f"first cuff length {l1} is a multiple of 2 pi i {label}")
-    t2 = -2 * _half_trace(l2)
-    p = (2 * _half_trace(l3) + 2 * _half_trace(l2) / u) / denom
-    s = t2 - p
-    q = p * s - 1
-    if abs(q) < 1e-9:
-        raise NonHyperbolicParameters(
-            f"degenerate cuff length triple ({l1}, {l2}, {l3}) {label}")
-    X1 = np.array([[-u, 0.0], [0.0, -1 / u]], dtype=complex)
-    X2 = np.array([[p, q], [1.0, s]], dtype=complex)
-    X3 = _adj(X1 @ X2)           # inverse of a determinant-one product
-    return X1, X2, X3
+def _cdiv(x, y) -> np.ndarray:
+    """x / y by CPython's complex quotient, elementwise."""
+    return _complex(*_quot(*_parts(x), *_parts(y)))
 
 
-def normal_frame(m: np.ndarray, lam: complex) -> np.ndarray:
-    """Eigenframe P with P^-1 m P = diag(-e^{lam/2}, -e^{-lam/2}).
+def _modulus(z: np.ndarray) -> np.ndarray:
+    return np.hypot(z.real, z.imag)
 
-    The eigenvalues are supplied, not extracted, so the frame varies
+
+def _det(m: np.ndarray) -> np.ndarray:
+    return (_cmul(m[..., 0, 0], m[..., 1, 1])
+            - _cmul(m[..., 0, 1], m[..., 1, 0]))
+
+
+def _root(x: np.ndarray) -> np.ndarray:
+    """x ** 0.5 by CPython's float power (the C library's pow)."""
+    return np.array([v ** 0.5 for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _pants_triples(lam: np.ndarray) -> tuple:
+    """Boundary matrices of every pair of pants from the cuff lengths at
+    its slots, lam (..., 3): X1, X2, X3 in (..., 3, 2, 2) with X1 X2 X3 =
+    I, tr X_k = -2 cosh(l_k / 2) and X1 diagonal.  Also the masks where
+    the construction degenerates: a length with negative real part
+    (..., 3), l1 in 2 pi i Z and a degenerate triple (...)."""
+    l1, l2, l3 = lam[..., 0], lam[..., 1], lam[..., 2]
+    u = np.exp(_cdiv(l1, 2))
+    denom = u - _cdiv(1, u)
+    h2 = np.cosh(_cdiv(l2, 2))
+    p = _cdiv(_cmul(2, np.cosh(_cdiv(l3, 2))) + _cdiv(_cmul(2, h2), u),
+              denom)
+    s = _cmul(-2, h2) - p
+    q = _cmul(p, s) - 1
+    X = np.zeros(lam.shape + (2, 2), dtype=complex)
+    X[..., 0, 0, 0] = -u
+    X[..., 0, 1, 1] = _cdiv(-1, u)
+    X[..., 1, 0, 0] = p
+    X[..., 1, 0, 1] = q
+    X[..., 1, 1, 0] = 1.0
+    X[..., 1, 1, 1] = s
+    # the inverse of a determinant-one product
+    X[..., 2, :, :] = _adj(X[..., 0, :, :] @ X[..., 1, :, :])
+    return (X, lam.real < -1e-12, _modulus(denom) < 1e-9,
+            _modulus(q) < 1e-9)
+
+
+def _normal_frames(m: np.ndarray, lam: np.ndarray) -> tuple:
+    """Eigenframes P with P^-1 m P = diag(-e^{lam/2}, -e^{-lam/2}), and
+    the mask where a frame is degenerate.
+
+    The eigenvalues are supplied, not extracted, so the frames vary
     smoothly along parameter paths.  Columns are kept unnormalized
     except for a positive real rescale; the determinant is rotated to
     the right half plane, which keeps frames of real matrices real.
     """
-    target = -2 * _half_trace(lam)
-    if abs((m[0, 0] + m[1, 1]) - target) > abs((m[0, 0] + m[1, 1]) + target):
-        m = -m
-    mup = -cmath.exp(lam / 2)
-    mum = -cmath.exp(-lam / 2)
-    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    scale = abs(a) + abs(d) + 1
+    target = _cmul(-2, np.cosh(_cdiv(lam, 2)))
+    tr = m[..., 0, 0] + m[..., 1, 1]
+    negate = _modulus(tr - target) > _modulus(tr + target)
+    m = np.where(negate[..., None, None], -m, m)
+    mup = -np.exp(_cdiv(lam, 2))
+    mum = -np.exp(_cdiv(-lam, 2))
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    scale = _modulus(a) + _modulus(d) + 1
+    by_b = (_modulus(b) >= _modulus(c)) & (_modulus(b) > 1e-14 * scale)
+    by_c = ~by_b & (_modulus(c) > 1e-14 * scale)
+    up = _modulus(a - mup) <= _modulus(a - mum)
+
+    def pick(on_b, on_c, on_up, other):
+        return np.where(by_b, on_b, np.where(by_c, on_c,
+                                             np.where(up, on_up, other)))
+
+    P = np.empty(m.shape, dtype=complex)
+    P[..., 0, 0] = pick(b, mup - d, 1.0, 0.0)
+    P[..., 1, 0] = pick(mup - a, c, 0.0, 1.0)
+    P[..., 0, 1] = pick(b, mum - d, 0.0, -1.0)
+    P[..., 1, 1] = pick(mum - a, c, 1.0, 0.0)
     # the frame determinant is +-2 * entry * sinh(lam/2); the column-sign
     # flip is keyed to the entry, not the raw determinant, so that near
     # elliptic target lengths (sinh almost imaginary) the choice does
     # not chatter on roundoff
-    flip = False
-    if abs(b) >= abs(c) and abs(b) > 1e-14 * scale:
-        vp, vm = (b, mup - a), (b, mum - a)
-        flip = b.real < 0 or (b.real == 0 and b.imag < 0)
-    elif abs(c) > 1e-14 * scale:
-        vp, vm = (mup - d, c), (mum - d, c)
-        flip = c.real > 0 or (c.real == 0 and c.imag > 0)
-    elif abs(a - mup) <= abs(a - mum):
-        vp, vm = (1.0, 0.0), (0.0, 1.0)
-    else:
-        vp, vm = (0.0, 1.0), (-1.0, 0.0)
-    P = np.array([[vp[0], vm[0]], [vp[1], vm[1]]], dtype=complex)
-    if flip:
-        P[:, 1] *= -1
-    det = P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]
-    if abs(det) < 1e-30:
-        raise NonHyperbolicParameters("eigenframe degenerate")
-    return P / abs(det) ** 0.5
+    flip = (by_b & ((b.real < 0) | (b.real == 0) & (b.imag < 0))
+            | by_c & ((c.real > 0) | (c.real == 0) & (c.imag > 0)))
+    for i in (0, 1):
+        P[..., i, 1] = np.where(flip, _cmul(P[..., i, 1], -1), P[..., i, 1])
+    size = _modulus(_det(P))
+    return P / _root(size)[..., None, None], size < 1e-30
 
 
-def _cuff_table(pd: PantsDecomposition, values, what: str) -> dict[str, complex]:
+def _twist_matrices(s: np.ndarray) -> np.ndarray:
+    # orientation chosen so that bending theta = Im s turns up as +theta
+    # in the crossing angle at the cuff
+    u = np.exp(_cdiv(-s, 2))
+    W = np.zeros(s.shape + (2, 2), dtype=complex)
+    W[..., 0, 0] = u
+    W[..., 1, 1] = _cdiv(1, u)
+    return W
+
+
+def _unit_det_modulus(m: np.ndarray) -> np.ndarray:
+    return m / _root(_modulus(_det(m)))[..., None, None]
+
+
+def _conjugated(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """g x g^-1."""
+    return g @ x @ (_adj(g) / _det(g)[..., None, None])
+
+
+def _constructed(z: np.ndarray) -> tuple:
+    """MoebiusMap(a, b, c, d) of every matrix of z (..., 2, 2), bit for
+    bit: the normalized matrices, their determinants ad - bc, and where
+    the constructor raises SingularMatrix (|ad - bc| < 1e-100)."""
+    det = _det(z)
+    root = [r[..., None, None] for r in _sqrt(det.real, det.imag)]
+    return _complex(*_quot(z.real, z.imag, *root)), det, _modulus(det) < 1e-100
+
+
+def _gluing(pd: PantsDecomposition) -> tuple:
+    """The gluing recipe of pd resolved against it: the root pants; the
+    cuff column of every pants slot (pants, 3); the tree cuffs in gluing
+    order, (column, parent slot, child slot); the stable cuffs, (column,
+    positive slot, negative slot); the boundary generators, (pants,
+    slot); and the generators in the order of the pass's image rows,
+    stable letters first.  Raises InvalidDecomposition where the recipe
+    cannot glue, before any parameter is read."""
+    fn = pd.fenchel_nielsen
+    if fn is None:
+        raise InvalidDecomposition(
+            "decomposition carries no gluing recipe; build it with "
+            "standard_decomposition or add a fenchel_nielsen block")
+    column = {c.id: i for i, c in enumerate(pd.cuffs)}
+    ends = {c.id: pd.signed_ends_of(c.id) for c in pd.cuffs}
+    tree_cuffs = set(fn.tree_cuffs)
+
+    # one conjugation per pants, accumulated along the spanning tree
+    reached, tree = {fn.root}, []
+    pending = set(tree_cuffs)
+    progress = True
+    while pending and progress:
+        progress = False
+        for cid in sorted(pending):
+            (pp, kp), (pm, km) = ends[cid]
+            for e in (pd.pants[pp].cuff_ends[kp], pd.pants[pm].cuff_ends[km]):
+                if e.conjugator:
+                    raise InvalidDecomposition(
+                        f"tree cuff {cid!r} has a conjugated end; gluing "
+                        "recipe requires plain tree ends")
+            if (pp in reached) == (pm in reached):
+                continue
+            parent, child = (((pp, kp), (pm, km)) if pp in reached
+                             else ((pm, km), (pp, kp)))
+            reached.add(child[0])
+            tree.append((column[cid], parent, child))
+            pending.discard(cid)
+            progress = True
+    if pending or len(reached) < len(pd.pants):
+        raise InvalidDecomposition(
+            f"gluing tree does not reach all pants (stuck on {sorted(pending)})")
+
+    # stable letters for the remaining cuffs
+    roles = fn.generator_roles
+    stable_gen = {role["cuff"]: g for g, role in roles.items()
+                  if role.get("kind") == "stable"}
+    stable, gens = [], []
+    for cuff in pd.cuffs:
+        cid = cuff.id
+        if cid in tree_cuffs:
+            continue
+        if cid not in stable_gen:
+            raise InvalidDecomposition(
+                f"cuff {cid!r} is not a tree edge and has no stable letter")
+        (pp, kp), (pm, km) = ends[cid]
+        if pd.pants[pp].cuff_ends[kp].conjugator != "":
+            raise InvalidDecomposition(
+                f"positive end of cuff {cid!r} must carry no conjugator")
+        if pd.pants[pm].cuff_ends[km].conjugator != stable_gen[cid]:
+            raise InvalidDecomposition(
+                f"negative end of cuff {cid!r} must be conjugated by its "
+                f"stable letter {stable_gen[cid]!r}")
+        stable.append((column[cid], (pp, kp), (pm, km)))
+        gens.append(stable_gen[cid])
+
+    boundary = []
+    for g in pd.generators:
+        role = roles.get(g)
+        if role is None:
+            raise InvalidDecomposition(f"generator {g!r} has no gluing role")
+        if role.get("kind") == "boundary":
+            boundary.append((role["pants"], role["slot"]))
+            gens.append(g)
+        elif role.get("kind") != "stable":
+            raise InvalidDecomposition(f"unknown role {role!r} for {g!r}")
+    missing = [g for g in pd.generators if g not in gens]
+    if missing:
+        raise InvalidDecomposition(
+            f"generators {missing} are the stable letter of no cuff")
+    slots = np.array([[column[e.cuff] for e in pants.cuff_ends]
+                      for pants in pd.pants], dtype=int)
+    return fn.root, slots, tree, stable, boundary, gens
+
+
+def _cuff_row(pd: PantsDecomposition, values, what: str) -> list[complex]:
+    """One complex value per cuff, in the order of pd.cuffs, from a dict
+    keyed by cuff id or a sequence aligned with pd.cuffs; a missing,
+    surplus or non-finite value raises NonHyperbolicParameters."""
     if isinstance(values, dict):
-        table = {k: complex(v) for k, v in values.items()}
-        missing = [c.id for c in pd.cuffs if c.id not in table]
+        missing = [c.id for c in pd.cuffs if c.id not in values]
         if missing:
             raise NonHyperbolicParameters(f"missing {what} for cuffs {missing}")
-        return table
-    values = list(values)
-    if len(values) != len(pd.cuffs):
-        raise NonHyperbolicParameters(
-            f"expected {len(pd.cuffs)} {what} values, got {len(values)}")
-    return {c.id: complex(v) for c, v in zip(pd.cuffs, values)}
+        row = [complex(values[c.id]) for c in pd.cuffs]
+    else:
+        row = [complex(v) for v in values]
+        if len(row) != len(pd.cuffs):
+            raise NonHyperbolicParameters(
+                f"expected {len(pd.cuffs)} {what} values, got {len(row)}")
+    for cuff, v in zip(pd.cuffs, row):
+        if not cmath.isfinite(v):
+            raise NonHyperbolicParameters(
+                f"{what} of cuff {cuff.id!r} is {v}, not finite")
+    return row
+
+
+def _glue(pd: PantsDecomposition, params, ts=None) -> list[Representation]:
+    """fenchel_nielsen_rep at every (lengths, twists) of params, in one
+    stacked pass.  A failure raises at the first failing sample, and
+    there the scalar construction's first failing guard: the length and
+    twist tables, the pants, the frames and generators in gluing order,
+    the relator residual, then the cuff traces.  With the sample times
+    ts, its message ends with the sample and its time.  Other errors
+    that params raises propagate at once."""
+    plan = _gluing(pd)
+    rows, late = [], None
+    try:
+        for lengths, twists in params:
+            rows.append(_cuff_row(pd, lengths, "length")
+                        + _cuff_row(pd, twists, "twist"))
+    except PleatbendError as exc:   # raised once the samples before it pass
+        late = exc
+    reps, failure = [], None
+    for start in range(0, len(rows), _CHUNK):
+        z = np.array(rows[start:start + _CHUNK], dtype=complex)
+        glued, failure = _glue_rows(pd, plan, z[:, :len(pd.cuffs)],
+                                    z[:, len(pd.cuffs):])
+        if failure is not None:
+            failure = start + failure[0], failure[1]
+            break
+        reps += glued
+    if failure is None and late is not None:
+        failure = len(rows), late
+    if failure is None:
+        return reps
+    k, exc = failure
+    if ts is not None:
+        exc = type(exc)(f"{exc} at sample {k} (t={float(ts[k])!r})")
+    raise exc
+
+
+def _glue_rows(pd: PantsDecomposition, plan: tuple, lam: np.ndarray,
+               twist: np.ndarray) -> tuple:
+    """The gluing pass at lengths and twists (n, cuffs): (the n
+    representations, None), or (None, (k, error)) for the first failing
+    sample k.  Every guard is evaluated at every sample; the values at a
+    sample past its first failing guard mean nothing."""
+    root, slots, tree, stable, boundary, gens = plan
+    n, npants = len(lam), len(pd.pants)
+    guards = []           # (mask (n,), error at sample k), in guard order
+    with np.errstate(all="ignore"):
+        # raw boundary triples; gluing frames are always taken on these,
+        # so frame normalization noise cannot leak twist between cuffs
+        ls = lam[:, slots]
+        triples, negative, periodic, degenerate = _pants_triples(ls)
+        for p in range(npants):
+            for j in range(3):
+                guards.append((negative[:, p, j], lambda k, p=p, j=j:
+                               NonHyperbolicParameters(
+                                   f"cuff length {complex(ls[k, p, j])} has "
+                                   f"negative real part (pants {p})")))
+            guards.append((periodic[:, p], lambda k, p=p:
+                           NonHyperbolicParameters(
+                               f"first cuff length {complex(ls[k, p, 0])} is "
+                               f"a multiple of 2 pi i (pants {p})")))
+            guards.append((degenerate[:, p], lambda k, p=p:
+                           NonHyperbolicParameters(
+                               "degenerate cuff length triple ({}, {}, {}) "
+                               "(pants {})".format(*map(complex, ls[k, p]),
+                                                   p))))
+        frames, flat = _normal_frames(triples, ls)
+        twists = _twist_matrices(twist)
+
+        def frame_guard(slot):
+            guards.append((flat[:, slot[0], slot[1]], lambda k:
+                           NonHyperbolicParameters("eigenframe degenerate")))
+
+        def frames_at(slots):
+            ps, ks = np.array(slots, dtype=int).T
+            return frames[:, ps, ks]
+
+        conj = np.empty((n, npants, 2, 2), dtype=complex)
+        conj[:, root] = np.eye(2)
+        if tree:
+            cols, parents, children = zip(*tree)
+            G = _unit_det_modulus(frames_at(parents) @ _R @ twists[:, cols]
+                                  @ _adj(frames_at(children)))
+            for i, (_, parent, child) in enumerate(tree):
+                frame_guard(parent)
+                frame_guard(child)
+                conj[:, child[0]] = conj[:, parent[0]] @ G[:, i]
+
+        images = []
+        if stable:
+            cols, plus, minus = zip(*stable)
+            S = (frames_at(minus) @ _R @ twists[:, cols]
+                 @ _adj(frames_at(plus)))
+            cp = conj[:, [p for p, _ in plus]]
+            cm = conj[:, [p for p, _ in minus]]
+            images.append(cm @ _unit_det_modulus(S)
+                          @ (_adj(cp) / _det(cp)[..., None, None]))
+        if boundary:
+            ps, ks = np.array(boundary, dtype=int).T
+            images.append(_conjugated(conj[:, ps], triples[:, ps, ks]))
+        images, det, singular = _constructed(np.concatenate(images, axis=1))
+        ok = ~singular & np.isfinite(images).all(axis=(2, 3))
+        maps = MoebiusArray(images.real.transpose(2, 3, 1, 0),
+                            images.imag.transpose(2, 3, 1, 0), ok.T)
+
+        def constructor_guard(i):
+            guards.append((singular[:, i], lambda k: SingularMatrix(
+                f"determinant {np.complex128(det[k, i])!r} too small")))
+
+        for i, (_, plus, minus) in enumerate(stable):
+            frame_guard(plus)
+            frame_guard(minus)
+            constructor_guard(i)
+        for i in range(len(stable), len(gens)):
+            constructor_guard(i)
+
+        # the postconditions, on the images as built
+        row = {g: i for i, g in enumerate(gens)}
+        letter = {(g, inv): i + inv * len(row) for g, i in row.items()
+                  for inv in (False, True)}
+        inverses = maps.inverse()
+        letters = MoebiusArray(np.concatenate([maps.re, inverses.re], axis=2),
+                               np.concatenate([maps.im, inverses.im], axis=2),
+                               np.concatenate([maps.ok, inverses.ok]))
+        words = pd.relators + tuple(c.word for c in pd.cuffs)
+        stack = _word_stack(letters, letter, [_tokens(w) for w in words], n)
+        nrel = len(pd.relators)
+        dist = np.where(stack.ok[:nrel],
+                        stack.take(slice(0, nrel)).distance_to_identity(),
+                        np.nan)
+        res = dist.max(axis=0) if nrel else np.zeros(n)
+        guards.append((~(res <= 1e-6), lambda k: PleatbendError(
+            f"gluing postcondition failed: relator residual {res[k]:.3e}")))
+        t2 = _complex(*stack.take(slice(nrel, None)).trace_squared())
+        h = np.cosh(_cdiv(lam, 2)).T
+        want = _cmul(4, _cmul(h, h))
+        off = ~(_modulus(t2 - want) <= 1e-6 * (1 + _modulus(want)))
+        off |= ~stack.ok[nrel:]
+        for c, cuff in enumerate(pd.cuffs):
+            guards.append((off[c], lambda k, c=c, cid=cuff.id: PleatbendError(
+                f"gluing postcondition failed: cuff {cid!r} trace "
+                f"{complex(t2[c, k]):.6g} vs requested "
+                f"{complex(want[c, k]):.6g}")))
+
+    failing = np.array([mask for mask, _ in guards])
+    bad = failing.any(axis=0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        return None, (k, guards[int(np.argmax(failing[:, k]))][1](k))
+    entries = images.reshape(n, len(row), 4).tolist()
+    order = [row[g] for g in pd.generators]
+    raw = MoebiusMap._raw
+    return [Representation(generators=pd.generators,
+                           images=tuple(raw(*sample[i]) for i in order),
+                           relators=pd.relators)
+            for sample in entries], None
 
 
 def fenchel_nielsen_rep(pd: PantsDecomposition, lengths,
@@ -316,120 +660,14 @@ def fenchel_nielsen_rep(pd: PantsDecomposition, lengths,
     cuff (purely imaginary = elliptic cuff), a twist s = tau + i theta
     combines shearing tau with bending theta.  Requires the gluing
     recipe attached by standard_decomposition (or an equivalent one in
-    the decomposition file).  Raises PleatbendError when the result
-    misses the gluing postcondition: a relator residual or a cuff
-    trace^2 error above 1e-6.
+    the decomposition file).  The one-sample case of the stacked pass
+    that path_from_parameters runs.  Raises NonHyperbolicParameters
+    for a missing or non-finite parameter and where the construction
+    degenerates, and PleatbendError when the result misses the gluing
+    postcondition: a relator residual above 1e-6 or a cuff trace^2
+    further than 1e-6 (1 + |requested|) from the requested one.
     """
-    fn = pd.fenchel_nielsen
-    if fn is None:
-        raise InvalidDecomposition(
-            "decomposition carries no gluing recipe; build it with "
-            "standard_decomposition or add a fenchel_nielsen block")
-    lam = _cuff_table(pd, lengths, "length")
-    twist = _cuff_table(pd, twists, "twist")
-
-    # raw boundary triples; gluing frames are always taken on these, so
-    # frame normalization noise cannot leak twist between cuffs
-    triples: list[tuple[np.ndarray, ...]] = []
-    for p, pants in enumerate(pd.pants):
-        ls = [lam[e.cuff] for e in pants.cuff_ends]
-        triples.append(pants_triple(*ls, label=f"(pants {p})"))
-
-    tree = set(fn.tree_cuffs)
-    plus_end = {}
-    minus_end = {}
-    for cuff in pd.cuffs:
-        plus_end[cuff.id], minus_end[cuff.id] = pd.signed_ends_of(cuff.id)
-
-    def unit_det(m: np.ndarray) -> np.ndarray:
-        return m / abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) ** 0.5
-
-    # accumulate one conjugation per pants along the spanning tree
-    conj: dict[int, np.ndarray] = {fn.root: np.eye(2, dtype=complex)}
-    pending = {c for c in tree}
-    progress = True
-    while pending and progress:
-        progress = False
-        for cid in sorted(pending):
-            (pp, kp), (pm, km) = plus_end[cid], minus_end[cid]
-            for e in (pd.pants[pp].cuff_ends[kp], pd.pants[pm].cuff_ends[km]):
-                if e.conjugator:
-                    raise InvalidDecomposition(
-                        f"tree cuff {cid!r} has a conjugated end; gluing "
-                        "recipe requires plain tree ends")
-            if (pp in conj) == (pm in conj):
-                continue
-            parent, kpar = (pp, kp) if pp in conj else (pm, km)
-            child, kch = (pm, km) if pp in conj else (pp, kp)
-            P_par = normal_frame(triples[parent][kpar], lam[cid])
-            P_ch = normal_frame(triples[child][kch], lam[cid])
-            G = P_par @ _R @ _twist_matrix(twist[cid]) @ _adj(P_ch)
-            conj[child] = conj[parent] @ unit_det(G)
-            pending.discard(cid)
-            progress = True
-    if pending:
-        raise InvalidDecomposition(
-            f"gluing tree does not reach all pants (stuck on {sorted(pending)})")
-
-    def placed(p: int, k: int) -> np.ndarray:
-        return _conjugate(conj[p], triples[p][k])
-
-    # stable letters for the remaining cuffs
-    roles = fn.generator_roles
-    stable_gen = {}
-    for g, role in roles.items():
-        if role.get("kind") == "stable":
-            stable_gen[role["cuff"]] = g
-    images: dict[str, MoebiusMap] = {}
-    for cuff in pd.cuffs:
-        cid = cuff.id
-        if cid in tree:
-            continue
-        if cid not in stable_gen:
-            raise InvalidDecomposition(
-                f"cuff {cid!r} is not a tree edge and has no stable letter")
-        (pp, kp), (pm, km) = plus_end[cid], minus_end[cid]
-        if pd.pants[pp].cuff_ends[kp].conjugator != "":
-            raise InvalidDecomposition(
-                f"positive end of cuff {cid!r} must carry no conjugator")
-        if pd.pants[pm].cuff_ends[km].conjugator != stable_gen[cid]:
-            raise InvalidDecomposition(
-                f"negative end of cuff {cid!r} must be conjugated by its "
-                f"stable letter {stable_gen[cid]!r}")
-        P_plus = normal_frame(triples[pp][kp], lam[cid])
-        P_minus = normal_frame(triples[pm][km], lam[cid])
-        S_raw = P_minus @ _R @ _twist_matrix(twist[cid]) @ _adj(P_plus)
-        cm, cp = conj[pm], conj[pp]
-        det_cp = cp[0, 0] * cp[1, 1] - cp[0, 1] * cp[1, 0]
-        S = cm @ unit_det(S_raw) @ (_adj(cp) / det_cp)
-        images[stable_gen[cid]] = MoebiusMap(S[0, 0], S[0, 1], S[1, 0], S[1, 1])
-
-    for g in pd.generators:
-        role = roles.get(g)
-        if role is None:
-            raise InvalidDecomposition(f"generator {g!r} has no gluing role")
-        if role.get("kind") == "boundary":
-            m = placed(role["pants"], role["slot"])
-            images[g] = MoebiusMap(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-        elif role.get("kind") != "stable":
-            raise InvalidDecomposition(f"unknown role {role!r} for {g!r}")
-
-    rep = Representation(generators=pd.generators,
-                         images=tuple(images[g] for g in pd.generators),
-                         relators=pd.relators)
-    res = rep.relator_residual()
-    if res > 1e-6:
-        raise PleatbendError(
-            f"gluing postcondition failed: relator residual {res:.3e}")
-    for cuff in pd.cuffs:
-        m = evaluate_word(rep, cuff.word)
-        want = 4 * _half_trace(lam[cuff.id]) ** 2
-        t2 = trace_squared(m)
-        if abs(t2 - want) > 1e-6 * (1 + abs(want)):
-            raise PleatbendError(
-                f"gluing postcondition failed: cuff {cuff.id!r} trace "
-                f"{t2:.6g} vs requested {want:.6g}")
-    return rep
+    return _glue(pd, [(lengths, twists)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -484,12 +722,13 @@ class RepresentationPath:
 def path_from_parameters(pd: PantsDecomposition, lengths_at, twists_at,
                          steps: int = 64, t0: float = 0.0,
                          t1: float = 1.0) -> RepresentationPath:
-    """Sample fenchel_nielsen_rep along t -> (lengths_at(t), twists_at(t))."""
+    """Sample fenchel_nielsen_rep along t -> (lengths_at(t), twists_at(t)),
+    every sample glued in one stacked pass.  A failure is the first
+    failing sample's, its message ending with "at sample k (t=...)"."""
     ts = np.linspace(t0, t1, steps + 1)
-    reps = tuple(fenchel_nielsen_rep(pd, lengths_at(t), twists_at(t))
-                 for t in ts)
-    return RepresentationPath(ts=tuple(float(t) for t in ts), reps=reps,
-                              pd=pd)
+    reps = _glue(pd, ((lengths_at(t), twists_at(t)) for t in ts), ts)
+    return RepresentationPath(ts=tuple(float(t) for t in ts),
+                              reps=tuple(reps), pd=pd)
 
 
 def path_from_reps(reps, ts=None, pd=None) -> RepresentationPath:
@@ -519,7 +758,7 @@ def _common_fixed_point_tol(rep: Representation, tol: float) -> bool:
     return False
 
 
-def _mul(x: tuple, y: tuple) -> tuple:
+def _entry_product(x: tuple, y: tuple) -> tuple:
     a, b, c, d = x
     e, f, g, h = y
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
@@ -554,20 +793,20 @@ def _squared_trace_jacobian(rep: Representation, words) -> np.ndarray:
         for tok in tokens:
             if tok not in letter:
                 raise UnknownLetter(f"no image for generator {tok[0]!r}")
-            prefix.append(_mul(prefix[-1], letter[tok]))
+            prefix.append(_entry_product(prefix[-1], letter[tok]))
         suffix = [_ONE]
         for tok in reversed(tokens):
-            suffix.append(_mul(letter[tok], suffix[-1]))
+            suffix.append(_entry_product(letter[tok], suffix[-1]))
         suffix.reverse()
         w = prefix[-1]
         two_tr = 2 * (w[0] + w[3])
         row = [0j] * (3 * n)
         for t, (base, inv) in enumerate(tokens):
             if inv:
-                m = _mul(suffix[t + 1], prefix[t + 1])
+                m = _entry_product(suffix[t + 1], prefix[t + 1])
                 f = -two_tr
             else:
-                m = _mul(suffix[t], prefix[t])
+                m = _entry_product(suffix[t], prefix[t])
                 f = two_tr
             col = column[base]
             row[col] += f * (m[0] - m[3])

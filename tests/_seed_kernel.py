@@ -29,6 +29,13 @@ seed_unwrap_angles is the recurrence volume._unwrap_angles ran, sample
 by sample, before it became a running sum of reduced steps; the unwrap
 tests require the same failing rows and messages of both and bound the
 distance of their lifts by its rounding.
+seed_fenchel_nielsen_rep, with pants_triple, normal_frame,
+_twist_matrix, _conjugate, its unit_det and _cuff_table, is the gluing
+as it was before every sample of a path became one stacked pass: one
+sample at a time, on 2x2 numpy matrices and CPython's scalar
+arithmetic.  test_gluing compares every image entry of the pass with
+it bit for bit, signed zeros included, and requires its error at the
+first failing sample; normal_frame is the oracle of the stacked frames.
 This module is importable because the pytest configuration puts tests/
 on sys.path (pythonpath in pyproject.toml).
 """
@@ -43,16 +50,17 @@ import pytest
 from hypothesis import strategies as st
 
 from pleatbend.errors import (AngleUnwrapFailure, DegenerateConfiguration,
-                              DegenerateTriangle, NotAdapted,
+                              DegenerateTriangle, InvalidDecomposition,
+                              NonHyperbolicParameters, NotAdapted,
                               OrientationTrackingFailure, PleatbendError,
                               ReducibleRepresentation, SingularMatrix)
 from pleatbend.moebius import (EPS_CLASS, RESCALE_LIMIT, IsometryClass,
                                MoebiusMap, _complex_length, _fixed_points,
                                chordal, classify, cross_ratio, fixed_points,
-                               normalizing_map, reduce_angle)
+                               normalizing_map, reduce_angle, trace_squared)
 from pleatbend.pleated import sample_images, shared_endpoint_check
-from pleatbend.representation import (Representation, _adj, _mat,
-                                      evaluate_word)
+from pleatbend.representation import Representation, _mat, evaluate_word
+from pleatbend.topology import PantsDecomposition
 
 
 @dataclass(frozen=True, eq=False)
@@ -645,3 +653,238 @@ def seed_start_endpoints(path, forward, eps_class=EPS_CLASS):
         att, rep_pt = images.fixed_points(cuff.word)
         zeta[cuff.id] = (att, rep_pt) if bit else (rep_pt, att)
     return zeta
+
+# ---------------------------------------------------------------------------
+# the Fenchel-Nielsen gluing as it was before it became one stacked pass:
+# one sample at a time, 2x2 numpy matrices and CPython's scalar arithmetic
+
+_R = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+
+
+def _twist_matrix(s: complex) -> np.ndarray:
+    # orientation chosen so that bending theta = Im s turns up as +theta
+    # in the crossing angle at the cuff
+    u = cmath.exp(-s / 2)
+    return np.array([[u, 0.0], [0.0, 1 / u]], dtype=complex)
+
+
+def _adj(m: np.ndarray) -> np.ndarray:
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
+
+
+def _conjugate(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    return g @ x @ (_adj(g) / det)
+
+
+def _half_trace(lam: complex) -> complex:
+    return cmath.cosh(lam / 2)
+
+
+def pants_triple(l1: complex, l2: complex, l3: complex,
+                 label: str = "") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boundary matrices of one pair of pants with given cuff lengths.
+
+    Returned matrices X1, X2, X3 satisfy X1 X2 X3 = I with
+    tr X_k = -2 cosh(l_k / 2); X1 is diagonal.  Raises for parameters
+    where the construction degenerates (l1 in 2 pi i Z, or negative
+    translation lengths).
+    """
+    for lam in (l1, l2, l3):
+        if lam.real < -1e-12:
+            raise NonHyperbolicParameters(
+                f"cuff length {lam} has negative real part {label}")
+    u = cmath.exp(l1 / 2)
+    denom = u - 1 / u
+    if abs(denom) < 1e-9:
+        raise NonHyperbolicParameters(
+            f"first cuff length {l1} is a multiple of 2 pi i {label}")
+    t2 = -2 * _half_trace(l2)
+    p = (2 * _half_trace(l3) + 2 * _half_trace(l2) / u) / denom
+    s = t2 - p
+    q = p * s - 1
+    if abs(q) < 1e-9:
+        raise NonHyperbolicParameters(
+            f"degenerate cuff length triple ({l1}, {l2}, {l3}) {label}")
+    X1 = np.array([[-u, 0.0], [0.0, -1 / u]], dtype=complex)
+    X2 = np.array([[p, q], [1.0, s]], dtype=complex)
+    X3 = _adj(X1 @ X2)           # inverse of a determinant-one product
+    return X1, X2, X3
+
+
+def normal_frame(m: np.ndarray, lam: complex) -> np.ndarray:
+    """Eigenframe P with P^-1 m P = diag(-e^{lam/2}, -e^{-lam/2}).
+
+    The eigenvalues are supplied, not extracted, so the frame varies
+    smoothly along parameter paths.  Columns are kept unnormalized
+    except for a positive real rescale; the determinant is rotated to
+    the right half plane, which keeps frames of real matrices real.
+    """
+    target = -2 * _half_trace(lam)
+    if abs((m[0, 0] + m[1, 1]) - target) > abs((m[0, 0] + m[1, 1]) + target):
+        m = -m
+    mup = -cmath.exp(lam / 2)
+    mum = -cmath.exp(-lam / 2)
+    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+    scale = abs(a) + abs(d) + 1
+    # the frame determinant is +-2 * entry * sinh(lam/2); the column-sign
+    # flip is keyed to the entry, not the raw determinant, so that near
+    # elliptic target lengths (sinh almost imaginary) the choice does
+    # not chatter on roundoff
+    flip = False
+    if abs(b) >= abs(c) and abs(b) > 1e-14 * scale:
+        vp, vm = (b, mup - a), (b, mum - a)
+        flip = b.real < 0 or (b.real == 0 and b.imag < 0)
+    elif abs(c) > 1e-14 * scale:
+        vp, vm = (mup - d, c), (mum - d, c)
+        flip = c.real > 0 or (c.real == 0 and c.imag > 0)
+    elif abs(a - mup) <= abs(a - mum):
+        vp, vm = (1.0, 0.0), (0.0, 1.0)
+    else:
+        vp, vm = (0.0, 1.0), (-1.0, 0.0)
+    P = np.array([[vp[0], vm[0]], [vp[1], vm[1]]], dtype=complex)
+    if flip:
+        P[:, 1] *= -1
+    det = P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]
+    if abs(det) < 1e-30:
+        raise NonHyperbolicParameters("eigenframe degenerate")
+    return P / abs(det) ** 0.5
+
+
+def _cuff_table(pd: PantsDecomposition, values, what: str) -> dict[str, complex]:
+    if isinstance(values, dict):
+        table = {k: complex(v) for k, v in values.items()}
+        missing = [c.id for c in pd.cuffs if c.id not in table]
+        if missing:
+            raise NonHyperbolicParameters(f"missing {what} for cuffs {missing}")
+        return table
+    values = list(values)
+    if len(values) != len(pd.cuffs):
+        raise NonHyperbolicParameters(
+            f"expected {len(pd.cuffs)} {what} values, got {len(values)}")
+    return {c.id: complex(v) for c, v in zip(pd.cuffs, values)}
+
+
+def seed_fenchel_nielsen_rep(pd: PantsDecomposition, lengths,
+                        twists) -> Representation:
+    """Representation with prescribed cuff lengths and twist-bends.
+
+    lengths and twists are dicts keyed by cuff id (or sequences aligned
+    with pd.cuffs); a length is the complex translation length of the
+    cuff (purely imaginary = elliptic cuff), a twist s = tau + i theta
+    combines shearing tau with bending theta.  Requires the gluing
+    recipe attached by standard_decomposition (or an equivalent one in
+    the decomposition file).  Raises PleatbendError when the result
+    misses the gluing postcondition: a relator residual or a cuff
+    trace^2 error above 1e-6.
+    """
+    fn = pd.fenchel_nielsen
+    if fn is None:
+        raise InvalidDecomposition(
+            "decomposition carries no gluing recipe; build it with "
+            "standard_decomposition or add a fenchel_nielsen block")
+    lam = _cuff_table(pd, lengths, "length")
+    twist = _cuff_table(pd, twists, "twist")
+
+    # raw boundary triples; gluing frames are always taken on these, so
+    # frame normalization noise cannot leak twist between cuffs
+    triples: list[tuple[np.ndarray, ...]] = []
+    for p, pants in enumerate(pd.pants):
+        ls = [lam[e.cuff] for e in pants.cuff_ends]
+        triples.append(pants_triple(*ls, label=f"(pants {p})"))
+
+    tree = set(fn.tree_cuffs)
+    plus_end = {}
+    minus_end = {}
+    for cuff in pd.cuffs:
+        plus_end[cuff.id], minus_end[cuff.id] = pd.signed_ends_of(cuff.id)
+
+    def unit_det(m: np.ndarray) -> np.ndarray:
+        return m / abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) ** 0.5
+
+    # accumulate one conjugation per pants along the spanning tree
+    conj: dict[int, np.ndarray] = {fn.root: np.eye(2, dtype=complex)}
+    pending = {c for c in tree}
+    progress = True
+    while pending and progress:
+        progress = False
+        for cid in sorted(pending):
+            (pp, kp), (pm, km) = plus_end[cid], minus_end[cid]
+            for e in (pd.pants[pp].cuff_ends[kp], pd.pants[pm].cuff_ends[km]):
+                if e.conjugator:
+                    raise InvalidDecomposition(
+                        f"tree cuff {cid!r} has a conjugated end; gluing "
+                        "recipe requires plain tree ends")
+            if (pp in conj) == (pm in conj):
+                continue
+            parent, kpar = (pp, kp) if pp in conj else (pm, km)
+            child, kch = (pm, km) if pp in conj else (pp, kp)
+            P_par = normal_frame(triples[parent][kpar], lam[cid])
+            P_ch = normal_frame(triples[child][kch], lam[cid])
+            G = P_par @ _R @ _twist_matrix(twist[cid]) @ _adj(P_ch)
+            conj[child] = conj[parent] @ unit_det(G)
+            pending.discard(cid)
+            progress = True
+    if pending:
+        raise InvalidDecomposition(
+            f"gluing tree does not reach all pants (stuck on {sorted(pending)})")
+
+    def placed(p: int, k: int) -> np.ndarray:
+        return _conjugate(conj[p], triples[p][k])
+
+    # stable letters for the remaining cuffs
+    roles = fn.generator_roles
+    stable_gen = {}
+    for g, role in roles.items():
+        if role.get("kind") == "stable":
+            stable_gen[role["cuff"]] = g
+    images: dict[str, MoebiusMap] = {}
+    for cuff in pd.cuffs:
+        cid = cuff.id
+        if cid in tree:
+            continue
+        if cid not in stable_gen:
+            raise InvalidDecomposition(
+                f"cuff {cid!r} is not a tree edge and has no stable letter")
+        (pp, kp), (pm, km) = plus_end[cid], minus_end[cid]
+        if pd.pants[pp].cuff_ends[kp].conjugator != "":
+            raise InvalidDecomposition(
+                f"positive end of cuff {cid!r} must carry no conjugator")
+        if pd.pants[pm].cuff_ends[km].conjugator != stable_gen[cid]:
+            raise InvalidDecomposition(
+                f"negative end of cuff {cid!r} must be conjugated by its "
+                f"stable letter {stable_gen[cid]!r}")
+        P_plus = normal_frame(triples[pp][kp], lam[cid])
+        P_minus = normal_frame(triples[pm][km], lam[cid])
+        S_raw = P_minus @ _R @ _twist_matrix(twist[cid]) @ _adj(P_plus)
+        cm, cp = conj[pm], conj[pp]
+        det_cp = cp[0, 0] * cp[1, 1] - cp[0, 1] * cp[1, 0]
+        S = cm @ unit_det(S_raw) @ (_adj(cp) / det_cp)
+        images[stable_gen[cid]] = MoebiusMap(S[0, 0], S[0, 1], S[1, 0], S[1, 1])
+
+    for g in pd.generators:
+        role = roles.get(g)
+        if role is None:
+            raise InvalidDecomposition(f"generator {g!r} has no gluing role")
+        if role.get("kind") == "boundary":
+            m = placed(role["pants"], role["slot"])
+            images[g] = MoebiusMap(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+        elif role.get("kind") != "stable":
+            raise InvalidDecomposition(f"unknown role {role!r} for {g!r}")
+
+    rep = Representation(generators=pd.generators,
+                         images=tuple(images[g] for g in pd.generators),
+                         relators=pd.relators)
+    res = rep.relator_residual()
+    if res > 1e-6:
+        raise PleatbendError(
+            f"gluing postcondition failed: relator residual {res:.3e}")
+    for cuff in pd.cuffs:
+        m = evaluate_word(rep, cuff.word)
+        want = 4 * _half_trace(lam[cuff.id]) ** 2
+        t2 = trace_squared(m)
+        if abs(t2 - want) > 1e-6 * (1 + abs(want)):
+            raise PleatbendError(
+                f"gluing postcondition failed: cuff {cuff.id!r} trace "
+                f"{t2:.6g} vs requested {want:.6g}")
+    return rep

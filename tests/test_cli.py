@@ -90,6 +90,24 @@ class TestClassify:
         assert payload["rows"][0]["word"] == "x"
         assert payload["rows"][0]["class"] == "loxodromic"
 
+    def test_each_word_evaluated_once(self, demo, capsys, monkeypatch):
+        # tr^2 is read off the one image that classify also types
+        from pleatbend import representation
+        seen = []
+        evaluate = representation.evaluate_word
+
+        def counting(rep, word):
+            seen.append(word)
+            return evaluate(rep, word)
+
+        for module in (cli, representation):
+            monkeypatch.setattr(module, "evaluate_word", counting)
+        code, _, _ = run(capsys, "classify",
+                         "--input", str(demo / "f2_rep.json"),
+                         "--words", "x,y,xy")
+        assert code == 0
+        assert seen == ["x", "y", "xy"]
+
     def test_missing_words_is_usage_failure(self, demo, capsys):
         code, _, err = run(capsys, "classify",
                            "--input", str(demo / "f2_rep.json"))
@@ -456,6 +474,18 @@ class TestOptions:
             assert (actions["input"].nargs == "+") == (command == "peripheral")
             settable += len(actions)
         assert settable == 55
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_parser_of_one_command(self, command):
+        # main sets up the subcommand it runs, with the same options
+        def options(parser):
+            sub = next(a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction))
+            return {name: sorted(a.dest for a in p._actions)
+                    for name, p in sub.choices.items()}
+
+        full = options(_build_parser())
+        assert options(_build_parser(command)) == {command: full[command]}
 
     @pytest.mark.parametrize("command, extra, token", _unread())
     def test_unread_option_is_usage_error(self, capsys, command, extra,
