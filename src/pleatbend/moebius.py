@@ -119,9 +119,9 @@ class MoebiusMap:
     them afterwards.  Equality and hashing are by identity.  Every
     normalizing construction goes through __post_init__, which rescales
     the entries in place; instrumentation may wrap it to count
-    constructions.  The images of the Fenchel-Nielsen gluing are
-    normalized in its array pass, bit for bit as __post_init__ would,
-    and wrapped with _raw, so such counts leave them out.
+    constructions.  Paths and representation files hold their images
+    in arrays, normalized there bit for bit as __post_init__ would, and
+    a Representation read off such an array wraps them with _raw.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -281,11 +281,6 @@ class MoebiusArray:
         re = np.zeros((2, 2) + shape)
         re[0, 0] = re[1, 1] = 1.0
         return cls(re, np.zeros((2, 2) + shape), np.ones(shape, dtype=bool))
-
-    def at(self, k: int) -> "MoebiusArray":
-        """The maps of sample k alone."""
-        return MoebiusArray(self.re[..., k:k + 1], self.im[..., k:k + 1],
-                            self.ok[..., k:k + 1])
 
     def take(self, index) -> "MoebiusArray":
         """The maps at index along the first stacking axis, (2, 2, n)

@@ -18,7 +18,8 @@ Angles are exterior dihedral angles in (-pi, pi]: 0 for flat
 cross-ratio position.
 
 Everything here is computed for many samples at once.  sample_images
-evaluates the words of a list of representations in one array pass;
+evaluates the words at every column of a generator array (a path's, or
+one representation's) in one array pass;
 endpoint selection, the adaptedness check, placement and the Schlafli
 terms read that pass through moebius' array kernel (MoebiusArray,
 PointArray).  Each stage runs once for all its items, the words of a
@@ -52,15 +53,16 @@ import numpy as np
 
 from .errors import (DegenerateConfiguration, DegenerateTriangle, NotAdapted,
                      OrientationTrackingFailure, PleatbendError,
-                     SampleEvaluationFailure, SingularMatrix, UnknownLetter)
+                     SampleEvaluationFailure, SingularMatrix)
 from .moebius import (EPS_CLASS, EPS_NUM, KINDS, MoebiusArray, MoebiusMap,
                       PointArray, ProjectivePoint, _abs2, _complex, _quot,
                       chordal_array, cross_ratio_array, reduce_angle,
                       reduce_angle_array, stack_points, trace_squared)
-from .representation import Representation, _word_stack, evaluate_word
+from .representation import (Representation, _matrices_of, _rep_at,
+                             _word_images, evaluate_word)
 from .topology import (CuffCrossing, Lamination, LeafCrossing,
-                       PantsDecomposition, TransverseArc, _tokens,
-                       build_lamination, invert_word)
+                       PantsDecomposition, TransverseArc, build_lamination,
+                       invert_word)
 
 EPS_SEP = 1e-9
 
@@ -74,11 +76,13 @@ _COINCIDE = "normalizing_map endpoints coincide"
 class SampleImages:
     """Images of the pipeline's words at n samples, from one array pass.
 
-    words lists every word the pipeline reads (cuff words, slot words,
-    conjugators and the crossing words of cuff_bending), index takes
-    each to its place there, and stack holds their images, (2, 2,
-    words, n), whose entries agree with evaluate_word's to within 8 eps
-    per product (see MoebiusArray).
+    generators and matrices are the samples it read, the image of every
+    generator at every sample, (2, 2, generators, n), as
+    RepresentationPath holds them.  words lists every word the pipeline
+    reads (cuff words, slot words, conjugators and the crossing words of
+    cuff_bending), index takes each to its place there, and stack holds
+    their images, (2, 2, words, n), whose entries agree with
+    evaluate_word's to within 8 eps per product (see MoebiusArray).
     traces holds the tr^2 of the slot commutators that check_adapted
     reads, (n, len(rows), 3) for the distinct slot rows in rows and the
     pairs (0, 1), (1, 2), (2, 0).  ok, (words + rows, n), is False where
@@ -91,13 +95,16 @@ class SampleImages:
     tolerance that the pass fixes for everything that reads it.
     """
 
-    __slots__ = ("reps", "pd", "eps_class", "words", "index", "stack",
-                 "rows", "traces", "ok", "cuff_maps", "kinds", "cuff_points")
+    __slots__ = ("generators", "matrices", "pd", "eps_class", "words",
+                 "index", "stack", "rows", "traces", "ok", "cuff_maps",
+                 "kinds", "cuff_points")
 
-    def __init__(self, reps: list, pd: PantsDecomposition, eps_class: float,
-                 words: list, stack: MoebiusArray, rows: list,
-                 traces: np.ndarray, ok: np.ndarray):
-        self.reps = reps
+    def __init__(self, generators: tuple, matrices: np.ndarray,
+                 pd: PantsDecomposition, eps_class: float, words: list,
+                 stack: MoebiusArray, rows: list, traces: np.ndarray,
+                 ok: np.ndarray):
+        self.generators = generators
+        self.matrices = matrices
         self.pd = pd
         self.eps_class = eps_class
         self.words = words
@@ -111,13 +118,7 @@ class SampleImages:
         self.cuff_points = self.cuff_maps.fixed_points(eps_class)
 
     def __len__(self) -> int:
-        return len(self.reps)
-
-    def at(self, k: int) -> "SampleImages":
-        """The pass of sample k alone."""
-        return SampleImages(self.reps[k:k + 1], self.pd, self.eps_class,
-                            self.words, self.stack.at(k), self.rows,
-                            self.traces[k:k + 1], self.ok[:, k:k + 1])
+        return self.matrices.shape[3]
 
     def evaluated(self) -> np.ndarray:
         """Where every word and commutator of a sample was evaluated."""
@@ -136,46 +137,37 @@ class SampleImages:
             f"sample {k}: {what} is singular, overflows or is not finite")
 
 
-def sample_images(reps, pd: PantsDecomposition,
+def sample_images(generators, matrices: np.ndarray, pd: PantsDecomposition,
                   eps_class: float = EPS_CLASS) -> SampleImages:
-    """The SampleImages of a list of representations, by one array pass.
+    """The SampleImages of the samples matrices, the images of
+    generators (2, 2, generators, n), by one array pass.
 
-    Every word the sample pipeline reads is evaluated at all
-    representations at once with MoebiusArray, folding the words level
-    by level, and so is the tr^2 of every slot commutator that
-    check_adapted reads.  Both follow evaluate_word and
-    shared_endpoint_check product by product.  Letters are looked up by
-    name, so the representations may list their generators in any
-    order; a letter that one of them lacks raises UnknownLetter.  A
+    Every word the sample pipeline reads is evaluated at all samples at
+    once with MoebiusArray, folding the words level by level, and so is
+    the tr^2 of every slot commutator that check_adapted reads.  Both
+    follow evaluate_word and shared_endpoint_check product by product.
+    A letter that is not one of the generators raises UnknownLetter.  A
     sample at which a value would raise in the scalar arithmetic is not
     raised here: its consumers raise SampleEvaluationFailure when they
     reach it, so they meet the failures of earlier samples first.
     """
-    reps = list(reps)
-    return SampleImages(reps, pd, eps_class, *_array_pass(reps, pd))
+    return SampleImages(generators, matrices, pd, eps_class,
+                        *_array_pass(generators, matrices, pd))
 
 
-def _array_pass(reps: list, pd: PantsDecomposition):
+def _array_pass(generators, matrices: np.ndarray, pd: PantsDecomposition):
     """The array pass of sample_images: (words, their images, slot rows,
     their commutator tr^2 (n, rows, 3), ok).
 
-    The words are folded level by level (_word_stack); the commutators
+    The words are folded level by level (_word_images); the commutators
     of every slot row and pair are one chain of three stacked
     products."""
-    n = len(reps)
     words = [c.word for c in pd.cuffs]
     words += [w for row in pd.slot_words for w in row]
     words += [e.conjugator for pants in pd.pants for e in pants.cuff_ends]
     words += pd.crossing_words.values()
     words = list(dict.fromkeys(words))
-    tokens = [_tokens(w) for w in words]
-    # the letters in order of first use
-    bases = list(dict.fromkeys(base for t in tokens for base, _ in t))
-    letters = _letters(reps, bases)
-    letter = {(b, inv): i + inv * len(bases) for i, b in enumerate(bases)
-              for inv in (False, True)}
-    stack = _word_stack(letters, letter, tokens, n)
-    del letters
+    stack = _word_images(generators, matrices, words)
     rows = list(dict.fromkeys(pd.slot_words))
     index = {w: i for i, w in enumerate(words)}
     left, right = (stack.take([[index[row[pair[s]]] for pair in _PAIRS]
@@ -193,34 +185,13 @@ def _array_pass(reps: list, pd: PantsDecomposition):
             np.concatenate([stack.ok, row_ok]))
 
 
-def _letters(reps: list, bases: list) -> MoebiusArray:
-    """The images of bases at every representation, (2, 2, bases, n),
-    followed by their inverses; a letter that one of them lacks raises
-    UnknownLetter, naming the first such letter and sample."""
-    tables = [rep.image_of for rep in reps]
-    try:
-        flat = MoebiusArray.of([table[b] for b in bases for table in tables])
-    except KeyError:
-        base, s = next((b, s) for b in bases
-                       for s, table in enumerate(tables) if b not in table)
-        raise UnknownLetter(f"no image for generator {base!r} "
-                            f"at sample {s}") from None
-    shape = (2, 2, len(bases), len(reps))
-    letters = MoebiusArray(flat.re.reshape(shape), flat.im.reshape(shape),
-                           flat.ok.reshape(shape[2:]))
-    inverses = letters.inverse()
-    return MoebiusArray(np.concatenate([letters.re, inverses.re], axis=2),
-                        np.concatenate([letters.im, inverses.im], axis=2),
-                        np.concatenate([letters.ok, inverses.ok]))
-
-
 def _one_sample(rep: Representation | SampleImages, pd: PantsDecomposition,
                 eps_class: float = EPS_CLASS) -> SampleImages:
     """rep itself if it is a SampleImages of one sample (which keeps its
     own tolerance), else the one-sample pass at rep, classifying at
     eps_class; raises the sample's evaluation failure."""
-    images = rep if isinstance(rep, SampleImages) \
-        else sample_images([rep], pd, eps_class)
+    images = rep if isinstance(rep, SampleImages) else sample_images(
+        rep.generators, _matrices_of([rep]), pd, eps_class)
     if len(images) != 1:
         raise PleatbendError(
             f"expected the images of one sample, got {len(images)}")
@@ -1082,8 +1053,9 @@ def cuff_bending(real: PleatedRealization, cuff_id: str,
             v_minus = pd.pants[pm].cuff_ends[km].conjugator
             core = (cuff.word * winding if winding > 0
                     else invert_word(cuff.word) * (-winding))
+            images = geometry.images
             crossing = {cuff_id: MoebiusArray.of([evaluate_word(
-                geometry.images.reps[0],
+                _rep_at(images.generators, images.matrices, 0),
                 v_plus + core + invert_word(v_minus))])}
         return (cuff_id, *geometry.cuff_angles(crossing), rows)
     return _angle(real, (cuff_id, winding), read)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,10 +27,12 @@ from .errors import (InvalidDecomposition, NonHyperbolicParameters,
                      UnknownLetter)
 from .moebius import (EPS_CLASS, MoebiusArray, MoebiusMap, _complex, _mul,
                       _quot, _sqrt, chordal, fixed_points, trace_squared)
-from .topology import BoundaryInclusion, PantsDecomposition, _tokens
+from .topology import (BoundaryInclusion, PantsDecomposition, _check_shape,
+                       _tokens)
 
 EPS_RANK = 1e-8        # singular values counted, relative to the largest
 REDUCIBLE_TOL = 1e-8   # chordal distance of a common fixed point
+_NUMBER = (int, float)  # a number of a file, to _check_shape
 
 
 @dataclass(frozen=True)
@@ -75,15 +77,30 @@ def evaluate_word(rep: Representation, word: str) -> MoebiusMap:
     return out
 
 
-def _word_stack(letters: MoebiusArray, letter: dict, tokens: list,
-                n: int) -> MoebiusArray:
-    """evaluate_word of every word, given as its tokens, at n samples at
-    once: (2, 2, words, n).  letters stacks the letter images, (2, 2,
-    letters, n), and letter takes each token to its place there.  The
-    distinct token prefixes of depth k are one stacked product of their
-    depth k - 1 prefixes and their last letters, the first level the
-    identity times each first letter, as evaluate_word multiplies it.
-    Each level is freed once the words that end there are stored."""
+def _word_images(generators, matrices: np.ndarray, words) -> MoebiusArray:
+    """evaluate_word of every word at every sample of matrices, the
+    images of generators (2, 2, generators, n), at once: (2, 2, words,
+    n).  The distinct token prefixes of depth k are one stacked product
+    of their depth k - 1 prefixes and their last letters, the first
+    level the identity times each first letter, as evaluate_word
+    multiplies it.  Each level is freed once the words that end there
+    are stored.  A letter that is not a generator raises UnknownLetter."""
+    tokens = [_tokens(w) for w in words]
+    bases = list(dict.fromkeys(b for t in tokens for b, _ in t))
+    column = {g: i for i, g in enumerate(generators)}
+    missing = [b for b in bases if b not in column]
+    if missing:
+        raise UnknownLetter(f"no image for generator {missing[0]!r}")
+    z = matrices[:, :, [column[b] for b in bases]]
+    letters = MoebiusArray(z.real.copy(), z.imag.copy(),
+                           np.ones(z.shape[2:], dtype=bool))
+    inverses = letters.inverse()
+    letters = MoebiusArray(np.concatenate([letters.re, inverses.re], axis=2),
+                           np.concatenate([letters.im, inverses.im], axis=2),
+                           np.concatenate([letters.ok, inverses.ok]))
+    letter = {(b, inv): i + inv * len(bases) for i, b in enumerate(bases)
+              for inv in (False, True)}
+    n = matrices.shape[3]
     shape = (len(tokens), n)
     stack = MoebiusArray(np.empty((2, 2) + shape), np.empty((2, 2) + shape),
                          np.empty(shape, dtype=bool))
@@ -495,14 +512,15 @@ def _cuff_row(pd: PantsDecomposition, values, what: str) -> list[complex]:
     return row
 
 
-def _glue(pd: PantsDecomposition, params, ts=None) -> list[Representation]:
+def _glue(pd: PantsDecomposition, params, ts=None) -> np.ndarray:
     """fenchel_nielsen_rep at every (lengths, twists) of params, in one
-    stacked pass.  A failure raises at the first failing sample, and
-    there the scalar construction's first failing guard: the length and
-    twist tables, the pants, the frames and generators in gluing order,
-    the relator residual, then the cuff traces.  With the sample times
-    ts, its message ends with the sample and its time.  Other errors
-    that params raises propagate at once."""
+    stacked pass: the images of pd.generators, (2, 2, generators,
+    samples).  A failure raises at the first failing sample, and there
+    the scalar construction's first failing guard: the length and twist
+    tables, the pants, the frames and generators in gluing order, the
+    relator residual, then the cuff traces.  With the sample times ts,
+    its message ends with the sample and its time.  Other errors that
+    params raises propagate at once."""
     plan = _gluing(pd)
     rows, late = [], None
     try:
@@ -511,7 +529,8 @@ def _glue(pd: PantsDecomposition, params, ts=None) -> list[Representation]:
                         + _cuff_row(pd, twists, "twist"))
     except PleatbendError as exc:   # raised once the samples before it pass
         late = exc
-    reps, failure = [], None
+    chunks = [np.empty((2, 2, len(pd.generators), 0), dtype=complex)]
+    failure = None
     for start in range(0, len(rows), _CHUNK):
         z = np.array(rows[start:start + _CHUNK], dtype=complex)
         glued, failure = _glue_rows(pd, plan, z[:, :len(pd.cuffs)],
@@ -519,11 +538,11 @@ def _glue(pd: PantsDecomposition, params, ts=None) -> list[Representation]:
         if failure is not None:
             failure = start + failure[0], failure[1]
             break
-        reps += glued
+        chunks.append(glued)
     if failure is None and late is not None:
         failure = len(rows), late
     if failure is None:
-        return reps
+        return np.concatenate(chunks, axis=-1)
     k, exc = failure
     if ts is not None:
         exc = type(exc)(f"{exc} at sample {k} (t={float(ts[k])!r})")
@@ -532,10 +551,11 @@ def _glue(pd: PantsDecomposition, params, ts=None) -> list[Representation]:
 
 def _glue_rows(pd: PantsDecomposition, plan: tuple, lam: np.ndarray,
                twist: np.ndarray) -> tuple:
-    """The gluing pass at lengths and twists (n, cuffs): (the n
-    representations, None), or (None, (k, error)) for the first failing
-    sample k.  Every guard is evaluated at every sample; the values at a
-    sample past its first failing guard mean nothing."""
+    """The gluing pass at lengths and twists (n, cuffs): (the images of
+    pd.generators, (2, 2, generators, n), None), or (None, (k, error))
+    for the first failing sample k.  Every guard is evaluated at every
+    sample; the values at a sample past its first failing guard mean
+    nothing."""
     root, slots, tree, stable, boundary, gens = plan
     n, npants = len(lam), len(pd.pants)
     guards = []           # (mask (n,), error at sample k), in guard order
@@ -594,9 +614,7 @@ def _glue_rows(pd: PantsDecomposition, plan: tuple, lam: np.ndarray,
             ps, ks = np.array(boundary, dtype=int).T
             images.append(_conjugated(conj[:, ps], triples[:, ps, ks]))
         images, det, singular = _constructed(np.concatenate(images, axis=1))
-        ok = ~singular & np.isfinite(images).all(axis=(2, 3))
-        maps = MoebiusArray(images.real.transpose(2, 3, 1, 0),
-                            images.imag.transpose(2, 3, 1, 0), ok.T)
+        images = images.transpose(2, 3, 1, 0)      # (2, 2, generators, n)
 
         def constructor_guard(i):
             guards.append((singular[:, i], lambda k: SingularMatrix(
@@ -610,15 +628,8 @@ def _glue_rows(pd: PantsDecomposition, plan: tuple, lam: np.ndarray,
             constructor_guard(i)
 
         # the postconditions, on the images as built
-        row = {g: i for i, g in enumerate(gens)}
-        letter = {(g, inv): i + inv * len(row) for g, i in row.items()
-                  for inv in (False, True)}
-        inverses = maps.inverse()
-        letters = MoebiusArray(np.concatenate([maps.re, inverses.re], axis=2),
-                               np.concatenate([maps.im, inverses.im], axis=2),
-                               np.concatenate([maps.ok, inverses.ok]))
-        words = pd.relators + tuple(c.word for c in pd.cuffs)
-        stack = _word_stack(letters, letter, [_tokens(w) for w in words], n)
+        stack = _word_images(gens, images,
+                             pd.relators + tuple(c.word for c in pd.cuffs))
         nrel = len(pd.relators)
         dist = np.where(stack.ok[:nrel],
                         stack.take(slice(0, nrel)).distance_to_identity(),
@@ -642,13 +653,7 @@ def _glue_rows(pd: PantsDecomposition, plan: tuple, lam: np.ndarray,
     if bad.any():
         k = int(np.argmax(bad))
         return None, (k, guards[int(np.argmax(failing[:, k]))][1](k))
-    entries = images.reshape(n, len(row), 4).tolist()
-    order = [row[g] for g in pd.generators]
-    raw = MoebiusMap._raw
-    return [Representation(generators=pd.generators,
-                           images=tuple(raw(*sample[i]) for i in order),
-                           relators=pd.relators)
-            for sample in entries], None
+    return images[:, :, [gens.index(g) for g in pd.generators]], None
 
 
 def fenchel_nielsen_rep(pd: PantsDecomposition, lengths,
@@ -667,23 +672,29 @@ def fenchel_nielsen_rep(pd: PantsDecomposition, lengths,
     postcondition: a relator residual above 1e-6 or a cuff trace^2
     further than 1e-6 (1 + |requested|) from the requested one.
     """
-    return _glue(pd, [(lengths, twists)])[0]
+    return _rep_at(pd.generators, _glue(pd, [(lengths, twists)]), 0,
+                   pd.relators)
 
 
 # ---------------------------------------------------------------------------
 # parameter paths
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepresentationPath:
-    """Finitely sampled path of representations on a common generator set."""
+    """Finitely sampled path of representations on a common generator set:
+    the image of every generator at every sample in one read-only array,
+    matrices (2, 2, generators, samples), each [[a, b], [c, d]] of
+    determinant 1.  rep(k) and reps build Representations on demand."""
 
     ts: tuple[float, ...]
-    reps: tuple[Representation, ...]
+    generators: tuple[str, ...]
+    matrices: np.ndarray
+    relators: tuple[str, ...] = ()
     pd: PantsDecomposition | None = None
 
     def __post_init__(self):
-        if len(self.ts) != len(self.reps):
+        if self.matrices.shape != (2, 2, len(self.generators), len(self.ts)):
             raise PleatbendError("one representation per sample time required")
         if len(self.ts) < 2:
             raise PleatbendError("a path needs at least two samples")
@@ -692,9 +703,19 @@ class RepresentationPath:
                 raise PleatbendError(f"sample {k} has time {t}, not finite")
         if any(b <= a for a, b in zip(self.ts, self.ts[1:])):
             raise PleatbendError("sample times must increase strictly")
+        self.matrices.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.ts)
+
+    def rep(self, k: int) -> Representation:
+        """The representation at sample k."""
+        return _rep_at(self.generators, self.matrices, k, self.relators)
+
+    @property
+    def reps(self) -> tuple[Representation, ...]:
+        """The representation at every sample."""
+        return tuple(map(self.rep, range(len(self))))
 
     def index_of(self, t: float) -> int:
         diffs = [abs(s - t) for s in self.ts]
@@ -705,18 +726,38 @@ class RepresentationPath:
         return k
 
     def continuity(self) -> float:
-        """Largest generator jump between consecutive samples."""
-        worst = 0.0
-        for r0, r1 in zip(self.reps, self.reps[1:]):
-            for m0, m1 in zip(r0.images, r1.images):
-                worst = max(worst, m0.distance_to(m1))
-        return worst
+        """Largest generator jump between consecutive samples, in
+        MoebiusMap.distance_to."""
+        m0, m1 = self.matrices[..., :-1], self.matrices[..., 1:]
+        plus, minus = (np.sum(np.abs(d) ** 2, axis=(0, 1))
+                       for d in (m1 - m0, m1 + m0))
+        return float(np.sqrt(np.minimum(plus, minus)).max(initial=0.0))
 
     def reversed(self) -> "RepresentationPath":
         t0, t1 = self.ts[0], self.ts[-1]
         ts = tuple(t0 + t1 - t for t in reversed(self.ts))
-        return RepresentationPath(ts=ts, reps=tuple(reversed(self.reps)),
-                                  pd=self.pd)
+        return replace(self, ts=ts, matrices=self.matrices[..., ::-1])
+
+
+def _rep_at(generators, matrices: np.ndarray, k: int,
+            relators=()) -> Representation:
+    """Sample k of matrices, (2, 2, generators, samples), as a
+    Representation holding its entries as they are."""
+    entries = matrices[..., k].reshape(4, -1).T.tolist()
+    return Representation(tuple(generators), tuple(
+        MoebiusMap._raw(*e) for e in entries), tuple(relators))
+
+
+def _matrices_of(reps) -> np.ndarray:
+    """The images of the generators of reps[0] at every representation,
+    (2, 2, generators, samples), looked up by name; a representation
+    lacking one raises UnknownLetter naming it and the sample."""
+    gens, tables = reps[0].generators, [rep.image_of for rep in reps]
+    for k, g in ((k, g) for k, t in enumerate(tables) for g in gens
+                 if g not in t):
+        raise UnknownLetter(f"no image for generator {g!r} at sample {k}")
+    z = np.array([[t[g].rows() for g in gens] for t in tables], complex)
+    return z.reshape(len(reps), len(gens), 2, 2).transpose(2, 3, 1, 0)
 
 
 def path_from_parameters(pd: PantsDecomposition, lengths_at, twists_at,
@@ -726,17 +767,22 @@ def path_from_parameters(pd: PantsDecomposition, lengths_at, twists_at,
     every sample glued in one stacked pass.  A failure is the first
     failing sample's, its message ending with "at sample k (t=...)"."""
     ts = np.linspace(t0, t1, steps + 1)
-    reps = _glue(pd, ((lengths_at(t), twists_at(t)) for t in ts), ts)
+    matrices = _glue(pd, ((lengths_at(t), twists_at(t)) for t in ts), ts)
     return RepresentationPath(ts=tuple(float(t) for t in ts),
-                              reps=tuple(reps), pd=pd)
+                              generators=pd.generators, matrices=matrices,
+                              relators=pd.relators, pd=pd)
 
 
 def path_from_reps(reps, ts=None, pd=None) -> RepresentationPath:
+    """The path through reps, on the generators and relators of the
+    first; every other representation is read by generator name."""
     reps = tuple(reps)
     if ts is None:
         ts = np.linspace(0.0, 1.0, len(reps))
-    return RepresentationPath(ts=tuple(float(t) for t in ts), reps=reps,
-                              pd=pd)
+    return RepresentationPath(ts=tuple(float(t) for t in ts),
+                              generators=reps[0].generators,
+                              matrices=_matrices_of(reps),
+                              relators=reps[0].relators, pd=pd)
 
 
 # ---------------------------------------------------------------------------
@@ -872,64 +918,90 @@ def conjugacy_residual(rep1: Representation, rep2: Representation) -> float:
 # serialization
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
+def _matrices_dicts(generators, matrices: np.ndarray) -> list[dict]:
+    """{generator: [[re, im] x 4]}, entries row-major, at every sample of
+    matrices (2, 2, generators, samples)."""
+    parts = np.stack([matrices.real, matrices.imag], axis=-1)
+    parts = parts.transpose(3, 2, 0, 1, 4).reshape(
+        matrices.shape[3], len(generators), 4, 2)
+    return [dict(zip(generators, sample)) for sample in parts.tolist()]
 
 
-def _matrices_dict(rep: Representation) -> dict:
-    return {g: [_complex_pair(z) for z in m.rows()[0] + m.rows()[1]]
-            for g, m in zip(rep.generators, rep.images)}
+def _named(out: dict, generators, relators) -> dict:
+    if tuple(generators) != tuple(sorted(generators)):
+        out["generators"] = list(generators)
+    if relators:
+        out["relators"] = list(relators)
+    return out
 
 
 def rep_to_dict(rep: Representation) -> dict:
-    out = {"matrices": _matrices_dict(rep)}
-    if rep.generators != tuple(sorted(rep.generators)):
-        out["generators"] = list(rep.generators)
-    if rep.relators:
-        out["relators"] = list(rep.relators)
-    return out
+    [matrices] = _matrices_dicts(rep.generators, _matrices_of([rep]))
+    return _named({"matrices": matrices}, rep.generators, rep.relators)
 
 
-def _rep_from_matrices(matrices: dict, generators, relators) -> Representation:
-    gens = tuple(generators) if generators else tuple(sorted(matrices))
-    images = []
-    for g in gens:
-        entries = matrices[g]
-        a, b, c, d = (complex(re, im) for re, im in entries)
-        try:
-            images.append(MoebiusMap(a, b, c, d))
-        except OverflowError as exc:
-            raise SingularMatrix(
-                f"generator {g!r} cannot be normalized: {exc}") from None
-    return Representation(generators=gens, images=tuple(images),
-                          relators=tuple(relators))
+def _floats(value, shape: tuple, samples: list, sample: dict) -> np.ndarray:
+    """value, nested lists of numbers, as floats of the given shape, else
+    ValueError naming the first part of samples not of the shape sample."""
+    try:
+        a = np.array(value)
+    except ValueError:          # ragged lists
+        a = np.array(None)
+    if a.dtype.kind not in "biuf" or a.shape != shape:
+        _check_shape(samples, [sample], "samples")
+        raise ValueError(f"samples hold no float numbers of shape {shape}")
+    return a.astype(float)
+
+
+def _parsed(data: dict, samples: list) -> tuple:
+    """The generators (listed, else the first sample's, sorted), relators
+    and matrices (2, 2, generators, samples) of a document and its
+    samples [{"matrices": {generator: [[re, im] x 4]}}], every matrix
+    normalized at once as MoebiusMap(a, b, c, d) normalizes it, bit for
+    bit.  A malformed sample raises ValueError, and a matrix that the
+    constructor refuses SingularMatrix, naming the first such sample."""
+    _check_shape(data, {"generators?": [str], "relators?": [str]}, "file")
+    _check_shape(samples[:1], [{"matrices": dict}], "samples")
+    gens = tuple(data.get("generators")
+                 or sorted(samples[0]["matrices"] if samples else ()))
+    try:
+        entries = [s["matrices"][g] for s in samples for g in gens]
+    except (KeyError, TypeError):
+        entries = None
+    parts = _floats(entries, (len(samples) * len(gens), 4, 2), samples,
+                    {"matrices": {g: [[_NUMBER] * 2] * 4 for g in gens}})
+    parts = parts.reshape(len(samples), len(gens), 2, 2, 2)
+    with np.errstate(all="ignore"):
+        z, det, singular = _constructed(_complex(parts[..., 0],
+                                                 parts[..., 1]))
+        # where the constructor raises: |det| < 1e-100, or abs overflows
+        bad = singular | np.isfinite(det) & np.isinf(_modulus(det))
+    for k, i in np.argwhere(bad)[:1].tolist():
+        raise SingularMatrix(f"generator {gens[i]!r} at sample {k} cannot "
+                             f"be normalized: determinant {det[k, i]}")
+    return gens, tuple(data.get("relators", ())), z.transpose(2, 3, 1, 0)
 
 
 def rep_from_dict(data: dict) -> Representation:
-    return _rep_from_matrices(data["matrices"], data.get("generators"),
-                              data.get("relators", ()))
+    gens, relators, matrices = _parsed(data, [data])
+    return _rep_at(gens, matrices, 0, relators)
 
 
 def path_to_dict(path: RepresentationPath) -> dict:
-    out = {"samples": [{"t": t, "matrices": _matrices_dict(r)}
-                       for t, r in zip(path.ts, path.reps)]}
-    gens = path.reps[0].generators
-    if gens != tuple(sorted(gens)):
-        out["generators"] = list(gens)
-    if path.reps[0].relators:
-        out["relators"] = list(path.reps[0].relators)
-    return out
+    samples = _matrices_dicts(path.generators, path.matrices)
+    return _named({"samples": [{"t": t, "matrices": m}
+                               for t, m in zip(path.ts, samples)]},
+                  path.generators, path.relators)
 
 
 def path_from_dict(data: dict, pd: PantsDecomposition | None = None) -> RepresentationPath:
-    gens = data.get("generators")
-    relators = data.get("relators", ())
-    ts = []
-    reps = []
-    for sample in data["samples"]:
-        ts.append(float(sample["t"]))
-        reps.append(_rep_from_matrices(sample["matrices"], gens, relators))
-    return RepresentationPath(ts=tuple(ts), reps=tuple(reps), pd=pd)
+    _check_shape(data, {"samples": list}, "file")
+    samples = data["samples"]
+    gens, relators, matrices = _parsed(data, samples)
+    ts = _floats([s.get("t") for s in samples], (len(samples),), samples,
+                 {"t": _NUMBER})
+    return RepresentationPath(tuple(ts.tolist()), gens, matrices, relators,
+                              pd)
 
 
 def load_rep(path: str) -> Representation:

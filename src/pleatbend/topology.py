@@ -457,7 +457,42 @@ def decomposition_to_dict(pd: PantsDecomposition) -> dict:
     return out
 
 
+# decomposition documents, which may carry an inclusion (_check_shape)
+_DOCUMENT = {
+    "genus": int,
+    "cuffs": [{"id": str, "word": str}],
+    "pants": [{"cuff_ends": [{"cuff": str, "sign": int, "conjugator?": str}]}],
+    "surface?": {"generators?": [str], "relators?": [str]},
+    "fenchel_nielsen?": {"root": int, "tree_cuffs": [str],
+                         "generator_roles": {"*": {"kind": str}}},
+    "manifold?": {"generators": [str], "relators?": [str]},
+    "boundary?": [{"surface_generators?": [str], "generator_words": [str],
+                   "peripheral_words": [str]}],
+}
+
+
+def _check_shape(value, shape, where: str) -> None:
+    """ValueError naming the first part of value (where) not of shape: a
+    type or tuple of types; [item], a list of any length; [a, b, ...],
+    a list of exactly those; or {key: shape}, an object holding every
+    key but those ending in "?", with "*" for every key it holds."""
+    if isinstance(shape, dict) and isinstance(value, dict):
+        for key, sub in shape.items():
+            name = key.rstrip("?")
+            for k in value if key == "*" else [name] if name in value else ():
+                _check_shape(value[k], sub, f"{where}[{k!r}]")
+            if key == name != "*" and name not in value:
+                raise ValueError(f"{where} has no {name!r}")
+    elif isinstance(shape, list) and isinstance(value, list) and (
+            len(shape) == 1 or len(value) == len(shape)):
+        for i, item in enumerate(value):
+            _check_shape(item, shape[min(i, len(shape) - 1)], f"{where}[{i}]")
+    elif isinstance(shape, (dict, list)) or not isinstance(value, shape):
+        raise ValueError(f"{where} is malformed: {value!r}")
+
+
 def decomposition_from_dict(data: dict) -> PantsDecomposition:
+    _check_shape(data, _DOCUMENT, "document")
     cuffs = tuple(Cuff(id=c["id"], word=c["word"]) for c in data["cuffs"])
     pants = tuple(
         Pants(cuff_ends=tuple(CuffEnd(cuff=e["cuff"], sign=int(e["sign"]),

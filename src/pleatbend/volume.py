@@ -136,7 +136,10 @@ def _surface(path: RepresentationPath):
     return path.pd
 
 
-def _sample_indices(path: RepresentationPath, steps: int | None) -> list[int]:
+def _samples(path: RepresentationPath, steps: int | None,
+             eps_class: float) -> tuple[np.ndarray, SampleImages]:
+    """The sample times of path, every (intervals / steps)-th when steps
+    is given, and the sample_images pass at them."""
     n = len(path) - 1
     indices = list(range(len(path)))
     if steps is not None:
@@ -146,7 +149,9 @@ def _sample_indices(path: RepresentationPath, steps: int | None) -> list[int]:
         indices = indices[::n // steps]
     if len(indices) < 3:
         raise PleatbendError("need at least three samples to integrate")
-    return indices
+    return np.array(path.ts)[indices], sample_images(
+        path.generators, path.matrices[..., indices], _surface(path),
+        eps_class)
 
 
 def angle_series(path: RepresentationPath, zeta: str | dict,
@@ -161,8 +166,9 @@ def angle_series(path: RepresentationPath, zeta: str | dict,
     """
     pd = _surface(path)
     lam = build_lamination(pd)
-    table, angles, _, _ = path_terms(sample_images(path.reps, pd, eps_class),
-                                     [zeta], lam, conv, [(0,) * len(pd.cuffs)])
+    images = sample_images(path.generators, path.matrices, pd, eps_class)
+    table, angles, _, _ = path_terms(images, [zeta], lam, conv,
+                                     [(0,) * len(pd.cuffs)])
     return {leaf.key: angles[r].tolist()
             for leaf, r in zip(lam.leaves, table[0].tolist())}
 
@@ -183,18 +189,19 @@ def schlafli_derivative(path: RepresentationPath, t: float,
         raise PleatbendError(
             f"t={t} is an endpoint; the derivative needs an interior sample")
     pd = _surface(path)
-    indices = [k - 1, k, k + 1]
-    images = sample_images([path.reps[i] for i in indices], pd)
+    images = sample_images(path.generators, path.matrices[..., k - 1:k + 2],
+                           pd)
     for i in range(3):      # evaluation failures first, in sample order
         failure = images.failure(i)
         if failure is not None:
             raise failure
-    zeta = _selected(images.at(1), zeta)
+    zeta = _selected(sample_images(path.generators,
+                                   path.matrices[..., k:k + 1], pd), zeta)
     table, angles, lengths, _ = path_terms(images, [zeta],
                                            build_lamination(pd), conv,
                                            [(0,) * len(pd.cuffs)])
-    ts = np.array([path.ts[i] for i in indices])
-    velocities, jumps = _velocities(ts, angles, lengths)
+    velocities, jumps = _velocities(np.array(path.ts[k - 1:k + 2]), angles,
+                                    lengths)
     _raise_first_failure(table, jumps)
     return float(_integrand(table, velocities)[0, 1])
 
@@ -329,8 +336,7 @@ def _raise_first_failure(table: np.ndarray, jumps: np.ndarray) -> None:
                                  "step; refine the path")
 
 
-def _integrate(path: RepresentationPath, indices,
-               images: SampleImages, starts, orientations,
+def _integrate(ts: np.ndarray, images: SampleImages, starts, orientations,
                conv: TruncationConvention) -> list[VolumePathResult]:
     """One VolumePathResult per orientation (a chain index per cuff).
 
@@ -339,12 +345,11 @@ def _integrate(path: RepresentationPath, indices,
     Richardson comparison against the half-resolution subsample (NaN
     when the interval count is odd or below four, or the subsample
     fails to unwrap).
-    images is the sample pass at path.reps[indices], passed on to
-    path_terms with starts; orientations[0] takes chain 0 on every cuff.
+    images is the sample pass at the times ts, passed to path_terms
+    with starts; orientations[0] takes chain 0 on every cuff.
     """
     table, angles, lengths, deferred = path_terms(
-        images, starts, build_lamination(_surface(path)), conv,
-        orientations)
+        images, starts, build_lamination(images.pd), conv, orientations)
     # only the rows some orientation reads, numbered anew: after a
     # deferred failure the others may hold inf or NaN.  Orientation by
     # orientation, the first is integrated, or raises its own failure,
@@ -352,7 +357,6 @@ def _integrate(path: RepresentationPath, indices,
     rows, inverse = np.unique(table, return_inverse=True)
     table = inverse.reshape(table.shape)
     angles, lengths = angles[rows], lengths[rows]
-    ts = np.array([path.ts[i] for i in indices])
     fine, jumps = _velocities(ts, angles, lengths)
     _raise_first_failure(table, jumps)
     if deferred is not None:
@@ -396,10 +400,8 @@ def integrate_volume_change(path: RepresentationPath,
     tolerance of the sample pass: of tracking and of the adaptedness
     check.
     """
-    indices = _sample_indices(path, steps)
-    pd = _surface(path)
-    images = sample_images([path.reps[i] for i in indices], pd, eps_class)
-    return _integrate(path, indices, images, [zeta], [(0,) * len(pd.cuffs)],
+    ts, images = _samples(path, steps, eps_class)
+    return _integrate(ts, images, [zeta], [(0,) * len(images.pd.cuffs)],
                       conv)[0]
 
 
@@ -468,8 +470,7 @@ def vol_gamma(path: RepresentationPath, conv: TruncationConvention,
     pd = _surface(path)
     orientations = enumerate_orientations(pd)
     ends = (orientations[0], orientations[-1])
-    indices = _sample_indices(path, steps)
-    images = sample_images([path.reps[i] for i in indices], pd, eps_class)
+    ts, images = _samples(path, steps, eps_class)
     failure = images.failure(0)
     if failure is not None:
         raise failure
@@ -478,7 +479,7 @@ def vol_gamma(path: RepresentationPath, conv: TruncationConvention,
     starts = [orientation_start_endpoints(ori, images) for ori in ends]
     chains = [tuple(0 if bit else 1 for bit in ori.forward)
               for ori in orientations]
-    results = _integrate(path, indices, images, starts, chains, conv)
+    results = _integrate(ts, images, starts, chains, conv)
     return VolGammaResult(orientations=tuple(orientations),
                           results=tuple(results))
 
@@ -504,10 +505,9 @@ def loop_defect(loop: RepresentationPath, conv: TruncationConvention,
     defect is expected to vanish up to quadrature error.  eps_class is
     the classification tolerance of vol_gamma.
     """
-    gens = loop.reps[0].generators
-    words = standard_word_list(gens)
-    f0 = fingerprint(loop.reps[0], words)
-    f1 = fingerprint(loop.reps[-1], words)
+    words = standard_word_list(loop.generators)
+    f0 = fingerprint(loop.rep(0), words)
+    f1 = fingerprint(loop.rep(-1), words)
     d = f0.distance(f1)
     if d > EPS_LOOP:
         raise EndpointsMismatch(

@@ -59,7 +59,8 @@ from pleatbend.moebius import (EPS_CLASS, RESCALE_LIMIT, IsometryClass,
                                chordal, classify, cross_ratio, fixed_points,
                                normalizing_map, reduce_angle, trace_squared)
 from pleatbend.pleated import sample_images, shared_endpoint_check
-from pleatbend.representation import Representation, _mat, evaluate_word
+from pleatbend.representation import (Representation, _mat, _matrices_of,
+                                      evaluate_word)
 from pleatbend.topology import PantsDecomposition
 
 
@@ -388,8 +389,10 @@ def seed_sample_images(reps, pd, eps_class=EPS_CLASS):
     shared_endpoint_check, scalar MoebiusMap arithmetic throughout.  A
     sample the array pass could not evaluate raises its
     SampleEvaluationFailure when its turn comes, as in the pipeline."""
-    images = sample_images(reps, pd, eps_class)
-    for k, rep in enumerate(images.reps):
+    reps = list(reps)
+    images = sample_images(reps[0].generators, _matrices_of(reps), pd,
+                           eps_class)
+    for k, rep in enumerate(reps):
         failure = images.failure(k)
         if failure is not None:
             raise failure

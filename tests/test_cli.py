@@ -2,6 +2,7 @@
 
 import argparse
 import importlib.resources
+import importlib.util
 import json
 import math
 import pathlib
@@ -13,6 +14,8 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from pleatbend import (
+    MoebiusMap,
+    Representation,
     TruncationConvention,
     fenchel_nielsen_rep,
     integrate_volume_change,
@@ -30,6 +33,7 @@ from pleatbend import cli, volume
 from pleatbend.cli import _build_parser, main
 
 DATA = pathlib.Path(__file__).parent / "data"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 LENGTHS = (2.0, 1.7, 2.3)
 TWISTS = (0.3, 0.1, 0.2)
@@ -623,6 +627,73 @@ class TestFailureModes:
         assert "PleatbendError" in err
         assert "sample 5 " in err
 
+    @pytest.mark.parametrize("source", ["bent.json", "pure_bend.json"])
+    @pytest.mark.parametrize("entries, named", [
+        ([["1", 0], [0, 0], [0, 0], [1, 0]], "['b1'][0][0]"),
+        ([[1, 0], [0, 0], [1, 0]], "['b1']"),
+        ([[1, 0], [0, 0], [0, 0], [1]], "['b1'][3]"),
+        ([[1, 0], [0, 0], [0, None], [1, 0]], "['b1'][2][1]"),
+        (None, "has no 'b1'")],
+        ids=["string", "three-pairs", "short-pair", "null", "missing"])
+    def test_malformed_matrix_names_sample_and_generator(
+            self, demo, tmp_path, capsys, source, entries, named):
+        data = json.loads((demo / source).read_text())
+        if "samples" in data:
+            matrices, where = data["samples"][5]["matrices"], "samples[5]"
+            argv = ("volume-path", "--pd", str(demo / "surface.json"))
+        else:
+            matrices, where = data["matrices"], "samples[0]"
+            argv = ("classify", "--words", "b1")
+        if entries is None:
+            del matrices["b1"]
+        else:
+            matrices["b1"] = entries
+        bad = tmp_path / source
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, *argv, "--input", str(bad))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("parse error: ValueError: ")
+        assert f"{where}['matrices']" in err
+        assert named in err
+
+    @pytest.mark.parametrize("t", ["0.5", None, [0.5]])
+    def test_malformed_sample_time_names_sample(self, demo, tmp_path,
+                                                capsys, t):
+        data = json.loads((demo / "pure_bend.json").read_text())
+        data["samples"][3]["t"] = t
+        bad = tmp_path / "bad_time.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "volume-path", "--input", str(bad),
+                             "--pd", str(demo / "surface.json"))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("parse error: ValueError: samples[3]['t']")
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("pants", 5, "document['pants']"),
+        ("cuffs", [{"id": "a1", "word": 7}], "document['cuffs'][0]['word']"),
+        ("genus", "2", "document['genus']"),
+        ("fenchel_nielsen", {"root": 0, "tree_cuffs": ["w1"],
+                             "generator_roles": {"a1": 3}},
+         "['generator_roles']['a1']"),
+        ("surface", {"generators": "a1b1"}, "['surface']['generators']")],
+        ids=["pants", "cuff-word", "genus", "role", "generators"])
+    def test_malformed_decomposition_is_parse_error(self, demo, tmp_path,
+                                                    capsys, field, value,
+                                                    named):
+        data = json.loads((demo / "surface.json").read_text())
+        data[field] = value
+        bad = tmp_path / "bad_surface.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "volume-path",
+                             "--input", str(demo / "pure_bend.json"),
+                             "--pd", str(bad))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("parse error: ValueError: ")
+        assert named in err
+
     @pytest.mark.parametrize("command,source", [
         ("pleat", "bent.json"), ("bend", "bent.json"),
         ("volume-path", "pure_bend.json")])
@@ -640,6 +711,51 @@ class TestFailureModes:
         assert out == ""
         assert "SampleEvaluationFailure" in err
         assert "word 'a1'" in err
+
+
+def benchmark_workload(name: str, seed: int, workdir: pathlib.Path):
+    """The benchmark's workload name at seed, its inputs written to
+    workdir."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    workload = {w.name: w for w in (module.VolGammaG3,
+                                    module.VolumePathG2)}[name](seed)
+    workload.setup(str(workdir))
+    return workload
+
+
+@pytest.mark.parametrize("name", ["volume-path-g2", "vol-gamma-g3"])
+def test_path_commands_build_no_per_sample_objects(name, tmp_path,
+                                                   monkeypatch):
+    # a path is one array from file to integral: loading and the sample
+    # pass wrap no generator image in a MoebiusMap and no sample in a
+    # Representation
+    workload = benchmark_workload(name, 0, tmp_path)
+    built = {"maps": 0, "reps": 0}
+    normalize, wrap = MoebiusMap.__post_init__, MoebiusMap._raw.__func__
+    check = Representation.__post_init__
+
+    def counting_normalize(m):
+        built["maps"] += 1
+        normalize(m)
+
+    def counting_wrap(cls, *entries):
+        built["maps"] += 1
+        return wrap(cls, *entries)
+
+    def counting_check(rep):
+        built["reps"] += 1
+        check(rep)
+
+    monkeypatch.setattr(MoebiusMap, "__post_init__", counting_normalize)
+    monkeypatch.setattr(MoebiusMap, "_raw", classmethod(counting_wrap))
+    monkeypatch.setattr(Representation, "__post_init__", counting_check)
+    code = workload.run()
+    assert code == 0
+    assert workload.check(code, False, False)[1] == 0
+    assert built == {"maps": 0, "reps": 0}
 
 
 class TestEntryPoint:

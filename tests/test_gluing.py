@@ -4,12 +4,15 @@ fenchel_nielsen_rep and path_from_parameters glue every sample in one
 array pass.  seed_fenchel_nielsen_rep (_seed_kernel) is the scalar
 construction it replaced; every entry of every image must agree with it
 bit for bit, signed zeros included, and every guard must raise the
-oracle's error at the first failing sample.
+oracle's error at the first failing sample.  load_path normalizes the
+glued paths' files in one array pass too, and must agree bit for bit
+with the constructor MoebiusMap(a, b, c, d) on each file entry.
 """
 
 import cmath
 import dataclasses
 import importlib.util
+import json
 import math
 import os
 import struct
@@ -17,9 +20,10 @@ import struct
 import numpy as np
 import pytest
 
-from pleatbend import (InvalidDecomposition, NonHyperbolicParameters,
-                       PleatbendError, fenchel_nielsen_rep,
-                       path_from_parameters, standard_decomposition)
+from pleatbend import (InvalidDecomposition, MoebiusMap,
+                       NonHyperbolicParameters, PleatbendError,
+                       fenchel_nielsen_rep, load_path, path_from_parameters,
+                       standard_decomposition)
 from pleatbend.moebius import _sqrt
 from pleatbend.representation import _CHUNK, _normal_frames
 from pleatbend.topology import Cuff
@@ -235,6 +239,25 @@ def test_path_bit_for_bit(name):
     for t, rep in zip(ts, path.reps):
         want = seed_fenchel_nielsen_rep(pd, lengths_at(t), twists_at(t))
         assert entry_bits(rep) == entry_bits(want)
+
+
+@pytest.mark.parametrize("name", ["vol-gamma-g3", "volume-path-g2"])
+def test_loaded_path_matches_constructor_bit_for_bit(name, tmp_path):
+    workloads = _load_workloads()
+    cls = {w.name: w for w in (workloads.VolGammaG3, workloads.VolumePathG2)}
+    workload = cls[name](0)
+    workload.setup(str(tmp_path))
+    with open(workload.path) as fh:
+        data = json.load(fh)
+    path = load_path(workload.path)
+    assert len(path) == len(data["samples"])
+    for sample, rep in zip(data["samples"], path.reps):
+        matrices = sample["matrices"]
+        assert rep.generators == tuple(data["generators"])
+        want = [MoebiusMap(*(complex(re, im) for re, im in matrices[g]))
+                for g in rep.generators]
+        assert entry_bits(rep) == [bits(z) for m in want
+                                   for z in (m.a, m.b, m.c, m.d)]
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,7 @@ class TestSampleImagesOracle:
         path = make_path()
         pd = path.pd
         words = pipeline_words(pd)
-        images = sample_images(path.reps, pd)
+        images = sample_images(path.generators, path.matrices, pd)
         assert len(images) == len(path)
         assert set(images.words) == words
         assert images.evaluated().all()
@@ -235,11 +235,15 @@ class TestSampleImagesOracle:
         path = genus3_path(lambda t: 2.0 + 0.1j * t, steps=2)
         reps = list(path.reps[:2])
         last = reps[1]
-        # one pass over samples that list their generators in two orders
+        # one path through samples that list their generators in two
+        # orders
         mixed = [reps[0], Representation(last.generators[::-1],
                                          last.images[::-1], last.relators)]
-        want, got = sample_images(reps, path.pd), \
-            sample_images(mixed, path.pd)
+        want, got = (path_from_reps(r, pd=path.pd) for r in (reps, mixed))
+        assert got.generators == want.generators
+        assert got.matrices.tobytes() == want.matrices.tobytes()
+        want, got = (sample_images(p.generators, p.matrices, p.pd)
+                     for p in (want, got))
         assert got.words == want.words
         assert got.stack.re.tolist() == want.stack.re.tolist()
         assert got.stack.im.tolist() == want.stack.im.tolist()
@@ -247,7 +251,9 @@ class TestSampleImagesOracle:
         lacking = reps + [
             Representation(("x", "y"), (MoebiusMap(2, 0, 0, 0.5),) * 2)]
         with pytest.raises(UnknownLetter, match="'a1' at sample 2"):
-            sample_images(lacking, path.pd)
+            path_from_reps(lacking, pd=path.pd)
+        with pytest.raises(UnknownLetter, match="generator 'a1'"):
+            sample_images(("x", "y"), path.matrices[:, :, :2], path.pd)
 
     @pytest.mark.parametrize("run", RUNS)
     def test_pipeline_reads_no_scalar_word(self, run, monkeypatch):
@@ -281,7 +287,7 @@ class TestCuffLengths:
             pd, lambda t: (1.5 * (t - 0.5) ** 2 + 0.8j, 2.0 + 0.1 * t, 2.0),
             lambda t: (0.3 + 0.25j * t, 0.1 - 0.1j * t * t, 0.2 + 0.15j * t),
             steps=16)
-        images = sample_images(path.reps, pd)
+        images = sample_images(path.generators, path.matrices, pd)
         assert images.kinds[0, 8] == KINDS.index(IsometryClass.ELLIPTIC)
         got = pleated._cuff_lengths(images)
         for j, cuff in enumerate(pd.cuffs):
@@ -350,7 +356,7 @@ def chains(path, run):
         return [run], [run]
     oris = enumerate_orientations(path.pd)
     ends = (oris[0], oris[-1])
-    images = sample_images(path.reps, path.pd)
+    images = sample_images(path.generators, path.matrices, path.pd)
     return ([volume.orientation_start_endpoints(o, images)
              for o in ends],
             [seed_start_endpoints(path, o.forward) for o in ends])
@@ -369,7 +375,8 @@ def term_series(path, run, conv):
                      for ori in enumerate_orientations(pd)]
                     if len(starts) == 2 else [(0,) * len(pd.cuffs)])
     table, angles, lengths, deferred = pleated.path_terms(
-        sample_images(path.reps, pd), starts, lam, conv, orientations)
+        sample_images(path.generators, path.matrices, pd), starts, lam, conv,
+        orientations)
     series = {}
     for part in ([0], range(1, len(table))):
         for t, leaf in enumerate(lam.leaves):

@@ -36,6 +36,7 @@ from pleatbend import (
 )
 from pleatbend.moebius import KINDS
 from pleatbend.pleated import sample_images
+from pleatbend.representation import _matrices_of
 
 LENGTHS = (2.0, 1.7, 2.3)
 TWISTS = (0.3, 0.1, 0.2)
@@ -203,7 +204,8 @@ class TestEndpointTracking:
         pd, _ = setup
         rep = fuchsian(pd)
         zeta = resolve_endpoints(rep, pd, "attracting")
-        images = sample_images([rep], pd, eps_class=3)
+        images = sample_images(rep.generators, _matrices_of([rep]), pd,
+                               eps_class=3)
         assert KINDS[images.kinds[pd.cuff_index("a1"), 0]] == \
             IsometryClass.IDENTITY
         with pytest.raises(NotAdapted, match="cuff 'a1' is identity"):

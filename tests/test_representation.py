@@ -381,16 +381,20 @@ class TestPaths:
         path = self.path(8)
         rev = path.reversed()
         assert rev.ts == path.ts
-        assert rev.reps[0] is path.reps[-1]
+        assert rev.generators == path.generators
+        assert rev.matrices[..., ::-1].tobytes() == path.matrices.tobytes()
 
     def test_validation(self):
         rep = f2_rep()
         with pytest.raises(PleatbendError):
-            RepresentationPath(ts=(0.0,), reps=(rep,))
+            path_from_reps([rep], ts=(0.0,))
         with pytest.raises(PleatbendError):
-            RepresentationPath(ts=(0.0, 0.0), reps=(rep, rep))
+            path_from_reps([rep, rep], ts=(0.0, 0.0))
         with pytest.raises(PleatbendError):
-            RepresentationPath(ts=(0.0, 1.0), reps=(rep,))
+            path_from_reps([rep], ts=(0.0, 1.0))
+        with pytest.raises(PleatbendError, match="one representation per"):
+            RepresentationPath(ts=(0.0, 1.0), generators=rep.generators,
+                               matrices=np.zeros((2, 2, 2, 1), complex))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_time(self, bad):

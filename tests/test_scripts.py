@@ -1,6 +1,7 @@
 """The scripts and the command line run on the runtime dependencies
 alone: each runs in a fresh interpreter in which importing scipy fails."""
 
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -31,6 +32,33 @@ def run_script(script: pathlib.Path, *argv) -> subprocess.CompletedProcess:
 def test_script_help(script):
     proc = run_script(script, "--help")
     assert proc.returncode == 0, proc.stderr
+
+
+# sha256 of the files write_demo_inputs.py --steps 32 writes, recorded
+# on x86-64 with numpy 2.4.6, like the goldens in tests/data; the path
+# and representation files pin the gluing and the JSON writer byte for
+# byte
+DEMO_SHA256 = {
+    "bent.json":
+        "2d085e736115cda251ec31a6d09fff82950e3ece6e72dc5b088e9f579e2f8666",
+    "fuchsian.json":
+        "7629fdc9359462f93694b45905381b0e93cec3a7d443204b90a4b77a45b50fef",
+    "pure_bend.json":
+        "d90f986c21272d1abece7e984caf019845c6049d41e3a3fb5f390c5421e07551",
+    "surface.json":
+        "c02a930f3f12553e677331fac8c28d137f073c52fe0113bec84f1c9f6e76e21f",
+    "twist_loop.json":
+        "b90bd3ab9fea7c8c41744b22a1bc6a38861e909a722960f422e0a347fb742a8a",
+}
+
+
+def test_demo_inputs_bytes(tmp_path):
+    proc = run_script(ROOT / "scripts" / "write_demo_inputs.py",
+                      "--out", str(tmp_path), "--steps", "32")
+    assert proc.returncode == 0, proc.stderr
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert written == DEMO_SHA256
 
 
 def test_cli_help():

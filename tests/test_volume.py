@@ -20,7 +20,6 @@ from pleatbend import (
     OrientationTrackingFailure,
     ProjectivePoint,
     PleatbendError,
-    RepresentationPath,
     TruncationConvention,
     bending_data,
     enumerate_orientations,
@@ -108,7 +107,7 @@ def genus3_path(a1_length, steps):
 def brute_force(path, conv, steps=None):
     """The orientation sum as a loop: one integration per orientation."""
     out = []
-    start = sample_images([path.reps[0]], path.pd)
+    start = sample_images(path.generators, path.matrices[..., :1], path.pd)
     for ori in enumerate_orientations(path.pd):
         zeta = orientation_start_endpoints(ori, start)
         out.append(integrate_volume_change(path, zeta, conv, steps=steps))
@@ -121,13 +120,13 @@ def central_difference_derivative(path, t, zeta, conv):
     pd = path.pd
     k = path.index_of(t)
     if isinstance(zeta, str):
-        zeta_k = resolve_endpoints(path.reps[k], pd, zeta)
+        zeta_k = resolve_endpoints(path.rep(k), pd, zeta)
     else:
-        zeta_k = track_endpoints(path.reps[k], pd, zeta)
-    zeta_prev = track_endpoints(path.reps[k - 1], pd, zeta_k)
-    zeta_next = track_endpoints(path.reps[k + 1], pd, zeta_k)
+        zeta_k = track_endpoints(path.rep(k), pd, zeta)
+    zeta_prev = track_endpoints(path.rep(k - 1), pd, zeta_k)
+    zeta_next = track_endpoints(path.rep(k + 1), pd, zeta_k)
     before, here, after = [
-        bending_data(realize(path.reps[i], pd, z), conv)
+        bending_data(realize(path.rep(i), pd, z), conv)
         for i, z in ((k - 1, zeta_prev), (k, zeta_k), (k + 1, zeta_next))]
     dt = path.ts[k + 1] - path.ts[k - 1]
     keys = [("cuff", c.id) for c in pd.cuffs] + [
@@ -288,9 +287,8 @@ class TestSchlafliDerivative:
             pd, lambda t: (2.0 + 0.2 * t, 1.7, 2.3),
             lambda t: (0.3 + 0.4j * t, 0.1, 0.2), steps=16)
         g = MoebiusMap(1.1, 0.4 - 0.2j, 0.3j, 0.9)
-        conj = RepresentationPath(
-            ts=path.ts, reps=tuple(r.conjugated(g) for r in path.reps),
-            pd=pd)
+        conj = path_from_reps([r.conjugated(g) for r in path.reps],
+                              ts=path.ts, pd=pd)
         choice = "attracting"
         assert schlafli_derivative(conj, 0.5, choice, conv) == pytest.approx(
             schlafli_derivative(path, 0.5, choice, conv), abs=1e-9)
@@ -596,7 +594,7 @@ class TestLoopDefect:
         fwd = bend_path(pd, theta_final=0.25, steps=16)
         ts = fwd.ts + tuple(2.0 - t for t in reversed(fwd.ts[:-1]))
         reps = fwd.reps + tuple(reversed(fwd.reps[:-1]))
-        loop = RepresentationPath(ts=ts, reps=reps, pd=pd)
+        loop = path_from_reps(reps, ts=ts, pd=pd)
         report = loop_defect(loop, conv)
         assert abs(report.defect) < 1e-10
         assert report.fingerprint_distance < 1e-12
@@ -709,8 +707,8 @@ class PassWork:
         construct = ProjectivePoint.__init__
         wrap = ProjectivePoint._raw.__func__
 
-        def counting_fill(reps, surface, *args):
-            images = fill(reps, surface, *args)
+        def counting_fill(*args):
+            images = fill(*args)
             self.passes.append(images)
             return images
 
@@ -754,7 +752,8 @@ class PassWork:
         # for the commutators of every slot row and pair
         assert len(self.passes) == 1
         images = self.passes[0]
-        assert images.reps == list(path.reps)
+        assert images.generators == path.generators
+        assert images.matrices.tobytes() == path.matrices.tobytes()
         assert set(images.words) == pass_words(path.pd)
         tokens = [topology._tokens(w) for w in images.words]
         depth = max(map(len, tokens))
