@@ -22,7 +22,7 @@ import json
 import sys
 
 from .errors import PleatbendError
-from .moebius import classify, complex_length, fixed_points
+from .moebius import _complex_length, _fixed_points, classify
 from .pleated import TruncationConvention, bending_data, realize
 from .representation import (conjugacy_residual, evaluate_word,
                              finite_trace_squared, jacobian_rank, load_path,
@@ -84,12 +84,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
         tau = finite_trace_squared(w, m)
         kind = classify(m, eps_class=args.tolerance)
         try:
-            lam = _cnum(complex_length(m, eps_class=args.tolerance))
+            lam = _cnum(_complex_length(m, kind))
         except PleatbendError:
             lam = "-"
         try:
-            fp = fixed_points(m, eps_class=args.tolerance)
-            fps = [_point(p) for p in fp]
+            fps = [_point(p) for p in _fixed_points(m, kind, args.tolerance)]
         except PleatbendError:
             fps = ["-", "-"]
         rows.append({"word": w, "class": str(kind), "trace_squared": _cnum(tau),

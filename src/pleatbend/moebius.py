@@ -268,13 +268,6 @@ class MoebiusArray:
         self.ok = ok
 
     @classmethod
-    def of(cls, maps) -> "MoebiusArray":
-        z = np.array([(m.a, m.b, m.c, m.d) for m in maps],
-                     dtype=complex).T.reshape(2, 2, -1)
-        return cls(z.real.copy(), z.imag.copy(),
-                   np.ones(z.shape[2], dtype=bool))
-
-    @classmethod
     def identity(cls, shape: int | tuple) -> "MoebiusArray":
         """The identity at every element of shape (n, or (..., n))."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)

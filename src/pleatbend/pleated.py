@@ -32,7 +32,8 @@ functions' bit for bit: tests/test_kernel.py holds each kind of term
 to a stated accuracy against a 50-digit oracle.  One part stays
 scalar: the tracking step that picks one of two fixed points from the
 previous sample's choice.  A single realization (realize, bending_data
-and the term functions) is the same computation on a one-sample pass.
+and the term functions) is the same computation on a one-sample pass,
+read as a path is: a start dict is tracked and each angle stage runs once.
 
 Failures keep the scalar order.  Every guard is computed as a mask over
 the samples (and the endpoint patterns), and _Failures raises the one
@@ -58,8 +59,7 @@ from .moebius import (EPS_CLASS, EPS_NUM, KINDS, MoebiusArray, MoebiusMap,
                       PointArray, ProjectivePoint, _abs2, _complex, _quot,
                       chordal_array, cross_ratio_array, reduce_angle,
                       reduce_angle_array, stack_points, trace_squared)
-from .representation import (Representation, _matrices_of, _rep_at,
-                             _word_images, evaluate_word)
+from .representation import Representation, _matrices_of, _word_images
 from .topology import (CuffCrossing, Lamination, LeafCrossing,
                        PantsDecomposition, TransverseArc, build_lamination,
                        invert_word)
@@ -377,6 +377,13 @@ def _selection(images: SampleImages, start: str | dict, failures: _Failures,
     return second.select(choice, first), first.select(choice, second)
 
 
+def _points(pd: PantsDecomposition, chosen: PointArray,
+            other: PointArray) -> dict:
+    """A selection at sample 0 as cuff id -> (chosen, other)."""
+    return {c.id: (chosen.point((j, 0)), other.point((j, 0)))
+            for j, c in enumerate(pd.cuffs)}
+
+
 def start_endpoints(images: SampleImages, forward) -> dict:
     """Start selection of an orientation at the first sample of a pass:
     cuff id -> (zeta, other), the attracting fixed point chosen where
@@ -391,21 +398,18 @@ def start_endpoints(images: SampleImages, forward) -> dict:
                     [(mask[:, :1], error, message)
                      for mask, error, message in checks])
     failures.raise_first()
-    first, second = images.cuff_points[:2]
-    zeta = {}
-    for j, (bit, cuff) in enumerate(zip(forward, images.pd.cuffs)):
-        att, rep = first.point((j, 0)), second.point((j, 0))
-        zeta[cuff.id] = (att, rep) if bit else (rep, att)
-    return zeta
+    first, second = (x[:, :1] for x in images.cuff_points[:2])
+    forward = np.array(forward, dtype=bool)[:, None]
+    return _points(images.pd, first.select(forward, second),
+                   second.select(forward, first))
 
 
 def _selected(images: SampleImages, start: str | dict) -> dict:
     """_selection on a one-sample pass, as ProjectivePoints."""
     failures = _Failures()
-    chosen, other = _selection(images, start, failures)
+    selection = _selection(images, start, failures)
     failures.raise_first()
-    return {c.id: (chosen.point((j, 0)), other.point((j, 0)))
-            for j, c in enumerate(images.pd.cuffs)}
+    return _points(images.pd, *selection)
 
 
 def resolve_endpoints(rep: Representation | SampleImages,
@@ -414,10 +418,9 @@ def resolve_endpoints(rep: Representation | SampleImages,
 
     start is "attracting", which chooses the first point reported by
     fixed_points (for a loxodromic cuff, the attracting one), or
-    "repelling", which chooses the second.
+    "repelling", which chooses the second; any other label raises
+    PleatbendError once the sample is evaluated.
     """
-    if start not in _LABELS:
-        raise PleatbendError(f"unknown endpoint label {start!r}")
     return _selected(_one_sample(rep, pd), start)
 
 
@@ -618,9 +621,9 @@ class _Geometry:
     of the slot words each row's leaf i reads, of slot i + 1.
     cuff_terms holds, per cuff term row, the cuff, its chain and the
     plaque rows of its positive and its negative side.  place() sets
-    vertices, the three vertices of every row, (3, rows, n), and xi,
-    its view per pants.  Each stage returns, or records, its guards as
-    checks over its rows, in the order of the scalar step it repeats.
+    vertices, the three vertices of every row, (3, rows, n).  Each stage
+    returns, or records, its guards as checks over its rows, in the
+    order of the scalar step it repeats; once() keeps the angle stages.
     """
 
     def __init__(self, images: SampleImages, selections: list,
@@ -666,8 +669,7 @@ class _Geometry:
             np.broadcast_to(np.arange(len(pd.cuffs)), vectors.shape),
             vectors, plaque[:, sides[:, 0]], plaque[:, sides[:, 1]]])
         self.vertices = None
-        self.xi = []
-        self.angles = {}     # single realizations: key -> angle or failure
+        self.stages = {}
 
     def _number(self, supports) -> tuple:
         """The blocks of supports, consecutive slices of chains ** len
@@ -737,7 +739,6 @@ class _Geometry:
                             for p, rows in enumerate(self.pants_rows)],
                         checks)
         self.vertices = xi
-        self.xi = [[xi[s, rows] for s in range(3)] for rows in self.pants_rows]
 
     @staticmethod
     def _plaque_checks(tri: PointArray) -> list:
@@ -749,6 +750,13 @@ class _Geometry:
                 f"{d[i, rows][row, k]:.3g} apart")
         return [(d[i] < EPS_SEP, DegenerateTriangle, message(i))
                 for i in range(3)]
+
+    def once(self, stage: str) -> tuple:
+        """What the stage method named stage returns, leaf_angles or
+        cuff_angles at winding 0, computed once per geometry."""
+        if stage not in self.stages:
+            self.stages[stage] = getattr(self, stage)()
+        return self.stages[stage]
 
     def leaf_angles(self) -> tuple:
         """leaf_bending of every spiral leaf at every pattern and sample,
@@ -815,7 +823,8 @@ class _Geometry:
         """cuff_bending of every cuff leaf at every pattern of its
         support and every sample, (cuff rows, n) with cuff j at
         cuff_rows[j], and its checks; crossing takes a cuff id to the
-        images to read in place of its winding-0 crossing word."""
+        images, (2, 2, 1, n), to read in place of its winding-0 crossing
+        word."""
         pd, images = self.pd, self.images
         cuffs, chains, plus, minus = self.cuff_terms
         ends = [pd.signed_ends_of(c.id) for c in pd.cuffs]
@@ -827,8 +836,8 @@ class _Geometry:
                                         for c in pd.cuffs])[cuffs])
         for cuff_id, m in (crossing or {}).items():
             rows = self.cuff_rows[self.index[cuff_id]]
-            W.re[:, :, rows] = m.re[:, :, None]
-            W.im[:, :, rows] = m.im[:, :, None]
+            W.re[:, :, rows] = m.re
+            W.im[:, :, rows] = m.im
         # the chosen and the other endpoint, stacked on a new first axis;
         # so below are the four plaque vertices, each step done for all
         # of them at once and its guards recorded in the scalar order
@@ -879,9 +888,9 @@ class _Geometry:
         i = 0, 1, 2.  table() gives the row an orientation reads for a
         leaf.  All cuff leaves are computed at once, and so are all
         spiral leaves."""
-        cuff_angles, cuff_checks = self.cuff_angles()
+        cuff_angles, cuff_checks = self.once("cuff_angles")
         cuff_lengths = _cuff_lengths(self.images).real
-        leaf_angles, angle_checks = self.leaf_angles()
+        leaf_angles, angle_checks = self.once("leaf_angles")
         leaf_lengths, length_checks = self.leaf_lengths(conv)
         cuffs, leaves = [], []
         for t, leaf in enumerate(self.lam.leaves):
@@ -965,32 +974,31 @@ def realize(rep: Representation | SampleImages, pd: PantsDecomposition,
             eps_class: float = EPS_CLASS) -> PleatedRealization:
     """Realize the plaques of every pants for an adapted representation.
 
-    endpoints is a start label for resolve_endpoints ("attracting" or
-    "repelling") or an already-resolved dict from resolve_endpoints or
-    track_endpoints.  A bare representation is evaluated by a
-    one-sample pass classifying at eps_class.  Raises
+    endpoints is a start label ("attracting" or "repelling") or a dict
+    cuff id -> (chosen, other), tracked to this representation's fixed
+    points as track_endpoints tracks it.  A bare representation is
+    evaluated by a one-sample pass classifying at eps_class.  Raises
     SampleEvaluationFailure when the word images cannot be evaluated,
-    NotAdapted when the adaptedness check fails and DegenerateTriangle
-    when realized plaque vertices collide.
+    NotAdapted when the adaptedness check fails, then the failures of
+    resolve_endpoints or track_endpoints and DegenerateTriangle when
+    realized plaque vertices collide.
     """
     images = _one_sample(rep, pd, eps_class)
     report = check_adapted(images, pd)
     if not report.adapted:
         raise NotAdapted(report.summary())
-    zeta = endpoints if isinstance(endpoints, dict) \
-        else resolve_endpoints(images, pd, endpoints)
-    selection = tuple(PointArray.of([zeta[c.id][s] for c in pd.cuffs])[:, None]
-                      for s in (0, 1))
-    geometry = _Geometry(images, [selection], build_lamination(pd))
     failures = _Failures()
+    selection = _selection(images, endpoints, failures)
+    geometry = _Geometry(images, [selection], build_lamination(pd))
     geometry.place(failures)
     failures.raise_first()
-    xi = tuple(tuple(v.point((0, 0)) for v in row) for row in geometry.xi)
-    lengths = _cuff_lengths(images)
+    vertices = geometry.vertices
     return PleatedRealization(
-        geometry=geometry, report=report, zeta=zeta, xi=xi,
+        geometry=geometry, report=report, zeta=_points(pd, *selection),
+        xi=tuple(tuple(vertices.point((s, rows.start, 0)) for s in range(3))
+                 for rows in geometry.pants_rows),
         cuff_lengths={c.id: complex(z[0])
-                      for c, z in zip(pd.cuffs, lengths)})
+                      for c, z in zip(pd.cuffs, _cuff_lengths(images))})
 
 
 def _one_term(key, values: np.ndarray, checks: list, index) -> float:
@@ -1003,20 +1011,6 @@ def _one_term(key, values: np.ndarray, checks: list, index) -> float:
     return float(values[index][0, 0])
 
 
-def _angle(real: PleatedRealization, key, read) -> float:
-    """_one_term(*read()) of a bending angle, found once per realization
-    and key (arc_bending reads the same few angles over and over)."""
-    angles = real.geometry.angles
-    if key not in angles:
-        try:
-            angles[key] = _one_term(*read())
-        except PleatbendError as exc:
-            angles[key] = exc
-    if isinstance(angles[key], PleatbendError):
-        raise type(angles[key])(*angles[key].args)
-    return angles[key]
-
-
 def leaf_bending(real: PleatedRealization, leaf) -> float:
     """Exterior bending angle across one spiral leaf, in (-pi, pi].
 
@@ -1026,8 +1020,8 @@ def leaf_bending(real: PleatedRealization, leaf) -> float:
     """
     key = tuple(leaf)
     geometry = real.geometry
-    return _angle(real, key, lambda: (key, *geometry.leaf_angles(),
-                                      geometry.leaf_index(key)))
+    return _one_term(key, *geometry.once("leaf_angles"),
+                     geometry.leaf_index(key))
 
 
 def cuff_bending(real: PleatedRealization, cuff_id: str,
@@ -1037,28 +1031,28 @@ def cuff_bending(real: PleatedRealization, cuff_id: str,
     Measured between the plaque of the positive cuff end and the plaque
     of the negative end transported across the cuff; winding adds extra
     passes around the cuff, shifting the angle by multiples of the
-    cuff's imaginary length.  The word carrying the plaque across with
-    a winding is outside the pass, so it is evaluated on its own.
+    cuff's imaginary length.  With a winding, the crossing word (the
+    positive end's conjugator, winding turns of the cuff, the inverse of
+    the negative end's) is not in the pass: the array kernel evaluates
+    it on the realization's sample, and the cuff stage runs again.
     """
     pd = real.pd
-    cuff = pd.cuff(cuff_id)
     geometry = real.geometry
     rows = geometry.cuff_rows[pd.cuff_index(cuff_id)]
-
-    def read():
-        crossing = None
-        if winding != 0:
-            (pp, kp), (pm, km) = pd.signed_ends_of(cuff_id)
-            v_plus = pd.pants[pp].cuff_ends[kp].conjugator
-            v_minus = pd.pants[pm].cuff_ends[km].conjugator
-            core = (cuff.word * winding if winding > 0
-                    else invert_word(cuff.word) * (-winding))
-            images = geometry.images
-            crossing = {cuff_id: MoebiusArray.of([evaluate_word(
-                _rep_at(images.generators, images.matrices, 0),
-                v_plus + core + invert_word(v_minus))])}
-        return (cuff_id, *geometry.cuff_angles(crossing), rows)
-    return _angle(real, (cuff_id, winding), read)
+    if winding == 0:
+        return _one_term(cuff_id, *geometry.once("cuff_angles"), rows)
+    loop = pd.cuff(cuff_id).word
+    core = loop * winding if winding > 0 else invert_word(loop) * -winding
+    (pp, kp), (pm, km) = pd.signed_ends_of(cuff_id)
+    word = (pd.pants[pp].cuff_ends[kp].conjugator + core
+            + invert_word(pd.pants[pm].cuff_ends[km].conjugator))
+    images = geometry.images
+    crossing = _word_images(images.generators, images.matrices, [word])
+    if not crossing.ok.all():
+        raise SampleEvaluationFailure(
+            f"sample 0: word {word!r} is singular, overflows or is not finite")
+    return _one_term(cuff_id, *geometry.cuff_angles({cuff_id: crossing}),
+                     rows)
 
 
 def arc_bending(real: PleatedRealization, arc: TransverseArc) -> float:

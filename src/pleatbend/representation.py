@@ -420,7 +420,12 @@ def _gluing(pd: PantsDecomposition) -> tuple:
         raise InvalidDecomposition(
             "decomposition carries no gluing recipe; build it with "
             "standard_decomposition or add a fenchel_nielsen block")
+    if fn.root not in range(len(pd.pants)):
+        raise InvalidDecomposition(f"gluing root {fn.root!r} is not a pants")
     column = {c.id: i for i, c in enumerate(pd.cuffs)}
+    for cid in fn.tree_cuffs:
+        if cid not in column:
+            raise InvalidDecomposition(f"tree cuff {cid!r} is not a cuff")
     ends = {c.id: pd.signed_ends_of(c.id) for c in pd.cuffs}
     tree_cuffs = set(fn.tree_cuffs)
 
@@ -451,7 +456,7 @@ def _gluing(pd: PantsDecomposition) -> tuple:
 
     # stable letters for the remaining cuffs
     roles = fn.generator_roles
-    stable_gen = {role["cuff"]: g for g, role in roles.items()
+    stable_gen = {role.get("cuff"): g for g, role in roles.items()
                   if role.get("kind") == "stable"}
     stable, gens = [], []
     for cuff in pd.cuffs:
@@ -478,7 +483,12 @@ def _gluing(pd: PantsDecomposition) -> tuple:
         if role is None:
             raise InvalidDecomposition(f"generator {g!r} has no gluing role")
         if role.get("kind") == "boundary":
-            boundary.append((role["pants"], role["slot"]))
+            p, k = role.get("pants"), role.get("slot")
+            if p not in range(len(pd.pants)) or k not in range(3):
+                raise InvalidDecomposition(
+                    f"boundary generator {g!r} names pants {p!r} slot {k!r}, "
+                    "not a slot of the decomposition")
+            boundary.append((p, k))
             gens.append(g)
         elif role.get("kind") != "stable":
             raise InvalidDecomposition(f"unknown role {role!r} for {g!r}")
@@ -777,6 +787,8 @@ def path_from_reps(reps, ts=None, pd=None) -> RepresentationPath:
     """The path through reps, on the generators and relators of the
     first; every other representation is read by generator name."""
     reps = tuple(reps)
+    if len(reps) < 2:
+        raise PleatbendError("a path needs at least two samples")
     if ts is None:
         ts = np.linspace(0.0, 1.0, len(reps))
     return RepresentationPath(ts=tuple(float(t) for t in ts),

@@ -26,7 +26,8 @@ from pleatbend import (InvalidDecomposition, MoebiusMap,
                        standard_decomposition)
 from pleatbend.moebius import _sqrt
 from pleatbend.representation import _CHUNK, _normal_frames
-from pleatbend.topology import Cuff
+from pleatbend.topology import (Cuff, decomposition_from_dict,
+                                decomposition_to_dict)
 
 from _seed_kernel import normal_frame, seed_fenchel_nielsen_rep
 
@@ -365,6 +366,33 @@ def test_recipe_errors_come_first():
     bare = dataclasses.replace(PD2, fenchel_nielsen=None)
     with pytest.raises(InvalidDecomposition, match="no gluing recipe"):
         fenchel_nielsen_rep(bare, (-1.0, 1.7), TWISTS)
+
+
+def _edited_recipe(edit):
+    document = json.loads(json.dumps(decomposition_to_dict(PD2)))
+    edit(document["fenchel_nielsen"])
+    return decomposition_from_dict(document)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda fn: fn["generator_roles"]["a1"].update(pants=7),
+     "boundary generator 'a1' names pants 7 slot 0"),
+    (lambda fn: fn["generator_roles"]["a1"].update(slot=5),
+     "boundary generator 'a1' names pants 0 slot 5"),
+    (lambda fn: fn["generator_roles"]["a2"].update(pants=-1),
+     "boundary generator 'a2' names pants -1 slot 0"),
+    (lambda fn: fn["generator_roles"]["a2"].pop("slot"),
+     "boundary generator 'a2' names pants 1 slot None"),
+    (lambda fn: fn.update(tree_cuffs=["zz"]), "tree cuff 'zz' is not a cuff"),
+    (lambda fn: fn.update(root=9), "gluing root 9 is not a pants"),
+], ids=["pants-7", "slot-5", "pants-minus-1", "no-slot", "tree-cuff-zz",
+        "root-9"])
+def test_recipe_is_checked(edit, message):
+    # read from a document, before any parameter: the lengths here
+    # would fail their own guard
+    pd = _edited_recipe(edit)
+    with pytest.raises(InvalidDecomposition, match=message):
+        fenchel_nielsen_rep(pd, (-1.0, 1.7), TWISTS)
 
 
 # ---------------------------------------------------------------------------

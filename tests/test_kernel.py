@@ -38,7 +38,7 @@ from pleatbend import (DegenerateConfiguration, DegenerateTriangle,
                        path_from_parameters, path_from_reps,
                        shared_endpoint_check, standard_decomposition,
                        vol_gamma)
-from pleatbend import pleated, volume
+from pleatbend import pleated, representation, volume
 from pleatbend.moebius import (KINDS, RESCALE_LIMIT, IsometryClass,
                                MoebiusArray, _unimodular, complex_length,
                                trace_squared)
@@ -109,6 +109,14 @@ def assert_close(got: MoebiusArray, want: list):
             assert (np.abs(e - z) <= 8 * EPS * np.abs(z)).all(), (e, z)
 
 
+def array_of(maps) -> MoebiusArray:
+    """MoebiusMaps as a MoebiusArray, (2, 2, n), entries as they are."""
+    z = np.array([(m.a, m.b, m.c, m.d) for m in maps],
+                 dtype=complex).T.reshape(2, 2, -1)
+    return MoebiusArray(z.real.copy(), z.imag.copy(),
+                        np.ones(z.shape[2], dtype=bool))
+
+
 def maps_of(m: MoebiusArray) -> list:
     """The maps of a MoebiusArray as MoebiusMaps, None where not ok."""
     return [MoebiusMap._raw(*e) if ok else None
@@ -130,8 +138,7 @@ class TestMoebiusArrayOracle:
         maps = [(x, y) for x, y in maps if x is not None and y is not None]
         if not maps:
             return
-        xs, ys = MoebiusArray.of([x for x, _ in maps]), \
-            MoebiusArray.of([y for _, y in maps])
+        xs, ys = array_of([x for x, _ in maps]), array_of([y for _, y in maps])
         assert_close(xs.inverse(), [scalar(x.inverse) for x, _ in maps])
         # the commutator's products one by one, each against the scalar
         # product of the same entries
@@ -168,7 +175,7 @@ class TestMoebiusArrayOracle:
 
     def test_identity_fold(self):
         maps = [MoebiusMap(2, 1j, 0.5, 1), MoebiusMap(*steep(900.0, 1.0))]
-        assert_close(MoebiusArray.identity(2) @ MoebiusArray.of(maps),
+        assert_close(MoebiusArray.identity(2) @ array_of(maps),
                      [MoebiusMap.identity() @ m for m in maps])
 
 
@@ -260,7 +267,8 @@ class TestSampleImagesOracle:
         def scalar(rep, word):
             raise AssertionError(f"scalar evaluation of {word!r}")
 
-        monkeypatch.setattr(pleated, "evaluate_word", scalar)
+        assert not hasattr(pleated, "evaluate_word")
+        monkeypatch.setattr(representation, "evaluate_word", scalar)
         run_pipeline(run, bent_genus3())
 
 

@@ -34,6 +34,7 @@ from pleatbend import (
     truncated_geodesic_length,
     truncated_length,
 )
+from pleatbend import pleated
 from pleatbend.moebius import KINDS
 from pleatbend.pleated import sample_images
 from pleatbend.representation import _matrices_of
@@ -162,6 +163,54 @@ class TestRealize:
                                           for _ in pd.generators))
         with pytest.raises(NotAdapted):
             realize(rep, pd)
+
+    def test_foreign_start_dict_is_tracked(self, setup):
+        # a selection resolved at a nearby representation is tracked to
+        # this one's fixed points, as every path entry point tracks it,
+        # not used as given
+        pd, lam = setup
+        z0 = resolve_endpoints(fuchsian(pd), pd, "attracting")
+        rep = fenchel_nielsen_rep(pd, (2.05, 1.75, 2.35), TWISTS)
+        got = realize(rep, pd, z0)
+        want = realize(rep, pd, track_endpoints(rep, pd, z0))
+
+        def coords(points):
+            return [repr((p.z1, p.z2)) for p in points]
+        assert {c: coords(v) for c, v in got.zeta.items()} == \
+            {c: coords(v) for c, v in want.zeta.items()}
+        assert [coords(row) for row in got.xi] == \
+            [coords(row) for row in want.xi]
+        assert repr(bending_data(got)) == repr(bending_data(want))
+
+    def test_arc_bending_runs_each_angle_stage_once(self, setup,
+                                                    monkeypatch):
+        pd, lam = setup
+        rep = fenchel_nielsen_rep(pd, (2.0 + 0.3j, 1.7, 2.3 - 0.2j),
+                                  (0.3 + 0.4j, 0.1, 0.2 + 0.1j))
+        real = realize(rep, pd)
+        calls = []
+
+        def counting(name, stage):
+            def wrapper(geometry, *args):
+                calls.append(name)
+                return stage(geometry, *args)
+            return wrapper
+
+        for name in ("leaf_angles", "cuff_angles"):
+            monkeypatch.setattr(pleated._Geometry, name, counting(
+                name, getattr(pleated._Geometry, name)))
+        arc = TransverseArc(
+            tuple(LeafCrossing(p, i, 1) for p in range(len(pd.pants))
+                  for i in range(3))
+            + tuple(CuffCrossing(c.id, 0, 1) for c in pd.cuffs))
+        total = arc_bending(real, arc)
+        assert sorted(calls) == ["cuff_angles", "leaf_angles"]
+        # bending_data reads the same stages
+        bd = bending_data(real)
+        assert sorted(calls) == ["cuff_angles", "leaf_angles"]
+        assert total == reduce_angle(sum(
+            bd.leaf_angles[(x.pants, x.leaf)] if isinstance(x, LeafCrossing)
+            else bd.cuff_angles[x.cuff] for x in arc.crossings))
 
     def test_plaque_shapes(self, setup):
         pd, lam = setup

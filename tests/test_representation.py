@@ -392,6 +392,9 @@ class TestPaths:
             path_from_reps([rep, rep], ts=(0.0, 0.0))
         with pytest.raises(PleatbendError):
             path_from_reps([rep], ts=(0.0, 1.0))
+        with pytest.raises(PleatbendError,
+                           match="a path needs at least two samples"):
+            path_from_reps([])
         with pytest.raises(PleatbendError, match="one representation per"):
             RepresentationPath(ts=(0.0, 1.0), generators=rep.generators,
                                matrices=np.zeros((2, 2, 2, 1), complex))

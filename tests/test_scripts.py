@@ -101,3 +101,31 @@ def test_rank_experiment_full_rank():
                 if line.startswith("smallest margin")]
     assert float(gap) >= 1e6
     assert float(margin) > 1e-8
+
+
+# every script once at its defaults, as a reader would first run it
+
+def test_pure_bend_demo_at_defaults():
+    proc = run_script(ROOT / "scripts" / "pure_bend_demo.py")
+    assert proc.returncode == 0, proc.stderr
+    [error] = [line.split(":")[1] for line in proc.stdout.splitlines()
+               if line.startswith("relative error")]
+    assert float(error) < 1e-12
+
+
+def test_loop_defect_demo_at_defaults():
+    # at the default 64 steps the conjugation circle tracks too
+    proc = run_script(ROOT / "scripts" / "loop_defect_demo.py")
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()
+    assert len(rows) == 3
+    assert [row for row in rows if "FAILED" in row] == []
+
+
+def test_rank_experiment_at_defaults():
+    proc = run_script(ROOT / "scripts" / "rank_experiment.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "seeds: 50" in lines
+    assert [line for line in lines if line.startswith("rank ")] == [
+        "rank 3: 50"]

@@ -786,8 +786,10 @@ class TestSampleWork:
         # one placement; with two endpoint chains, pants p is placed at
         # its 2^k patterns of chains (k cuffs), each a row over samples
         [geometry] = work.placed
-        assert [[v.z1r.shape for v in vertices] for vertices in geometry.xi] \
-            == [[(2 ** len({e.cuff for e in pants.cuff_ends}), len(path))] * 3
+        assert geometry.vertices.z1r.shape[0] == 3
+        assert [geometry.vertices[0, rows].z1r.shape
+                for rows in geometry.pants_rows] \
+            == [(2 ** len({e.cuff for e in pants.cuff_ends}), len(path))
                 for pants in path.pd.pants]
         assert_identical(got, want.results)
 
