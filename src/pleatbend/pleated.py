@@ -19,21 +19,20 @@ cross-ratio position.
 
 Everything here is computed for many samples at once.  sample_images
 evaluates the words at every column of a generator array (a path's, or
-one representation's) in one array pass;
-endpoint selection, the adaptedness check, placement and the Schlafli
-terms read that pass through moebius' array kernel (MoebiusArray,
-PointArray).  Each stage runs once for all its items, the words of a
-depth, the cuffs, the pants or the leaves, stacked on one more array
-axis, so its number of numpy calls does not grow with the genus.  The
-arithmetic is numpy's (np.hypot, np.arctan2, np.log, np.arccosh and
-reduce_angle_array) except for the complex products and quotients,
-which keep CPython's rounding, so the terms are not the scalar
-functions' bit for bit: tests/test_kernel.py holds each kind of term
-to a stated accuracy against a 50-digit oracle.  One part stays
-scalar: the tracking step that picks one of two fixed points from the
-previous sample's choice.  A single realization (realize, bending_data
-and the term functions) is the same computation on a one-sample pass,
-read as a path is: a start dict is tracked and each angle stage runs once.
+one representation's) in one array pass, and every later stage reads
+it through moebius' array kernel (MoebiusArray, PointArray), once for
+all its items (the words of a depth, the cuffs, the pants or the
+leaves) stacked on one more array axis, so its number of numpy calls
+does not grow with the genus.  A path and a single realization are set
+up and placed one way (_placed): endpoint selection, the adaptedness
+check and placement, which keeps the carried and pushed vertices that
+the term stages read.  The arithmetic is numpy's (np.hypot, np.arctan2,
+np.log, np.arccosh and reduce_angle_array) except for the complex
+products and quotients, which keep CPython's rounding, so the terms
+are not the scalar functions' bit for bit: tests/test_kernel.py holds
+each kind of term to a stated accuracy against a 50-digit oracle.  One
+part stays scalar: the tracking step that picks one of two fixed
+points from the previous sample's choice.
 
 Failures keep the scalar order.  Every guard is computed as a mask over
 the samples (and the endpoint patterns), and _Failures raises the one
@@ -52,7 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateConfiguration, DegenerateTriangle, NotAdapted,
+from .errors import (DegenerateConfiguration, DegenerateTriangle,
+                     InvalidDecomposition, NotAdapted,
                      OrientationTrackingFailure, PleatbendError,
                      SampleEvaluationFailure, SingularMatrix)
 from .moebius import (EPS_CLASS, EPS_NUM, KINDS, MoebiusArray, MoebiusMap,
@@ -316,7 +316,8 @@ def _selection(images: SampleImages, start: str | dict, failures: _Failures,
                phase: int = 0) -> tuple:
     """(chosen, other) PointArrays of every cuff, (cuffs, n): start
     resolved at the first sample when it is a label, else tracked to
-    it, and tracked from sample to sample after that.
+    it, and tracked from sample to sample after that.  An unknown label,
+    or a dict that lacks a cuff, fails at the first sample.
 
     The guards of resolve_endpoints and track_endpoints, cuff by cuff in
     their order: the cuff's kind (identity and parabolic raise
@@ -328,9 +329,14 @@ def _selection(images: SampleImages, start: str | dict, failures: _Failures,
     """
     pd = images.pd
     n = len(images)
-    if isinstance(start, str) and start not in _LABELS:
+    if isinstance(start, str):
+        bad = start not in _LABELS and f"unknown endpoint label {start!r}"
+    else:
+        missing = [c.id for c in pd.cuffs if c.id not in start]
+        bad = missing and f"start endpoints lack cuffs {missing}"
+    if bad:
         failures.record(-1, _whole(1), [(np.arange(n) == 0, PleatbendError,
-                                         f"unknown endpoint label {start!r}")])
+                                         bad)])
         start = _LABELS[0]
     pts = images.cuff_points[:2]
     gap = chordal_array(*pts).tolist()
@@ -339,15 +345,13 @@ def _selection(images: SampleImages, start: str | dict, failures: _Failures,
     steps = [[[[math.nan] + d for d in chordal_array(a[:, :-1], b[:, 1:])
                .tolist()] for b in pts] for a in pts]
     if isinstance(start, str):
-        begin = 1
-        first_state = _LABELS.index(start)
+        begin, first_state = 1, _LABELS.index(start)
     else:
         prev = PointArray.of([start[c.id][0] for c in pd.cuffs])
         for b, to in enumerate(pts):
             for j, d in enumerate(chordal_array(prev, to[:, 0]).tolist()):
                 steps[0][b][j][0] = d
-        begin = 0
-        first_state = 0
+        begin = first_state = 0
     choice = []     # per cuff and sample, True: the second fixed point
     failed = np.zeros((len(pd.cuffs), n), dtype=bool)
     messages = {}
@@ -384,11 +388,11 @@ def _points(pd: PantsDecomposition, chosen: PointArray,
             for j, c in enumerate(pd.cuffs)}
 
 
-def start_endpoints(images: SampleImages, forward) -> dict:
-    """Start selection of an orientation at the first sample of a pass:
-    cuff id -> (zeta, other), the attracting fixed point chosen where
-    forward is True, the repelling one elsewhere.  Every cuff must be
-    loxodromic there."""
+def orientation_start_endpoints(ori, images: SampleImages) -> dict:
+    """Start selection of an orientation at the first sample of a pass,
+    at its classification tolerance: cuff id -> (zeta, other), the
+    attracting fixed point where ori is forward, the repelling one
+    elsewhere.  Every cuff must be loxodromic there."""
     failures = _Failures()
     checks = _classified(images, images.kinds != _LOXODROMIC,
                          OrientationTrackingFailure, lambda cuff, kind:
@@ -399,7 +403,7 @@ def start_endpoints(images: SampleImages, forward) -> dict:
                      for mask, error, message in checks])
     failures.raise_first()
     first, second = (x[:, :1] for x in images.cuff_points[:2])
-    forward = np.array(forward, dtype=bool)[:, None]
+    forward = np.array(ori.forward, dtype=bool)[:, None]
     return _points(images.pd, first.select(forward, second),
                    second.select(forward, first))
 
@@ -461,9 +465,7 @@ class AdaptednessReport:
     def summary(self) -> str:
         if self.adapted:
             return "adapted"
-        parts = []
-        for c in self.bad_cuffs:
-            parts.append(f"cuff {c!r} is {self.cuff_kinds[c]}")
+        parts = [f"cuff {c!r} is {self.cuff_kinds[c]}" for c in self.bad_cuffs]
         for r in self.flagged_pairs():
             parts.append(f"pants {r.pants} slots {r.slots} share an endpoint "
                          f"(tr2 commutator {r.tr2_commutator:.6g})")
@@ -488,12 +490,6 @@ def _flagged(images: SampleImages) -> np.ndarray:
     eps_class of 4."""
     t = images.traces
     return np.hypot(t.real - 4.0, t.imag) < images.eps_class
-
-
-def _degenerate(images: SampleImages) -> np.ndarray:
-    """(n,): where some cuff is the identity or parabolic."""
-    return ((images.kinds == _IDENTITY)
-            | (images.kinds == _PARABOLIC)).any(axis=0)
 
 
 def _adaptedness(images: SampleImages, k: int) -> AdaptednessReport:
@@ -619,9 +615,11 @@ class _Geometry:
     slot's cuff, that cuff's chain, the conjugator's place in
     images.words and whether it is not empty, and holonomy the places
     of the slot words each row's leaf i reads, of slot i + 1.
-    cuff_terms holds, per cuff term row, the cuff, its chain and the
-    plaque rows of its positive and its negative side.  place() sets
-    vertices, the three vertices of every row, (3, rows, n).  Each stage
+    cuff_terms holds, per cuff term row, the cuff, its chain, the plaque
+    rows and the slots of its two ends, and the crossing word's place in
+    images.words.  place() sets vertices, the three vertices of every row, (3,
+    rows, n), carried_zero, where the carried ones would raise, and
+    pushed, holonomy[i] . xi_{i+2 mod 3} with its mask.  Each stage
     returns, or records, its guards as checks over its rows, in the
     order of the scalar step it repeats; once() keeps the angle stages.
     """
@@ -661,14 +659,17 @@ class _Geometry:
         self.holonomy = self._per_pants(
             [[images.index[row[(i + 1) % 3]] for i in range(3)]
              for row in pd.slot_words])
-        sides = np.array([[p for p, _ in pd.signed_ends_of(c.id)]
-                          for c in pd.cuffs], dtype=np.intp)
-        self.cuff_terms = np.empty((4, self.cuff_rows[-1].stop),
-                                   dtype=np.intp)
+        signed = np.array([pd.signed_ends_of(c.id) for c in pd.cuffs],
+                          dtype=np.intp)
+        (pp, kp), (pm, km) = signed.transpose(1, 2, 0)     # each (cuffs,)
+        crossing = np.array([images.index[pd.crossing_words[c.id]]
+                             for c in pd.cuffs], dtype=np.intp)
+        cuff = np.broadcast_to(np.arange(len(pd.cuffs)), vectors.shape)
+        self.cuff_terms = np.empty((7, self.cuff_rows[-1].stop), np.intp)
         self.cuff_terms[:, cuff_term] = np.stack([
-            np.broadcast_to(np.arange(len(pd.cuffs)), vectors.shape),
-            vectors, plaque[:, sides[:, 0]], plaque[:, sides[:, 1]]])
-        self.vertices = None
+            cuff, vectors, plaque[:, pp], plaque[:, pm], kp[cuff], km[cuff],
+            crossing[cuff]])
+        self.vertices = self.carried_zero = self.pushed = None
         self.stages = {}
 
     def _number(self, supports) -> tuple:
@@ -708,8 +709,11 @@ class _Geometry:
 
     def leaf_index(self, key) -> tuple:
         """Where the rows of spiral leaf (p, i) lie in the (3, rows, n)
-        arrays of the plaques."""
+        arrays of the plaques; InvalidDecomposition for a key that names
+        no spiral leaf."""
         p, i = key
+        if not (0 <= p < len(self.pants_rows) and 0 <= i < 3):
+            raise InvalidDecomposition(f"no spiral leaf {key}")
         return i, self.pants_rows[p]
 
     def _per_pants(self, values) -> np.ndarray:
@@ -728,13 +732,15 @@ class _Geometry:
         """
         cuff, chain, conjugator, carried = self.slots
         xi = self.zeta[0][chain, cuff]
-        zero = _carry(self.images, conjugator, xi, carried)
-        checks = [(zero[s], DegenerateConfiguration, _ZERO)
+        self.carried_zero = _carry(self.images, conjugator, xi, carried)
+        checks = [(self.carried_zero[s], DegenerateConfiguration, _ZERO)
                   for s in range(3)]
         checks += self._plaque_checks(xi)
-        down, zero = self.images.stack.take(self.holonomy[0]).apply(xi[2])
-        checks.append((zero, DegenerateConfiguration, _ZERO))
-        checks += self._plaque_checks(stack_points([xi[0], xi[1], down]))
+        self.pushed = self.images.stack.take(self.holonomy).apply(
+            xi[[2, 0, 1]])
+        down, zero = self.pushed
+        checks.append((zero[0], DegenerateConfiguration, _ZERO))
+        checks += self._plaque_checks(stack_points([xi[0], xi[1], down[0]]))
         failures.record(2, [(p, p, rows)
                             for p, rows in enumerate(self.pants_rows)],
                         checks)
@@ -762,9 +768,9 @@ class _Geometry:
         """leaf_bending of every spiral leaf at every pattern and sample,
         (3, rows, n) with leaf (p, i) at leaf_index, and its checks."""
         xi = self.vertices
-        up = xi[[2, 0, 1]]
-        down, zero = self.images.stack.take(self.holonomy).apply(up)
-        re, im, crossings = cross_ratio_array(xi, xi[[1, 2, 0]], up, down)
+        down, zero = self.pushed
+        re, im, crossings = cross_ratio_array(xi, xi[[1, 2, 0]],
+                                              xi[[2, 0, 1]], down)
         far = ((re == 0.0) & (im == 0.0)) | np.isinf(re) | np.isinf(im)
         checks = [(zero, DegenerateConfiguration, _ZERO)]
         checks += [(mask, DegenerateConfiguration,
@@ -825,30 +831,26 @@ class _Geometry:
         cuff_rows[j], and its checks; crossing takes a cuff id to the
         images, (2, 2, 1, n), to read in place of its winding-0 crossing
         word."""
-        pd, images = self.pd, self.images
-        cuffs, chains, plus, minus = self.cuff_terms
-        ends = [pd.signed_ends_of(c.id) for c in pd.cuffs]
-        kp, km = (np.array([e[s][1] for e in ends])[cuffs] for s in (0, 1))
-        v_plus = [pd.pants[pp].cuff_ends[k].conjugator for (pp, k), _ in ends]
-        lift = np.array([images.index[v] for v in v_plus])[cuffs]
-        lifted = np.array([bool(v) for v in v_plus])[cuffs]
-        W = images.stack.take(np.array([images.index[pd.crossing_words[c.id]]
-                                        for c in pd.cuffs])[cuffs])
+        images = self.images
+        cuffs, chains, plus, minus, kp, km, crossings = self.cuff_terms
+        _, _, conjugator, lifted = self.slots
+        W = images.stack.take(crossings)
         for cuff_id, m in (crossing or {}).items():
             rows = self.cuff_rows[self.index[cuff_id]]
             W.re[:, :, rows] = m.re
             W.im[:, :, rows] = m.im
-        # the chosen and the other endpoint, stacked on a new first axis;
-        # so below are the four plaque vertices, each step done for all
-        # of them at once and its guards recorded in the scalar order
-        ends = stack_points([z[chains, cuffs] for z in self.zeta])
-        zero = _carry(images, np.stack([lift, lift]), ends,
-                      np.stack([lifted, lifted]))
-        checks = [(zero[s], DegenerateConfiguration, _ZERO) for s in (0, 1)]
-        frame, coincide = MoebiusArray.normalizing(ends[1], ends[0])
-        del ends
-        checks.append((coincide, DegenerateConfiguration, _COINCIDE))
+        # the chosen endpoint as placed at the positive end, the other
+        # one carried there by the same conjugator; below, each step is
+        # done for the four plaque vertices at once and its guards
+        # recorded in the scalar order
         xi = self.vertices
+        other = self.zeta[1][chains, cuffs]
+        checks = [(zero, DegenerateConfiguration, _ZERO) for zero in (
+            self.carried_zero[kp, plus],
+            _carry(images, conjugator[kp, plus], other, lifted[kp, plus]))]
+        frame, coincide = MoebiusArray.normalizing(other, xi[kp, plus])
+        del other
+        checks.append((coincide, DegenerateConfiguration, _COINCIDE))
         carried, carried_zero = W.apply(stack_points(
             [xi[(km + 1) % 3, minus], xi[(km + 2) % 3, minus]]))
         del W
@@ -907,6 +909,25 @@ class _Geometry:
                                 leaf_lengths.reshape(-1, n)]))
 
 
+def _placed(images: SampleImages, starts: list, lam: Lamination,
+            failures: _Failures) -> _Geometry:
+    """The plaques of a pass placed under the endpoint chains from starts,
+    the guards before the terms recorded in failures: the evaluation,
+    each chain's endpoint selection, the adaptedness check, placement."""
+    failures.record(-1, _whole(), [(~images.evaluated(),
+                                    SampleEvaluationFailure,
+                                    lambda key, index, row, k:
+                                    str(images.failure(k)))])
+    # identity and parabolic cuffs fail chain 0's selection before this
+    failures.record(1, _whole(), [
+        (_flagged(images).any(axis=(1, 2)), NotAdapted,
+         lambda key, index, row, k: _adaptedness(images, k).summary())])
+    geometry = _Geometry(images, [_selection(images, start, failures, phase)
+                                  for phase, start in enumerate(starts)], lam)
+    geometry.place(failures)
+    return geometry
+
+
 def path_terms(images: SampleImages, starts: list, lam: Lamination,
                conv: TruncationConvention, orientations: list) -> tuple:
     """Every Schlafli term of lam at every sample of a pass, for the
@@ -918,25 +939,15 @@ def path_terms(images: SampleImages, starts: list, lam: Lamination,
     Returns (table, angles, lengths, deferred): angles and lengths are
     the stacked terms of _Geometry.terms, (rows, n), and table[o, t]
     is the row that orientation o reads for leaf t.  Every guard of the
-    pass is met in the scalar order: the sample's evaluation, the
-    endpoint selection of each chain, the adaptedness check, placement
-    and the terms.  On every sample the orientation that takes chain 0
-    everywhere is realized first, as integrating it alone would, and
-    its failures raise.  The first failure of any other pattern is
-    returned as deferred instead, and table then holds orientation 0
-    alone: the rows that no orientation reads may hold anything.
+    pass is met in the scalar order: those of _placed, then the terms.
+    On every sample the orientation that takes chain 0 everywhere is
+    realized first, as integrating it alone would, and its failures
+    raise.  The first failure of any other pattern is returned as
+    deferred instead, and table then holds orientation 0 alone: the
+    rows that no orientation reads may hold anything.
     """
     failures = _Failures()
-    failures.record(-1, _whole(), [(~images.evaluated(),
-                                    SampleEvaluationFailure,
-                                    lambda key, index, row, k:
-                                    str(images.failure(k)))])
-    failures.record(1, _whole(), [
-        (_degenerate(images) | _flagged(images).any(axis=(1, 2)), NotAdapted,
-         lambda key, index, row, k: _adaptedness(images, k).summary())])
-    geometry = _Geometry(images, [_selection(images, start, failures, phase)
-                                  for phase, start in enumerate(starts)], lam)
-    geometry.place(failures)
+    geometry = _placed(images, starts, lam, failures)
     angles, lengths = geometry.terms(conv, failures)
     failure = failures.first(0)
     if failure is not None:
@@ -977,26 +988,21 @@ def realize(rep: Representation | SampleImages, pd: PantsDecomposition,
     endpoints is a start label ("attracting" or "repelling") or a dict
     cuff id -> (chosen, other), tracked to this representation's fixed
     points as track_endpoints tracks it.  A bare representation is
-    evaluated by a one-sample pass classifying at eps_class.  Raises
-    SampleEvaluationFailure when the word images cannot be evaluated,
-    NotAdapted when the adaptedness check fails, then the failures of
-    resolve_endpoints or track_endpoints and DegenerateTriangle when
-    realized plaque vertices collide.
+    evaluated by a one-sample pass classifying at eps_class.  The sample
+    is set up and placed as a path's first sample is (_placed), and
+    fails as that path does first: SampleEvaluationFailure, an unknown
+    label or a dict that lacks a cuff, the failures of resolve_endpoints
+    or track_endpoints, NotAdapted, then DegenerateTriangle.
     """
     images = _one_sample(rep, pd, eps_class)
-    report = check_adapted(images, pd)
-    if not report.adapted:
-        raise NotAdapted(report.summary())
     failures = _Failures()
-    selection = _selection(images, endpoints, failures)
-    geometry = _Geometry(images, [selection], build_lamination(pd))
-    geometry.place(failures)
+    geometry = _placed(images, [endpoints], build_lamination(pd), failures)
     failures.raise_first()
-    vertices = geometry.vertices
     return PleatedRealization(
-        geometry=geometry, report=report, zeta=_points(pd, *selection),
-        xi=tuple(tuple(vertices.point((s, rows.start, 0)) for s in range(3))
-                 for rows in geometry.pants_rows),
+        geometry=geometry, report=_adaptedness(images, 0),
+        zeta=_points(pd, *(z[0] for z in geometry.zeta)),
+        xi=tuple(tuple(geometry.vertices.point((s, rows.start, 0))
+                       for s in range(3)) for rows in geometry.pants_rows),
         cuff_lengths={c.id: complex(z[0])
                       for c, z in zip(pd.cuffs, _cuff_lengths(images))})
 

@@ -541,8 +541,10 @@ def _glue(pd: PantsDecomposition, params, ts=None) -> np.ndarray:
         late = exc
     chunks = [np.empty((2, 2, len(pd.generators), 0), dtype=complex)]
     failure = None
-    for start in range(0, len(rows), _CHUNK):
-        z = np.array(rows[start:start + _CHUNK], dtype=complex)
+    parts = -(-len(rows) // _CHUNK)      # chunks of near-equal size
+    for i in range(parts):
+        start = len(rows) * i // parts
+        z = np.array(rows[start:len(rows) * (i + 1) // parts], dtype=complex)
         glued, failure = _glue_rows(pd, plan, z[:, :len(pd.cuffs)],
                                     z[:, len(pd.cuffs):])
         if failure is not None:

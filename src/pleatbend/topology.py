@@ -21,6 +21,7 @@ lower-case generator ("A1" = inverse of "a1").
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import json
@@ -451,9 +452,9 @@ def decomposition_to_dict(pd: PantsDecomposition) -> dict:
     }
     if pd.fenchel_nielsen is not None:
         fn = pd.fenchel_nielsen
-        out["fenchel_nielsen"] = {"root": fn.root,
-                                  "tree_cuffs": list(fn.tree_cuffs),
-                                  "generator_roles": fn.generator_roles}
+        out["fenchel_nielsen"] = {
+            "root": fn.root, "tree_cuffs": list(fn.tree_cuffs),
+            "generator_roles": copy.deepcopy(fn.generator_roles)}
     return out
 
 
@@ -513,9 +514,9 @@ def decomposition_from_dict(data: dict) -> PantsDecomposition:
     fn = None
     if "fenchel_nielsen" in data:
         raw = data["fenchel_nielsen"]
-        fn = FenchelNielsenData(root=int(raw["root"]),
-                                tree_cuffs=tuple(raw["tree_cuffs"]),
-                                generator_roles=raw["generator_roles"])
+        fn = FenchelNielsenData(
+            root=int(raw["root"]), tree_cuffs=tuple(raw["tree_cuffs"]),
+            generator_roles=copy.deepcopy(raw["generator_roles"]))
     return PantsDecomposition(genus=int(data["genus"]), generators=generators,
                               relators=tuple(surface.get("relators", ())),
                               cuffs=cuffs, pants=pants, fenchel_nielsen=fn)

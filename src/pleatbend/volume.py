@@ -26,7 +26,7 @@ from .errors import (AngleUnwrapFailure, DegenerateTetrahedron,
                      EndpointsMismatch, PleatbendError)
 from .moebius import EPS_CLASS, reduce_angle_array
 from .pleated import (SampleImages, TruncationConvention, _selected,
-                      path_terms, sample_images, start_endpoints)
+                      orientation_start_endpoints, path_terms, sample_images)
 from .representation import (RepresentationPath, fingerprint,
                              standard_word_list)
 from .topology import (OrientationAssignment, build_lamination,
@@ -407,18 +407,6 @@ def integrate_volume_change(path: RepresentationPath,
 
 # ---------------------------------------------------------------------------
 # orientation-summed volume and loop defects
-
-
-def orientation_start_endpoints(ori, images: SampleImages) -> dict:
-    """Start selection of an orientation: cuff id -> (zeta, other).
-
-    Forward takes the attracting fixed point of the cuff at the first
-    sample of images, backward the repelling one.  images is a
-    sample_images pass shared with the caller; the kinds and fixed
-    points it read off there are used as they are, at its
-    classification tolerance.
-    """
-    return start_endpoints(images, ori.forward)
 
 
 @dataclass(frozen=True)

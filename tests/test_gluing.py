@@ -23,7 +23,7 @@ import pytest
 from pleatbend import (InvalidDecomposition, MoebiusMap,
                        NonHyperbolicParameters, PleatbendError,
                        fenchel_nielsen_rep, load_path, path_from_parameters,
-                       standard_decomposition)
+                       representation, standard_decomposition)
 from pleatbend.moebius import _sqrt
 from pleatbend.representation import _CHUNK, _normal_frames
 from pleatbend.topology import (Cuff, decomposition_from_dict,
@@ -395,6 +395,22 @@ def test_recipe_is_checked(edit, message):
         fenchel_nielsen_rep(pd, (-1.0, 1.7), TWISTS)
 
 
+def test_written_document_is_a_copy():
+    pd = standard_decomposition(2)
+    want = entry_bits(fenchel_nielsen_rep(pd, LENGTHS, TWISTS))
+    document = decomposition_to_dict(pd)
+    document["fenchel_nielsen"]["generator_roles"]["a1"]["pants"] = 7
+    assert entry_bits(fenchel_nielsen_rep(pd, LENGTHS, TWISTS)) == want
+
+
+def test_loaded_decomposition_is_a_copy():
+    document = json.loads(json.dumps(decomposition_to_dict(PD2)))
+    pd = decomposition_from_dict(document)
+    document["fenchel_nielsen"]["generator_roles"]["a1"]["pants"] = 7
+    assert entry_bits(fenchel_nielsen_rep(pd, LENGTHS, TWISTS)) == \
+        entry_bits(fenchel_nielsen_rep(PD2, LENGTHS, TWISTS))
+
+
 # ---------------------------------------------------------------------------
 # paths: the first failing sample, named
 
@@ -453,6 +469,22 @@ def test_non_finite_sample_is_named():
     assert path_error(plants) == (
         NonHyperbolicParameters,
         "length of cuff 'a2' is (nan+0j), not finite at sample 6 (t=0.75)")
+
+
+def test_chunks_of_near_equal_size(monkeypatch):
+    # _CHUNK + 1 samples glue as two halves, not as _CHUNK and 1
+    sizes = []
+
+    def glue_rows(pd, plan, lam, twist):
+        sizes.append(len(lam))
+        return glue(pd, plan, lam, twist)
+
+    glue = representation._glue_rows
+    monkeypatch.setattr(representation, "_glue_rows", glue_rows)
+    path_from_parameters(PD2, lambda t: LENGTHS, lambda t: TWISTS,
+                         steps=_CHUNK)
+    assert sum(sizes) == _CHUNK + 1
+    assert len(sizes) == 2 and max(sizes) - min(sizes) <= 1
 
 
 def test_failing_sample_past_the_first_chunk():

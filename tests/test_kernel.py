@@ -659,12 +659,24 @@ class TestFailurePrecedence:
                 vol_gamma(path, TruncationConvention.uniform(path.pd))
 
 
-def _load_workloads():
+def _load_perfbench(name: str):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+        f"perfbench_{name}", os.path.join(ROOT, "perfbench", f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_traced_names_resolve():
+    # perfbench/run.py --trace 1 wraps each traced function where its
+    # module holds it, and MoebiusMap.__post_init__ to count maps; a
+    # name the package drops breaks the traced run alone
+    tracer = _load_perfbench("tracer")
+    for module, names in tracer.TRACED.items():
+        home = importlib.import_module(f"pleatbend.{module}")
+        for name in names:
+            assert callable(getattr(home, name, None)), f"{module}.{name}"
+    assert callable(getattr(MoebiusMap, "__post_init__", None))
 
 
 class TestReferenceDrift:
@@ -676,7 +688,7 @@ class TestReferenceDrift:
 
     @pytest.mark.parametrize("seed", [0, 25, 37, 125, 127])
     def test_vol_gamma_g3_seed(self, seed):
-        workloads = _load_workloads()
+        workloads = _load_perfbench("workloads")
         with open(workloads.REFERENCE_FILE) as fh:
             ref = json.load(fh)[str(seed)]
         wl = workloads.VolGammaG3(seed)

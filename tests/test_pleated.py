@@ -1,17 +1,20 @@
 """Tests for realizations, bending angles, truncation, and adaptedness."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pleatbend import (
     CuffCrossing,
+    InvalidDecomposition,
     IsometryClass,
     LeafCrossing,
     MoebiusMap,
     NotAdapted,
     OrientationTrackingFailure,
+    PleatbendError,
     ProjectivePoint,
     Representation,
     TransverseArc,
@@ -23,7 +26,10 @@ from pleatbend import (
     chordal,
     cuff_bending,
     fenchel_nielsen_rep,
+    integrate_volume_change,
+    leaf_bending,
     normalizing_map,
+    path_from_reps,
     realize,
     reduce_angle,
     resolve_endpoints,
@@ -52,6 +58,38 @@ def setup():
 
 def fuchsian(pd):
     return fenchel_nielsen_rep(pd, LENGTHS, TWISTS)
+
+
+def with_images(rep, **images):
+    """rep with the images of some generators replaced."""
+    return Representation(generators=rep.generators,
+                          images=tuple(images.get(g, m) for g, m in
+                                       zip(rep.generators, rep.images)))
+
+
+def sharing_slots(pd):
+    """a1 = diag(2, 1/2) and b1 taking 0 to infinity: a1 and b1 A1 B1
+    share the fixed point infinity, with the same multiplier there, so
+    their product w1 stays loxodromic and so does every cuff."""
+    return with_images(fuchsian(pd), a1=MoebiusMap(2.0, 0, 0, 0.5),
+                       b1=MoebiusMap(1, 1, -1, 0))
+
+
+# a planted failure of one sample: (representation, start, eps_class)
+ONE_SAMPLE_FAILURES = {
+    # at eps_class 3, a1 classifies as the identity
+    "unknown-label": lambda pd: (fuchsian(pd), "bogus", 3.0),
+    "foreign-start": lambda pd: (
+        fuchsian(pd).conjugated(MoebiusMap(1, 0.5, 0, 1)),
+        resolve_endpoints(fuchsian(pd), pd, "attracting"), 1e-9),
+    "missing-cuff": lambda pd: (
+        fuchsian(pd), {c: z for c, z in resolve_endpoints(
+            fuchsian(pd), pd, "attracting").items() if c != "a1"}, 1e-9),
+    "flagged-pair": lambda pd: (sharing_slots(pd), "attracting", 1e-9),
+    "identity-and-flagged-pair": lambda pd: (
+        with_images(sharing_slots(pd), a2=MoebiusMap.identity()),
+        "attracting", 1e-9),
+}
 
 
 class TestAdaptedness:
@@ -163,6 +201,35 @@ class TestRealize:
                                           for _ in pd.generators))
         with pytest.raises(NotAdapted):
             realize(rep, pd)
+
+    @pytest.mark.parametrize("case", sorted(ONE_SAMPLE_FAILURES))
+    def test_fails_as_a_path_of_its_sample(self, setup, case):
+        # realize sets the sample up as a path's first sample: the
+        # label and the selection come before the adaptedness check
+        pd, _ = setup
+        rep, start, eps_class = ONE_SAMPLE_FAILURES[case](pd)
+        with pytest.raises(PleatbendError) as got:
+            realize(rep, pd, start, eps_class=eps_class)
+        with pytest.raises(PleatbendError) as want:
+            integrate_volume_change(path_from_reps([rep] * 3, pd=pd), start,
+                                    TruncationConvention.uniform(pd),
+                                    eps_class=eps_class)
+        assert (type(got.value), str(got.value)) == \
+            (type(want.value), str(want.value))
+
+    @pytest.mark.parametrize("key", [(0, 5), (0, 3), (9, 0), (2, 0),
+                                     (-2, 1), (0, -1)],
+                             ids=["leaf-5", "leaf-3", "pants-9", "pants-2",
+                                  "pants-minus-2", "leaf-minus-1"])
+    def test_leaf_keys_out_of_range(self, setup, key):
+        pd, _ = setup
+        real = realize(fuchsian(pd), pd)
+        conv = TruncationConvention.uniform(pd)
+        for term in (lambda: leaf_bending(real, key),
+                     lambda: truncated_length(real, key, conv)):
+            with pytest.raises(InvalidDecomposition,
+                               match=f"no spiral leaf {re.escape(str(key))}"):
+                term()
 
     def test_foreign_start_dict_is_tracked(self, setup):
         # a selection resolved at a nearby representation is tracked to

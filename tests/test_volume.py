@@ -21,6 +21,7 @@ from pleatbend import (
     ProjectivePoint,
     PleatbendError,
     TruncationConvention,
+    angle_series,
     bending_data,
     enumerate_orientations,
     fenchel_nielsen_rep,
@@ -366,6 +367,21 @@ class TestIntegrate:
         with pytest.raises(PleatbendError,
                            match="unknown endpoint label 'sideways'"):
             integrate_volume_change(bend_path(pd, steps=4), "sideways", conv)
+
+    def test_start_dict_lacking_a_cuff_rejected(self, pd, conv):
+        path = bend_path(pd, steps=4)
+        zeta = resolve_endpoints(path.rep(0), pd, "attracting")
+        del zeta["a1"]
+        for call in (lambda: realize(path.rep(0), pd, zeta),
+                     lambda: track_endpoints(path.rep(1), pd, zeta),
+                     lambda: integrate_volume_change(path, zeta, conv),
+                     lambda: angle_series(path, zeta, conv),
+                     lambda: schlafli_derivative(path, path.ts[2], zeta,
+                                                 conv)):
+            with pytest.raises(PleatbendError) as got:
+                call()
+            assert (type(got.value), str(got.value)) == (
+                PleatbendError, "start endpoints lack cuffs ['a1']")
 
     def test_constant_path_is_zero(self, pd, conv):
         from pleatbend import fenchel_nielsen_rep
