@@ -57,11 +57,7 @@ class ProjectivePoint:
     __slots__ = ("z1", "z2")
 
     def __init__(self, z1: complex, z2: complex):
-        n = math.hypot(abs(z1), abs(z2))
-        if n == 0.0:
-            raise DegenerateConfiguration("homogeneous coordinates (0, 0)")
-        self.z1 = complex(z1) / n
-        self.z2 = complex(z2) / n
+        self.z1, self.z2 = _unit(z1, z2)
 
     @classmethod
     def from_complex(cls, z: complex) -> "ProjectivePoint":
@@ -95,6 +91,14 @@ class ProjectivePoint:
         if self.is_infinity():
             return "ProjectivePoint(inf)"
         return f"ProjectivePoint({self.to_complex():.6g})"
+
+
+def _unit(z1: complex, z2: complex) -> tuple[complex, complex]:
+    """(z1, z2) scaled to unit norm, as ProjectivePoint stores it."""
+    n = math.hypot(abs(z1), abs(z2))
+    if n == 0.0:
+        raise DegenerateConfiguration("homogeneous coordinates (0, 0)")
+    return complex(z1) / n, complex(z2) / n
 
 
 def bracket(p: ProjectivePoint, q: ProjectivePoint) -> complex:
@@ -221,14 +225,13 @@ class MoebiusMap:
 
     def distance_to(self, other: "MoebiusMap") -> float:
         """Frobenius distance between lifts, minimized over the sign."""
-        plus = 0.0
-        minus = 0.0
-        for x, y in zip((self.a, self.b, self.c, self.d),
-                        (other.a, other.b, other.c, other.d)):
-            # products, not ** 2, which raises OverflowError past 1.3e154
-            plus += abs(x - y) * abs(x - y)
-            minus += abs(x + y) * abs(x + y)
-        return math.sqrt(min(plus, minus))
+        a, b, c, d = self.a, self.b, self.c, self.d
+        e, f, g, h = other.a, other.b, other.c, other.d
+        # products, not ** 2, which raises OverflowError past 1.3e154
+        pa, pb, pc, pd = abs(a - e), abs(b - f), abs(c - g), abs(d - h)
+        ma, mb, mc, md = abs(a + e), abs(b + f), abs(c + g), abs(d + h)
+        return math.sqrt(min(pa * pa + pb * pb + pc * pc + pd * pd,
+                             ma * ma + mb * mb + mc * mc + md * md))
 
     def is_identity(self, eps: float = EPS_CLASS) -> bool:
         return self.distance_to(_IDENTITY) < eps
@@ -651,10 +654,15 @@ def classify(m: MoebiusMap, eps_class: float = EPS_CLASS) -> str:
     A map whose tr^2 is not finite has no type and raises
     SingularMatrix.
     """
+    return _classify(m, m.distance_to(_IDENTITY), eps_class)
+
+
+def _classify(m: MoebiusMap, distance: float, eps_class: float) -> str:
+    """classify of a map whose distance_to the identity is distance."""
     t2 = trace_squared(m)
     if not cmath.isfinite(t2):
         raise SingularMatrix(f"squared trace {t2} is not finite")
-    if m.is_identity(eps_class):
+    if distance < eps_class:
         return IsometryClass.IDENTITY
     if abs(t2 - 4.0) < eps_class:
         return IsometryClass.PARABOLIC
@@ -692,26 +700,32 @@ def fixed_points(m: MoebiusMap, eps_class: float = EPS_CLASS):
 
 def _fixed_points(m: MoebiusMap, kind: str, eps_class: float):
     """fixed_points of a map already classified as kind."""
+    pairs = _fixed_pairs(m, kind, eps_class)
+    if len(pairs) == 1:
+        return ProjectivePoint._raw(*pairs[0]), None
+    return tuple(ProjectivePoint._raw(*p) for p in pairs)
+
+
+def _fixed_pairs(m: MoebiusMap, kind: str, eps_class: float) -> tuple:
+    """The fixed points of _fixed_points as unit (z1, z2) pairs, one for
+    a parabolic map and two, attracting first, otherwise."""
     if kind == IsometryClass.IDENTITY:
         raise IdentityMap("identity has no isolated fixed points")
     tr = m.trace
     if kind == IsometryClass.PARABOLIC:
         # double eigenvalue tr/2 (= +-1 up to tolerance)
-        v = _eigenvector(m, tr / 2.0)
-        return ProjectivePoint(*v), None
+        return (_unit(*_eigenvector(m, tr / 2.0)),)
     disc = cmath.sqrt(tr * tr - 4.0)
     mu_plus = (tr + disc) / 2.0
     mu_minus = (tr - disc) / 2.0
-    if abs(abs(mu_plus) - abs(mu_minus)) > eps_class:
-        first, second = ((mu_plus, mu_minus)
-                         if abs(mu_plus) > abs(mu_minus)
-                         else (mu_minus, mu_plus))
+    big_plus, big_minus = abs(mu_plus), abs(mu_minus)
+    if abs(big_plus - big_minus) > eps_class:
+        plus_first = big_plus > big_minus
     else:
-        first, second = ((mu_plus, mu_minus)
-                         if mu_plus.imag > mu_minus.imag
-                         else (mu_minus, mu_plus))
-    return (ProjectivePoint(*_eigenvector(m, first)),
-            ProjectivePoint(*_eigenvector(m, second)))
+        plus_first = mu_plus.imag > mu_minus.imag
+    first, second = ((mu_plus, mu_minus) if plus_first
+                     else (mu_minus, mu_plus))
+    return (_unit(*_eigenvector(m, first)), _unit(*_eigenvector(m, second)))
 
 
 def reduce_angle(x: float) -> float:

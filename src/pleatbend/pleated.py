@@ -120,6 +120,16 @@ class SampleImages:
     def __len__(self) -> int:
         return self.matrices.shape[3]
 
+    def sample(self, k: int) -> "SampleImages":
+        """Sample k as a one-sample pass, read off this pass's arrays."""
+        at = slice(k, k + 1)
+        stack = self.stack
+        return SampleImages(self.generators, self.matrices[..., at], self.pd,
+                            self.eps_class, self.words,
+                            MoebiusArray(stack.re[..., at], stack.im[..., at],
+                                         stack.ok[..., at]),
+                            self.rows, self.traces[at], self.ok[:, at])
+
     def evaluated(self) -> np.ndarray:
         """Where every word and commutator of a sample was evaluated."""
         return self.ok.all(axis=0)
@@ -552,9 +562,16 @@ class TruncationConvention:
         return cls(scales={c.id: float(scale) for c in pd.cuffs})
 
     def rescaled(self, cuff_id: str, factor: float) -> "TruncationConvention":
+        self._require([cuff_id])
         out = dict(self.scales)
         out[cuff_id] = out[cuff_id] * factor
         return TruncationConvention(scales=out)
+
+    def _require(self, cuff_ids) -> None:
+        """Raise PleatbendError naming the cuff_ids without a scale."""
+        missing = [c for c in cuff_ids if c not in self.scales]
+        if missing:
+            raise PleatbendError(f"truncation scales lack cuffs {missing}")
 
 
 def _cuff_lengths(images: SampleImages) -> np.ndarray:
@@ -795,8 +812,9 @@ class _Geometry:
         cuff, chain, conjugator, carried = self.slots
         zeta, other = self.zeta
         frame, coincide = MoebiusArray.normalizing(other, zeta)
-        scales = np.array([conv.scales[c.id] for c in self.pd.cuffs],
-                          dtype=float)
+        ids = [c.id for c in self.pd.cuffs]
+        conv._require(ids)
+        scales = np.array([conv.scales[c] for c in ids], dtype=float)
         witness = tuple(x[chain, cuff] for x in frame.inverse().apply_interior(
             0.0, 0.0, scales[:, None]))
         del frame

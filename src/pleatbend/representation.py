@@ -25,10 +25,11 @@ import numpy as np
 from .errors import (InvalidDecomposition, NonHyperbolicParameters,
                      PleatbendError, ReducibleRepresentation, SingularMatrix,
                      UnknownLetter)
-from .moebius import (EPS_CLASS, MoebiusArray, MoebiusMap, _complex, _mul,
-                      _quot, _sqrt, chordal, fixed_points, trace_squared)
+from .moebius import (EPS_CLASS, MoebiusArray, MoebiusMap, _classify,
+                      _complex, _fixed_pairs, _mul, _quot, _sqrt,
+                      trace_squared)
 from .topology import (BoundaryInclusion, PantsDecomposition, _check_shape,
-                       _tokens)
+                       _tokens, _word_plan)
 
 EPS_RANK = 1e-8        # singular values counted, relative to the largest
 REDUCIBLE_TOL = 1e-8   # chordal distance of a common fixed point
@@ -803,16 +804,22 @@ def path_from_reps(reps, ts=None, pd=None) -> RepresentationPath:
 # smoothness of the peripheral character map
 
 def _common_fixed_point_tol(rep: Representation, tol: float) -> bool:
+    """Whether the images share a fixed point within chordal distance
+    tol; one distance to the identity skips central images and
+    classifies the others."""
+    bound = max(tol, EPS_CLASS)
+    ident = MoebiusMap.identity()
     fixed_sets = []
     for m in rep.images:
-        if m.is_identity(max(tol, EPS_CLASS)):
+        distance = m.distance_to(ident)
+        if distance < bound:
             continue
-        pts = fixed_points(m)
-        fixed_sets.append([p for p in pts if p is not None])
+        fixed_sets.append(_fixed_pairs(m, _classify(m, distance, EPS_CLASS),
+                                       EPS_CLASS))
     if not fixed_sets:
         return True          # all generators central
-    for candidate in fixed_sets[0]:
-        if all(min(chordal(candidate, p) for p in pts) < tol
+    for z1, z2 in fixed_sets[0]:
+        if all(min(2.0 * abs(z1 * w2 - z2 * w1) for w1, w2 in pts) < tol
                for pts in fixed_sets[1:]):
             return True
     return False
@@ -840,35 +847,28 @@ def _squared_trace_jacobian(rep: Representation, words) -> np.ndarray:
     Inverses are adjugates, as the stored images have determinant 1.
     """
     n = len(rep.generators)
-    column = {}
-    letter = {}
-    for i, (g, m) in enumerate(zip(rep.generators, rep.images)):
-        column[g] = 3 * i
-        letter[g, False] = (m.a, m.b, m.c, m.d)
-        letter[g, True] = (m.d, -m.b, -m.c, m.a)
+    letters = [((m.a, m.b, m.c, m.d), (m.d, -m.b, -m.c, m.a))
+               for m in rep.images]
     rows = []
-    for word in words:
-        tokens = _tokens(word)
+    for plan in _word_plan(tuple(rep.generators), tuple(words)):
         prefix = [_ONE]
-        for tok in tokens:
-            if tok not in letter:
-                raise UnknownLetter(f"no image for generator {tok[0]!r}")
-            prefix.append(_entry_product(prefix[-1], letter[tok]))
+        for i, inv in plan:
+            prefix.append(_entry_product(prefix[-1], letters[i][inv]))
         suffix = [_ONE]
-        for tok in reversed(tokens):
-            suffix.append(_entry_product(letter[tok], suffix[-1]))
+        for i, inv in reversed(plan):
+            suffix.append(_entry_product(letters[i][inv], suffix[-1]))
         suffix.reverse()
         w = prefix[-1]
         two_tr = 2 * (w[0] + w[3])
         row = [0j] * (3 * n)
-        for t, (base, inv) in enumerate(tokens):
+        for t, (i, inv) in enumerate(plan):
             if inv:
                 m = _entry_product(suffix[t + 1], prefix[t + 1])
                 f = -two_tr
             else:
                 m = _entry_product(suffix[t], prefix[t])
                 f = two_tr
-            col = column[base]
+            col = 3 * i
             row[col] += f * (m[0] - m[3])
             row[col + 1] += f * m[2]
             row[col + 2] += f * m[1]
@@ -900,7 +900,7 @@ def jacobian_rank(rep: Representation,
     sv = np.linalg.svd(J, compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
         return 0, sv
-    rank = int(np.sum(sv > EPS_RANK * sv[0]))
+    rank = int(np.count_nonzero(sv > EPS_RANK * sv[0]))
     return rank, sv
 
 

@@ -63,6 +63,19 @@ def _tokens(word: str) -> tuple[tuple[str, bool], ...]:
     return tuple(tokens)
 
 
+@functools.cache
+def _word_plan(generators: tuple, words: tuple) -> tuple:
+    """Each word as its letters' (generator index, is_inverse) pairs.
+    The first letter, word by word, that is not a generator raises
+    UnknownLetter.  Like _tokens, the cache is not bounded."""
+    column = {g: i for i, g in enumerate(generators)}
+    for base in (b for w in words for b, _ in _tokens(w)):
+        if base not in column:
+            raise UnknownLetter(f"no image for generator {base!r}")
+    return tuple(tuple((column[b], inv) for b, inv in _tokens(w))
+                 for w in words)
+
+
 def invert_word(word: str) -> str:
     """The inverse word: reversed, with every letter's case flipped."""
     out = []

@@ -175,14 +175,16 @@ def angle_series(path: RepresentationPath, zeta: str | dict,
 
 def schlafli_derivative(path: RepresentationPath, t: float,
                         zeta: str | dict,
-                        conv: TruncationConvention) -> float:
+                        conv: TruncationConvention,
+                        eps_class: float = EPS_CLASS) -> float:
     """dV/dt at an interior sample of a path.
 
     The endpoint selection is resolved at the sample itself and tracked
     to its neighbors; the value is the integrand of
     integrate_volume_change on those three samples, read at the middle
     one.  Cuffs whose length is purely imaginary (elliptic crossings)
-    contribute nothing through their own term.
+    contribute nothing through their own term.  eps_class is the
+    classification tolerance of the three samples' one pass.
     """
     k = path.index_of(t)
     if k == 0 or k == len(path) - 1:
@@ -190,13 +192,12 @@ def schlafli_derivative(path: RepresentationPath, t: float,
             f"t={t} is an endpoint; the derivative needs an interior sample")
     pd = _surface(path)
     images = sample_images(path.generators, path.matrices[..., k - 1:k + 2],
-                           pd)
+                           pd, eps_class)
     for i in range(3):      # evaluation failures first, in sample order
         failure = images.failure(i)
         if failure is not None:
             raise failure
-    zeta = _selected(sample_images(path.generators,
-                                   path.matrices[..., k:k + 1], pd), zeta)
+    zeta = _selected(images.sample(1), zeta)
     table, angles, lengths, _ = path_terms(images, [zeta],
                                            build_lamination(pd), conv,
                                            [(0,) * len(pd.cuffs)])

@@ -13,7 +13,13 @@ The exact Jacobian vanishes on those tangents up to rounding, which
 test_representation checks with conjugation_tangents, so jacobian_rank
 no longer projects.  seed_common_fixed_point_tol is its reducibility
 test; the reducibility oracle compares _common_fixed_point_tol with it
-by ==.
+by ==.  seed_squared_trace_jacobian is _squared_trace_jacobian as it
+was when every call looked each letter up by name, and
+seed_jacobian_rank is jacobian_rank on it and the seed reducibility
+test: the Jacobian oracle compares J, ranks and singular values with
+them by ==.  seed_distance_to is MoebiusMap.distance_to as it was when
+it summed over the four entry pairs in a loop; test_moebius compares
+the unrolled sum with it by ==.
 polyfit_per_step_integrals and loop_node_derivatives are the quadrature
 of volume.py as it was before its weights became closed-form: the
 quadrature tests compare _per_step_integrals with the first within a
@@ -53,7 +59,8 @@ from pleatbend.errors import (AngleUnwrapFailure, DegenerateConfiguration,
                               DegenerateTriangle, InvalidDecomposition,
                               NonHyperbolicParameters, NotAdapted,
                               OrientationTrackingFailure, PleatbendError,
-                              ReducibleRepresentation, SingularMatrix)
+                              ReducibleRepresentation, SingularMatrix,
+                              UnknownLetter)
 from pleatbend.moebius import (EPS_CLASS, RESCALE_LIMIT, IsometryClass,
                                MoebiusMap, _complex_length, _fixed_points,
                                chordal, classify, cross_ratio, fixed_points,
@@ -61,7 +68,7 @@ from pleatbend.moebius import (EPS_CLASS, RESCALE_LIMIT, IsometryClass,
 from pleatbend.pleated import sample_images, shared_endpoint_check
 from pleatbend.representation import (Representation, _mat, _matrices_of,
                                       evaluate_word)
-from pleatbend.topology import PantsDecomposition
+from pleatbend.topology import PantsDecomposition, parse_word
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,6 +221,80 @@ def seed_common_fixed_point_tol(rep, tol: float) -> bool:
                for pts in fixed_sets[1:]):
             return True
     return False
+
+
+def _entry_product(x: tuple, y: tuple) -> tuple:
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+_ONE = (1 + 0j, 0j, 0j, 1 + 0j)
+
+
+def seed_squared_trace_jacobian(rep, words) -> np.ndarray:
+    """_squared_trace_jacobian as it was when every call built its
+    column and letter tables and looked each token up by name."""
+    n = len(rep.generators)
+    column = {}
+    letter = {}
+    for i, (g, m) in enumerate(zip(rep.generators, rep.images)):
+        column[g] = 3 * i
+        letter[g, False] = (m.a, m.b, m.c, m.d)
+        letter[g, True] = (m.d, -m.b, -m.c, m.a)
+    rows = []
+    for word in words:
+        tokens = parse_word(word)
+        prefix = [_ONE]
+        for tok in tokens:
+            if tok not in letter:
+                raise UnknownLetter(f"no image for generator {tok[0]!r}")
+            prefix.append(_entry_product(prefix[-1], letter[tok]))
+        suffix = [_ONE]
+        for tok in reversed(tokens):
+            suffix.append(_entry_product(letter[tok], suffix[-1]))
+        suffix.reverse()
+        w = prefix[-1]
+        two_tr = 2 * (w[0] + w[3])
+        row = [0j] * (3 * n)
+        for t, (base, inv) in enumerate(tokens):
+            if inv:
+                m = _entry_product(suffix[t + 1], prefix[t + 1])
+                f = -two_tr
+            else:
+                m = _entry_product(suffix[t], prefix[t])
+                f = two_tr
+            col = column[base]
+            row[col] += f * (m[0] - m[3])
+            row[col + 1] += f * m[2]
+            row[col + 2] += f * m[1]
+        rows.append(row)
+    return np.array(rows, dtype=complex).reshape(len(rows), 3 * n)
+
+
+def seed_jacobian_rank(rep, boundary):
+    """jacobian_rank on the seed reducibility test and Jacobian, its
+    singular values counted by np.sum."""
+    if seed_common_fixed_point_tol(rep, 1e-8):
+        raise ReducibleRepresentation(
+            "generators share a fixed point within tolerance")
+    J = seed_squared_trace_jacobian(rep, boundary.peripheral_words)
+    sv = np.linalg.svd(J, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0:
+        return 0, sv
+    rank = int(np.sum(sv > 1e-8 * sv[0]))
+    return rank, sv
+
+
+def seed_distance_to(m, other) -> float:
+    """MoebiusMap.distance_to as it was, summed over the entry pairs in
+    a loop."""
+    plus = 0.0
+    minus = 0.0
+    for x, y in zip((m.a, m.b, m.c, m.d), (other.a, other.b, other.c, other.d)):
+        plus += abs(x - y) * abs(x - y)
+        minus += abs(x + y) * abs(x + y)
+    return math.sqrt(min(plus, minus))
 
 
 def conjugation_tangents(rep) -> np.ndarray:

@@ -271,6 +271,18 @@ class TestGoldenOutput:
         golden = DATA / f"{command}-{pathlib.Path(source).stem}.{fmt}"
         assert out.encode() == golden.read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_rank_bytes(self, demo, capsys, fmt):
+        # the 15-digit singular values and margin of the bundled
+        # handlebody representation, written before jacobian_rank
+        # planned its words once and tested each generator once
+        code, out, _ = run(capsys, "rank",
+                           "--input", str(demo / "handlebody_rep.json"),
+                           "--inclusion", str(demo / "genus2_handlebody.json"),
+                           "--format", fmt)
+        assert code == 0
+        assert out.encode() == (DATA / f"rank-handlebody.{fmt}").read_bytes()
+
 
 class TestLoopDefect:
     def test_pass_verdict(self, demo, capsys):

@@ -15,8 +15,8 @@ from pleatbend.moebius import (EPS_CLASS, RESCALE_LIMIT, IsometryClass,
                                reduce_angle_array, trace_squared)
 
 from _seed_kernel import (SeedMoebiusMap, SeedProjectivePoint, build_both,
-                          entries_of, raw_entries, run_both, steep,
-                          steep_entries)
+                          entries_of, raw_entries, run_both,
+                          seed_distance_to, steep, steep_entries)
 
 finite = st.complex_numbers(min_magnitude=0, max_magnitude=10,
                             allow_nan=False, allow_infinity=False)
@@ -350,6 +350,45 @@ class TestKernelOracle:
         assert entries_of(m.inverse()) == entries_of(n.inverse())
         other = MoebiusMap(*e2)
         assert entries_of(m @ other) == entries_of(n @ SeedMoebiusMap(*e2))
+
+
+def _wide(mag: float):
+    part = st.floats(-mag, mag, allow_nan=False, allow_infinity=False)
+    return st.builds(complex, part, part)
+
+
+# entries up to 1e160, past 1.3e154, where abs(x - y) ** 2 raises
+# OverflowError and the product is inf
+wide_entries = st.tuples(*[st.one_of(_wide(3.0), _wide(1e160))] * 4)
+
+
+class TestDistanceOracle:
+    """distance_to sums the four entry pairs unrolled, the seed in a
+    loop; the distances are equal bit for bit."""
+
+    @given(wide_entries, wide_entries, st.sampled_from([1.0, -1.0]),
+           st.floats(0.0, 1e-3))
+    @settings(max_examples=500)
+    @example(e=(1e160, 0j, 0j, 1e-160), f=(1.0, 0j, 0j, 1.0), sign=-1.0,
+             nudge=0.0)
+    @example(e=(1.5, 0.5j, 2.0, 1 + 1j), f=(1.5, 0.5j, 2.0, 1 + 1j),
+             sign=-1.0, nudge=1e-9)
+    def test_unrolled_sum(self, e, f, sign, nudge):
+        # other is -m plus a nudge when sign is -1, so the sum over
+        # x + y is the smaller, and the unrelated f otherwise
+        m = MoebiusMap._raw(*e)
+        near = MoebiusMap._raw(*(sign * x + nudge for x in e))
+        for other in (near, MoebiusMap._raw(*f), MoebiusMap.identity()):
+            assert m.distance_to(other) == seed_distance_to(m, other)
+            assert other.distance_to(m) == seed_distance_to(other, m)
+
+    def test_overflowing_entries(self):
+        # the squares overflow to inf; ** 2 would raise instead
+        m = MoebiusMap._raw(1e160, 0j, 0j, 1e-160)
+        with pytest.raises(OverflowError):
+            abs(m.a) ** 2
+        assert m.distance_to(MoebiusMap.identity()) == math.inf
+        assert seed_distance_to(m, MoebiusMap.identity()) == math.inf
 
 
 class TestTracerHook:

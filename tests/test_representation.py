@@ -50,8 +50,9 @@ from pleatbend.topology import BoundaryComponent, BoundaryInclusion, parse_word
 from _seed_kernel import (SeedMoebiusMap, build_both,
                           central_difference_jacobian_rank,
                           conjugation_tangents, entries_of,
-                          raw_entries, seed_common_fixed_point_tol, steep,
-                          steep_entries)
+                          raw_entries, seed_common_fixed_point_tol,
+                          seed_jacobian_rank, seed_squared_trace_jacobian,
+                          steep, steep_entries)
 
 
 DATA = importlib.resources.files("pleatbend.data")
@@ -521,6 +522,55 @@ class TestReducibilityOracle:
             for other in others + near:
                 self._check(Representation(("x", "y"), (m, other)))
                 self._check(Representation(("x", "y"), (other, m)))
+
+
+class TestJacobianSeedOracle:
+    """jacobian_rank plans each word once per generators and words and
+    tests each generator once; its Jacobian, ranks and singular values
+    are the seed's bit for bit."""
+
+    # repeated letters, both signs of one generator in one word, and
+    # the empty word
+    PLANTED = ("xxY", "XyxY", "yXXyx", "")
+
+    def test_random_representations(self):
+        _, inclusion = bundled_rank_inputs()
+        words = inclusion.peripheral_words + self.PLANTED
+        rng = np.random.default_rng(13)
+        for _ in range(2000):
+            rep = random_representation(rng, generators=inclusion.generators)
+            J = _squared_trace_jacobian(rep, words)
+            want = seed_squared_trace_jacobian(rep, words)
+            assert J.shape == want.shape == (len(words), 6)
+            assert (J == want).all()
+            rank, sv = jacobian_rank(rep, inclusion)
+            want_rank, want_sv = seed_jacobian_rank(rep, inclusion)
+            assert rank == want_rank
+            assert sv.tobytes() == want_sv.tobytes()
+
+    def test_bundled_representation(self):
+        rep, inclusion = bundled_rank_inputs()
+        words = inclusion.peripheral_words + self.PLANTED
+        J = _squared_trace_jacobian(rep, words)
+        assert (J == seed_squared_trace_jacobian(rep, words)).all()
+        rank, sv = jacobian_rank(rep, inclusion)
+        want_rank, want_sv = seed_jacobian_rank(rep, inclusion)
+        assert rank == want_rank == 3
+        assert sv.tobytes() == want_sv.tobytes()
+
+    def test_unknown_letters_in_word_order(self):
+        # the first word with a letter that is not a generator raises,
+        # naming the first such letter, whether or not its plan is
+        # cached
+        rep, _ = bundled_rank_inputs()
+        for words in (["xy", "xzw", "q"], ["xY", "Wz"], ["x", "x!"]):
+            for _ in range(2):
+                with pytest.raises(PleatbendError) as want:
+                    seed_squared_trace_jacobian(rep, words)
+                with pytest.raises(PleatbendError) as got:
+                    _squared_trace_jacobian(rep, words)
+                assert type(got.value) is type(want.value)
+                assert str(got.value) == str(want.value)
 
 
 def _mp_mul(x, y):

@@ -17,6 +17,7 @@ from pleatbend import (
     DegenerateTetrahedron,
     EndpointsMismatch,
     MoebiusMap,
+    NotAdapted,
     OrientationTrackingFailure,
     ProjectivePoint,
     PleatbendError,
@@ -37,10 +38,11 @@ from pleatbend import (
     schlafli_derivative,
     standard_decomposition,
     track_endpoints,
+    truncated_length,
     vol_gamma,
 )
-from pleatbend import pleated, representation, topology
-from pleatbend.moebius import MoebiusArray
+from pleatbend import pleated, representation, topology, volume
+from pleatbend.moebius import EPS_CLASS, MoebiusArray
 from pleatbend.pleated import sample_images
 from pleatbend.volume import (_node_derivatives, _per_step_integrals,
                               _raise_first_failure, _unwrap_angles, _zetas,
@@ -299,6 +301,36 @@ class TestSchlafliDerivative:
         with pytest.raises(AngleUnwrapFailure):
             schlafli_derivative(path, 0.5, "attracting", conv)
 
+    @pytest.mark.parametrize("eps_class", [None, 1e-3])
+    def test_one_pass_at_its_tolerance(self, pd, conv, monkeypatch,
+                                       eps_class):
+        # the selection at sample k is read off the three-sample pass,
+        # which classifies at the eps_class given
+        path = bend_path(pd, steps=8)
+        calls = []
+        original = volume.sample_images
+
+        def counting(generators, matrices, pd, *args):
+            calls.append((matrices.shape[3],) + args)
+            return original(generators, matrices, pd, *args)
+
+        monkeypatch.setattr(volume, "sample_images", counting)
+        kwargs = {} if eps_class is None else {"eps_class": eps_class}
+        got = schlafli_derivative(path, path.ts[4], "attracting", conv,
+                                  **kwargs)
+        assert calls == [(3, EPS_CLASS if eps_class is None
+                           else eps_class)]
+        assert got == pytest.approx(0.5 * 2.0 * 0.5, rel=1e-10)
+
+    def test_tolerance_reaches_the_classification(self, pd, conv):
+        # the image of a1 lies at distance 1.83 from the identity, so
+        # at eps_class 2 it classifies as the identity and fails the
+        # selection; at the default it is loxodromic
+        path = bend_path(pd, steps=8)
+        with pytest.raises(NotAdapted, match="cuff 'a1' is identity"):
+            schlafli_derivative(path, path.ts[4], "attracting", conv,
+                                eps_class=2)
+
 
 class TestSchlafliDerivativeOracle:
     """schlafli_derivative against realizing the three samples
@@ -382,6 +414,37 @@ class TestIntegrate:
                 call()
             assert (type(got.value), str(got.value)) == (
                 PleatbendError, "start endpoints lack cuffs ['a1']")
+
+    @pytest.mark.parametrize("entry", [
+        "bending_data", "truncated_length", "integrate_volume_change",
+        "angle_series", "schlafli_derivative", "vol_gamma"])
+    def test_scales_lacking_a_cuff_rejected(self, pd, entry):
+        # a convention without a scale for w1 is refused, naming it
+        path = bend_path(pd, steps=4)
+        conv = TruncationConvention(scales={"a1": 1.0, "a2": 1.0})
+        call = {
+            "bending_data": lambda: bending_data(realize(path.rep(0), pd),
+                                                 conv),
+            "truncated_length": lambda: truncated_length(
+                realize(path.rep(0), pd), (0, 0), conv),
+            "integrate_volume_change": lambda: integrate_volume_change(
+                path, "attracting", conv),
+            "angle_series": lambda: angle_series(path, "attracting", conv),
+            "schlafli_derivative": lambda: schlafli_derivative(
+                path, path.ts[2], "attracting", conv),
+            "vol_gamma": lambda: vol_gamma(path, conv),
+        }[entry]
+        with pytest.raises(PleatbendError) as got:
+            call()
+        assert (type(got.value), str(got.value)) == (
+            PleatbendError, "truncation scales lack cuffs ['w1']")
+
+    def test_rescaling_a_missing_cuff_rejected(self, pd, conv):
+        with pytest.raises(PleatbendError) as got:
+            conv.rescaled("zz", 2.0)
+        assert (type(got.value), str(got.value)) == (
+            PleatbendError, "truncation scales lack cuffs ['zz']")
+        assert conv.rescaled("a1", 2.0).scales == {**conv.scales, "a1": 2.0}
 
     def test_constant_path_is_zero(self, pd, conv):
         from pleatbend import fenchel_nielsen_rep
