@@ -212,9 +212,6 @@ def cmd_vol_gamma(args: argparse.Namespace) -> int:
     summed = vol_gamma(path, conv, steps=args.steps, eps_class=args.tolerance)
     per_orientation = [("".join("+" if b else "-" for b in ori.forward), r)
                        for ori, r in zip(summed.orientations, summed.results)]
-    cumulative = list(summed.results[0].cumulative)
-    for r in summed.results[1:]:
-        cumulative = [a + b for a, b in zip(cumulative, r.cumulative)]
     total = summed.total
     if args.format == "json":
         payload = {
@@ -224,6 +221,9 @@ def cmd_vol_gamma(args: argparse.Namespace) -> int:
         }
         _emit(args, _json_dump(payload))
     elif args.format == "csv":
+        cumulative = list(summed.results[0].cumulative)
+        for r in summed.results[1:]:
+            cumulative = [a + b for a, b in zip(cumulative, r.cumulative)]
         labels = [label for label, _ in per_orientation]
         lines = ["t," + ",".join(f"dv[{la}]" for la in labels) + ",cumulative"]
         ts = per_orientation[0][1].ts

@@ -41,6 +41,7 @@ from .errors import (
 
 EPS_CLASS = 1e-9   # tolerance for trace-based classification
 EPS_NUM = 1e-10    # generic numerical comparison tolerance
+EPS_BRACKET = 1e-12  # bracket below which cross_ratio's points coincide
 RESCALE_LIMIT = 1e6  # |ad| + |bc| above which products are not rescaled
 
 _TWO_PI = 2.0 * math.pi
@@ -75,8 +76,8 @@ class ProjectivePoint:
         p.z2 = z2
         return p
 
-    def is_infinity(self, eps: float = EPS_NUM) -> bool:
-        return abs(self.z2) < eps
+    def is_infinity(self) -> bool:
+        return abs(self.z2) < EPS_NUM
 
     def to_complex(self) -> complex:
         """Affine coordinate; infinity comes back as complex(inf)."""
@@ -84,8 +85,8 @@ class ProjectivePoint:
             return complex(math.inf, 0.0)
         return self.z1 / self.z2
 
-    def approx_eq(self, other: "ProjectivePoint", eps: float = EPS_NUM) -> bool:
-        return chordal(self, other) < eps
+    def approx_eq(self, other: "ProjectivePoint") -> bool:
+        return chordal(self, other) < EPS_NUM
 
     def __repr__(self):  # pragma: no cover - debugging aid
         if self.is_infinity():
@@ -322,13 +323,6 @@ class MoebiusArray:
             ti = self.im[0, 0] + self.im[1, 1]
             return _mul(tr, ti, tr, ti)
 
-    def entries(self) -> np.ndarray:
-        """The entries as complex, shape (n, 4): a, b, c, d per sample."""
-        z = np.empty((self.re.shape[2], 4), dtype=complex)
-        z.real = self.re.reshape(4, -1).T
-        z.imag = self.im.reshape(4, -1).T
-        return z
-
     def _entry(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         return self.re[i, j], self.im[i, j]
 
@@ -440,19 +434,25 @@ class MoebiusArray:
 def _unimodular(re: np.ndarray, im: np.ndarray, ok: np.ndarray,
                 rescale=None) -> MoebiusArray:
     """MoebiusMap._from_unimodular at every sample; with rescale=True,
-    the constructor's normalization, which always rescales."""
+    the constructor's normalization, which always rescales by cmath.sqrt
+    of the determinant (_sqrt)."""
     (ar, br), (cr, dr) = re
     (ai, bi), (ci, di) = im
     with np.errstate(all="ignore"):
         adr, adi = _mul(ar, ai, dr, di)
         bcr, bci = _mul(br, bi, cr, ci)
+        det_r, det_i = adr - bcr, adi - bci
         if rescale is None:
             size = np.hypot(adr, adi) + np.hypot(bcr, bci)
             rescale = size <= RESCALE_LIMIT
             ok = ok & np.isfinite(size)
-        det_r, det_i = adr - bcr, adi - bci
-        s = np.sqrt(_complex(det_r, det_i))
-        out_re, out_im = _quot(re, im, s.real, s.imag)
+            # a product's determinant is within rounding of 1, where
+            # np.sqrt rounds as cmath.sqrt does
+            s = np.sqrt(_complex(det_r, det_i))
+            sr, si = s.real, s.imag
+        else:
+            sr, si = _sqrt(det_r, det_i)
+        out_re, out_im = _quot(re, im, sr, si)
         if not np.all(rescale):
             np.copyto(out_re, re, where=~rescale)
             np.copyto(out_im, im, where=~rescale)
@@ -604,12 +604,12 @@ def chordal_array(p: PointArray, q: PointArray) -> np.ndarray:
 
 
 def cross_ratio_array(p1: PointArray, p2: PointArray, p3: PointArray,
-                      p4: PointArray, eps: float = 1e-12) -> tuple:
+                      p4: PointArray) -> tuple:
     """cross_ratio at every element: (real, imaginary, checks), where
     checks lists (label, mask) of cross_ratio's coincidence tests in its
     order; where a mask holds, cross_ratio raises
     DegenerateConfiguration(f"coincident points {label}")."""
-    checks = [(label, np.hypot(*bracket_array(u, v)) < eps)
+    checks = [(label, np.hypot(*bracket_array(u, v)) < EPS_BRACKET)
               for u, v, label in ((p1, p2, "p1, p2"), (p1, p3, "p1, p3"),
                                   (p2, p3, "p2, p3"), (p4, p2, "p4, p2"))]
     with np.errstate(all="ignore"):
@@ -769,8 +769,7 @@ def _complex_length(m: MoebiusMap, kind: str) -> complex:
 
 
 def cross_ratio(p1: ProjectivePoint, p2: ProjectivePoint,
-                p3: ProjectivePoint, p4: ProjectivePoint,
-                eps: float = 1e-12) -> complex:
+                p3: ProjectivePoint, p4: ProjectivePoint) -> complex:
     """Image of p4 under the map sending (p1, p2, p3) to (0, oo, 1).
 
     Equivalently [p4, p1; p3, p2] in bracket form:
@@ -790,7 +789,7 @@ def cross_ratio(p1: ProjectivePoint, p2: ProjectivePoint,
     pairs = ((p1, p2, "p1, p2"), (p1, p3, "p1, p3"),
              (p2, p3, "p2, p3"), (p4, p2, "p4, p2"))
     for u, v, label in pairs:
-        if abs(bracket(u, v)) < eps:
+        if abs(bracket(u, v)) < EPS_BRACKET:
             raise DegenerateConfiguration(f"coincident points {label}")
     num = bracket(p4, p1) * bracket(p3, p2)
     den = bracket(p4, p2) * bracket(p3, p1)

@@ -30,9 +30,9 @@ the term stages read.  The arithmetic is numpy's (np.hypot, np.arctan2,
 np.log, np.arccosh and reduce_angle_array) except for the complex
 products and quotients, which keep CPython's rounding, so the terms
 are not the scalar functions' bit for bit: tests/test_kernel.py holds
-each kind of term to a stated accuracy against a 50-digit oracle.  One
-part stays scalar: the tracking step that picks one of two fixed
-points from the previous sample's choice.
+each kind of term to a stated accuracy against a 50-digit oracle.
+Endpoint tracking is closed form too (_track), so no stage loops over
+the samples.
 
 Failures keep the scalar order.  Every guard is computed as a mask over
 the samples (and the endpoint patterns), and _Failures raises the one
@@ -322,73 +322,77 @@ def _classified(images: SampleImages, bad: np.ndarray, error,
             (second_zero, DegenerateConfiguration, _ZERO)]
 
 
-def _selection(images: SampleImages, start: str | dict, failures: _Failures,
-               phase: int = 0) -> tuple:
-    """(chosen, other) PointArrays of every cuff, (cuffs, n): start
-    resolved at the first sample when it is a label, else tracked to
-    it, and tracked from sample to sample after that.  An unknown label,
-    or a dict that lacks a cuff, fails at the first sample.
+def _track(d: np.ndarray, gap: np.ndarray, begin: int) -> tuple:
+    """Endpoint tracking in closed form: (chain, failed, moved), each
+    (cuffs, n).  d[s, b] is the distance from fixed point s of sample
+    k - 1 (at k = 0, from the start) to fixed point b of sample k.  A
+    step sends both previous points to the nearer new one (the second
+    unless d1 <= d2), so it keeps, swaps or resets the chain (True: the
+    second point), which is its value at the last reset, flipped once
+    per swap since.  moved is min(d1, d2) from the chain's previous
+    point; the chain fails at the first k >= begin where moved >= 0.45
+    gap, and reads False from there on."""
+    to = ~(d[:, 0] <= d[:, 1])           # (previous point, cuffs, n)
+    last = np.maximum.accumulate(
+        np.where(to[0] == to[1], np.arange(d.shape[-1]), 0), axis=-1)
+    flips = np.cumsum(to[0] & ~to[1], axis=-1) % 2 == 1     # odd swaps
+    chain = np.take_along_axis(to[0] ^ flips, last, -1) ^ flips
+    before = np.concatenate([chain[:, :1], chain[:, :-1]], axis=1)
+    d1, d2 = np.where(before, d[1], d[0])
+    moved = np.where(d2 < d1, d2, d1)
+    bad = moved >= 0.45 * gap
+    bad[:, :begin] = False
+    seen = np.cumsum(bad, axis=-1)
+    return chain & (seen == 0), bad & (seen == 1), moved
+
+
+def _selection(images: SampleImages, start: str | dict | PointArray,
+               failures: _Failures, phase: int = 0) -> tuple:
+    """(chosen, other) PointArrays of every cuff, (cuffs, n), tracked
+    (_track) from start: a label, which sits on its fixed point at the
+    first sample, or points, (cuffs,), or a dict cuff id -> (chosen,
+    other), whose chosen points are tracked to it.  An unknown label, or
+    a dict that lacks a cuff, fails at the first sample.
 
     The guards of resolve_endpoints and track_endpoints, cuff by cuff in
     their order: the cuff's kind (identity and parabolic raise
-    NotAdapted), its fixed points, and the tracking test, which fails
-    when the previous point is not clearly closer to one of the new
-    fixed points than they are to each other.  Tracking is the one
-    scalar loop: each step reads the previous choice, and picks one of
-    two chordal distances computed for all cuffs and samples at once.
+    NotAdapted), its fixed points, and the tracking test.
     """
     pd = images.pd
     n = len(images)
+    bad = False
     if isinstance(start, str):
         bad = start not in _LABELS and f"unknown endpoint label {start!r}"
-    else:
+    elif isinstance(start, dict):
         missing = [c.id for c in pd.cuffs if c.id not in start]
         bad = missing and f"start endpoints lack cuffs {missing}"
+        if not bad:
+            start = PointArray.of([start[c.id][0] for c in pd.cuffs])
     if bad:
         failures.record(-1, _whole(1), [(np.arange(n) == 0, PleatbendError,
                                          bad)])
         start = _LABELS[0]
-    pts = images.cuff_points[:2]
-    gap = chordal_array(*pts).tolist()
-    # from each fixed point of sample k - 1 to each of sample k, at k,
-    # per cuff
-    steps = [[[[math.nan] + d for d in chordal_array(a[:, :-1], b[:, 1:])
-               .tolist()] for b in pts] for a in pts]
+    pts = stack_points(images.cuff_points[:2])     # (2, cuffs, n)
+    d = np.empty((2, 2, len(pd.cuffs), n))
+    d[..., 1:] = chordal_array(pts[:, None, :, :-1], pts[None, :, :, 1:])
     if isinstance(start, str):
-        begin, first_state = 1, _LABELS.index(start)
+        d[..., 0] = np.inf          # nearer the label's own point
+        d[:, _LABELS.index(start), :, 0] = 0.0
     else:
-        prev = PointArray.of([start[c.id][0] for c in pd.cuffs])
-        for b, to in enumerate(pts):
-            for j, d in enumerate(chordal_array(prev, to[:, 0]).tolist()):
-                steps[0][b][j][0] = d
-        begin = first_state = 0
-    choice = []     # per cuff and sample, True: the second fixed point
-    failed = np.zeros((len(pd.cuffs), n), dtype=bool)
-    messages = {}
-    for j, cuff in enumerate(pd.cuffs):
-        state = first_state
-        row = [state] + [0] * (n - 1)
-        for k in range(begin, n):
-            d1, d2 = steps[state][0][j][k], steps[state][1][j][k]
-            if min(d1, d2) >= 0.45 * gap[j][k]:
-                failed[j, k] = True
-                messages[j] = (f"endpoint of cuff {cuff.id!r} moved "
-                               f"{min(d1, d2):.3g} against a fixed-point gap "
-                               f"of {gap[j][k]:.3g}")
-                break
-            state = 0 if d1 <= d2 else 1
-            row[k] = state
-        choice.append(row)
+        d[..., 0] = chordal_array(start, pts[..., 0])
+    gap = chordal_array(pts[0], pts[1])
+    chain, failed, moved = _track(d, gap, int(isinstance(start, str)))
     kinds = images.kinds
     checks = _classified(images, (kinds == _IDENTITY) | (kinds == _PARABOLIC),
                          NotAdapted, lambda cuff, kind:
                          f"cuff {cuff.id!r} is {kind}")
     checks.append((failed, OrientationTrackingFailure,
-                   lambda j, index, row, k: messages[j]))
+                   lambda j, index, row, k:
+                   f"endpoint of cuff {pd.cuffs[j].id!r} moved "
+                   f"{float(moved[j, k]):.3g} against a fixed-point gap of "
+                   f"{float(gap[j, k]):.3g}"))
     failures.record(0, _cuff_spans(pd), checks, phase)
-    choice = np.array(choice, dtype=bool)
-    first, second = pts
-    return second.select(choice, first), first.select(choice, second)
+    return pts[1].select(chain, pts[0]), pts[0].select(chain, pts[1])
 
 
 def _points(pd: PantsDecomposition, chosen: PointArray,
@@ -418,12 +422,12 @@ def orientation_start_endpoints(ori, images: SampleImages) -> dict:
                    second.select(forward, first))
 
 
-def _selected(images: SampleImages, start: str | dict) -> dict:
-    """_selection on a one-sample pass, as ProjectivePoints."""
+def _selected(images: SampleImages, start: str | dict) -> tuple:
+    """_selection on a pass, raising its first failure."""
     failures = _Failures()
     selection = _selection(images, start, failures)
     failures.raise_first()
-    return _points(images.pd, *selection)
+    return selection
 
 
 def resolve_endpoints(rep: Representation | SampleImages,
@@ -435,7 +439,7 @@ def resolve_endpoints(rep: Representation | SampleImages,
     "repelling", which chooses the second; any other label raises
     PleatbendError once the sample is evaluated.
     """
-    return _selected(_one_sample(rep, pd), start)
+    return _points(pd, *_selected(_one_sample(rep, pd), start))
 
 
 def track_endpoints(rep: Representation | SampleImages,
@@ -447,7 +451,7 @@ def track_endpoints(rep: Representation | SampleImages,
     closer to one of them than the points are to each other, tracking
     is ambiguous and fails.
     """
-    return _selected(_one_sample(rep, pd), previous)
+    return _points(pd, *_selected(_one_sample(rep, pd), previous))
 
 
 # ---------------------------------------------------------------------------

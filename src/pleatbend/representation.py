@@ -256,8 +256,9 @@ def random_representation(rng: np.random.Generator,
 # sample; complex products and quotients are CPython's (_mul, _quot),
 # where numpy's array product and quotient round differently; exp and
 # cosh are numpy's, which agree with cmath's; moduli are np.hypot, as
-# abs(complex) is; and |det| ** 0.5 is CPython's float power, taken one
-# value at a time, as np.sqrt and numpy's power round differently.
+# abs(complex) is; and the roots of |det| are np.float_power(x, 0.5),
+# the C library's pow, as CPython's float power is (np.sqrt rounds
+# differently).
 
 _R = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 # samples glued at once: the pass holds about 7 KB of temporaries per
@@ -304,11 +305,6 @@ def _modulus(z: np.ndarray) -> np.ndarray:
 def _det(m: np.ndarray) -> np.ndarray:
     return (_cmul(m[..., 0, 0], m[..., 1, 1])
             - _cmul(m[..., 0, 1], m[..., 1, 0]))
-
-
-def _root(x: np.ndarray) -> np.ndarray:
-    """x ** 0.5 by CPython's float power (the C library's pow)."""
-    return np.array([v ** 0.5 for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _pants_triples(lam: np.ndarray) -> tuple:
@@ -377,7 +373,7 @@ def _normal_frames(m: np.ndarray, lam: np.ndarray) -> tuple:
     for i in (0, 1):
         P[..., i, 1] = np.where(flip, _cmul(P[..., i, 1], -1), P[..., i, 1])
     size = _modulus(_det(P))
-    return P / _root(size)[..., None, None], size < 1e-30
+    return P / np.float_power(size, 0.5)[..., None, None], size < 1e-30
 
 
 def _twist_matrices(s: np.ndarray) -> np.ndarray:
@@ -391,7 +387,7 @@ def _twist_matrices(s: np.ndarray) -> np.ndarray:
 
 
 def _unit_det_modulus(m: np.ndarray) -> np.ndarray:
-    return m / _root(_modulus(_det(m)))[..., None, None]
+    return m / np.float_power(_modulus(_det(m)), 0.5)[..., None, None]
 
 
 def _conjugated(g: np.ndarray, x: np.ndarray) -> np.ndarray:

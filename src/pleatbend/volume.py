@@ -33,6 +33,7 @@ from .topology import (OrientationAssignment, build_lamination,
                        enumerate_orientations)
 
 EPS_LOOP = 1e-8   # fingerprint distance below which a path counts as closed
+EPS_TETRA = 1e-12  # distance of a tetrahedron's parameter from 0, 1, infinity
 
 # ---------------------------------------------------------------------------
 # Lobachevsky function and ideal tetrahedra
@@ -87,7 +88,7 @@ def lobachevsky(theta: float) -> float:
     return 0.5 * _clausen2(2 * theta)
 
 
-def ideal_tetra_volume(z: complex, eps: float = 1e-12) -> float:
+def ideal_tetra_volume(z: complex) -> float:
     """Signed volume of the ideal tetrahedron (0, infinity, 1, z).
 
     Positive for Im z > 0, zero for real cross-ratios, negative below
@@ -96,7 +97,7 @@ def ideal_tetra_volume(z: complex, eps: float = 1e-12) -> float:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DegenerateTetrahedron("cross-ratio parameter is not finite")
-    if abs(z) < eps or abs(z - 1) < eps or abs(z) > 1 / eps:
+    if abs(z) < EPS_TETRA or abs(z - 1) < EPS_TETRA or abs(z) > 1 / EPS_TETRA:
         raise DegenerateTetrahedron(f"cross-ratio parameter {z} is degenerate")
     return (lobachevsky(cmath.phase(z))
             + lobachevsky(cmath.phase(1 / (1 - z)))
@@ -122,9 +123,8 @@ def ideal_tetra_volume(z: complex, eps: float = 1e-12) -> float:
 # computes everything else for all samples and patterns, and all cuffs
 # or pants, at once: the cuffs' kinds and fixed points, the tracked
 # endpoints, the adaptedness check, the placed plaques and every term's
-# cross-ratio, frames, horoball witnesses, logarithms and arguments.
-# One part stays scalar: the tracking step, which picks one of two
-# precomputed distances from the previous sample's choice.  The angles
+# cross-ratio, frames, horoball witnesses, logarithms and arguments;
+# tracking is closed form too, with no loop over the samples.  The angles
 # of all the rows that some orientation reads are then unwrapped
 # together, each row a running sum of its reduced steps, and
 # differentiated and integrated as arrays.
@@ -197,7 +197,7 @@ def schlafli_derivative(path: RepresentationPath, t: float,
         failure = images.failure(i)
         if failure is not None:
             raise failure
-    zeta = _selected(images.sample(1), zeta)
+    zeta = _selected(images.sample(1), zeta)[0][:, 0]
     table, angles, lengths, _ = path_terms(images, [zeta],
                                            build_lamination(pd), conv,
                                            [(0,) * len(pd.cuffs)])

@@ -35,6 +35,9 @@ seed_unwrap_angles is the recurrence volume._unwrap_angles ran, sample
 by sample, before it became a running sum of reduced steps; the unwrap
 tests require the same failing rows and messages of both and bound the
 distance of their lifts by its rounding.
+seed_track is the tracking loop of pleated._selection as it was, cuff by
+cuff and sample by sample, before it became closed form (pleated._track);
+the tracking oracle compares choices, failures and their distances by ==.
 seed_fenchel_nielsen_rep, with pants_triple, normal_frame,
 _twist_matrix, _conjugate, its unit_det and _cuff_table, is the gluing
 as it was before every sample of a path became one stacked pass: one
@@ -721,6 +724,35 @@ def seed_term_series(pd, lam, reps, starts, conv, eps_class=EPS_CLASS):
             angles.append(angle)
             lengths.append(length)
     return series, deferred
+
+
+def seed_track(steps, gap, first_state, begin):
+    """The tracking loop of pleated._selection as it was.
+
+    steps[a][b][j][k] is the distance from fixed point a of sample k - 1
+    to fixed point b of sample k at cuff j; at k = 0 it is the distance
+    from a start selection, read in steps[0], or NaN under a label.
+    gap[j][k] is the distance between the two fixed points.  The chain
+    of every cuff starts at first_state and is tracked from sample
+    begin on.  Returns (choice, failures): per cuff, the chain at every
+    sample (0 from a failure on), and (k, min(d1, d2)) where tracking
+    failed, or None.
+    """
+    choice, failures = [], []
+    for j in range(len(gap)):
+        state = first_state
+        row = [state] + [0] * (len(gap[j]) - 1)
+        failure = None
+        for k in range(begin, len(gap[j])):
+            d1, d2 = steps[state][0][j][k], steps[state][1][j][k]
+            if min(d1, d2) >= 0.45 * gap[j][k]:
+                failure = (k, min(d1, d2))
+                break
+            state = 0 if d1 <= d2 else 1
+            row[k] = state
+        choice.append(row)
+        failures.append(failure)
+    return choice, failures
 
 
 def seed_start_endpoints(path, forward, eps_class=EPS_CLASS):

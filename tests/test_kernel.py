@@ -10,10 +10,11 @@ The geometry pass computes every Schlafli term from those arrays with
 numpy's arithmetic: each term at every sample and pattern is held to
 the accuracy gate against a 50-digit oracle (_mp_oracle), next to the
 scalar pipeline as it was (_seed_kernel.seed_term_series), and the
-failures it raises must be the scalar pipeline's.  The last class
-checks vol_gamma against the benchmark's recorded references, which
-pin the rounding of the complex products and quotients the kernel
-keeps.
+failures it raises must be the scalar pipeline's; its endpoint
+tracking, closed form, must be the loop it replaced (seed_track).  The
+last class checks vol_gamma against the benchmark's recorded
+references, which pin the rounding of the complex products and
+quotients the kernel keeps.
 """
 
 import cmath
@@ -51,8 +52,8 @@ from pleatbend.topology import (CuffEnd, Pants, decomposition_from_dict,
 from _mp_oracle import TERM_KINDS, gate_bound, mp_term_series, term_errors
 from _seed_kernel import (SeedSample, entries_of, raw_entries,
                           seed_resolve_endpoints, seed_sample_images,
-                          seed_start_endpoints, seed_term_series, steep,
-                          steep_entries)
+                          seed_start_endpoints, seed_term_series, seed_track,
+                          steep, steep_entries)
 from test_volume import bend_path, genus2_loop, genus3_path
 
 PAIRS = ((0, 1), (1, 2), (2, 0))
@@ -103,7 +104,7 @@ def assert_close(got: MoebiusArray, want: list):
     determinant, np.sqrt against cmath.sqrt, each within two units in
     the last place, and in the rounding of the entries divided by it."""
     assert got.ok.tolist() == [w is not None for w in want]
-    for e, w in zip(got.entries(), want):
+    for e, w in zip(array_entries(got), want):
         if w is not None:
             z = np.array([w.a, w.b, w.c, w.d])
             assert (np.abs(e - z) <= 8 * EPS * np.abs(z)).all(), (e, z)
@@ -117,10 +118,19 @@ def array_of(maps) -> MoebiusArray:
                         np.ones(z.shape[2], dtype=bool))
 
 
+def array_entries(m: MoebiusArray) -> np.ndarray:
+    """The entries of a MoebiusArray (2, 2, n) as complex, (n, 4): a, b,
+    c, d per sample."""
+    z = np.empty((m.re.shape[2], 4), dtype=complex)
+    z.real = m.re.reshape(4, -1).T
+    z.imag = m.im.reshape(4, -1).T
+    return z
+
+
 def maps_of(m: MoebiusArray) -> list:
     """The maps of a MoebiusArray as MoebiusMaps, None where not ok."""
     return [MoebiusMap._raw(*e) if ok else None
-            for e, ok in zip(m.entries().tolist(), m.ok.tolist())]
+            for e, ok in zip(array_entries(m).tolist(), m.ok.tolist())]
 
 
 def stored(entries):
@@ -179,6 +189,68 @@ class TestMoebiusArrayOracle:
                      [MoebiusMap.identity() @ m for m in maps])
 
 
+# distances and gaps with ties, NaN and inf, and gaps at which every
+# step, none or some fail
+_distances = st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0, 2.0, math.inf,
+                              math.nan])
+_gaps = st.sampled_from([0.0, 0.5, 1.0, 4.0, 100.0, math.nan])
+
+
+@st.composite
+def tracking_tables(draw):
+    """(d, gap, label): a distance table (2, 2, cuffs, n) and gaps
+    (cuffs, n) for 1 or 6 cuffs, and a label index, or None for a start
+    selection, whose distances d holds in both rows at k = 0."""
+    cuffs = draw(st.sampled_from([1, 6]))
+    n = draw(st.integers(1, 12))
+    size = 4 * cuffs * n
+    d = np.array(draw(st.lists(_distances, min_size=size, max_size=size)))
+    d = d.reshape(2, 2, cuffs, n)
+    gap = np.array(draw(st.lists(_gaps, min_size=cuffs * n,
+                                 max_size=cuffs * n))).reshape(cuffs, n)
+    d[1, :, :, 0] = d[0, :, :, 0]
+    return d, gap, draw(st.sampled_from([None, 0, 1]))
+
+
+class TestTrackOracle:
+    """pleated._track, closed form, against the loop it replaced
+    (seed_track), by == on the chain, the failures and the distance each
+    failure's message names."""
+
+    @given(tracking_tables())
+    @settings(max_examples=400)
+    # one cuff: a run of swaps, a tie (keep), a NaN in d2 (keep, and
+    # min keeps d1), a NaN in d1 (reset), a failure, then two samples
+    @example((np.array([
+        [[[0.0, 1.0, 1.0, 1.0, 0.3, 0.1, math.nan, 0.1, 0.0, 0.0]],
+         [[1.0, 0.5, 0.5, 0.5, 0.3, 1.0, 0.1, 1.0, 1.0, 1.0]]],
+        [[[0.0, 0.1, 0.1, 0.1, 0.2, 0.2, math.nan, 1.0, 1.0, 0.0]],
+         [[1.0, 0.3, 0.3, 0.3, 0.1, math.nan, 0.3, 0.3, 0.0, 1.0]]]]),
+        np.array([[4.0] * 7 + [0.5, 4.0, 4.0]]), None))
+    def test_track_is_the_loop(self, table):
+        d, gap, label = table
+        steps = d.tolist()
+        if label is None:
+            begin = first_state = 0
+        else:
+            # a label start, as _selection writes it: nearer its own
+            # fixed point; the loop read NaN there and began at sample 1
+            begin, first_state = 1, label
+            d[..., 0] = math.inf
+            d[:, label, :, 0] = 0.0
+            for a in (0, 1):
+                for b in (0, 1):
+                    for row in steps[a][b]:
+                        row[0] = math.nan
+        choice, failures = seed_track(steps, gap.tolist(), first_state, begin)
+        chain, failed, moved = pleated._track(d, gap, begin)
+        assert chain.tolist() == [[bool(c) for c in row] for row in choice]
+        assert [np.flatnonzero(row).tolist() for row in failed] \
+            == [[] if f is None else [f[0]] for f in failures]
+        assert [moved[j, f[0]] for j, f in enumerate(failures) if f] \
+            == [f[1] for f in failures if f]
+
+
 def pipeline_words(pd) -> set:
     """The words a sample of the pipeline reads."""
     words = {c.word for c in pd.cuffs}
@@ -228,7 +300,7 @@ class TestSampleImagesOracle:
         for k, rep in enumerate(path.reps):
             for word in images.words:
                 m = images.stack.take(images.index[word])
-                got = MoebiusMap._raw(*m.entries()[k].tolist())
+                got = MoebiusMap._raw(*array_entries(m)[k].tolist())
                 assert entries_of(got) == entries_of(evaluate_word(rep, word))
             assert set(images.rows) == set(pd.slot_words)
             for r, row in enumerate(images.rows):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from pleatbend.errors import (DegenerateConfiguration, DegenerateLength,
                               IdentityMap, SingularMatrix)
 from pleatbend.moebius import (EPS_CLASS, RESCALE_LIMIT, IsometryClass,
-                               MoebiusMap, ProjectivePoint, chordal, classify,
+                               MoebiusArray, MoebiusMap, PointArray,
+                               ProjectivePoint, chordal, classify,
                                complex_length, cross_ratio, fixed_points,
                                normalizing_map, reduce_angle,
                                reduce_angle_array, trace_squared)
@@ -296,6 +297,33 @@ class TestNormalizingMap:
         m = normalizing_map(p, q)
         assert chordal(m.apply(p), ProjectivePoint.from_complex(0)) < 1e-8
         assert chordal(m.apply(q), ProjectivePoint.infinity()) < 1e-8
+
+    @staticmethod
+    def assert_array_is_map(pairs):
+        # bit for bit, entry by entry, as the docstring of
+        # MoebiusArray.normalizing promises
+        to_zero, to_infinity = (PointArray.of(ps) for ps in zip(*pairs))
+        frame, coincide = MoebiusArray.normalizing(to_zero, to_infinity)
+        assert not coincide.any()
+        got = np.stack([frame.re, frame.im], axis=-1).reshape(4, -1, 2)
+        want = np.array([[(z.real, z.imag) for z in (m.a, m.b, m.c, m.d)]
+                         for m in (normalizing_map(p, q) for p, q in pairs)])
+        assert np.array_equal(got.transpose(1, 0, 2).view(np.int64),
+                              want.view(np.int64))
+
+    def test_array_is_map_on_the_imaginary_axis(self):
+        # the determinant is purely imaginary here, where np.sqrt and
+        # cmath.sqrt round differently on about half of the values
+        ys = np.geomspace(1e-3, 1e3, 1000)
+        self.assert_array_is_map(
+            [(ProjectivePoint.from_complex(0), ProjectivePoint.from_complex(
+                complex(0.0, y))) for y in np.concatenate([ys, -ys]).tolist()])
+
+    @given(st.lists(st.tuples(points, points), min_size=1, max_size=20))
+    @settings(max_examples=60)
+    def test_array_is_map(self, pairs):
+        assume(all(chordal(p, q) > 1e-3 for p, q in pairs))
+        self.assert_array_is_map(pairs)
 
 
 # ---------------------------------------------------------------------------
