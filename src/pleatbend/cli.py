@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import PleatbendError
-from .moebius import _complex_length, _fixed_points, classify
+from .moebius import EPS_CLASS, _complex_length, _fixed_points, classify
 from .pleated import TruncationConvention, bending_data, realize
 from .representation import (conjugacy_residual, evaluate_word,
                              finite_trace_squared, jacobian_rank, load_path,
@@ -116,10 +117,7 @@ def cmd_pleat(args: argparse.Namespace) -> int:
     rep = load_rep(args.input)
     pd, _ = _load_surface(args)
     real = realize(rep, pd, args.endpoints, eps_class=args.tolerance)
-    report = real.report
     payload = {
-        "adapted": report.adapted,
-        "adaptedness": report.summary(),
         "cuff_lengths": {c: _cnum(v) for c, v in real.cuff_lengths.items()},
         "vertices": {str(p): [_point(q) for q in triple]
                      for p, triple in enumerate(real.xi)},
@@ -127,9 +125,8 @@ def cmd_pleat(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(args, _json_dump(payload))
     else:
-        lines = [f"adapted: {payload['adapted']}", payload["adaptedness"]]
-        for c in sorted(payload["cuff_lengths"]):
-            lines.append(f"cuff {c}: length {payload['cuff_lengths'][c]}")
+        lines = [f"cuff {c}: length {payload['cuff_lengths'][c]}"
+                 for c in sorted(payload["cuff_lengths"])]
         for p, triple in payload["vertices"].items():
             lines.append(f"pants {p}: " + " ".join(triple))
         _emit(args, "\n".join(lines) + "\n")
@@ -413,15 +410,27 @@ def _word_list(text: str) -> tuple[str, ...]:
     return tuple(w for w in text.split(",") if w)
 
 
+def _finite_positive(text: str) -> float:
+    """A tolerance or a horoball scale, which must be finite and > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (0 < value < math.inf):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive number, got {text!r}")
+    return value
+
+
 _OPTIONS = {
     "pd": {"help": "surface document (pants decomposition)"},
     "inclusion": {"help": "document carrying a boundary inclusion"},
     "words": {"type": _word_list, "default": (),
               "help": "comma-separated word list"},
-    "tolerance": {"type": float, "default": 1e-9},
+    "tolerance": {"type": _finite_positive, "default": EPS_CLASS},
     "endpoints": {"default": "attracting",
                   "choices": ("attracting", "repelling")},
-    "horoball": {"type": float, "default": 1.0,
+    "horoball": {"type": _finite_positive, "default": 1.0,
                  "help": "uniform truncation scale"},
     "steps": {"type": int},
     "quantity": {"default": "volume", "choices": ("volume", "angles"),

@@ -34,12 +34,12 @@ each kind of term to a stated accuracy against a 50-digit oracle.
 Endpoint tracking is closed form too (_track), so no stage loops over
 the samples.
 
-Failures keep the scalar order.  Every guard is computed as a mask over
-the samples (and the endpoint patterns), and _Failures raises the one
-the scalar pipeline, sample by sample, would have met first, with its
-type and message.  Arithmetic errors of the scalar code (abs or ** 2
-overflowing, a division by an exact zero) are not guards: past the
-float range the arrays carry inf or NaN instead.
+Every guard is computed as a mask over the samples (and the endpoint
+patterns), and _Failures keeps the one with the least key (phase,
+sample, stage, item, pattern, guard), with its type and message.
+Arithmetic errors of the scalar code (abs or ** 2 overflowing, a
+division by an exact zero) are not guards: past the float range the
+arrays carry inf or NaN instead.
 """
 
 from __future__ import annotations
@@ -160,7 +160,12 @@ def sample_images(generators, matrices: np.ndarray, pd: PantsDecomposition,
     sample at which a value would raise in the scalar arithmetic is not
     raised here: its consumers raise SampleEvaluationFailure when they
     reach it, so they meet the failures of earlier samples first.
+    An eps_class that is NaN, infinite or not positive, at which no
+    "within eps_class" guard could trip, raises PleatbendError.
     """
+    if not 0 < eps_class < math.inf:
+        raise PleatbendError("classification tolerance must be finite and "
+                             f"positive, got {eps_class!r}")
     return SampleImages(generators, matrices, pd, eps_class,
                         *_array_pass(generators, matrices, pd))
 
@@ -212,7 +217,7 @@ def _one_sample(rep: Representation | SampleImages, pd: PantsDecomposition,
 
 
 # ---------------------------------------------------------------------------
-# failures in the scalar order
+# the first failure of a pass
 
 
 class _Failures:
@@ -222,18 +227,18 @@ class _Failures:
     samples (patterns, n), True where a step of the scalar pipeline
     raises, with the error it raises there.  A stage computes each of
     its guards for all its items at once, stacked on arrays, and
-    record() slices it per item.  Its place in the scalar order is
-    (sample, phase, stage, item, pattern, g): samples in order; within a
-    sample, phase 0 (pattern row 0, which takes chain 0 on every cuff)
-    before phase 1 (the other rows, and the tracking of chain 1); then
-    the stage (-1 evaluation and start label, 0 endpoint selection, 1
-    adaptedness, 2 placement, 3 Schlafli terms), the item within it
-    (cuff, pants or leaf), the pattern row, and the guard's place within
-    its item, in the order the checks are recorded.
+    record() slices it per item.  The first failure is the one with the
+    least key (phase, sample, stage, item, pattern, g): phase 0 (pattern
+    row 0, which takes chain 0 on every cuff) before phase 1 (the other
+    rows, and the tracking of chain 1); within a phase, samples in
+    order; then the stage (-1 evaluation and start label, 0 endpoint
+    selection, 1 adaptedness, 2 placement, 3 Schlafli terms), the item
+    within it (cuff, pants or leaf), the pattern row, and the guard's
+    place within its item, in the order the checks are recorded.
     """
 
     def __init__(self):
-        self._first = [None, None]     # per phase: (key, error, message)
+        self._first = None     # (key, error, message)
 
     def record(self, stage: int, spans: list, checks: list,
                phase: int = 0) -> None:
@@ -257,37 +262,31 @@ class _Failures:
                               phase)
 
     def _add(self, block, g, mask, error, message, phase):
+        """Keep mask's first hit, if it has the least key so far."""
         if mask.ndim == 1:
-            hits = [(phase, 0, int(mask.argmax()))]
+            row, k = 0, int(mask.argmax())
+        elif mask[0].any():
+            phase, row, k = 0, 0, int(mask[0].argmax())
         else:
-            hits = []
-            if mask[0].any():
-                hits.append((0, 0, int(mask[0].argmax())))
-            rest = mask[1:].any(axis=0)
-            if rest.any():
-                k = int(rest.argmax())
-                hits.append((1, 1 + int(mask[1:, k].argmax()), k))
-        for ph, row, k in hits:
-            key = (k, ph, *block, row, g)
-            first = self._first[ph]
-            if first is None or key < first[0]:
-                self._first[ph] = (key, error, message)
+            k = int(mask[1:].any(axis=0).argmax())
+            phase, row = 1, 1 + int(mask[1:, k].argmax())
+        key = (phase, k, *block, row, g)
+        if self._first is None or key < self._first[0]:
+            self._first = (key, error, message)
 
-    def first(self, phase: int) -> PleatbendError | None:
-        """The first failure of a phase, or None."""
-        hit = self._first[phase]
-        if hit is None:
-            return None
-        key, error, message = hit
+    def first(self) -> tuple:
+        """(phase, error) of the first failure; (0, None) if none."""
+        if self._first is None:
+            return 0, None
+        key, error, message = self._first
         if not isinstance(message, str):
-            message = message(key[4], key[0])
-        return error(message)
+            message = message(key[4], key[1])
+        return key[0], error(message)
 
     def raise_first(self) -> None:
-        for phase in (0, 1):
-            failure = self.first(phase)
-            if failure is not None:
-                raise failure
+        failure = self.first()[1]
+        if failure is not None:
+            raise failure
 
 
 def _whole(item: int = 0) -> list:
@@ -402,11 +401,9 @@ def _points(pd: PantsDecomposition, chosen: PointArray,
             for j, c in enumerate(pd.cuffs)}
 
 
-def orientation_start_endpoints(ori, images: SampleImages) -> dict:
-    """Start selection of an orientation at the first sample of a pass,
-    at its classification tolerance: cuff id -> (zeta, other), the
-    attracting fixed point where ori is forward, the repelling one
-    elsewhere.  Every cuff must be loxodromic there."""
+def _loxodromic_start(images: SampleImages) -> None:
+    """Raise unless every cuff is loxodromic at the first sample of a
+    pass, at its tolerance, as an orientation's start endpoints need."""
     failures = _Failures()
     checks = _classified(images, images.kinds != _LOXODROMIC,
                          OrientationTrackingFailure, lambda cuff, kind:
@@ -416,6 +413,14 @@ def orientation_start_endpoints(ori, images: SampleImages) -> dict:
                     [(mask[:, :1], error, message)
                      for mask, error, message in checks])
     failures.raise_first()
+
+
+def orientation_start_endpoints(ori, images: SampleImages) -> dict:
+    """Start selection of an orientation at the first sample of a pass,
+    at its classification tolerance: cuff id -> (zeta, other), the
+    attracting fixed point where ori is forward, the repelling one
+    elsewhere.  Every cuff must be loxodromic there."""
+    _loxodromic_start(images)
     first, second = (x[:, :1] for x in images.cuff_points[:2])
     forward = np.array(ori.forward, dtype=bool)[:, None]
     return _points(images.pd, first.select(forward, second),
@@ -632,7 +637,10 @@ class _Geometry:
     order and its row 0 takes chain 0 everywhere.  The plaques stack
     the blocks of all pants, pants p at the rows pants_rows[p]; the cuff
     terms stack those of every cuff leaf's support, cuff j at
-    cuff_rows[j].  slots holds, per slot and plaque row, (3, rows), the
+    cuff_rows[j].  table[v, t] is the row of the stacked terms that
+    chain vector v reads for leaf t, the vectors in product order, which
+    is enumerate_orientations' when forward takes chain 0.  slots holds,
+    per slot and plaque row, (3, rows), the
     slot's cuff, that cuff's chain, the conjugator's place in
     images.words and whether it is not empty, and holonomy the places
     of the slot words each row's leaf i reads, of slot i + 1.
@@ -659,16 +667,23 @@ class _Geometry:
         self.pants_rows, plaque_rule = self._number(lam.pants_cuffs)
         self.cuff_rows, cuff_rule = self._number([supports[c.id]
                                                   for c in pd.cuffs])
-        self._numbering = (plaque_rule, cuff_rule)
-        # every chain vector, written at the rows it reads: each row
-        # gets the chains of its support's cuffs
+        # every chain vector, in enumerate_orientations' order, written
+        # at the rows it reads: each row gets the chains of its
+        # support's cuffs
         vectors = np.array(list(itertools.product(range(self.chains),
                                                   repeat=len(pd.cuffs))),
                            dtype=np.intp).reshape(-1, len(pd.cuffs))
-        plaque, cuff_term = self._rows(vectors)
+        plaque, cuff_term = (starts + vectors @ weights
+                             for starts, weights in (plaque_rule, cuff_rule))
+        plaques, spiral = self.pants_rows[-1].stop, self.cuff_rows[-1].stop
+        self.table = np.stack([cuff_term[:, self.index[leaf.key]]
+                               if isinstance(leaf.key, str)
+                               else spiral + leaf.key[1] * plaques
+                               + plaque[:, leaf.key[0]]
+                               for leaf in lam.leaves], axis=1)
         ends = [pants.cuff_ends for pants in pd.pants]
         slot_cuffs = [[self.index[e.cuff] for e in row] for row in ends]
-        chain = np.empty((3, self.pants_rows[-1].stop), dtype=np.intp)
+        chain = np.empty((3, plaques), dtype=np.intp)
         chain[:, plaque] = np.moveaxis(vectors[:, slot_cuffs], -1, 0)
         self.slots = (
             self._per_pants(slot_cuffs),
@@ -686,7 +701,7 @@ class _Geometry:
         crossing = np.array([images.index[pd.crossing_words[c.id]]
                              for c in pd.cuffs], dtype=np.intp)
         cuff = np.broadcast_to(np.arange(len(pd.cuffs)), vectors.shape)
-        self.cuff_terms = np.empty((7, self.cuff_rows[-1].stop), np.intp)
+        self.cuff_terms = np.empty((7, spiral), np.intp)
         self.cuff_terms[:, cuff_term] = np.stack([
             cuff, vectors, plaque[:, pp], plaque[:, pm], kp[cuff], km[cuff],
             crossing[cuff]])
@@ -708,25 +723,6 @@ class _Geometry:
         starts = [stop - size for stop, size in zip(stops, sizes)]
         return ([slice(a, b) for a, b in zip(starts, stops)],
                 (np.array(starts, dtype=np.intp), weights))
-
-    def _rows(self, vectors: np.ndarray) -> tuple:
-        """The plaque rows, (m, pants), and the cuff term rows, (m,
-        cuffs), that chain vectors (m, cuffs) read."""
-        return tuple(starts + vectors @ weights
-                     for starts, weights in self._numbering)
-
-    def table(self, orientations) -> np.ndarray:
-        """The row of terms' stacked arrays that every orientation, a
-        chain per cuff, reads for every leaf of the lamination, in its
-        order: (orientations, leaves)."""
-        plaque, cuff = self._rows(np.array(orientations, dtype=np.intp)
-                                  .reshape(len(orientations), -1))
-        plaques, spiral = self.pants_rows[-1].stop, self.cuff_rows[-1].stop
-        return np.stack([cuff[:, self.index[leaf.key]]
-                         if isinstance(leaf.key, str)
-                         else spiral + leaf.key[1] * plaques
-                         + plaque[:, leaf.key[0]]
-                         for leaf in self.lam.leaves], axis=1)
 
     def leaf_index(self, key) -> tuple:
         """Where the rows of spiral leaf (p, i) lie in the (3, rows, n)
@@ -811,7 +807,7 @@ class _Geometry:
         at height scale above the chosen endpoint in the frame taking
         (other, chosen) to (0, infinity), carried by the slot's
         conjugator; where that frame's normalizing_map raises, or the
-        scale is not positive, the end's checks hold.
+        scale is not positive or not finite, the end's checks hold.
         """
         cuff, chain, conjugator, carried = self.slots
         zeta, other = self.zeta
@@ -827,24 +823,25 @@ class _Geometry:
         for w, m in zip(witness, moved):
             w[carried] = m
         coincide = coincide[chain, cuff]
-        unscaled = np.broadcast_to((scales <= 0)[cuff][..., None],
-                                   coincide.shape)
+        unscaled = np.broadcast_to(~((0 < scales) & (scales < np.inf))
+                                   [cuff][..., None], coincide.shape)
         nxt = [1, 2, 0]
         checks = []
         for slots in ([0, 1, 2], nxt):
             checks += [(coincide[slots], DegenerateConfiguration, _COINCIDE),
                        (unscaled[slots], PleatbendError,
-                        self._scale_message(slots))]
+                        self._scale_message(slots, conv.scales))]
         xi = self.vertices
         lengths, truncation = _truncated_lengths(
             xi, xi[nxt], witness, tuple(w[nxt] for w in witness))
         return lengths, checks + truncation
 
-    def _scale_message(self, slots: list):
+    def _scale_message(self, slots: list, scales: dict):
         def message(key, index, row, k):
             p, i = key
             cuff = self.pd.pants[p].cuff_ends[slots[i]].cuff
-            return f"horoball scale for {cuff!r} must be positive"
+            need = "positive" if scales[cuff] <= 0 else "finite"
+            return f"horoball scale for {cuff!r} must be {need}"
         return message
 
     def cuff_angles(self, crossing: dict | None = None) -> tuple:
@@ -909,7 +906,7 @@ class _Geometry:
         """The Schlafli terms of every leaf of the lamination at every
         row and sample, stacked: (angles, lengths), each (rows, n), the
         cuff term rows first, then spiral leaf i of every plaque row, for
-        i = 0, 1, 2.  table() gives the row an orientation reads for a
+        i = 0, 1, 2.  table gives the row an orientation reads for a
         leaf.  All cuff leaves are computed at once, and so are all
         spiral leaves."""
         cuff_angles, cuff_checks = self.once("cuff_angles")
@@ -951,33 +948,30 @@ def _placed(images: SampleImages, starts: list, lam: Lamination,
 
 
 def path_terms(images: SampleImages, starts: list, lam: Lamination,
-               conv: TruncationConvention, orientations: list) -> tuple:
+               conv: TruncationConvention) -> tuple:
     """Every Schlafli term of lam at every sample of a pass, for the
-    endpoint chains that start from starts (chain 0 from a label or a
-    selection, chain 1 from a selection), and the rows that every
-    orientation, a chain per cuff with orientations[0] chain 0 on every
-    cuff, reads.
+    endpoint chains that start from starts (labels or selections), and
+    the rows that every orientation, a chain per cuff in
+    enumerate_orientations' order, reads.
 
     Returns (table, angles, lengths, deferred): angles and lengths are
     the stacked terms of _Geometry.terms, (rows, n), and table[o, t]
-    is the row that orientation o reads for leaf t.  Every guard of the
-    pass is met in the scalar order: those of _placed, then the terms.
-    On every sample the orientation that takes chain 0 everywhere is
-    realized first, as integrating it alone would, and its failures
-    raise.  The first failure of any other pattern is returned as
-    deferred instead, and table then holds orientation 0 alone: the
-    rows that no orientation reads may hold anything.
+    is the row that orientation o reads for leaf t.  The first failure
+    of the pass (_Failures), among those of _placed and the terms,
+    raises if it is of phase 0, orientation 0 with chain 0 everywhere,
+    as integrating that orientation alone would.  One of phase 1 is
+    returned as deferred instead, and table then holds orientation 0
+    alone: the rows that no orientation reads may hold anything.
     """
     failures = _Failures()
     geometry = _placed(images, starts, lam, failures)
     angles, lengths = geometry.terms(conv, failures)
-    failure = failures.first(0)
-    if failure is not None:
+    phase, failure = failures.first()
+    if failure is None:
+        return geometry.table, angles, lengths, None
+    if phase == 0:
         raise failure
-    deferred = failures.first(1)
-    if deferred is not None:
-        orientations = orientations[:1]
-    return geometry.table(orientations), angles, lengths, deferred
+    return geometry.table[:1], angles, lengths, failure
 
 
 # ---------------------------------------------------------------------------
@@ -986,13 +980,12 @@ def path_terms(images: SampleImages, starts: list, lam: Lamination,
 
 @dataclass(frozen=True)
 class PleatedRealization:
-    """One representation realized: its adaptedness report, the chosen
-    endpoints (cuff id -> (chosen, other)), the plaque vertices
-    xi[p][k] and the complex cuff lengths, with the one-sample geometry
-    that every term of it reads."""
+    """One representation realized: the chosen endpoints (cuff id ->
+    (chosen, other)), the plaque vertices xi[p][k] and the complex cuff
+    lengths, with the one-sample geometry that every term of it reads.
+    realize raises unless the representation is adapted."""
 
     geometry: _Geometry
-    report: AdaptednessReport
     zeta: dict
     xi: tuple
     cuff_lengths: dict
@@ -1021,7 +1014,7 @@ def realize(rep: Representation | SampleImages, pd: PantsDecomposition,
     geometry = _placed(images, [endpoints], build_lamination(pd), failures)
     failures.raise_first()
     return PleatedRealization(
-        geometry=geometry, report=_adaptedness(images, 0),
+        geometry=geometry,
         zeta=_points(pd, *(z[0] for z in geometry.zeta)),
         xi=tuple(tuple(geometry.vertices.point((s, rows.start, 0))
                        for s in range(3)) for rows in geometry.pants_rows),
@@ -1149,7 +1142,7 @@ def bending_data(real: PleatedRealization,
     failures = _Failures()
     angles, lengths = geometry.terms(conv, failures)
     failures.raise_first()
-    rows = geometry.table([(0,) * len(real.pd.cuffs)])[0].tolist()
+    rows = geometry.table[0].tolist()
     values = {leaf.key: (float(angles[r, 0]), float(lengths[r, 0]))
               for leaf, r in zip(geometry.lam.leaves, rows)}
     cuffs = {k: v for k, v in values.items() if isinstance(k, str)}

@@ -25,8 +25,10 @@ import numpy as np
 from .errors import (AngleUnwrapFailure, DegenerateTetrahedron,
                      EndpointsMismatch, PleatbendError)
 from .moebius import EPS_CLASS, reduce_angle_array
-from .pleated import (SampleImages, TruncationConvention, _selected,
-                      orientation_start_endpoints, path_terms, sample_images)
+# orientation_start_endpoints: perfbench's tracer and the tests read it here
+from .pleated import (SampleImages, TruncationConvention, _loxodromic_start,
+                      _selected, orientation_start_endpoints, path_terms,
+                      sample_images)
 from .representation import (RepresentationPath, fingerprint,
                              standard_word_list)
 from .topology import (OrientationAssignment, build_lamination,
@@ -109,10 +111,11 @@ def ideal_tetra_volume(z: complex) -> float:
 #
 # An endpoint selection is tracked along a path as one or more chains:
 # integrate_volume_change tracks one, from the selection it is given;
-# vol_gamma tracks two, from the attracting and from the repelling fixed
-# point of every cuff at the path start.  An orientation takes one chain
-# per cuff.  Each Schlafli term, one per leaf of build_lamination, reads
-# the endpoints of only a few cuffs, its support, so the pipeline
+# vol_gamma tracks two, from the labels "attracting" and "repelling",
+# which the all-forward and the all-back orientations pick at the path
+# start.  An orientation takes one chain per cuff.  Each Schlafli term,
+# one per leaf of build_lamination, reads the endpoints of only a few
+# cuffs, its support, so the pipeline
 # evaluates every term once per pattern of chains on its support.
 # pleated.path_terms stacks those values as rows of one array and hands
 # over a table of the row that every orientation reads for every leaf;
@@ -167,8 +170,7 @@ def angle_series(path: RepresentationPath, zeta: str | dict,
     pd = _surface(path)
     lam = build_lamination(pd)
     images = sample_images(path.generators, path.matrices, pd, eps_class)
-    table, angles, _, _ = path_terms(images, [zeta], lam, conv,
-                                     [(0,) * len(pd.cuffs)])
+    table, angles, _, _ = path_terms(images, [zeta], lam, conv)
     return {leaf.key: angles[r].tolist()
             for leaf, r in zip(lam.leaves, table[0].tolist())}
 
@@ -199,8 +201,7 @@ def schlafli_derivative(path: RepresentationPath, t: float,
             raise failure
     zeta = _selected(images.sample(1), zeta)[0][:, 0]
     table, angles, lengths, _ = path_terms(images, [zeta],
-                                           build_lamination(pd), conv,
-                                           [(0,) * len(pd.cuffs)])
+                                           build_lamination(pd), conv)
     velocities, jumps = _velocities(np.array(path.ts[k - 1:k + 2]), angles,
                                     lengths)
     _raise_first_failure(table, jumps)
@@ -337,9 +338,10 @@ def _raise_first_failure(table: np.ndarray, jumps: np.ndarray) -> None:
                                  "step; refine the path")
 
 
-def _integrate(ts: np.ndarray, images: SampleImages, starts, orientations,
+def _integrate(ts: np.ndarray, images: SampleImages, starts,
                conv: TruncationConvention) -> list[VolumePathResult]:
-    """One VolumePathResult per orientation (a chain index per cuff).
+    """One VolumePathResult per orientation, a chain per cuff, in
+    enumerate_orientations' order: one with one chain, 2^cuffs with two.
 
     Composite Simpson over the samples by closed-form interpolatory
     weights, every orientation at once, with the error estimated by
@@ -347,10 +349,10 @@ def _integrate(ts: np.ndarray, images: SampleImages, starts, orientations,
     when the interval count is odd or below four, or the subsample
     fails to unwrap).
     images is the sample pass at the times ts, passed to path_terms
-    with starts; orientations[0] takes chain 0 on every cuff.
+    with starts, which numbers the orientations.
     """
     table, angles, lengths, deferred = path_terms(
-        images, starts, build_lamination(images.pd), conv, orientations)
+        images, starts, build_lamination(images.pd), conv)
     # only the rows some orientation reads, numbered anew: after a
     # deferred failure the others may hold inf or NaN.  Orientation by
     # orientation, the first is integrated, or raises its own failure,
@@ -402,8 +404,7 @@ def integrate_volume_change(path: RepresentationPath,
     check.
     """
     ts, images = _samples(path, steps, eps_class)
-    return _integrate(ts, images, [zeta], [(0,) * len(images.pd.cuffs)],
-                      conv)[0]
+    return _integrate(ts, images, [zeta], conv)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +444,11 @@ def vol_gamma(path: RepresentationPath, conv: TruncationConvention,
     """Integrated first variation under all 2^(3g-3) cuff orientations.
 
     Forward picks the attracting fixed point of a cuff at the path
-    start, backward the repelling one, tracked along the path.  Every
-    result equals integrate_volume_change from that orientation's
-    start endpoints, bit for bit, but each representation is checked
+    start, backward the repelling one, tracked along the path: once
+    every cuff is loxodromic there, two chains start from the labels
+    "attracting" and "repelling".  Every result equals
+    integrate_volume_change from that orientation's start endpoints,
+    bit for bit, but each representation is checked
     once and each Schlafli term is evaluated once per pattern of
     endpoints on the cuffs it reads.  A failure under the all-forward
     orientation is raised as integrating orientation by orientation
@@ -457,19 +460,13 @@ def vol_gamma(path: RepresentationPath, conv: TruncationConvention,
     tracking and of the adaptedness check.
     """
     pd = _surface(path)
-    orientations = enumerate_orientations(pd)
-    ends = (orientations[0], orientations[-1])
     ts, images = _samples(path, steps, eps_class)
     failure = images.failure(0)
     if failure is not None:
         raise failure
-    # all forward and all back, read from the pass that the pipeline
-    # then reads
-    starts = [orientation_start_endpoints(ori, images) for ori in ends]
-    chains = [tuple(0 if bit else 1 for bit in ori.forward)
-              for ori in orientations]
-    results = _integrate(ts, images, starts, chains, conv)
-    return VolGammaResult(orientations=tuple(orientations),
+    _loxodromic_start(images)
+    results = _integrate(ts, images, ["attracting", "repelling"], conv)
+    return VolGammaResult(orientations=tuple(enumerate_orientations(pd)),
                           results=tuple(results))
 
 

@@ -121,12 +121,14 @@ class TestClassify:
 
 class TestPleatAndBend:
     def test_pleat_reports_adapted(self, demo, capsys):
+        # realize raises unless the representation is adapted, so pleat
+        # prints a realization, with no adaptedness verdict, or fails
         code, out, _ = run(capsys, "pleat",
                            "--input", str(demo / "fuchsian.json"),
                            "--pd", str(demo / "surface.json"),
                            "--format", "json")
         assert code == 0
-        assert json.loads(out)["adapted"] is True
+        assert set(json.loads(out)) == {"cuff_lengths", "vertices"}
 
     @pytest.mark.parametrize("command", ["pleat", "bend"])
     def test_adaptedness_checked_at_the_given_tolerance(self, demo, capsys,
@@ -531,6 +533,33 @@ class TestOptions:
         assert code == 3
         assert out == ""
         assert "unrecognized arguments" in err or "invalid choice" in err
+
+
+class TestNumericOptions:
+    """--tolerance and --horoball take a finite positive number.  At a
+    NaN or non-positive tolerance every "within tolerance" test fails,
+    so no identity, parabolic or shared-endpoint guard trips, and a NaN
+    or infinite horoball makes every truncated length NaN: any such
+    value is a usage error naming the option."""
+
+    SOURCES = {"classify": "bent.json", "pleat": "bent.json",
+               "bend": "bent.json", "volume-path": "pure_bend.json",
+               "vol-gamma": "pure_bend.json",
+               "loop-defect": "twist_loop.json", "plot": "pure_bend.json"}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command, (options, _) in OPTIONS.items()
+        for option in ("tolerance", "horoball") if option in options])
+    def test_refused(self, demo, capsys, command, option, value):
+        argv = [command, "--input", str(demo / self.SOURCES[command])]
+        argv += (["--words", "a1A1"] if command == "classify"
+                 else ["--pd", str(demo / "surface.json")])
+        code, out, err = run(capsys, *argv, f"--{option}", value)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"parse error: argument --{option}: ")
+        assert repr(value) in err
 
 
 class TestFailureModes:

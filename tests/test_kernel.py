@@ -17,6 +17,7 @@ references, which pin the rounding of the complex products and
 quotients the kernel keeps.
 """
 
+import ast
 import cmath
 import dataclasses
 import importlib.util
@@ -455,8 +456,7 @@ def term_series(path, run, conv):
                      for ori in enumerate_orientations(pd)]
                     if len(starts) == 2 else [(0,) * len(pd.cuffs)])
     table, angles, lengths, deferred = pleated.path_terms(
-        sample_images(path.generators, path.matrices, pd), starts, lam, conv,
-        orientations)
+        sample_images(path.generators, path.matrices, pd), starts, lam, conv)
     series = {}
     for part in ([0], range(1, len(table))):
         for t, leaf in enumerate(lam.leaves):
@@ -615,8 +615,10 @@ def seed_outcome(run, path):
 
 class TestFailurePrecedence:
     """A guard planted at sample k raises what the scalar pipeline, sample
-    by sample, raised: the same type and message, with the guards of an
-    earlier sample before those of a later one whatever their stage."""
+    by sample, raised: the same type and message.  The guards of the
+    orientation that takes chain 0 on every cuff come before those of
+    the other patterns; within each, the guards of an earlier sample
+    come before those of a later one whatever their stage."""
 
     PLANTED = {
         # conjugating a bend drags the endpoints of a2 past its gap
@@ -690,6 +692,15 @@ class TestFailurePrecedence:
         assert got[1].startswith("plaque of pants 1 ")
         assert got == seed_outcome(run, path)
 
+    def test_chain_zero_before_an_earlier_sample(self):
+        # chain 1 (all repelling) loses a2 at sample 5, and chain 0 meets
+        # a parabolic a1 at sample 9: chain 0's failure is raised, as
+        # integrating the all-forward orientation first meets it
+        path = with_bad_sample(twisting_w1(), 9, MoebiusMap(1, 1, 0, 1))
+        got = outcome("vol-gamma", path)
+        assert got == (NotAdapted, "cuff 'a1' is parabolic")
+        assert got == seed_outcome("vol-gamma", path)
+
     def test_deferred_chain_one_failure(self):
         # chain 1 (all repelling) fails at sample 5 and is dropped; chain
         # 0 integrates to the end, and then the deferred failure raises
@@ -737,6 +748,24 @@ def _load_perfbench(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_benchmark_imports_resolve():
+    # perfbench/worker.py and workloads.py import names from the
+    # package; one it drops fails every benchmark run.  They are parsed,
+    # not imported: importing the worker starts its timing probe
+    for name in ("worker", "workloads"):
+        with open(os.path.join(ROOT, "perfbench", f"{name}.py")) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "pleatbend"):
+                continue
+            home = importlib.import_module(node.module)
+            for alias in node.names:
+                full = f"{node.module}.{alias.name}"
+                assert (hasattr(home, alias.name)
+                        or importlib.util.find_spec(full) is not None), full
 
 
 def test_traced_names_resolve():

@@ -331,6 +331,22 @@ class TestSchlafliDerivative:
             schlafli_derivative(path, path.ts[4], "attracting", conv,
                                 eps_class=2)
 
+    @pytest.mark.parametrize("eps_class", [math.nan, math.inf, 0.0, -1.0])
+    def test_tolerance_not_finite_and_positive_rejected(self, pd, conv,
+                                                        eps_class):
+        # at NaN, or at zero or below, every "within eps_class" test
+        # fails, so no identity, parabolic or shared-endpoint guard can
+        # trip; the sample pass refuses it
+        path = bend_path(pd, steps=8)
+        for call in (lambda: integrate_volume_change(
+                         path, "attracting", conv, eps_class=eps_class),
+                     lambda: vol_gamma(path, conv, eps_class=eps_class),
+                     lambda: realize(path.rep(0), pd, eps_class=eps_class)):
+            with pytest.raises(PleatbendError,
+                               match="^classification tolerance must be "
+                               "finite and positive, got "):
+                call()
+
 
 class TestSchlafliDerivativeOracle:
     """schlafli_derivative against realizing the three samples
@@ -438,6 +454,28 @@ class TestIntegrate:
             call()
         assert (type(got.value), str(got.value)) == (
             PleatbendError, "truncation scales lack cuffs ['w1']")
+
+    @pytest.mark.parametrize("scale, need", [
+        (math.nan, "finite"), (math.inf, "finite"), (-1.0, "positive")])
+    @pytest.mark.parametrize("entry", [
+        "bending_data", "integrate_volume_change", "vol_gamma"])
+    def test_scale_not_finite_and_positive_rejected(self, pd, entry, scale,
+                                                     need):
+        # a NaN or infinite scale made every truncated length NaN; it is
+        # refused, as a non-positive one is, naming the first cuff
+        path = bend_path(pd, steps=4)
+        conv = TruncationConvention.uniform(pd, scale)
+        call = {
+            "bending_data": lambda: bending_data(realize(path.rep(0), pd),
+                                                 conv),
+            "integrate_volume_change": lambda: integrate_volume_change(
+                path, "attracting", conv),
+            "vol_gamma": lambda: vol_gamma(path, conv),
+        }[entry]
+        with pytest.raises(PleatbendError) as got:
+            call()
+        assert (type(got.value), str(got.value)) == (
+            PleatbendError, f"horoball scale for 'a1' must be {need}")
 
     def test_rescaling_a_missing_cuff_rejected(self, pd, conv):
         with pytest.raises(PleatbendError) as got:
@@ -924,19 +962,17 @@ class TestSampleWork:
 
     @pytest.mark.parametrize("run", ["volume-path", "vol-gamma"])
     def test_no_point_made_per_sample(self, run, monkeypatch):
-        # the pipeline reads points as arrays; the only ProjectivePoints
-        # it makes are vol_gamma's two start selections, one pair per cuff
+        # the pipeline reads points as arrays, and vol_gamma's two chains
+        # start from the labels: no ProjectivePoint is made
         path = genus3_path(lambda t: 2.0 + 0.1j * t, steps=8)
         conv = TruncationConvention.uniform(path.pd)
         work = PassWork(monkeypatch)
         if run == "volume-path":
             integrate_volume_change(path, "attracting", conv)
-            starts = 0
         else:
             vol_gamma(path, conv)
-            starts = 2 * 2 * len(path.pd.cuffs)
         assert work.constructed == []
-        assert len(work.wrapped) == starts
+        assert work.wrapped == []
 
     def test_lamination_built_once_per_call(self, pd, conv, monkeypatch):
         calls = []
