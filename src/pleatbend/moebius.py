@@ -36,6 +36,7 @@ from .errors import (
     DegenerateConfiguration,
     DegenerateLength,
     IdentityMap,
+    PleatbendError,
     SingularMatrix,
 )
 
@@ -652,9 +653,19 @@ def classify(m: MoebiusMap, eps_class: float = EPS_CLASS) -> str:
     Values of tr^2 within eps_class of the boundary point 4 therefore
     classify as parabolic even when they sit on the elliptic segment.
     A map whose tr^2 is not finite has no type and raises
-    SingularMatrix.
+    SingularMatrix.  An eps_class that is NaN, infinite or not positive
+    raises PleatbendError.
     """
+    _check_eps_class(eps_class)
     return _classify(m, m.distance_to(_IDENTITY), eps_class)
+
+
+def _check_eps_class(eps_class: float) -> None:
+    """Raise PleatbendError for an eps_class that is NaN, infinite or not
+    positive, at which no "within eps_class" guard could trip."""
+    if not 0 < eps_class < math.inf:
+        raise PleatbendError("classification tolerance must be finite and "
+                             f"positive, got {eps_class!r}")
 
 
 def _classify(m: MoebiusMap, distance: float, eps_class: float) -> str:
@@ -693,7 +704,8 @@ def fixed_points(m: MoebiusMap, eps_class: float = EPS_CLASS):
     point carries the eigenvalue of larger modulus; for elliptic maps,
     where the moduli tie, the first point is the one whose eigenvalue
     (of the stored lift) has positive imaginary part.  That tie-break is
-    deterministic but depends on the stored sign of the lift.
+    deterministic but depends on the stored sign of the lift.  eps_class
+    is checked as classify checks it.
     """
     return _fixed_points(m, classify(m, eps_class), eps_class)
 
@@ -752,7 +764,7 @@ def complex_length(m: MoebiusMap, eps_class: float = EPS_CLASS) -> complex:
     For elliptic maps the real part is exactly 0 (the rotation collapses
     the translation part) and the sign of the imaginary part follows the
     stored lift of the matrix.  Parabolic and identity inputs raise
-    DegenerateLength.
+    DegenerateLength; eps_class is checked as classify checks it.
     """
     return _complex_length(m, classify(m, eps_class))
 

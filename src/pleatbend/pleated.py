@@ -56,9 +56,10 @@ from .errors import (DegenerateConfiguration, DegenerateTriangle,
                      OrientationTrackingFailure, PleatbendError,
                      SampleEvaluationFailure, SingularMatrix)
 from .moebius import (EPS_CLASS, EPS_NUM, KINDS, MoebiusArray, MoebiusMap,
-                      PointArray, ProjectivePoint, _abs2, _complex, _quot,
-                      chordal_array, cross_ratio_array, reduce_angle,
-                      reduce_angle_array, stack_points, trace_squared)
+                      PointArray, ProjectivePoint, _abs2, _check_eps_class,
+                      _complex, _quot, chordal_array, cross_ratio_array,
+                      reduce_angle, reduce_angle_array, stack_points,
+                      trace_squared)
 from .representation import Representation, _matrices_of, _word_images
 from .topology import (CuffCrossing, Lamination, LeafCrossing,
                        PantsDecomposition, TransverseArc, build_lamination,
@@ -163,9 +164,7 @@ def sample_images(generators, matrices: np.ndarray, pd: PantsDecomposition,
     An eps_class that is NaN, infinite or not positive, at which no
     "within eps_class" guard could trip, raises PleatbendError.
     """
-    if not 0 < eps_class < math.inf:
-        raise PleatbendError("classification tolerance must be finite and "
-                             f"positive, got {eps_class!r}")
+    _check_eps_class(eps_class)
     return SampleImages(generators, matrices, pd, eps_class,
                         *_array_pass(generators, matrices, pd))
 
@@ -497,8 +496,9 @@ def shared_endpoint_check(m1: MoebiusMap, m2: MoebiusMap,
 
     Two non-trivial maps have a common fixed point exactly when their
     commutator has squared trace 4; the test flags |tr^2 - 4| below
-    eps_class.
+    eps_class, which is checked as classify checks it.
     """
+    _check_eps_class(eps_class)
     comm = m1 @ m2 @ m1.inverse() @ m2.inverse()
     tr2 = trace_squared(comm)
     return abs(tr2 - 4) < eps_class, tr2

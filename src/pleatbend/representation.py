@@ -45,6 +45,7 @@ class Representation:
     def __post_init__(self):
         if len(self.generators) != len(self.images):
             raise InvalidDecomposition("one image per generator required")
+        _check_distinct(self.generators)
 
     @property
     def image_of(self) -> dict[str, MoebiusMap]:
@@ -692,8 +693,8 @@ def fenchel_nielsen_rep(pd: PantsDecomposition, lengths,
 @dataclass(frozen=True, eq=False)
 class RepresentationPath:
     """Finitely sampled path of representations on a common generator set:
-    the image of every generator at every sample in one read-only array,
-    matrices (2, 2, generators, samples), each [[a, b], [c, d]] of
+    the image of every generator at every sample in one read-only numeric
+    array, matrices (2, 2, generators, samples), each [[a, b], [c, d]] of
     determinant 1.  rep(k) and reps build Representations on demand."""
 
     ts: tuple[float, ...]
@@ -705,6 +706,12 @@ class RepresentationPath:
     def __post_init__(self):
         if self.matrices.shape != (2, 2, len(self.generators), len(self.ts)):
             raise PleatbendError("one representation per sample time required")
+        if self.matrices.dtype.kind not in "biufc":
+            raise PleatbendError(
+                f"matrices must hold numbers, not {self.matrices.dtype}")
+        if not self.generators:
+            raise PleatbendError("a path needs at least one generator")
+        _check_distinct(self.generators)
         if len(self.ts) < 2:
             raise PleatbendError("a path needs at least two samples")
         for k, t in enumerate(self.ts):
@@ -746,6 +753,15 @@ class RepresentationPath:
         t0, t1 = self.ts[0], self.ts[-1]
         ts = tuple(t0 + t1 - t for t in reversed(self.ts))
         return replace(self, ts=ts, matrices=self.matrices[..., ::-1])
+
+
+def _check_distinct(generators) -> None:
+    """Raise PleatbendError naming the first generator listed twice: a
+    file keeps one image per name."""
+    if len(set(generators)) < len(generators):
+        twice = next(g for k, g in enumerate(generators)
+                     if g in generators[:k])
+        raise PleatbendError(f"generator {twice!r} is listed twice")
 
 
 def _rep_at(generators, matrices: np.ndarray, k: int,
@@ -928,13 +944,19 @@ def conjugacy_residual(rep1: Representation, rep2: Representation) -> float:
 # serialization
 
 
+def _matrix_parts(matrices: np.ndarray) -> np.ndarray:
+    """[re, im] of every entry, row-major, of matrices (2, 2, generators,
+    samples), as (samples, generators, 4, 2)."""
+    parts = np.stack([matrices.real, matrices.imag], axis=-1)
+    return parts.transpose(3, 2, 0, 1, 4).reshape(
+        matrices.shape[3], matrices.shape[2], 4, 2)
+
+
 def _matrices_dicts(generators, matrices: np.ndarray) -> list[dict]:
     """{generator: [[re, im] x 4]}, entries row-major, at every sample of
     matrices (2, 2, generators, samples)."""
-    parts = np.stack([matrices.real, matrices.imag], axis=-1)
-    parts = parts.transpose(3, 2, 0, 1, 4).reshape(
-        matrices.shape[3], len(generators), 4, 2)
-    return [dict(zip(generators, sample)) for sample in parts.tolist()]
+    return [dict(zip(generators, sample))
+            for sample in _matrix_parts(matrices).tolist()]
 
 
 def _named(out: dict, generators, relators) -> dict:
@@ -1021,8 +1043,8 @@ def load_rep(path: str) -> Representation:
 
 def save_rep(path: str, rep: Representation) -> None:
     with open(path, "w") as fh:
-        json.dump(rep_to_dict(rep), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(rep_to_dict(rep), indent=2, sort_keys=True)
+                 + "\n")
 
 
 def load_path(path: str, pd: PantsDecomposition | None = None) -> RepresentationPath:
@@ -1030,7 +1052,57 @@ def load_path(path: str, pd: PantsDecomposition | None = None) -> Representation
         return path_from_dict(json.load(fh), pd=pd)
 
 
+# samples save_path spells at once: a number's string object takes about
+# 70 bytes, three times its text, so only one chunk of them is held
+_SPELL_CHUNK = 64
+
+
+def _key(name) -> str:
+    """name as json.dumps spells it as a key, with % doubled for a
+    %-template."""
+    return json.dumps({name: 0})[1:-4].replace("%", "%%")
+
+
+def _sample_template(generators) -> str:
+    """One sample of a path file, laid out as json.dumps(indent=2,
+    sort_keys=True) lays it out in the "samples" list, with a %s for
+    each number: the [re, im] of each entry of each generator, in
+    sorted name order, then t."""
+    pair = "\n          [\n            %s,\n            %s\n          ]"
+    image = "[" + ",".join([pair] * 4) + "\n        ]"
+    images = ",".join(f"\n        {_key(g)}: {image}"
+                      for g in sorted(generators))
+    return ('    {\n      "matrices": {' + images
+            + '\n      },\n      "t": %s\n    }')
+
+
+def _path_text(rpath: RepresentationPath) -> str:
+    """json.dumps(path_to_dict(rpath), indent=2, sort_keys=True) + "\n",
+    its numbers spelled by the C encoder: json.dumps of a flat list,
+    _SPELL_CHUNK samples at a time, split on ", " into a %-template."""
+    gens, ts = rpath.generators, rpath.ts
+    order = sorted(range(len(gens)), key=gens.__getitem__)
+    values = _matrix_parts(rpath.matrices)[:, order].reshape(len(ts), -1)
+    template = _sample_template(gens)
+    # "samples" sorts after "generators" and "relators": the head is the
+    # document up to its value
+    head = json.dumps(_named({"samples": 0}, gens, rpath.relators),
+                      indent=2, sort_keys=True)[:-3]
+    pieces = [head + "[\n"]
+    for k in range(0, len(ts), _SPELL_CHUNK):
+        rows = values[k:k + _SPELL_CHUNK].tolist()
+        for row, t in zip(rows, ts[k:k + _SPELL_CHUNK]):
+            row.append(t)
+        numbers = json.dumps(list(itertools.chain.from_iterable(rows)))
+        pieces += [",\n".join([template] * len(rows))
+                   % tuple(numbers[1:-1].split(", ")), ",\n"]
+    pieces[-1] = "\n  ]\n}\n"
+    return "".join(pieces)
+
+
 def save_path(path: str, rpath: RepresentationPath) -> None:
+    """Write rpath to path: the bytes of json.dumps(path_to_dict(rpath),
+    indent=2, sort_keys=True) + "\n", in one write."""
+    text = _path_text(rpath)
     with open(path, "w") as fh:
-        json.dump(path_to_dict(rpath), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)

@@ -578,5 +578,4 @@ def save_document(path: str, pd: PantsDecomposition,
     if inc is not None:
         data.update(inclusion_to_dict(inc))
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")

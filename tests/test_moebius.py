@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pleatbend.errors import (DegenerateConfiguration, DegenerateLength,
-                              IdentityMap, SingularMatrix)
+                              IdentityMap, PleatbendError, SingularMatrix)
 from pleatbend.moebius import (EPS_CLASS, RESCALE_LIMIT, IsometryClass,
                                MoebiusArray, MoebiusMap, PointArray,
                                ProjectivePoint, chordal, classify,
@@ -146,6 +146,17 @@ class TestClassify:
         m = MoebiusMap(1 + 1e-5, 1, 0, 1 / (1 + 1e-5))
         assert classify(m, eps_class=1e-6) == IsometryClass.PARABOLIC
         assert classify(m, eps_class=1e-12) != IsometryClass.PARABOLIC
+
+    @pytest.mark.parametrize("eps_class", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("call", [classify, fixed_points, complex_length])
+    def test_tolerance_not_finite_and_positive_rejected(self, call,
+                                                        eps_class):
+        # at NaN, or at zero or below, no "within eps_class" test passes,
+        # so the identity would classify as loxodromic
+        with pytest.raises(PleatbendError,
+                           match="^classification tolerance must be finite "
+                                 "and positive, got "):
+            call(MoebiusMap.identity(), eps_class=eps_class)
 
     @given(maps(), maps())
     @settings(max_examples=60)

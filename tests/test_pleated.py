@@ -125,6 +125,16 @@ class TestAdaptedness:
         assert not flagged
         assert abs(tr2 - 4) > 0.1
 
+    @pytest.mark.parametrize("eps_class", [math.nan, math.inf, 0.0, -1.0])
+    def test_tolerance_not_finite_and_positive_rejected(self, eps_class):
+        # at such a tolerance no pair could be flagged, not even one
+        # sharing both endpoints
+        a = MoebiusMap(2, 0, 0, 0.5)
+        with pytest.raises(PleatbendError,
+                           match="^classification tolerance must be finite "
+                                 "and positive, got "):
+            shared_endpoint_check(a, a, eps_class=eps_class)
+
 
 class TestRealize:
     def test_fuchsian_realization_is_flat(self, setup):

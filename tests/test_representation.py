@@ -39,6 +39,7 @@ from pleatbend import (
     rep_from_dict,
     rep_from_trace_triple,
     rep_to_dict,
+    save_path,
     standard_decomposition,
     standard_word_list,
 )
@@ -203,6 +204,12 @@ class TestRepresentation:
         with pytest.raises(InvalidDecomposition):
             Representation(generators=("x", "y"),
                            images=(MoebiusMap.identity(),))
+
+    def test_repeated_generator_refused(self):
+        # a file keeps one image per name
+        with pytest.raises(PleatbendError,
+                           match="generator 'x' is listed twice"):
+            Representation(("x", "y", "x"), (f2_rep().images * 2)[:3])
 
     def test_relator_residual_empty(self):
         assert f2_rep().relator_residual() == 0.0
@@ -399,6 +406,26 @@ class TestPaths:
         with pytest.raises(PleatbendError, match="one representation per"):
             RepresentationPath(ts=(0.0, 1.0), generators=rep.generators,
                                matrices=np.zeros((2, 2, 2, 1), complex))
+
+    def test_generators_refused(self):
+        # a path without generators would save a file that no load reads,
+        # and one naming a generator twice a file that loads with one
+        with pytest.raises(PleatbendError,
+                           match="a path needs at least one generator"):
+            RepresentationPath(ts=(0.0, 1.0), generators=(),
+                               matrices=np.zeros((2, 2, 0, 2), complex))
+        with pytest.raises(PleatbendError,
+                           match="generator 'b' is listed twice"):
+            RepresentationPath(ts=(0.0, 1.0), generators=("b", "a", "b"),
+                               matrices=np.zeros((2, 2, 3, 2), complex))
+
+    def test_matrices_not_numbers_refused(self):
+        # save_path spells the entries as json spells numbers
+        matrices = np.ones((2, 2, 1, 2), dtype=object)
+        with pytest.raises(PleatbendError,
+                           match="matrices must hold numbers, not object"):
+            RepresentationPath(ts=(0.0, 1.0), generators=("x",),
+                               matrices=matrices)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_time(self, bad):
@@ -683,6 +710,48 @@ class TestConjugacyResidual:
             conjugacy_residual(a, b)
 
 
+# numbers whose spelling json fixes: signed zero, the smallest subnormal,
+# the edge of overflow, NaN and the infinities
+SPELLED = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf,
+           -math.inf]
+
+
+@st.composite
+def saved_paths(draw):
+    """Paths as the constructor takes them: names unsorted, non-ASCII or
+    holding '"' and '%', with or without relators, times int or float,
+    some long enough to be spelled in more than one chunk, entries
+    cycling through a drawn pool of floats."""
+    names = draw(st.lists(st.text(min_size=1, max_size=3)
+                          | st.sampled_from(['"', 'q"%s', "\u00e9", "b"]),
+                          min_size=1, max_size=4, unique=True))
+    relators = draw(st.lists(st.text(max_size=4), max_size=2))
+    ts = draw(st.integers(2, 150).map(lambda n: tuple(range(-1, n - 1)))
+              | st.lists(st.integers(-10**6, 10**6) | st.floats(-1e300, 1e300),
+                         min_size=2, max_size=6, unique=True)
+              .map(lambda t: tuple(sorted(t))))
+    pool = draw(st.lists(st.floats() | st.sampled_from(SPELLED),
+                         min_size=1, max_size=12))
+    shape = (2, 2, len(names), len(ts))
+    parts = np.resize(np.array(pool), shape + (2,))
+    if draw(st.booleans()):
+        matrices = parts[..., 0]
+    else:
+        matrices = np.empty(shape, complex)
+        matrices.real, matrices.imag = parts[..., 0], parts[..., 1]
+    return RepresentationPath(ts=ts, generators=tuple(names),
+                              matrices=matrices, relators=tuple(relators))
+
+
+def assert_saved_bytes(directory, path):
+    """save_path writes json.dumps(path_to_dict(path), indent=2,
+    sort_keys=True) and a newline."""
+    target = directory / "path.json"
+    save_path(str(target), path)
+    want = json.dumps(path_to_dict(path), indent=2, sort_keys=True)
+    assert target.read_bytes() == (want + "\n").encode()
+
+
 class TestSerialization:
     def test_rep_round_trip(self):
         rep = rep_from_trace_triple(3.2, 3.7 + 0.4j, 4.1 - 0.2j)
@@ -736,6 +805,21 @@ class TestSerialization:
                     for r0, r1 in zip(path.reps, back.reps)
                     for m0, m1 in zip(r0.images, r1.images))
         assert worst < 1e-10
+
+    @given(path=saved_paths())
+    @settings(max_examples=80, deadline=None)
+    def test_save_path_writes_the_bytes_of_json(self, tmp_path_factory, path):
+        assert_saved_bytes(tmp_path_factory.mktemp("save"), path)
+
+    @pytest.mark.parametrize("genus", [2, 3])
+    def test_save_path_bytes_of_glued_path(self, tmp_path, genus):
+        # glued paths longer than one spelling chunk
+        pd = standard_decomposition(genus)
+        n = len(pd.cuffs)
+        path = path_from_parameters(
+            pd, lambda t: tuple(1.7 + 0.1 * i for i in range(n)),
+            lambda t: (0.3 + 0.5j * t,) + (0.1,) * (n - 1), steps=70)
+        assert_saved_bytes(tmp_path, path)
 
     def test_bundled_rep_files_load(self):
         for name in ("f2_rep.json", "handlebody_rep.json"):
