@@ -17,7 +17,6 @@ import numpy as np
 
 from pleatbend.errors import PleatbendError
 from pleatbend.moebius import MoebiusMap
-from pleatbend.pleated import TruncationConvention
 from pleatbend.representation import (fenchel_nielsen_rep, path_from_parameters,
                                       path_from_reps)
 from pleatbend.topology import standard_decomposition
@@ -40,7 +39,6 @@ def main():
     pd = standard_decomposition(2)
     lengths = {c.id: v for c, v in zip(pd.cuffs, (1.1, 1.7, 2.3))}
     twists = {c.id: v for c, v in zip(pd.cuffs, (0.3, 0.1, 0.2))}
-    conv = TruncationConvention.uniform(pd)
     c0 = pd.cuffs[0].id
 
     loops = {}
@@ -68,7 +66,7 @@ def main():
     failed = False
     for name, loop in loops.items():
         try:
-            report = loop_defect(loop, conv)
+            report = loop_defect(loop)
         except PleatbendError as exc:
             failed = True
             print(f"{name:<20} FAILED {type(exc).__name__}: {exc}")

@@ -7,7 +7,6 @@ the integrated change along theta: 0 -> theta_bar must come out at
 
 import argparse
 
-from pleatbend.pleated import TruncationConvention
 from pleatbend.representation import path_from_parameters
 from pleatbend.topology import standard_decomposition
 from pleatbend.volume import integrate_volume_change
@@ -30,8 +29,7 @@ def main():
         lambda t: {**twists, c0: twists[c0] + 1j * args.theta * t},
         steps=args.steps)
 
-    conv = TruncationConvention.uniform(pd)
-    result = integrate_volume_change(path, "attracting", conv)
+    result = integrate_volume_change(path, "attracting")
     expected = 0.5 * args.length * args.theta
     print(f"integrated dV      : {result.delta_v:.15g}")
     print(f"closed form        : {expected:.15g}")

@@ -168,16 +168,12 @@ def cmd_bend(args: argparse.Namespace) -> int:
 
 
 def _load_pathfile(args: argparse.Namespace):
-    pd, _ = _load_surface(args)
-    path = load_path(args.input, pd=pd)
-    return pd, path
+    return load_path(args.input, pd=_load_surface(args)[0])
 
 
 def cmd_volume_path(args: argparse.Namespace) -> int:
-    pd, path = _load_pathfile(args)
-    conv = TruncationConvention.uniform(pd, args.horoball)
-    result = integrate_volume_change(path, args.endpoints, conv,
-                                     steps=args.steps,
+    path = _load_pathfile(args)
+    result = integrate_volume_change(path, args.endpoints, steps=args.steps,
                                      eps_class=args.tolerance)
     if args.format == "json":
         payload = {
@@ -204,9 +200,8 @@ def cmd_volume_path(args: argparse.Namespace) -> int:
 
 
 def cmd_vol_gamma(args: argparse.Namespace) -> int:
-    pd, path = _load_pathfile(args)
-    conv = TruncationConvention.uniform(pd, args.horoball)
-    summed = vol_gamma(path, conv, steps=args.steps, eps_class=args.tolerance)
+    path = _load_pathfile(args)
+    summed = vol_gamma(path, steps=args.steps, eps_class=args.tolerance)
     per_orientation = [("".join("+" if b else "-" for b in ori.forward), r)
                        for ori, r in zip(summed.orientations, summed.results)]
     total = summed.total
@@ -239,9 +234,8 @@ def cmd_vol_gamma(args: argparse.Namespace) -> int:
 
 
 def cmd_loop_defect(args: argparse.Namespace) -> int:
-    pd, path = _load_pathfile(args)
-    conv = TruncationConvention.uniform(pd, args.horoball)
-    report = loop_defect(path, conv, eps_class=args.tolerance)
+    path = _load_pathfile(args)
+    report = loop_defect(path, eps_class=args.tolerance)
     verdict = "PASS" if abs(report.defect) < LOOP_TOL else "FAIL"
     if args.format == "json":
         _emit(args, _json_dump({
@@ -328,15 +322,13 @@ def cmd_rank(args: argparse.Namespace) -> int:
 def cmd_plot(args: argparse.Namespace) -> int:
     if args.quantity == "angles" and args.steps is not None:
         raise _ParseFailure("--steps is not read with --quantity angles")
-    pd, path = _load_pathfile(args)
-    conv = TruncationConvention.uniform(pd, args.horoball)
+    path = _load_pathfile(args)
     if args.quantity == "angles":
-        angles = angle_series(path, args.endpoints, conv,
-                              eps_class=args.tolerance)
-        series = {f"angle[{c.id}]": angles[c.id] for c in pd.cuffs}
+        angles = angle_series(path, args.endpoints, eps_class=args.tolerance)
+        series = {f"angle[{c.id}]": angles[c.id] for c in path.pd.cuffs}
         svg = _svg_plot(path.ts, series, "t", "bending angle")
     else:
-        result = integrate_volume_change(path, args.endpoints, conv,
+        result = integrate_volume_change(path, args.endpoints,
                                          steps=args.steps,
                                          eps_class=args.tolerance)
         svg = _svg_plot(result.ts, {"dV": result.cumulative},
@@ -445,16 +437,15 @@ _COMMANDS = {
     "bend": (cmd_bend, ("pd", "tolerance", "endpoints", "horoball"),
              ("text", "json", "csv")),
     "volume-path": (cmd_volume_path,
-                    ("pd", "tolerance", "endpoints", "horoball", "steps"),
+                    ("pd", "tolerance", "endpoints", "steps"),
                     ("text", "json", "csv")),
-    "vol-gamma": (cmd_vol_gamma, ("pd", "tolerance", "horoball", "steps"),
+    "vol-gamma": (cmd_vol_gamma, ("pd", "tolerance", "steps"),
                   ("text", "json", "csv")),
-    "loop-defect": (cmd_loop_defect, ("pd", "tolerance", "horoball"),
-                    ("text", "json")),
+    "loop-defect": (cmd_loop_defect, ("pd", "tolerance"), ("text", "json")),
     "peripheral": (cmd_peripheral, ("inclusion",), ("text", "json", "csv")),
     "rank": (cmd_rank, ("inclusion",), ("text", "json")),
-    "plot": (cmd_plot, ("pd", "tolerance", "endpoints", "horoball", "steps",
-                        "quantity"), ()),
+    "plot": (cmd_plot, ("pd", "tolerance", "endpoints", "steps", "quantity"),
+             ()),
 }
 
 

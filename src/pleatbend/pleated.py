@@ -596,18 +596,31 @@ def _cuff_lengths(images: SampleImages) -> np.ndarray:
 def _truncated_lengths(a: PointArray, b: PointArray, witness_a: tuple,
                        witness_b: tuple) -> tuple:
     """truncated_geodesic_length at every element: the lengths, and its
-    checks as (mask, error, message) in its order."""
+    checks as (mask, error, message) in its order.
+
+    A witness height that takes the arithmetic past the float range
+    (uniform horoball scales of 1e160 or 1e-308 do) makes a length inf
+    or NaN, which no comparison with 0 catches; the last check trips
+    there."""
     frame, coincide = MoebiusArray.normalizing(a, b)
     za_r, za_i, ta = frame.apply_interior(*witness_a)
     _, _, tb = frame.apply_interior(*witness_b)
     with np.errstate(all="ignore"):
         depth = (_abs2(za_r, za_i) + ta * ta) / ta
-    collapsed = (depth <= 0) | (tb <= 0)
-    lengths = (np.log(np.where(collapsed, 1.0, tb))
-               - np.log(np.where(collapsed, 1.0, depth)))
+        collapsed = (depth <= 0) | (tb <= 0)
+        lengths = (np.log(np.where(collapsed, 1.0, tb))
+                   - np.log(np.where(collapsed, 1.0, depth)))
     return lengths, [(coincide, DegenerateConfiguration, _COINCIDE),
                      (collapsed, DegenerateConfiguration,
-                      "horoball witness collapsed to the boundary")]
+                      "horoball witness collapsed to the boundary"),
+                     (~np.isfinite(lengths), DegenerateConfiguration,
+                      _out_of_range)]
+
+
+def _out_of_range(key, index, row, k) -> str:
+    leaf = "" if key is None else f" of leaf {key}"
+    return ("horoball truncation left the float range: the truncated "
+            f"length{leaf} is not finite")
 
 
 def _carry(images: SampleImages, words: np.ndarray, points: PointArray,

@@ -972,28 +972,42 @@ def rep_to_dict(rep: Representation) -> dict:
     return _named({"matrices": matrices}, rep.generators, rep.relators)
 
 
-def _floats(value, shape: tuple, samples: list, sample: dict) -> np.ndarray:
+def _check_samples(samples: list, sample, single: bool) -> None:
+    """ValueError naming the first part of samples not of the shape
+    sample: samples[k] of a path file, or file itself, the one sample of
+    a representation file, when single."""
+    if single:
+        _check_shape(samples[0], sample, "file")
+    else:
+        _check_shape(samples, [sample], "samples")
+
+
+def _floats(value, shape: tuple, samples: list, sample: dict,
+            single: bool = False) -> np.ndarray:
     """value, nested lists of numbers, as floats of the given shape, else
-    ValueError naming the first part of samples not of the shape sample."""
+    ValueError naming the first part of samples not of the shape sample
+    (_check_samples)."""
     try:
         a = np.array(value)
     except ValueError:          # ragged lists
         a = np.array(None)
     if a.dtype.kind not in "biuf" or a.shape != shape:
-        _check_shape(samples, [sample], "samples")
+        _check_samples(samples, sample, single)
         raise ValueError(f"samples hold no float numbers of shape {shape}")
     return a.astype(float)
 
 
-def _parsed(data: dict, samples: list) -> tuple:
+def _parsed(data: dict, samples: list, single: bool = False) -> tuple:
     """The generators (listed, else the first sample's, sorted), relators
     and matrices (2, 2, generators, samples) of a document and its
     samples [{"matrices": {generator: [[re, im] x 4]}}], every matrix
     normalized at once as MoebiusMap(a, b, c, d) normalizes it, bit for
     bit.  A malformed sample raises ValueError, and a matrix that the
-    constructor refuses SingularMatrix, naming the first such sample."""
+    constructor refuses SingularMatrix, naming the first such sample;
+    single says that samples is [data], a representation file's one
+    sample, which both errors name file (_check_samples)."""
     _check_shape(data, {"generators?": [str], "relators?": [str]}, "file")
-    _check_shape(samples[:1], [{"matrices": dict}], "samples")
+    _check_samples(samples[:1], {"matrices": dict}, single)
     gens = tuple(data.get("generators")
                  or sorted(samples[0]["matrices"] if samples else ()))
     try:
@@ -1001,7 +1015,8 @@ def _parsed(data: dict, samples: list) -> tuple:
     except (KeyError, TypeError):
         entries = None
     parts = _floats(entries, (len(samples) * len(gens), 4, 2), samples,
-                    {"matrices": {g: [[_NUMBER] * 2] * 4 for g in gens}})
+                    {"matrices": {g: [[_NUMBER] * 2] * 4 for g in gens}},
+                    single)
     parts = parts.reshape(len(samples), len(gens), 2, 2, 2)
     with np.errstate(all="ignore"):
         z, det, singular = _constructed(_complex(parts[..., 0],
@@ -1009,13 +1024,14 @@ def _parsed(data: dict, samples: list) -> tuple:
         # where the constructor raises: |det| < 1e-100, or abs overflows
         bad = singular | np.isfinite(det) & np.isinf(_modulus(det))
     for k, i in np.argwhere(bad)[:1].tolist():
-        raise SingularMatrix(f"generator {gens[i]!r} at sample {k} cannot "
-                             f"be normalized: determinant {det[k, i]}")
+        where = "in file" if single else f"at sample {k}"
+        raise SingularMatrix(f"generator {gens[i]!r} {where} cannot be "
+                             f"normalized: determinant {det[k, i]}")
     return gens, tuple(data.get("relators", ())), z.transpose(2, 3, 1, 0)
 
 
 def rep_from_dict(data: dict) -> Representation:
-    gens, relators, matrices = _parsed(data, [data])
+    gens, relators, matrices = _parsed(data, [data], single=True)
     return _rep_at(gens, matrices, 0, relators)
 
 

@@ -3,9 +3,12 @@
 The derivative of hyperbolic volume along a path of pleated surfaces
 is half the sum of length times angle-velocity over the bending locus:
 closed cuffs contribute their real translation length, spiral leaves
-their horoball-truncated length.  The truncation scale drops out
-because the four leaf ends at a cuff turn by opposite amounts on the
-two sides.
+their horoball-truncated length.  The truncation scale drops out:
+rescaling the horoball of a cuff by e^delta lengthens every leaf end
+at it by delta, and the angles of the leaf ends at a cuff sum to a
+constant along a path, so the integrand moves by delta times the
+derivative of that constant.  Every entry point here therefore
+truncates at unit horoballs, TruncationConvention.uniform.
 
 Volumes of ideal tetrahedra are computed from the Lobachevsky function
 via its Clausen-series expansion, accelerated analytically so the tail
@@ -157,8 +160,7 @@ def _samples(path: RepresentationPath, steps: int | None,
         eps_class)
 
 
-def angle_series(path: RepresentationPath, zeta: str | dict,
-                 conv: TruncationConvention,
+def angle_series(path: RepresentationPath, zeta: str | dict, *,
                  eps_class: float = EPS_CLASS) -> dict:
     """Bending angle of every term at every sample of a path.
 
@@ -170,14 +172,14 @@ def angle_series(path: RepresentationPath, zeta: str | dict,
     pd = _surface(path)
     lam = build_lamination(pd)
     images = sample_images(path.generators, path.matrices, pd, eps_class)
-    table, angles, _, _ = path_terms(images, [zeta], lam, conv)
+    table, angles, _, _ = path_terms(images, [zeta], lam,
+                                     TruncationConvention.uniform(pd))
     return {leaf.key: angles[r].tolist()
             for leaf, r in zip(lam.leaves, table[0].tolist())}
 
 
 def schlafli_derivative(path: RepresentationPath, t: float,
-                        zeta: str | dict,
-                        conv: TruncationConvention,
+                        zeta: str | dict, *,
                         eps_class: float = EPS_CLASS) -> float:
     """dV/dt at an interior sample of a path.
 
@@ -201,7 +203,8 @@ def schlafli_derivative(path: RepresentationPath, t: float,
             raise failure
     zeta = _selected(images.sample(1), zeta)[0][:, 0]
     table, angles, lengths, _ = path_terms(images, [zeta],
-                                           build_lamination(pd), conv)
+                                           build_lamination(pd),
+                                           TruncationConvention.uniform(pd))
     velocities, jumps = _velocities(np.array(path.ts[k - 1:k + 2]), angles,
                                     lengths)
     _raise_first_failure(table, jumps)
@@ -338,8 +341,8 @@ def _raise_first_failure(table: np.ndarray, jumps: np.ndarray) -> None:
                                  "step; refine the path")
 
 
-def _integrate(ts: np.ndarray, images: SampleImages, starts,
-               conv: TruncationConvention) -> list[VolumePathResult]:
+def _integrate(ts: np.ndarray, images: SampleImages,
+               starts) -> list[VolumePathResult]:
     """One VolumePathResult per orientation, a chain per cuff, in
     enumerate_orientations' order: one with one chain, 2^cuffs with two.
 
@@ -352,7 +355,8 @@ def _integrate(ts: np.ndarray, images: SampleImages, starts,
     with starts, which numbers the orientations.
     """
     table, angles, lengths, deferred = path_terms(
-        images, starts, build_lamination(images.pd), conv)
+        images, starts, build_lamination(images.pd),
+        TruncationConvention.uniform(images.pd))
     # only the rows some orientation reads, numbered anew: after a
     # deferred failure the others may hold inf or NaN.  Orientation by
     # orientation, the first is integrated, or raises its own failure,
@@ -385,8 +389,7 @@ def _integrate(ts: np.ndarray, images: SampleImages, starts,
 
 
 def integrate_volume_change(path: RepresentationPath,
-                            zeta: str | dict,
-                            conv: TruncationConvention,
+                            zeta: str | dict, *,
                             steps: int | None = None,
                             eps_class: float = EPS_CLASS) -> VolumePathResult:
     """Integrate dV along a path of adapted representations.
@@ -404,7 +407,7 @@ def integrate_volume_change(path: RepresentationPath,
     check.
     """
     ts, images = _samples(path, steps, eps_class)
-    return _integrate(ts, images, [zeta], conv)[0]
+    return _integrate(ts, images, [zeta])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +441,7 @@ class VolGammaResult:
         return err if estimates else math.nan
 
 
-def vol_gamma(path: RepresentationPath, conv: TruncationConvention,
-              steps: int | None = None,
+def vol_gamma(path: RepresentationPath, *, steps: int | None = None,
               eps_class: float = EPS_CLASS) -> VolGammaResult:
     """Integrated first variation under all 2^(3g-3) cuff orientations.
 
@@ -465,7 +467,7 @@ def vol_gamma(path: RepresentationPath, conv: TruncationConvention,
     if failure is not None:
         raise failure
     _loxodromic_start(images)
-    results = _integrate(ts, images, ["attracting", "repelling"], conv)
+    results = _integrate(ts, images, ["attracting", "repelling"])
     return VolGammaResult(orientations=tuple(enumerate_orientations(pd)),
                           results=tuple(results))
 
@@ -482,7 +484,7 @@ class LoopDefectReport:
     fingerprint_distance: float
 
 
-def loop_defect(loop: RepresentationPath, conv: TruncationConvention,
+def loop_defect(loop: RepresentationPath, *,
                 eps_class: float = EPS_CLASS) -> LoopDefectReport:
     """Orientation-summed volume change around a closed loop.
 
@@ -498,7 +500,7 @@ def loop_defect(loop: RepresentationPath, conv: TruncationConvention,
     if d > EPS_LOOP:
         raise EndpointsMismatch(
             f"loop endpoints differ by {d:.3e} in character fingerprint")
-    result = vol_gamma(loop, conv, eps_class=eps_class)
+    result = vol_gamma(loop, eps_class=eps_class)
     return LoopDefectReport(defect=result.total,
                             error_estimate=result.error_estimate,
                             fingerprint_distance=d)

@@ -21,6 +21,7 @@ from pleatbend import (
     ProjectivePoint,
     TransverseArc,
     TruncationConvention,
+    angle_series,
     arc_bending,
     build_lamination,
     chordal,
@@ -47,7 +48,9 @@ from pleatbend import (
     truncated_geodesic_length,
 )
 from pleatbend.representation import EPS_RANK
-from pleatbend.volume import _node_derivatives, _per_step_integrals
+from pleatbend.pleated import path_terms, sample_images
+from pleatbend.volume import (_integrand, _node_derivatives,
+                              _per_step_integrals, _velocities)
 
 REGULAR_TETRA_VOLUME = 1.0149416064096535
 
@@ -61,20 +64,15 @@ def pd():
     return standard_decomposition(2)
 
 
-@pytest.fixture(scope="module")
-def conv(pd):
-    return TruncationConvention.uniform(pd)
-
-
 # -- 1: quake-bend volume change against the closed form ---------------------
 
-def test_criterion_1_pure_bend_volume(pd, conv):
+def test_criterion_1_pure_bend_volume(pd):
     theta = 0.5
     path = path_from_parameters(
         pd, lambda t: (2.0, 1.7, 2.3),
         lambda t: (0.3 + theta * t * 1j, 0.1, 0.2), steps=64)
     start = time.perf_counter()
-    result = integrate_volume_change(path, "attracting", conv)
+    result = integrate_volume_change(path, "attracting")
     elapsed = time.perf_counter() - start
     expected = 0.5 * 2.0 * theta
     rel = abs(result.delta_v - expected) / abs(expected)
@@ -162,7 +160,7 @@ def test_criterion_2_wedge_decompositions():
 
 # -- 3: loop families --------------------------------------------------------
 
-def test_criterion_3_loop_families(pd, conv):
+def test_criterion_3_loop_families(pd):
     lengths = (1.1, 1.7, 2.3)
     base = (0.3, 0.1, 0.2)
     defects = {}
@@ -171,12 +169,12 @@ def test_criterion_3_loop_families(pd, conv):
         pd, lambda t: lengths,
         lambda t: (base[0] + 0.6j * (1 - abs(2 * t - 1)),) + base[1:],
         steps=64)
-    defects["retrace"] = loop_defect(retrace, conv).defect
+    defects["retrace"] = loop_defect(retrace).defect
 
     full_bend = path_from_parameters(
         pd, lambda t: lengths,
         lambda t: (base[0] + 2j * math.pi * t,) + base[1:], steps=64)
-    defects["2pi bend"] = loop_defect(full_bend, conv).defect
+    defects["2pi bend"] = loop_defect(full_bend).defect
 
     rep0 = fenchel_nielsen_rep(pd, lengths, base)
     E1 = np.array([[0.2, 0.5], [0.1, -0.2]], dtype=complex)
@@ -189,7 +187,7 @@ def test_criterion_3_loop_families(pd, conv):
         g = MoebiusMap(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
         reps.append(rep0.conjugated(g))
     circle = path_from_reps(reps, ts=ts, pd=pd)
-    defects["conjugation circle"] = loop_defect(circle, conv).defect
+    defects["conjugation circle"] = loop_defect(circle).defect
 
     worst = max(abs(v) for v in defects.values())
     ok = worst < 1e-6
@@ -198,30 +196,64 @@ def test_criterion_3_loop_families(pd, conv):
     assert worst < 1e-6
 
 
-# -- 4: truncation independence across an elliptic crossing ------------------
+# -- 4: truncation independence, at its cause -------------------------------
 
-def test_criterion_4_horoball_independence(pd, conv):
-    path = path_from_parameters(
-        pd,
-        lambda t: (1.5 * (t - 0.5) ** 2 + 0.8j, 2.0 + 0.1 * t, 2.0),
-        lambda t: (0.3 + 0.25j * t, 0.1 - 0.1j * t * t, 0.2 + 0.15j * t),
-        steps=16)
+def _leaf_ends(pd):
+    """Cuff id -> the spiral leaf keys with an end at it, one entry per
+    end: leaf (p, i) runs between slots i and i + 1 of pants p."""
+    ends = {c.id: [] for c in pd.cuffs}
+    for p, pants in enumerate(pd.pants):
+        for i in range(3):
+            for slot in (i, (i + 1) % 3):
+                ends[pants.cuff_ends[slot].cuff].append((p, i))
+    return ends
+
+
+def test_criterion_4_horoball_independence(pd):
+    """Rescaling the horoball of a cuff by e^delta lengthens every leaf
+    end at it by delta, so the volume integrand moves by delta times the
+    rate of the sum of the angles of those ends.  The check reads the
+    cause: on a path whose spiral-leaf angles really move, (a) they move
+    by at least 0.1, (b) their sum over the ends at each cuff stays
+    within 1e-10 of its start, and (c) the integrand of path_terms
+    under one cuff's horoball rescaled by e^(+-1) stays within 1e-8 of
+    the unit one, which is what the volume entry points integrate."""
+    path = path_from_parameters(pd, lambda t: (2.0, 1.7 + 0.2j * t, 2.3),
+                                lambda t: (0.3, 0.1, 0.2), steps=16)
     choice = "attracting"
-    base = schlafli_derivative(path, 0.5, choice, conv)
-    # cuff 1 is elliptic at t = 0.5; the closed form only sees the others
-    closed_form = 0.5 * (2.05 * (-0.1) + 2.0 * 0.15)
-    assert base == pytest.approx(closed_form, abs=1e-6)
-    worst = 0.0
-    for cuff in ("a1", "a2", "w1"):
-        for factor in (math.e, 1 / math.e):
-            moved = schlafli_derivative(path, 0.5, choice,
-                                        conv.rescaled(cuff, factor))
-            worst = max(worst, abs(moved - base))
-    ok = worst < 1e-8
-    report(f"criterion 4 {'PASS' if ok else 'FAIL'}: derivative moved "
-           f"{worst:.3e} under e^(+-1) horoball changes at an elliptic "
-           f"crossing (value {base:.6g})")
-    assert worst < 1e-8
+    angles = angle_series(path, choice)
+    moved = max(max(v) - min(v) for k, v in angles.items()
+                if not isinstance(k, str))
+    drift = 0.0
+    for keys in _leaf_ends(pd).values():
+        sums = np.sum([angles[k] for k in keys], axis=0)
+        drift = max(drift, float(np.max(np.abs(sums - sums[0]))))
+
+    images = sample_images(path.generators, path.matrices, pd)
+    lam = build_lamination(pd)
+    ts = np.array(path.ts)
+
+    def integrand(conv):
+        table, thetas, lengths, _ = path_terms(images, [choice], lam, conv)
+        return _integrand(table, _velocities(ts, thetas, lengths)[0])[0]
+
+    unit = TruncationConvention.uniform(pd)
+    base = integrand(unit)
+    shift = max(float(np.max(np.abs(integrand(unit.rescaled(c.id, f))
+                                    - base)))
+                for c in pd.cuffs for f in (math.e, 1 / math.e))
+    # the entry points read the unit integrand
+    k = len(ts) // 2
+    assert schlafli_derivative(path, ts[k], choice) == pytest.approx(
+        base[k], abs=1e-12)
+    ok = moved >= 0.1 and drift < 1e-10 and shift < 1e-8
+    report(f"criterion 4 {'PASS' if ok else 'FAIL'}: leaf angles moved "
+           f"{moved:.3f}, their sums at each cuff drifted {drift:.3e}, "
+           f"the integrand moved {shift:.3e} under e^(+-1) horoball "
+           "changes")
+    assert moved >= 0.1
+    assert drift < 1e-10
+    assert shift < 1e-8
 
 
 # -- 5: shared-endpoint detection --------------------------------------------

@@ -16,7 +16,6 @@ import pytest
 from pleatbend import (
     MoebiusMap,
     Representation,
-    TruncationConvention,
     fenchel_nielsen_rep,
     integrate_volume_change,
     jacobian_rank,
@@ -155,6 +154,21 @@ class TestPleatAndBend:
         assert float(rows["a1"]["angle"]) == pytest.approx(0.4, abs=1e-10)
         assert float(rows["a2"]["angle"]) == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("scale", ["1e160", "1e-308"])
+    def test_horoball_past_the_float_range_names_the_guard(self, demo,
+                                                           capsys, scale):
+        # a finite positive scale whose witness height leaves the float
+        # range made every leaf length nan or -inf at exit 0
+        code, out, err = run(capsys, "bend",
+                             "--input", str(demo / "bent.json"),
+                             "--pd", str(demo / "surface.json"),
+                             "--horoball", scale)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: DegenerateConfiguration: horoball truncation "
+                       "left the float range: the truncated length of leaf "
+                       "(0, 0) is not finite\n")
+
 
 class TestVolumePath:
     def test_text_value(self, demo, capsys):
@@ -218,8 +232,7 @@ class TestVolumePath:
         if fmt == "json":
             pd, _ = load_document(str(demo / "surface.json"))
             path = load_path(str(demo / "twist_loop.json"), pd=pd)
-            want = integrate_volume_change(path, "attracting",
-                                           TruncationConvention.uniform(pd))
+            want = integrate_volume_change(path, "attracting")
             payload = json.loads(out)
             assert "loop_defect" not in payload
             assert payload["delta_v"] == f"{want.delta_v:.15g}"
@@ -436,15 +449,13 @@ OPTIONS = {
     "pleat": ({"pd", "tolerance", "endpoints"}, ("text", "json")),
     "bend": ({"pd", "tolerance", "endpoints", "horoball"},
              ("text", "json", "csv")),
-    "volume-path": ({"pd", "tolerance", "endpoints", "horoball", "steps"},
+    "volume-path": ({"pd", "tolerance", "endpoints", "steps"},
                     ("text", "json", "csv")),
-    "vol-gamma": ({"pd", "tolerance", "horoball", "steps"},
-                  ("text", "json", "csv")),
-    "loop-defect": ({"pd", "tolerance", "horoball"}, ("text", "json")),
+    "vol-gamma": ({"pd", "tolerance", "steps"}, ("text", "json", "csv")),
+    "loop-defect": ({"pd", "tolerance"}, ("text", "json")),
     "peripheral": ({"inclusion"}, ("text", "json", "csv")),
     "rank": ({"inclusion"}, ("text", "json")),
-    "plot": ({"pd", "tolerance", "endpoints", "horoball", "steps",
-              "quantity"}, None),
+    "plot": ({"pd", "tolerance", "endpoints", "steps", "quantity"}, None),
 }
 
 # a well-formed value for every option some subcommand reads
@@ -491,7 +502,7 @@ class TestOptions:
             assert set(actions) == want, command
             assert (actions["input"].nargs == "+") == (command == "peripheral")
             settable += len(actions)
-        assert settable == 55
+        assert settable == 51
 
     @pytest.mark.parametrize("command", sorted(OPTIONS))
     def test_parser_of_one_command(self, command):
@@ -540,7 +551,12 @@ class TestNumericOptions:
     NaN or non-positive tolerance every "within tolerance" test fails,
     so no identity, parabolic or shared-endpoint guard trips, and a NaN
     or infinite horoball makes every truncated length NaN: any such
-    value is a usage error naming the option."""
+    value is a usage error naming the option.  A finite scale can still
+    take a witness height past the float range (about 1e155 and above,
+    or 1e-308); bend refuses that at the truncation guard (exit 2), see
+    TestPleatAndBend.  A command that does not read the option refuses
+    it as unrecognized: the volume commands truncate at unit horoballs,
+    so no scale reaches them."""
 
     SOURCES = {"classify": "bent.json", "pleat": "bent.json",
                "bend": "bent.json", "volume-path": "pure_bend.json",
@@ -549,8 +565,8 @@ class TestNumericOptions:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize("command, option", [
-        (command, option) for command, (options, _) in OPTIONS.items()
-        for option in ("tolerance", "horoball") if option in options])
+        (command, option) for command in SOURCES
+        for option in ("tolerance", "horoball")])
     def test_refused(self, demo, capsys, command, option, value):
         argv = [command, "--input", str(demo / self.SOURCES[command])]
         argv += (["--words", "a1A1"] if command == "classify"
@@ -558,8 +574,12 @@ class TestNumericOptions:
         code, out, err = run(capsys, *argv, f"--{option}", value)
         assert code == 3
         assert out == ""
-        assert err.startswith(f"parse error: argument --{option}: ")
-        assert repr(value) in err
+        if option in OPTIONS[command][0]:
+            assert err.startswith(f"parse error: argument --{option}: ")
+            assert repr(value) in err
+        else:
+            assert err.startswith("parse error: unrecognized arguments: "
+                                  f"--{option} {value}")
 
 
 class TestFailureModes:
@@ -599,7 +619,7 @@ class TestFailureModes:
                            "--words", "x")
         assert code == 2
         assert "SingularMatrix" in err
-        assert "'x'" in err
+        assert "generator 'x' in file cannot be normalized" in err
 
     def test_overflowing_trace_is_singular(self, tmp_path, capsys):
         # x is unimodular, but its trace 1e160 squares past the float
@@ -683,7 +703,7 @@ class TestFailureModes:
             matrices, where = data["samples"][5]["matrices"], "samples[5]"
             argv = ("volume-path", "--pd", str(demo / "surface.json"))
         else:
-            matrices, where = data["matrices"], "samples[0]"
+            matrices, where = data["matrices"], "file"
             argv = ("classify", "--words", "b1")
         if entries is None:
             del matrices["b1"]
@@ -697,6 +717,25 @@ class TestFailureModes:
         assert err.startswith("parse error: ValueError: ")
         assert f"{where}['matrices']" in err
         assert named in err
+
+    @pytest.mark.parametrize("argv, document, named", [
+        (("classify", "--words", "x"), {"matrices": {"x": [[1, 0]]}},
+         "file['matrices']['x'] is malformed: [[1, 0]]"),
+        (("pleat", "--pd", "surface.json"), "pure_bend.json",
+         "file has no 'matrices'")], ids=["short-matrix", "path-file"])
+    def test_representation_file_names_its_root_file(
+            self, demo, tmp_path, capsys, argv, document, named):
+        # a representation file is one sample, not a list of them
+        if isinstance(document, str):
+            source = demo / document
+        else:
+            source = tmp_path / "rep.json"
+            source.write_text(json.dumps(document))
+        argv = [str(demo / a) if a.endswith(".json") else a for a in argv]
+        code, out, err = run(capsys, *argv, "--input", str(source))
+        assert code == 3
+        assert out == ""
+        assert err == f"parse error: ValueError: {named}\n"
 
     @pytest.mark.parametrize("t", ["0.5", None, [0.5]])
     def test_malformed_sample_time_names_sample(self, demo, tmp_path,

@@ -275,10 +275,9 @@ def with_bad_sample(path, k, image, letter="a1"):
 
 
 def run_pipeline(run, path):
-    conv = TruncationConvention.uniform(path.pd)
     if run == "volume-path":
-        return integrate_volume_change(path, "attracting", conv)
-    return vol_gamma(path, conv)
+        return integrate_volume_change(path, "attracting")
+    return vol_gamma(path)
 
 
 RUNS = ["volume-path", "vol-gamma"]
@@ -706,7 +705,7 @@ class TestFailurePrecedence:
         # 0 integrates to the end, and then the deferred failure raises
         path = twisting_w1()
         conv = TruncationConvention.uniform(path.pd)
-        integrate_volume_change(path, "attracting", conv)
+        integrate_volume_change(path, "attracting")
         got = outcome("vol-gamma", path)
         assert got is not None and got[0] is OrientationTrackingFailure
         assert got == seed_outcome("vol-gamma", path)
@@ -739,7 +738,7 @@ class TestFailurePrecedence:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OrientationTrackingFailure):
-                vol_gamma(path, TruncationConvention.uniform(path.pd))
+                vol_gamma(path)
 
 
 def _load_perfbench(name: str):
@@ -801,7 +800,7 @@ class TestReferenceDrift:
             json.loads(json.dumps(decomposition_to_dict(pd))))
         path = path_from_dict(json.loads(json.dumps(path_to_dict(built))),
                               pd=pd)
-        result = vol_gamma(path, TruncationConvention.uniform(pd))
+        result = vol_gamma(path)
         got = {"".join("+" if b else "-" for b in ori.forward): r.delta_v
                for ori, r in zip(result.orientations, result.results)}
         got["total"] = result.total

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pleatbend import (
     CuffCrossing,
+    DegenerateConfiguration,
     InvalidDecomposition,
     IsometryClass,
     LeafCrossing,
@@ -222,7 +223,6 @@ class TestRealize:
             realize(rep, pd, start, eps_class=eps_class)
         with pytest.raises(PleatbendError) as want:
             integrate_volume_change(path_from_reps([rep] * 3, pd=pd), start,
-                                    TruncationConvention.uniform(pd),
                                     eps_class=eps_class)
         assert (type(got.value), str(got.value)) == \
             (type(want.value), str(want.value))
@@ -404,6 +404,18 @@ class TestTruncation:
         b = ProjectivePoint(1.0, 0.0)
         got = truncated_geodesic_length(a, b, (0j, math.exp(-1)), (0j, 1.0))
         assert got == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("height", [1e160, 1e-308])
+    def test_witness_past_the_float_range_rejected(self, height):
+        # the horoball at infinity at this height makes the length NaN
+        # or infinite, which the collapse check (<= 0) lets through
+        a = ProjectivePoint(1.0, 0.0)
+        b = ProjectivePoint.from_complex(0.0)
+        with pytest.raises(DegenerateConfiguration) as got:
+            truncated_geodesic_length(a, b, (0j, height), (0j, 1.0))
+        assert str(got.value) == ("horoball truncation left the float "
+                                  "range: the truncated length is not "
+                                  "finite")
 
     def test_rescale_rule(self, setup):
         # leaf (0, 0) has both of its spiral ends on cuff a1

@@ -779,6 +779,16 @@ class TestSerialization:
         rep = rep_from_dict(d)
         assert rep.generators == ("x", "y")
 
+    @pytest.mark.parametrize("d, named", [
+        ({"matrices": {"x": [[1, 0]]}},
+         "file['matrices']['x'] is malformed: [[1, 0]]"),
+        ({"samples": []}, "file has no 'matrices'")])
+    def test_malformed_file_names_its_root(self, d, named):
+        # a representation file has no samples to number
+        with pytest.raises(ValueError) as got:
+            rep_from_dict(d)
+        assert str(got.value) == named
+
     def test_file_round_trip(self, tmp_path):
         from pleatbend import save_rep
         rep = rep_from_trace_triple(3.0, 3.3, 3.9 + 0.1j)

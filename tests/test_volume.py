@@ -14,6 +14,7 @@ from scipy.linalg import expm
 
 from pleatbend import (
     AngleUnwrapFailure,
+    DegenerateConfiguration,
     DegenerateTetrahedron,
     EndpointsMismatch,
     MoebiusMap,
@@ -107,17 +108,17 @@ def genus3_path(a1_length, steps):
         steps=steps)
 
 
-def brute_force(path, conv, steps=None):
+def brute_force(path, steps=None):
     """The orientation sum as a loop: one integration per orientation."""
     out = []
     start = sample_images(path.generators, path.matrices[..., :1], path.pd)
     for ori in enumerate_orientations(path.pd):
         zeta = orientation_start_endpoints(ori, start)
-        out.append(integrate_volume_change(path, zeta, conv, steps=steps))
+        out.append(integrate_volume_change(path, zeta, steps=steps))
     return out
 
 
-def central_difference_derivative(path, t, zeta, conv):
+def central_difference_derivative(path, t, zeta):
     """dV/dt at an interior sample from three separate realizations and
     angle differences reduced mod 2 pi, term by term."""
     pd = path.pd
@@ -129,7 +130,7 @@ def central_difference_derivative(path, t, zeta, conv):
     zeta_prev = track_endpoints(path.rep(k - 1), pd, zeta_k)
     zeta_next = track_endpoints(path.rep(k + 1), pd, zeta_k)
     before, here, after = [
-        bending_data(realize(path.rep(i), pd, z), conv)
+        bending_data(realize(path.rep(i), pd, z))
         for i, z in ((k - 1, zeta_prev), (k, zeta_k), (k + 1, zeta_next))]
     dt = path.ts[k + 1] - path.ts[k - 1]
     keys = [("cuff", c.id) for c in pd.cuffs] + [
@@ -175,11 +176,6 @@ def assert_identical(got, want):
 @pytest.fixture(scope="module")
 def pd():
     return standard_decomposition(2)
-
-
-@pytest.fixture(scope="module")
-def conv(pd):
-    return TruncationConvention.uniform(pd)
 
 
 class TestLobachevsky:
@@ -249,43 +245,62 @@ class TestIdealTetraVolume:
 
 
 class TestSchlafliDerivative:
-    def test_fuchsian_quake_has_zero_derivative(self, pd, conv):
+    def test_fuchsian_quake_has_zero_derivative(self, pd):
         path = path_from_parameters(
             pd, lambda t: (2.0, 1.7, 2.3),
             lambda t: (0.3 + 0.5 * t, 0.1, 0.2), steps=8)
-        d = schlafli_derivative(path, 0.5, "attracting", conv)
+        d = schlafli_derivative(path, 0.5, "attracting")
         assert abs(d) < 1e-9
 
-    def test_pure_bend_matches_closed_form(self, pd, conv):
+    def test_pure_bend_matches_closed_form(self, pd):
         path = bend_path(pd, steps=16)
         choice = "attracting"
         for t in (0.25, 0.5, 0.75):
-            d = schlafli_derivative(path, t, choice, conv)
+            d = schlafli_derivative(path, t, choice)
             assert d == pytest.approx(0.5 * 2.0 * 0.5, rel=1e-10)
 
-    def test_endpoint_rejected(self, pd, conv):
+    def test_endpoint_rejected(self, pd):
         path = bend_path(pd, steps=8)
         with pytest.raises(PleatbendError):
-            schlafli_derivative(path, 0.0, "attracting", conv)
+            schlafli_derivative(path, 0.0, "attracting")
 
-    def test_nan_time_rejected(self, pd, conv):
+    def test_nan_time_rejected(self, pd):
         path = bend_path(pd, steps=8)
         with pytest.raises(PleatbendError,
                            match="t=nan is not a sample time of this path"):
-            schlafli_derivative(path, math.nan, "attracting", conv)
+            schlafli_derivative(path, math.nan, "attracting")
 
-    def test_horoball_independence(self, pd, conv):
-        path = path_from_parameters(
-            pd, lambda t: (2.0 + 0.3 * t, 1.7, 2.3),
-            lambda t: (0.3 + 0.5j * t, 0.1, 0.2 - 0.2j * t), steps=16)
+    def test_horoball_independence(self):
+        # on a genus-3 path whose spiral-leaf angles move by 0.3, the
+        # derivative at every interior sample is the unit-horoball
+        # integrand, and rescaling any one cuff's horoball by e^(+-1)
+        # moves that integrand by less than 1e-8
+        path = genus3_path(lambda t: 2.0 + 0.3j * t, steps=8)
+        pd = path.pd
         choice = "attracting"
-        base = schlafli_derivative(path, 0.5, choice, conv)
-        for cuff, factor in (("a1", math.e), ("w1", 1 / math.e)):
-            moved = schlafli_derivative(path, 0.5, choice,
-                                        conv.rescaled(cuff, factor))
-            assert moved == pytest.approx(base, abs=1e-9)
+        angles = angle_series(path, choice)
+        assert max(max(v) - min(v) for k, v in angles.items()
+                   if not isinstance(k, str)) > 0.1
+        images = sample_images(path.generators, path.matrices, pd)
+        lam = topology.build_lamination(pd)
+        ts = np.array(path.ts)
 
-    def test_conjugation_invariance(self, pd, conv):
+        def integrand(conv):
+            table, thetas, lengths, _ = pleated.path_terms(
+                images, [choice], lam, conv)
+            return volume._integrand(
+                table, volume._velocities(ts, thetas, lengths)[0])[0]
+
+        unit = TruncationConvention.uniform(pd)
+        base = integrand(unit)
+        got = [schlafli_derivative(path, t, choice) for t in path.ts[1:-1]]
+        assert got == pytest.approx(base[1:-1].tolist(), abs=1e-12)
+        for cuff in pd.cuffs:
+            for factor in (math.e, 1 / math.e):
+                moved = integrand(unit.rescaled(cuff.id, factor))
+                assert np.max(np.abs(moved - base)) < 1e-8
+
+    def test_conjugation_invariance(self, pd):
         path = path_from_parameters(
             pd, lambda t: (2.0 + 0.2 * t, 1.7, 2.3),
             lambda t: (0.3 + 0.4j * t, 0.1, 0.2), steps=16)
@@ -293,16 +308,16 @@ class TestSchlafliDerivative:
         conj = path_from_reps([r.conjugated(g) for r in path.reps],
                               ts=path.ts, pd=pd)
         choice = "attracting"
-        assert schlafli_derivative(conj, 0.5, choice, conv) == pytest.approx(
-            schlafli_derivative(path, 0.5, choice, conv), abs=1e-9)
+        assert schlafli_derivative(conj, 0.5, choice) == pytest.approx(
+            schlafli_derivative(path, 0.5, choice), abs=1e-9)
 
-    def test_coarse_branch_jump_fails(self, pd, conv):
+    def test_coarse_branch_jump_fails(self, pd):
         path = bend_path(pd, theta_final=2 * math.pi, steps=2)
         with pytest.raises(AngleUnwrapFailure):
-            schlafli_derivative(path, 0.5, "attracting", conv)
+            schlafli_derivative(path, 0.5, "attracting")
 
     @pytest.mark.parametrize("eps_class", [None, 1e-3])
-    def test_one_pass_at_its_tolerance(self, pd, conv, monkeypatch,
+    def test_one_pass_at_its_tolerance(self, pd, monkeypatch,
                                        eps_class):
         # the selection at sample k is read off the three-sample pass,
         # which classifies at the eps_class given
@@ -316,31 +331,31 @@ class TestSchlafliDerivative:
 
         monkeypatch.setattr(volume, "sample_images", counting)
         kwargs = {} if eps_class is None else {"eps_class": eps_class}
-        got = schlafli_derivative(path, path.ts[4], "attracting", conv,
+        got = schlafli_derivative(path, path.ts[4], "attracting",
                                   **kwargs)
         assert calls == [(3, EPS_CLASS if eps_class is None
                            else eps_class)]
         assert got == pytest.approx(0.5 * 2.0 * 0.5, rel=1e-10)
 
-    def test_tolerance_reaches_the_classification(self, pd, conv):
+    def test_tolerance_reaches_the_classification(self, pd):
         # the image of a1 lies at distance 1.83 from the identity, so
         # at eps_class 2 it classifies as the identity and fails the
         # selection; at the default it is loxodromic
         path = bend_path(pd, steps=8)
         with pytest.raises(NotAdapted, match="cuff 'a1' is identity"):
-            schlafli_derivative(path, path.ts[4], "attracting", conv,
+            schlafli_derivative(path, path.ts[4], "attracting",
                                 eps_class=2)
 
     @pytest.mark.parametrize("eps_class", [math.nan, math.inf, 0.0, -1.0])
-    def test_tolerance_not_finite_and_positive_rejected(self, pd, conv,
+    def test_tolerance_not_finite_and_positive_rejected(self, pd,
                                                         eps_class):
         # at NaN, or at zero or below, every "within eps_class" test
         # fails, so no identity, parabolic or shared-endpoint guard can
         # trip; the sample pass refuses it
         path = bend_path(pd, steps=8)
         for call in (lambda: integrate_volume_change(
-                         path, "attracting", conv, eps_class=eps_class),
-                     lambda: vol_gamma(path, conv, eps_class=eps_class),
+                         path, "attracting", eps_class=eps_class),
+                     lambda: vol_gamma(path, eps_class=eps_class),
                      lambda: realize(path.rep(0), pd, eps_class=eps_class)):
             with pytest.raises(PleatbendError,
                                match="^classification tolerance must be "
@@ -355,7 +370,7 @@ class TestSchlafliDerivativeOracle:
     @pytest.mark.parametrize("name", ["elliptic_crossing",
                                       "horoball_independence",
                                       "pure_bend", "genus2_loop"])
-    def test_every_interior_sample(self, pd, conv, name):
+    def test_every_interior_sample(self, pd, name):
         path = {
             "elliptic_crossing": lambda: path_from_parameters(
                 pd,
@@ -372,25 +387,25 @@ class TestSchlafliDerivativeOracle:
         choice = "attracting"
         values = []
         for t in path.ts[1:-1]:
-            got = schlafli_derivative(path, t, choice, conv)
-            assert got == central_difference_derivative(path, t, choice, conv)
+            got = schlafli_derivative(path, t, choice)
+            assert got == central_difference_derivative(path, t, choice)
             values.append(got)
         # a derivative that is zero everywhere would compare equal too
         assert max(abs(v) for v in values) > 1e-3
 
-    def test_both_reject_a_coarse_full_bend(self, pd, conv):
+    def test_both_reject_a_coarse_full_bend(self, pd):
         path = bend_path(pd, theta_final=2 * math.pi, steps=2)
         choice = "attracting"
         with pytest.raises(AngleUnwrapFailure):
-            central_difference_derivative(path, 0.5, choice, conv)
+            central_difference_derivative(path, 0.5, choice)
         with pytest.raises(AngleUnwrapFailure):
-            schlafli_derivative(path, 0.5, choice, conv)
+            schlafli_derivative(path, 0.5, choice)
 
 
 class TestIntegrate:
-    def test_pure_bend_closed_form(self, pd, conv):
+    def test_pure_bend_closed_form(self, pd):
         result = integrate_volume_change(bend_path(pd),
-                                         "attracting", conv)
+                                         "attracting")
         assert result.delta_v == pytest.approx(0.5, rel=1e-10)
         assert result.steps == 64
         assert len(result.per_step) == 64
@@ -398,57 +413,46 @@ class TestIntegrate:
                                                       abs=1e-14)
         assert result.cumulative[0] == 0.0
 
-    def test_reversal_negates(self, pd, conv):
+    def test_reversal_negates(self, pd):
         path = path_from_parameters(
             pd, lambda t: (2.0 + 0.3 * t, 1.7, 2.3),
             lambda t: (0.3 + 0.5j * t, 0.1, 0.2), steps=16)
         choice = "attracting"
-        fwd = integrate_volume_change(path, choice, conv)
-        back = integrate_volume_change(path.reversed(), choice, conv)
+        fwd = integrate_volume_change(path, choice)
+        back = integrate_volume_change(path.reversed(), choice)
         assert back.delta_v == pytest.approx(-fwd.delta_v, abs=1e-12)
 
-    def test_unknown_endpoint_label_rejected(self, pd, conv):
+    def test_unknown_endpoint_label_rejected(self, pd):
         rep = fenchel_nielsen_rep(pd, (2.0, 1.7, 2.3), (0.3, 0.1, 0.2))
         with pytest.raises(PleatbendError,
                            match="unknown endpoint label 'sideways'"):
             realize(rep, pd, "sideways")
         with pytest.raises(PleatbendError,
                            match="unknown endpoint label 'sideways'"):
-            integrate_volume_change(bend_path(pd, steps=4), "sideways", conv)
+            integrate_volume_change(bend_path(pd, steps=4), "sideways")
 
-    def test_start_dict_lacking_a_cuff_rejected(self, pd, conv):
+    def test_start_dict_lacking_a_cuff_rejected(self, pd):
         path = bend_path(pd, steps=4)
         zeta = resolve_endpoints(path.rep(0), pd, "attracting")
         del zeta["a1"]
         for call in (lambda: realize(path.rep(0), pd, zeta),
                      lambda: track_endpoints(path.rep(1), pd, zeta),
-                     lambda: integrate_volume_change(path, zeta, conv),
-                     lambda: angle_series(path, zeta, conv),
-                     lambda: schlafli_derivative(path, path.ts[2], zeta,
-                                                 conv)):
+                     lambda: integrate_volume_change(path, zeta),
+                     lambda: angle_series(path, zeta),
+                     lambda: schlafli_derivative(path, path.ts[2], zeta)):
             with pytest.raises(PleatbendError) as got:
                 call()
             assert (type(got.value), str(got.value)) == (
                 PleatbendError, "start endpoints lack cuffs ['a1']")
 
-    @pytest.mark.parametrize("entry", [
-        "bending_data", "truncated_length", "integrate_volume_change",
-        "angle_series", "schlafli_derivative", "vol_gamma"])
+    @pytest.mark.parametrize("entry", ["bending_data", "truncated_length"])
     def test_scales_lacking_a_cuff_rejected(self, pd, entry):
         # a convention without a scale for w1 is refused, naming it
-        path = bend_path(pd, steps=4)
+        real = realize(bend_path(pd, steps=4).rep(0), pd)
         conv = TruncationConvention(scales={"a1": 1.0, "a2": 1.0})
         call = {
-            "bending_data": lambda: bending_data(realize(path.rep(0), pd),
-                                                 conv),
-            "truncated_length": lambda: truncated_length(
-                realize(path.rep(0), pd), (0, 0), conv),
-            "integrate_volume_change": lambda: integrate_volume_change(
-                path, "attracting", conv),
-            "angle_series": lambda: angle_series(path, "attracting", conv),
-            "schlafli_derivative": lambda: schlafli_derivative(
-                path, path.ts[2], "attracting", conv),
-            "vol_gamma": lambda: vol_gamma(path, conv),
+            "bending_data": lambda: bending_data(real, conv),
+            "truncated_length": lambda: truncated_length(real, (0, 0), conv),
         }[entry]
         with pytest.raises(PleatbendError) as got:
             call()
@@ -457,53 +461,82 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("scale, need", [
         (math.nan, "finite"), (math.inf, "finite"), (-1.0, "positive")])
-    @pytest.mark.parametrize("entry", [
-        "bending_data", "integrate_volume_change", "vol_gamma"])
+    @pytest.mark.parametrize("entry", ["bending_data", "truncated_length"])
     def test_scale_not_finite_and_positive_rejected(self, pd, entry, scale,
                                                      need):
         # a NaN or infinite scale made every truncated length NaN; it is
         # refused, as a non-positive one is, naming the first cuff
-        path = bend_path(pd, steps=4)
+        real = realize(bend_path(pd, steps=4).rep(0), pd)
         conv = TruncationConvention.uniform(pd, scale)
         call = {
-            "bending_data": lambda: bending_data(realize(path.rep(0), pd),
-                                                 conv),
-            "integrate_volume_change": lambda: integrate_volume_change(
-                path, "attracting", conv),
-            "vol_gamma": lambda: vol_gamma(path, conv),
+            "bending_data": lambda: bending_data(real, conv),
+            "truncated_length": lambda: truncated_length(real, (0, 0), conv),
         }[entry]
         with pytest.raises(PleatbendError) as got:
             call()
         assert (type(got.value), str(got.value)) == (
             PleatbendError, f"horoball scale for 'a1' must be {need}")
 
-    def test_rescaling_a_missing_cuff_rejected(self, pd, conv):
+    @pytest.mark.parametrize("scale", [1e160, 1e-308])
+    @pytest.mark.parametrize("entry", ["bending_data", "truncated_length"])
+    def test_scale_past_the_float_range_rejected(self, pd, entry, scale):
+        # a finite positive scale whose witness height leaves the float
+        # range made a leaf length NaN or -inf; the truncation refuses it
+        real = realize(bend_path(pd, steps=4).rep(0), pd)
+        conv = TruncationConvention.uniform(pd, scale)
+        call = {
+            "bending_data": lambda: bending_data(real, conv),
+            "truncated_length": lambda: truncated_length(real, (0, 0), conv),
+        }[entry]
+        with pytest.raises(DegenerateConfiguration) as got:
+            call()
+        assert str(got.value) == (
+            "horoball truncation left the float range: the truncated "
+            "length of leaf (0, 0) is not finite")
+
+    def test_convention_in_the_old_position_is_an_arity_error(self, pd):
+        # steps and eps_class are keyword-only, so a convention passed
+        # where the ΔV entry points once took one cannot bind to them
+        path = bend_path(pd, steps=4)
+        conv = TruncationConvention.uniform(pd)
+        for call in (lambda: integrate_volume_change(path, "attracting",
+                                                     conv),
+                     lambda: angle_series(path, "attracting", conv),
+                     lambda: schlafli_derivative(path, path.ts[2],
+                                                 "attracting", conv),
+                     lambda: vol_gamma(path, conv),
+                     lambda: loop_defect(path, conv)):
+            with pytest.raises(TypeError, match="positional argument"):
+                call()
+
+    def test_rescaling_a_missing_cuff_rejected(self, pd):
+        conv = TruncationConvention.uniform(pd)
         with pytest.raises(PleatbendError) as got:
             conv.rescaled("zz", 2.0)
         assert (type(got.value), str(got.value)) == (
             PleatbendError, "truncation scales lack cuffs ['zz']")
         assert conv.rescaled("a1", 2.0).scales == {**conv.scales, "a1": 2.0}
 
-    def test_constant_path_is_zero(self, pd, conv):
+    def test_constant_path_is_zero(self, pd):
         from pleatbend import fenchel_nielsen_rep
         rep = fenchel_nielsen_rep(pd, (2.0, 1.7, 2.3), (0.3, 0.1, 0.2))
         path = path_from_reps([rep] * 5, pd=pd)
-        result = integrate_volume_change(path, "attracting", conv)
+        result = integrate_volume_change(path, "attracting")
         assert result.delta_v == 0.0
 
-    def test_step_subsampling(self, pd, conv):
+    def test_step_subsampling(self, pd):
         path = bend_path(pd)
         choice = "attracting"
-        full = integrate_volume_change(path, choice, conv)
-        half = integrate_volume_change(path, choice, conv, steps=32)
+        full = integrate_volume_change(path, choice)
+        half = integrate_volume_change(path, choice, steps=32)
         assert half.steps == 32
         assert half.delta_v == pytest.approx(full.delta_v, rel=1e-9)
         with pytest.raises(PleatbendError):
-            integrate_volume_change(path, choice, conv, steps=3)
+            integrate_volume_change(path, choice, steps=3)
         with pytest.raises(PleatbendError):
-            integrate_volume_change(path, choice, conv, steps=1)
+            integrate_volume_change(path, choice, steps=1)
 
-    def test_error_estimate_brackets_refinement(self, pd, conv):
+    def test_error_estimate_brackets_refinement(self, pd):
         # varying lengths keep Simpson from being exact, so the
         # Richardson estimate has something real to measure
         def make(steps):
@@ -511,44 +544,43 @@ class TestIntegrate:
                 pd, lambda t: (2.0 + 0.4 * math.sin(t), 1.7, 2.3),
                 lambda t: (0.3 + 0.6j * t * t, 0.1, 0.2), steps=steps)
         choice = "attracting"
-        coarse = integrate_volume_change(make(16), choice, conv)
-        fine = integrate_volume_change(make(64), choice, conv)
+        coarse = integrate_volume_change(make(16), choice)
+        fine = integrate_volume_change(make(64), choice)
         assert not math.isnan(coarse.error_estimate)
         assert coarse.error_estimate < 1e-6
         assert abs(coarse.delta_v - fine.delta_v) < \
             10 * coarse.error_estimate + 1e-12
 
-    def test_error_estimate_nan_on_odd_interval_count(self, pd, conv):
+    def test_error_estimate_nan_on_odd_interval_count(self, pd):
         path = bend_path(pd, steps=5)
-        result = integrate_volume_change(path, "attracting", conv)
+        result = integrate_volume_change(path, "attracting")
         assert math.isnan(result.error_estimate)
 
-    def test_error_estimate_nan_when_subsample_fails_to_unwrap(self, pd,
-                                                               conv):
+    def test_error_estimate_nan_when_subsample_fails_to_unwrap(self, pd):
         # fine steps of pi/2 unwrap; the coarse step of pi does not
         path = bend_path(pd, theta_final=2 * math.pi, steps=4)
-        result = integrate_volume_change(path, "attracting", conv)
+        result = integrate_volume_change(path, "attracting")
         assert result.delta_v == pytest.approx(2 * math.pi, rel=1e-9)
         assert math.isnan(result.error_estimate)
-        rows = vol_gamma(path, conv).results
+        rows = vol_gamma(path).results
         assert len(rows) == 8
         for r in rows:
             assert math.isfinite(r.delta_v)
             assert math.isnan(r.error_estimate)
 
-    def test_additivity_at_even_splits(self, pd, conv):
+    def test_additivity_at_even_splits(self, pd):
         choice = "attracting"
         whole = integrate_volume_change(
             path_from_parameters(
                 pd, lambda t: (2.0 + 0.3 * t, 1.7, 2.3),
-                lambda t: (0.3 + 0.5j * t, 0.1, 0.2), steps=32), choice, conv)
+                lambda t: (0.3 + 0.5j * t, 0.1, 0.2), steps=32), choice)
         pieces = []
         for t0, t1 in ((0.0, 0.5), (0.5, 1.0)):
             pieces.append(integrate_volume_change(
                 path_from_parameters(
                     pd, lambda t: (2.0 + 0.3 * t, 1.7, 2.3),
                     lambda t: (0.3 + 0.5j * t, 0.1, 0.2),
-                    steps=16, t0=t0, t1=t1), choice, conv))
+                    steps=16, t0=t0, t1=t1), choice))
         assert sum(p.delta_v for p in pieces) == pytest.approx(
             whole.delta_v, abs=5e-10)
 
@@ -680,55 +712,55 @@ class TestVolGamma:
     def test_orientation_count(self, pd):
         assert len(list(enumerate_orientations(pd))) == 8
 
-    def test_bend_contributions_cancel(self, pd, conv):
-        assert abs(vol_gamma(bend_path(pd, steps=16), conv).total) < 1e-10
+    def test_bend_contributions_cancel(self, pd):
+        assert abs(vol_gamma(bend_path(pd, steps=16)).total) < 1e-10
 
-    def test_fuchsian_path_is_flat(self, pd, conv):
+    def test_fuchsian_path_is_flat(self, pd):
         path = path_from_parameters(
             pd, lambda t: (2.0 + 0.2 * t, 1.7, 2.3),
             lambda t: (0.3 + 0.4 * t, 0.1, 0.2), steps=8)
-        assert abs(vol_gamma(path, conv).total) < 1e-10
+        assert abs(vol_gamma(path).total) < 1e-10
 
-    def test_elliptic_start_rejected(self, pd, conv):
+    def test_elliptic_start_rejected(self, pd):
         path = path_from_parameters(
             pd, lambda t: (0.8j + 1.5 * t * t, 1.7, 2.3),
             lambda t: (0.3, 0.1, 0.2), steps=8)
         with pytest.raises(OrientationTrackingFailure):
-            vol_gamma(path, conv).total
+            vol_gamma(path).total
 
-    def test_steps_checked_before_the_start(self, pd, conv):
+    def test_steps_checked_before_the_start(self, pd):
         # the start cuff is elliptic and 3 steps do not divide 8: the
         # steps error is raised first, as integrate_volume_change does
         path = path_from_parameters(
             pd, lambda t: (0.8j + 1.5 * t * t, 1.7, 2.3),
             lambda t: (0.3, 0.1, 0.2), steps=8)
         with pytest.raises(PleatbendError, match="cannot take 3 steps"):
-            vol_gamma(path, conv, steps=3)
+            vol_gamma(path, steps=3)
 
 
 class TestLoopDefect:
-    def test_retraced_path(self, pd, conv):
+    def test_retraced_path(self, pd):
         fwd = bend_path(pd, theta_final=0.25, steps=16)
         ts = fwd.ts + tuple(2.0 - t for t in reversed(fwd.ts[:-1]))
         reps = fwd.reps + tuple(reversed(fwd.reps[:-1]))
         loop = path_from_reps(reps, ts=ts, pd=pd)
-        report = loop_defect(loop, conv)
+        report = loop_defect(loop)
         assert abs(report.defect) < 1e-10
         assert report.fingerprint_distance < 1e-12
 
-    def test_full_bend_loop(self, pd, conv):
+    def test_full_bend_loop(self, pd):
         loop = bend_path(pd, theta_final=2 * math.pi, steps=64)
-        report = loop_defect(loop, conv)
+        report = loop_defect(loop)
         assert abs(report.defect) < 1e-8
 
-    def test_open_path_rejected(self, pd, conv):
+    def test_open_path_rejected(self, pd):
         with pytest.raises(EndpointsMismatch):
-            loop_defect(bend_path(pd, steps=16), conv)
+            loop_defect(bend_path(pd, steps=16))
 
-    def test_no_estimate_is_nan(self, pd, conv):
+    def test_no_estimate_is_nan(self, pd):
         # at 15 steps no orientation has an error estimate, and the sum
         # of none of them is no estimate, not an exact one
-        report = loop_defect(genus2_loop(pd, steps=15), conv)
+        report = loop_defect(genus2_loop(pd, steps=15))
         assert math.isfinite(report.defect)
         assert math.isnan(report.error_estimate)
 
@@ -736,49 +768,47 @@ class TestLoopDefect:
 class TestVolGammaOracle:
     """vol_gamma against integrating every orientation separately."""
 
-    def test_genus2_loop(self, pd, conv):
+    def test_genus2_loop(self, pd):
         loop = genus2_loop(pd)
-        want = brute_force(loop, conv)
+        want = brute_force(loop)
         # nonzero rows, so a term read under the wrong endpoints shows
         assert max(abs(w.delta_v) for w in want) > 1e-3
-        got = vol_gamma(loop, conv)
+        got = vol_gamma(loop)
         assert_identical(got, want)
         assert got.total == pytest.approx(7.80e-3, abs=5e-6)
-        report = loop_defect(loop, conv)
+        report = loop_defect(loop)
         err = 0.0
         for w in want:
             if not math.isnan(w.error_estimate):
                 err += w.error_estimate
         assert report.defect == got.total
         assert report.error_estimate == err
-        assert vol_gamma(loop, conv).total == got.total
+        assert vol_gamma(loop).total == got.total
 
-    def test_pure_bend(self, pd, conv):
+    def test_pure_bend(self, pd):
         path = bend_path(pd, steps=16)
-        assert_identical(vol_gamma(path, conv), brute_force(path, conv))
+        assert_identical(vol_gamma(path), brute_force(path))
 
     @pytest.mark.parametrize("steps", [None, 4])
     def test_genus3(self, steps):
         path = genus3_path(lambda t: 2.0 + 0.1j * t, steps=8)
-        conv = TruncationConvention.uniform(path.pd)
-        want = brute_force(path, conv, steps=steps)
+        want = brute_force(path, steps=steps)
         assert len(want) == 64
-        assert_identical(vol_gamma(path, conv, steps=steps), want)
+        assert_identical(vol_gamma(path, steps=steps), want)
 
     def test_tracking_failure_parity(self):
         # a1 at 2 + 0.3i sin 2 pi t closes the fixed-point gap of cuff
         # a2 to 0.0065, and tracking it fails
         path = genus3_path(lambda t: 2 + 0.3j * math.sin(turn(t)), steps=16)
-        conv = TruncationConvention.uniform(path.pd)
         with pytest.raises(OrientationTrackingFailure) as oracle:
-            brute_force(path, conv)
+            brute_force(path)
         with pytest.raises(OrientationTrackingFailure) as pipeline:
-            vol_gamma(path, conv)
+            vol_gamma(path)
         assert "'a2'" in str(oracle.value)
         assert "gap of 0.0065" in str(oracle.value)
         assert str(pipeline.value) == str(oracle.value)
 
-    def test_later_failure_of_first_orientation_wins(self, pd, conv):
+    def test_later_failure_of_first_orientation_wins(self, pd):
         # on this coarse conjugation circle the repelling endpoint of a2
         # loses track before the attracting one does; integrating
         # orientation by orientation reports the all-forward failure
@@ -793,9 +823,9 @@ class TestVolGammaOracle:
                                                    m[1, 0], m[1, 1])))
         loop = path_from_reps(reps, ts=ts, pd=pd)
         with pytest.raises(OrientationTrackingFailure) as oracle:
-            brute_force(loop, conv)
+            brute_force(loop)
         with pytest.raises(OrientationTrackingFailure) as pipeline:
-            vol_gamma(loop, conv)
+            vol_gamma(loop)
         assert str(pipeline.value) == str(oracle.value)
 
 
@@ -885,21 +915,20 @@ class PassWork:
 class TestSampleWork:
     """How much work the sample pipeline does per path sample."""
 
-    def test_each_word_evaluated_once_per_sample(self, pd, conv,
+    def test_each_word_evaluated_once_per_sample(self, pd,
                                                  monkeypatch):
         path = bend_path(pd, steps=8)
-        want = integrate_volume_change(path, "attracting", conv)
+        want = integrate_volume_change(path, "attracting")
         work = PassWork(monkeypatch)
-        got = integrate_volume_change(path, "attracting", conv)
+        got = integrate_volume_change(path, "attracting")
         work.assert_words_evaluated_once(path)
         assert got == want
 
     def test_each_pants_pattern_placed_once_per_sample(self, monkeypatch):
         path = genus3_path(lambda t: 2.0 + 0.1j * t, steps=8)
-        conv = TruncationConvention.uniform(path.pd)
-        want = vol_gamma(path, conv)
+        want = vol_gamma(path)
         work = PassWork(monkeypatch)
-        got = vol_gamma(path, conv)
+        got = vol_gamma(path)
         # one placement; with two endpoint chains, pants p is placed at
         # its 2^k patterns of chains (k cuffs), each a row over samples
         [geometry] = work.placed
@@ -913,10 +942,9 @@ class TestSampleWork:
     def test_vol_gamma_evaluates_each_word_once_per_sample(self,
                                                            monkeypatch):
         path = genus3_path(lambda t: 2.0 + 0.1j * t, steps=8)
-        conv = TruncationConvention.uniform(path.pd)
-        want = vol_gamma(path, conv)
+        want = vol_gamma(path)
         work = PassWork(monkeypatch)
-        got = vol_gamma(path, conv)
+        got = vol_gamma(path)
         work.assert_words_evaluated_once(path)
         assert_identical(got, want.results)
 
@@ -949,7 +977,7 @@ class TestSampleWork:
         for path in (bend_path(standard_decomposition(2), steps=8),
                      genus3_path(lambda t: 2.0 + 0.1j * t, steps=8)):
             calls.clear()
-            vol_gamma(path, TruncationConvention.uniform(path.pd))
+            vol_gamma(path)
             counts.append(dict(calls))
         assert counts[1] == counts[0]
         # one selection per endpoint chain, every other stage once
@@ -965,16 +993,15 @@ class TestSampleWork:
         # the pipeline reads points as arrays, and vol_gamma's two chains
         # start from the labels: no ProjectivePoint is made
         path = genus3_path(lambda t: 2.0 + 0.1j * t, steps=8)
-        conv = TruncationConvention.uniform(path.pd)
         work = PassWork(monkeypatch)
         if run == "volume-path":
-            integrate_volume_change(path, "attracting", conv)
+            integrate_volume_change(path, "attracting")
         else:
-            vol_gamma(path, conv)
+            vol_gamma(path)
         assert work.constructed == []
         assert work.wrapped == []
 
-    def test_lamination_built_once_per_call(self, pd, conv, monkeypatch):
+    def test_lamination_built_once_per_call(self, pd, monkeypatch):
         calls = []
         build = topology.build_lamination
 
@@ -988,7 +1015,7 @@ class TestSampleWork:
                     and getattr(module, "build_lamination", None) is build):
                 monkeypatch.setattr(module, "build_lamination", counting)
         path = bend_path(pd, steps=4)
-        integrate_volume_change(path, "attracting", conv)
+        integrate_volume_change(path, "attracting")
         assert calls == [pd]
-        vol_gamma(path, conv)
+        vol_gamma(path)
         assert calls == [pd, pd]
