@@ -23,7 +23,7 @@ import math
 import sys
 
 from .errors import PleatbendError
-from .moebius import EPS_CLASS, _complex_length, _fixed_points, classify
+from .moebius import _complex_length, _fixed_points, classify
 from .pleated import TruncationConvention, bending_data, realize
 from .representation import (conjugacy_residual, evaluate_word,
                              finite_trace_squared, jacobian_rank, load_path,
@@ -83,13 +83,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
     for w in args.words:
         m = evaluate_word(rep, w)
         tau = finite_trace_squared(w, m)
-        kind = classify(m, eps_class=args.tolerance)
+        kind = classify(m)
         try:
             lam = _cnum(_complex_length(m, kind))
         except PleatbendError:
             lam = "-"
         try:
-            fps = [_point(p) for p in _fixed_points(m, kind, args.tolerance)]
+            fps = [_point(p) for p in _fixed_points(m, kind)]
         except PleatbendError:
             fps = ["-", "-"]
         rows.append({"word": w, "class": str(kind), "trace_squared": _cnum(tau),
@@ -116,7 +116,7 @@ def _load_surface(args: argparse.Namespace):
 def cmd_pleat(args: argparse.Namespace) -> int:
     rep = load_rep(args.input)
     pd, _ = _load_surface(args)
-    real = realize(rep, pd, args.endpoints, eps_class=args.tolerance)
+    real = realize(rep, pd, args.endpoints)
     payload = {
         "cuff_lengths": {c: _cnum(v) for c, v in real.cuff_lengths.items()},
         "vertices": {str(p): [_point(q) for q in triple]
@@ -136,7 +136,7 @@ def cmd_pleat(args: argparse.Namespace) -> int:
 def cmd_bend(args: argparse.Namespace) -> int:
     rep = load_rep(args.input)
     pd, _ = _load_surface(args)
-    real = realize(rep, pd, args.endpoints, eps_class=args.tolerance)
+    real = realize(rep, pd, args.endpoints)
     conv = TruncationConvention.uniform(pd, args.horoball)
     data = bending_data(real, conv)
     rows = []
@@ -173,8 +173,7 @@ def _load_pathfile(args: argparse.Namespace):
 
 def cmd_volume_path(args: argparse.Namespace) -> int:
     path = _load_pathfile(args)
-    result = integrate_volume_change(path, args.endpoints, steps=args.steps,
-                                     eps_class=args.tolerance)
+    result = integrate_volume_change(path, args.endpoints, steps=args.steps)
     if args.format == "json":
         payload = {
             "delta_v": _num(result.delta_v),
@@ -201,7 +200,7 @@ def cmd_volume_path(args: argparse.Namespace) -> int:
 
 def cmd_vol_gamma(args: argparse.Namespace) -> int:
     path = _load_pathfile(args)
-    summed = vol_gamma(path, steps=args.steps, eps_class=args.tolerance)
+    summed = vol_gamma(path, steps=args.steps)
     per_orientation = [("".join("+" if b else "-" for b in ori.forward), r)
                        for ori, r in zip(summed.orientations, summed.results)]
     total = summed.total
@@ -235,7 +234,7 @@ def cmd_vol_gamma(args: argparse.Namespace) -> int:
 
 def cmd_loop_defect(args: argparse.Namespace) -> int:
     path = _load_pathfile(args)
-    report = loop_defect(path, eps_class=args.tolerance)
+    report = loop_defect(path)
     verdict = "PASS" if abs(report.defect) < LOOP_TOL else "FAIL"
     if args.format == "json":
         _emit(args, _json_dump({
@@ -324,13 +323,12 @@ def cmd_plot(args: argparse.Namespace) -> int:
         raise _ParseFailure("--steps is not read with --quantity angles")
     path = _load_pathfile(args)
     if args.quantity == "angles":
-        angles = angle_series(path, args.endpoints, eps_class=args.tolerance)
+        angles = angle_series(path, args.endpoints)
         series = {f"angle[{c.id}]": angles[c.id] for c in path.pd.cuffs}
         svg = _svg_plot(path.ts, series, "t", "bending angle")
     else:
         result = integrate_volume_change(path, args.endpoints,
-                                         steps=args.steps,
-                                         eps_class=args.tolerance)
+                                         steps=args.steps)
         svg = _svg_plot(result.ts, {"dV": result.cumulative},
                         "t", "cumulative dV")
     _emit(args, svg)
@@ -403,7 +401,7 @@ def _word_list(text: str) -> tuple[str, ...]:
 
 
 def _finite_positive(text: str) -> float:
-    """A tolerance or a horoball scale, which must be finite and > 0."""
+    """A horoball scale, which must be finite and > 0."""
     try:
         value = float(text)
     except ValueError:
@@ -419,7 +417,6 @@ _OPTIONS = {
     "inclusion": {"help": "document carrying a boundary inclusion"},
     "words": {"type": _word_list, "default": (),
               "help": "comma-separated word list"},
-    "tolerance": {"type": _finite_positive, "default": EPS_CLASS},
     "endpoints": {"default": "attracting",
                   "choices": ("attracting", "repelling")},
     "horoball": {"type": _finite_positive, "default": 1.0,
@@ -432,20 +429,17 @@ _OPTIONS = {
 # subcommand: (function, options it reads besides --input and --output,
 # formats it writes)
 _COMMANDS = {
-    "classify": (cmd_classify, ("words", "tolerance"), ("text", "json")),
-    "pleat": (cmd_pleat, ("pd", "tolerance", "endpoints"), ("text", "json")),
-    "bend": (cmd_bend, ("pd", "tolerance", "endpoints", "horoball"),
+    "classify": (cmd_classify, ("words",), ("text", "json")),
+    "pleat": (cmd_pleat, ("pd", "endpoints"), ("text", "json")),
+    "bend": (cmd_bend, ("pd", "endpoints", "horoball"),
              ("text", "json", "csv")),
-    "volume-path": (cmd_volume_path,
-                    ("pd", "tolerance", "endpoints", "steps"),
+    "volume-path": (cmd_volume_path, ("pd", "endpoints", "steps"),
                     ("text", "json", "csv")),
-    "vol-gamma": (cmd_vol_gamma, ("pd", "tolerance", "steps"),
-                  ("text", "json", "csv")),
-    "loop-defect": (cmd_loop_defect, ("pd", "tolerance"), ("text", "json")),
+    "vol-gamma": (cmd_vol_gamma, ("pd", "steps"), ("text", "json", "csv")),
+    "loop-defect": (cmd_loop_defect, ("pd",), ("text", "json")),
     "peripheral": (cmd_peripheral, ("inclusion",), ("text", "json", "csv")),
     "rank": (cmd_rank, ("inclusion",), ("text", "json")),
-    "plot": (cmd_plot, ("pd", "tolerance", "endpoints", "steps", "quantity"),
-             ()),
+    "plot": (cmd_plot, ("pd", "endpoints", "steps", "quantity"), ()),
 }
 
 

@@ -36,7 +36,6 @@ from .errors import (
     DegenerateConfiguration,
     DegenerateLength,
     IdentityMap,
-    PleatbendError,
     SingularMatrix,
 )
 
@@ -368,20 +367,20 @@ class MoebiusArray:
                                else (plus + p, minus + m))
             return np.sqrt(np.where(minus < plus, minus, plus))
 
-    def classify(self, eps_class: float) -> np.ndarray:
+    def classify(self) -> np.ndarray:
         """classify at every sample, as an index into KINDS, or -1 where
         tr^2 is not finite (where classify raises SingularMatrix)."""
         t2r, t2i = self.trace_squared()
-        identity = self.distance_to_identity() < eps_class
+        identity = self.distance_to_identity() < EPS_CLASS
         with np.errstate(all="ignore"):
-            parabolic = np.hypot(t2r - 4.0, t2i) < eps_class
-            elliptic = ((np.abs(t2i) < eps_class) & (-eps_class < t2r)
+            parabolic = np.hypot(t2r - 4.0, t2i) < EPS_CLASS
+            elliptic = ((np.abs(t2i) < EPS_CLASS) & (-EPS_CLASS < t2r)
                         & (t2r < 4.0))
         kinds = np.select([identity, parabolic, elliptic], [0, 1, 2], 3)
         kinds[~(np.isfinite(t2r) & np.isfinite(t2i))] = -1
         return kinds
 
-    def fixed_points(self, eps_class: float) -> tuple:
+    def fixed_points(self) -> tuple:
         """_fixed_points at every sample of a map that is elliptic or
         loxodromic there: (first, second) PointArrays, attracting first,
         and the two masks where their ProjectivePoint would raise.  At
@@ -395,7 +394,7 @@ class MoebiusArray:
             plus = (tr[0] + disc.real) / 2.0, (tr[1] + disc.imag) / 2.0
             minus = (tr[0] - disc.real) / 2.0, (tr[1] - disc.imag) / 2.0
             big_p, big_m = np.hypot(*plus), np.hypot(*minus)
-            by_modulus = np.abs(big_p - big_m) > eps_class
+            by_modulus = np.abs(big_p - big_m) > EPS_CLASS
             plus_first = np.where(by_modulus, big_p > big_m,
                                   plus[1] > minus[1])
             first = [np.where(plus_first, u, v) for u, v in zip(plus, minus)]
@@ -645,39 +644,29 @@ KINDS = (IsometryClass.IDENTITY, IsometryClass.PARABOLIC,
          IsometryClass.ELLIPTIC, IsometryClass.LOXODROMIC)
 
 
-def classify(m: MoebiusMap, eps_class: float = EPS_CLASS) -> str:
-    """Isometry type by squared trace.
+def classify(m: MoebiusMap) -> str:
+    """Isometry type by squared trace, at the tolerance EPS_CLASS.
 
-    Precedence: identity, parabolic (|tr^2 - 4| < eps_class), elliptic
-    (tr^2 real within eps_class and 0 <= Re tr^2 < 4), else loxodromic.
-    Values of tr^2 within eps_class of the boundary point 4 therefore
+    Precedence: identity, parabolic (|tr^2 - 4| < EPS_CLASS), elliptic
+    (tr^2 real within EPS_CLASS and 0 <= Re tr^2 < 4), else loxodromic.
+    Values of tr^2 within EPS_CLASS of the boundary point 4 therefore
     classify as parabolic even when they sit on the elliptic segment.
     A map whose tr^2 is not finite has no type and raises
-    SingularMatrix.  An eps_class that is NaN, infinite or not positive
-    raises PleatbendError.
+    SingularMatrix.
     """
-    _check_eps_class(eps_class)
-    return _classify(m, m.distance_to(_IDENTITY), eps_class)
+    return _classify(m, m.distance_to(_IDENTITY))
 
 
-def _check_eps_class(eps_class: float) -> None:
-    """Raise PleatbendError for an eps_class that is NaN, infinite or not
-    positive, at which no "within eps_class" guard could trip."""
-    if not 0 < eps_class < math.inf:
-        raise PleatbendError("classification tolerance must be finite and "
-                             f"positive, got {eps_class!r}")
-
-
-def _classify(m: MoebiusMap, distance: float, eps_class: float) -> str:
+def _classify(m: MoebiusMap, distance: float) -> str:
     """classify of a map whose distance_to the identity is distance."""
     t2 = trace_squared(m)
     if not cmath.isfinite(t2):
         raise SingularMatrix(f"squared trace {t2} is not finite")
-    if distance < eps_class:
+    if distance < EPS_CLASS:
         return IsometryClass.IDENTITY
-    if abs(t2 - 4.0) < eps_class:
+    if abs(t2 - 4.0) < EPS_CLASS:
         return IsometryClass.PARABOLIC
-    if abs(t2.imag) < eps_class and -eps_class < t2.real < 4.0:
+    if abs(t2.imag) < EPS_CLASS and -EPS_CLASS < t2.real < 4.0:
         return IsometryClass.ELLIPTIC
     return IsometryClass.LOXODROMIC
 
@@ -696,7 +685,7 @@ def _eigenvector(m: MoebiusMap, mu: complex) -> tuple[complex, complex]:
     return v1 if n1 >= n2 else v2
 
 
-def fixed_points(m: MoebiusMap, eps_class: float = EPS_CLASS):
+def fixed_points(m: MoebiusMap):
     """Fixed points on the sphere, attracting first.
 
     Returns a pair (p, q) of ProjectivePoints for non-parabolic maps and
@@ -704,21 +693,20 @@ def fixed_points(m: MoebiusMap, eps_class: float = EPS_CLASS):
     point carries the eigenvalue of larger modulus; for elliptic maps,
     where the moduli tie, the first point is the one whose eigenvalue
     (of the stored lift) has positive imaginary part.  That tie-break is
-    deterministic but depends on the stored sign of the lift.  eps_class
-    is checked as classify checks it.
+    deterministic but depends on the stored sign of the lift.
     """
-    return _fixed_points(m, classify(m, eps_class), eps_class)
+    return _fixed_points(m, classify(m))
 
 
-def _fixed_points(m: MoebiusMap, kind: str, eps_class: float):
+def _fixed_points(m: MoebiusMap, kind: str):
     """fixed_points of a map already classified as kind."""
-    pairs = _fixed_pairs(m, kind, eps_class)
+    pairs = _fixed_pairs(m, kind)
     if len(pairs) == 1:
         return ProjectivePoint._raw(*pairs[0]), None
     return tuple(ProjectivePoint._raw(*p) for p in pairs)
 
 
-def _fixed_pairs(m: MoebiusMap, kind: str, eps_class: float) -> tuple:
+def _fixed_pairs(m: MoebiusMap, kind: str) -> tuple:
     """The fixed points of _fixed_points as unit (z1, z2) pairs, one for
     a parabolic map and two, attracting first, otherwise."""
     if kind == IsometryClass.IDENTITY:
@@ -731,7 +719,7 @@ def _fixed_pairs(m: MoebiusMap, kind: str, eps_class: float) -> tuple:
     mu_plus = (tr + disc) / 2.0
     mu_minus = (tr - disc) / 2.0
     big_plus, big_minus = abs(mu_plus), abs(mu_minus)
-    if abs(big_plus - big_minus) > eps_class:
+    if abs(big_plus - big_minus) > EPS_CLASS:
         plus_first = big_plus > big_minus
     else:
         plus_first = mu_plus.imag > mu_minus.imag
@@ -757,16 +745,16 @@ def reduce_angle_array(x: np.ndarray) -> np.ndarray:
     return np.where(y <= -math.pi, y + _TWO_PI, y)
 
 
-def complex_length(m: MoebiusMap, eps_class: float = EPS_CLASS) -> complex:
+def complex_length(m: MoebiusMap) -> complex:
     """Complex translation length lambda, with 4 cosh^2(lambda/2) = tr^2.
 
     Normalized so that Re(lambda) >= 0 and Im(lambda) lies in (-pi, pi].
     For elliptic maps the real part is exactly 0 (the rotation collapses
     the translation part) and the sign of the imaginary part follows the
     stored lift of the matrix.  Parabolic and identity inputs raise
-    DegenerateLength; eps_class is checked as classify checks it.
+    DegenerateLength.
     """
-    return _complex_length(m, classify(m, eps_class))
+    return _complex_length(m, classify(m))
 
 
 def _complex_length(m: MoebiusMap, kind: str) -> complex:

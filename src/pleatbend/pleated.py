@@ -56,16 +56,16 @@ from .errors import (DegenerateConfiguration, DegenerateTriangle,
                      OrientationTrackingFailure, PleatbendError,
                      SampleEvaluationFailure, SingularMatrix)
 from .moebius import (EPS_CLASS, EPS_NUM, KINDS, MoebiusArray, MoebiusMap,
-                      PointArray, ProjectivePoint, _abs2, _check_eps_class,
-                      _complex, _quot, chordal_array, cross_ratio_array,
-                      reduce_angle, reduce_angle_array, stack_points,
-                      trace_squared)
+                      PointArray, ProjectivePoint, _abs2, _complex, _quot,
+                      chordal_array, cross_ratio_array, reduce_angle,
+                      reduce_angle_array, stack_points, trace_squared)
 from .representation import Representation, _matrices_of, _word_images
 from .topology import (CuffCrossing, Lamination, LeafCrossing,
                        PantsDecomposition, TransverseArc, build_lamination,
                        invert_word)
 
 EPS_SEP = 1e-9
+_TINY = np.finfo(float).tiny   # the least normal float
 
 _LABELS = ("attracting", "repelling")
 _PAIRS = ((0, 1), (1, 2), (2, 0))    # slot pairs of check_adapted
@@ -92,22 +92,19 @@ class SampleImages:
     cuff_maps stacks the images of the cuff words, (2, 2, cuffs, n);
     kinds, (cuffs, n), and cuff_points, the first and second fixed
     points (cuffs, n) and the masks where their ProjectivePoints would
-    raise, are read off them at once, at eps_class, the classification
-    tolerance that the pass fixes for everything that reads it.
+    raise, are read off them at once, at EPS_CLASS, the classification
+    tolerance of every check.
     """
 
-    __slots__ = ("generators", "matrices", "pd", "eps_class", "words",
-                 "index", "stack", "rows", "traces", "ok", "cuff_maps",
-                 "kinds", "cuff_points")
+    __slots__ = ("generators", "matrices", "pd", "words", "index", "stack",
+                 "rows", "traces", "ok", "cuff_maps", "kinds", "cuff_points")
 
     def __init__(self, generators: tuple, matrices: np.ndarray,
-                 pd: PantsDecomposition, eps_class: float, words: list,
-                 stack: MoebiusArray, rows: list, traces: np.ndarray,
-                 ok: np.ndarray):
+                 pd: PantsDecomposition, words: list, stack: MoebiusArray,
+                 rows: list, traces: np.ndarray, ok: np.ndarray):
         self.generators = generators
         self.matrices = matrices
         self.pd = pd
-        self.eps_class = eps_class
         self.words = words
         self.index = {w: i for i, w in enumerate(words)}
         self.stack = stack
@@ -115,8 +112,8 @@ class SampleImages:
         self.traces = traces
         self.ok = ok
         self.cuff_maps = stack.take([self.index[c.word] for c in pd.cuffs])
-        self.kinds = self.cuff_maps.classify(eps_class)
-        self.cuff_points = self.cuff_maps.fixed_points(eps_class)
+        self.kinds = self.cuff_maps.classify()
+        self.cuff_points = self.cuff_maps.fixed_points()
 
     def __len__(self) -> int:
         return self.matrices.shape[3]
@@ -126,7 +123,7 @@ class SampleImages:
         at = slice(k, k + 1)
         stack = self.stack
         return SampleImages(self.generators, self.matrices[..., at], self.pd,
-                            self.eps_class, self.words,
+                            self.words,
                             MoebiusArray(stack.re[..., at], stack.im[..., at],
                                          stack.ok[..., at]),
                             self.rows, self.traces[at], self.ok[:, at])
@@ -148,8 +145,8 @@ class SampleImages:
             f"sample {k}: {what} is singular, overflows or is not finite")
 
 
-def sample_images(generators, matrices: np.ndarray, pd: PantsDecomposition,
-                  eps_class: float = EPS_CLASS) -> SampleImages:
+def sample_images(generators, matrices: np.ndarray,
+                  pd: PantsDecomposition) -> SampleImages:
     """The SampleImages of the samples matrices, the images of
     generators (2, 2, generators, n), by one array pass.
 
@@ -161,11 +158,8 @@ def sample_images(generators, matrices: np.ndarray, pd: PantsDecomposition,
     sample at which a value would raise in the scalar arithmetic is not
     raised here: its consumers raise SampleEvaluationFailure when they
     reach it, so they meet the failures of earlier samples first.
-    An eps_class that is NaN, infinite or not positive, at which no
-    "within eps_class" guard could trip, raises PleatbendError.
     """
-    _check_eps_class(eps_class)
-    return SampleImages(generators, matrices, pd, eps_class,
+    return SampleImages(generators, matrices, pd,
                         *_array_pass(generators, matrices, pd))
 
 
@@ -199,16 +193,10 @@ def _array_pass(generators, matrices: np.ndarray, pd: PantsDecomposition):
             np.concatenate([stack.ok, row_ok]))
 
 
-def _one_sample(rep: Representation | SampleImages, pd: PantsDecomposition,
-                eps_class: float = EPS_CLASS) -> SampleImages:
-    """rep itself if it is a SampleImages of one sample (which keeps its
-    own tolerance), else the one-sample pass at rep, classifying at
-    eps_class; raises the sample's evaluation failure."""
-    images = rep if isinstance(rep, SampleImages) else sample_images(
-        rep.generators, _matrices_of([rep]), pd, eps_class)
-    if len(images) != 1:
-        raise PleatbendError(
-            f"expected the images of one sample, got {len(images)}")
+def _one_sample(rep: Representation, pd: PantsDecomposition) -> SampleImages:
+    """The one-sample pass at rep; raises the sample's evaluation
+    failure."""
+    images = sample_images(rep.generators, _matrices_of([rep]), pd)
     failure = images.failure(0)
     if failure is not None:
         raise failure
@@ -402,7 +390,7 @@ def _points(pd: PantsDecomposition, chosen: PointArray,
 
 def _loxodromic_start(images: SampleImages) -> None:
     """Raise unless every cuff is loxodromic at the first sample of a
-    pass, at its tolerance, as an orientation's start endpoints need."""
+    pass, as an orientation's start endpoints need."""
     failures = _Failures()
     checks = _classified(images, images.kinds != _LOXODROMIC,
                          OrientationTrackingFailure, lambda cuff, kind:
@@ -415,10 +403,10 @@ def _loxodromic_start(images: SampleImages) -> None:
 
 
 def orientation_start_endpoints(ori, images: SampleImages) -> dict:
-    """Start selection of an orientation at the first sample of a pass,
-    at its classification tolerance: cuff id -> (zeta, other), the
-    attracting fixed point where ori is forward, the repelling one
-    elsewhere.  Every cuff must be loxodromic there."""
+    """Start selection of an orientation at the first sample of a pass:
+    cuff id -> (zeta, other), the attracting fixed point where ori is
+    forward, the repelling one elsewhere.  Every cuff must be
+    loxodromic there."""
     _loxodromic_start(images)
     first, second = (x[:, :1] for x in images.cuff_points[:2])
     forward = np.array(ori.forward, dtype=bool)[:, None]
@@ -434,8 +422,8 @@ def _selected(images: SampleImages, start: str | dict) -> tuple:
     return selection
 
 
-def resolve_endpoints(rep: Representation | SampleImages,
-                      pd: PantsDecomposition, start: str) -> dict:
+def resolve_endpoints(rep: Representation, pd: PantsDecomposition,
+                      start: str) -> dict:
     """Chosen and unchosen fixed point per cuff: cuff id -> (zeta, other).
 
     start is "attracting", which chooses the first point reported by
@@ -446,8 +434,8 @@ def resolve_endpoints(rep: Representation | SampleImages,
     return _points(pd, *_selected(_one_sample(rep, pd), start))
 
 
-def track_endpoints(rep: Representation | SampleImages,
-                    pd: PantsDecomposition, previous: dict) -> dict:
+def track_endpoints(rep: Representation, pd: PantsDecomposition,
+                    previous: dict) -> dict:
     """Continue an endpoint selection to a nearby representation.
 
     Each cuff's new fixed points are matched to the previously chosen
@@ -490,25 +478,24 @@ class AdaptednessReport:
         return "; ".join(parts)
 
 
-def shared_endpoint_check(m1: MoebiusMap, m2: MoebiusMap,
-                          eps_class: float = EPS_CLASS) -> tuple[bool, complex]:
+def shared_endpoint_check(m1: MoebiusMap,
+                          m2: MoebiusMap) -> tuple[bool, complex]:
     """Do two maps share a fixed point?  Tested on the commutator trace.
 
     Two non-trivial maps have a common fixed point exactly when their
     commutator has squared trace 4; the test flags |tr^2 - 4| below
-    eps_class, which is checked as classify checks it.
+    EPS_CLASS.
     """
-    _check_eps_class(eps_class)
     comm = m1 @ m2 @ m1.inverse() @ m2.inverse()
     tr2 = trace_squared(comm)
-    return abs(tr2 - 4) < eps_class, tr2
+    return abs(tr2 - 4) < EPS_CLASS, tr2
 
 
 def _flagged(images: SampleImages) -> np.ndarray:
     """(n, rows, 3): where a slot commutator's tr^2 lies within
-    eps_class of 4."""
+    EPS_CLASS of 4."""
     t = images.traces
-    return np.hypot(t.real - 4.0, t.imag) < images.eps_class
+    return np.hypot(t.real - 4.0, t.imag) < EPS_CLASS
 
 
 def _adaptedness(images: SampleImages, k: int) -> AdaptednessReport:
@@ -537,14 +524,14 @@ def _adaptedness(images: SampleImages, k: int) -> AdaptednessReport:
                              pair_reports=tuple(reports))
 
 
-def check_adapted(rep: Representation | SampleImages,
+def check_adapted(rep: Representation,
                   pd: PantsDecomposition) -> AdaptednessReport:
     """Adaptedness of a representation to a decomposition.
 
     Every cuff image must be non-trivial and non-parabolic, and the
     three slot words of each pants must have pairwise disjoint fixed
     sets (commutator squared-trace test), read from the commutators
-    that sample_images stored; both tests use the pass's eps_class.
+    that sample_images stored; both tests use EPS_CLASS.
     """
     return _adaptedness(_one_sample(rep, pd), 0)
 
@@ -598,15 +585,18 @@ def _truncated_lengths(a: PointArray, b: PointArray, witness_a: tuple,
     """truncated_geodesic_length at every element: the lengths, and its
     checks as (mask, error, message) in its order.
 
-    A witness height that takes the arithmetic past the float range
-    (uniform horoball scales of 1e160 or 1e-308 do) makes a length inf
-    or NaN, which no comparison with 0 catches; the last check trips
-    there."""
+    The depth (|z|^2 + t^2) / t of the witness at a is taken as
+    |z|^2 / t + t where t^2 falls below the normal floats (t below about
+    1.5e-154), at which t^2 loses digits or is 0.  A witness height
+    that takes the arithmetic past the float range (uniform horoball
+    scales of 1e160 or 1e-308 do) makes a length inf or NaN, which no
+    comparison with 0 catches; the last check trips there."""
     frame, coincide = MoebiusArray.normalizing(a, b)
     za_r, za_i, ta = frame.apply_interior(*witness_a)
     _, _, tb = frame.apply_interior(*witness_b)
     with np.errstate(all="ignore"):
-        depth = (_abs2(za_r, za_i) + ta * ta) / ta
+        z2, t2 = _abs2(za_r, za_i), ta * ta
+        depth = np.where(t2 >= _TINY, (z2 + t2) / ta, z2 / ta + ta)
         collapsed = (depth <= 0) | (tb <= 0)
         lengths = (np.log(np.where(collapsed, 1.0, tb))
                    - np.log(np.where(collapsed, 1.0, depth)))
@@ -1008,21 +998,20 @@ class PleatedRealization:
         return self.geometry.pd
 
 
-def realize(rep: Representation | SampleImages, pd: PantsDecomposition,
-            endpoints: str | dict = "attracting",
-            eps_class: float = EPS_CLASS) -> PleatedRealization:
+def realize(rep: Representation, pd: PantsDecomposition,
+            endpoints: str | dict = "attracting") -> PleatedRealization:
     """Realize the plaques of every pants for an adapted representation.
 
     endpoints is a start label ("attracting" or "repelling") or a dict
     cuff id -> (chosen, other), tracked to this representation's fixed
-    points as track_endpoints tracks it.  A bare representation is
-    evaluated by a one-sample pass classifying at eps_class.  The sample
-    is set up and placed as a path's first sample is (_placed), and
-    fails as that path does first: SampleEvaluationFailure, an unknown
-    label or a dict that lacks a cuff, the failures of resolve_endpoints
-    or track_endpoints, NotAdapted, then DegenerateTriangle.
+    points as track_endpoints tracks it.  The representation is
+    evaluated by a one-sample pass, set up and placed as a path's first
+    sample is (_placed), and fails as that path does first:
+    SampleEvaluationFailure, an unknown label or a dict that lacks a
+    cuff, the failures of resolve_endpoints or track_endpoints,
+    NotAdapted, then DegenerateTriangle.
     """
-    images = _one_sample(rep, pd, eps_class)
+    images = _one_sample(rep, pd)
     failures = _Failures()
     geometry = _placed(images, [endpoints], build_lamination(pd), failures)
     failures.raise_first()

@@ -482,7 +482,9 @@ def _gluing(pd: PantsDecomposition) -> tuple:
             raise InvalidDecomposition(f"generator {g!r} has no gluing role")
         if role.get("kind") == "boundary":
             p, k = role.get("pants"), role.get("slot")
-            if p not in range(len(pd.pants)) or k not in range(3):
+            # a bool is an int, and True in range(2) holds
+            if not (type(p) is int and type(k) is int
+                    and p in range(len(pd.pants)) and k in range(3)):
                 raise InvalidDecomposition(
                     f"boundary generator {g!r} names pants {p!r} slot {k!r}, "
                     "not a slot of the decomposition")
@@ -826,8 +828,7 @@ def _common_fixed_point_tol(rep: Representation, tol: float) -> bool:
         distance = m.distance_to(ident)
         if distance < bound:
             continue
-        fixed_sets.append(_fixed_pairs(m, _classify(m, distance, EPS_CLASS),
-                                       EPS_CLASS))
+        fixed_sets.append(_fixed_pairs(m, _classify(m, distance)))
     if not fixed_sets:
         return True          # all generators central
     for z1, z2 in fixed_sets[0]:
@@ -986,15 +987,24 @@ def _floats(value, shape: tuple, samples: list, sample: dict,
             single: bool = False) -> np.ndarray:
     """value, nested lists of numbers, as floats of the given shape, else
     ValueError naming the first part of samples not of the shape sample
-    (_check_samples)."""
+    (_check_samples).  A boolean is no number, although numpy reads it
+    as 0 or 1 among numbers."""
     try:
         a = np.array(value)
     except ValueError:          # ragged lists
         a = np.array(None)
-    if a.dtype.kind not in "biuf" or a.shape != shape:
+    if a.dtype.kind not in "iuf" or a.shape != shape or _holds_bool(
+            value, len(shape)):
         _check_samples(samples, sample, single)
         raise ValueError(f"samples hold no float numbers of shape {shape}")
     return a.astype(float)
+
+
+def _holds_bool(value, depth: int) -> bool:
+    """Whether value, lists nested depth deep, holds a boolean."""
+    for _ in range(depth - 1):
+        value = itertools.chain.from_iterable(value)
+    return bool in set(map(type, value))
 
 
 def _parsed(data: dict, samples: list, single: bool = False) -> tuple:

@@ -487,9 +487,10 @@ _DOCUMENT = {
 
 def _check_shape(value, shape, where: str) -> None:
     """ValueError naming the first part of value (where) not of shape: a
-    type or tuple of types; [item], a list of any length; [a, b, ...],
-    a list of exactly those; or {key: shape}, an object holding every
-    key but those ending in "?", with "*" for every key it holds."""
+    type or tuple of types, which a bool never is (JSON's true is no
+    number); [item], a list of any length; [a, b, ...], a list of
+    exactly those; or {key: shape}, an object holding every key but
+    those ending in "?", with "*" for every key it holds."""
     if isinstance(shape, dict) and isinstance(value, dict):
         for key, sub in shape.items():
             name = key.rstrip("?")
@@ -501,7 +502,8 @@ def _check_shape(value, shape, where: str) -> None:
             len(shape) == 1 or len(value) == len(shape)):
         for i, item in enumerate(value):
             _check_shape(item, shape[min(i, len(shape) - 1)], f"{where}[{i}]")
-    elif isinstance(shape, (dict, list)) or not isinstance(value, shape):
+    elif (isinstance(shape, (dict, list)) or not isinstance(value, shape)
+          or isinstance(value, bool)):
         raise ValueError(f"{where} is malformed: {value!r}")
 
 

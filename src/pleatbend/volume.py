@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (AngleUnwrapFailure, DegenerateTetrahedron,
                      EndpointsMismatch, PleatbendError)
-from .moebius import EPS_CLASS, reduce_angle_array
+from .moebius import reduce_angle_array
 # orientation_start_endpoints: perfbench's tracer and the tests read it here
 from .pleated import (SampleImages, TruncationConvention, _loxodromic_start,
                       _selected, orientation_start_endpoints, path_terms,
@@ -142,8 +142,8 @@ def _surface(path: RepresentationPath):
     return path.pd
 
 
-def _samples(path: RepresentationPath, steps: int | None,
-             eps_class: float) -> tuple[np.ndarray, SampleImages]:
+def _samples(path: RepresentationPath,
+             steps: int | None) -> tuple[np.ndarray, SampleImages]:
     """The sample times of path, every (intervals / steps)-th when steps
     is given, and the sample_images pass at them."""
     n = len(path) - 1
@@ -156,22 +156,18 @@ def _samples(path: RepresentationPath, steps: int | None,
     if len(indices) < 3:
         raise PleatbendError("need at least three samples to integrate")
     return np.array(path.ts)[indices], sample_images(
-        path.generators, path.matrices[..., indices], _surface(path),
-        eps_class)
+        path.generators, path.matrices[..., indices], _surface(path))
 
 
-def angle_series(path: RepresentationPath, zeta: str | dict, *,
-                 eps_class: float = EPS_CLASS) -> dict:
+def angle_series(path: RepresentationPath, zeta: str | dict) -> dict:
     """Bending angle of every term at every sample of a path.
 
     The endpoint selection is resolved at the first sample and tracked
-    forward; keys are cuff ids and (pants, i) leaf keys.  eps_class is
-    the classification tolerance of tracking and of the adaptedness
-    check.
+    forward; keys are cuff ids and (pants, i) leaf keys.
     """
     pd = _surface(path)
     lam = build_lamination(pd)
-    images = sample_images(path.generators, path.matrices, pd, eps_class)
+    images = sample_images(path.generators, path.matrices, pd)
     table, angles, _, _ = path_terms(images, [zeta], lam,
                                      TruncationConvention.uniform(pd))
     return {leaf.key: angles[r].tolist()
@@ -179,24 +175,22 @@ def angle_series(path: RepresentationPath, zeta: str | dict, *,
 
 
 def schlafli_derivative(path: RepresentationPath, t: float,
-                        zeta: str | dict, *,
-                        eps_class: float = EPS_CLASS) -> float:
+                        zeta: str | dict) -> float:
     """dV/dt at an interior sample of a path.
 
     The endpoint selection is resolved at the sample itself and tracked
     to its neighbors; the value is the integrand of
     integrate_volume_change on those three samples, read at the middle
     one.  Cuffs whose length is purely imaginary (elliptic crossings)
-    contribute nothing through their own term.  eps_class is the
-    classification tolerance of the three samples' one pass.
+    contribute nothing through their own term.
     """
     k = path.index_of(t)
     if k == 0 or k == len(path) - 1:
         raise PleatbendError(
             f"t={t} is an endpoint; the derivative needs an interior sample")
     pd = _surface(path)
-    images = sample_images(path.generators, path.matrices[..., k - 1:k + 2],
-                           pd, eps_class)
+    images = sample_images(path.generators,
+                           path.matrices[..., k - 1:k + 2], pd)
     for i in range(3):      # evaluation failures first, in sample order
         failure = images.failure(i)
         if failure is not None:
@@ -390,8 +384,7 @@ def _integrate(ts: np.ndarray, images: SampleImages,
 
 def integrate_volume_change(path: RepresentationPath,
                             zeta: str | dict, *,
-                            steps: int | None = None,
-                            eps_class: float = EPS_CLASS) -> VolumePathResult:
+                            steps: int | None = None) -> VolumePathResult:
     """Integrate dV along a path of adapted representations.
 
     zeta is a start label ("attracting" or "repelling"), resolved at
@@ -402,11 +395,9 @@ def integrate_volume_change(path: RepresentationPath,
     half-resolution subsample (NaN when the interval count is odd or
     below four).
     steps optionally subsamples the stored path (its interval count
-    must divide the stored one).  eps_class is the classification
-    tolerance of the sample pass: of tracking and of the adaptedness
-    check.
+    must divide the stored one).
     """
-    ts, images = _samples(path, steps, eps_class)
+    ts, images = _samples(path, steps)
     return _integrate(ts, images, [zeta])[0]
 
 
@@ -441,8 +432,8 @@ class VolGammaResult:
         return err if estimates else math.nan
 
 
-def vol_gamma(path: RepresentationPath, *, steps: int | None = None,
-              eps_class: float = EPS_CLASS) -> VolGammaResult:
+def vol_gamma(path: RepresentationPath, *,
+              steps: int | None = None) -> VolGammaResult:
     """Integrated first variation under all 2^(3g-3) cuff orientations.
 
     Forward picks the attracting fixed point of a cuff at the path
@@ -458,11 +449,9 @@ def vol_gamma(path: RepresentationPath, *, steps: int | None = None,
     raised; when guards trip under several orientations, that loop may
     have reported another one.  steps subsamples the stored path as in
     integrate_volume_change, and is checked before any sample is read.
-    eps_class is the classification tolerance at the path start, of
-    tracking and of the adaptedness check.
     """
     pd = _surface(path)
-    ts, images = _samples(path, steps, eps_class)
+    ts, images = _samples(path, steps)
     failure = images.failure(0)
     if failure is not None:
         raise failure
@@ -484,14 +473,12 @@ class LoopDefectReport:
     fingerprint_distance: float
 
 
-def loop_defect(loop: RepresentationPath, *,
-                eps_class: float = EPS_CLASS) -> LoopDefectReport:
+def loop_defect(loop: RepresentationPath) -> LoopDefectReport:
     """Orientation-summed volume change around a closed loop.
 
     Requires the two endpoint representations to have character
     fingerprints within EPS_LOOP (they may differ by conjugation); the
-    defect is expected to vanish up to quadrature error.  eps_class is
-    the classification tolerance of vol_gamma.
+    defect is expected to vanish up to quadrature error.
     """
     words = standard_word_list(loop.generators)
     f0 = fingerprint(loop.rep(0), words)
@@ -500,7 +487,7 @@ def loop_defect(loop: RepresentationPath, *,
     if d > EPS_LOOP:
         raise EndpointsMismatch(
             f"loop endpoints differ by {d:.3e} in character fingerprint")
-    result = vol_gamma(loop, eps_class=eps_class)
+    result = vol_gamma(loop)
     return LoopDefectReport(defect=result.total,
                             error_estimate=result.error_estimate,
                             fingerprint_distance=d)

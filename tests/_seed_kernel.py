@@ -438,26 +438,23 @@ EPS_SEP = 1e-9
 
 class SeedImages(dict):
     """The word images of one sample, word -> MoebiusMap, with its slot
-    commutator traces and the kind and fixed points of every word,
-    classified at eps_class."""
+    commutator traces and the kind and fixed points of every word."""
 
-    def __init__(self, rep, images, commutators, eps_class):
+    def __init__(self, rep, images, commutators):
         super().__init__(images)
         self.rep = rep
         self.commutators = commutators
-        self.eps_class = eps_class
         self._kinds = {}
         self._fixed = {}
 
     def kind(self, word):
         if word not in self._kinds:
-            self._kinds[word] = classify(self[word], self.eps_class)
+            self._kinds[word] = classify(self[word])
         return self._kinds[word]
 
     def fixed_points(self, word):
         if word not in self._fixed:
-            self._fixed[word] = _fixed_points(self[word], self.kind(word),
-                                              self.eps_class)
+            self._fixed[word] = _fixed_points(self[word], self.kind(word))
         return self._fixed[word]
 
     def cuff_fixed_points(self, cuff):
@@ -467,15 +464,14 @@ class SeedImages(dict):
         return self.fixed_points(cuff.word)
 
 
-def seed_sample_images(reps, pd, eps_class=EPS_CLASS):
+def seed_sample_images(reps, pd):
     """One SeedImages per representation: the pipeline's words by
     evaluate_word and the slot commutator traces by
     shared_endpoint_check, scalar MoebiusMap arithmetic throughout.  A
     sample the array pass could not evaluate raises its
     SampleEvaluationFailure when its turn comes, as in the pipeline."""
     reps = list(reps)
-    images = sample_images(reps[0].generators, _matrices_of(reps), pd,
-                           eps_class)
+    images = sample_images(reps[0].generators, _matrices_of(reps), pd)
     for k, rep in enumerate(reps):
         failure = images.failure(k)
         if failure is not None:
@@ -485,7 +481,7 @@ def seed_sample_images(reps, pd, eps_class=EPS_CLASS):
                                                         maps[row[j]])[1]
                                   for i, j in _PAIRS)
                        for row in images.rows}
-        yield SeedImages(rep, maps, commutators, eps_class)
+        yield SeedImages(rep, maps, commutators)
 
 
 def seed_resolve_endpoints(images, pd, start):
@@ -521,7 +517,7 @@ def seed_summary(images, pd):
              if kind in _DEGENERATE]
     for p, words in enumerate(pd.slot_words):
         for slots, tr2 in zip(_PAIRS, images.commutators[words]):
-            if abs(tr2 - 4) < images.eps_class:
+            if abs(tr2 - 4) < EPS_CLASS:
                 parts.append(f"pants {p} slots {slots} share an endpoint "
                              f"(tr2 commutator {tr2:.6g})")
     return "; ".join(parts) or None
@@ -693,13 +689,13 @@ def _seed_pattern_values(sample, lam, ids, zetas, conv, placed):
     return values
 
 
-def seed_term_series(pd, lam, reps, starts, conv, eps_class=EPS_CLASS):
+def seed_term_series(pd, lam, reps, starts, conv):
     """volume._term_series as it was: sample by sample, point by point."""
     ids = [c.id for c in pd.cuffs]
     series = {}
     deferred = None
     zetas = list(starts)
-    for at_sample in seed_sample_images(reps, pd, eps_class):
+    for at_sample in seed_sample_images(reps, pd):
         if isinstance(zetas[0], str):
             zetas[0] = seed_resolve_endpoints(at_sample, pd, zetas[0])
         else:
@@ -755,10 +751,10 @@ def seed_track(steps, gap, first_state, begin):
     return choice, failures
 
 
-def seed_start_endpoints(path, forward, eps_class=EPS_CLASS):
+def seed_start_endpoints(path, forward):
     """orientation_start_endpoints as it was, on the path's first
     sample."""
-    images = next(seed_sample_images([path.reps[0]], path.pd, eps_class))
+    images = next(seed_sample_images([path.reps[0]], path.pd))
     zeta = {}
     for bit, cuff in zip(forward, path.pd.cuffs):
         kind = images.kind(cuff.word)

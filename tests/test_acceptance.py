@@ -298,7 +298,10 @@ def test_criterion_5_shared_endpoint_flags():
             psi = _random_unit_det_map(rng)
             m1 = phi.inverse() @ T1 @ phi
             m2 = psi.inverse() @ T2 @ psi
-        flagged, _ = shared_endpoint_check(m1, m2, eps_class=1e-2)
+        # the commutator's tr^2, thresholded at 1e-2 rather than at
+        # EPS_CLASS, which the entries' noise of 1e-10 can move it past
+        _, tr2 = shared_endpoint_check(m1, m2)
+        flagged = abs(tr2 - 4) < 1e-2
         dist = min(chordal(p, q)
                    for p in fixed_points(m1) for q in fixed_points(m2))
         if flagged != (dist < 1e-6):

@@ -63,6 +63,15 @@ def demo(tmp_path_factory):
                  "genus2_handlebody.json"):
         with importlib.resources.as_file(data / name) as p:
             shutil.copy(p, root / name)
+
+    # copies in which the image of a1 is the identity, at every sample
+    # of a path, so that a loop's endpoints still match
+    for name in ("bent", "pure_bend", "twist_loop"):
+        doc = json.loads((root / f"{name}.json").read_text())
+        for matrices in ([doc["matrices"]] if "matrices" in doc
+                         else [s["matrices"] for s in doc["samples"]]):
+            matrices["a1"] = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+        (root / f"{name}_a1_identity.json").write_text(json.dumps(doc))
     return root
 
 
@@ -132,12 +141,11 @@ class TestPleatAndBend:
     @pytest.mark.parametrize("command", ["pleat", "bend"])
     def test_adaptedness_checked_at_the_given_tolerance(self, demo, capsys,
                                                         command):
-        # at tolerance 3 the a1 image counts as the identity, so no
-        # realization may be printed
+        # classified at EPS_CLASS, an a1 image that is the identity
+        # fails the adaptedness check, so no realization may be printed
         code, out, err = run(capsys, command,
-                             "--input", str(demo / "bent.json"),
-                             "--pd", str(demo / "surface.json"),
-                             "--tolerance", "3")
+                             "--input", str(demo / "bent_a1_identity.json"),
+                             "--pd", str(demo / "surface.json"))
         assert code == 2
         assert out == ""
         assert "NotAdapted" in err
@@ -261,9 +269,12 @@ class TestGoldenOutput:
     pleat, bend and volume-path, except the three vol-gamma files,
     written by the geometry pass with numpy's transcendentals, and the
     two loop-defect files, written after bending angles were unwrapped
-    as running sums of reduced steps.  numpy's transcendentals differ
-    between hosts (numpy's own SIMD code on AVX-512), so the files hold
-    the bytes of an x86-64 host with numpy 2.4.6."""
+    as running sums of reduced steps.  The four classify files and the
+    two plot files, plot-pure_bend-<quantity>.svg, were written before
+    the classification tolerance became a constant.  numpy's
+    transcendentals differ between hosts (numpy's own SIMD code on
+    AVX-512), so the files hold the bytes of an x86-64 host with numpy
+    2.4.6."""
 
     @pytest.mark.parametrize("command,source,fmt", [
         ("vol-gamma", "pure_bend.json", "text"),
@@ -284,6 +295,25 @@ class TestGoldenOutput:
                            "--format", fmt)
         assert code == 0
         golden = DATA / f"{command}-{pathlib.Path(source).stem}.{fmt}"
+        assert out.encode() == golden.read_bytes()
+
+    @pytest.mark.parametrize("source", ["fuchsian.json", "bent.json"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_classify_bytes(self, demo, capsys, source, fmt):
+        code, out, _ = run(capsys, "classify", "--input", str(demo / source),
+                           "--words", "a1,b1,a1b1", "--format", fmt)
+        assert code == 0
+        golden = DATA / f"classify-{pathlib.Path(source).stem}.{fmt}"
+        assert out.encode() == golden.read_bytes()
+
+    @pytest.mark.parametrize("quantity", ["volume", "angles"])
+    def test_plot_bytes(self, demo, capsys, quantity):
+        code, out, _ = run(capsys, "plot",
+                           "--input", str(demo / "pure_bend.json"),
+                           "--pd", str(demo / "surface.json"),
+                           "--quantity", quantity)
+        assert code == 0
+        golden = DATA / f"plot-pure_bend-{quantity}.svg"
         assert out.encode() == golden.read_bytes()
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -404,9 +434,9 @@ class TestPlot:
 
 
 class TestToleranceInSamplePipeline:
-    """--tolerance is the classification tolerance of the sample
-    pipeline: at 3 the a1 image counts as the identity, at the path
-    start and on every sample."""
+    """The sample pipeline classifies at EPS_CLASS, and no command takes
+    another tolerance: a path whose a1 image is the identity fails at
+    the path start and on every sample."""
 
     @pytest.mark.parametrize("argv, error", [
         (("volume-path", "pure_bend.json"), "NotAdapted"),
@@ -419,9 +449,9 @@ class TestToleranceInSamplePipeline:
             "vol-gamma", "loop-defect"])
     def test_identity_at_tolerance_3(self, demo, capsys, argv, error):
         command, path, *rest = argv
+        path = path.replace(".json", "_a1_identity.json")
         code, out, err = run(capsys, command, "--input", str(demo / path),
-                             "--pd", str(demo / "surface.json"), *rest,
-                             "--tolerance", "3")
+                             "--pd", str(demo / "surface.json"), *rest)
         assert code == 2
         assert out == ""
         assert error in err
@@ -432,33 +462,33 @@ class TestToleranceInSamplePipeline:
         ("loop-defect", "twist_loop.json"), ("plot", "pure_bend.json")])
     def test_default_tolerance_is_the_default(self, demo, capsys, command,
                                               path):
+        # the run at EPS_CLASS succeeds; naming that tolerance is refused
         argv = (command, "--input", str(demo / path),
                 "--pd", str(demo / "surface.json"))
-        if command != "plot":
-            argv += ("--format", "json")
-        default = run(capsys, *argv)
-        explicit = run(capsys, *argv, "--tolerance", "1e-9")
-        assert default[0] == 0
-        assert explicit == default
+        assert run(capsys, *argv)[0] == 0
+        code, out, err = run(capsys, *argv, "--tolerance", "1e-9")
+        assert (code, out) == (3, "")
+        assert err == ("parse error: unrecognized arguments: "
+                       "--tolerance 1e-9\n")
 
 
 # options each subcommand reads besides --input and --output, and the
 # formats it writes (None: no --format)
 OPTIONS = {
-    "classify": ({"words", "tolerance"}, ("text", "json")),
-    "pleat": ({"pd", "tolerance", "endpoints"}, ("text", "json")),
-    "bend": ({"pd", "tolerance", "endpoints", "horoball"},
-             ("text", "json", "csv")),
-    "volume-path": ({"pd", "tolerance", "endpoints", "steps"},
-                    ("text", "json", "csv")),
-    "vol-gamma": ({"pd", "tolerance", "steps"}, ("text", "json", "csv")),
-    "loop-defect": ({"pd", "tolerance"}, ("text", "json")),
+    "classify": ({"words"}, ("text", "json")),
+    "pleat": ({"pd", "endpoints"}, ("text", "json")),
+    "bend": ({"pd", "endpoints", "horoball"}, ("text", "json", "csv")),
+    "volume-path": ({"pd", "endpoints", "steps"}, ("text", "json", "csv")),
+    "vol-gamma": ({"pd", "steps"}, ("text", "json", "csv")),
+    "loop-defect": ({"pd"}, ("text", "json")),
     "peripheral": ({"inclusion"}, ("text", "json", "csv")),
     "rank": ({"inclusion"}, ("text", "json")),
-    "plot": ({"pd", "tolerance", "endpoints", "steps", "quantity"}, None),
+    "plot": ({"pd", "endpoints", "steps", "quantity"}, None),
 }
 
-# a well-formed value for every option some subcommand reads
+# a well-formed value for every option some subcommand reads, and for
+# --tolerance, which none reads: the classification tolerance is the
+# constant EPS_CLASS
 VALUES = {"pd": ["s.json"], "inclusion": ["s.json"], "words": ["x"],
           "tolerance": ["1e-9"], "endpoints": ["repelling"],
           "horoball": ["2"], "steps": ["4"], "quantity": ["angles"],
@@ -502,7 +532,7 @@ class TestOptions:
             assert set(actions) == want, command
             assert (actions["input"].nargs == "+") == (command == "peripheral")
             settable += len(actions)
-        assert settable == 51
+        assert settable == 44
 
     @pytest.mark.parametrize("command", sorted(OPTIONS))
     def test_parser_of_one_command(self, command):
@@ -524,6 +554,8 @@ class TestOptions:
         assert out == ""
         assert err.startswith("parse error: ")
         assert token in err
+        if token != "--format":
+            assert "unrecognized arguments" in err
 
     @pytest.mark.parametrize("argv", [
         ("rank", "--input", "handlebody_rep.json",
@@ -547,16 +579,15 @@ class TestOptions:
 
 
 class TestNumericOptions:
-    """--tolerance and --horoball take a finite positive number.  At a
-    NaN or non-positive tolerance every "within tolerance" test fails,
-    so no identity, parabolic or shared-endpoint guard trips, and a NaN
-    or infinite horoball makes every truncated length NaN: any such
-    value is a usage error naming the option.  A finite scale can still
-    take a witness height past the float range (about 1e155 and above,
-    or 1e-308); bend refuses that at the truncation guard (exit 2), see
-    TestPleatAndBend.  A command that does not read the option refuses
-    it as unrecognized: the volume commands truncate at unit horoballs,
-    so no scale reaches them."""
+    """--horoball takes a finite positive number: a NaN or infinite
+    horoball makes every truncated length NaN, so such a value, or one
+    not positive, is a usage error naming the option.  A finite scale
+    can still take a witness height past the float range (about 1e155
+    and above, or 1e-308); bend refuses that at the truncation guard
+    (exit 2), see TestPleatAndBend.  A command that does not read the
+    option refuses it as unrecognized: the volume commands truncate at
+    unit horoballs, so no scale reaches them, and no command reads
+    --tolerance, since every check classifies at EPS_CLASS."""
 
     SOURCES = {"classify": "bent.json", "pleat": "bent.json",
                "bend": "bent.json", "volume-path": "pure_bend.json",
@@ -749,6 +780,36 @@ class TestFailureModes:
         assert code == 3
         assert out == ""
         assert err.startswith("parse error: ValueError: samples[3]['t']")
+
+    @pytest.mark.parametrize("source, edit, where", [
+        ("pure_bend.json", lambda d: d["samples"][1].update(t=True),
+         "samples[1]['t']"),
+        ("pure_bend.json", lambda d: d["samples"][5]["matrices"].update(
+            b1=[[True, 0], [0, 0], [0, 0], [1, 0]]),
+         "samples[5]['matrices']['b1'][0][0]"),
+        ("bent.json", lambda d: d["matrices"].update(
+            b1=[[True, 0], [0, 0], [0, 0], [1, 0]]),
+         "file['matrices']['b1'][0][0]"),
+        ("surface.json",
+         lambda d: d["pants"][0]["cuff_ends"][0].update(sign=True),
+         "document['pants'][0]['cuff_ends'][0]['sign']"),
+    ], ids=["path-time", "path-matrix", "rep-matrix", "decomposition-sign"])
+    def test_boolean_is_no_number(self, demo, tmp_path, capsys, source, edit,
+                                  where):
+        # numpy and isinstance read a JSON true as 1 among numbers
+        data = json.loads((demo / source).read_text())
+        edit(data)
+        bad = tmp_path / source
+        bad.write_text(json.dumps(data))
+        argv = {"pure_bend.json": ("volume-path", "--input", bad,
+                                   "--pd", demo / "surface.json"),
+                "bent.json": ("classify", "--input", bad, "--words", "b1"),
+                "surface.json": ("volume-path",
+                                 "--input", demo / "pure_bend.json",
+                                 "--pd", bad)}[source]
+        code, out, err = run(capsys, *map(str, argv))
+        assert (code, out) == (3, "")
+        assert err == f"parse error: ValueError: {where} is malformed: True\n"
 
     @pytest.mark.parametrize("field, value, named", [
         ("pants", 5, "document['pants']"),

@@ -383,10 +383,15 @@ def _edited_recipe(edit):
      "boundary generator 'a2' names pants -1 slot 0"),
     (lambda fn: fn["generator_roles"]["a2"].pop("slot"),
      "boundary generator 'a2' names pants 1 slot None"),
+    # a JSON boolean is no index, although True in range(2) holds
+    (lambda fn: fn["generator_roles"]["a1"].update(pants=True),
+     "boundary generator 'a1' names pants True slot 0"),
+    (lambda fn: fn["generator_roles"]["a2"].update(slot=False),
+     "boundary generator 'a2' names pants 1 slot False"),
     (lambda fn: fn.update(tree_cuffs=["zz"]), "tree cuff 'zz' is not a cuff"),
     (lambda fn: fn.update(root=9), "gluing root 9 is not a pants"),
-], ids=["pants-7", "slot-5", "pants-minus-1", "no-slot", "tree-cuff-zz",
-        "root-9"])
+], ids=["pants-7", "slot-5", "pants-minus-1", "no-slot", "pants-true",
+        "slot-false", "tree-cuff-zz", "root-9"])
 def test_recipe_is_checked(edit, message):
     # read from a document, before any parameter: the lengths here
     # would fail their own guard

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pleatbend.errors import (DegenerateConfiguration, DegenerateLength,
-                              IdentityMap, PleatbendError, SingularMatrix)
+                              IdentityMap, SingularMatrix)
 from pleatbend.moebius import (EPS_CLASS, RESCALE_LIMIT, IsometryClass,
                                MoebiusArray, MoebiusMap, PointArray,
                                ProjectivePoint, chordal, classify,
@@ -141,21 +141,25 @@ class TestClassify:
             fixed_points(m)
 
     def test_near_parabolic_tolerance_window(self):
-        # trace 2 + tiny: inside the parabolic window at loose tolerance,
-        # loxodromic at tight tolerance
-        m = MoebiusMap(1 + 1e-5, 1, 0, 1 / (1 + 1e-5))
-        assert classify(m, eps_class=1e-6) == IsometryClass.PARABOLIC
-        assert classify(m, eps_class=1e-12) != IsometryClass.PARABOLIC
+        # eigenvalue 1 + delta: tr^2 - 4 is about 4 delta^2, inside the
+        # parabolic window of EPS_CLASS at delta = 1e-5 (4e-10) and
+        # outside it at delta = 1e-4 (4e-8)
+        assert EPS_CLASS == 1e-9
+        for delta, kind in ((1e-5, IsometryClass.PARABOLIC),
+                            (1e-4, IsometryClass.LOXODROMIC)):
+            m = MoebiusMap(1 + delta, 1, 0, 1 / (1 + delta))
+            assert abs(trace_squared(m) - 4) == pytest.approx(
+                4 * delta ** 2, rel=1e-3)
+            assert classify(m) == kind
 
     @pytest.mark.parametrize("eps_class", [math.nan, math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("call", [classify, fixed_points, complex_length])
     def test_tolerance_not_finite_and_positive_rejected(self, call,
                                                         eps_class):
-        # at NaN, or at zero or below, no "within eps_class" test passes,
-        # so the identity would classify as loxodromic
-        with pytest.raises(PleatbendError,
-                           match="^classification tolerance must be finite "
-                                 "and positive, got "):
+        # every check classifies at EPS_CLASS: no tolerance can be
+        # handed in, not even one at which no "within tolerance" test
+        # could pass
+        with pytest.raises(TypeError, match="'eps_class'"):
             call(MoebiusMap.identity(), eps_class=eps_class)
 
     @given(maps(), maps())

@@ -76,20 +76,21 @@ def sharing_slots(pd):
                        b1=MoebiusMap(1, 1, -1, 0))
 
 
-# a planted failure of one sample: (representation, start, eps_class)
+# a planted failure of one sample: (representation, start)
 ONE_SAMPLE_FAILURES = {
-    # at eps_class 3, a1 classifies as the identity
-    "unknown-label": lambda pd: (fuchsian(pd), "bogus", 3.0),
+    # the label fails before the identity cuff a1 does
+    "unknown-label": lambda pd: (
+        with_images(fuchsian(pd), a1=MoebiusMap.identity()), "bogus"),
     "foreign-start": lambda pd: (
         fuchsian(pd).conjugated(MoebiusMap(1, 0.5, 0, 1)),
-        resolve_endpoints(fuchsian(pd), pd, "attracting"), 1e-9),
+        resolve_endpoints(fuchsian(pd), pd, "attracting")),
     "missing-cuff": lambda pd: (
         fuchsian(pd), {c: z for c, z in resolve_endpoints(
-            fuchsian(pd), pd, "attracting").items() if c != "a1"}, 1e-9),
-    "flagged-pair": lambda pd: (sharing_slots(pd), "attracting", 1e-9),
+            fuchsian(pd), pd, "attracting").items() if c != "a1"}),
+    "flagged-pair": lambda pd: (sharing_slots(pd), "attracting"),
     "identity-and-flagged-pair": lambda pd: (
         with_images(sharing_slots(pd), a2=MoebiusMap.identity()),
-        "attracting", 1e-9),
+        "attracting"),
 }
 
 
@@ -128,12 +129,10 @@ class TestAdaptedness:
 
     @pytest.mark.parametrize("eps_class", [math.nan, math.inf, 0.0, -1.0])
     def test_tolerance_not_finite_and_positive_rejected(self, eps_class):
-        # at such a tolerance no pair could be flagged, not even one
-        # sharing both endpoints
+        # the test flags |tr^2 - 4| below EPS_CLASS: no tolerance can be
+        # handed in, not even one at which no pair could be flagged
         a = MoebiusMap(2, 0, 0, 0.5)
-        with pytest.raises(PleatbendError,
-                           match="^classification tolerance must be finite "
-                                 "and positive, got "):
+        with pytest.raises(TypeError, match="'eps_class'"):
             shared_endpoint_check(a, a, eps_class=eps_class)
 
 
@@ -218,12 +217,11 @@ class TestRealize:
         # realize sets the sample up as a path's first sample: the
         # label and the selection come before the adaptedness check
         pd, _ = setup
-        rep, start, eps_class = ONE_SAMPLE_FAILURES[case](pd)
+        rep, start = ONE_SAMPLE_FAILURES[case](pd)
         with pytest.raises(PleatbendError) as got:
-            realize(rep, pd, start, eps_class=eps_class)
+            realize(rep, pd, start)
         with pytest.raises(PleatbendError) as want:
-            integrate_volume_change(path_from_reps([rep] * 3, pd=pd), start,
-                                    eps_class=eps_class)
+            integrate_volume_change(path_from_reps([rep] * 3, pd=pd), start)
         assert (type(got.value), str(got.value)) == \
             (type(want.value), str(want.value))
 
@@ -325,25 +323,24 @@ class TestEndpointTracking:
             track_endpoints(rep, pd, bad)
 
     def test_pass_fixes_the_tolerance(self, setup):
-        # every check that reads a sample classifies at the tolerance
-        # of its pass: at 3, the length-2 cuff a1 is the identity
+        # every check that reads a sample reads the kinds its pass fixed
+        # at EPS_CLASS: with a1 sent to the identity, the cuff a1 is the
+        # identity
         pd, _ = setup
-        rep = fuchsian(pd)
-        zeta = resolve_endpoints(rep, pd, "attracting")
-        images = sample_images(rep.generators, _matrices_of([rep]), pd,
-                               eps_class=3)
+        zeta = resolve_endpoints(fuchsian(pd), pd, "attracting")
+        rep = with_images(fuchsian(pd), a1=MoebiusMap.identity())
+        images = sample_images(rep.generators, _matrices_of([rep]), pd)
         assert KINDS[images.kinds[pd.cuff_index("a1"), 0]] == \
             IsometryClass.IDENTITY
         with pytest.raises(NotAdapted, match="cuff 'a1' is identity"):
-            resolve_endpoints(images, pd, "attracting")
+            resolve_endpoints(rep, pd, "attracting")
         with pytest.raises(NotAdapted, match="cuff 'a1' is identity"):
-            track_endpoints(images, pd, zeta)
-        report = check_adapted(images, pd)
+            track_endpoints(rep, pd, zeta)
+        report = check_adapted(rep, pd)
         assert not report.adapted
         assert "a1" in report.bad_cuffs
         assert report.cuff_kinds["a1"] == IsometryClass.IDENTITY
-        # a bare representation gets the pass at EPS_CLASS
-        assert check_adapted(rep, pd).adapted
+        assert check_adapted(fuchsian(pd), pd).adapted
 
 
 class TestArcBending:
@@ -404,6 +401,15 @@ class TestTruncation:
         b = ProjectivePoint(1.0, 0.0)
         got = truncated_geodesic_length(a, b, (0j, math.exp(-1)), (0j, 1.0))
         assert got == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("height", [1e-160, 1e-170, 1e-300])
+    def test_witness_depth_below_the_normal_floats(self, height):
+        # the horoball at 0 through (0, h) and the unit one at infinity
+        # are -log h apart; h^2 is subnormal at 1e-160 and 0 below
+        a = ProjectivePoint.from_complex(0.0)
+        b = ProjectivePoint(1.0, 0.0)
+        got = truncated_geodesic_length(a, b, (0j, height), (0j, 1.0))
+        assert got == pytest.approx(-math.log(height), rel=1e-15)
 
     @pytest.mark.parametrize("height", [1e160, 1e-308])
     def test_witness_past_the_float_range_rejected(self, height):

@@ -22,6 +22,7 @@ from pleatbend import (
     OrientationTrackingFailure,
     ProjectivePoint,
     PleatbendError,
+    Representation,
     TruncationConvention,
     angle_series,
     bending_data,
@@ -43,7 +44,7 @@ from pleatbend import (
     vol_gamma,
 )
 from pleatbend import pleated, representation, topology, volume
-from pleatbend.moebius import EPS_CLASS, MoebiusArray
+from pleatbend.moebius import MoebiusArray
 from pleatbend.pleated import sample_images
 from pleatbend.volume import (_node_derivatives, _per_step_integrals,
                               _raise_first_failure, _unwrap_angles, _zetas,
@@ -317,49 +318,68 @@ class TestSchlafliDerivative:
             schlafli_derivative(path, 0.5, "attracting")
 
     @pytest.mark.parametrize("eps_class", [None, 1e-3])
-    def test_one_pass_at_its_tolerance(self, pd, monkeypatch,
-                                       eps_class):
+    def test_one_pass_at_its_tolerance(self, pd, monkeypatch, eps_class):
         # the selection at sample k is read off the three-sample pass,
-        # which classifies at the eps_class given
+        # which classifies at EPS_CLASS: a tolerance handed in is
+        # refused before any pass runs
         path = bend_path(pd, steps=8)
         calls = []
         original = volume.sample_images
 
-        def counting(generators, matrices, pd, *args):
-            calls.append((matrices.shape[3],) + args)
-            return original(generators, matrices, pd, *args)
+        def counting(generators, matrices, pd):
+            calls.append(matrices.shape[3])
+            return original(generators, matrices, pd)
 
         monkeypatch.setattr(volume, "sample_images", counting)
-        kwargs = {} if eps_class is None else {"eps_class": eps_class}
-        got = schlafli_derivative(path, path.ts[4], "attracting",
-                                  **kwargs)
-        assert calls == [(3, EPS_CLASS if eps_class is None
-                           else eps_class)]
+        if eps_class is not None:
+            with pytest.raises(TypeError, match="'eps_class'"):
+                schlafli_derivative(path, path.ts[4], "attracting",
+                                    eps_class=eps_class)
+            assert calls == []
+            return
+        got = schlafli_derivative(path, path.ts[4], "attracting")
+        assert calls == [3]
         assert got == pytest.approx(0.5 * 2.0 * 0.5, rel=1e-10)
 
     def test_tolerance_reaches_the_classification(self, pd):
-        # the image of a1 lies at distance 1.83 from the identity, so
-        # at eps_class 2 it classifies as the identity and fails the
-        # selection; at the default it is loxodromic
+        # every entry point's sample pass classifies at EPS_CLASS: with
+        # a1 sent to the identity at every sample, the cuff a1 is the
+        # identity
         path = bend_path(pd, steps=8)
-        with pytest.raises(NotAdapted, match="cuff 'a1' is identity"):
-            schlafli_derivative(path, path.ts[4], "attracting",
-                                eps_class=2)
+        path = path_from_reps(
+            [Representation(generators=r.generators,
+                            images=tuple(MoebiusMap.identity() if g == "a1"
+                                         else m for g, m in
+                                         zip(r.generators, r.images)))
+             for r in path.reps], ts=path.ts, pd=pd)
+        for call in (lambda: schlafli_derivative(path, path.ts[4],
+                                                 "attracting"),
+                     lambda: integrate_volume_change(path, "attracting"),
+                     lambda: angle_series(path, "attracting"),
+                     lambda: realize(path.rep(0), pd)):
+            with pytest.raises(NotAdapted) as got:
+                call()
+            assert str(got.value) == "cuff 'a1' is identity"
+        with pytest.raises(OrientationTrackingFailure) as got:
+            vol_gamma(path)
+        assert str(got.value).startswith(
+            "cuff 'a1' is identity at the path start")
 
     @pytest.mark.parametrize("eps_class", [math.nan, math.inf, 0.0, -1.0])
     def test_tolerance_not_finite_and_positive_rejected(self, pd,
                                                         eps_class):
-        # at NaN, or at zero or below, every "within eps_class" test
-        # fails, so no identity, parabolic or shared-endpoint guard can
-        # trip; the sample pass refuses it
+        # every check classifies at EPS_CLASS: no entry point takes a
+        # tolerance, not even one at which no identity, parabolic or
+        # shared-endpoint guard could trip
         path = bend_path(pd, steps=8)
         for call in (lambda: integrate_volume_change(
                          path, "attracting", eps_class=eps_class),
                      lambda: vol_gamma(path, eps_class=eps_class),
+                     lambda: loop_defect(path, eps_class=eps_class),
+                     lambda: angle_series(path, "attracting",
+                                          eps_class=eps_class),
                      lambda: realize(path.rep(0), pd, eps_class=eps_class)):
-            with pytest.raises(PleatbendError,
-                               match="^classification tolerance must be "
-                               "finite and positive, got "):
+            with pytest.raises(TypeError, match="'eps_class'"):
                 call()
 
 
@@ -495,8 +515,8 @@ class TestIntegrate:
             "length of leaf (0, 0) is not finite")
 
     def test_convention_in_the_old_position_is_an_arity_error(self, pd):
-        # steps and eps_class are keyword-only, so a convention passed
-        # where the ΔV entry points once took one cannot bind to them
+        # steps is keyword-only, so a convention passed where the ΔV
+        # entry points once took one cannot bind to it
         path = bend_path(pd, steps=4)
         conv = TruncationConvention.uniform(pd)
         for call in (lambda: integrate_volume_change(path, "attracting",
