@@ -271,7 +271,10 @@ class TestGoldenOutput:
     two loop-defect files, written after bending angles were unwrapped
     as running sums of reduced steps.  The four classify files and the
     two plot files, plot-pure_bend-<quantity>.svg, were written before
-    the classification tolerance became a constant.  numpy's
+    the classification tolerance became a constant.  The text and csv
+    files of pleat and bend, the json and csv files of volume-path and
+    the three peripheral files were written before the commands shared
+    one output step.  numpy's
     transcendentals differ between hosts (numpy's own SIMD code on
     AVX-512), so the files hold the bytes of an x86-64 host with numpy
     2.4.6."""
@@ -284,10 +287,20 @@ class TestGoldenOutput:
         ("loop-defect", "twist_loop.json", "json"),
         ("pleat", "fuchsian.json", "json"),
         ("pleat", "bent.json", "json"),
+        ("pleat", "fuchsian.json", "text"),
+        ("pleat", "bent.json", "text"),
         ("bend", "fuchsian.json", "json"),
         ("bend", "bent.json", "json"),
+        ("bend", "fuchsian.json", "text"),
+        ("bend", "bent.json", "text"),
+        ("bend", "fuchsian.json", "csv"),
+        ("bend", "bent.json", "csv"),
         ("volume-path", "pure_bend.json", "text"),
         ("volume-path", "twist_loop.json", "text"),
+        ("volume-path", "pure_bend.json", "json"),
+        ("volume-path", "twist_loop.json", "json"),
+        ("volume-path", "pure_bend.json", "csv"),
+        ("volume-path", "twist_loop.json", "csv"),
     ])
     def test_bytes(self, demo, capsys, command, source, fmt):
         code, out, _ = run(capsys, command, "--input", str(demo / source),
@@ -314,6 +327,19 @@ class TestGoldenOutput:
                            "--quantity", quantity)
         assert code == 0
         golden = DATA / f"plot-pure_bend-{quantity}.svg"
+        assert out.encode() == golden.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_peripheral_bytes(self, demo, capsys, monkeypatch, fmt):
+        # run from the demo directory, so that the file names that the
+        # output repeats are the same on every host
+        monkeypatch.chdir(demo)
+        code, out, _ = run(capsys, "peripheral",
+                           "--input", "f2_rep.json", "handlebody_rep.json",
+                           "--inclusion", "genus2_handlebody.json",
+                           "--format", fmt)
+        assert code == 0
+        golden = DATA / f"peripheral-f2_rep-handlebody_rep.{fmt}"
         assert out.encode() == golden.read_bytes()
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
