@@ -59,16 +59,24 @@ def _point(p) -> str:
     return "inf" if p.is_infinity() else _cnum(p.to_complex())
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(args: argparse.Namespace, **renderers) -> int:
+    """Write a command's output in args.format and return exit code 0.
+
+    renderers holds one function per format the command writes, and
+    only the one for args.format is called: for json it returns the
+    payload, written with sorted keys and an indent of 2, for the other
+    formats the lines of the output."""
+    out = renderers[args.format]()
+    if args.format == "json":
+        text = json.dumps(out, indent=2, sort_keys=True) + "\n"
+    else:
+        text = "\n".join(out) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _json_dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -94,17 +102,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
             fps = ["-", "-"]
         rows.append({"word": w, "class": str(kind), "trace_squared": _cnum(tau),
                      "complex_length": lam, "fixed_points": fps})
-    if args.format == "json":
-        _emit(args, _json_dump({"rows": rows}))
-    else:
-        lines = [f"{'word':<12} {'class':<12} {'trace_squared':<42} "
-                 f"{'complex_length':<42} fixed_points"]
-        for r in rows:
-            lines.append(f"{r['word']:<12} {r['class']:<12} "
-                         f"{r['trace_squared']:<42} {r['complex_length']:<42} "
-                         f"{r['fixed_points'][0]} {r['fixed_points'][1]}")
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+    header = (f"{'word':<12} {'class':<12} {'trace_squared':<42} "
+              f"{'complex_length':<42} fixed_points")
+    return _emit(args, json=lambda: {"rows": rows}, text=lambda: [header] + [
+        f"{r['word']:<12} {r['class']:<12} {r['trace_squared']:<42} "
+        f"{r['complex_length']:<42} "
+        f"{r['fixed_points'][0]} {r['fixed_points'][1]}" for r in rows])
 
 
 def _load_surface(args: argparse.Namespace):
@@ -122,15 +125,11 @@ def cmd_pleat(args: argparse.Namespace) -> int:
         "vertices": {str(p): [_point(q) for q in triple]
                      for p, triple in enumerate(real.xi)},
     }
-    if args.format == "json":
-        _emit(args, _json_dump(payload))
-    else:
-        lines = [f"cuff {c}: length {payload['cuff_lengths'][c]}"
-                 for c in sorted(payload["cuff_lengths"])]
-        for p, triple in payload["vertices"].items():
-            lines.append(f"pants {p}: " + " ".join(triple))
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return _emit(args, json=lambda: payload, text=lambda: [
+        f"cuff {c}: length {payload['cuff_lengths'][c]}"
+        for c in sorted(payload["cuff_lengths"])] + [
+        f"pants {p}: " + " ".join(triple)
+        for p, triple in payload["vertices"].items()])
 
 
 def cmd_bend(args: argparse.Namespace) -> int:
@@ -142,29 +141,20 @@ def cmd_bend(args: argparse.Namespace) -> int:
     rows = []
     for c in pd.cuffs:
         rows.append({"kind": "cuff", "id": c.id,
-                     "angle": data.cuff_angles[c.id],
-                     "length": data.cuff_lengths[c.id]})
+                     "angle": _num(data.cuff_angles[c.id]),
+                     "length": _num(data.cuff_lengths[c.id])})
     for key in sorted(data.leaf_angles):
         rows.append({"kind": "leaf", "id": f"{key[0]}:{key[1]}",
-                     "angle": data.leaf_angles[key],
-                     "length": data.leaf_lengths[key]})
-    if args.format == "json":
-        out = [{**r, "angle": _num(r["angle"]), "length": _num(r["length"])}
-               for r in rows]
-        _emit(args, _json_dump({"rows": out}))
-    elif args.format == "csv":
-        lines = ["kind,id,angle,length"]
-        for r in rows:
-            lines.append(f"{r['kind']},{r['id']},{_num(r['angle'])},"
-                         f"{_num(r['length'])}")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        lines = [f"{'kind':<6} {'id':<8} {'angle':<24} length"]
-        for r in rows:
-            lines.append(f"{r['kind']:<6} {r['id']:<8} "
-                         f"{_num(r['angle']):<24} {_num(r['length'])}")
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+                     "angle": _num(data.leaf_angles[key]),
+                     "length": _num(data.leaf_lengths[key])})
+    return _emit(
+        args, json=lambda: {"rows": rows},
+        csv=lambda: ["kind,id,angle,length"] + [
+            f"{r['kind']},{r['id']},{r['angle']},{r['length']}"
+            for r in rows],
+        text=lambda: [f"{'kind':<6} {'id':<8} {'angle':<24} length"] + [
+            f"{r['kind']:<6} {r['id']:<8} {r['angle']:<24} {r['length']}"
+            for r in rows])
 
 
 def _load_pathfile(args: argparse.Namespace):
@@ -174,28 +164,22 @@ def _load_pathfile(args: argparse.Namespace):
 def cmd_volume_path(args: argparse.Namespace) -> int:
     path = _load_pathfile(args)
     result = integrate_volume_change(path, args.endpoints, steps=args.steps)
-    if args.format == "json":
-        payload = {
+    return _emit(
+        args,
+        json=lambda: {
             "delta_v": _num(result.delta_v),
             "error_estimate": _num(result.error_estimate),
             "steps": result.steps,
             "ts": [_num(t) for t in result.ts],
             "cumulative": [_num(c) for c in result.cumulative],
             "per_step": [_num(c) for c in result.per_step],
-        }
-        _emit(args, _json_dump(payload))
-    elif args.format == "csv":
-        lines = ["t,per_step,cumulative"]
-        for i, t in enumerate(result.ts):
-            step = result.per_step[i - 1] if i else 0.0
-            lines.append(f"{_num(t)},{_num(step)},{_num(result.cumulative[i])}")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        lines = [f"delta_v: {_num(result.delta_v)}",
-                 f"error_estimate: {_num(result.error_estimate)}",
-                 f"steps: {result.steps}"]
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+        },
+        csv=lambda: ["t,per_step,cumulative"] + [
+            f"{_num(t)},{_num(result.per_step[i - 1] if i else 0.0)},"
+            f"{_num(result.cumulative[i])}" for i, t in enumerate(result.ts)],
+        text=lambda: [f"delta_v: {_num(result.delta_v)}",
+                      f"error_estimate: {_num(result.error_estimate)}",
+                      f"steps: {result.steps}"])
 
 
 def cmd_vol_gamma(args: argparse.Namespace) -> int:
@@ -203,53 +187,47 @@ def cmd_vol_gamma(args: argparse.Namespace) -> int:
     summed = vol_gamma(path, steps=args.steps)
     per_orientation = [("".join("+" if b else "-" for b in ori.forward), r)
                        for ori, r in zip(summed.orientations, summed.results)]
-    total = summed.total
-    if args.format == "json":
-        payload = {
-            "total": _num(total),
-            "orientations": {label: _num(r.delta_v)
-                             for label, r in per_orientation},
-        }
-        _emit(args, _json_dump(payload))
-    elif args.format == "csv":
+
+    def csv():
         cumulative = list(summed.results[0].cumulative)
         for r in summed.results[1:]:
             cumulative = [a + b for a, b in zip(cumulative, r.cumulative)]
         labels = [label for label, _ in per_orientation]
         lines = ["t," + ",".join(f"dv[{la}]" for la in labels) + ",cumulative"]
-        ts = per_orientation[0][1].ts
-        for i, t in enumerate(ts):
+        for i, t in enumerate(summed.results[0].ts):
             steps = [r.per_step[i - 1] if i else 0.0
                      for _, r in per_orientation]
             lines.append(f"{_num(t)}," + ",".join(_num(s) for s in steps)
                          + f",{_num(cumulative[i])}")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        lines = [f"vol_gamma_change: {_num(total)}"]
-        for label, r in per_orientation:
-            lines.append(f"orientation {label}: {_num(r.delta_v)}")
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+        return lines
+
+    return _emit(
+        args, csv=csv,
+        json=lambda: {"total": _num(summed.total),
+                      "orientations": {label: _num(r.delta_v)
+                                       for label, r in per_orientation}},
+        text=lambda: [f"vol_gamma_change: {_num(summed.total)}"] + [
+            f"orientation {label}: {_num(r.delta_v)}"
+            for label, r in per_orientation])
 
 
 def cmd_loop_defect(args: argparse.Namespace) -> int:
     path = _load_pathfile(args)
     report = loop_defect(path)
     verdict = "PASS" if abs(report.defect) < LOOP_TOL else "FAIL"
-    if args.format == "json":
-        _emit(args, _json_dump({
+    return _emit(
+        args,
+        json=lambda: {
             "defect": _num(report.defect),
             "error_estimate": _num(report.error_estimate),
             "fingerprint_distance": _num(report.fingerprint_distance),
             "verdict": verdict,
-        }))
-    else:
-        _emit(args, "\n".join([
+        },
+        text=lambda: [
             f"loop defect {verdict}: {_num(report.defect)}",
             f"error_estimate: {_num(report.error_estimate)}",
             f"fingerprint_distance: {_num(report.fingerprint_distance)}",
-        ]) + "\n")
-    return 0
+        ])
 
 
 def _load_inclusion(args: argparse.Namespace):
@@ -266,35 +244,33 @@ def cmd_peripheral(args: argparse.Namespace) -> int:
     pd, inc = _load_inclusion(args)
     reps = [load_rep(f) for f in args.input]
     prints = [peripheral_fingerprint(r, inc) for r in reps]
-    lines = []
-    payload: dict = {"fingerprints": []}
-    for f, fp in zip(args.input, prints):
-        payload["fingerprints"].append(
-            {"file": f, "words": list(fp.words),
-             "values": [_cnum(v) for v in fp.values]})
-        lines.append(f"{f}:")
-        for w, v in zip(fp.words, fp.values):
-            lines.append(f"  {w:<12} {_cnum(v)}")
+    payload: dict = {"fingerprints": [
+        {"file": f, "words": list(fp.words),
+         "values": [_cnum(v) for v in fp.values]}
+        for f, fp in zip(args.input, prints)]}
     if len(reps) == 2:
-        d = prints[0].distance(prints[1])
         residual = conjugacy_residual(reps[0], reps[1])
-        verdict = "conjugate" if residual < 1e-6 else "distinct"
-        payload["distance"] = _num(d)
+        payload["distance"] = _num(prints[0].distance(prints[1]))
         payload["conjugacy_residual"] = _num(residual)
-        payload["verdict"] = verdict
-        lines.append(f"fingerprint distance: {_num(d)}")
-        lines.append(f"conjugacy residual: {_num(residual)} ({verdict})")
-    if args.format == "json":
-        _emit(args, _json_dump(payload))
-    elif args.format == "csv":
-        rows = ["word,re,im"]
-        for fp in prints:
-            for w, v in zip(fp.words, fp.values):
-                rows.append(f"{w},{_num(v.real)},{_num(v.imag)}")
-        _emit(args, "\n".join(rows) + "\n")
-    else:
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+        payload["verdict"] = "conjugate" if residual < 1e-6 else "distinct"
+
+    def text():
+        lines = []
+        for entry in payload["fingerprints"]:
+            lines.append(f"{entry['file']}:")
+            lines += [f"  {w:<12} {v}"
+                      for w, v in zip(entry["words"], entry["values"])]
+        if len(reps) == 2:
+            lines.append(f"fingerprint distance: {payload['distance']}")
+            lines.append(f"conjugacy residual: "
+                         f"{payload['conjugacy_residual']} "
+                         f"({payload['verdict']})")
+        return lines
+
+    return _emit(args, json=lambda: payload, text=text, csv=lambda: [
+        "word,re,im"] + [f"{w},{_num(v.real)},{_num(v.imag)}"
+                         for fp in prints
+                         for w, v in zip(fp.words, fp.values)])
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
@@ -303,19 +279,14 @@ def cmd_rank(args: argparse.Namespace) -> int:
     rank, sv = jacobian_rank(rep, inc)
     expected = 3 * len(inc.generators) - 3
     margin = sv[rank - 1] / sv[0] if rank else float("nan")
-    if args.format == "json":
-        _emit(args, _json_dump({
-            "rank": rank, "expected": expected,
-            "singular_values": [_num(s) for s in sv],
-            "margin": _num(margin),
-        }))
-    else:
-        _emit(args, "\n".join([
-            f"rank {rank} of {expected} expected",
-            "singular values: " + " ".join(_num(s) for s in sv),
-            f"margin: {_num(margin)}",
-        ]) + "\n")
-    return 0
+    return _emit(
+        args,
+        json=lambda: {"rank": rank, "expected": expected,
+                      "singular_values": [_num(s) for s in sv],
+                      "margin": _num(margin)},
+        text=lambda: [f"rank {rank} of {expected} expected",
+                      "singular values: " + " ".join(_num(s) for s in sv),
+                      f"margin: {_num(margin)}"])
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
@@ -324,15 +295,14 @@ def cmd_plot(args: argparse.Namespace) -> int:
     path = _load_pathfile(args)
     if args.quantity == "angles":
         angles = angle_series(path, args.endpoints)
+        ts, ylabel = path.ts, "bending angle"
         series = {f"angle[{c.id}]": angles[c.id] for c in path.pd.cuffs}
-        svg = _svg_plot(path.ts, series, "t", "bending angle")
     else:
         result = integrate_volume_change(path, args.endpoints,
                                          steps=args.steps)
-        svg = _svg_plot(result.ts, {"dV": result.cumulative},
-                        "t", "cumulative dV")
-    _emit(args, svg)
-    return 0
+        ts, ylabel = result.ts, "cumulative dV"
+        series = {"dV": result.cumulative}
+    return _emit(args, svg=lambda: _svg_plot(ts, series, "t", ylabel))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +312,8 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                "#8c564b", "#e377c2", "#7f7f7f")
 
 
-def _svg_plot(ts, series: dict, xlabel: str, ylabel: str) -> str:
+def _svg_plot(ts, series: dict, xlabel: str, ylabel: str) -> list:
+    """The lines of an SVG line plot of every series against ts."""
     width, height, margin = 640, 400, 56
     xs = list(ts)
     all_ys = [y for ys in series.values() for y in ys]
@@ -389,7 +360,7 @@ def _svg_plot(ts, series: dict, xlabel: str, ylabel: str) -> str:
                      f'y="{margin + 16 + 16 * i}" font-size="12" '
                      f'text-anchor="end" fill="{color}">{name}</text>')
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +398,7 @@ _OPTIONS = {
 }
 
 # subcommand: (function, options it reads besides --input and --output,
-# formats it writes)
+# formats it writes, the first the default; with one, no --format)
 _COMMANDS = {
     "classify": (cmd_classify, ("words",), ("text", "json")),
     "pleat": (cmd_pleat, ("pd", "endpoints"), ("text", "json")),
@@ -439,7 +410,7 @@ _COMMANDS = {
     "loop-defect": (cmd_loop_defect, ("pd",), ("text", "json")),
     "peripheral": (cmd_peripheral, ("inclusion",), ("text", "json", "csv")),
     "rank": (cmd_rank, ("inclusion",), ("text", "json")),
-    "plot": (cmd_plot, ("pd", "endpoints", "steps", "quantity"), ()),
+    "plot": (cmd_plot, ("pd", "endpoints", "steps", "quantity"), ("svg",)),
 }
 
 
@@ -458,8 +429,10 @@ def _build_parser(command: str | None = None) -> _Parser:
                        help="input file(s): representation or path JSON")
         for option in options:
             p.add_argument(f"--{option}", **_OPTIONS[option])
-        if formats:
-            p.add_argument("--format", default="text", choices=formats)
+        if len(formats) > 1:
+            p.add_argument("--format", default=formats[0], choices=formats)
+        else:
+            p.set_defaults(format=formats[0])
         p.add_argument("--output", help="write to this file instead of stdout")
     return parser
 

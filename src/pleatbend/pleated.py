@@ -118,16 +118,6 @@ class SampleImages:
     def __len__(self) -> int:
         return self.matrices.shape[3]
 
-    def sample(self, k: int) -> "SampleImages":
-        """Sample k as a one-sample pass, read off this pass's arrays."""
-        at = slice(k, k + 1)
-        stack = self.stack
-        return SampleImages(self.generators, self.matrices[..., at], self.pd,
-                            self.words,
-                            MoebiusArray(stack.re[..., at], stack.im[..., at],
-                                         stack.ok[..., at]),
-                            self.rows, self.traces[at], self.ok[:, at])
-
     def evaluated(self) -> np.ndarray:
         """Where every word and commutator of a sample was evaluated."""
         return self.ok.all(axis=0)
@@ -139,10 +129,16 @@ class SampleImages:
         if not len(bad):
             return None
         i = int(bad[0])
-        what = (f"word {self.words[i]!r}" if i < len(self.words) else
-                f"slot commutators of {self.rows[i - len(self.words)]}")
-        return SampleEvaluationFailure(
-            f"sample {k}: {what} is singular, overflows or is not finite")
+        return _evaluation_failure(
+            k, f"word {self.words[i]!r}" if i < len(self.words) else
+            f"slot commutators of {self.rows[i - len(self.words)]}")
+
+
+def _evaluation_failure(k: int, what: str) -> SampleEvaluationFailure:
+    """The failure of sample k where what (a word or a pants' slot
+    commutators) cannot be evaluated."""
+    return SampleEvaluationFailure(
+        f"sample {k}: {what} is singular, overflows or is not finite")
 
 
 def sample_images(generators, matrices: np.ndarray,
@@ -151,25 +147,16 @@ def sample_images(generators, matrices: np.ndarray,
     generators (2, 2, generators, n), by one array pass.
 
     Every word the sample pipeline reads is evaluated at all samples at
-    once with MoebiusArray, folding the words level by level, and so is
-    the tr^2 of every slot commutator that check_adapted reads.  Both
-    follow evaluate_word and shared_endpoint_check product by product.
-    A letter that is not one of the generators raises UnknownLetter.  A
-    sample at which a value would raise in the scalar arithmetic is not
-    raised here: its consumers raise SampleEvaluationFailure when they
-    reach it, so they meet the failures of earlier samples first.
+    once with MoebiusArray, folding the words level by level
+    (_word_images), and so is the tr^2 of every slot commutator that
+    check_adapted reads, one chain of three stacked products for every
+    slot row and pair.  Both follow evaluate_word and
+    shared_endpoint_check product by product.  A letter that is not one
+    of the generators raises UnknownLetter.  A sample at which a value
+    would raise in the scalar arithmetic is not raised here: its
+    consumers raise SampleEvaluationFailure when they reach it, so they
+    meet the failures of earlier samples first.
     """
-    return SampleImages(generators, matrices, pd,
-                        *_array_pass(generators, matrices, pd))
-
-
-def _array_pass(generators, matrices: np.ndarray, pd: PantsDecomposition):
-    """The array pass of sample_images: (words, their images, slot rows,
-    their commutator tr^2 (n, rows, 3), ok).
-
-    The words are folded level by level (_word_images); the commutators
-    of every slot row and pair are one chain of three stacked
-    products."""
     words = [c.word for c in pd.cuffs]
     words += [w for row in pd.slot_words for w in row]
     words += [e.conjugator for pants in pd.pants for e in pants.cuff_ends]
@@ -189,8 +176,9 @@ def _array_pass(generators, matrices: np.ndarray, pd: PantsDecomposition):
     del right
     traces = _complex(*comm.trace_squared())              # (rows, 3, n)
     row_ok = (comm.ok & np.isfinite(traces)).all(axis=1)
-    return (words, stack, rows, np.moveaxis(traces, -1, 0),
-            np.concatenate([stack.ok, row_ok]))
+    return SampleImages(generators, matrices, pd, words, stack, rows,
+                        np.moveaxis(traces, -1, 0),
+                        np.concatenate([stack.ok, row_ok]))
 
 
 def _one_sample(rep: Representation, pd: PantsDecomposition) -> SampleImages:
@@ -414,36 +402,30 @@ def orientation_start_endpoints(ori, images: SampleImages) -> dict:
                    second.select(forward, first))
 
 
-def _selected(images: SampleImages, start: str | dict) -> tuple:
-    """_selection on a pass, raising its first failure."""
-    failures = _Failures()
-    selection = _selection(images, start, failures)
-    failures.raise_first()
-    return selection
-
-
 def resolve_endpoints(rep: Representation, pd: PantsDecomposition,
-                      start: str) -> dict:
+                      start: str | dict) -> dict:
     """Chosen and unchosen fixed point per cuff: cuff id -> (zeta, other).
 
     start is "attracting", which chooses the first point reported by
     fixed_points (for a loxodromic cuff, the attracting one), or
     "repelling", which chooses the second; any other label raises
-    PleatbendError once the sample is evaluated.
+    PleatbendError once the sample is evaluated.  start may also be a
+    selection at a nearby representation, cuff id -> (zeta, other),
+    which is continued to this one (track_endpoints): each cuff's new
+    fixed points are matched to the previously chosen one by chordal
+    distance; if the previous point is not clearly closer to one of
+    them than the points are to each other, tracking is ambiguous and
+    fails.
     """
-    return _points(pd, *_selected(_one_sample(rep, pd), start))
+    failures = _Failures()
+    selection = _selection(_one_sample(rep, pd), start, failures)
+    failures.raise_first()
+    return _points(pd, *selection)
 
 
-def track_endpoints(rep: Representation, pd: PantsDecomposition,
-                    previous: dict) -> dict:
-    """Continue an endpoint selection to a nearby representation.
-
-    Each cuff's new fixed points are matched to the previously chosen
-    one by chordal distance; if the previous point is not clearly
-    closer to one of them than the points are to each other, tracking
-    is ambiguous and fails.
-    """
-    return _points(pd, *_selected(_one_sample(rep, pd), previous))
+# continuing a selection is the same call; perfbench's tracer counts
+# the calls made under this name
+track_endpoints = resolve_endpoints
 
 
 # ---------------------------------------------------------------------------
@@ -904,18 +886,20 @@ class _Geometry:
             ratio_r, ratio_i = _quot(*dir_b, *dir_a)
         return reduce_angle_array(np.arctan2(ratio_i, ratio_r)), checks
 
-    def terms(self, conv: TruncationConvention,
+    def terms(self, conv: TruncationConvention | None,
               failures: _Failures) -> tuple:
         """The Schlafli terms of every leaf of the lamination at every
         row and sample, stacked: (angles, lengths), each (rows, n), the
         cuff term rows first, then spiral leaf i of every plaque row, for
         i = 0, 1, 2.  table gives the row an orientation reads for a
         leaf.  All cuff leaves are computed at once, and so are all
-        spiral leaves."""
+        spiral leaves.  Without a convention only the angle stages run
+        and record their guards, and lengths is None."""
         cuff_angles, cuff_checks = self.once("cuff_angles")
-        cuff_lengths = _cuff_lengths(self.images).real
-        leaf_angles, angle_checks = self.once("leaf_angles")
-        leaf_lengths, length_checks = self.leaf_lengths(conv)
+        leaf_angles, leaf_checks = self.once("leaf_angles")
+        if conv is not None:
+            leaf_lengths, length_checks = self.leaf_lengths(conv)
+            leaf_checks = leaf_checks + length_checks
         cuffs, leaves = [], []
         for t, leaf in enumerate(self.lam.leaves):
             if isinstance(leaf.key, str):
@@ -924,11 +908,14 @@ class _Geometry:
             else:
                 leaves.append((t, leaf.key, self.leaf_index(leaf.key)))
         failures.record(3, cuffs, cuff_checks)
-        failures.record(3, leaves, angle_checks + length_checks)
+        failures.record(3, leaves, leaf_checks)
         n = len(self.images)
-        return (np.concatenate([cuff_angles, leaf_angles.reshape(-1, n)]),
-                np.concatenate([cuff_lengths[self.cuff_terms[0]],
-                                leaf_lengths.reshape(-1, n)]))
+        angles = np.concatenate([cuff_angles, leaf_angles.reshape(-1, n)])
+        if conv is None:
+            return angles, None
+        cuff_lengths = _cuff_lengths(self.images).real
+        return angles, np.concatenate([cuff_lengths[self.cuff_terms[0]],
+                                       leaf_lengths.reshape(-1, n)])
 
 
 def _placed(images: SampleImages, starts: list, lam: Lamination,
@@ -951,14 +938,15 @@ def _placed(images: SampleImages, starts: list, lam: Lamination,
 
 
 def path_terms(images: SampleImages, starts: list, lam: Lamination,
-               conv: TruncationConvention) -> tuple:
+               conv: TruncationConvention | None) -> tuple:
     """Every Schlafli term of lam at every sample of a pass, for the
     endpoint chains that start from starts (labels or selections), and
     the rows that every orientation, a chain per cuff in
     enumerate_orientations' order, reads.
 
     Returns (table, angles, lengths, deferred): angles and lengths are
-    the stacked terms of _Geometry.terms, (rows, n), and table[o, t]
+    the stacked terms of _Geometry.terms, (rows, n), lengths None and
+    their guards unchecked without a convention conv, and table[o, t]
     is the row that orientation o reads for leaf t.  The first failure
     of the pass (_Failures), among those of _placed and the terms,
     raises if it is of phase 0, orientation 0 with chain 0 everywhere,
@@ -1072,8 +1060,7 @@ def cuff_bending(real: PleatedRealization, cuff_id: str,
     images = geometry.images
     crossing = _word_images(images.generators, images.matrices, [word])
     if not crossing.ok.all():
-        raise SampleEvaluationFailure(
-            f"sample 0: word {word!r} is singular, overflows or is not finite")
+        raise _evaluation_failure(0, f"word {word!r}")
     return _one_term(cuff_id, *geometry.cuff_angles({cuff_id: crossing}),
                      rows)
 

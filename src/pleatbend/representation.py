@@ -234,15 +234,15 @@ def commutator_trace(x: complex, y: complex, z: complex) -> complex:
 
 
 def random_representation(rng: np.random.Generator,
-                          spread: float = 1.0,
                           generators=("x", "y")) -> Representation:
     """Random irreducible two-generator representation.
 
-    Trace triples are drawn until the commutator trace is well away
-    from 2, which rules out reducible pairs.
+    Trace triples, each with real part drawn from normal(0, 2) and
+    imaginary part from normal(0, 1), are drawn until the commutator
+    trace is well away from 2, which rules out reducible pairs.
     """
     while True:
-        x, y, z = (complex(rng.normal(0, 2 * spread), rng.normal(0, spread))
+        x, y, z = (complex(rng.normal(0, 2), rng.normal(0, 1))
                    for _ in range(3))
         if abs(commutator_trace(x, y, z) - 2) > 0.5:
             return rep_from_trace_triple(x, y, z, generators)
@@ -262,9 +262,6 @@ def random_representation(rng: np.random.Generator,
 # differently).
 
 _R = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-# samples glued at once: the pass holds about 7 KB of temporaries per
-# genus-3 sample, five times what the representations keep
-_CHUNK = 1024
 
 
 def _mat(m: MoebiusMap) -> np.ndarray:
@@ -524,13 +521,13 @@ def _cuff_row(pd: PantsDecomposition, values, what: str) -> list[complex]:
 
 def _glue(pd: PantsDecomposition, params, ts=None) -> np.ndarray:
     """fenchel_nielsen_rep at every (lengths, twists) of params, in one
-    stacked pass: the images of pd.generators, (2, 2, generators,
-    samples).  A failure raises at the first failing sample, and there
-    the scalar construction's first failing guard: the length and twist
-    tables, the pants, the frames and generators in gluing order, the
-    relator residual, then the cuff traces.  With the sample times ts,
-    its message ends with the sample and its time.  Other errors that
-    params raises propagate at once."""
+    stacked pass (_glue_rows) over all samples: the images of
+    pd.generators, (2, 2, generators, samples).  A failure raises at the
+    first failing sample, and there the scalar construction's first
+    failing guard: the length and twist tables, the pants, the frames
+    and generators in gluing order, the relator residual, then the cuff
+    traces.  With the sample times ts, its message ends with the sample
+    and its time.  Other errors that params raises propagate at once."""
     plan = _gluing(pd)
     rows, late = [], None
     try:
@@ -539,22 +536,13 @@ def _glue(pd: PantsDecomposition, params, ts=None) -> np.ndarray:
                         + _cuff_row(pd, twists, "twist"))
     except PleatbendError as exc:   # raised once the samples before it pass
         late = exc
-    chunks = [np.empty((2, 2, len(pd.generators), 0), dtype=complex)]
-    failure = None
-    parts = -(-len(rows) // _CHUNK)      # chunks of near-equal size
-    for i in range(parts):
-        start = len(rows) * i // parts
-        z = np.array(rows[start:len(rows) * (i + 1) // parts], dtype=complex)
-        glued, failure = _glue_rows(pd, plan, z[:, :len(pd.cuffs)],
-                                    z[:, len(pd.cuffs):])
-        if failure is not None:
-            failure = start + failure[0], failure[1]
-            break
-        chunks.append(glued)
+    z = np.array(rows, dtype=complex).reshape(len(rows), 2 * len(pd.cuffs))
+    glued, failure = _glue_rows(pd, plan, z[:, :len(pd.cuffs)],
+                                z[:, len(pd.cuffs):])
     if failure is None and late is not None:
         failure = len(rows), late
     if failure is None:
-        return np.concatenate(chunks, axis=-1)
+        return glued
     k, exc = failure
     if ts is not None:
         exc = type(exc)(f"{exc} at sample {k} (t={float(ts[k])!r})")

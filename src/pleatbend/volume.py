@@ -30,8 +30,8 @@ from .errors import (AngleUnwrapFailure, DegenerateTetrahedron,
 from .moebius import reduce_angle_array
 # orientation_start_endpoints: perfbench's tracer and the tests read it here
 from .pleated import (SampleImages, TruncationConvention, _loxodromic_start,
-                      _selected, orientation_start_endpoints, path_terms,
-                      sample_images)
+                      orientation_start_endpoints, path_terms,
+                      resolve_endpoints, sample_images)
 from .representation import (RepresentationPath, fingerprint,
                              standard_word_list)
 from .topology import (OrientationAssignment, build_lamination,
@@ -163,13 +163,14 @@ def angle_series(path: RepresentationPath, zeta: str | dict) -> dict:
     """Bending angle of every term at every sample of a path.
 
     The endpoint selection is resolved at the first sample and tracked
-    forward; keys are cuff ids and (pants, i) leaf keys.
+    forward; keys are cuff ids and (pants, i) leaf keys.  Only the
+    placement and the angle stages run, so a guard of the truncated
+    lengths, which this reports none of, cannot fail it.
     """
     pd = _surface(path)
     lam = build_lamination(pd)
     images = sample_images(path.generators, path.matrices, pd)
-    table, angles, _, _ = path_terms(images, [zeta], lam,
-                                     TruncationConvention.uniform(pd))
+    table, angles, _, _ = path_terms(images, [zeta], lam, conv=None)
     return {leaf.key: angles[r].tolist()
             for leaf, r in zip(lam.leaves, table[0].tolist())}
 
@@ -178,11 +179,11 @@ def schlafli_derivative(path: RepresentationPath, t: float,
                         zeta: str | dict) -> float:
     """dV/dt at an interior sample of a path.
 
-    The endpoint selection is resolved at the sample itself and tracked
-    to its neighbors; the value is the integrand of
-    integrate_volume_change on those three samples, read at the middle
-    one.  Cuffs whose length is purely imaginary (elliptic crossings)
-    contribute nothing through their own term.
+    The endpoint selection is resolved at the sample itself
+    (resolve_endpoints) and tracked to its neighbors; the value is the
+    integrand of integrate_volume_change on those three samples, read at
+    the middle one.  Cuffs whose length is purely imaginary (elliptic
+    crossings) contribute nothing through their own term.
     """
     k = path.index_of(t)
     if k == 0 or k == len(path) - 1:
@@ -195,7 +196,7 @@ def schlafli_derivative(path: RepresentationPath, t: float,
         failure = images.failure(i)
         if failure is not None:
             raise failure
-    zeta = _selected(images.sample(1), zeta)[0][:, 0]
+    zeta = resolve_endpoints(path.rep(k), pd, zeta)
     table, angles, lengths, _ = path_terms(images, [zeta],
                                            build_lamination(pd),
                                            TruncationConvention.uniform(pd))

@@ -25,7 +25,7 @@ from pleatbend import (InvalidDecomposition, MoebiusMap,
                        fenchel_nielsen_rep, load_path, path_from_parameters,
                        representation, standard_decomposition)
 from pleatbend.moebius import _sqrt
-from pleatbend.representation import _CHUNK, _normal_frames
+from pleatbend.representation import _normal_frames
 from pleatbend.topology import (Cuff, decomposition_from_dict,
                                 decomposition_to_dict)
 
@@ -476,8 +476,8 @@ def test_non_finite_sample_is_named():
         "length of cuff 'a2' is (nan+0j), not finite at sample 6 (t=0.75)")
 
 
-def test_chunks_of_near_equal_size(monkeypatch):
-    # _CHUNK + 1 samples glue as two halves, not as _CHUNK and 1
+def test_long_path_glued_in_one_call(monkeypatch):
+    # the 1,025 samples of the longest benchmark path glue in one pass
     sizes = []
 
     def glue_rows(pd, plan, lam, twist):
@@ -487,21 +487,21 @@ def test_chunks_of_near_equal_size(monkeypatch):
     glue = representation._glue_rows
     monkeypatch.setattr(representation, "_glue_rows", glue_rows)
     path_from_parameters(PD2, lambda t: LENGTHS, lambda t: TWISTS,
-                         steps=_CHUNK)
-    assert sum(sizes) == _CHUNK + 1
-    assert len(sizes) == 2 and max(sizes) - min(sizes) <= 1
+                         steps=1024)
+    assert sizes == [1025]
 
 
 def test_failing_sample_past_the_first_chunk():
-    # the pass glues at most _CHUNK samples at once; samples are still
-    # numbered along the whole path
-    steps = _CHUNK + 64
-    bad = {_CHUNK + 6: (-1.0, 1.7, 2.3), _CHUNK + 9: (2.0, 1.7)}
+    # on a path longer than 1,024 samples, the first failing sample is
+    # still found and numbered along the whole path, before a later
+    # sample whose parameters cannot be read
+    steps = 1024 + 64
+    bad = {1024 + 6: (-1.0, 1.7, 2.3), 1024 + 9: (2.0, 1.7)}
 
     def lengths_at(t):
         return bad.get(round(steps * t), LENGTHS)
 
-    k = _CHUNK + 6
+    k = 1024 + 6
     t = float(np.linspace(0.0, 1.0, steps + 1)[k])
     with pytest.raises(NonHyperbolicParameters) as got:
         path_from_parameters(PD2, lengths_at, lambda t: TWISTS, steps=steps)

@@ -779,6 +779,36 @@ def test_traced_names_resolve():
     assert callable(getattr(MoebiusMap, "__post_init__", None))
 
 
+def test_private_helpers_are_called():
+    # a module-level private function, class or constant of the package
+    # that nothing else in src/ names is dead code: delete it, or move
+    # it to the tests that use it
+    src = os.path.join(ROOT, "src", "pleatbend")
+    defined, named = [], set()
+    for module in sorted(os.listdir(src)):
+        if not module.endswith(".py"):
+            continue
+        with open(os.path.join(src, module)) as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                keys = [node.name]
+            elif isinstance(node, ast.Assign):
+                keys = [n.id for t in node.targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name)]
+            else:
+                keys = []
+            defined += [(module, key) for key in keys
+                        if key.startswith("_") and not key.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    assert [(module, key) for module, key in defined
+            if key not in named] == []
+
+
 class TestReferenceDrift:
     """vol_gamma on the benchmark's genus-3 input against the recorded
     references, within the benchmark's 1e-10.  The references pin the

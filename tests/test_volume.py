@@ -1008,6 +1008,32 @@ class TestSampleWork:
                 "leaf_angles": 1, "leaf_lengths": 1, "_cuff_lengths": 1,
                 "classify": 1, "fixed_points": 1}
 
+    def test_angle_series_runs_no_length_stage(self, monkeypatch):
+        # angle_series reports angles only: it runs the angle stages and
+        # neither length stage, which vol_gamma runs once each
+        calls = dict.fromkeys(("cuff_angles", "leaf_angles", "leaf_lengths",
+                               "_cuff_lengths"), 0)
+
+        def counting(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        for name in ("cuff_angles", "leaf_angles", "leaf_lengths"):
+            monkeypatch.setattr(pleated._Geometry, name, counting(
+                name, getattr(pleated._Geometry, name)))
+        monkeypatch.setattr(pleated, "_cuff_lengths", counting(
+            "_cuff_lengths", pleated._cuff_lengths))
+        path = genus3_path(lambda t: 2.0 + 0.1j * t, steps=8)
+        angle_series(path, "attracting")
+        assert calls == {"cuff_angles": 1, "leaf_angles": 1,
+                         "leaf_lengths": 0, "_cuff_lengths": 0}
+        calls.update(dict.fromkeys(calls, 0))
+        vol_gamma(path)
+        assert calls == {"cuff_angles": 1, "leaf_angles": 1,
+                         "leaf_lengths": 1, "_cuff_lengths": 1}
+
     @pytest.mark.parametrize("run", ["volume-path", "vol-gamma"])
     def test_no_point_made_per_sample(self, run, monkeypatch):
         # the pipeline reads points as arrays, and vol_gamma's two chains
