@@ -244,33 +244,36 @@ def cmd_peripheral(args: argparse.Namespace) -> int:
     pd, inc = _load_inclusion(args)
     reps = [load_rep(f) for f in args.input]
     prints = [peripheral_fingerprint(r, inc) for r in reps]
-    payload: dict = {"fingerprints": [
-        {"file": f, "words": list(fp.words),
-         "values": [_cnum(v) for v in fp.values]}
-        for f, fp in zip(args.input, prints)]}
-    if len(reps) == 2:
-        residual = conjugacy_residual(reps[0], reps[1])
-        payload["distance"] = _num(prints[0].distance(prints[1]))
-        payload["conjugacy_residual"] = _num(residual)
-        payload["verdict"] = "conjugate" if residual < 1e-6 else "distinct"
+
+    def payload():
+        out: dict = {"fingerprints": [
+            {"file": f, "words": list(fp.words),
+             "values": [_cnum(v) for v in fp.values]}
+            for f, fp in zip(args.input, prints)]}
+        if len(reps) == 2:
+            residual = conjugacy_residual(reps[0], reps[1])
+            out["distance"] = _num(prints[0].distance(prints[1]))
+            out["conjugacy_residual"] = _num(residual)
+            out["verdict"] = "conjugate" if residual < 1e-6 else "distinct"
+        return out
 
     def text():
+        out = payload()
         lines = []
-        for entry in payload["fingerprints"]:
+        for entry in out["fingerprints"]:
             lines.append(f"{entry['file']}:")
             lines += [f"  {w:<12} {v}"
                       for w, v in zip(entry["words"], entry["values"])]
         if len(reps) == 2:
-            lines.append(f"fingerprint distance: {payload['distance']}")
-            lines.append(f"conjugacy residual: "
-                         f"{payload['conjugacy_residual']} "
-                         f"({payload['verdict']})")
+            lines.append(f"fingerprint distance: {out['distance']}")
+            lines.append(f"conjugacy residual: {out['conjugacy_residual']} "
+                         f"({out['verdict']})")
         return lines
 
-    return _emit(args, json=lambda: payload, text=text, csv=lambda: [
-        "word,re,im"] + [f"{w},{_num(v.real)},{_num(v.imag)}"
-                         for fp in prints
-                         for w, v in zip(fp.words, fp.values)])
+    return _emit(args, json=payload, text=text, csv=lambda: [
+        "file,word,re,im"] + [f"{f},{w},{_num(v.real)},{_num(v.imag)}"
+                              for f, fp in zip(args.input, prints)
+                              for w, v in zip(fp.words, fp.values)])
 
 
 def cmd_rank(args: argparse.Namespace) -> int:

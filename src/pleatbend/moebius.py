@@ -234,8 +234,8 @@ class MoebiusMap:
         return math.sqrt(min(pa * pa + pb * pb + pc * pc + pd * pd,
                              ma * ma + mb * mb + mc * mc + md * md))
 
-    def is_identity(self, eps: float = EPS_CLASS) -> bool:
-        return self.distance_to(_IDENTITY) < eps
+    def is_identity(self) -> bool:
+        return self.distance_to(_IDENTITY) < EPS_CLASS
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (f"MoebiusMap([[{self.a:.6g}, {self.b:.6g}], "
@@ -749,9 +749,11 @@ def complex_length(m: MoebiusMap) -> complex:
     """Complex translation length lambda, with 4 cosh^2(lambda/2) = tr^2.
 
     Normalized so that Re(lambda) >= 0 and Im(lambda) lies in (-pi, pi].
-    For elliptic maps the real part is exactly 0 (the rotation collapses
-    the translation part) and the sign of the imaginary part follows the
-    stored lift of the matrix.  Parabolic and identity inputs raise
+    For elliptic maps the real part is exactly 0 and lambda is taken at
+    the real part of tr / 2, so that a rounding-level Im tr does not pick
+    the sign of Im(lambda): lambda = 2 log mu, reduced, where mu is the
+    eigenvalue of the first point that fixed_points returns, for either
+    lift, as for loxodromic maps.  Parabolic and identity inputs raise
     DegenerateLength.
     """
     return _complex_length(m, classify(m))
@@ -761,11 +763,11 @@ def _complex_length(m: MoebiusMap, kind: str) -> complex:
     """complex_length of a map already classified as kind."""
     if kind in (IsometryClass.IDENTITY, IsometryClass.PARABOLIC):
         raise DegenerateLength(f"complex length undefined for {kind} map")
-    lam = 2.0 * cmath.acosh(m.trace / 2.0)
-    re, im = lam.real, reduce_angle(lam.imag)
     if kind == IsometryClass.ELLIPTIC:
-        return complex(0.0, im)
-    return complex(re, im)
+        lam = 2.0 * cmath.acosh(complex(m.trace.real / 2.0, 0.0))
+        return complex(0.0, reduce_angle(lam.imag))
+    lam = 2.0 * cmath.acosh(m.trace / 2.0)
+    return complex(lam.real, reduce_angle(lam.imag))
 
 
 def cross_ratio(p1: ProjectivePoint, p2: ProjectivePoint,

@@ -47,6 +47,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +62,7 @@ from .moebius import (EPS_CLASS, EPS_NUM, KINDS, MoebiusArray, MoebiusMap,
                       reduce_angle_array, stack_points, trace_squared)
 from .representation import Representation, _matrices_of, _word_images
 from .topology import (CuffCrossing, Lamination, LeafCrossing,
-                       PantsDecomposition, TransverseArc, build_lamination,
-                       invert_word)
+                       PantsDecomposition, TransverseArc, build_lamination)
 
 EPS_SEP = 1e-9
 _TINY = np.finfo(float).tiny   # the least normal float
@@ -80,9 +80,9 @@ class SampleImages:
     generators and matrices are the samples it read, the image of every
     generator at every sample, (2, 2, generators, n), as
     RepresentationPath holds them.  words lists every word the pipeline
-    reads (cuff words, slot words, conjugators and the crossing words of
-    cuff_bending), index takes each to its place there, and stack holds
-    their images, (2, 2, words, n), whose entries agree with
+    reads (cuff words, slot words, conjugators and the winding-0 crossing
+    words, pd.crossing_words), index takes each to its place there, and
+    stack holds their images, (2, 2, words, n), whose entries agree with
     evaluate_word's to within 8 eps per product (see MoebiusArray).
     traces holds the tr^2 of the slot commutators that check_adapted
     reads, (n, len(rows), 3) for the distinct slot rows in rows and the
@@ -129,16 +129,10 @@ class SampleImages:
         if not len(bad):
             return None
         i = int(bad[0])
-        return _evaluation_failure(
-            k, f"word {self.words[i]!r}" if i < len(self.words) else
-            f"slot commutators of {self.rows[i - len(self.words)]}")
-
-
-def _evaluation_failure(k: int, what: str) -> SampleEvaluationFailure:
-    """The failure of sample k where what (a word or a pants' slot
-    commutators) cannot be evaluated."""
-    return SampleEvaluationFailure(
-        f"sample {k}: {what} is singular, overflows or is not finite")
+        what = (f"word {self.words[i]!r}" if i < len(self.words) else
+                f"slot commutators of {self.rows[i - len(self.words)]}")
+        return SampleEvaluationFailure(
+            f"sample {k}: {what} is singular, overflows or is not finite")
 
 
 def sample_images(generators, matrices: np.ndarray,
@@ -325,8 +319,10 @@ def _selection(images: SampleImages, start: str | dict | PointArray,
     """(chosen, other) PointArrays of every cuff, (cuffs, n), tracked
     (_track) from start: a label, which sits on its fixed point at the
     first sample, or points, (cuffs,), or a dict cuff id -> (chosen,
-    other), whose chosen points are tracked to it.  An unknown label, or
-    a dict that lacks a cuff, fails at the first sample.
+    other), whose chosen points are tracked to it; and the chain mask,
+    (cuffs, n), True where the chosen point is the second fixed point.
+    An unknown label, or a dict that lacks a cuff, fails at the first
+    sample.
 
     The guards of resolve_endpoints and track_endpoints, cuff by cuff in
     their order: the cuff's kind (identity and parabolic raise
@@ -366,7 +362,7 @@ def _selection(images: SampleImages, start: str | dict | PointArray,
                    f"{float(moved[j, k]):.3g} against a fixed-point gap of "
                    f"{float(gap[j, k]):.3g}"))
     failures.record(0, _cuff_spans(pd), checks, phase)
-    return pts[1].select(chain, pts[0]), pts[0].select(chain, pts[1])
+    return pts[1].select(chain, pts[0]), pts[0].select(chain, pts[1]), chain
 
 
 def _points(pd: PantsDecomposition, chosen: PointArray,
@@ -418,9 +414,9 @@ def resolve_endpoints(rep: Representation, pd: PantsDecomposition,
     fails.
     """
     failures = _Failures()
-    selection = _selection(_one_sample(rep, pd), start, failures)
+    chosen, other, _ = _selection(_one_sample(rep, pd), start, failures)
     failures.raise_first()
-    return _points(pd, *selection)
+    return _points(pd, chosen, other)
 
 
 # continuing a selection is the same call; perfbench's tracer counts
@@ -554,11 +550,14 @@ class TruncationConvention:
 
 def _cuff_lengths(images: SampleImages) -> np.ndarray:
     """complex_length of every elliptic or loxodromic cuff at every
-    sample, (cuffs, n)."""
+    sample, (cuffs, n); as there, an elliptic cuff's is taken at the
+    real part of tr / 2."""
     m = images.cuff_maps
-    lam = 2.0 * np.arccosh(_complex((m.re[0, 0] + m.re[1, 1]) / 2.0,
-                                    (m.im[0, 0] + m.im[1, 1]) / 2.0))
-    return _complex(np.where(images.kinds == _ELLIPTIC, 0.0, lam.real),
+    elliptic = images.kinds == _ELLIPTIC
+    lam = 2.0 * np.arccosh(_complex(
+        (m.re[0, 0] + m.re[1, 1]) / 2.0,
+        np.where(elliptic, 0.0, (m.im[0, 0] + m.im[1, 1]) / 2.0)))
+    return _complex(np.where(elliptic, 0.0, lam.real),
                     reduce_angle_array(lam.imag))
 
 
@@ -614,28 +613,31 @@ class _Geometry:
     chains, on arrays stacked over every pants and every cuff leaf.
 
     zeta holds the (chosen, other) points of every cuff under every
-    chain, each (chains, cuffs, n).  One rule numbers every row: the
-    rows of a support (sorted cuff indices) form one block, and a chain
-    vector, one chain per cuff, reads the row of its block that its
-    chains on the support spell as a number in base chains, so a block
-    runs through the patterns of the support in itertools.product
-    order and its row 0 takes chain 0 everywhere.  The plaques stack
-    the blocks of all pants, pants p at the rows pants_rows[p]; the cuff
-    terms stack those of every cuff leaf's support, cuff j at
-    cuff_rows[j].  table[v, t] is the row of the stacked terms that
-    chain vector v reads for leaf t, the vectors in product order, which
-    is enumerate_orientations' when forward takes chain 0.  slots holds,
-    per slot and plaque row, (3, rows), the
+    chain, each (chains, cuffs, n), and second, (chains, cuffs, n), is
+    True where the chosen point is the second fixed point.  One rule
+    numbers every row: the rows of a support (sorted cuff indices) form
+    one block, and a chain vector, one chain per cuff, reads the row of
+    its block that its chains on the support spell as a number in base
+    chains, so a block runs through the patterns of the support in
+    itertools.product order and its row 0 takes chain 0 everywhere.  The
+    plaques stack the blocks of all pants, pants p at the rows
+    pants_rows[p]; the cuff terms stack those of every cuff leaf's
+    support, cuff j at cuff_rows[j].  table[v, t] is the row of the
+    stacked terms that chain vector v reads for leaf t, the vectors in
+    product order, which is enumerate_orientations' when forward takes
+    chain 0.  slots holds, per slot and plaque row, (3, rows), the
     slot's cuff, that cuff's chain, the conjugator's place in
-    images.words and whether it is not empty, and holonomy the places
-    of the slot words each row's leaf i reads, of slot i + 1.
-    cuff_terms holds, per cuff term row, the cuff, its chain, the plaque
-    rows and the slots of its two ends, and the crossing word's place in
-    images.words.  place() sets vertices, the three vertices of every row, (3,
-    rows, n), carried_zero, where the carried ones would raise, and
-    pushed, holonomy[i] . xi_{i+2 mod 3} with its mask.  Each stage
+    images.words and whether it is not empty, and holonomy the places of
+    the slot words each row's leaf i reads, of slot i + 1.  cuff_terms
+    holds, per cuff term row, the cuff, its chain, the plaque rows and
+    the slots of its two ends, and the crossing word's place in
+    images.words.  place() sets vertices, the three vertices of every
+    row, (3, rows, n), carried_zero, where the carried ones would raise,
+    and pushed, holonomy[i] . xi_{i+2 mod 3} with its mask.  Each stage
     returns, or records, its guards as checks over its rows, in the
-    order of the scalar step it repeats; once() keeps the angle stages.
+    order of the scalar step it repeats.  The stages that take no
+    argument (leaf_angles, cuff_angles, cuff_lengths) are cached
+    properties, computed once per geometry however often they are read.
     """
 
     def __init__(self, images: SampleImages, selections: list,
@@ -648,6 +650,7 @@ class _Geometry:
         self.index = {c.id: j for j, c in enumerate(pd.cuffs)}
         self.zeta = tuple(stack_points([sel[s] for sel in selections])
                           for s in (0, 1))
+        self.second = np.stack([sel[2] for sel in selections])
         supports = {leaf.key: leaf.support for leaf in lam.leaves}
         self.pants_rows, plaque_rule = self._number(lam.pants_cuffs)
         self.cuff_rows, cuff_rule = self._number([supports[c.id]
@@ -691,7 +694,6 @@ class _Geometry:
             cuff, vectors, plaque[:, pp], plaque[:, pm], kp[cuff], km[cuff],
             crossing[cuff]])
         self.vertices = self.carried_zero = self.pushed = None
-        self.stages = {}
 
     def _number(self, supports) -> tuple:
         """The blocks of supports, consecutive slices of chains ** len
@@ -759,13 +761,7 @@ class _Geometry:
         return [(d[i] < EPS_SEP, DegenerateTriangle, message(i))
                 for i in range(3)]
 
-    def once(self, stage: str) -> tuple:
-        """What the stage method named stage returns, leaf_angles or
-        cuff_angles at winding 0, computed once per geometry."""
-        if stage not in self.stages:
-            self.stages[stage] = getattr(self, stage)()
-        return self.stages[stage]
-
+    @functools.cached_property
     def leaf_angles(self) -> tuple:
         """leaf_bending of every spiral leaf at every pattern and sample,
         (3, rows, n) with leaf (p, i) at leaf_index, and its checks."""
@@ -829,20 +825,20 @@ class _Geometry:
             return f"horoball scale for {cuff!r} must be {need}"
         return message
 
-    def cuff_angles(self, crossing: dict | None = None) -> tuple:
-        """cuff_bending of every cuff leaf at every pattern of its
-        support and every sample, (cuff rows, n) with cuff j at
-        cuff_rows[j], and its checks; crossing takes a cuff id to the
-        images, (2, 2, 1, n), to read in place of its winding-0 crossing
-        word."""
+    @functools.cached_property
+    def cuff_lengths(self) -> np.ndarray:
+        """_cuff_lengths of the pass, (cuffs, n)."""
+        return _cuff_lengths(self.images)
+
+    @functools.cached_property
+    def cuff_angles(self) -> tuple:
+        """cuff_bending at winding 0 of every cuff leaf at every pattern
+        of its support and every sample, (cuff rows, n) with cuff j at
+        cuff_rows[j], and its checks."""
         images = self.images
         cuffs, chains, plus, minus, kp, km, crossings = self.cuff_terms
         _, _, conjugator, lifted = self.slots
         W = images.stack.take(crossings)
-        for cuff_id, m in (crossing or {}).items():
-            rows = self.cuff_rows[self.index[cuff_id]]
-            W.re[:, :, rows] = m.re
-            W.im[:, :, rows] = m.im
         # the chosen endpoint as placed at the positive end, the other
         # one carried there by the same conjugator; below, each step is
         # done for the four plaque vertices at once and its guards
@@ -895,8 +891,8 @@ class _Geometry:
         leaf.  All cuff leaves are computed at once, and so are all
         spiral leaves.  Without a convention only the angle stages run
         and record their guards, and lengths is None."""
-        cuff_angles, cuff_checks = self.once("cuff_angles")
-        leaf_angles, leaf_checks = self.once("leaf_angles")
+        cuff_angles, cuff_checks = self.cuff_angles
+        leaf_angles, leaf_checks = self.leaf_angles
         if conv is not None:
             leaf_lengths, length_checks = self.leaf_lengths(conv)
             leaf_checks = leaf_checks + length_checks
@@ -913,9 +909,8 @@ class _Geometry:
         angles = np.concatenate([cuff_angles, leaf_angles.reshape(-1, n)])
         if conv is None:
             return angles, None
-        cuff_lengths = _cuff_lengths(self.images).real
-        return angles, np.concatenate([cuff_lengths[self.cuff_terms[0]],
-                                       leaf_lengths.reshape(-1, n)])
+        return angles, np.concatenate([self.cuff_lengths.real[
+            self.cuff_terms[0]], leaf_lengths.reshape(-1, n)])
 
 
 def _placed(images: SampleImages, starts: list, lam: Lamination,
@@ -1009,7 +1004,7 @@ def realize(rep: Representation, pd: PantsDecomposition,
         xi=tuple(tuple(geometry.vertices.point((s, rows.start, 0))
                        for s in range(3)) for rows in geometry.pants_rows),
         cuff_lengths={c.id: complex(z[0])
-                      for c, z in zip(pd.cuffs, _cuff_lengths(images))})
+                      for c, z in zip(pd.cuffs, geometry.cuff_lengths)})
 
 
 def _one_term(key, values: np.ndarray, checks: list, index) -> float:
@@ -1031,8 +1026,7 @@ def leaf_bending(real: PleatedRealization, leaf) -> float:
     """
     key = tuple(leaf)
     geometry = real.geometry
-    return _one_term(key, *geometry.once("leaf_angles"),
-                     geometry.leaf_index(key))
+    return _one_term(key, *geometry.leaf_angles, geometry.leaf_index(key))
 
 
 def cuff_bending(real: PleatedRealization, cuff_id: str,
@@ -1040,29 +1034,23 @@ def cuff_bending(real: PleatedRealization, cuff_id: str,
     """Bending angle picked up by an arc crossing a cuff, in (-pi, pi].
 
     Measured between the plaque of the positive cuff end and the plaque
-    of the negative end transported across the cuff; winding adds extra
-    passes around the cuff, shifting the angle by multiples of the
-    cuff's imaginary length.  With a winding, the crossing word (the
-    positive end's conjugator, winding turns of the cuff, the inverse of
-    the negative end's) is not in the pass: the array kernel evaluates
-    it on the realization's sample, and the cuff stage runs again.
+    of the negative end transported across the cuff.  Each of the
+    winding extra turns around the cuff adds the cuff's rotation at the
+    chosen endpoint, as the bending cocycle is additive: Im lambda of
+    complex_length where that endpoint is the cuff's first fixed point,
+    -Im lambda where it is the second.  So a winding reads the winding-0
+    angle and the cuff length of the realization, and evaluates no word.
     """
-    pd = real.pd
     geometry = real.geometry
-    rows = geometry.cuff_rows[pd.cuff_index(cuff_id)]
-    if winding == 0:
-        return _one_term(cuff_id, *geometry.once("cuff_angles"), rows)
-    loop = pd.cuff(cuff_id).word
-    core = loop * winding if winding > 0 else invert_word(loop) * -winding
-    (pp, kp), (pm, km) = pd.signed_ends_of(cuff_id)
-    word = (pd.pants[pp].cuff_ends[kp].conjugator + core
-            + invert_word(pd.pants[pm].cuff_ends[km].conjugator))
-    images = geometry.images
-    crossing = _word_images(images.generators, images.matrices, [word])
-    if not crossing.ok.all():
-        raise _evaluation_failure(0, f"word {word!r}")
-    return _one_term(cuff_id, *geometry.cuff_angles({cuff_id: crossing}),
-                     rows)
+    j = real.pd.cuff_index(cuff_id)
+    angle = _one_term(cuff_id, *geometry.cuff_angles, geometry.cuff_rows[j])
+    if not winding:
+        return angle
+    turn = float(geometry.cuff_lengths[j, 0].imag)
+    if geometry.second[0, j, 0]:
+        turn = -turn
+    # a winding counts turns: one that is no integer raises TypeError
+    return reduce_angle(angle + operator.index(winding) * turn)
 
 
 def arc_bending(real: PleatedRealization, arc: TransverseArc) -> float:

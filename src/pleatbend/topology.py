@@ -190,7 +190,8 @@ class PantsDecomposition:
         """Cuff id -> the word that carries the plaque of the negative
         end of the cuff across it to the positive end, without winding:
         the positive end's conjugator times the inverse of the negative
-        end's (pleated.cuff_bending at winding 0)."""
+        end's.  These are the only crossing words the pass evaluates:
+        pleated.cuff_bending adds a winding's turns to their angle."""
         out = {}
         for cuff in self.cuffs:
             (pp, kp), (pm, km) = self.signed_ends_of(cuff.id)

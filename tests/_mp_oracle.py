@@ -21,7 +21,7 @@ import math
 
 from mpmath import mp
 
-from pleatbend.topology import _tokens
+from pleatbend.topology import _tokens, invert_word
 
 DPS = 50
 TERM_KINDS = ("leaf angle", "truncated length", "cuff angle", "cuff length")
@@ -177,7 +177,11 @@ class _Sample:
             return mp.log(tb) - mp.log((abs(za) ** 2 + ta * ta) / ta)
         return self._cached(("length", p, i, ci, cj), make)
 
-    def cuff_angle(self, cuff_id: str, pattern: dict):
+    def cuff_angle(self, cuff_id: str, pattern: dict, winding: int = 0):
+        """The bending angle across the cuff, read through the crossing
+        word that turns winding times around it: the positive end's
+        conjugator, the cuff word winding times (its inverse -winding
+        times), and the inverse of the negative end's conjugator."""
         pd = self.pd
         (pp, kp), (pm, km) = pd.signed_ends_of(cuff_id)
         chosen, other = self.zeta[pattern[self.index[cuff_id]]][
@@ -187,7 +191,11 @@ class _Sample:
             lift = self.word(v_plus)
             chosen, other = _apply(lift, chosen), _apply(lift, other)
         frame = _normalizing(other, chosen)
-        crossing = self.word(pd.crossing_words[cuff_id])
+        loop = pd.cuff(cuff_id).word
+        turns = (loop * winding if winding >= 0
+                 else invert_word(loop) * -winding)
+        v_minus = pd.pants[pm].cuff_ends[km].conjugator
+        crossing = self.word(v_plus + turns + invert_word(v_minus))
 
         def coord(pt):
             z1, z2 = _apply(frame, pt)
@@ -203,6 +211,38 @@ class _Sample:
     def cuff_length(self, cuff_id: str):
         a, _, _, d = self.word(self.pd.cuff(cuff_id).word)
         return mp.re(2 * mp.acosh((a + d) / 2))
+
+
+def mp_cuff_angles(rep, pd, zeta: dict, windings) -> tuple:
+    """The cuff terms of one realization of rep at 50 digits, its chosen
+    endpoints zeta, cuff id -> (chosen, other) ProjectivePoints:
+    ({(cuff id, winding): cuff_angle} for every cuff and winding in
+    windings, {cuff id: Im lambda}), lambda = 2 acosh(tr / 2) reduced
+    as complex_length reduces a loxodromic cuff's.  Each cuff's exact
+    fixed points are taken in the order of the float ones they lie
+    nearer to, so an elliptic cuff and a tracked start read the
+    realization's endpoint."""
+    with mp.workdps(DPS):
+        sample = _Sample(rep, pd, None, None)
+        row, rotations = [], {}
+        for c in pd.cuffs:
+            m = sample.word(c.word)
+            pts = _fixed_points(m)
+            chosen = zeta[c.id][0]
+            near = _point(mp.mpc(chosen.z1), mp.mpc(chosen.z2))
+            row.append(pts if _chordal(near, pts[0]) <= _chordal(near, pts[1])
+                       else pts[::-1])
+            rotations[c.id] = _reduce(mp.im(2 * mp.acosh((m[0] + m[3]) / 2)))
+        sample.zeta = [row]
+        pattern = dict.fromkeys(sample.index.values(), 0)
+        return ({(c.id, k): sample.cuff_angle(c.id, pattern, k)
+                 for c in pd.cuffs for k in windings}, rotations)
+
+
+def angle_error(got: float, want) -> float:
+    """|got - want| for an angle, modulo 2 pi."""
+    with mp.workdps(DPS):
+        return float(abs(_reduce(mp.mpf(got) - want)))
 
 
 def mp_term_series(pd, lam, reps, labels, conv, keys) -> dict:

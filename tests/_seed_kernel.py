@@ -206,11 +206,11 @@ def _sl2_coords(m: np.ndarray) -> tuple[complex, complex, complex]:
 
 def seed_common_fixed_point_tol(rep, tol: float) -> bool:
     """The reducibility test of jacobian_rank as it was when each image
-    was tested for the identity by is_identity(tol) and again by
-    classify."""
+    was tested for the identity by its distance to it, below tol, and
+    again by classify."""
     fixed_sets = []
     for m in rep.images:
-        if m.is_identity(tol):
+        if m.distance_to(MoebiusMap.identity()) < tol:
             continue
         kind = classify(m)
         if kind == IsometryClass.IDENTITY:

@@ -3,6 +3,7 @@
 import argparse
 import importlib.resources
 import importlib.util
+import itertools
 import json
 import math
 import pathlib
@@ -387,8 +388,23 @@ class TestPeripheralAndRank:
                            "--format", "csv")
         assert code == 0
         header, *rows = [l for l in out.splitlines() if l]
-        assert header == "word,re,im"
+        assert header == "file,word,re,im"
         assert len(rows) == 4
+
+    def test_peripheral_csv_computes_no_residual(self, demo, capsys,
+                                                 monkeypatch):
+        # csv prints the fingerprints alone, so it computes neither the
+        # conjugacy residual nor the distance that text and json print
+        def refuse(*args):
+            raise AssertionError("conjugacy_residual called")
+        monkeypatch.setattr(cli, "conjugacy_residual", refuse)
+        code, out, _ = run(capsys, "peripheral",
+                           "--input", str(demo / "f2_rep.json"),
+                           str(demo / "handlebody_rep.json"),
+                           "--inclusion", str(demo / "genus2_handlebody.json"),
+                           "--format", "csv")
+        assert code == 0
+        assert len(out.splitlines()) == 9
 
     def test_rank_line(self, demo, capsys):
         code, out, _ = run(capsys, "rank",
@@ -541,6 +557,24 @@ def _unread():
 
 class TestOptions:
     """Each subcommand accepts only the options it reads."""
+
+    def test_readme_table_is_the_command_table(self):
+        # README's table of subcommands, options and --format values is
+        # written by hand; it lists what cli._COMMANDS builds, a single
+        # format as "none (svg)"
+        lines = (ROOT / "README.md").read_text().splitlines()
+        start = lines.index("| subcommand | options | `--format` |") + 2
+        table = {}
+        for line in itertools.takewhile(lambda l: l.startswith("|"),
+                                        lines[start:]):
+            command, options, formats = (cell.strip() for cell in
+                                         line.strip("|").split("|"))
+            formats = formats.removeprefix("none (").removesuffix(")")
+            table[command.strip("`")] = (
+                tuple(o.strip().strip("`")[2:] for o in options.split(",")),
+                tuple(f.strip() for f in formats.split(",")))
+        assert table == {name: (options, formats) for name, (_, options,
+                         formats) in cli._COMMANDS.items()}
 
     def test_option_sets_and_formats(self):
         sub = next(a for a in _build_parser()._actions

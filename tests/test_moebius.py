@@ -231,6 +231,25 @@ class TestComplexLength:
         m = MoebiusMap.diagonal(cmath.exp(lam / 2))
         assert complex_length(m) == pytest.approx(lam)
 
+    def test_elliptic_sign_is_conjugation_invariant(self):
+        # an elliptic map's lambda is taken at the real part of tr / 2,
+        # so the rounding-level Im tr of a conjugate cannot pick its
+        # sign; for either lift, e^lambda = mu^2 for the eigenvalue mu
+        # of the first point that fixed_points returns
+        m = MoebiusMap.diagonal(cmath.exp(0.7j))
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            g = MoebiusMap(*(complex(*rng.normal(size=2)) for _ in range(4)))
+            c = m.conjugate_by(g)
+            assert complex_length(c) == pytest.approx(1.4j, abs=1e-9)
+            for lift in (c, MoebiusMap(-c.a, -c.b, -c.c, -c.d)):
+                p, _ = fixed_points(lift)
+                mu = ((lift.a * p.z1 + lift.b * p.z2) / p.z1
+                      if abs(p.z1) > abs(p.z2)
+                      else (lift.c * p.z1 + lift.d * p.z2) / p.z2)
+                assert cmath.exp(complex_length(lift)) == pytest.approx(
+                    mu * mu, abs=1e-9)
+
 
 class TestCrossRatio:
     def test_normalization_triple(self):

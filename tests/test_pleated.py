@@ -1,8 +1,10 @@
 """Tests for realizations, bending angles, truncation, and adaptedness."""
 
+import functools
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,6 +47,9 @@ from pleatbend import pleated
 from pleatbend.moebius import KINDS
 from pleatbend.pleated import sample_images
 from pleatbend.representation import _matrices_of
+
+from _mp_oracle import angle_error, mp_cuff_angles
+from test_volume import genus3_path, wrap_stage
 
 LENGTHS = (2.0, 1.7, 2.3)
 TWISTS = (0.3, 0.1, 0.2)
@@ -272,8 +277,8 @@ class TestRealize:
             return wrapper
 
         for name in ("leaf_angles", "cuff_angles"):
-            monkeypatch.setattr(pleated._Geometry, name, counting(
-                name, getattr(pleated._Geometry, name)))
+            wrap_stage(monkeypatch, pleated._Geometry, name,
+                       functools.partial(counting, name))
         arc = TransverseArc(
             tuple(LeafCrossing(p, i, 1) for p in range(len(pd.pants))
                   for i in range(3))
@@ -296,6 +301,117 @@ class TestRealize:
                   if not isinstance(leaf.key, str)]
         assert spiral == [(p, i) for p in range(len(real.xi))
                           for i in range(3)]
+
+
+WINDINGS = (1, -1, 2, -2)
+
+
+def random_reps(count, seed=11):
+    """count genus-2 representations with complex cuff lengths 1.5 to
+    2.5 plus up to 0.5i and twist-bends of parts up to 0.5, drawn from
+    seed."""
+    pd = standard_decomposition(2)
+    rng = np.random.default_rng(seed)
+
+    def draw(low, high):
+        return [complex(rng.uniform(low, high), rng.uniform(-0.5, 0.5))
+                for _ in pd.cuffs]
+    return pd, [fenchel_nielsen_rep(pd, draw(1.5, 2.5), draw(-0.5, 0.5))
+                for _ in range(count)]
+
+
+def winding_errors(rep, pd, start):
+    """The errors of one realization's cuff terms against the 50-digit
+    oracle: {(cuff id, winding): error of cuff_bending} at windings 0
+    and WINDINGS, and {cuff id: error of Im lambda}."""
+    real = realize(rep, pd, start)
+    want, rotations = mp_cuff_angles(rep, pd, real.zeta, (0,) + WINDINGS)
+    return ({key: angle_error(cuff_bending(real, *key), w)
+             for key, w in want.items()},
+            {c: angle_error(real.cuff_lengths[c].imag, r)
+             for c, r in rotations.items()})
+
+
+class TestWindings:
+    """cuff_bending at a winding k is the winding-0 angle plus k times
+    the cuff's rotation at the chosen endpoint, held against the oracle,
+    which evaluates the crossing word that turns k times around the
+    cuff at 50 digits."""
+
+    def test_genus2_within_1e_12_of_the_oracle(self):
+        pd, reps = random_reps(10)
+        cases = [(rep, start) for rep in reps
+                 for start in ("attracting", "repelling")]
+        # a start dict that chooses attracting points on a1 and w1 and
+        # the repelling one on a2, tracked from a nearby representation
+        near = fenchel_nielsen_rep(pd, (2.02, 1.7, 2.3), TWISTS)
+        a, r = (resolve_endpoints(near, pd, label)
+                for label in ("attracting", "repelling"))
+        cases.append((fuchsian(pd), {"a1": a["a1"], "a2": r["a2"],
+                                     "w1": a["w1"]}))
+        elliptic = fenchel_nielsen_rep(pd, (1.1j, 1.7, 2.3),
+                                       (0.3 + 0.2j, 0.1, 0.2))
+        assert check_adapted(elliptic, pd).cuff_kinds["a1"] == "elliptic"
+        cases += [(elliptic, "attracting"), (elliptic, "repelling")]
+        worst = max(max(winding_errors(rep, pd, start)[0].values())
+                    for rep, start in cases)
+        assert worst < 1e-12
+
+    def test_genus3_adds_no_error_to_its_inputs(self):
+        # the genus-3 cuff words are long, and the float Im lambda is
+        # off by up to 6e-11 here: k turns may add k times that to the
+        # winding-0 angle's own error, and nothing more
+        path = genus3_path(lambda t: 2.0 + 0.1j * t, steps=8)
+        for rep in path.reps:
+            for start in ("attracting", "repelling"):
+                errors, turn = winding_errors(rep, path.pd, start)
+                for (c, k), error in errors.items():
+                    assert error <= (errors[c, 0] + abs(k) * turn[c]
+                                     + 1e-13), (c, k, start)
+
+    def test_winding_evaluates_no_word(self, setup, monkeypatch):
+        pd, lam = setup
+        real = realize(fenchel_nielsen_rep(pd, (2.0 + 0.4j,) + LENGTHS[1:],
+                                           TWISTS), pd)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return word_images(*args)
+        word_images = pleated._word_images
+        monkeypatch.setattr(pleated, "_word_images", counting)
+        cuff_bending(real, "a1", 2)
+        assert calls == []
+        # a winding counts turns, so one that is no integer is refused
+        with pytest.raises(TypeError):
+            cuff_bending(real, "a1", 1.5)
+
+    def test_bend_computes_cuff_lengths_once(self, setup, monkeypatch):
+        pd, lam = setup
+        calls = []
+
+        def counting(images):
+            calls.append(images)
+            return cuff_lengths(images)
+        cuff_lengths = pleated._cuff_lengths
+        monkeypatch.setattr(pleated, "_cuff_lengths", counting)
+        bending_data(realize(fuchsian(pd), pd))
+        assert len(calls) == 1
+
+    def test_elliptic_cuff_length_is_conjugation_invariant(self, setup):
+        # the pass takes an elliptic cuff's Im lambda at the real part of
+        # tr / 2, so a rounding-level Im tr, which moves with the
+        # conjugation, cannot flip its sign
+        pd, lam = setup
+        rep = fenchel_nielsen_rep(pd, (1.1j, 1.7, 2.3),
+                                  (0.3 + 0.2j, 0.1, 0.2))
+        want = realize(rep, pd).cuff_lengths["a1"]
+        assert want.real == 0.0 and abs(want.imag) == pytest.approx(1.1)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            g = MoebiusMap(*(complex(*rng.normal(size=2)) for _ in range(4)))
+            got = realize(rep.conjugated(g), pd).cuff_lengths["a1"]
+            assert got == pytest.approx(want, abs=1e-9)
 
 
 class TestEndpointTracking:

@@ -520,7 +520,8 @@ def _reducible_or_error(test, rep, tol):
 
 class TestReducibilityOracle:
     """_common_fixed_point_tol tests each image for the identity once;
-    the seed body tested it by is_identity(tol) and again by classify."""
+    the seed body tested it by its distance to the identity, below tol,
+    and again by classify."""
 
     def _check(self, rep):
         for tol in (1e-10, 1e-8):

@@ -1,6 +1,7 @@
 """Tests for the Lobachevsky function, tetrahedra, and volume variation."""
 
 import cmath
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -107,6 +108,17 @@ def genus3_path(a1_length, steps):
                    2.5),
         lambda t: (0.3 + 0.15j * t, 0.2 + 0.1j * t, 0.1, 0.3, 0.2, 0.1),
         steps=steps)
+
+
+def wrap_stage(monkeypatch, owner, name, wrap):
+    """Replace the stage owner.name by wrap(stage) for one test: the
+    function of a cached property, computed once per instance, or the
+    method itself."""
+    stage = getattr(owner, name)
+    if isinstance(stage, functools.cached_property):
+        monkeypatch.setattr(stage, "func", wrap(stage.func))
+    else:
+        monkeypatch.setattr(owner, name, wrap(stage))
 
 
 def brute_force(path, steps=None):
@@ -991,8 +1003,8 @@ class TestSampleWork:
                            (MoebiusArray, ("classify", "fixed_points", "apply",
                                            "apply_interior"))):
             for name in names:
-                monkeypatch.setattr(cls, name,
-                                    counting(name, getattr(cls, name)))
+                wrap_stage(monkeypatch, cls, name,
+                           functools.partial(counting, name))
         counts = []
         for path in (bend_path(standard_decomposition(2), steps=8),
                      genus3_path(lambda t: 2.0 + 0.1j * t, steps=8)):
@@ -1021,8 +1033,8 @@ class TestSampleWork:
             return wrapper
 
         for name in ("cuff_angles", "leaf_angles", "leaf_lengths"):
-            monkeypatch.setattr(pleated._Geometry, name, counting(
-                name, getattr(pleated._Geometry, name)))
+            wrap_stage(monkeypatch, pleated._Geometry, name,
+                       functools.partial(counting, name))
         monkeypatch.setattr(pleated, "_cuff_lengths", counting(
             "_cuff_lengths", pleated._cuff_lengths))
         path = genus3_path(lambda t: 2.0 + 0.1j * t, steps=8)
