@@ -7,17 +7,14 @@ clean singular-value gap.
 """
 
 import argparse
+from importlib.resources import files
+
 import numpy as np
 
 from pleatbend.errors import ReducibleRepresentation
 from pleatbend.representation import (EPS_RANK, jacobian_rank,
                                       random_representation)
 from pleatbend.topology import load_document
-
-try:
-    from importlib.resources import files
-except ImportError:
-    files = None
 
 
 def bundled_document() -> str:

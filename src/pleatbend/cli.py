@@ -23,7 +23,7 @@ import math
 import sys
 
 from .errors import PleatbendError
-from .moebius import _complex_length, _fixed_points, classify
+from .moebius import classify, complex_length, fixed_points
 from .pleated import TruncationConvention, bending_data, realize
 from .representation import (conjugacy_residual, evaluate_word,
                              finite_trace_squared, jacobian_rank, load_path,
@@ -86,18 +86,18 @@ def _emit(args: argparse.Namespace, **renderers) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     rep = load_rep(args.input)
     if not args.words:
-        raise PleatbendError("classify needs --words")
+        raise _ParseFailure("classify needs --words")
     rows = []
     for w in args.words:
         m = evaluate_word(rep, w)
         tau = finite_trace_squared(w, m)
         kind = classify(m)
         try:
-            lam = _cnum(_complex_length(m, kind))
+            lam = _cnum(complex_length(m))
         except PleatbendError:
             lam = "-"
         try:
-            fps = [_point(p) for p in _fixed_points(m, kind)]
+            fps = [_point(p) for p in fixed_points(m)]
         except PleatbendError:
             fps = ["-", "-"]
         rows.append({"word": w, "class": str(kind), "trace_squared": _cnum(tau),
@@ -112,7 +112,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def _load_surface(args: argparse.Namespace):
     if not args.pd:
-        raise PleatbendError(f"{args.command} needs --pd")
+        raise _ParseFailure(f"{args.command} needs --pd")
     return load_document(args.pd)
 
 
@@ -232,7 +232,7 @@ def cmd_loop_defect(args: argparse.Namespace) -> int:
 
 def _load_inclusion(args: argparse.Namespace):
     if not args.inclusion:
-        raise PleatbendError(f"{args.command} needs --inclusion")
+        raise _ParseFailure(f"{args.command} needs --inclusion")
     pd, inc = load_document(args.inclusion)
     if inc is None:
         raise PleatbendError(

@@ -381,7 +381,7 @@ class MoebiusArray:
         return kinds
 
     def fixed_points(self) -> tuple:
-        """_fixed_points at every sample of a map that is elliptic or
+        """fixed_points at every sample of a map that is elliptic or
         loxodromic there: (first, second) PointArrays, attracting first,
         and the two masks where their ProjectivePoint would raise.  At
         other samples the values mean nothing."""
@@ -693,22 +693,19 @@ def fixed_points(m: MoebiusMap):
     point carries the eigenvalue of larger modulus; for elliptic maps,
     where the moduli tie, the first point is the one whose eigenvalue
     (of the stored lift) has positive imaginary part.  That tie-break is
-    deterministic but depends on the stored sign of the lift.
+    deterministic but depends on the stored sign of the lift.  The
+    identity raises IdentityMap, and a tr^2 that is not finite raises
+    SingularMatrix (classify).
     """
-    return _fixed_points(m, classify(m))
-
-
-def _fixed_points(m: MoebiusMap, kind: str):
-    """fixed_points of a map already classified as kind."""
-    pairs = _fixed_pairs(m, kind)
+    pairs = _fixed_pairs(m, classify(m))
     if len(pairs) == 1:
         return ProjectivePoint._raw(*pairs[0]), None
     return tuple(ProjectivePoint._raw(*p) for p in pairs)
 
 
 def _fixed_pairs(m: MoebiusMap, kind: str) -> tuple:
-    """The fixed points of _fixed_points as unit (z1, z2) pairs, one for
-    a parabolic map and two, attracting first, otherwise."""
+    """fixed_points of a map classified as kind, as unit (z1, z2) pairs:
+    one for a parabolic map and two, attracting first, otherwise."""
     if kind == IsometryClass.IDENTITY:
         raise IdentityMap("identity has no isolated fixed points")
     tr = m.trace
@@ -754,13 +751,10 @@ def complex_length(m: MoebiusMap) -> complex:
     the sign of Im(lambda): lambda = 2 log mu, reduced, where mu is the
     eigenvalue of the first point that fixed_points returns, for either
     lift, as for loxodromic maps.  Parabolic and identity inputs raise
-    DegenerateLength.
+    DegenerateLength, and a tr^2 that is not finite raises
+    SingularMatrix (classify).
     """
-    return _complex_length(m, classify(m))
-
-
-def _complex_length(m: MoebiusMap, kind: str) -> complex:
-    """complex_length of a map already classified as kind."""
+    kind = classify(m)
     if kind in (IsometryClass.IDENTITY, IsometryClass.PARABOLIC):
         raise DegenerateLength(f"complex length undefined for {kind} map")
     if kind == IsometryClass.ELLIPTIC:

@@ -61,8 +61,8 @@ from .moebius import (EPS_CLASS, EPS_NUM, KINDS, MoebiusArray, MoebiusMap,
                       chordal_array, cross_ratio_array, reduce_angle,
                       reduce_angle_array, stack_points, trace_squared)
 from .representation import Representation, _matrices_of, _word_images
-from .topology import (CuffCrossing, Lamination, LeafCrossing,
-                       PantsDecomposition, TransverseArc, build_lamination)
+from .topology import (CuffCrossing, LeafCrossing, PantsDecomposition,
+                       TransverseArc, build_lamination)
 
 EPS_SEP = 1e-9
 _TINY = np.finfo(float).tiny   # the least normal float
@@ -77,11 +77,9 @@ _COINCIDE = "normalizing_map endpoints coincide"
 class SampleImages:
     """Images of the pipeline's words at n samples, from one array pass.
 
-    generators and matrices are the samples it read, the image of every
-    generator at every sample, (2, 2, generators, n), as
-    RepresentationPath holds them.  words lists every word the pipeline
-    reads (cuff words, slot words, conjugators and the winding-0 crossing
-    words, pd.crossing_words), index takes each to its place there, and
+    words lists every word the pipeline reads (cuff words, slot words,
+    conjugators and the winding-0 crossing words, pd.crossing_words),
+    index takes each to its place there, and
     stack holds their images, (2, 2, words, n), whose entries agree with
     evaluate_word's to within 8 eps per product (see MoebiusArray).
     traces holds the tr^2 of the slot commutators that check_adapted
@@ -96,14 +94,12 @@ class SampleImages:
     tolerance of every check.
     """
 
-    __slots__ = ("generators", "matrices", "pd", "words", "index", "stack",
-                 "rows", "traces", "ok", "cuff_maps", "kinds", "cuff_points")
+    __slots__ = ("pd", "words", "index", "stack", "rows", "traces", "ok",
+                 "cuff_maps", "kinds", "cuff_points")
 
-    def __init__(self, generators: tuple, matrices: np.ndarray,
-                 pd: PantsDecomposition, words: list, stack: MoebiusArray,
-                 rows: list, traces: np.ndarray, ok: np.ndarray):
-        self.generators = generators
-        self.matrices = matrices
+    def __init__(self, pd: PantsDecomposition, words: list,
+                 stack: MoebiusArray, rows: list, traces: np.ndarray,
+                 ok: np.ndarray):
         self.pd = pd
         self.words = words
         self.index = {w: i for i, w in enumerate(words)}
@@ -116,7 +112,7 @@ class SampleImages:
         self.cuff_points = self.cuff_maps.fixed_points()
 
     def __len__(self) -> int:
-        return self.matrices.shape[3]
+        return self.ok.shape[1]
 
     def evaluated(self) -> np.ndarray:
         """Where every word and commutator of a sample was evaluated."""
@@ -170,8 +166,7 @@ def sample_images(generators, matrices: np.ndarray,
     del right
     traces = _complex(*comm.trace_squared())              # (rows, 3, n)
     row_ok = (comm.ok & np.isfinite(traces)).all(axis=1)
-    return SampleImages(generators, matrices, pd, words, stack, rows,
-                        np.moveaxis(traces, -1, 0),
+    return SampleImages(pd, words, stack, rows, np.moveaxis(traces, -1, 0),
                         np.concatenate([stack.ok, row_ok]))
 
 
@@ -314,15 +309,16 @@ def _track(d: np.ndarray, gap: np.ndarray, begin: int) -> tuple:
     return chain & (seen == 0), bad & (seen == 1), moved
 
 
-def _selection(images: SampleImages, start: str | dict | PointArray,
+def _selection(images: SampleImages, start: str | dict,
                failures: _Failures, phase: int = 0) -> tuple:
     """(chosen, other) PointArrays of every cuff, (cuffs, n), tracked
     (_track) from start: a label, which sits on its fixed point at the
-    first sample, or points, (cuffs,), or a dict cuff id -> (chosen,
-    other), whose chosen points are tracked to it; and the chain mask,
-    (cuffs, n), True where the chosen point is the second fixed point.
-    An unknown label, or a dict that lacks a cuff, fails at the first
-    sample.
+    first sample, or a dict cuff id -> (chosen, other), whose chosen
+    points are tracked to it; and the chain mask, (cuffs, n), True where
+    the chosen point is the second fixed point.  An unknown label, or a
+    dict that lacks a cuff, fails at the first sample and raises at
+    once: only sample 0's evaluation guard comes before it, and the
+    callers have recorded or raised that one already.
 
     The guards of resolve_endpoints and track_endpoints, cuff by cuff in
     their order: the cuff's kind (identity and parabolic raise
@@ -330,18 +326,17 @@ def _selection(images: SampleImages, start: str | dict | PointArray,
     """
     pd = images.pd
     n = len(images)
-    bad = False
-    if isinstance(start, str):
-        bad = start not in _LABELS and f"unknown endpoint label {start!r}"
-    elif isinstance(start, dict):
+    if isinstance(start, dict):
         missing = [c.id for c in pd.cuffs if c.id not in start]
         bad = missing and f"start endpoints lack cuffs {missing}"
-        if not bad:
-            start = PointArray.of([start[c.id][0] for c in pd.cuffs])
+    else:
+        bad = start not in _LABELS and f"unknown endpoint label {start!r}"
     if bad:
         failures.record(-1, _whole(1), [(np.arange(n) == 0, PleatbendError,
                                          bad)])
-        start = _LABELS[0]
+        failures.raise_first()
+    if isinstance(start, dict):
+        start = PointArray.of([start[c.id][0] for c in pd.cuffs])
     pts = stack_points(images.cuff_points[:2])     # (2, cuffs, n)
     d = np.empty((2, 2, len(pd.cuffs), n))
     d[..., 1:] = chordal_array(pts[:, None, :, :-1], pts[None, :, :, 1:])
@@ -525,10 +520,20 @@ class TruncationConvention:
     The cuff's horoball is centered at the chosen spiraling endpoint
     and has Euclidean height s in the frame taking the cuff axis to
     (0, infinity); scaling s by e^delta lengthens every truncated leaf
-    end at that cuff by delta (larger s is a smaller horoball).
+    end at that cuff by delta (larger s is a smaller horoball).  Every
+    scale must be finite and positive: making a convention (uniform,
+    rescaled or directly) with another raises PleatbendError, naming
+    the first such cuff in scale order.
     """
 
     scales: dict
+
+    def __post_init__(self):
+        for cuff, scale in self.scales.items():
+            if not 0 < scale < math.inf:
+                need = "positive" if scale <= 0 else "finite"
+                raise PleatbendError(
+                    f"horoball scale for {cuff!r} must be {need}")
 
     @classmethod
     def uniform(cls, pd: PantsDecomposition,
@@ -640,12 +645,11 @@ class _Geometry:
     properties, computed once per geometry however often they are read.
     """
 
-    def __init__(self, images: SampleImages, selections: list,
-                 lam: Lamination):
+    def __init__(self, images: SampleImages, selections: list):
         pd = images.pd
         self.images = images
         self.pd = pd
-        self.lam = lam
+        self.lam = lam = build_lamination(pd)
         self.chains = len(selections)
         self.index = {c.id: j for j, c in enumerate(pd.cuffs)}
         self.zeta = tuple(stack_points([sel[s] for sel in selections])
@@ -787,8 +791,8 @@ class _Geometry:
         Each leaf end reads the horoball witness of its cuff, the point
         at height scale above the chosen endpoint in the frame taking
         (other, chosen) to (0, infinity), carried by the slot's
-        conjugator; where that frame's normalizing_map raises, or the
-        scale is not positive or not finite, the end's checks hold.
+        conjugator; where that frame's normalizing_map raises, the end's
+        check holds.
         """
         cuff, chain, conjugator, carried = self.slots
         zeta, other = self.zeta
@@ -804,26 +808,13 @@ class _Geometry:
         for w, m in zip(witness, moved):
             w[carried] = m
         coincide = coincide[chain, cuff]
-        unscaled = np.broadcast_to(~((0 < scales) & (scales < np.inf))
-                                   [cuff][..., None], coincide.shape)
         nxt = [1, 2, 0]
-        checks = []
-        for slots in ([0, 1, 2], nxt):
-            checks += [(coincide[slots], DegenerateConfiguration, _COINCIDE),
-                       (unscaled[slots], PleatbendError,
-                        self._scale_message(slots, conv.scales))]
+        checks = [(coincide[slots], DegenerateConfiguration, _COINCIDE)
+                  for slots in ([0, 1, 2], nxt)]
         xi = self.vertices
         lengths, truncation = _truncated_lengths(
             xi, xi[nxt], witness, tuple(w[nxt] for w in witness))
         return lengths, checks + truncation
-
-    def _scale_message(self, slots: list, scales: dict):
-        def message(key, index, row, k):
-            p, i = key
-            cuff = self.pd.pants[p].cuff_ends[slots[i]].cuff
-            need = "positive" if scales[cuff] <= 0 else "finite"
-            return f"horoball scale for {cuff!r} must be {need}"
-        return message
 
     @functools.cached_property
     def cuff_lengths(self) -> np.ndarray:
@@ -913,11 +904,12 @@ class _Geometry:
             self.cuff_terms[0]], leaf_lengths.reshape(-1, n)])
 
 
-def _placed(images: SampleImages, starts: list, lam: Lamination,
+def _placed(images: SampleImages, starts: list,
             failures: _Failures) -> _Geometry:
     """The plaques of a pass placed under the endpoint chains from starts,
     the guards before the terms recorded in failures: the evaluation,
-    each chain's endpoint selection, the adaptedness check, placement."""
+    each chain's endpoint selection, where a bad start raises at once,
+    the adaptedness check, placement."""
     failures.record(-1, _whole(), [(~images.evaluated(),
                                     SampleEvaluationFailure,
                                     lambda key, index, row, k:
@@ -927,17 +919,17 @@ def _placed(images: SampleImages, starts: list, lam: Lamination,
         (_flagged(images).any(axis=(1, 2)), NotAdapted,
          lambda key, index, row, k: _adaptedness(images, k).summary())])
     geometry = _Geometry(images, [_selection(images, start, failures, phase)
-                                  for phase, start in enumerate(starts)], lam)
+                                  for phase, start in enumerate(starts)])
     geometry.place(failures)
     return geometry
 
 
-def path_terms(images: SampleImages, starts: list, lam: Lamination,
+def path_terms(images: SampleImages, starts: list,
                conv: TruncationConvention | None) -> tuple:
-    """Every Schlafli term of lam at every sample of a pass, for the
-    endpoint chains that start from starts (labels or selections), and
-    the rows that every orientation, a chain per cuff in
-    enumerate_orientations' order, reads.
+    """Every Schlafli term of the lamination of images.pd at every
+    sample of a pass, for the endpoint chains that start from starts
+    (labels or selections), and the rows that every orientation, a
+    chain per cuff in enumerate_orientations' order, reads.
 
     Returns (table, angles, lengths, deferred): angles and lengths are
     the stacked terms of _Geometry.terms, (rows, n), lengths None and
@@ -950,7 +942,7 @@ def path_terms(images: SampleImages, starts: list, lam: Lamination,
     alone: the rows that no orientation reads may hold anything.
     """
     failures = _Failures()
-    geometry = _placed(images, starts, lam, failures)
+    geometry = _placed(images, starts, failures)
     angles, lengths = geometry.terms(conv, failures)
     phase, failure = failures.first()
     if failure is None:
@@ -996,7 +988,7 @@ def realize(rep: Representation, pd: PantsDecomposition,
     """
     images = _one_sample(rep, pd)
     failures = _Failures()
-    geometry = _placed(images, [endpoints], build_lamination(pd), failures)
+    geometry = _placed(images, [endpoints], failures)
     failures.raise_first()
     return PleatedRealization(
         geometry=geometry,

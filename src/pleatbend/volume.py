@@ -168,11 +168,11 @@ def angle_series(path: RepresentationPath, zeta: str | dict) -> dict:
     lengths, which this reports none of, cannot fail it.
     """
     pd = _surface(path)
-    lam = build_lamination(pd)
     images = sample_images(path.generators, path.matrices, pd)
-    table, angles, _, _ = path_terms(images, [zeta], lam, conv=None)
+    table, angles, _, _ = path_terms(images, [zeta], conv=None)
+    leaves = build_lamination(pd).leaves      # the table's columns
     return {leaf.key: angles[r].tolist()
-            for leaf, r in zip(lam.leaves, table[0].tolist())}
+            for leaf, r in zip(leaves, table[0].tolist())}
 
 
 def schlafli_derivative(path: RepresentationPath, t: float,
@@ -198,7 +198,6 @@ def schlafli_derivative(path: RepresentationPath, t: float,
             raise failure
     zeta = resolve_endpoints(path.rep(k), pd, zeta)
     table, angles, lengths, _ = path_terms(images, [zeta],
-                                           build_lamination(pd),
                                            TruncationConvention.uniform(pd))
     velocities, jumps = _velocities(np.array(path.ts[k - 1:k + 2]), angles,
                                     lengths)
@@ -350,8 +349,7 @@ def _integrate(ts: np.ndarray, images: SampleImages,
     with starts, which numbers the orientations.
     """
     table, angles, lengths, deferred = path_terms(
-        images, starts, build_lamination(images.pd),
-        TruncationConvention.uniform(images.pd))
+        images, starts, TruncationConvention.uniform(images.pd))
     # only the rows some orientation reads, numbered anew: after a
     # deferred failure the others may hold inf or NaN.  Orientation by
     # orientation, the first is integrated, or raises its own failure,

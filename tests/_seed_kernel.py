@@ -65,9 +65,9 @@ from pleatbend.errors import (AngleUnwrapFailure, DegenerateConfiguration,
                               ReducibleRepresentation, SingularMatrix,
                               UnknownLetter)
 from pleatbend.moebius import (EPS_CLASS, RESCALE_LIMIT, IsometryClass,
-                               MoebiusMap, _complex_length, _fixed_points,
-                               chordal, classify, cross_ratio, fixed_points,
-                               normalizing_map, reduce_angle, trace_squared)
+                               MoebiusMap, chordal, classify, complex_length,
+                               cross_ratio, fixed_points, normalizing_map,
+                               reduce_angle, trace_squared)
 from pleatbend.pleated import sample_images, shared_endpoint_check
 from pleatbend.representation import (Representation, _mat, _matrices_of,
                                       evaluate_word)
@@ -454,7 +454,7 @@ class SeedImages(dict):
 
     def fixed_points(self, word):
         if word not in self._fixed:
-            self._fixed[word] = _fixed_points(self[word], self.kind(word))
+            self._fixed[word] = fixed_points(self[word])
         return self._fixed[word]
 
     def cuff_fixed_points(self, cuff):
@@ -544,9 +544,8 @@ class SeedSample:
         self.pd = pd
         self.holonomy = tuple(tuple(images[w] for w in words)
                               for words in pd.slot_words)
-        self.cuff_lengths = {
-            c.id: _complex_length(images[c.word], images.kind(c.word))
-            for c in pd.cuffs}
+        self.cuff_lengths = {c.id: complex_length(images[c.word])
+                             for c in pd.cuffs}
         self._witnesses = {}
 
     def end_witness(self, p, slot, zeta, conv):

@@ -230,11 +230,10 @@ def test_criterion_4_horoball_independence(pd):
         drift = max(drift, float(np.max(np.abs(sums - sums[0]))))
 
     images = sample_images(path.generators, path.matrices, pd)
-    lam = build_lamination(pd)
     ts = np.array(path.ts)
 
     def integrand(conv):
-        table, thetas, lengths, _ = path_terms(images, [choice], lam, conv)
+        table, thetas, lengths, _ = path_terms(images, [choice], conv)
         return _integrand(table, _velocities(ts, thetas, lengths)[0])[0]
 
     unit = TruncationConvention.uniform(pd)

@@ -124,7 +124,7 @@ class TestClassify:
     def test_missing_words_is_usage_failure(self, demo, capsys):
         code, _, err = run(capsys, "classify",
                            "--input", str(demo / "f2_rep.json"))
-        assert code == 2
+        assert code == 3
         assert "words" in err
 
 
@@ -616,6 +616,23 @@ class TestOptions:
         assert token in err
         if token != "--format":
             assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("command, option, input", [
+        ("pleat", "pd", "bent.json"), ("bend", "pd", "bent.json"),
+        ("volume-path", "pd", "pure_bend.json"),
+        ("vol-gamma", "pd", "pure_bend.json"),
+        ("loop-defect", "pd", "twist_loop.json"),
+        ("plot", "pd", "pure_bend.json"),
+        ("peripheral", "inclusion", "handlebody_rep.json"),
+        ("rank", "inclusion", "handlebody_rep.json")])
+    def test_missing_option_is_usage_error(self, demo, capsys, command,
+                                           option, input):
+        # a required option left out is a usage error, as an unread one
+        # is, and names itself; it is not a failed precondition (2)
+        code, out, err = run(capsys, command, "--input", str(demo / input))
+        assert code == 3
+        assert out == ""
+        assert err == f"parse error: {command} needs --{option}\n"
 
     @pytest.mark.parametrize("argv", [
         ("rank", "--input", "handlebody_rep.json",

@@ -400,6 +400,46 @@ def test_recipe_is_checked(edit, message):
         fenchel_nielsen_rep(pd, (-1.0, 1.7), TWISTS)
 
 
+def _stable_letter_of_tree_cuff(document):
+    document["surface"]["generators"].append("c1")
+    document["fenchel_nielsen"]["generator_roles"]["c1"] = {
+        "kind": "stable", "cuff": "w1"}
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d["fenchel_nielsen"].update(tree_cuffs=["a1", "w1"]),
+     "tree cuff 'a1' has a conjugated end; gluing recipe requires plain "
+     "tree ends"),
+    (lambda d: d["fenchel_nielsen"].update(tree_cuffs=[]),
+     "gluing tree does not reach all pants (stuck on [])"),
+    (lambda d: d["fenchel_nielsen"]["generator_roles"].pop("b1"),
+     "cuff 'a1' is not a tree edge and has no stable letter"),
+    (lambda d: d["pants"][0]["cuff_ends"][0].update(conjugator="b1"),
+     "positive end of cuff 'a1' must carry no conjugator"),
+    (lambda d: d["pants"][0]["cuff_ends"][1].update(conjugator=""),
+     "negative end of cuff 'a1' must be conjugated by its stable letter "
+     "'b1'"),
+    (lambda d: d["fenchel_nielsen"]["generator_roles"].pop("a1"),
+     "generator 'a1' has no gluing role"),
+    (lambda d: d["fenchel_nielsen"]["generator_roles"].update(
+        a1={"kind": "bogus"}),
+     "unknown role {'kind': 'bogus'} for 'a1'"),
+    (_stable_letter_of_tree_cuff,
+     "generators ['c1'] are the stable letter of no cuff"),
+], ids=["conjugated-tree-end", "tree-short", "no-stable-letter",
+        "positive-end-conjugated", "negative-end-plain", "no-role",
+        "unknown-role", "stable-letter-of-tree-cuff"])
+def test_gluing_is_checked(edit, message):
+    # each check of the recipe against the decomposition, met alone, by
+    # a document that the decomposition itself accepts
+    document = json.loads(json.dumps(decomposition_to_dict(PD2)))
+    edit(document)
+    pd = decomposition_from_dict(document)
+    with pytest.raises(InvalidDecomposition) as got:
+        fenchel_nielsen_rep(pd, (-1.0, 1.7, 2.3), TWISTS)
+    assert str(got.value) == message
+
+
 def test_written_document_is_a_copy():
     pd = standard_decomposition(2)
     want = entry_bits(fenchel_nielsen_rep(pd, LENGTHS, TWISTS))

@@ -409,6 +409,28 @@ class TestBadSamples:
                            match=r"^sample 5: word 'a1' "):
             run_pipeline(run, path)
 
+    def test_vol_gamma_first_sample(self):
+        # vol_gamma reads its start endpoints off the first sample, so a
+        # failure there is raised before the loxodromic check reads its
+        # NaN trace
+        path = with_bad_sample(bent_genus3(), 0, NAN)
+        with pytest.raises(SampleEvaluationFailure) as got:
+            vol_gamma(path)
+        assert str(got.value) == ("sample 0: word 'a1' is singular, "
+                                  "overflows or is not finite")
+
+    def test_derivative_neighbor_before_its_selection(self):
+        # schlafli_derivative raises the evaluation failure of a
+        # neighbor sample before it resolves the selection at its own
+        # sample, where a parabolic a1 fails; samples are numbered in
+        # its three-sample pass
+        path = with_bad_sample(bent_genus3(), 4, NAN)
+        path = with_bad_sample(path, 3, MoebiusMap(1, 1, 0, 1))
+        with pytest.raises(SampleEvaluationFailure) as got:
+            volume.schlafli_derivative(path, path.ts[3], "attracting")
+        assert str(got.value) == ("sample 2: word 'a1' is singular, "
+                                  "overflows or is not finite")
+
     @pytest.mark.parametrize("run", RUNS)
     def test_earlier_guard_wins(self, run):
         path = with_bad_sample(bent_genus3(), 5, NAN)
@@ -455,7 +477,7 @@ def term_series(path, run, conv):
                      for ori in enumerate_orientations(pd)]
                     if len(starts) == 2 else [(0,) * len(pd.cuffs)])
     table, angles, lengths, deferred = pleated.path_terms(
-        sample_images(path.generators, path.matrices, pd), starts, lam, conv)
+        sample_images(path.generators, path.matrices, pd), starts, conv)
     series = {}
     for part in ([0], range(1, len(table))):
         for t, leaf in enumerate(lam.leaves):
@@ -779,17 +801,12 @@ def test_traced_names_resolve():
     assert callable(getattr(MoebiusMap, "__post_init__", None))
 
 
-def test_private_helpers_are_called():
-    # a module-level private function, class or constant of the package
-    # that nothing else in src/ names is dead code: delete it, or move
-    # it to the tests that use it
-    src = os.path.join(ROOT, "src", "pleatbend")
+def _unnamed_private(sources: dict) -> list:
+    """The private functions, classes, constants and methods defined in
+    sources, module name -> source text, that no source names."""
     defined, named = [], set()
-    for module in sorted(os.listdir(src)):
-        if not module.endswith(".py"):
-            continue
-        with open(os.path.join(src, module)) as fh:
-            tree = ast.parse(fh.read())
+    for module, text in sorted(sources.items()):
+        tree = ast.parse(text)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 keys = [node.name]
@@ -798,15 +815,44 @@ def test_private_helpers_are_called():
                         if isinstance(n, ast.Name)]
             else:
                 keys = []
+            if isinstance(node, ast.ClassDef):
+                keys += [f"{node.name}.{item.name}" for item in node.body
+                         if isinstance(item, ast.FunctionDef)]
             defined += [(module, key) for key in keys
-                        if key.startswith("_") and not key.startswith("__")]
+                        if key.split(".")[-1].startswith("_")
+                        and not key.split(".")[-1].startswith("__")]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
-    assert [(module, key) for module, key in defined
-            if key not in named] == []
+    return [(module, key) for module, key in defined
+            if key.split(".")[-1] not in named]
+
+
+def test_private_helpers_are_called():
+    # a private function, class, constant or method of the package that
+    # nothing else in src/ names is dead code: delete it, or move it to
+    # the tests that use it
+    src = os.path.join(ROOT, "src", "pleatbend")
+    sources = {}
+    for module in os.listdir(src):
+        if module.endswith(".py"):
+            with open(os.path.join(src, module)) as fh:
+                sources[module] = fh.read()
+    assert _unnamed_private(sources) == []
+
+
+def test_unnamed_private_method_is_found():
+    # the check above sees methods too: one that nothing calls is named,
+    # and so is a module-level helper
+    source = ("class Box:\n"
+              "    def _used(self):\n        return 1\n"
+              "    def _unused(self):\n        return self._used()\n"
+              "    def __len__(self):\n        return 0\n"
+              "def _helper():\n    return Box()\n")
+    assert _unnamed_private({"box.py": source}) == [
+        ("box.py", "Box._unused"), ("box.py", "_helper")]
 
 
 class TestReferenceDrift:

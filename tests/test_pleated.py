@@ -20,6 +20,7 @@ from pleatbend import (
     PleatbendError,
     ProjectivePoint,
     Representation,
+    SingularMatrix,
     TransverseArc,
     TruncationConvention,
     arc_bending,
@@ -116,6 +117,19 @@ class TestAdaptedness:
         report = check_adapted(rep, pd)
         assert not report.adapted
         assert set(report.bad_cuffs) == {c.id for c in pd.cuffs}
+
+    @pytest.mark.parametrize("entry", ["realize", "check_adapted"])
+    def test_cuff_without_a_finite_trace_rejected(self, setup, entry):
+        # a1 = diag(1e155, 1e-155): its tr^2 overflows to inf, while b1
+        # the identity keeps every word image of the pass finite, so the
+        # cuff's classification is what refuses it
+        pd, _ = setup
+        rep = with_images(fuchsian(pd), a1=MoebiusMap(1e155, 0, 0, 1e-155),
+                          b1=MoebiusMap.identity())
+        with pytest.raises(SingularMatrix) as got:
+            {"realize": realize, "check_adapted": check_adapted}[entry](
+                rep, pd)
+        assert str(got.value) == "squared trace (inf+0j) is not finite"
 
     def test_shared_endpoint_detected(self):
         # both upper triangular: common fixed point at infinity
@@ -306,11 +320,11 @@ class TestRealize:
 WINDINGS = (1, -1, 2, -2)
 
 
-def random_reps(count, seed=11):
-    """count genus-2 representations with complex cuff lengths 1.5 to
-    2.5 plus up to 0.5i and twist-bends of parts up to 0.5, drawn from
-    seed."""
-    pd = standard_decomposition(2)
+def random_reps(count, seed=11, genus=2):
+    """count representations of the given genus with complex cuff
+    lengths 1.5 to 2.5 plus up to 0.5i and twist-bends of parts up to
+    0.5, drawn from seed."""
+    pd = standard_decomposition(genus)
     rng = np.random.default_rng(seed)
 
     def draw(low, high):
@@ -356,6 +370,21 @@ class TestWindings:
         worst = max(max(winding_errors(rep, pd, start)[0].values())
                     for rep, start in cases)
         assert worst < 1e-12
+
+    def test_genus3_random_within_its_measured_error(self):
+        # the genus-3 cuff words are long, and their float products cost
+        # accuracy: over these draws Im lambda is off by up to 1.8e-8 and
+        # the winding-0 angle by up to 3.9e-8 (1.8e-13 at genus 2).  The
+        # bounds are twice those, so that a regression fails
+        pd, reps = random_reps(9, genus=3)
+        angle = turn = 0.0
+        for rep in reps:
+            for start in ("attracting", "repelling"):
+                errors, turns = winding_errors(rep, pd, start)
+                angle = max(angle, *(errors[c.id, 0] for c in pd.cuffs))
+                turn = max(turn, *turns.values())
+        assert angle < 8e-8
+        assert turn < 4e-8
 
     def test_genus3_adds_no_error_to_its_inputs(self):
         # the genus-3 cuff words are long, and the float Im lambda is
@@ -538,6 +567,27 @@ class TestTruncation:
         assert str(got.value) == ("horoball truncation left the float "
                                   "range: the truncated length is not "
                                   "finite")
+
+    @pytest.mark.parametrize("scale, need", [
+        (math.nan, "finite"), (math.inf, "finite"), (-1.0, "positive"),
+        (0.0, "positive")])
+    @pytest.mark.parametrize("make", ["uniform", "scales", "rescaled"])
+    def test_bad_scale_refused_when_made(self, setup, make, scale, need):
+        # every way of making a convention checks its scales, naming the
+        # first bad one in scale order, so no term ever reads one
+        pd, _ = setup
+        unit = TruncationConvention.uniform(pd)
+        made = {
+            "uniform": lambda: TruncationConvention.uniform(pd, scale),
+            "scales": lambda: TruncationConvention(
+                scales={"a1": 1.0, "a2": scale, "w1": scale}),
+            "rescaled": lambda: unit.rescaled("a1", scale),
+        }[make]
+        with pytest.raises(PleatbendError) as got:
+            made()
+        cuff = "a2" if make == "scales" else "a1"
+        assert (type(got.value), str(got.value)) == (
+            PleatbendError, f"horoball scale for {cuff!r} must be {need}")
 
     def test_rescale_rule(self, setup):
         # leaf (0, 0) has both of its spiral ends on cuff a1

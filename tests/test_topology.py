@@ -85,6 +85,55 @@ class TestStandardDecomposition:
         assert len(data["pants"][0]["cuff_ends"]) == 3
 
 
+def _end(cuff, sign):
+    return {"cuff": cuff, "sign": sign, "conjugator": ""}
+
+
+def _two_closed_halves(document):
+    """Genus-3 pants, two and two, glued into two closed halves."""
+    a, b, c, d, e, f = (c["id"] for c in document["cuffs"])
+    document["pants"] = [
+        {"cuff_ends": [_end(a, 1), _end(a, -1), _end(b, 1)]},
+        {"cuff_ends": [_end(b, -1), _end(c, 1), _end(c, -1)]},
+        {"cuff_ends": [_end(d, 1), _end(d, -1), _end(e, 1)]},
+        {"cuff_ends": [_end(e, -1), _end(f, 1), _end(f, -1)]}]
+
+
+class TestValidate:
+    """Each check of PantsDecomposition.validate, met by a document
+    that breaks it alone and is refused when it is read."""
+
+    @pytest.mark.parametrize("genus, edit, message", [
+        (2, lambda d: d.update(genus=1), "genus 1 < 2"),
+        (2, lambda d: d.update(genus=3), "expected 6 cuffs, got 3"),
+        (2, lambda d: d["pants"].pop(), "expected 2 pants, got 1"),
+        # a1's second end moved to a2: one end for a1, three for a2
+        (2, lambda d: d["pants"][0]["cuff_ends"][1].update(cuff="a2"),
+         "cuff 'a1' has 1 ends, expected 2"),
+        (2, lambda d: d["pants"][0]["cuff_ends"][1].update(sign=1),
+         "cuff 'a1' needs one +1 and one -1 end, got [1, 1]"),
+        # every slot of three-slot pants is taken by the known cuffs, so
+        # only a fourth slot can name an unknown one
+        (2, lambda d: d["pants"][0]["cuff_ends"].append(_end("zz", 1)),
+         "pants 0 references unknown cuff 'zz'"),
+        (3, _two_closed_halves,
+         "gluing graph disconnected: reached 2 of 4 pants"),
+    ], ids=["genus", "cuff-count", "pants-count", "end-count", "signs",
+            "unknown-cuff", "disconnected"])
+    def test_refused(self, genus, edit, message):
+        document = decomposition_to_dict(standard_decomposition(genus))
+        edit(document)
+        with pytest.raises(InvalidDecomposition) as got:
+            decomposition_from_dict(document)
+        assert str(got.value) == message
+
+    def test_signed_ends_of_unknown_cuff(self):
+        pd = standard_decomposition(2)
+        with pytest.raises(InvalidDecomposition) as got:
+            pd.signed_ends_of("zz")
+        assert str(got.value) == "cuff 'zz' does not have one end of each sign"
+
+
 class TestOrientations:
     def test_count_genus2(self):
         pd = standard_decomposition(2)

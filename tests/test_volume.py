@@ -295,12 +295,11 @@ class TestSchlafliDerivative:
         assert max(max(v) - min(v) for k, v in angles.items()
                    if not isinstance(k, str)) > 0.1
         images = sample_images(path.generators, path.matrices, pd)
-        lam = topology.build_lamination(pd)
         ts = np.array(path.ts)
 
         def integrand(conv):
             table, thetas, lengths, _ = pleated.path_terms(
-                images, [choice], lam, conv)
+                images, [choice], conv)
             return volume._integrand(
                 table, volume._velocities(ts, thetas, lengths)[0])[0]
 
@@ -496,13 +495,15 @@ class TestIntegrate:
     @pytest.mark.parametrize("entry", ["bending_data", "truncated_length"])
     def test_scale_not_finite_and_positive_rejected(self, pd, entry, scale,
                                                      need):
-        # a NaN or infinite scale made every truncated length NaN; it is
-        # refused, as a non-positive one is, naming the first cuff
+        # a NaN or infinite scale made every truncated length NaN; the
+        # convention refuses it when it is made, as a non-positive one,
+        # naming the first cuff, so no term is computed with it
         real = realize(bend_path(pd, steps=4).rep(0), pd)
-        conv = TruncationConvention.uniform(pd, scale)
         call = {
-            "bending_data": lambda: bending_data(real, conv),
-            "truncated_length": lambda: truncated_length(real, (0, 0), conv),
+            "bending_data": lambda: bending_data(
+                real, TruncationConvention.uniform(pd, scale)),
+            "truncated_length": lambda: truncated_length(
+                real, (0, 0), TruncationConvention.uniform(pd, scale)),
         }[entry]
         with pytest.raises(PleatbendError) as got:
             call()
@@ -871,10 +872,10 @@ def pass_words(pd) -> set:
 
 class PassWork:
     """The work of the sample pipeline, recorded in every pleatbend
-    module: each sample_images call with the pass it returned, every
-    MoebiusArray product, every placement with its geometry, every
-    scalar evaluate_word call, and every ProjectivePoint made, by its
-    constructor or as the coordinates of an array element."""
+    module: each sample_images call with its arguments and the pass it
+    returned, every MoebiusArray product, every placement with its
+    geometry, every scalar evaluate_word call, and every ProjectivePoint
+    made, by its constructor or as the coordinates of an array element."""
 
     def __init__(self, monkeypatch):
         self.passes, self.products, self.placed = [], [], []
@@ -888,7 +889,7 @@ class PassWork:
 
         def counting_fill(*args):
             images = fill(*args)
-            self.passes.append(images)
+            self.passes.append((args, images))
             return images
 
         def counting_evaluate(rep, word):
@@ -929,10 +930,11 @@ class PassWork:
         # pipeline reads: one stacked product per token depth, of the
         # distinct prefixes of that depth over all samples, and three
         # for the commutators of every slot row and pair
-        assert len(self.passes) == 1
-        images = self.passes[0]
-        assert images.generators == path.generators
-        assert images.matrices.tobytes() == path.matrices.tobytes()
+        [((generators, matrices, pd), images)] = self.passes
+        assert generators == path.generators
+        assert matrices.tobytes() == path.matrices.tobytes()
+        assert pd is path.pd
+        assert len(images) == len(path)
         assert set(images.words) == pass_words(path.pd)
         tokens = [topology._tokens(w) for w in images.words]
         depth = max(map(len, tokens))
@@ -955,6 +957,21 @@ class TestSampleWork:
         got = integrate_volume_change(path, "attracting")
         work.assert_words_evaluated_once(path)
         assert got == want
+
+    @pytest.mark.parametrize("start", ["bogus", "lacks-a1"])
+    def test_bad_start_places_nothing(self, pd, monkeypatch, start):
+        # an unknown label, or a start dict that lacks a cuff, raises in
+        # endpoint selection: no plaque is placed and no term computed
+        path = bend_path(pd, steps=4)
+        if start == "lacks-a1":
+            start = {c: z for c, z in resolve_endpoints(
+                path.rep(0), pd, "attracting").items() if c != "a1"}
+        work = PassWork(monkeypatch)
+        for call in (lambda: realize(path.rep(0), pd, start),
+                     lambda: integrate_volume_change(path, start)):
+            with pytest.raises(PleatbendError):
+                call()
+        assert work.placed == []
 
     def test_each_pants_pattern_placed_once_per_sample(self, monkeypatch):
         path = genus3_path(lambda t: 2.0 + 0.1j * t, steps=8)
