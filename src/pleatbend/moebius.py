@@ -250,13 +250,12 @@ class MoebiusArray:
 
     re and im hold the real and imaginary parts of the entries, shape
     (2, 2, n) as [[a, b], [c, d]].  Products and inverses follow
-    MoebiusMap's arithmetic step by step.  The complex products and
-    quotients are CPython's algorithms (_mul, _quot), whose rounding the
-    benchmark's references pin; the determinant's square root and every
-    modulus are numpy's (np.sqrt, np.hypot).  So an entry may differ
-    from the scalar MoebiusMap computation in its last bits, and
-    tests/test_kernel.py bounds the difference.  ok is False at a
-    sample once any step there would raise in the scalar arithmetic (a
+    MoebiusMap's arithmetic step by step, rounding as the complex
+    arithmetic below does; their determinant's root is np.sqrt's, so an
+    entry may differ from the scalar one in its last bits, which
+    tests/test_kernel.py bounds.  normalizing is the constructor's
+    normalization bit for bit (_normalized).  ok is False at a sample
+    once any step there would raise in the scalar arithmetic (a
     determinant below 1e-100, abs overflowing) or gives a value that is
     not finite; its entries there mean nothing, and the pipeline raises
     SampleEvaluationFailure for that sample.  The geometry methods
@@ -323,14 +322,15 @@ class MoebiusArray:
             ti = self.im[0, 0] + self.im[1, 1]
             return _mul(tr, ti, tr, ti)
 
-    def _entry(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.re[i, j], self.im[i, j]
+    def _entries(self) -> tuple:
+        """a, b, c, d, each (real, imaginary)."""
+        return tuple((self.re[i, j], self.im[i, j])
+                     for i in (0, 1) for j in (0, 1))
 
     def apply(self, p: "PointArray") -> tuple["PointArray", np.ndarray]:
         """MoebiusMap.apply at every element, and where the resulting
         ProjectivePoint would raise (both coordinates 0)."""
-        a, b, c, d = (self._entry(0, 0), self._entry(0, 1),
-                      self._entry(1, 0), self._entry(1, 1))
+        a, b, c, d = self._entries()
         z1, z2 = (p.z1r, p.z1i), (p.z2r, p.z2i)
         with np.errstate(all="ignore"):
             w1 = _add(_mul(*a, *z1), _mul(*b, *z2))
@@ -340,8 +340,7 @@ class MoebiusArray:
     def apply_interior(self, zr, zi, t) -> tuple:
         """MoebiusMap.apply_interior at every element: (z real, z imag,
         t) of the image of (z, t) in upper half space."""
-        a, b, c, d = (self._entry(0, 0), self._entry(0, 1),
-                      self._entry(1, 0), self._entry(1, 1))
+        a, b, c, d = self._entries()
         with np.errstate(all="ignore"):
             w = _add(_mul(*c, zr, zi), d)
             denom = _abs2(*w) + _abs2(*c) * t * t
@@ -358,9 +357,7 @@ class MoebiusArray:
         entry."""
         with np.errstate(all="ignore"):
             plus = minus = None
-            for (i, j), one in (((0, 0), 1.0), ((0, 1), 0.0),
-                                ((1, 0), 0.0), ((1, 1), 1.0)):
-                xr, xi = self._entry(i, j)
+            for (xr, xi), one in zip(self._entries(), (1.0, 0.0, 0.0, 1.0)):
                 p = _abs2(xr - one, xi)
                 m = _abs2(xr + one, xi)
                 plus, minus = ((p, m) if plus is None
@@ -385,8 +382,7 @@ class MoebiusArray:
         loxodromic there: (first, second) PointArrays, attracting first,
         and the two masks where their ProjectivePoint would raise.  At
         other samples the values mean nothing."""
-        a, b, c, d = (self._entry(0, 0), self._entry(0, 1),
-                      self._entry(1, 0), self._entry(1, 1))
+        a, b, c, d = self._entries()
         with np.errstate(all="ignore"):
             tr = _add(a, d)
             sq = _mul(*tr, *tr)
@@ -398,8 +394,7 @@ class MoebiusArray:
             plus_first = np.where(by_modulus, big_p > big_m,
                                   plus[1] > minus[1])
             first = [np.where(plus_first, u, v) for u, v in zip(plus, minus)]
-            second = [np.where(plus_first, v, u)
-                      for u, v in zip(plus, minus)]
+            second = [np.where(plus_first, v, u) for u, v in zip(plus, minus)]
             out = []
             for mu in (first, second):
                 # _eigenvector: (b, mu - a) or (mu - d, c), the larger
@@ -419,52 +414,68 @@ class MoebiusArray:
                     ) -> tuple["MoebiusArray", np.ndarray]:
         """normalizing_map at every element, and where it raises
         (endpoints closer than 1e-14 in bracket)."""
-        with np.errstate(all="ignore"):
-            coincide = np.hypot(*bracket_array(to_zero, to_infinity)) < 1e-14
-            re = np.array([[to_zero.z2r, -to_zero.z1r],
-                           [to_infinity.z2r, -to_infinity.z1r]])
-            im = np.array([[to_zero.z2i, -to_zero.z1i],
-                           [to_infinity.z2i, -to_infinity.z1i]])
-        # the constructor's normalization; |det| = |bracket| >= 1e-14
-        # past the check, so its singular test cannot trip there
-        return (_unimodular(re, im, np.ones(re.shape[2:], dtype=bool),
-                            rescale=True), coincide)
+        re = np.array([[to_zero.z2r, -to_zero.z1r],
+                       [to_infinity.z2r, -to_infinity.z1r]])
+        im = np.array([[to_zero.z2i, -to_zero.z1i],
+                       [to_infinity.z2i, -to_infinity.z1i]])
+        # the determinant is bracket(to_zero, to_infinity), bit for bit
+        re, im, det, singular = _normalized(re, im)
+        return _checked(re, im, ~singular), np.hypot(*det) < 1e-14
 
 
-def _unimodular(re: np.ndarray, im: np.ndarray, ok: np.ndarray,
-                rescale=None) -> MoebiusArray:
-    """MoebiusMap._from_unimodular at every sample; with rescale=True,
-    the constructor's normalization, which always rescales by cmath.sqrt
-    of the determinant (_sqrt)."""
-    (ar, br), (cr, dr) = re
-    (ai, bi), (ci, di) = im
+def _unimodular(re, im, ok) -> MoebiusArray:
+    """MoebiusMap._from_unimodular at every sample.  The determinant of
+    a product is within rounding of 1, where np.sqrt rounds its root as
+    cmath.sqrt does."""
     with np.errstate(all="ignore"):
-        adr, adi = _mul(ar, ai, dr, di)
-        bcr, bci = _mul(br, bi, cr, ci)
+        (adr, adi), (bcr, bci) = _products(re, im)
         det_r, det_i = adr - bcr, adi - bci
-        if rescale is None:
-            size = np.hypot(adr, adi) + np.hypot(bcr, bci)
-            rescale = size <= RESCALE_LIMIT
-            ok = ok & np.isfinite(size)
-            # a product's determinant is within rounding of 1, where
-            # np.sqrt rounds as cmath.sqrt does
-            s = np.sqrt(_complex(det_r, det_i))
-            sr, si = s.real, s.imag
-        else:
-            sr, si = _sqrt(det_r, det_i)
-        out_re, out_im = _quot(re, im, sr, si)
+        size = np.hypot(adr, adi) + np.hypot(bcr, bci)
+        rescale = size <= RESCALE_LIMIT
+        s = np.sqrt(_complex(det_r, det_i))
+        out_re, out_im = _quot(re, im, s.real, s.imag)
         if not np.all(rescale):
             np.copyto(out_re, re, where=~rescale)
             np.copyto(out_im, im, where=~rescale)
         singular = rescale & (np.hypot(det_r, det_i) < 1e-100)
-    ok = (ok & ~singular
-          & np.isfinite(out_re).all(axis=(0, 1))
-          & np.isfinite(out_im).all(axis=(0, 1)))
-    return MoebiusArray(out_re, out_im, ok)
+    return _checked(out_re, out_im, ok & np.isfinite(size) & ~singular)
+
+
+def _normalized(re, im) -> tuple:
+    """MoebiusMap(a, b, c, d) at every element of re + i im, (2, 2,
+    ...), bit for bit: the entries divided by cmath.sqrt (_sqrt) of the
+    determinant ad - bc, that determinant (real, imaginary), and where
+    the constructor raises SingularMatrix, |ad - bc| < 1e-100."""
+    with np.errstate(all="ignore"):
+        (adr, adi), (bcr, bci) = _products(re, im)
+        det = adr - bcr, adi - bci
+        return (*_quot(re, im, *_sqrt(*det)), det,
+                np.hypot(*det) < 1e-100)
+
+
+def _products(re, im) -> tuple:
+    """ad and bc, each (real, imaginary), at every element of re + i im,
+    (2, 2, ...)."""
+    (ar, br), (cr, dr) = re
+    (ai, bi), (ci, di) = im
+    return _mul(ar, ai, dr, di), _mul(br, bi, cr, ci)
+
+
+def _checked(re, im, ok) -> MoebiusArray:
+    """The maps re + i im, ok also False where an entry is not finite."""
+    return MoebiusArray(re, im, ok & np.isfinite(re).all(axis=(0, 1))
+                        & np.isfinite(im).all(axis=(0, 1)))
 
 
 # ---------------------------------------------------------------------------
-# complex arithmetic on (real, imaginary) float arrays
+# complex arithmetic on float arrays
+#
+# Every rounding choice of the array arithmetic, the gluing's included,
+# is made here, as the benchmark's vol-gamma-g3 references pin it (see
+# README): complex products and quotients are CPython's (_mul, _quot;
+# _cmul, _cdiv on complex arrays), the constructor's root cmath.sqrt's
+# (_sqrt), the gluing's roots of |det| CPython's float power
+# (_half_power), and moduli np.hypot, as abs(complex) is.
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -486,10 +497,7 @@ def _abs2(re, im) -> np.ndarray:
 
 
 def _mul(ar, ai, br, bi) -> tuple:
-    """CPython's complex product.  Kept in place of numpy's complex
-    products because the benchmark's vol-gamma references pin its
-    rounding: numpy complex @ moves the 128 vol-gamma-g3 reference seeds
-    by up to 5.5e-8, past the benchmark's 1e-10."""
+    """CPython's complex product."""
     return ar * br - ai * bi, ar * bi + ai * br
 
 
@@ -498,9 +506,7 @@ def _quot(ar, ai, br, bi) -> tuple:
     through by the larger part of the divisor, (a + b r i) / (c + d r i)
     with r = bi / br, or else with r = br / bi.  A zero divisor, where
     CPython raises, gives NaN.  The numerator's parts have the shape of
-    the quotient.  Kept in place of numpy's complex division, which
-    moves two vol-gamma-g3 reference seeds by up to 4.7e-10, past the
-    benchmark's 1e-10."""
+    the quotient."""
     by_real = np.abs(br) >= np.abs(bi)
     every = by_real.all()
     if every:
@@ -537,6 +543,35 @@ def _sqrt(re, im) -> tuple:
     d = y / (2.0 * s)
     right = re >= 0
     return np.where(right, s, d), np.copysign(np.where(right, d, s), im)
+
+
+def _parts(z) -> tuple:
+    """Real and imaginary parts; a Python int or float counts as CPython
+    converts it for complex arithmetic, with imaginary part 0.0."""
+    if isinstance(z, (int, float)):
+        return float(z), 0.0
+    return z.real, z.imag
+
+
+def _cmul(x, y) -> np.ndarray:
+    """x * y by CPython's complex product (_mul), elementwise."""
+    return _complex(*_mul(*_parts(x), *_parts(y)))
+
+
+def _cdiv(x, y) -> np.ndarray:
+    """x / y by CPython's complex quotient (_quot), elementwise."""
+    return _complex(*_quot(*_parts(x), *_parts(y)))
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """abs of every element of a complex array, by np.hypot."""
+    return np.hypot(z.real, z.imag)
+
+
+def _half_power(x: np.ndarray) -> np.ndarray:
+    """x ** 0.5 at every element by the C library's pow, as CPython's
+    float power takes it; np.sqrt rounds differently."""
+    return np.float_power(x, 0.5)
 
 
 class PointArray:

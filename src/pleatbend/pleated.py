@@ -86,20 +86,18 @@ class SampleImages:
     reads, (n, len(rows), 3) for the distinct slot rows in rows and the
     pairs (0, 1), (1, 2), (2, 0).  ok, (words + rows, n), is False where
     a word or a row's commutators would raise in the scalar arithmetic
-    or are not finite, and failure() names the first of them.
+    or are not finite, and failure() names the first of them and the
+    stored sample, samples[k] for the pass's sample k.
     cuff_maps stacks the images of the cuff words, (2, 2, cuffs, n);
     kinds, (cuffs, n), and cuff_points, the first and second fixed
     points (cuffs, n) and the masks where their ProjectivePoints would
     raise, are read off them at once, at EPS_CLASS, the classification
-    tolerance of every check.
+    tolerance of every check.  lamination is build_lamination(pd).
     """
-
-    __slots__ = ("pd", "words", "index", "stack", "rows", "traces", "ok",
-                 "cuff_maps", "kinds", "cuff_points")
 
     def __init__(self, pd: PantsDecomposition, words: list,
                  stack: MoebiusArray, rows: list, traces: np.ndarray,
-                 ok: np.ndarray):
+                 ok: np.ndarray, samples):
         self.pd = pd
         self.words = words
         self.index = {w: i for i, w in enumerate(words)}
@@ -107,12 +105,17 @@ class SampleImages:
         self.rows = rows
         self.traces = traces
         self.ok = ok
+        self.samples = samples
         self.cuff_maps = stack.take([self.index[c.word] for c in pd.cuffs])
         self.kinds = self.cuff_maps.classify()
         self.cuff_points = self.cuff_maps.fixed_points()
 
     def __len__(self) -> int:
         return self.ok.shape[1]
+
+    @functools.cached_property
+    def lamination(self):
+        return build_lamination(self.pd)
 
     def evaluated(self) -> np.ndarray:
         """Where every word and commutator of a sample was evaluated."""
@@ -128,13 +131,15 @@ class SampleImages:
         what = (f"word {self.words[i]!r}" if i < len(self.words) else
                 f"slot commutators of {self.rows[i - len(self.words)]}")
         return SampleEvaluationFailure(
-            f"sample {k}: {what} is singular, overflows or is not finite")
+            f"sample {self.samples[k]}: {what} is singular, overflows or "
+            "is not finite")
 
 
 def sample_images(generators, matrices: np.ndarray,
-                  pd: PantsDecomposition) -> SampleImages:
+                  pd: PantsDecomposition, samples=None) -> SampleImages:
     """The SampleImages of the samples matrices, the images of
-    generators (2, 2, generators, n), by one array pass.
+    generators (2, 2, generators, n), by one array pass; samples lists
+    the stored position of each, 0 to n - 1 when not given.
 
     Every word the sample pipeline reads is evaluated at all samples at
     once with MoebiusArray, folding the words level by level
@@ -167,7 +172,8 @@ def sample_images(generators, matrices: np.ndarray,
     traces = _complex(*comm.trace_squared())              # (rows, 3, n)
     row_ok = (comm.ok & np.isfinite(traces)).all(axis=1)
     return SampleImages(pd, words, stack, rows, np.moveaxis(traces, -1, 0),
-                        np.concatenate([stack.ok, row_ok]))
+                        np.concatenate([stack.ok, row_ok]),
+                        samples or range(matrices.shape[3]))
 
 
 def _one_sample(rep: Representation, pd: PantsDecomposition) -> SampleImages:
@@ -649,7 +655,7 @@ class _Geometry:
         pd = images.pd
         self.images = images
         self.pd = pd
-        self.lam = lam = build_lamination(pd)
+        lam = images.lamination
         self.chains = len(selections)
         self.index = {c.id: j for j, c in enumerate(pd.cuffs)}
         self.zeta = tuple(stack_points([sel[s] for sel in selections])
@@ -888,7 +894,7 @@ class _Geometry:
             leaf_lengths, length_checks = self.leaf_lengths(conv)
             leaf_checks = leaf_checks + length_checks
         cuffs, leaves = [], []
-        for t, leaf in enumerate(self.lam.leaves):
+        for t, leaf in enumerate(self.images.lamination.leaves):
             if isinstance(leaf.key, str):
                 cuffs.append((t, leaf.key,
                               self.cuff_rows[self.index[leaf.key]]))
@@ -1113,7 +1119,7 @@ def bending_data(real: PleatedRealization,
     failures.raise_first()
     rows = geometry.table[0].tolist()
     values = {leaf.key: (float(angles[r, 0]), float(lengths[r, 0]))
-              for leaf, r in zip(geometry.lam.leaves, rows)}
+              for leaf, r in zip(geometry.images.lamination.leaves, rows)}
     cuffs = {k: v for k, v in values.items() if isinstance(k, str)}
     leaves = {k: v for k, v in values.items() if not isinstance(k, str)}
     return BendingData(leaf_angles={k: v[0] for k, v in leaves.items()},

@@ -25,9 +25,9 @@ import numpy as np
 from .errors import (InvalidDecomposition, NonHyperbolicParameters,
                      PleatbendError, ReducibleRepresentation, SingularMatrix,
                      UnknownLetter)
-from .moebius import (EPS_CLASS, MoebiusArray, MoebiusMap, _classify,
-                      _complex, _fixed_pairs, _mul, _quot, _sqrt,
-                      trace_squared)
+from .moebius import (EPS_CLASS, MoebiusArray, MoebiusMap, _cdiv, _classify,
+                      _cmul, _complex, _fixed_pairs, _half_power, _modulus,
+                      _normalized, trace_squared)
 from .topology import (BoundaryInclusion, PantsDecomposition, _check_shape,
                        _tokens, _word_plan)
 
@@ -254,12 +254,8 @@ def random_representation(rng: np.random.Generator,
 # One stacked pass glues every sample of a parameter path: values carry a
 # leading sample axis, and each step is the scalar construction's, bit
 # for bit.  2x2 products are np.matmul, the same BLAS product at every
-# sample; complex products and quotients are CPython's (_mul, _quot),
-# where numpy's array product and quotient round differently; exp and
-# cosh are numpy's, which agree with cmath's; moduli are np.hypot, as
-# abs(complex) is; and the roots of |det| are np.float_power(x, 0.5),
-# the C library's pow, as CPython's float power is (np.sqrt rounds
-# differently).
+# sample, and exp and cosh numpy's, which agree with cmath's; every other
+# rounding is moebius's (see its complex arithmetic).
 
 _R = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
@@ -276,28 +272,6 @@ def _adj(m: np.ndarray) -> np.ndarray:
     out[..., 1, 0] = -m[..., 1, 0]
     out[..., 1, 1] = m[..., 0, 0]
     return out
-
-
-def _parts(z) -> tuple:
-    """Real and imaginary parts; a Python int or float counts as CPython
-    converts it for complex arithmetic, with imaginary part 0.0."""
-    if isinstance(z, (int, float)):
-        return float(z), 0.0
-    return z.real, z.imag
-
-
-def _cmul(x, y) -> np.ndarray:
-    """x * y by CPython's complex product, elementwise."""
-    return _complex(*_mul(*_parts(x), *_parts(y)))
-
-
-def _cdiv(x, y) -> np.ndarray:
-    """x / y by CPython's complex quotient, elementwise."""
-    return _complex(*_quot(*_parts(x), *_parts(y)))
-
-
-def _modulus(z: np.ndarray) -> np.ndarray:
-    return np.hypot(z.real, z.imag)
 
 
 def _det(m: np.ndarray) -> np.ndarray:
@@ -370,8 +344,7 @@ def _normal_frames(m: np.ndarray, lam: np.ndarray) -> tuple:
             | by_c & ((c.real > 0) | (c.real == 0) & (c.imag > 0)))
     for i in (0, 1):
         P[..., i, 1] = np.where(flip, _cmul(P[..., i, 1], -1), P[..., i, 1])
-    size = _modulus(_det(P))
-    return P / np.float_power(size, 0.5)[..., None, None], size < 1e-30
+    return _unit_det_modulus(P), _modulus(_det(P)) < 1e-30
 
 
 def _twist_matrices(s: np.ndarray) -> np.ndarray:
@@ -385,21 +358,12 @@ def _twist_matrices(s: np.ndarray) -> np.ndarray:
 
 
 def _unit_det_modulus(m: np.ndarray) -> np.ndarray:
-    return m / np.float_power(_modulus(_det(m)), 0.5)[..., None, None]
+    return m / _half_power(_modulus(_det(m)))[..., None, None]
 
 
 def _conjugated(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """g x g^-1."""
     return g @ x @ (_adj(g) / _det(g)[..., None, None])
-
-
-def _constructed(z: np.ndarray) -> tuple:
-    """MoebiusMap(a, b, c, d) of every matrix of z (..., 2, 2), bit for
-    bit: the normalized matrices, their determinants ad - bc, and where
-    the constructor raises SingularMatrix (|ad - bc| < 1e-100)."""
-    det = _det(z)
-    root = [r[..., None, None] for r in _sqrt(det.real, det.imag)]
-    return _complex(*_quot(z.real, z.imag, *root)), det, _modulus(det) < 1e-100
 
 
 def _gluing(pd: PantsDecomposition) -> tuple:
@@ -613,19 +577,15 @@ def _glue_rows(pd: PantsDecomposition, plan: tuple, lam: np.ndarray,
         if boundary:
             ps, ks = np.array(boundary, dtype=int).T
             images.append(_conjugated(conj[:, ps], triples[:, ps, ks]))
-        images, det, singular = _constructed(np.concatenate(images, axis=1))
-        images = images.transpose(2, 3, 1, 0)      # (2, 2, generators, n)
-
-        def constructor_guard(i):
-            guards.append((singular[:, i], lambda k: SingularMatrix(
-                f"determinant {np.complex128(det[k, i])!r} too small")))
-
-        for i, (_, plus, minus) in enumerate(stable):
-            frame_guard(plus)
-            frame_guard(minus)
-            constructor_guard(i)
-        for i in range(len(stable), len(gens)):
-            constructor_guard(i)
+        z = np.concatenate(images, axis=1).transpose(2, 3, 1, 0)
+        *images, det, singular = _normalized(z.real, z.imag)
+        images, det = _complex(*images), _complex(*det)
+        for i in range(len(gens)):      # a stable letter's frames first
+            if i < len(stable):
+                frame_guard(stable[i][1])
+                frame_guard(stable[i][2])
+            guards.append((singular[i], lambda k, i=i: SingularMatrix(
+                f"determinant {det[i, k]!r} too small")))
 
         # the postconditions, on the images as built
         stack = _word_images(gens, images,
@@ -1015,17 +975,18 @@ def _parsed(data: dict, samples: list, single: bool = False) -> tuple:
     parts = _floats(entries, (len(samples) * len(gens), 4, 2), samples,
                     {"matrices": {g: [[_NUMBER] * 2] * 4 for g in gens}},
                     single)
-    parts = parts.reshape(len(samples), len(gens), 2, 2, 2)
+    parts = parts.reshape(len(samples), len(gens), 2, 2, 2).transpose(
+        2, 3, 1, 0, 4)                  # (2, 2, generators, samples, 2)
+    *z, det, singular = _normalized(parts[..., 0], parts[..., 1])
+    det = _complex(*det)
     with np.errstate(all="ignore"):
-        z, det, singular = _constructed(_complex(parts[..., 0],
-                                                 parts[..., 1]))
         # where the constructor raises: |det| < 1e-100, or abs overflows
         bad = singular | np.isfinite(det) & np.isinf(_modulus(det))
-    for k, i in np.argwhere(bad)[:1].tolist():
+    for k, i in np.argwhere(bad.T)[:1].tolist():
         where = "in file" if single else f"at sample {k}"
         raise SingularMatrix(f"generator {gens[i]!r} {where} cannot be "
-                             f"normalized: determinant {det[k, i]}")
-    return gens, tuple(data.get("relators", ())), z.transpose(2, 3, 1, 0)
+                             f"normalized: determinant {det[i, k]}")
+    return gens, tuple(data.get("relators", ())), _complex(*z)
 
 
 def rep_from_dict(data: dict) -> Representation:

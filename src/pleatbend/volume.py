@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,8 +35,7 @@ from .pleated import (SampleImages, TruncationConvention, _loxodromic_start,
                       resolve_endpoints, sample_images)
 from .representation import (RepresentationPath, fingerprint,
                              standard_word_list)
-from .topology import (OrientationAssignment, build_lamination,
-                       enumerate_orientations)
+from .topology import OrientationAssignment, enumerate_orientations
 
 EPS_LOOP = 1e-8   # fingerprint distance below which a path counts as closed
 EPS_TETRA = 1e-12  # distance of a tetrahedron's parameter from 0, 1, infinity
@@ -147,16 +147,15 @@ def _samples(path: RepresentationPath,
     """The sample times of path, every (intervals / steps)-th when steps
     is given, and the sample_images pass at them."""
     n = len(path) - 1
-    indices = list(range(len(path)))
-    if steps is not None:
-        if steps <= 0 or n % steps != 0:
-            raise PleatbendError(
-                f"cannot take {steps} steps over {n} stored intervals")
-        indices = indices[::n // steps]
+    steps = n if steps is None else operator.index(steps)
+    if steps <= 0 or n % steps != 0:
+        raise PleatbendError(
+            f"cannot take {steps} steps over {n} stored intervals")
+    indices = range(0, n + 1, n // steps)
     if len(indices) < 3:
         raise PleatbendError("need at least three samples to integrate")
     return np.array(path.ts)[indices], sample_images(
-        path.generators, path.matrices[..., indices], _surface(path))
+        path.generators, path.matrices[..., indices], _surface(path), indices)
 
 
 def angle_series(path: RepresentationPath, zeta: str | dict) -> dict:
@@ -167,10 +166,9 @@ def angle_series(path: RepresentationPath, zeta: str | dict) -> dict:
     placement and the angle stages run, so a guard of the truncated
     lengths, which this reports none of, cannot fail it.
     """
-    pd = _surface(path)
-    images = sample_images(path.generators, path.matrices, pd)
+    images = sample_images(path.generators, path.matrices, _surface(path))
     table, angles, _, _ = path_terms(images, [zeta], conv=None)
-    leaves = build_lamination(pd).leaves      # the table's columns
+    leaves = images.lamination.leaves      # the table's columns
     return {leaf.key: angles[r].tolist()
             for leaf, r in zip(leaves, table[0].tolist())}
 
@@ -190,8 +188,8 @@ def schlafli_derivative(path: RepresentationPath, t: float,
         raise PleatbendError(
             f"t={t} is an endpoint; the derivative needs an interior sample")
     pd = _surface(path)
-    images = sample_images(path.generators,
-                           path.matrices[..., k - 1:k + 2], pd)
+    images = sample_images(path.generators, path.matrices[..., k - 1:k + 2],
+                           pd, range(k - 1, k + 2))
     for i in range(3):      # evaluation failures first, in sample order
         failure = images.failure(i)
         if failure is not None:

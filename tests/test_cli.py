@@ -930,6 +930,21 @@ class TestFailureModes:
         assert "SampleEvaluationFailure" in err
         assert "word 'a1'" in err
 
+    def test_subsampled_failure_names_stored_sample(self, demo, tmp_path,
+                                                    capsys):
+        # --steps 8 reads every second of the 16 stored intervals: the
+        # pass's fourth column is stored sample 6, and the message says 6
+        data = json.loads((demo / "pure_bend.json").read_text())
+        data["samples"][6]["matrices"]["a1"][0] = [math.nan, 0.0]
+        bad = tmp_path / "pure_bend.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "volume-path", "--input", str(bad),
+                             "--pd", str(demo / "surface.json"),
+                             "--steps", "8")
+        assert code == 2
+        assert out == ""
+        assert "SampleEvaluationFailure: sample 6: word 'a1' is " in err
+
 
 def benchmark_workload(name: str, seed: int, workdir: pathlib.Path):
     """The benchmark's workload name at seed, its inputs written to

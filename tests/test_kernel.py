@@ -20,6 +20,7 @@ quotients the kernel keeps.
 import ast
 import cmath
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -422,13 +423,35 @@ class TestBadSamples:
     def test_derivative_neighbor_before_its_selection(self):
         # schlafli_derivative raises the evaluation failure of a
         # neighbor sample before it resolves the selection at its own
-        # sample, where a parabolic a1 fails; samples are numbered in
-        # its three-sample pass
+        # sample, where a parabolic a1 fails; samples are numbered as
+        # the path stores them
         path = with_bad_sample(bent_genus3(), 4, NAN)
         path = with_bad_sample(path, 3, MoebiusMap(1, 1, 0, 1))
         with pytest.raises(SampleEvaluationFailure) as got:
             volume.schlafli_derivative(path, path.ts[3], "attracting")
-        assert str(got.value) == ("sample 2: word 'a1' is singular, "
+        assert str(got.value) == ("sample 4: word 'a1' is singular, "
+                                  "overflows or is not finite")
+
+    def test_derivative_names_the_stored_sample(self):
+        # the three-sample pass at stored sample 7 reads samples 6, 7
+        # and 8; its first column is stored sample 6
+        path = with_bad_sample(bent_genus3(), 6, NAN)
+        with pytest.raises(SampleEvaluationFailure) as got:
+            volume.schlafli_derivative(path, path.ts[7], "attracting")
+        assert str(got.value) == ("sample 6: word 'a1' is singular, "
+                                  "overflows or is not finite")
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_subsample_names_the_stored_sample(self, run):
+        # steps=4 reads stored samples 0, 2, 4, 6 and 8: the failure at
+        # stored sample 6, the pass's fourth column, names sample 6
+        path = with_bad_sample(bent_genus3(), 6, NAN)
+        with pytest.raises(SampleEvaluationFailure) as got:
+            if run == "volume-path":
+                integrate_volume_change(path, "attracting", steps=4)
+            else:
+                vol_gamma(path, steps=4)
+        assert str(got.value) == ("sample 6: word 'a1' is singular, "
                                   "overflows or is not finite")
 
     @pytest.mark.parametrize("run", RUNS)
@@ -799,6 +822,38 @@ def test_traced_names_resolve():
         for name in names:
             assert callable(getattr(home, name, None)), f"{module}.{name}"
     assert callable(getattr(MoebiusMap, "__post_init__", None))
+
+
+# sha256 of the files the benchmark's set-up writes, recorded on x86-64
+# with numpy 2.4.6, like DEMO_SHA256 in test_scripts.py: the path files
+# pin the gluing and the JSON writer byte for byte
+SURFACE_G3 = "97a0af2ae95feded8767d54b4776470168026b3d7b6555f6793cbff45e4b93db"
+SETUP_SHA256 = {
+    ("VolGammaG3", 0): {
+        "path-g3.json":
+        "1973cecfd33c1e53bf00310f4e23ca54d50ff2104661b1068063d3f1eb7a241a",
+        "surface-g3.json": SURFACE_G3},
+    ("VolGammaG3", 125): {
+        "path-g3.json":
+        "d8a93009b0eb4a62ba6cc949eb2557d3539de383a6767eeea3231b295b983435",
+        "surface-g3.json": SURFACE_G3},
+    ("VolumePathG2", 0): {
+        "path-g2.json":
+        "b6214cced80fc76ce95fb6c885df6e7170d5d7da09896730b6c9064990f2e429",
+        "surface-g2.json":
+        "b7175f82603d7588a1fc620a7c38262625c42fad67ce4719432921e877767b1a"},
+}
+
+
+@pytest.mark.parametrize("workload,seed", sorted(SETUP_SHA256))
+def test_benchmark_setup_bytes(tmp_path, workload, seed):
+    # the files the timed runs read; a change to them changes what the
+    # benchmark measures
+    workloads = _load_perfbench("workloads")
+    getattr(workloads, workload)(seed).setup(str(tmp_path))
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert written == SETUP_SHA256[workload, seed]
 
 
 def _unnamed_private(sources: dict) -> list:

@@ -166,8 +166,6 @@ class TestClassify:
     @settings(max_examples=60)
     def test_conjugation_invariant(self, m, g):
         assume(abs(trace_squared(m) - 4) > 1e-3)
-        cond = g.condition_number() if hasattr(g, "condition_number") else 1
-        assume(cond < 1e6)
         assert classify(m) == classify(m.conjugate_by(g))
 
     @given(maps())

@@ -337,9 +337,9 @@ class TestSchlafliDerivative:
         calls = []
         original = volume.sample_images
 
-        def counting(generators, matrices, pd):
+        def counting(generators, matrices, pd, samples):
             calls.append(matrices.shape[3])
-            return original(generators, matrices, pd)
+            return original(generators, matrices, pd, samples)
 
         monkeypatch.setattr(volume, "sample_images", counting)
         if eps_class is not None:
@@ -770,6 +770,19 @@ class TestVolGamma:
         with pytest.raises(PleatbendError, match="cannot take 3 steps"):
             vol_gamma(path, steps=3)
 
+    @pytest.mark.parametrize("steps", [4.0, 3.0, "4"], ids=repr)
+    @pytest.mark.parametrize("run", ["volume-path", "vol-gamma"])
+    def test_steps_not_an_integer_refused(self, pd, run, steps):
+        # steps is read as an index, before any division: 4.0 divides 8
+        # and 3.0 does not, and both are refused alike
+        path = bend_path(pd, steps=8)
+        with pytest.raises(TypeError, match="cannot be interpreted as an "
+                                            "integer"):
+            if run == "volume-path":
+                integrate_volume_change(path, "attracting", steps=steps)
+            else:
+                vol_gamma(path, steps=steps)
+
 
 class TestLoopDefect:
     def test_retraced_path(self, pd):
@@ -930,8 +943,9 @@ class PassWork:
         # pipeline reads: one stacked product per token depth, of the
         # distinct prefixes of that depth over all samples, and three
         # for the commutators of every slot row and pair
-        [((generators, matrices, pd), images)] = self.passes
+        [((generators, matrices, pd, samples), images)] = self.passes
         assert generators == path.generators
+        assert list(samples) == list(range(len(path)))
         assert matrices.tobytes() == path.matrices.tobytes()
         assert pd is path.pd
         assert len(images) == len(path)
@@ -1094,3 +1108,5 @@ class TestSampleWork:
         assert calls == [pd]
         vol_gamma(path)
         assert calls == [pd, pd]
+        angle_series(path, "attracting")
+        assert calls == [pd, pd, pd]
