@@ -67,5 +67,5 @@ class EndpointsMismatch(PleatbendError):
 
 
 class SampleEvaluationFailure(PleatbendError):
-    """A word or slot commutator of a path sample is singular, overflows
-    or is not finite."""
+    """A word image of a path sample is singular, overflows or is not
+    finite."""

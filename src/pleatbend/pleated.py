@@ -57,10 +57,11 @@ from .errors import (DegenerateConfiguration, DegenerateTriangle,
                      OrientationTrackingFailure, PleatbendError,
                      SampleEvaluationFailure, SingularMatrix)
 from .moebius import (EPS_CLASS, EPS_NUM, KINDS, MoebiusArray, MoebiusMap,
-                      PointArray, ProjectivePoint, _abs2, _complex, _quot,
-                      chordal_array, cross_ratio_array, reduce_angle,
-                      reduce_angle_array, stack_points, trace_squared)
-from .representation import Representation, _matrices_of, _word_images
+                      PointArray, ProjectivePoint, _abs2, _add, _complex,
+                      _mul, _quot, chordal_array, cross_ratio_array,
+                      reduce_angle, reduce_angle_array, stack_points)
+from .representation import (Representation, _matrices_of, _word_images,
+                             commutator_trace)
 from .topology import (CuffCrossing, LeafCrossing, PantsDecomposition,
                        TransverseArc, build_lamination)
 
@@ -84,10 +85,10 @@ class SampleImages:
     evaluate_word's to within 8 eps per product (see MoebiusArray).
     traces holds the tr^2 of the slot commutators that check_adapted
     reads, (n, len(rows), 3) for the distinct slot rows in rows and the
-    pairs (0, 1), (1, 2), (2, 0).  ok, (words + rows, n), is False where
-    a word or a row's commutators would raise in the scalar arithmetic
-    or are not finite, and failure() names the first of them and the
-    stored sample, samples[k] for the pass's sample k.
+    pairs (0, 1), (1, 2), (2, 0), as shared_endpoint_check computes it.
+    ok, stack.ok, (words, n), is False where a word would raise in the
+    scalar arithmetic or is not finite, and failure() names the first
+    of them and the stored sample, samples[k] for the pass's sample k.
     cuff_maps stacks the images of the cuff words, (2, 2, cuffs, n);
     kinds, (cuffs, n), and cuff_points, the first and second fixed
     points (cuffs, n) and the masks where their ProjectivePoints would
@@ -97,14 +98,14 @@ class SampleImages:
 
     def __init__(self, pd: PantsDecomposition, words: list,
                  stack: MoebiusArray, rows: list, traces: np.ndarray,
-                 ok: np.ndarray, samples):
+                 samples):
         self.pd = pd
         self.words = words
         self.index = {w: i for i, w in enumerate(words)}
         self.stack = stack
         self.rows = rows
         self.traces = traces
-        self.ok = ok
+        self.ok = stack.ok
         self.samples = samples
         self.cuff_maps = stack.take([self.index[c.word] for c in pd.cuffs])
         self.kinds = self.cuff_maps.classify()
@@ -118,21 +119,18 @@ class SampleImages:
         return build_lamination(self.pd)
 
     def evaluated(self) -> np.ndarray:
-        """Where every word and commutator of a sample was evaluated."""
+        """Where every word of a sample was evaluated."""
         return self.ok.all(axis=0)
 
     def failure(self, k: int) -> SampleEvaluationFailure | None:
-        """The evaluation failure of sample k, naming the first word or
-        slot row that failed there, or None."""
+        """The evaluation failure of sample k, naming the first word that
+        failed there, or None."""
         bad = np.flatnonzero(~self.ok[:, k])
         if not len(bad):
             return None
-        i = int(bad[0])
-        what = (f"word {self.words[i]!r}" if i < len(self.words) else
-                f"slot commutators of {self.rows[i - len(self.words)]}")
         return SampleEvaluationFailure(
-            f"sample {self.samples[k]}: {what} is singular, overflows or "
-            "is not finite")
+            f"sample {self.samples[k]}: word {self.words[bad[0]]!r} is "
+            "singular, overflows or is not finite")
 
 
 def sample_images(generators, matrices: np.ndarray,
@@ -143,14 +141,15 @@ def sample_images(generators, matrices: np.ndarray,
 
     Every word the sample pipeline reads is evaluated at all samples at
     once with MoebiusArray, folding the words level by level
-    (_word_images), and so is the tr^2 of every slot commutator that
-    check_adapted reads, one chain of three stacked products for every
-    slot row and pair.  Both follow evaluate_word and
-    shared_endpoint_check product by product.  A letter that is not one
-    of the generators raises UnknownLetter.  A sample at which a value
-    would raise in the scalar arithmetic is not raised here: its
-    consumers raise SampleEvaluationFailure when they reach it, so they
-    meet the failures of earlier samples first.
+    (_word_images) as evaluate_word multiplies it, and the tr^2 of every
+    slot commutator is read off those images as shared_endpoint_check
+    reads it.  A letter that is not one of the generators raises
+    UnknownLetter.  A sample at which a word would raise in the scalar
+    arithmetic is not raised here: its consumers raise
+    SampleEvaluationFailure when they reach it, so they meet the
+    failures of earlier samples first.  A tr^2 that is not finite is
+    not flagged: slot words are conjugates of cuff words, and the
+    classification refuses a cuff whose tr^2 is not finite.
     """
     words = [c.word for c in pd.cuffs]
     words += [w for row in pd.slot_words for w in row]
@@ -160,19 +159,19 @@ def sample_images(generators, matrices: np.ndarray,
     stack = _word_images(generators, matrices, words)
     rows = list(dict.fromkeys(pd.slot_words))
     index = {w: i for i, w in enumerate(words)}
-    left, right = (stack.take([[index[row[pair[s]]] for pair in _PAIRS]
-                               for row in rows]) for s in (0, 1))
-    # left right left^-1 right^-1, from the left, each factor dropped
-    # once it is used
-    comm = left @ right
-    comm = comm @ left.inverse()
-    del left
-    comm = comm @ right.inverse()
-    del right
-    traces = _complex(*comm.trace_squared())              # (rows, 3, n)
-    row_ok = (comm.ok & np.isfinite(traces)).all(axis=1)
+    (a1, b1, c1, d1), (a2, b2, c2, d2) = (
+        stack.take([[index[row[pair[s]]] for pair in _PAIRS]
+                    for row in rows])._entries() for s in (0, 1))
+    with np.errstate(all="ignore"):
+        # shared_endpoint_check's complex arithmetic, step by step
+        ta, tb = _add(a1, d1), _add(a2, d2)
+        tab = _add(_add(_add(_mul(*a1, *a2), _mul(*b1, *c2)),
+                        _mul(*c1, *b2)), _mul(*d1, *d2))
+        t = _add(_add(_mul(*ta, *ta), _mul(*tb, *tb)), _mul(*tab, *tab))
+        u = _mul(*_mul(*ta, *tb), *tab)
+        t = t[0] - u[0] - 2.0, t[1] - u[1]
+        traces = _complex(*_mul(*t, *t))
     return SampleImages(pd, words, stack, rows, np.moveaxis(traces, -1, 0),
-                        np.concatenate([stack.ok, row_ok]),
                         samples or range(matrices.shape[3]))
 
 
@@ -463,10 +462,13 @@ def shared_endpoint_check(m1: MoebiusMap,
 
     Two non-trivial maps have a common fixed point exactly when their
     commutator has squared trace 4; the test flags |tr^2 - 4| below
-    EPS_CLASS.
+    EPS_CLASS.  No product of maps is formed: the Fricke trace identity
+    (commutator_trace) gives tr[A, B] from tr A, tr B and tr AB = a1 a2
+    + b1 c2 + c1 b2 + d1 d2.  A tr^2 that is not finite is not flagged.
     """
-    comm = m1 @ m2 @ m1.inverse() @ m2.inverse()
-    tr2 = trace_squared(comm)
+    tab = m1.a * m2.a + m1.b * m2.c + m1.c * m2.b + m1.d * m2.d
+    t = commutator_trace(m1.trace, m2.trace, tab)
+    tr2 = t * t
     return abs(tr2 - 4) < EPS_CLASS, tr2
 
 
@@ -509,8 +511,8 @@ def check_adapted(rep: Representation,
 
     Every cuff image must be non-trivial and non-parabolic, and the
     three slot words of each pants must have pairwise disjoint fixed
-    sets (commutator squared-trace test), read from the commutators
-    that sample_images stored; both tests use EPS_CLASS.
+    sets (commutator squared-trace test), read from the commutator
+    traces that sample_images stored; both tests use EPS_CLASS.
     """
     return _adaptedness(_one_sample(rep, pd), 0)
 

@@ -935,24 +935,20 @@ def _floats(value, shape: tuple, samples: list, sample: dict,
             single: bool = False) -> np.ndarray:
     """value, nested lists of numbers, as floats of the given shape, else
     ValueError naming the first part of samples not of the shape sample
-    (_check_samples).  A boolean is no number, although numpy reads it
-    as 0 or 1 among numbers."""
-    try:
-        a = np.array(value)
-    except ValueError:          # ragged lists
-        a = np.array(None)
-    if a.dtype.kind not in "iuf" or a.shape != shape or _holds_bool(
-            value, len(shape)):
-        _check_samples(samples, sample, single)
-        raise ValueError(f"samples hold no float numbers of shape {shape}")
-    return a.astype(float)
-
-
-def _holds_bool(value, depth: int) -> bool:
-    """Whether value, lists nested depth deep, holds a boolean."""
-    for _ in range(depth - 1):
-        value = itertools.chain.from_iterable(value)
-    return bool in set(map(type, value))
+    (_check_samples).  The lists are walked once, level by level.  A
+    number is an int or a float: a boolean is none, although numpy reads
+    it as 0 or 1 among numbers."""
+    level = [value]
+    for size in shape:
+        if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
+            break
+        level = list(itertools.chain.from_iterable(level))
+    else:
+        a = np.array(level if set(map(type, level)) <= {int, float} else None)
+        if a.dtype.kind in "iuf":
+            return a.astype(float).reshape(shape)
+    _check_samples(samples, sample, single)
+    raise ValueError(f"samples hold no float numbers of shape {shape}")
 
 
 def _parsed(data: dict, samples: list, single: bool = False) -> tuple:

@@ -125,7 +125,7 @@ def ideal_tetra_volume(z: complex) -> float:
 # each orientation's integrand is summed from its rows, leaf by leaf.
 #
 # One sample_images pass per call evaluates the word images and slot
-# commutators of all samples; one geometry pass over its arrays then
+# commutator traces of all samples; one geometry pass over its arrays then
 # computes everything else for all samples and patterns, and all cuffs
 # or pants, at once: the cuffs' kinds and fixed points, the tracked
 # endpoints, the adaptedness check, the placed plaques and every term's
@@ -145,7 +145,9 @@ def _surface(path: RepresentationPath):
 def _samples(path: RepresentationPath,
              steps: int | None) -> tuple[np.ndarray, SampleImages]:
     """The sample times of path, every (intervals / steps)-th when steps
-    is given, and the sample_images pass at them."""
+    is given, and the sample_images pass at them.  The surface is
+    checked first, then steps."""
+    pd = _surface(path)
     n = len(path) - 1
     steps = n if steps is None else operator.index(steps)
     if steps <= 0 or n % steps != 0:
@@ -154,8 +156,8 @@ def _samples(path: RepresentationPath,
     indices = range(0, n + 1, n // steps)
     if len(indices) < 3:
         raise PleatbendError("need at least three samples to integrate")
-    return np.array(path.ts)[indices], sample_images(
-        path.generators, path.matrices[..., indices], _surface(path), indices)
+    return np.array(path.ts)[::indices.step], sample_images(
+        path.generators, path.matrices[..., ::indices.step], pd, indices)
 
 
 def angle_series(path: RepresentationPath, zeta: str | dict) -> dict:
@@ -447,15 +449,14 @@ def vol_gamma(path: RepresentationPath, *,
     have reported another one.  steps subsamples the stored path as in
     integrate_volume_change, and is checked before any sample is read.
     """
-    pd = _surface(path)
     ts, images = _samples(path, steps)
     failure = images.failure(0)
     if failure is not None:
         raise failure
     _loxodromic_start(images)
     results = _integrate(ts, images, ["attracting", "repelling"])
-    return VolGammaResult(orientations=tuple(enumerate_orientations(pd)),
-                          results=tuple(results))
+    return VolGammaResult(tuple(enumerate_orientations(images.pd)),
+                          tuple(results))
 
 
 @dataclass(frozen=True)

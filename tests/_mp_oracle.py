@@ -11,6 +11,10 @@ exact to far below a float's last place, so the error of a float
 kernel against it is that kernel's own error (Higham, Accuracy and
 Stability of Numerical Algorithms, ch. 1).
 
+mp_commutator_trace evaluates a slot commutator's tr^2 by the product
+A B A^-1 B^-1 from two float word images, and mp_commutator_condition
+says how far rounding those images can move it.
+
 term_errors splits the error of a series of terms by kind: leaf angle,
 truncated length, cuff angle and cuff length.  The gate in test_kernel
 holds the array kernel to twice the scalar kernel's error per kind,
@@ -34,7 +38,13 @@ def kind_of(key, what: int) -> str:
 
 def _matrix(m) -> tuple:
     """A MoebiusMap's stored entries, exactly, rescaled to determinant 1."""
-    a, b, c, d = (mp.mpc(z.real, z.imag) for z in (m.a, m.b, m.c, m.d))
+    return _unit((m.a, m.b, m.c, m.d))
+
+
+def _unit(entries) -> tuple:
+    """Entries (a, b, c, d), complex or mpc, read exactly and rescaled to
+    determinant 1."""
+    a, b, c, d = (mp.mpc(z.real, z.imag) for z in entries)
     s = mp.sqrt(a * d - b * c)
     return a / s, b / s, c / s, d / s
 
@@ -237,6 +247,39 @@ def mp_cuff_angles(rep, pd, zeta: dict, windings) -> tuple:
         pattern = dict.fromkeys(sample.index.values(), 0)
         return ({(c.id, k): sample.cuff_angle(c.id, pattern, k)
                  for c in pd.cuffs for k in windings}, rotations)
+
+
+def _commutator_trace(x, y):
+    a, b = _unit(x), _unit(y)
+    m = _mul(_mul(_mul(a, b), _inverse(a)), _inverse(b))
+    return (m[0] + m[3]) ** 2
+
+
+def mp_commutator_trace(x, y):
+    """tr^2 of the commutator A B A^-1 B^-1 at 50 digits, A and B the
+    maps of the float entries x and y, (a, b, c, d) each, read
+    exactly."""
+    with mp.workdps(DPS):
+        return _commutator_trace(x, y)
+
+
+def mp_commutator_condition(x, y):
+    """The condition of mp_commutator_trace(x, y): the sum, over the real
+    and the imaginary part of each of the eight entries e, of |e| times
+    the modulus of the derivative of tr^2 in that part.  Moving every
+    entry by at most eps |e| moves tr^2 by at most about eps times it."""
+    with mp.workdps(DPS):
+        entries = [mp.mpc(z.real, z.imag) for z in (*x, *y)]
+        value = _commutator_trace(entries[:4], entries[4:])
+        h = mp.mpf(10) ** -25
+        condition = mp.mpf(0)
+        for i, e in enumerate(entries):
+            for unit in (1, 1j):
+                moved = list(entries)
+                moved[i] = e + h * unit * abs(e)
+                condition += abs(_commutator_trace(moved[:4], moved[4:])
+                                 - value) / h
+        return condition
 
 
 def angle_error(got: float, want) -> float:

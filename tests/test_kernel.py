@@ -1,11 +1,13 @@
 """The array kernel against the scalar arithmetic it replaces.
 
 MoebiusArray repeats MoebiusMap's products, inverses and normalization
-on float arrays, and sample_images evaluates a path's words and slot
-commutators with it.  Every product, inverse and normalization must be
-within 8 eps of each entry's modulus of the scalar one, the word images
-and commutator traces must equal evaluate_word's (entries_of), and a
-sample the kernel cannot evaluate must raise SampleEvaluationFailure.
+on float arrays, and sample_images evaluates a path's words with it
+and reads the slot-commutator traces off them.  Every product, inverse
+and normalization must be within 8 eps of each entry's modulus of the
+scalar one, the word images must equal evaluate_word's (entries_of)
+and the commutator traces shared_endpoint_check's, which are also held
+to a 50-digit oracle, and a sample the kernel cannot evaluate must
+raise SampleEvaluationFailure.
 The geometry pass computes every Schlafli term from those arrays with
 numpy's arithmetic: each term at every sample and pattern is held to
 the accuracy gate against a 50-digit oracle (_mp_oracle), next to the
@@ -27,6 +29,7 @@ import math
 import os
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -42,16 +45,17 @@ from pleatbend import (DegenerateConfiguration, DegenerateTriangle,
                        shared_endpoint_check, standard_decomposition,
                        vol_gamma)
 from pleatbend import pleated, representation, volume
-from pleatbend.moebius import (KINDS, RESCALE_LIMIT, IsometryClass,
-                               MoebiusArray, _unimodular, complex_length,
-                               trace_squared)
+from pleatbend.moebius import (EPS_CLASS, KINDS, RESCALE_LIMIT,
+                               IsometryClass, MoebiusArray, _unimodular,
+                               complex_length, trace_squared)
 from pleatbend.pleated import sample_images
 from pleatbend.representation import (evaluate_word, path_from_dict,
                                       path_to_dict)
 from pleatbend.topology import (CuffEnd, Pants, decomposition_from_dict,
                                 decomposition_to_dict)
 
-from _mp_oracle import TERM_KINDS, gate_bound, mp_term_series, term_errors
+from _mp_oracle import (TERM_KINDS, gate_bound, mp_commutator_condition,
+                        mp_commutator_trace, mp_term_series, term_errors)
 from _seed_kernel import (SeedSample, entries_of, raw_entries,
                           seed_resolve_endpoints, seed_sample_images,
                           seed_start_endpoints, seed_term_series, seed_track,
@@ -343,6 +347,82 @@ class TestSampleImagesOracle:
         assert not hasattr(pleated, "evaluate_word")
         monkeypatch.setattr(representation, "evaluate_word", scalar)
         run_pipeline(run, bent_genus3())
+
+
+def commutator_errors(path):
+    """(|error|, exact tr^2, x, y) of every slot-commutator tr^2 of the
+    pass at path, against mp_commutator_trace of the entries x and y of
+    the two word images the pass stored: the error of the trace
+    arithmetic alone."""
+    images = sample_images(path.generators, path.matrices, path.pd)
+    for r, row in enumerate(images.rows):
+        maps = [array_entries(images.stack.take(images.index[w])).tolist()
+                for w in row]
+        for c, (i, j) in enumerate(PAIRS):
+            for k, got in enumerate(images.traces[:, r, c].tolist()):
+                x, y = maps[i][k], maps[j][k]
+                want = mp_commutator_trace(x, y)
+                yield abs(mpmath.mpc(got) - want), want, x, y
+
+
+def near_shared_path(seed, delta, n=32):
+    """n genus-2 samples at which a1 and b1 nearly share a fixed point:
+    conjugates by one draw phi of diag(u1, 1 / u1) and of an upper
+    triangular map whose lower left entry is delta times a normal draw.
+    The three slot pairs of pants 0, of a1, b1 A1 B1 and b1 a1 B1 A1,
+    then lie near tr^2 = 4."""
+    pd = standard_decomposition(2)
+    rng = np.random.default_rng(seed)
+
+    def draw(scale):
+        u, b, c = (complex(*rng.normal(0, scale, 2)) for _ in range(3))
+        return MoebiusMap(cmath.exp(u), b, c, (1 + b * c) / cmath.exp(u))
+
+    def unit():
+        return cmath.exp(complex(rng.uniform(0.3, 0.8), rng.uniform(-1, 1)))
+
+    reps = []
+    for _ in range(n):
+        phi = draw(1.0)
+        u1, u2 = unit(), unit()
+        low = delta * complex(*rng.normal(size=2))
+        a1, b1 = (phi.inverse() @ m @ phi
+                  for m in (MoebiusMap(u1, 0, 0, 1 / u1),
+                            MoebiusMap(u2, rng.normal() + 0.5, low, 1 / u2)))
+        reps.append(Representation(pd.generators,
+                                   (a1, b1, draw(0.5), draw(0.5))))
+    return path_from_reps(reps, pd=pd)
+
+
+class TestCommutatorTraceAccuracy:
+    """The slot-commutator tr^2 of sample_images against 50 digits.  The
+    Fricke trace identity reads it off three traces; the product chain
+    A B A^-1 B^-1 it replaced was off by 19 to 83 times eps times the
+    condition on the paths below, and by up to 9.6e-9 near 4 on the
+    near-shared pairs."""
+
+    @pytest.mark.parametrize("make_path", [
+        lambda: genus2_loop(standard_decomposition(2), steps=16),
+        lambda: genus3_path(lambda t: 2.0 + 0.1j * t, steps=8),
+        lambda: path_from_parameters(
+            standard_decomposition(2), lambda t: (2.1, 1.7, 2.3),
+            lambda t: (0.3 + 0.5j * t, 0.1, 0.2), steps=16)],
+        ids=["genus2_loop", "genus3_path", "volume-path-g2"])
+    def test_within_the_condition(self, make_path):
+        # backward stable: within 4 eps of what rounding every entry of
+        # the two word images by eps can move tr^2
+        worst = max(float(err / (EPS * mp_commutator_condition(x, y)))
+                    for err, _, x, y in commutator_errors(make_path()))
+        assert worst <= 4, worst
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-9])
+    def test_near_shared_pairs(self, delta):
+        # |tr^2 - 4| < EPS_CLASS flags a shared endpoint, so within 1e-2
+        # of 4 the error must stay well inside EPS_CLASS
+        errors = [float(err) for err, want, _, _ in commutator_errors(
+                      near_shared_path(0, delta)) if abs(want - 4) < 1e-2]
+        assert len(errors) == 3 * 32
+        assert max(errors) <= EPS_CLASS / 4, max(errors)
 
 
 class TestCuffLengths:

@@ -753,6 +753,11 @@ def assert_saved_bytes(directory, path):
     assert target.read_bytes() == (want + "\n").encode()
 
 
+def matrix(d: dict, k: int, generator: str) -> list:
+    """The entries of generator at sample k of a path document."""
+    return d["samples"][k]["matrices"][generator]
+
+
 class TestSerialization:
     def test_rep_round_trip(self):
         rep = rep_from_trace_triple(3.2, 3.7 + 0.4j, 4.1 - 0.2j)
@@ -789,6 +794,55 @@ class TestSerialization:
         with pytest.raises(ValueError) as got:
             rep_from_dict(d)
         assert str(got.value) == named
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: matrix(d, 1, "b1").pop(), "samples[1]['matrices']['b1'] "
+         "is malformed: [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]"),
+        (lambda d: matrix(d, 1, "b1").append([0, 0]),
+         "samples[1]['matrices']['b1'] is malformed: [[1.0, 0.0], "
+         "[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0, 0]]"),
+        (lambda d: d["samples"][1]["matrices"].update(b1=1.0),
+         "samples[1]['matrices']['b1'] is malformed: 1.0"),
+        (lambda d: matrix(d, 2, "a2")[3].pop(),
+         "samples[2]['matrices']['a2'][3] is malformed: [1.0]"),
+        (lambda d: matrix(d, 2, "a2")[0].append(0.0),
+         "samples[2]['matrices']['a2'][0] is malformed: [1.0, 0.0, 0.0]"),
+        (lambda d: matrix(d, 1, "a1").__setitem__(1, 0.0),
+         "samples[1]['matrices']['a1'][1] is malformed: 0.0"),
+        (lambda d: matrix(d, 1, "b2")[2].__setitem__(1, [0.0]),
+         "samples[1]['matrices']['b2'][2][1] is malformed: [0.0]"),
+        (lambda d: matrix(d, 2, "a1")[0].__setitem__(0, True),
+         "samples[2]['matrices']['a1'][0][0] is malformed: True"),
+        (lambda d: matrix(d, 1, "b1").__setitem__(2, True),
+         "samples[1]['matrices']['b1'][2] is malformed: True"),
+        (lambda d: d["samples"][1].update(t=True),
+         "samples[1]['t'] is malformed: True"),
+        (lambda d: matrix(d, 1, "a1")[3].__setitem__(1, "0"),
+         "samples[1]['matrices']['a1'][3][1] is malformed: '0'"),
+        (lambda d: matrix(d, 2, "b2")[0].__setitem__(1, None),
+         "samples[2]['matrices']['b2'][0][1] is malformed: None"),
+        (lambda d: matrix(d, 1, "a2")[1].__setitem__(0, 10 ** 400),
+         "samples hold no float numbers of shape (12, 4, 2)"),
+        (lambda d: d.update(samples=[]),
+         "samples hold no float numbers of shape (0, 4, 2)")],
+        ids=["three-pairs", "five-pairs", "matrix-number", "short-pair",
+             "long-pair", "pair-number", "nested-number", "true-entry",
+             "true-pair", "true-t", "string", "null", "huge-int", "empty"])
+    def test_malformed_path_refused(self, edit, message):
+        # the loader walks the nested lists once; each refusal names the
+        # first malformed part, as the loader that let numpy read the
+        # lists and then looked for booleans named it
+        pd = standard_decomposition(2)
+        d = json.loads(json.dumps(path_to_dict(path_from_parameters(
+            pd, lambda t: (2.0, 1.7, 2.3),
+            lambda t: (0.3, 0.1 + 0.2j * t, 0.2), steps=2))))
+        for sample in d["samples"][1:]:     # entries the messages spell
+            sample["matrices"] = {g: [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                                      [1.0, 0.0]] for g in pd.generators}
+        edit(d)
+        with pytest.raises(ValueError) as got:
+            path_from_dict(d)
+        assert str(got.value) == message
 
     def test_file_round_trip(self, tmp_path):
         from pleatbend import save_rep

@@ -770,6 +770,18 @@ class TestVolGamma:
         with pytest.raises(PleatbendError, match="cannot take 3 steps"):
             vol_gamma(path, steps=3)
 
+    @pytest.mark.parametrize("run", ["volume-path", "vol-gamma"])
+    def test_surface_checked_before_steps(self, pd, run):
+        # no decomposition, and 3 steps do not divide 8 intervals: both
+        # integrations check the surface first
+        path = path_from_reps(bend_path(pd, steps=8).reps)
+        with pytest.raises(PleatbendError) as got:
+            if run == "volume-path":
+                integrate_volume_change(path, "attracting", steps=3)
+            else:
+                vol_gamma(path, steps=3)
+        assert str(got.value) == "path carries no pants decomposition"
+
     @pytest.mark.parametrize("steps", [4.0, 3.0, "4"], ids=repr)
     @pytest.mark.parametrize("run", ["volume-path", "vol-gamma"])
     def test_steps_not_an_integer_refused(self, pd, run, steps):
@@ -886,23 +898,27 @@ def pass_words(pd) -> set:
 class PassWork:
     """The work of the sample pipeline, recorded in every pleatbend
     module: each sample_images call with its arguments and the pass it
-    returned, every MoebiusArray product, every placement with its
-    geometry, every scalar evaluate_word call, and every ProjectivePoint
-    made, by its constructor or as the coordinates of an array element."""
+    returned, every MoebiusArray product and inverse, every placement
+    with its geometry, every scalar evaluate_word call, and every
+    ProjectivePoint made, by its constructor or as the coordinates of an
+    array element."""
 
     def __init__(self, monkeypatch):
         self.passes, self.products, self.placed = [], [], []
+        self.inverses = []
         self.scalar, self.constructed, self.wrapped = [], [], []
         fill = pleated.sample_images
         evaluate = representation.evaluate_word
         product = MoebiusArray.__matmul__
+        inverse = MoebiusArray.inverse
         place = pleated._Geometry.place
         construct = ProjectivePoint.__init__
         wrap = ProjectivePoint._raw.__func__
 
         def counting_fill(*args):
+            made = len(self.inverses)
             images = fill(*args)
-            self.passes.append((args, images))
+            self.passes.append((args, images, self.inverses[made:]))
             return images
 
         def counting_evaluate(rep, word):
@@ -913,6 +929,10 @@ class PassWork:
             self.products.append(np.broadcast_shapes(left.re.shape,
                                                      right.re.shape)[2:])
             return product(left, right)
+
+        def counting_inverse(maps):
+            self.inverses.append(maps.re.shape[2:])
+            return inverse(maps)
 
         def counting_place(geometry, failures):
             self.placed.append(geometry)
@@ -934,6 +954,7 @@ class PassWork:
             if getattr(module, "sample_images", None) is fill:
                 monkeypatch.setattr(module, "sample_images", counting_fill)
         monkeypatch.setattr(MoebiusArray, "__matmul__", counting_product)
+        monkeypatch.setattr(MoebiusArray, "inverse", counting_inverse)
         monkeypatch.setattr(pleated._Geometry, "place", counting_place)
         monkeypatch.setattr(ProjectivePoint, "__init__", counting_construct)
         monkeypatch.setattr(ProjectivePoint, "_raw", classmethod(counting_wrap))
@@ -941,9 +962,11 @@ class PassWork:
     def assert_words_evaluated_once(self, path):
         # one pass over every sample, evaluating every word the
         # pipeline reads: one stacked product per token depth, of the
-        # distinct prefixes of that depth over all samples, and three
-        # for the commutators of every slot row and pair
-        [((generators, matrices, pd, samples), images)] = self.passes
+        # distinct prefixes of that depth over all samples, and none for
+        # the slot commutators, whose traces are read off the word images;
+        # the pass's one inverse is that of the letters
+        [((generators, matrices, pd, samples), images, inverses)] = \
+            self.passes
         assert generators == path.generators
         assert list(samples) == list(range(len(path)))
         assert matrices.tobytes() == path.matrices.tobytes()
@@ -955,8 +978,8 @@ class PassWork:
         prefixes = [{t[:k] for t in tokens if len(t) >= k}
                     for k in range(1, depth + 1)]
         n = len(path)
-        assert self.products == ([(len(level), n) for level in prefixes]
-                                 + [(len(images.rows), 3, n)] * 3)
+        assert self.products == [(len(level), n) for level in prefixes]
+        assert inverses == [(len(generators), n)]
         assert self.scalar == []
 
 
