@@ -23,7 +23,7 @@ import math
 import sys
 
 from .errors import PleatbendError
-from .moebius import classify, complex_length, fixed_points
+from .moebius import KINDS, MoebiusArray, _fixed_points_at, _length_at
 from .pleated import TruncationConvention, bending_data, realize
 from .representation import (conjugacy_residual, evaluate_word,
                              finite_trace_squared, jacobian_rank, load_path,
@@ -87,21 +87,28 @@ def cmd_classify(args: argparse.Namespace) -> int:
     rep = load_rep(args.input)
     if not args.words:
         raise _ParseFailure("classify needs --words")
-    rows = []
+    images, taus = [], []
     for w in args.words:
-        m = evaluate_word(rep, w)
-        tau = finite_trace_squared(w, m)
-        kind = classify(m)
+        images.append(evaluate_word(rep, w))
+        taus.append(finite_trace_squared(w, images[-1]))
+    # classify, complex_length and fixed_points of every word, from one
+    # read of the array kernel
+    maps = MoebiusArray.of(images)
+    kinds = maps.classify()
+    lengths, points = maps.complex_length(kinds), maps.fixed_points(kinds)
+    rows = []
+    for k, (w, tau) in enumerate(zip(args.words, taus)):
         try:
-            lam = _cnum(complex_length(m))
+            lam = _cnum(_length_at(lengths, kinds, k))
         except PleatbendError:
             lam = "-"
         try:
-            fps = [_point(p) for p in fixed_points(m)]
+            fps = [_point(p) for p in _fixed_points_at(points, kinds, k)]
         except PleatbendError:
             fps = ["-", "-"]
-        rows.append({"word": w, "class": str(kind), "trace_squared": _cnum(tau),
-                     "complex_length": lam, "fixed_points": fps})
+        rows.append({"word": w, "class": KINDS[kinds[k]],
+                     "trace_squared": _cnum(tau), "complex_length": lam,
+                     "fixed_points": fps})
     header = (f"{'word':<12} {'class':<12} {'trace_squared':<42} "
               f"{'complex_length':<42} fixed_points")
     return _emit(args, json=lambda: {"rows": rows}, text=lambda: [header] + [

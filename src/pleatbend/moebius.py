@@ -23,6 +23,9 @@ Conventions fixed here and relied on by the rest of the package:
 * fixed points are returned attracting first;
 * cross_ratio(p1, p2, p3, p4) is the image of p4 under the unique map
   sending (p1, p2, p3) to (0, infinity, 1), so cross_ratio(0, oo, 1, z) = z.
+
+MoebiusArray.classify, .fixed_points and .complex_length implement the
+first three once; the public functions of those names read one column.
 """
 
 from __future__ import annotations
@@ -152,7 +155,7 @@ class MoebiusMap:
     @classmethod
     def identity(cls) -> "MoebiusMap":
         """The identity; one shared instance."""
-        return _IDENTITY
+        return _IDENTITY_MAP
 
     @classmethod
     def diagonal(cls, u: complex) -> "MoebiusMap":
@@ -235,14 +238,14 @@ class MoebiusMap:
                              ma * ma + mb * mb + mc * mc + md * md))
 
     def is_identity(self) -> bool:
-        return self.distance_to(_IDENTITY) < EPS_CLASS
+        return self.distance_to(_IDENTITY_MAP) < EPS_CLASS
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (f"MoebiusMap([[{self.a:.6g}, {self.b:.6g}], "
                 f"[{self.c:.6g}, {self.d:.6g}]])")
 
 
-_IDENTITY = MoebiusMap(1.0, 0.0, 0.0, 1.0)
+_IDENTITY_MAP = MoebiusMap(1.0, 0.0, 0.0, 1.0)
 
 
 class MoebiusArray:
@@ -259,8 +262,8 @@ class MoebiusArray:
     determinant below 1e-100, abs overflowing) or gives a value that is
     not finite; its entries there mean nothing, and the pipeline raises
     SampleEvaluationFailure for that sample.  The geometry methods
-    (apply, apply_interior, classify, fixed_points) broadcast the n
-    entries against arrays of shape (..., n).
+    (apply, apply_interior, classify, fixed_points, complex_length)
+    broadcast the n entries against arrays of shape (..., n).
     """
 
     __slots__ = ("re", "im", "ok")
@@ -277,6 +280,14 @@ class MoebiusArray:
         re = np.zeros((2, 2) + shape)
         re[0, 0] = re[1, 1] = 1.0
         return cls(re, np.zeros((2, 2) + shape), np.ones(shape, dtype=bool))
+
+    @classmethod
+    def of(cls, maps) -> "MoebiusArray":
+        """The entries of MoebiusMaps, as they are, (2, 2, n), ok at
+        every one."""
+        z = np.array([m.rows() for m in maps], dtype=complex)
+        z = z.transpose(1, 2, 0)
+        return cls(z.real.copy(), z.imag.copy(), np.ones(z.shape[2], bool))
 
     def take(self, index) -> "MoebiusArray":
         """The maps at index along the first stacking axis, (2, 2, n)
@@ -365,28 +376,35 @@ class MoebiusArray:
             return np.sqrt(np.where(minus < plus, minus, plus))
 
     def classify(self) -> np.ndarray:
-        """classify at every sample, as an index into KINDS, or -1 where
-        tr^2 is not finite (where classify raises SingularMatrix)."""
+        """The isometry type at every sample as an index into KINDS, or
+        -1 where tr^2 is not finite: identity, parabolic (|tr^2 - 4| <
+        EPS_CLASS), elliptic (tr^2 real within EPS_CLASS and -EPS_CLASS
+        < Re tr^2 < 4), else loxodromic, in that precedence."""
         t2r, t2i = self.trace_squared()
         identity = self.distance_to_identity() < EPS_CLASS
         with np.errstate(all="ignore"):
             parabolic = np.hypot(t2r - 4.0, t2i) < EPS_CLASS
             elliptic = ((np.abs(t2i) < EPS_CLASS) & (-EPS_CLASS < t2r)
                         & (t2r < 4.0))
-        kinds = np.select([identity, parabolic, elliptic], [0, 1, 2], 3)
+        kinds = np.select([identity, parabolic, elliptic],
+                          [_IDENTITY, _PARABOLIC, _ELLIPTIC], _LOXODROMIC)
         kinds[~(np.isfinite(t2r) & np.isfinite(t2i))] = -1
         return kinds
 
-    def fixed_points(self) -> tuple:
-        """fixed_points at every sample of a map that is elliptic or
-        loxodromic there: (first, second) PointArrays, attracting first,
-        and the two masks where their ProjectivePoint would raise.  At
-        other samples the values mean nothing."""
+    def fixed_points(self, kinds: np.ndarray) -> tuple:
+        """(first, second) PointArrays of fixed points at every sample,
+        kinds as classify gives them, and the masks where their
+        ProjectivePoint would raise.  The first carries the eigenvalue
+        of larger modulus, or where the moduli tie (elliptic), of the
+        stored lift's larger imaginary part; a parabolic map's both lie
+        at tr / 2.  Each is the larger eigenvector candidate, (b, mu -
+        a) or (mu - d, c).  At an identity they mean nothing."""
         a, b, c, d = self._entries()
         with np.errstate(all="ignore"):
             tr = _add(a, d)
             sq = _mul(*tr, *tr)
             disc = np.sqrt(_complex(sq[0] - 4.0, sq[1]))
+            disc[kinds == _PARABOLIC] = 0.0
             plus = (tr[0] + disc.real) / 2.0, (tr[1] + disc.imag) / 2.0
             minus = (tr[0] - disc.real) / 2.0, (tr[1] - disc.imag) / 2.0
             big_p, big_m = np.hypot(*plus), np.hypot(*minus)
@@ -397,7 +415,6 @@ class MoebiusArray:
             second = [np.where(plus_first, v, u) for u, v in zip(plus, minus)]
             out = []
             for mu in (first, second):
-                # _eigenvector: (b, mu - a) or (mu - d, c), the larger
                 mu_a = (mu[0] - a[0], mu[1] - a[1])
                 mu_d = (mu[0] - d[0], mu[1] - d[1])
                 n1 = _abs2(*b) + _abs2(*mu_a)
@@ -408,6 +425,18 @@ class MoebiusArray:
                                                             mu_d + c))))
         (p, p_zero), (q, q_zero) = out
         return p, q, p_zero, q_zero
+
+    def complex_length(self, kinds: np.ndarray) -> np.ndarray:
+        """lambda = 2 acosh(tr / 2), Im lambda reduced into (-pi, pi],
+        at every elliptic or loxodromic sample of kinds.  An elliptic
+        map's is taken at the real part of tr / 2, with real part 0, so
+        that a rounding-level Im tr cannot pick its sign."""
+        elliptic = kinds == _ELLIPTIC
+        lam = 2.0 * np.arccosh(_complex(
+            (self.re[0, 0] + self.re[1, 1]) / 2.0,
+            np.where(elliptic, 0.0, (self.im[0, 0] + self.im[1, 1]) / 2.0)))
+        return _complex(np.where(elliptic, 0.0, lam.real),
+                        reduce_angle_array(lam.imag))
 
     @classmethod
     def normalizing(cls, to_zero: "PointArray", to_infinity: "PointArray"
@@ -677,87 +706,41 @@ def trace_squared(m: MoebiusMap) -> complex:
 
 KINDS = (IsometryClass.IDENTITY, IsometryClass.PARABOLIC,
          IsometryClass.ELLIPTIC, IsometryClass.LOXODROMIC)
+_IDENTITY, _PARABOLIC, _ELLIPTIC, _LOXODROMIC = range(len(KINDS))
+
+
+def _classified(m: MoebiusMap) -> tuple[MoebiusArray, np.ndarray]:
+    """m as a one-column MoebiusArray, and its kinds."""
+    maps = MoebiusArray.of([m])
+    kinds = maps.classify()
+    if kinds[0] < 0:
+        raise SingularMatrix(f"squared trace {trace_squared(m)} is not finite")
+    return maps, kinds
 
 
 def classify(m: MoebiusMap) -> str:
-    """Isometry type by squared trace, at the tolerance EPS_CLASS.
-
-    Precedence: identity, parabolic (|tr^2 - 4| < EPS_CLASS), elliptic
-    (tr^2 real within EPS_CLASS and 0 <= Re tr^2 < 4), else loxodromic.
-    Values of tr^2 within EPS_CLASS of the boundary point 4 therefore
-    classify as parabolic even when they sit on the elliptic segment.
-    A map whose tr^2 is not finite has no type and raises
-    SingularMatrix.
-    """
-    return _classify(m, m.distance_to(_IDENTITY))
-
-
-def _classify(m: MoebiusMap, distance: float) -> str:
-    """classify of a map whose distance_to the identity is distance."""
-    t2 = trace_squared(m)
-    if not cmath.isfinite(t2):
-        raise SingularMatrix(f"squared trace {t2} is not finite")
-    if distance < EPS_CLASS:
-        return IsometryClass.IDENTITY
-    if abs(t2 - 4.0) < EPS_CLASS:
-        return IsometryClass.PARABOLIC
-    if abs(t2.imag) < EPS_CLASS and -EPS_CLASS < t2.real < 4.0:
-        return IsometryClass.ELLIPTIC
-    return IsometryClass.LOXODROMIC
-
-
-def _eigenvector(m: MoebiusMap, mu: complex) -> tuple[complex, complex]:
-    """Eigenvector of the stored lift for eigenvalue mu.
-
-    Of the two closed-form candidates (b, mu - a) and (mu - d, c) the one
-    with larger norm is returned; they are proportional whenever both are
-    nonzero, so the choice only affects scale.
-    """
-    v1 = (m.b, mu - m.a)
-    v2 = (mu - m.d, m.c)
-    n1 = abs(v1[0]) * abs(v1[0]) + abs(v1[1]) * abs(v1[1])
-    n2 = abs(v2[0]) * abs(v2[0]) + abs(v2[1]) * abs(v2[1])
-    return v1 if n1 >= n2 else v2
+    """Isometry type, one of KINDS (MoebiusArray.classify); a tr^2 that
+    is not finite raises SingularMatrix."""
+    return KINDS[_classified(m)[1][0]]
 
 
 def fixed_points(m: MoebiusMap):
-    """Fixed points on the sphere, attracting first.
-
-    Returns a pair (p, q) of ProjectivePoints for non-parabolic maps and
-    (p, None) for parabolic ones.  "Attracting first" means the first
-    point carries the eigenvalue of larger modulus; for elliptic maps,
-    where the moduli tie, the first point is the one whose eigenvalue
-    (of the stored lift) has positive imaginary part.  That tie-break is
-    deterministic but depends on the stored sign of the lift.  The
-    identity raises IdentityMap, and a tr^2 that is not finite raises
-    SingularMatrix (classify).
-    """
-    pairs = _fixed_pairs(m, classify(m))
-    if len(pairs) == 1:
-        return ProjectivePoint._raw(*pairs[0]), None
-    return tuple(ProjectivePoint._raw(*p) for p in pairs)
+    """Fixed points (p, q), attracting first, or (p, None) for a
+    parabolic map (MoebiusArray.fixed_points); the identity raises
+    IdentityMap, and a tr^2 that is not finite SingularMatrix."""
+    maps, kinds = _classified(m)
+    return _fixed_points_at(maps.fixed_points(kinds), kinds, 0)
 
 
-def _fixed_pairs(m: MoebiusMap, kind: str) -> tuple:
-    """fixed_points of a map classified as kind, as unit (z1, z2) pairs:
-    one for a parabolic map and two, attracting first, otherwise."""
-    if kind == IsometryClass.IDENTITY:
+def _fixed_points_at(points: tuple, kinds: np.ndarray, k: int):
+    """fixed_points at sample k of points, fixed_points(kinds)."""
+    if kinds[k] == _IDENTITY:
         raise IdentityMap("identity has no isolated fixed points")
-    tr = m.trace
-    if kind == IsometryClass.PARABOLIC:
-        # double eigenvalue tr/2 (= +-1 up to tolerance)
-        return (_unit(*_eigenvector(m, tr / 2.0)),)
-    disc = cmath.sqrt(tr * tr - 4.0)
-    mu_plus = (tr + disc) / 2.0
-    mu_minus = (tr - disc) / 2.0
-    big_plus, big_minus = abs(mu_plus), abs(mu_minus)
-    if abs(big_plus - big_minus) > EPS_CLASS:
-        plus_first = big_plus > big_minus
-    else:
-        plus_first = mu_plus.imag > mu_minus.imag
-    first, second = ((mu_plus, mu_minus) if plus_first
-                     else (mu_minus, mu_plus))
-    return (_unit(*_eigenvector(m, first)), _unit(*_eigenvector(m, second)))
+    p, q, p_zero, q_zero = points
+    parabolic = kinds[k] == _PARABOLIC
+    if p_zero[k] or (q_zero[k] and not parabolic):
+        raise DegenerateConfiguration("homogeneous coordinates (0, 0)")
+    return p.point(k), None if parabolic else q.point(k)
 
 
 def reduce_angle(x: float) -> float:
@@ -778,25 +761,19 @@ def reduce_angle_array(x: np.ndarray) -> np.ndarray:
 
 
 def complex_length(m: MoebiusMap) -> complex:
-    """Complex translation length lambda, with 4 cosh^2(lambda/2) = tr^2.
+    """Complex translation length lambda, 4 cosh^2(lambda/2) = tr^2
+    (MoebiusArray.complex_length); parabolic and identity maps raise
+    DegenerateLength, and a tr^2 that is not finite SingularMatrix."""
+    maps, kinds = _classified(m)
+    return _length_at(maps.complex_length(kinds), kinds, 0)
 
-    Normalized so that Re(lambda) >= 0 and Im(lambda) lies in (-pi, pi].
-    For elliptic maps the real part is exactly 0 and lambda is taken at
-    the real part of tr / 2, so that a rounding-level Im tr does not pick
-    the sign of Im(lambda): lambda = 2 log mu, reduced, where mu is the
-    eigenvalue of the first point that fixed_points returns, for either
-    lift, as for loxodromic maps.  Parabolic and identity inputs raise
-    DegenerateLength, and a tr^2 that is not finite raises
-    SingularMatrix (classify).
-    """
-    kind = classify(m)
-    if kind in (IsometryClass.IDENTITY, IsometryClass.PARABOLIC):
-        raise DegenerateLength(f"complex length undefined for {kind} map")
-    if kind == IsometryClass.ELLIPTIC:
-        lam = 2.0 * cmath.acosh(complex(m.trace.real / 2.0, 0.0))
-        return complex(0.0, reduce_angle(lam.imag))
-    lam = 2.0 * cmath.acosh(m.trace / 2.0)
-    return complex(lam.real, reduce_angle(lam.imag))
+
+def _length_at(lengths: np.ndarray, kinds: np.ndarray, k: int) -> complex:
+    """complex_length at sample k of lengths, complex_length(kinds)."""
+    if kinds[k] in (_IDENTITY, _PARABOLIC):
+        raise DegenerateLength(
+            f"complex length undefined for {KINDS[kinds[k]]} map")
+    return complex(lengths[k])
 
 
 def cross_ratio(p1: ProjectivePoint, p2: ProjectivePoint,

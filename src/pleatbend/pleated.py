@@ -56,10 +56,11 @@ from .errors import (DegenerateConfiguration, DegenerateTriangle,
                      InvalidDecomposition, NotAdapted,
                      OrientationTrackingFailure, PleatbendError,
                      SampleEvaluationFailure, SingularMatrix)
-from .moebius import (EPS_CLASS, EPS_NUM, KINDS, MoebiusArray, MoebiusMap,
-                      PointArray, ProjectivePoint, _abs2, _add, _complex,
-                      _mul, _quot, chordal_array, cross_ratio_array,
-                      reduce_angle, reduce_angle_array, stack_points)
+from .moebius import (_IDENTITY, _LOXODROMIC, _PARABOLIC, EPS_CLASS, EPS_NUM,
+                      KINDS, MoebiusArray, MoebiusMap, PointArray,
+                      ProjectivePoint, _abs2, _add, _complex, _mul, _quot,
+                      chordal_array, cross_ratio_array, reduce_angle,
+                      reduce_angle_array, stack_points)
 from .representation import (Representation, _matrices_of, _word_images,
                              commutator_trace)
 from .topology import (CuffCrossing, LeafCrossing, PantsDecomposition,
@@ -70,7 +71,6 @@ _TINY = np.finfo(float).tiny   # the least normal float
 
 _LABELS = ("attracting", "repelling")
 _PAIRS = ((0, 1), (1, 2), (2, 0))    # slot pairs of check_adapted
-_IDENTITY, _PARABOLIC, _ELLIPTIC, _LOXODROMIC = range(len(KINDS))
 _ZERO = "homogeneous coordinates (0, 0)"     # ProjectivePoint's failure
 _COINCIDE = "normalizing_map endpoints coincide"
 
@@ -109,7 +109,7 @@ class SampleImages:
         self.samples = samples
         self.cuff_maps = stack.take([self.index[c.word] for c in pd.cuffs])
         self.kinds = self.cuff_maps.classify()
-        self.cuff_points = self.cuff_maps.fixed_points()
+        self.cuff_points = self.cuff_maps.fixed_points(self.kinds)
 
     def __len__(self) -> int:
         return self.ok.shape[1]
@@ -561,19 +561,6 @@ class TruncationConvention:
             raise PleatbendError(f"truncation scales lack cuffs {missing}")
 
 
-def _cuff_lengths(images: SampleImages) -> np.ndarray:
-    """complex_length of every elliptic or loxodromic cuff at every
-    sample, (cuffs, n); as there, an elliptic cuff's is taken at the
-    real part of tr / 2."""
-    m = images.cuff_maps
-    elliptic = images.kinds == _ELLIPTIC
-    lam = 2.0 * np.arccosh(_complex(
-        (m.re[0, 0] + m.re[1, 1]) / 2.0,
-        np.where(elliptic, 0.0, (m.im[0, 0] + m.im[1, 1]) / 2.0)))
-    return _complex(np.where(elliptic, 0.0, lam.real),
-                    reduce_angle_array(lam.imag))
-
-
 def _truncated_lengths(a: PointArray, b: PointArray, witness_a: tuple,
                        witness_b: tuple) -> tuple:
     """truncated_geodesic_length at every element: the lengths, and its
@@ -826,8 +813,9 @@ class _Geometry:
 
     @functools.cached_property
     def cuff_lengths(self) -> np.ndarray:
-        """_cuff_lengths of the pass, (cuffs, n)."""
-        return _cuff_lengths(self.images)
+        """complex_length of every cuff at every sample, (cuffs, n)."""
+        images = self.images
+        return images.cuff_maps.complex_length(images.kinds)
 
     @functools.cached_property
     def cuff_angles(self) -> tuple:

@@ -25,9 +25,9 @@ import numpy as np
 from .errors import (InvalidDecomposition, NonHyperbolicParameters,
                      PleatbendError, ReducibleRepresentation, SingularMatrix,
                      UnknownLetter)
-from .moebius import (EPS_CLASS, MoebiusArray, MoebiusMap, _cdiv, _classify,
-                      _cmul, _complex, _fixed_pairs, _half_power, _modulus,
-                      _normalized, trace_squared)
+from .moebius import (EPS_CLASS, MoebiusArray, MoebiusMap, _cdiv, _cmul,
+                      _complex, _half_power, _modulus, _normalized, _unit,
+                      trace_squared)
 from .topology import (BoundaryInclusion, PantsDecomposition, _check_shape,
                        _tokens, _word_plan)
 
@@ -767,16 +767,32 @@ def path_from_reps(reps, ts=None, pd=None) -> RepresentationPath:
 
 def _common_fixed_point_tol(rep: Representation, tol: float) -> bool:
     """Whether the images share a fixed point within chordal distance
-    tol; one distance to the identity skips central images and
-    classifies the others."""
+    tol.  Images within max(tol, EPS_CLASS) of the identity are skipped.
+    The others are not classified: each gives the eigenvector of tr / 2
+    where |tr^2 - 4| < EPS_CLASS, else those of both eigenvalues, in no
+    order.  Scalar, as jacobian_rank calls it once per representation,
+    where a one-column MoebiusArray read costs ten times as much."""
     bound = max(tol, EPS_CLASS)
     ident = MoebiusMap.identity()
     fixed_sets = []
     for m in rep.images:
-        distance = m.distance_to(ident)
-        if distance < bound:
+        if m.distance_to(ident) < bound:
             continue
-        fixed_sets.append(_fixed_pairs(m, _classify(m, distance)))
+        tr = m.trace
+        t2 = tr * tr
+        if not cmath.isfinite(t2):
+            raise SingularMatrix(f"squared trace {t2} is not finite")
+        if abs(t2 - 4.0) < EPS_CLASS:
+            mus = (tr / 2.0,)
+        else:
+            disc = cmath.sqrt(t2 - 4.0)
+            mus = ((tr + disc) / 2.0, (tr - disc) / 2.0)
+        points = []
+        for mu in mus:      # the larger of (b, mu - a) and (mu - d, c)
+            v1, v2 = (m.b, mu - m.a), (mu - m.d, m.c)
+            n1, n2 = (abs(x) * abs(x) + abs(y) * abs(y) for x, y in (v1, v2))
+            points.append(_unit(*(v1 if n1 >= n2 else v2)))
+        fixed_sets.append(points)
     if not fixed_sets:
         return True          # all generators central
     for z1, z2 in fixed_sets[0]:

@@ -344,15 +344,20 @@ def subdivide_arc(arc: TransverseArc) -> list[TransverseArc]:
 
 @dataclass(frozen=True)
 class BoundaryComponent:
+    """generator_words[i] is the image of surface_generators[i]; the
+    constructor checks that the two align."""
+
     surface_generators: tuple[str, ...]
     generator_words: tuple[str, ...]
     peripheral_words: tuple[str, ...]
 
-    @property
-    def mapping(self) -> dict[str, str]:
+    def __post_init__(self):
         if len(self.surface_generators) != len(self.generator_words):
             raise InvalidDecomposition(
                 "generator_words not aligned with surface generators")
+
+    @property
+    def mapping(self) -> dict[str, str]:
         return dict(zip(self.surface_generators, self.generator_words))
 
     def include_word(self, word: str) -> str:

@@ -11,6 +11,8 @@ exact to far below a float's last place, so the error of a float
 kernel against it is that kernel's own error (Higham, Accuracy and
 Stability of Numerical Algorithms, ch. 1).
 
+mp_complex_length evaluates complex_length of a map.
+
 mp_commutator_trace evaluates a slot commutator's tr^2 by the product
 A B A^-1 B^-1 from two float word images, and mp_commutator_condition
 says how far rounding those images can move it.
@@ -113,6 +115,26 @@ def _fixed_points(m: tuple) -> tuple:
         n2 = abs(v2[0]) ** 2 + abs(v2[1]) ** 2
         out.append(_point(*(v1 if n1 >= n2 else v2)))
     return tuple(out)
+
+
+def _complex_length(m: tuple, elliptic: bool = False):
+    """lambda = 2 acosh(tr / 2) of m, (a, b, c, d), Im lambda reduced
+    into (-pi, pi]; for an elliptic map taken at the real part of
+    tr / 2, its real part 0, as complex_length takes it."""
+    tr = m[0] + m[3]
+    lam = 2 * mp.acosh((mp.re(tr) if elliptic else tr) / 2)
+    return mp.mpc(0 if elliptic else mp.re(lam), _reduce(mp.im(lam)))
+
+
+def mp_complex_length(entries, elliptic: bool = False):
+    """complex_length at 50 digits of the stored lift (a, b, c, d), read
+    exactly: from a + d, as complex_length reads it, not rescaled to
+    determinant 1.  elliptic says whether the float kernel classifies
+    the map elliptic, a decision at the tolerance EPS_CLASS that the
+    oracle takes from it."""
+    with mp.workdps(DPS):
+        return _complex_length([mp.mpc(z.real, z.imag) for z in entries],
+                               elliptic)
 
 
 class _Sample:
@@ -219,8 +241,7 @@ class _Sample:
         return _reduce(mp.arg((b1 - b2) / (a1 - a2)))
 
     def cuff_length(self, cuff_id: str):
-        a, _, _, d = self.word(self.pd.cuff(cuff_id).word)
-        return mp.re(2 * mp.acosh((a + d) / 2))
+        return mp.re(_complex_length(self.word(self.pd.cuff(cuff_id).word)))
 
 
 def mp_cuff_angles(rep, pd, zeta: dict, windings) -> tuple:
@@ -242,7 +263,7 @@ def mp_cuff_angles(rep, pd, zeta: dict, windings) -> tuple:
             near = _point(mp.mpc(chosen.z1), mp.mpc(chosen.z2))
             row.append(pts if _chordal(near, pts[0]) <= _chordal(near, pts[1])
                        else pts[::-1])
-            rotations[c.id] = _reduce(mp.im(2 * mp.acosh((m[0] + m[3]) / 2)))
+            rotations[c.id] = mp.im(_complex_length(m))
         sample.zeta = [row]
         pattern = dict.fromkeys(sample.index.values(), 0)
         return ({(c.id, k): sample.cuff_angle(c.id, pattern, k)

@@ -45,6 +45,11 @@ sample at a time, on 2x2 numpy matrices and CPython's scalar
 arithmetic.  test_gluing compares every image entry of the pass with
 it bit for bit, signed zeros included, and requires its error at the
 first failing sample; normal_frame is the oracle of the stacked frames.
+The seed functions classify, take fixed points and complex lengths by
+the public classify, fixed_points and complex_length, which read one
+column of the array kernel (MoebiusArray.classify, .fixed_points and
+.complex_length): those conventions have one implementation, and the
+seeds keep only the scalar arithmetic around them.
 This module is importable because the pytest configuration puts tests/
 on sys.path (pythonpath in pyproject.toml).
 """
@@ -207,7 +212,8 @@ def _sl2_coords(m: np.ndarray) -> tuple[complex, complex, complex]:
 def seed_common_fixed_point_tol(rep, tol: float) -> bool:
     """The reducibility test of jacobian_rank as it was when each image
     was tested for the identity by its distance to it, below tol, and
-    again by classify."""
+    again by classify, and took its fixed points from fixed_points; the
+    test it is compared with classifies nothing."""
     fixed_sets = []
     for m in rep.images:
         if m.distance_to(MoebiusMap.identity()) < tol:

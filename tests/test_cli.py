@@ -29,8 +29,11 @@ from pleatbend import (
     save_rep,
     standard_decomposition,
 )
-from pleatbend import cli, volume
+from pleatbend import cli, moebius, volume
 from pleatbend.cli import _build_parser, main
+
+from test_moebius import agreement_draws
+from test_topology import misaligned_document
 
 DATA = pathlib.Path(__file__).parent / "data"
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -120,6 +123,51 @@ class TestClassify:
                          "--words", "x,y,xy")
         assert code == 0
         assert seen == ["x", "y", "xy"]
+
+    def test_classify_reads_the_array_kernel_once(self, demo, capsys,
+                                                  monkeypatch):
+        # the public functions read one column of MoebiusArray.classify,
+        # and classify one for all its words
+        calls = []
+        kernel = moebius.MoebiusArray.classify
+
+        def counting(maps):
+            calls.append(maps.re.shape[2])
+            return kernel(maps)
+        monkeypatch.setattr(moebius.MoebiusArray, "classify", counting)
+        m = MoebiusMap(2, 1, 1, 1)
+        for public in (moebius.classify, moebius.fixed_points,
+                       moebius.complex_length):
+            calls.clear()
+            public(m)
+            assert calls == [1]
+        calls.clear()
+        code, _, _ = run(capsys, "classify",
+                         "--input", str(demo / "f2_rep.json"),
+                         "--words", "x,y,xy")
+        assert code == 0
+        assert calls == [3]
+
+    def test_classify_prints_the_pleat_length(self, tmp_path, capsys):
+        # at draw 7 the 15th digit of Im lambda(a1) moves with the last
+        # bit of the acosh, so the two commands agree only if they read
+        # one kernel
+        pd = standard_decomposition(2)
+        rep = list(agreement_draws(2, 8))[-1]
+        save_rep(str(tmp_path / "rep.json"), rep)
+        save_document(str(tmp_path / "surface.json"), pd, None)
+        code, out, _ = run(capsys, "pleat", "--input",
+                           str(tmp_path / "rep.json"), "--pd",
+                           str(tmp_path / "surface.json"), "--format", "json")
+        assert code == 0
+        want = json.loads(out)["cuff_lengths"]
+        code, out, _ = run(capsys, "classify", "--input",
+                           str(tmp_path / "rep.json"), "--words",
+                           ",".join(c.word for c in pd.cuffs),
+                           "--format", "json")
+        assert code == 0
+        assert [r["complex_length"] for r in json.loads(out)["rows"]] \
+            == [want[c.id] for c in pd.cuffs]
 
     def test_missing_words_is_usage_failure(self, demo, capsys):
         code, _, err = run(capsys, "classify",
@@ -430,6 +478,18 @@ class TestPeripheralAndRank:
             assert json.loads(out)["margin"] == f"{margin:.15g}"
         else:
             assert f"margin: {margin:.15g}" in out.splitlines()
+
+    @pytest.mark.parametrize("command", ["rank", "peripheral"])
+    def test_misaligned_inclusion_refused(self, demo, capsys, tmp_path,
+                                          command):
+        doc = tmp_path / "misaligned.json"
+        doc.write_text(json.dumps(misaligned_document()))
+        code, _, err = run(capsys, command,
+                           "--input", str(demo / "handlebody_rep.json"),
+                           "--inclusion", str(doc))
+        assert code == 2
+        assert err == ("error: InvalidDecomposition: generator_words not "
+                       "aligned with surface generators\n")
 
     def test_rank_refuses_reducible(self, demo, capsys):
         code, _, err = run(capsys, "rank",

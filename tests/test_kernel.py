@@ -47,7 +47,7 @@ from pleatbend import (DegenerateConfiguration, DegenerateTriangle,
 from pleatbend import pleated, representation, volume
 from pleatbend.moebius import (EPS_CLASS, KINDS, RESCALE_LIMIT,
                                IsometryClass, MoebiusArray, _unimodular,
-                               complex_length, trace_squared)
+                               trace_squared)
 from pleatbend.pleated import sample_images
 from pleatbend.representation import (evaluate_word, path_from_dict,
                                       path_to_dict)
@@ -55,7 +55,8 @@ from pleatbend.topology import (CuffEnd, Pants, decomposition_from_dict,
                                 decomposition_to_dict)
 
 from _mp_oracle import (TERM_KINDS, gate_bound, mp_commutator_condition,
-                        mp_commutator_trace, mp_term_series, term_errors)
+                        mp_commutator_trace, mp_complex_length,
+                        mp_term_series, term_errors)
 from _seed_kernel import (SeedSample, entries_of, raw_entries,
                           seed_resolve_endpoints, seed_sample_images,
                           seed_start_endpoints, seed_term_series, seed_track,
@@ -116,12 +117,6 @@ def assert_close(got: MoebiusArray, want: list):
             assert (np.abs(e - z) <= 8 * EPS * np.abs(z)).all(), (e, z)
 
 
-def array_of(maps) -> MoebiusArray:
-    """MoebiusMaps as a MoebiusArray, (2, 2, n), entries as they are."""
-    z = np.array([(m.a, m.b, m.c, m.d) for m in maps],
-                 dtype=complex).T.reshape(2, 2, -1)
-    return MoebiusArray(z.real.copy(), z.imag.copy(),
-                        np.ones(z.shape[2], dtype=bool))
 
 
 def array_entries(m: MoebiusArray) -> np.ndarray:
@@ -154,7 +149,8 @@ class TestMoebiusArrayOracle:
         maps = [(x, y) for x, y in maps if x is not None and y is not None]
         if not maps:
             return
-        xs, ys = array_of([x for x, _ in maps]), array_of([y for _, y in maps])
+        xs = MoebiusArray.of([x for x, _ in maps])
+        ys = MoebiusArray.of([y for _, y in maps])
         assert_close(xs.inverse(), [scalar(x.inverse) for x, _ in maps])
         # the commutator's products one by one, each against the scalar
         # product of the same entries
@@ -191,7 +187,7 @@ class TestMoebiusArrayOracle:
 
     def test_identity_fold(self):
         maps = [MoebiusMap(2, 1j, 0.5, 1), MoebiusMap(*steep(900.0, 1.0))]
-        assert_close(MoebiusArray.identity(2) @ array_of(maps),
+        assert_close(MoebiusArray.identity(2) @ MoebiusArray.of(maps),
                      [MoebiusMap.identity() @ m for m in maps])
 
 
@@ -426,10 +422,10 @@ class TestCommutatorTraceAccuracy:
 
 
 class TestCuffLengths:
-    """_cuff_lengths takes 2 acosh(tr / 2) with np.arccosh, which must
-    take cmath.acosh's branch.  At an elliptic cuff tr / 2 is real, in
-    (-1, 1), and the sign of its zero imaginary part picks the sign of
-    the rotation angle."""
+    """MoebiusArray.complex_length takes 2 acosh(tr / 2) with
+    np.arccosh, which must take cmath.acosh's branch.  At an elliptic
+    cuff tr / 2 is real, in (-1, 1), and the sign of its zero imaginary
+    part picks the sign of the rotation angle."""
 
     def test_branch(self):
         z = [complex(x, y) for x in (-3.0, -1.5, -1.0, -0.999, -0.5, 0.0,
@@ -442,23 +438,28 @@ class TestCuffLengths:
             assert abs(got - want) <= 4 * EPS * abs(want), v
 
     def test_elliptic_cuff(self):
-        # a1 has length 0.8i, an elliptic cuff, at t = 0.5
+        # a1 has length 0.8i, an elliptic cuff, at t = 0.5; every cuff
+        # length is within 4 eps, times the condition of acosh at tr / 2,
+        # of the 50-digit one of the same entries
         pd = standard_decomposition(2)
         path = path_from_parameters(
             pd, lambda t: (1.5 * (t - 0.5) ** 2 + 0.8j, 2.0 + 0.1 * t, 2.0),
             lambda t: (0.3 + 0.25j * t, 0.1 - 0.1j * t * t, 0.2 + 0.15j * t),
             steps=16)
         images = sample_images(path.generators, path.matrices, pd)
-        assert images.kinds[0, 8] == KINDS.index(IsometryClass.ELLIPTIC)
-        got = pleated._cuff_lengths(images)
-        for j, cuff in enumerate(pd.cuffs):
-            for k, rep in enumerate(path.reps):
-                want = complex_length(evaluate_word(rep, cuff.word))
-                assert got[j, k].real == want.real == 0.0 or \
-                    abs(got[j, k].real - want.real) <= 4 * EPS * want.real
-                assert abs(got[j, k].imag - want.imag) <= 4 * EPS * math.pi
-                assert math.copysign(1.0, got[j, k].imag) == \
-                    math.copysign(1.0, want.imag)
+        elliptic = images.kinds == KINDS.index(IsometryClass.ELLIPTIC)
+        assert elliptic[0, 8] and elliptic.sum() == 1
+        got = images.cuff_maps.complex_length(images.kinds)
+        for j in range(len(pd.cuffs)):
+            for k, e in enumerate(array_entries(images.cuff_maps.take(j))):
+                want = complex(mp_complex_length(e, elliptic[j, k]))
+                condition = 1 + abs((e[0] + e[3]) / 2) / abs(
+                    cmath.sinh(want / 2))
+                assert abs(got[j, k] - want) <= 4 * EPS * condition
+                if elliptic[j, k]:
+                    assert got[j, k].real == 0.0
+                    assert math.copysign(1.0, got[j, k].imag) == \
+                        math.copysign(1.0, want.imag)
 
 
 class TestBadSamples:

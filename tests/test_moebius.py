@@ -14,6 +14,9 @@ from pleatbend.moebius import (EPS_CLASS, RESCALE_LIMIT, IsometryClass,
                                complex_length, cross_ratio, fixed_points,
                                normalizing_map, reduce_angle,
                                reduce_angle_array, trace_squared)
+from pleatbend.pleated import realize
+from pleatbend.representation import evaluate_word, fenchel_nielsen_rep
+from pleatbend.topology import standard_decomposition
 
 from _seed_kernel import (SeedMoebiusMap, SeedProjectivePoint, build_both,
                           entries_of, raw_entries, run_both,
@@ -247,6 +250,32 @@ class TestComplexLength:
                       else (lift.c * p.z1 + lift.d * p.z2) / p.z2)
                 assert cmath.exp(complex_length(lift)) == pytest.approx(
                     mu * mu, abs=1e-9)
+
+
+def agreement_draws(genus: int, count: int = 60):
+    """count seeded Fenchel-Nielsen representations at genus: lengths
+    1.5 + U[0, 1) + i U(-0.5, 0.5), twists U(-0.5, 0.5) (1 + i)."""
+    pd = standard_decomposition(genus)
+    n = len(pd.cuffs)
+    rng = np.random.default_rng(11)
+    for _ in range(count):
+        lengths = 1.5 + rng.random(n) + 1j * rng.uniform(-0.5, 0.5, n)
+        twists = rng.uniform(-0.5, 0.5, n) * (1 + 1j)
+        yield fenchel_nielsen_rep(pd, tuple(lengths), tuple(twists))
+
+
+class TestOneKernel:
+    """The public functions and the geometry pass read one kernel,
+    MoebiusArray's, so they give the same numbers."""
+
+    @pytest.mark.parametrize("genus", [2, 3])
+    def test_complex_length_is_the_pass_length(self, genus):
+        pd = standard_decomposition(genus)
+        for rep in agreement_draws(genus):
+            lengths = realize(rep, pd).cuff_lengths
+            for cuff in pd.cuffs:
+                assert complex_length(evaluate_word(rep, cuff.word)) \
+                    == lengths[cuff.id]
 
 
 class TestCrossRatio:

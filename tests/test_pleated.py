@@ -45,7 +45,7 @@ from pleatbend import (
     truncated_length,
 )
 from pleatbend import pleated
-from pleatbend.moebius import KINDS
+from pleatbend.moebius import KINDS, MoebiusArray
 from pleatbend.pleated import sample_images
 from pleatbend.representation import _matrices_of
 
@@ -419,11 +419,12 @@ class TestWindings:
         pd, lam = setup
         calls = []
 
-        def counting(images):
-            calls.append(images)
-            return cuff_lengths(images)
-        cuff_lengths = pleated._cuff_lengths
-        monkeypatch.setattr(pleated, "_cuff_lengths", counting)
+        def counting(f):
+            def wrapper(*args):
+                calls.append(args)
+                return f(*args)
+            return wrapper
+        wrap_stage(monkeypatch, MoebiusArray, "complex_length", counting)
         bending_data(realize(fuchsian(pd), pd))
         assert len(calls) == 1
 

@@ -44,6 +44,8 @@ from pleatbend import (
     standard_word_list,
 )
 from pleatbend.errors import SingularMatrix, UnknownLetter
+from pleatbend.moebius import (EPS_CLASS, IsometryClass, classify,
+                               trace_squared)
 from pleatbend.representation import (EPS_RANK, _common_fixed_point_tol,
                                       _squared_trace_jacobian)
 from pleatbend.topology import BoundaryComponent, BoundaryInclusion, parse_word
@@ -524,7 +526,7 @@ class TestReducibilityOracle:
     and again by classify."""
 
     def _check(self, rep):
-        for tol in (1e-10, 1e-8):
+        for tol in (1e-10, 1e-8, 1e-4):
             assert (_reducible_or_error(_common_fixed_point_tol, rep, tol)
                     == _reducible_or_error(seed_common_fixed_point_tol, rep,
                                            tol))
@@ -544,9 +546,27 @@ class TestReducibilityOracle:
         for bound in (1e-10, 1e-9, 1e-8):
             seen = [m.distance_to(ident) < bound for m in near]
             assert any(seen) and not all(seen)
+        # and every pair of the others: loxodromic maps fixing infinity
+        # and 0, a parabolic and an elliptic map sharing one of those
+        # points, an elliptic map sharing none, maps in the parabolic
+        # window |tr^2 - 4| < EPS_CLASS but past the identity bound, and
+        # a map whose tr^2 is not finite
+        rotation = MoebiusMap.diagonal(cmath.exp(0.4j))
+        window = [MoebiusMap(1 + delta, 1, 0, 1 / (1 + delta))
+                  for delta in (1e-5, 1e-6)]
         others = [MoebiusMap(2, 1, 0, 0.5), MoebiusMap(2, 0, 1, 0.5),
-                  MoebiusMap(1.5, 0.3j, -0.2, 0.7 + 0.1j)]
-        for m in near:
+                  MoebiusMap(1.5, 0.3j, -0.2, 0.7 + 0.1j),
+                  MoebiusMap(1, 1, 0, 1), rotation,
+                  rotation.conjugate_by(MoebiusMap(1, 1, 1, 2)), *window,
+                  MoebiusMap(math.nan, 0, 0, 1)]
+        assert [classify(m) for m in others[3:-1]] == [
+            IsometryClass.PARABOLIC, IsometryClass.ELLIPTIC,
+            IsometryClass.ELLIPTIC, IsometryClass.PARABOLIC,
+            IsometryClass.PARABOLIC]
+        for m in window:
+            assert abs(trace_squared(m) - 4) < EPS_CLASS
+            assert m.distance_to(ident) > 1e-4
+        for m in near + others:
             for other in others + near:
                 self._check(Representation(("x", "y"), (m, other)))
                 self._check(Representation(("x", "y"), (other, m)))

@@ -217,6 +217,17 @@ class TestArcs:
         assert flat == list(arc.crossings)
 
 
+def misaligned_document() -> dict:
+    """A genus-2 decomposition whose one boundary component maps two
+    surface generators by one word and has no peripheral words."""
+    data = decomposition_to_dict(standard_decomposition(2))
+    data.update({"manifold": {"generators": ["x"], "relators": []},
+                 "boundary": [{"surface_generators": ["a1", "a2"],
+                               "generator_words": ["x"],
+                               "peripheral_words": []}]})
+    return data
+
+
 class TestInclusionDocument:
     def test_bundled_document(self):
         from importlib.resources import files
@@ -231,23 +242,32 @@ class TestInclusionDocument:
         assert inc.peripheral_words == ("x", "y", "xy", "xY")
 
     def test_peripheral_words_errors(self):
-        misaligned = BoundaryComponent(surface_generators=("a1", "a2"),
-                                       generator_words=("x",),
-                                       peripheral_words=("a1",))
         foreign = BoundaryComponent(surface_generators=("a1",),
                                     generator_words=("x",),
                                     peripheral_words=("a1b1",))
-        for comp, error, message in (
-                (misaligned, InvalidDecomposition,
-                 "generator_words not aligned with surface generators"),
-                (foreign, UnknownLetter,
-                 "letter 'b1' is not a surface generator of this component")):
-            inc = BoundaryInclusion(generators=("x",), relators=(),
-                                    components=(comp,))
-            for _ in range(2):      # a failed rewrite is not cached
-                with pytest.raises(error) as got:
-                    inc.peripheral_words
-                assert str(got.value) == message
+        inc = BoundaryInclusion(generators=("x",), relators=(),
+                                components=(foreign,))
+        for _ in range(2):      # a failed rewrite is not cached
+            with pytest.raises(UnknownLetter) as got:
+                inc.peripheral_words
+            assert str(got.value) == \
+                "letter 'b1' is not a surface generator of this component"
+
+    def test_misaligned_component_refused_where_it_enters(self, tmp_path):
+        # with peripheral words or without, through which no word is
+        # ever rewritten, and in a document
+        message = "generator_words not aligned with surface generators"
+        for peripheral in (("a1",), ()):
+            with pytest.raises(InvalidDecomposition) as got:
+                BoundaryComponent(surface_generators=("a1", "a2"),
+                                  generator_words=("x",),
+                                  peripheral_words=peripheral)
+            assert str(got.value) == message
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(misaligned_document()))
+        with pytest.raises(InvalidDecomposition) as got:
+            load_document(str(f))
+        assert str(got.value) == message
 
     def test_save_load_round_trip(self, tmp_path):
         pd = standard_decomposition(2)

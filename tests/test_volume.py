@@ -1046,15 +1046,15 @@ class TestSampleWork:
                 return f(*args, **kwargs)
             return wrapper
 
-        for name in ("_selection", "_cuff_lengths", "reduce_angle_array",
-                     "chordal_array",
+        for name in ("_selection", "reduce_angle_array", "chordal_array",
                      "cross_ratio_array"):
             monkeypatch.setattr(pleated, name,
                                 counting(name, getattr(pleated, name)))
         for cls, names in ((pleated._Geometry, ("place", "cuff_angles",
                                                 "leaf_angles",
                                                 "leaf_lengths")),
-                           (MoebiusArray, ("classify", "fixed_points", "apply",
+                           (MoebiusArray, ("classify", "fixed_points",
+                                           "complex_length", "apply",
                                            "apply_interior"))):
             for name in names:
                 wrap_stage(monkeypatch, cls, name,
@@ -1069,16 +1069,16 @@ class TestSampleWork:
         # one selection per endpoint chain, every other stage once
         assert {name: counts[1][name] for name in (
             "_selection", "place", "cuff_angles", "leaf_angles",
-            "leaf_lengths", "_cuff_lengths", "classify", "fixed_points")} \
+            "leaf_lengths", "complex_length", "classify", "fixed_points")} \
             == {"_selection": 2, "place": 1, "cuff_angles": 1,
-                "leaf_angles": 1, "leaf_lengths": 1, "_cuff_lengths": 1,
+                "leaf_angles": 1, "leaf_lengths": 1, "complex_length": 1,
                 "classify": 1, "fixed_points": 1}
 
     def test_angle_series_runs_no_length_stage(self, monkeypatch):
         # angle_series reports angles only: it runs the angle stages and
         # neither length stage, which vol_gamma runs once each
         calls = dict.fromkeys(("cuff_angles", "leaf_angles", "leaf_lengths",
-                               "_cuff_lengths"), 0)
+                               "complex_length"), 0)
 
         def counting(name, f):
             def wrapper(*args, **kwargs):
@@ -1089,16 +1089,16 @@ class TestSampleWork:
         for name in ("cuff_angles", "leaf_angles", "leaf_lengths"):
             wrap_stage(monkeypatch, pleated._Geometry, name,
                        functools.partial(counting, name))
-        monkeypatch.setattr(pleated, "_cuff_lengths", counting(
-            "_cuff_lengths", pleated._cuff_lengths))
+        wrap_stage(monkeypatch, MoebiusArray, "complex_length",
+                   functools.partial(counting, "complex_length"))
         path = genus3_path(lambda t: 2.0 + 0.1j * t, steps=8)
         angle_series(path, "attracting")
         assert calls == {"cuff_angles": 1, "leaf_angles": 1,
-                         "leaf_lengths": 0, "_cuff_lengths": 0}
+                         "leaf_lengths": 0, "complex_length": 0}
         calls.update(dict.fromkeys(calls, 0))
         vol_gamma(path)
         assert calls == {"cuff_angles": 1, "leaf_angles": 1,
-                         "leaf_lengths": 1, "_cuff_lengths": 1}
+                         "leaf_lengths": 1, "complex_length": 1}
 
     @pytest.mark.parametrize("run", ["volume-path", "vol-gamma"])
     def test_no_point_made_per_sample(self, run, monkeypatch):
