@@ -430,6 +430,8 @@ track_endpoints = resolve_endpoints
 
 @dataclass(frozen=True)
 class PairSharing:
+    """Whether two slots of a pants share a fixed point, by tr^2 [x, y]."""
+
     pants: int
     slots: tuple[int, int]
     tr2_commutator: complex
@@ -438,6 +440,8 @@ class PairSharing:
 
 @dataclass(frozen=True)
 class AdaptednessReport:
+    """check_adapted's verdict: cuff types, bad cuffs, slot-pair tests."""
+
     adapted: bool
     cuff_kinds: dict
     bad_cuffs: tuple[str, ...]

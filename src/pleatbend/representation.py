@@ -18,15 +18,16 @@ from __future__ import annotations
 import cmath
 import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (InvalidDecomposition, NonHyperbolicParameters,
-                     PleatbendError, ReducibleRepresentation, SingularMatrix,
-                     UnknownLetter)
+from .errors import (DegenerateConfiguration, InvalidDecomposition,
+                     NonHyperbolicParameters, PleatbendError,
+                     ReducibleRepresentation, SingularMatrix, UnknownLetter)
 from .moebius import (EPS_CLASS, MoebiusArray, MoebiusMap, _cdiv, _cmul,
-                      _complex, _half_power, _modulus, _normalized, _unit,
+                      _complex, _half_power, _modulus, _normalized,
                       trace_squared)
 from .topology import (BoundaryInclusion, PantsDecomposition, _check_shape,
                        _tokens, _word_plan)
@@ -38,6 +39,8 @@ _NUMBER = (int, float)  # a number of a file, to _check_shape
 
 @dataclass(frozen=True)
 class Representation:
+    """One PSL(2, C) image per generator, and the relators it should kill."""
+
     generators: tuple[str, ...]
     images: tuple[MoebiusMap, ...]
     relators: tuple[str, ...] = ()
@@ -767,18 +770,27 @@ def path_from_reps(reps, ts=None, pd=None) -> RepresentationPath:
 
 def _common_fixed_point_tol(rep: Representation, tol: float) -> bool:
     """Whether the images share a fixed point within chordal distance
-    tol.  Images within max(tol, EPS_CLASS) of the identity are skipped.
-    The others are not classified: each gives the eigenvector of tr / 2
-    where |tr^2 - 4| < EPS_CLASS, else those of both eigenvalues, in no
-    order.  Scalar, as jacobian_rank calls it once per representation,
-    where a one-column MoebiusArray read costs ten times as much."""
+    tol.  Images within max(tol, EPS_CLASS) of the identity are skipped;
+    that distance is MoebiusMap.distance_to the identity, summed in its
+    order.  The others are not classified: each gives the eigenvector of
+    tr / 2 where |tr^2 - 4| < EPS_CLASS, else those of both eigenvalues,
+    in no order, scaled to unit norm as ProjectivePoint scales them.
+    Scalar, as jacobian_rank calls it once per representation: about
+    6 us for two generators, where classifying them and taking their
+    fixed points as one MoebiusArray costs 150 to 210 us."""
     bound = max(tol, EPS_CLASS)
-    ident = MoebiusMap.identity()
     fixed_sets = []
     for m in rep.images:
-        if m.distance_to(ident) < bound:
+        a, b, c, d = m.a, m.b, m.c, m.d
+        nb, nc = abs(b), abs(c)
+        nb2, nc2 = nb * nb, nc * nc
+        pa, pd = abs(a - 1.0), abs(d - 1.0)
+        ma, md = abs(a + 1.0), abs(d + 1.0)
+        plus = pa * pa + nb2 + nc2 + pd * pd
+        minus = ma * ma + nb2 + nc2 + md * md
+        if math.sqrt(minus if minus < plus else plus) < bound:
             continue
-        tr = m.trace
+        tr = a + d
         t2 = tr * tr
         if not cmath.isfinite(t2):
             raise SingularMatrix(f"squared trace {t2} is not finite")
@@ -789,26 +801,30 @@ def _common_fixed_point_tol(rep: Representation, tol: float) -> bool:
             mus = ((tr + disc) / 2.0, (tr - disc) / 2.0)
         points = []
         for mu in mus:      # the larger of (b, mu - a) and (mu - d, c)
-            v1, v2 = (m.b, mu - m.a), (mu - m.d, m.c)
-            n1, n2 = (abs(x) * abs(x) + abs(y) * abs(y) for x, y in (v1, v2))
-            points.append(_unit(*(v1 if n1 >= n2 else v2)))
+            u, v = mu - a, mu - d
+            nu, nv = abs(u), abs(v)
+            if nb2 + nu * nu >= nv * nv + nc2:
+                z1, z2, n = b, u, math.hypot(nb, nu)
+            else:
+                z1, z2, n = v, c, math.hypot(nv, nc)
+            if n == 0.0:
+                raise DegenerateConfiguration("homogeneous coordinates (0, 0)")
+            points.append((z1 / n, z2 / n))
         fixed_sets.append(points)
     if not fixed_sets:
         return True          # all generators central
     for z1, z2 in fixed_sets[0]:
-        if all(min(2.0 * abs(z1 * w2 - z2 * w1) for w1, w2 in pts) < tol
-               for pts in fixed_sets[1:]):
+        for pts in fixed_sets[1:]:
+            near = None      # the min of the distances, as min takes it
+            for w1, w2 in pts:
+                dist = 2.0 * abs(z1 * w2 - z2 * w1)
+                if near is None or dist < near:
+                    near = dist
+            if not near < tol:
+                break
+        else:
             return True
     return False
-
-
-def _entry_product(x: tuple, y: tuple) -> tuple:
-    a, b, c, d = x
-    e, f, g, h = y
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-_ONE = (1 + 0j, 0j, 0j, 1 + 0j)
 
 
 def _squared_trace_jacobian(rep: Representation, words) -> np.ndarray:
@@ -819,38 +835,70 @@ def _squared_trace_jacobian(rep: Representation, words) -> np.ndarray:
     For w = P g S the occurrence of g contributes 2 tr W tr(E g S P),
     an occurrence of g^-1 contributes -2 tr W tr(E S P g^-1), and
     tr(E M) is M00 - M11, M10 or M01.  With prefix products P_t and
-    suffix products S_t of the letters, g S P is S_t P_t and S P g^-1
+    suffix products S_t of the k letters, g S P is S_t P_t and S P g^-1
     is S_{t+1} P_{t+1}: one pass per word gives all 3n columns.
     Inverses are adjugates, as the stored images have determinant 1.
+
+    P_0 and S_k are the identity, so P_1, S_{k-1}, S_0 P_0 and S_k P_k
+    are copies, not products; S_0 is formed only where the first letter
+    is not an inverse, the one place it is read.  The entries equal
+    those of the products with the identity up to the sign of a zero.
+    On the genus-2 handlebody's words x, y, xy and xY this forms 5 of
+    the 18 products, inline, in about 14 us a call.  A row that is not
+    finite raises SingularMatrix naming its word: the SVD would return
+    NaN singular values and rank 0 for it.
     """
-    n = len(rep.generators)
+    words = tuple(words)
+    n3 = 3 * len(rep.generators)
     letters = [((m.a, m.b, m.c, m.d), (m.d, -m.b, -m.c, m.a))
                for m in rep.images]
-    rows = []
-    for plan in _word_plan(tuple(rep.generators), tuple(words)):
-        prefix = [_ONE]
-        for i, inv in plan:
-            prefix.append(_entry_product(prefix[-1], letters[i][inv]))
-        suffix = [_ONE]
-        for i, inv in reversed(plan):
-            suffix.append(_entry_product(letters[i][inv], suffix[-1]))
-        suffix.reverse()
-        w = prefix[-1]
-        two_tr = 2 * (w[0] + w[3])
-        row = [0j] * (3 * n)
-        for t, (i, inv) in enumerate(plan):
-            if inv:
-                m = _entry_product(suffix[t + 1], prefix[t + 1])
-                f = -two_tr
-            else:
-                m = _entry_product(suffix[t], prefix[t])
-                f = two_tr
-            col = 3 * i
-            row[col] += f * (m[0] - m[3])
-            row[col + 1] += f * m[2]
-            row[col + 2] += f * m[1]
-        rows.append(row)
-    return np.array(rows, dtype=complex).reshape(len(rows), 3 * n)
+    flat = []
+    for word, plan in zip(words, _word_plan(tuple(rep.generators), words)):
+        row = [0j] * n3
+        k = len(plan)
+        if k:
+            i, first_inv = plan[0]
+            prefix = [None, letters[i][first_inv]]    # P_t = L_0 ... L_{t-1}
+            a, b, c, d = prefix[1]
+            for i, inv in plan[1:]:
+                e, f, g, h = letters[i][inv]
+                a, b, c, d = m = (a * e + b * g, a * f + b * h,
+                                  c * e + d * g, c * f + d * h)
+                prefix.append(m)
+            two_tr = 2 * (a + d)
+            suffix = [None] * k                       # S_t = L_t ... L_{k-1}
+            i, inv = plan[-1]
+            e, f, g, h = suffix[-1] = letters[i][inv]
+            for t in range(k - 2, 0 if first_inv else -1, -1):
+                i, inv = plan[t]
+                a, b, c, d = letters[i][inv]
+                e, f, g, h = suffix[t] = (a * e + b * g, a * f + b * h,
+                                          c * e + d * g, c * f + d * h)
+            t = 0
+            for i, inv in plan:    # letter t's term is S_s P_s
+                if inv:
+                    s, fac = t + 1, -two_tr
+                else:
+                    s, fac = t, two_tr
+                if s == 0:
+                    m0, m1, m2, m3 = suffix[0]
+                elif s == k:
+                    m0, m1, m2, m3 = prefix[k]
+                else:
+                    a, b, c, d = suffix[s]
+                    e, f, g, h = prefix[s]
+                    m0, m1, m2, m3 = (a * e + b * g, a * f + b * h,
+                                      c * e + d * g, c * f + d * h)
+                col = 3 * i
+                row[col] += fac * (m0 - m3)
+                row[col + 1] += fac * m2
+                row[col + 2] += fac * m1
+                t += 1
+        if not all(map(cmath.isfinite, row)):
+            raise SingularMatrix(f"jacobian row of word {word!r} is not "
+                                 "finite")
+        flat += row
+    return np.array(flat, dtype=complex).reshape(len(words), n3)
 
 
 def jacobian_rank(rep: Representation,
@@ -868,7 +916,8 @@ def jacobian_rank(rep: Representation,
     difference step to choose.  Returns (rank, singular values).
     Refuses reducible representations (generators with a common fixed
     point within REDUCIBLE_TOL), where the character map is singular for
-    a different reason.
+    a different reason, and raises SingularMatrix, naming the word, where
+    a Jacobian row is not finite.
     """
     if _common_fixed_point_tol(rep, REDUCIBLE_TOL):
         raise ReducibleRepresentation(

@@ -90,6 +90,8 @@ def word_letters(word: str) -> set[str]:
 
 @dataclass(frozen=True)
 class CuffEnd:
+    """A pants slot: its cuff, the sign of the cuff word, its conjugator."""
+
     cuff: str
     sign: int            # +1 or -1
     conjugator: str = ""
@@ -97,11 +99,15 @@ class CuffEnd:
 
 @dataclass(frozen=True)
 class Pants:
+    """A pair of pants: its three cuff ends, slots 0, 1 and 2."""
+
     cuff_ends: tuple[CuffEnd, CuffEnd, CuffEnd]
 
 
 @dataclass(frozen=True)
 class Cuff:
+    """A decomposing curve: its id and its word in the surface group."""
+
     id: str
     word: str
 
@@ -124,6 +130,8 @@ class FenchelNielsenData:
 
 @dataclass(frozen=True)
 class PantsDecomposition:
+    """A surface group cut into pants along cuffs; checked when made."""
+
     genus: int
     generators: tuple[str, ...]
     relators: tuple[str, ...]
@@ -258,12 +266,16 @@ def enumerate_orientations(pd: PantsDecomposition) -> list[OrientationAssignment
 
 @dataclass(frozen=True)
 class Leaf:
+    """A leaf of the bending locus and the cuffs its terms read."""
+
     key: object                     # cuff id or (pants, leaf index)
     support: tuple[int, ...]        # indices of the cuffs its term reads
 
 
 @dataclass(frozen=True)
 class Lamination:
+    """The bending locus: its leaves, cuffs first, and each pants' cuffs."""
+
     leaves: tuple[Leaf, ...]
     pants_cuffs: tuple[tuple[int, ...], ...]   # distinct cuffs of each pants
 
@@ -291,6 +303,8 @@ def build_lamination(pd: PantsDecomposition) -> Lamination:
 
 @dataclass(frozen=True)
 class LeafCrossing:
+    """A transverse arc's crossing of a spiral leaf of a pants."""
+
     pants: int
     leaf: int            # spiral leaf index 0..2 within the pants
     direction: int = 1   # +-1, transverse orientation of the crossing
@@ -298,6 +312,8 @@ class LeafCrossing:
 
 @dataclass(frozen=True)
 class CuffCrossing:
+    """A transverse arc's crossing of a cuff, with its extra windings."""
+
     cuff: str
     winding: int = 0     # extra cuff powers picked up by the crossing arc
     direction: int = 1
@@ -305,6 +321,8 @@ class CuffCrossing:
 
 @dataclass(frozen=True)
 class TransverseArc:
+    """An arc transverse to the lamination, as its crossings in order."""
+
     crossings: tuple
 
     def validate(self, pd: PantsDecomposition) -> None:
@@ -375,6 +393,8 @@ class BoundaryComponent:
 
 @dataclass(frozen=True)
 class BoundaryInclusion:
+    """A manifold group and the inclusion of each boundary component."""
+
     generators: tuple[str, ...]       # manifold group generators
     relators: tuple[str, ...]
     components: tuple[BoundaryComponent, ...]

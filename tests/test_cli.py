@@ -498,6 +498,24 @@ class TestPeripheralAndRank:
         assert code == 2
         assert "ReducibleRepresentation" in err
 
+    def test_rank_refuses_non_finite_row(self, demo, tmp_path):
+        # the jacobian row of x overflows; before it was refused, LAPACK
+        # printed a DLASCL complaint and rank printed rank 0 with NaN
+        # singular values
+        rep_file = tmp_path / "overflow.json"
+        save_rep(str(rep_file), Representation(
+            ("x", "y"), (MoebiusMap(1e154, 1, 1, 2e-154),
+                         MoebiusMap(2, 1, 1, 1))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pleatbend.cli", "rank",
+             "--input", str(rep_file),
+             "--inclusion", str(demo / "genus2_handlebody.json")],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: SingularMatrix: jacobian row of word "
+                               "'x' is not finite\n")
+
 
 class TestPlot:
     def test_volume_plot(self, demo, capsys, tmp_path):

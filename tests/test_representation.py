@@ -44,8 +44,8 @@ from pleatbend import (
     standard_word_list,
 )
 from pleatbend.errors import SingularMatrix, UnknownLetter
-from pleatbend.moebius import (EPS_CLASS, IsometryClass, classify,
-                               trace_squared)
+from pleatbend.moebius import (EPS_CLASS, IsometryClass, MoebiusArray,
+                               classify, trace_squared)
 from pleatbend.representation import (EPS_RANK, _common_fixed_point_tol,
                                       _squared_trace_jacobian)
 from pleatbend.topology import BoundaryComponent, BoundaryInclusion, parse_word
@@ -465,18 +465,57 @@ class TestJacobianRank:
 
     def test_one_svd(self, monkeypatch):
         # the exact Jacobian needs no projection off the conjugation
-        # tangents, so the singular values of J are the only SVD
+        # tangents, so the singular values of J are the only SVD; the
+        # scalar passes build no MoebiusMap and no MoebiusArray
         rep, inclusion = bundled_rank_inputs()
         calls = []
+        built = {"maps": 0, "arrays": 0}
         svd = np.linalg.svd
+        normalize, wrap = MoebiusMap.__post_init__, MoebiusMap._raw.__func__
+        array_init = MoebiusArray.__init__
 
         def counting_svd(*args, **kwargs):
             calls.append(args[0].shape)
             return svd(*args, **kwargs)
 
+        def counting_normalize(m):
+            built["maps"] += 1
+            normalize(m)
+
+        def counting_wrap(cls, *entries):
+            built["maps"] += 1
+            return wrap(cls, *entries)
+
+        def counting_array(self, *args):
+            built["arrays"] += 1
+            array_init(self, *args)
+
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(MoebiusMap, "__post_init__", counting_normalize)
+        monkeypatch.setattr(MoebiusMap, "_raw", classmethod(counting_wrap))
+        monkeypatch.setattr(MoebiusArray, "__init__", counting_array)
         jacobian_rank(rep, inclusion)
         assert calls == [(4, 6)]
+        assert built == {"maps": 0, "arrays": 0}
+
+    def test_non_finite_row_refused(self, monkeypatch):
+        # tr^2 of x is finite, but its row 2 tr x (a - d) overflows: the
+        # first such word is named before the SVD, which would return NaN
+        # singular values and a rank of 0
+        _, inclusion = bundled_rank_inputs()
+        rep = Representation(("x", "y"), (MoebiusMap(1e154, 1, 1, 2e-154),
+                                          MoebiusMap(2, 1, 1, 1)))
+        assert cmath.isfinite(trace_squared(rep.images[0]))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        with pytest.raises(SingularMatrix,
+                           match="^jacobian row of word 'x' is not finite$"):
+            jacobian_rank(rep, inclusion)
+        with pytest.raises(SingularMatrix, match="word 'xy'"):
+            _squared_trace_jacobian(rep, ["y", "xy"])
 
     def test_peripheral_words_rewritten_once(self, monkeypatch):
         rep, inclusion = bundled_rank_inputs()
@@ -571,6 +610,26 @@ class TestReducibilityOracle:
                 self._check(Representation(("x", "y"), (m, other)))
                 self._check(Representation(("x", "y"), (other, m)))
 
+    def test_more_than_two_generators(self):
+        # x and y share 0, x and z infinity, y and z 1, and no point is
+        # fixed by all three; with one of them the identity, the other
+        # two share one
+        x = MoebiusMap(2, 0, 0, 0.5)
+        triple = [x, x.conjugate_by(MoebiusMap(1, 0, 1, 1)),
+                  x.conjugate_by(MoebiusMap(1, 1, 0, 1))]
+        reps = [Representation(("x", "y", "z"), tuple(triple))]
+        for k in range(3):
+            images = triple[:k] + [MoebiusMap.identity()] + triple[k + 1:]
+            reps.append(Representation(("x", "y", "z"), tuple(images)))
+        assert [_common_fixed_point_tol(rep, 1e-8) for rep in reps] == [
+            False, True, True, True]
+        for rep in reps:
+            self._check(rep)
+        pd = standard_decomposition(2)
+        rep = fenchel_nielsen_rep(pd, (2.0, 1.7, 2.3), (0.3 + 0.4j, 0.1, 0.2))
+        assert len(rep.generators) == 4
+        self._check(rep)
+
 
 class TestJacobianSeedOracle:
     """jacobian_rank plans each word once per generators and words and
@@ -580,6 +639,9 @@ class TestJacobianSeedOracle:
     # repeated letters, both signs of one generator in one word, and
     # the empty word
     PLANTED = ("xxY", "XyxY", "yXXyx", "")
+    # one-letter inverse words and a word ending in the inverse of its
+    # first letter, where a product with the identity is skipped
+    PLANTED += ("X", "Y", "XX", "xyX")
 
     def test_random_representations(self):
         _, inclusion = bundled_rank_inputs()

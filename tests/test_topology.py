@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -290,3 +291,18 @@ class TestInclusionDocument:
         pd2, inc2 = load_document(str(f))
         assert inc2 is None
         assert len(pd2.cuffs) == 6
+
+
+@pytest.mark.parametrize("name", [
+    "topology.CuffEnd", "topology.Pants", "topology.Cuff",
+    "topology.PantsDecomposition", "topology.Leaf", "topology.Lamination",
+    "topology.LeafCrossing", "topology.CuffCrossing",
+    "topology.TransverseArc", "topology.BoundaryInclusion",
+    "pleated.PairSharing", "pleated.AdaptednessReport",
+    "representation.Representation"])
+def test_record_class_has_a_docstring(name):
+    # dataclass writes the signature where a class has no docstring
+    module, cls = name.split(".")
+    doc = getattr(importlib.import_module(f"pleatbend.{module}"), cls).__doc__
+    assert not doc.startswith(f"{cls}("), doc
+    assert ">>>" not in doc
