@@ -424,34 +424,48 @@ _COMMANDS = {
 }
 
 
+def _add_options(parser: _Parser, name: str) -> None:
+    """The options of command name: --input, those in _COMMANDS,
+    --format where it writes more than one format, and --output."""
+    _, options, formats = _COMMANDS[name]
+    parser.add_argument("--input", required=True,
+                        nargs="+" if name == "peripheral" else None,
+                        help="input file(s): representation or path JSON")
+    for option in options:
+        parser.add_argument(f"--{option}", **_OPTIONS[option])
+    if len(formats) > 1:
+        parser.add_argument("--format", default=formats[0], choices=formats)
+    else:
+        parser.set_defaults(format=formats[0])
+    parser.add_argument("--output", help="write to this file instead of stdout")
+
+
 def _build_parser(command: str | None = None) -> _Parser:
-    """The command line parser; given a command, with that subcommand
-    alone, which spares a run the argument set-up of all the others."""
+    """The command line parser.  Given a known command, one parser of
+    that command alone, for the arguments after it: it has the
+    subparser's prog and options, sets command by default, prints the
+    same help and errors, and spares a run the set-up of the top-level
+    parser and a subparser.  Otherwise the top-level parser with one
+    subparser per command, for --help, no command or an unknown one."""
+    if command is not None:
+        parser = _Parser(prog=f"pleatbend {command}")
+        parser.set_defaults(command=command)
+        _add_options(parser, command)
+        return parser
     parser = _Parser(prog="pleatbend",
                      description="pleated-surface and volume experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, options, formats) in _COMMANDS.items():
-        if command not in (None, name):
-            continue
-        p = sub.add_parser(name)
-        p.add_argument("--input", required=True,
-                       nargs="+" if name == "peripheral" else None,
-                       help="input file(s): representation or path JSON")
-        for option in options:
-            p.add_argument(f"--{option}", **_OPTIONS[option])
-        if len(formats) > 1:
-            p.add_argument("--format", default=formats[0], choices=formats)
-        else:
-            p.set_defaults(format=formats[0])
-        p.add_argument("--output", help="write to this file instead of stdout")
+    for name in _COMMANDS:
+        _add_options(sub.add_parser(name), name)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = _build_parser(command)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv[1:] if command else argv)
         return _COMMANDS[args.command][0](args)
     except _ParseFailure as exc:
         print(f"parse error: {exc}", file=sys.stderr)

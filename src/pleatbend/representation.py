@@ -16,6 +16,7 @@ along that cuff.
 from __future__ import annotations
 
 import cmath
+import gc
 import itertools
 import json
 import math
@@ -917,17 +918,25 @@ def jacobian_rank(rep: Representation,
     Refuses reducible representations (generators with a common fixed
     point within REDUCIBLE_TOL), where the character map is singular for
     a different reason, and raises SingularMatrix, naming the word, where
-    a Jacobian row is not finite.
+    a Jacobian row is not finite, and naming the first such generator,
+    as finite_trace_squared names a word, where a generator's tr^2 is
+    not finite.  The rank is counted on sv.tolist(), as numpy scalar
+    comparisons cost more than the count.
     """
-    if _common_fixed_point_tol(rep, REDUCIBLE_TOL):
+    try:
+        reducible = _common_fixed_point_tol(rep, REDUCIBLE_TOL)
+    except SingularMatrix:
+        for g, m in zip(rep.generators, rep.images):
+            finite_trace_squared(g, m)
+        raise
+    if reducible:
         raise ReducibleRepresentation(
             "generators share a fixed point within tolerance")
     J = _squared_trace_jacobian(rep, boundary.peripheral_words)
     sv = np.linalg.svd(J, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0:
-        return 0, sv
-    rank = int(np.count_nonzero(sv > EPS_RANK * sv[0]))
-    return rank, sv
+    s = sv.tolist()                 # descending, so all 0 where s[0] is
+    bound = EPS_RANK * s[0] if s else 0.0
+    return sum(x > bound for x in s), sv
 
 
 def conjugacy_residual(rep1: Representation, rep2: Representation) -> float:
@@ -1002,14 +1011,21 @@ def _floats(value, shape: tuple, samples: list, sample: dict,
     ValueError naming the first part of samples not of the shape sample
     (_check_samples).  The lists are walked once, level by level.  A
     number is an int or a float: a boolean is none, although numpy reads
-    it as 0 or 1 among numbers."""
+    it as 0 or 1 among numbers.  Leaves that are all floats, as save_path
+    writes them, convert with dtype=float, which skips numpy's type
+    discovery and the astype copy; leaves holding an int take numpy's
+    own dtype, so one past int64 (object dtype) or the float range is
+    refused."""
     level = [value]
     for size in shape:
         if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
             break
         level = list(itertools.chain.from_iterable(level))
     else:
-        a = np.array(level if set(map(type, level)) <= {int, float} else None)
+        types = set(map(type, level))
+        if types == {float}:
+            return np.array(level, dtype=float).reshape(shape)
+        a = np.array(level if types <= {int, float} else None)
         if a.dtype.kind in "iuf":
             return a.astype(float).reshape(shape)
     _check_samples(samples, sample, single)
@@ -1084,8 +1100,22 @@ def save_rep(path: str, rep: Representation) -> None:
 
 
 def load_path(path: str, pd: PantsDecomposition | None = None) -> RepresentationPath:
-    with open(path) as fh:
-        return path_from_dict(json.load(fh), pd=pd)
+    """The path stored in the file path (path_from_dict).
+
+    The cyclic garbage collector is paused while the file is parsed and
+    converted, and restored as it was, also when either raises.  A
+    1,025-sample file parses into about 22,550 lists and dicts, none in
+    a cycle and all freed by reference counting on return, and without
+    the pause the collector walks them some 30 times.  Neither the text
+    nor the parsed document outlives the conversion."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path) as fh:
+            return path_from_dict(json.load(fh), pd=pd)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # samples save_path spells at once: a number's string object takes about

@@ -517,6 +517,22 @@ class TestPeripheralAndRank:
                                "'x' is not finite\n")
 
 
+    def test_rank_names_non_finite_generator(self, demo, tmp_path, capsys):
+        # tr^2 of y is NaN; the reducibility test, which meets it first,
+        # names y as classify names a word
+        rep_file = tmp_path / "nan.json"
+        rep_file.write_text(json.dumps({"matrices": {
+            "x": [[2, 0], [1, 0], [1, 0], [1, 0]],
+            "y": [[math.nan, 0], [0, 0], [0, 0], [1, 0]]}}))
+        code, out, err = run(capsys, "rank", "--input", str(rep_file),
+                             "--inclusion",
+                             str(demo / "genus2_handlebody.json"))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: SingularMatrix: squared trace (nan+nanj) of "
+                       "word 'y' is not finite\n")
+
+
 class TestPlot:
     def test_volume_plot(self, demo, capsys, tmp_path):
         target = tmp_path / "plot.svg"
@@ -674,15 +690,49 @@ class TestOptions:
 
     @pytest.mark.parametrize("command", sorted(OPTIONS))
     def test_parser_of_one_command(self, command):
-        # main sets up the subcommand it runs, with the same options
-        def options(parser):
-            sub = next(a for a in parser._actions
-                       if isinstance(a, argparse._SubParsersAction))
-            return {name: sorted(a.dest for a in p._actions)
-                    for name, p in sub.choices.items()}
+        # main sets up the one command it runs, with the options of that
+        # command's subparser in the full parser, and no subparsers
+        def dests(parser):
+            return sorted(a.dest for a in parser._actions)
 
-        full = options(_build_parser())
-        assert options(_build_parser(command)) == {command: full[command]}
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        one = _build_parser(command)
+        assert not any(isinstance(a, argparse._SubParsersAction)
+                       for a in one._actions)
+        assert dests(one) == dests(sub.choices[command])
+        assert one.prog == sub.choices[command].prog
+        assert one.get_default("command") == command
+
+    def test_known_command_builds_one_parser(self, demo, capsys,
+                                             monkeypatch):
+        # a known command is parsed by its own parser alone, not by the
+        # top-level parser and a subparser
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        code, out, _ = run(capsys, "classify", "--input",
+                           str(demo / "fuchsian.json"), "--words", "a1")
+        assert code == 0
+        assert out.startswith("word ")
+        assert built == ["pleatbend classify"]
+
+    @pytest.mark.parametrize("command", [None, *OPTIONS])
+    def test_help_bytes(self, capsys, monkeypatch, command):
+        # the help of every command and of the top level, as recorded
+        # before a known command got a parser of its own, at 80 columns
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ["--help"] if command is None else [command, "--help"]
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 0
+        name = "help" if command is None else f"help-{command}"
+        assert capsys.readouterr().out == (DATA / f"{name}.text").read_text()
 
     @pytest.mark.parametrize("command, extra, token", _unread())
     def test_unread_option_is_usage_error(self, capsys, command, extra,

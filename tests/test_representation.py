@@ -1,6 +1,7 @@
 """Tests for word evaluation, characters, gluing, and serialization."""
 
 import cmath
+import gc
 import importlib.resources
 import inspect
 import json
@@ -47,7 +48,8 @@ from pleatbend.errors import SingularMatrix, UnknownLetter
 from pleatbend.moebius import (EPS_CLASS, IsometryClass, MoebiusArray,
                                classify, trace_squared)
 from pleatbend.representation import (EPS_RANK, _common_fixed_point_tol,
-                                      _squared_trace_jacobian)
+                                      _floats, _squared_trace_jacobian,
+                                      load_path)
 from pleatbend.topology import BoundaryComponent, BoundaryInclusion, parse_word
 
 from _seed_kernel import (SeedMoebiusMap, build_both,
@@ -517,6 +519,16 @@ class TestJacobianRank:
         with pytest.raises(SingularMatrix, match="word 'xy'"):
             _squared_trace_jacobian(rep, ["y", "xy"])
 
+    def test_non_finite_generator_named(self):
+        # the reducibility test meets tr^2 of y first; the refusal names
+        # y as finite_trace_squared names a word
+        _, inclusion = bundled_rank_inputs()
+        rep = Representation(("x", "y"), (MoebiusMap(2, 1, 1, 1),
+                                          MoebiusMap(math.nan, 0, 0, 1)))
+        with pytest.raises(SingularMatrix, match=r"^squared trace "
+                           r"\(nan\+nanj\) of word 'y' is not finite$"):
+            jacobian_rank(rep, inclusion)
+
     def test_peripheral_words_rewritten_once(self, monkeypatch):
         rep, inclusion = bundled_rank_inputs()
         calls = []
@@ -905,11 +917,14 @@ class TestSerialization:
          "samples[2]['matrices']['b2'][0][1] is malformed: None"),
         (lambda d: matrix(d, 1, "a2")[1].__setitem__(0, 10 ** 400),
          "samples hold no float numbers of shape (12, 4, 2)"),
+        (lambda d: matrix(d, 1, "a2")[1].__setitem__(0, 2 ** 70),
+         "samples hold no float numbers of shape (12, 4, 2)"),
         (lambda d: d.update(samples=[]),
          "samples hold no float numbers of shape (0, 4, 2)")],
         ids=["three-pairs", "five-pairs", "matrix-number", "short-pair",
              "long-pair", "pair-number", "nested-number", "true-entry",
-             "true-pair", "true-t", "string", "null", "huge-int", "empty"])
+             "true-pair", "true-t", "string", "null", "huge-int",
+             "huge-int64", "empty"])
     def test_malformed_path_refused(self, edit, message):
         # the loader walks the nested lists once; each refusal names the
         # first malformed part, as the loader that let numpy read the
@@ -973,3 +988,96 @@ class TestSerialization:
             with importlib.resources.as_file(DATA / name) as p:
                 rep = load_rep(str(p))
             assert rep.generators == ("x", "y")
+
+
+def test_float_leaves_convert_as_numpy_reads_them():
+    # all-float leaves skip numpy's type discovery; the floats are those
+    # np.array(level).astype(float) gives, bit for bit
+    values = [0.0, -0.0, 0.1, -2.5, 5e-324, 1.7976931348623157e308,
+              math.inf, -math.inf, math.nan, 1e-310]
+    got = _floats([[v, -v] for v in values], (len(values), 2), [], {})
+    want = np.array([[v, -v] for v in values]).astype(float)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    mixed = _floats([1, 2.5, -3], (3,), [], {})
+    assert mixed.tobytes() == np.array([1.0, 2.5, -3.0]).tobytes()
+
+
+class TestLoadPath:
+    """load_path pauses the cyclic collector while it parses and
+    converts a file, and leaves the collector as it found it."""
+
+    @pytest.fixture(scope="class")
+    def g2_file(self, tmp_path_factory):
+        # a 1,025-sample genus-2 pure bend, glued as the volume-path-g2
+        # benchmark glues it
+        target = tmp_path_factory.mktemp("load_path") / "path-g2.json"
+        save_path(str(target), path_from_parameters(
+            standard_decomposition(2), lambda t: (2.1, 1.7, 2.3),
+            lambda t: (0.3 + 0.5j * t, 0.1, 0.2), steps=1024))
+        return str(target)
+
+    @pytest.fixture
+    def collector(self):
+        """The collector's state, restored after the test."""
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_no_collector_pass(self, g2_file, collector):
+        # the parsed document holds about 22,550 lists and dicts and no
+        # cycle; without the pause the collector walks them some 30 times
+        gc.enable()
+        gc.collect()
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            path = load_path(g2_file)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(path.ts) == 1025
+        assert starts == []
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored(self, g2_file, collector, enabled):
+        (gc.enable if enabled else gc.disable)()
+        load_path(g2_file)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("name, error", [
+        ("malformed.json", ValueError), ("missing.json", OSError)])
+    def test_collector_state_restored_on_failure(self, tmp_path, collector,
+                                                 enabled, name, error):
+        (tmp_path / "malformed.json").write_text(json.dumps(
+            {"samples": [{"t": 0.0, "matrices": {"x": 1.0}}]}))
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(error):
+            load_path(str(tmp_path / name))
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("twist", [
+        lambda t: 0.3 + 0.5j * t, lambda t: 0.3 + 2j * math.pi * t],
+        ids=["pure_bend", "twist_loop"])
+    def test_same_path_as_parse_then_convert(self, tmp_path, twist):
+        # the demo paths of scripts/write_demo_inputs.py: the matrices
+        # and times equal those of json.load and path_from_dict
+        pd = standard_decomposition(2)
+        target = str(tmp_path / "path.json")
+        save_path(target, path_from_parameters(
+            pd, lambda t: (2.0, 1.7, 2.3),
+            lambda t: (twist(t), 0.1, 0.2), steps=64))
+        with open(target) as fh:
+            want = path_from_dict(json.load(fh), pd=pd)
+        got = load_path(target, pd=pd)
+        assert got.matrices.tobytes() == want.matrices.tobytes()
+        assert got.ts == want.ts
+        assert got.generators == want.generators
